@@ -11,7 +11,8 @@ re-solving.
 """
 
 from repro.cache.keys import (backend_cache_identity, canonical_float,
-                              device_content_hash, result_key)
+                              device_content_hash, lead_content_hash,
+                              result_key)
 from repro.cache.store import (RECORD_SCHEMA_VERSION, ResultStore,
                                as_result_store, pack_result, unpack_result)
 
@@ -22,6 +23,7 @@ __all__ = [
     "backend_cache_identity",
     "canonical_float",
     "device_content_hash",
+    "lead_content_hash",
     "pack_result",
     "result_key",
     "unpack_result",

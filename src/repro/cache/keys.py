@@ -82,13 +82,30 @@ def device_content_hash(device) -> str:
     _update_with_array(h, "block_sizes", np.asarray(device.block_sizes))
     _update_with_array(h, "cell_sizes", np.asarray(device.cell_sizes))
     _update_with_array(h, "kpoint", np.asarray(device.kpoint, dtype=float))
-    lead = device.lead
+    _update_with_lead(h, device.lead)
+    return h.hexdigest()
+
+
+def _update_with_lead(h, lead) -> None:
+    """Feed the lead blocks the OBC solves consume into the hash."""
     for i, cell in enumerate(lead.h_cells):
         _update_with_matrix(h, f"lead.h_cells[{i}]", cell)
     for i, cell in enumerate(lead.s_cells):
         _update_with_matrix(h, f"lead.s_cells[{i}]", cell)
     for name in ("h00", "h01", "s00", "s01"):
         _update_with_matrix(h, "lead." + name, getattr(lead, name))
+
+
+def lead_content_hash(lead) -> str:
+    """sha256 over the block content of one :class:`LeadBlocks`.
+
+    Everything an open-boundary solve reads besides (E, method, kwargs):
+    two leads share a boundary memo entry only when this agrees, so
+    different k-points or a perturbed contact cell can never alias.
+    """
+    h = hashlib.sha256()
+    h.update(b"repro-lead-v1")
+    _update_with_lead(h, lead)
     return h.hexdigest()
 
 

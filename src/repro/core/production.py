@@ -24,9 +24,9 @@ from contextlib import nullcontext
 
 from repro.core.energygrid import adaptive_energy_grid
 from repro.core.runner import compute_spectrum
-from repro.hamiltonian import build_device
 from repro.observability.spans import current_tracer
 from repro.parallel import DynamicLoadBalancer
+from repro.pipeline.cache import DeviceFamily
 from repro.poisson.scf import schroedinger_poisson
 from repro.runtime.checkpoint import as_store
 from repro.utils.errors import CheckpointError, ConfigurationError
@@ -136,8 +136,12 @@ def run_production(structure, basis, num_cells: int, bias_points,
     kwargs = dict(mixing=0.3, max_iter=12, tol=5e-3, density_scale=0.02)
     kwargs.update(scf_kwargs or {})
 
-    lead = build_device(structure, basis, num_cells).lead
-    energies = adaptive_energy_grid(lead, e_window[0], e_window[1],
+    # The contacts are potential-frozen, so the devices' potential-free
+    # part and every lead's Sigma^RB(E) are the same in all SCF
+    # iterations, final spectra and bias points: one family for the sweep.
+    family = DeviceFamily(structure, basis, num_cells, num_k)
+    energies = adaptive_energy_grid(family.gamma_device().lead,
+                                    e_window[0], e_window[1],
                                     min_spacing=5e-3, max_spacing=0.04)
 
     balancer = None
@@ -165,7 +169,7 @@ def run_production(structure, basis, num_cells: int, bias_points,
                     energy_batch_size=energy_batch_size,
                     use_arena=use_arena,
                     kernel_backend=kernel_backend,
-                    result_store=result_store, **kwargs)
+                    result_store=result_store, family=family, **kwargs)
                 spec = compute_spectrum(structure, basis, num_cells,
                                         energies,
                                         num_k=num_k, obc_method="dense",
@@ -175,7 +179,8 @@ def run_production(structure, basis, num_cells: int, bias_points,
                                         energy_batch_size=energy_batch_size,
                                         use_arena=use_arena,
                                         kernel_backend=kernel_backend,
-                                        result_store=result_store)
+                                        result_store=result_store,
+                                        family=family)
                 current = spec.current(mu_source, mu_source - vds,
                                        temperature_k)
             points.append(BiasPoint(vds=vds, current=current,

@@ -13,11 +13,13 @@ from repro.cache import (ResultStore, as_result_store,
                          backend_cache_identity, device_content_hash,
                          pack_result, result_key, unpack_result)
 from repro.constants import LANDAUER_2E_OVER_H
-from repro.hamiltonian import build_device, transverse_k_grid
+from repro.hamiltonian import build_device
 from repro.negf.density import fermi
 from repro.observability.spans import current_tracer
 from repro.parallel.serialization import TaskDescriptor
 from repro.pipeline import TransportPipeline
+from repro.pipeline.cache import (BoundaryMemo, DeviceCache, DeviceFamily,
+                                  as_family)
 from repro.runtime.checkpoint import as_store
 from repro.utils.errors import (CheckpointError, ConfigurationError,
                                 TaskExecutionError)
@@ -71,7 +73,11 @@ class SpectrumUnitSpec:
     the structure/basis inputs plus the pipeline configuration, enough
     for :func:`_solve_unit` to rebuild the device and solve the batch in
     a worker with bit-identical results (device assembly and the solves
-    are deterministic functions of these inputs).
+    are deterministic functions of these inputs).  Two tokens name what
+    the worker may keep between units: ``family_token`` the
+    potential-invariant part (the k-point's base device and its boundary
+    memo, shared by every spectrum of a run), ``run_token`` the one
+    spectrum (its potential and pipeline configuration).
     """
 
     structure: object
@@ -86,7 +92,7 @@ class SpectrumUnitSpec:
     energies: tuple            # the unit's energy values
     kpoint_index: int
     energy_indices: tuple
-    run_token: str             # worker-side cache key, unique per run
+    run_token: str             # unique per spectrum (one potential)
     use_arena: bool = False    # workspace-arena buffer reuse in SOLVE
     #: kernel-backend selector (name or "auto"); resolved *in the
     #: worker*, so "auto" consults the worker's own device scope against
@@ -103,11 +109,49 @@ class SpectrumUnitSpec:
     store_keys: tuple | None = None
     #: cached near-neighbour FEAST subspace seeding a warm-started unit
     obc_subspace_guess: object = None
+    #: names the :class:`~repro.pipeline.cache.DeviceFamily` of the run;
+    #: ``None`` (a hand-built spec) falls back to ``run_token``
+    family_token: str | None = None
 
 
-#: per-process device/pipeline cache of :func:`_solve_unit`, keyed
-#: ``(run_token, kpoint_index)`` so a worker assembles each k-point's
-#: device once and reuses it for every energy batch of the same run
+class _WorkerDevice:
+    """What a worker keeps of one k-point of one device family.
+
+    The potential-invariant part (base device, boundary memo) lives as
+    long as the entry; the pipeline and the :class:`DeviceCache` of the
+    spectrum being solved are replaced when a unit of another spectrum
+    (``run_token``) arrives.
+    """
+
+    def __init__(self, spec: SpectrumUnitSpec):
+        self.device = build_device(spec.structure, spec.basis,
+                                   spec.num_cells, kpoint=(0.0, spec.kz))
+        self.memo = BoundaryMemo()
+        self.run_key = None
+        self.pipe = None
+        self.cache = None
+
+    def for_run(self, spec: SpectrumUnitSpec):
+        """``(pipeline, cache)`` of the spectrum ``spec`` belongs to."""
+        kernel_backend = getattr(spec, "kernel_backend", None)
+        run_key = (spec.run_token, kernel_backend)
+        if run_key != self.run_key:
+            self.pipe = TransportPipeline(
+                obc_method=spec.obc_method, solver=spec.solver,
+                num_partitions=spec.num_partitions,
+                obc_kwargs=spec.obc_kwargs,
+                obc_warm_start=getattr(spec, "obc_warm_start", False),
+                use_arena=spec.use_arena, backend=kernel_backend)
+            dev = self.device if spec.potential is None \
+                else self.device.with_potential(spec.potential)
+            self.cache = DeviceCache(dev, memo=self.memo)
+            self.run_key = run_key
+        return self.pipe, self.cache
+
+
+#: per-process cache of :func:`_solve_unit`, keyed ``(family_token,
+#: kpoint_index)`` so a worker assembles each k-point's device once and
+#: keeps its boundaries for every spectrum of the same run
 _WORKER_CACHE: dict = {}
 _WORKER_CACHE_MAX = 8
 
@@ -118,31 +162,19 @@ def _solve_unit(spec: SpectrumUnitSpec):
     """Worker-side entry point: solve one unit from its plain-data spec.
 
     Module-level (pickled by reference) and self-contained: rebuilds the
-    pipeline and the k-point's device on first use, memoized per process
-    in :data:`_WORKER_CACHE` (bounded FIFO — workers of a long energy
-    sweep hold a handful of k-point devices, not all of them).
+    k-point's device on first use, memoized per process in
+    :data:`_WORKER_CACHE` (bounded FIFO — workers of a long energy
+    sweep hold a handful of k-point devices, not all of them).  Which
+    boundaries a worker already holds depends on the units it happened
+    to get; the results do not (a memo hit is bitwise the solve).
     """
-    kernel_backend = getattr(spec, "kernel_backend", None)
-    key = (spec.run_token, spec.kpoint_index, kernel_backend)
+    key = (spec.family_token or spec.run_token, spec.kpoint_index)
     tracer = current_tracer()
     entry = _WORKER_CACHE.get(key)
     if entry is None:
         if tracer is not None:
             tracer.metrics.counter("worker_cache_misses").inc()
-        pipe = TransportPipeline(obc_method=spec.obc_method,
-                                 solver=spec.solver,
-                                 num_partitions=spec.num_partitions,
-                                 obc_kwargs=spec.obc_kwargs,
-                                 obc_warm_start=getattr(
-                                     spec, "obc_warm_start", False),
-                                 use_arena=spec.use_arena,
-                                 backend=kernel_backend)
-        dev = build_device(spec.structure, spec.basis, spec.num_cells,
-                           kpoint=(0.0, spec.kz))
-        if spec.potential is not None:
-            dev = dev.with_potential(np.asarray(spec.potential,
-                                                dtype=float))
-        entry = (pipe, pipe.cache(dev))
+        entry = _WorkerDevice(spec)
         while len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
             _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
             if tracer is not None:
@@ -151,7 +183,7 @@ def _solve_unit(spec: SpectrumUnitSpec):
     else:
         if tracer is not None:
             tracer.metrics.counter("worker_cache_hits").inc()
-    pipe, cache = entry
+    pipe, cache = entry.for_run(spec)
     outputs = pipe.solve_batch(
         cache, np.asarray(spec.energies, dtype=float),
         kpoint_index=spec.kpoint_index,
@@ -178,7 +210,9 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                      use_arena: bool = False,
                      kernel_backend: str | None = None,
                      result_store=None,
-                     obc_warm_start: bool = False) -> TransportSpectrum:
+                     obc_warm_start: bool = False,
+                     family: DeviceFamily | None = None
+                     ) -> TransportSpectrum:
     """Run the full (k, E) transport loop on a structure.
 
     Parameters
@@ -260,6 +294,12 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         lock-step mode).  With a ``result_store``, a partially-hit
         unit's sweep is additionally seeded with the cached subspace of
         the hit nearest its first miss.
+    family : :class:`repro.pipeline.cache.DeviceFamily`, optional
+        The run's potential-invariant state (per-k base devices, lead
+        polynomial families, open-boundary memo), handed down by a
+        driver that solves several spectra of one device - the SCF loop,
+        the production sweep - so each lead's Sigma^RB(E) is solved once
+        per run.  Default: a private one that dies with this call.
 
     Notes
     -----
@@ -287,19 +327,15 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         if int(energy_batch_size) < 1:
             raise ConfigurationError("energy_batch_size must be >= 1")
         batch = int(energy_batch_size)
-    kgrid = transverse_k_grid(num_k)
+    family = as_family(family, structure, basis, num_cells, num_k)
+    kgrid = family.kgrid
 
     pipe = TransportPipeline(obc_method=obc_method, solver=solver,
                              num_partitions=num_partitions,
                              obc_kwargs=obc_kwargs, use_arena=use_arena,
                              obc_warm_start=obc_warm_start,
                              backend=kernel_backend)
-    caches = []
-    for kz, _w in kgrid:
-        dev = build_device(structure, basis, num_cells, kpoint=(0.0, kz))
-        if potential is not None:
-            dev = dev.with_potential(potential)
-        caches.append(pipe.cache(dev))
+    caches = family.caches(potential)
 
     store = as_store(checkpoint)
     rstore = as_result_store(result_store)
@@ -399,7 +435,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             obc_warm_start=obc_warm_start,
             store_root=rstore.root if rstore is not None else None,
             store_keys=tuple(keys[ie] for ie in miss) if keys else None,
-            obc_subspace_guess=guess)
+            obc_subspace_guess=guess, family_token=family.token)
         tasks.append((ui, _make_task(pipe, caches[ik],
                                      energies[miss], ik, miss, spec,
                                      guess)))

@@ -66,6 +66,7 @@ class PolynomialEVP:
             coeffs.append(htl[l].astype(complex) if l >= 0
                           else htl[-l].conj().T.astype(complex))
         self.coeffs = coeffs
+        self._coeff_norms = None
 
     @classmethod
     def _from_coeffs(cls, coeffs, energy: float, n: int, nbw: int):
@@ -80,6 +81,7 @@ class PolynomialEVP:
         self.nbw = int(nbw)
         self.degree = 2 * self.nbw
         self.coeffs = list(coeffs)
+        self._coeff_norms = None
         return self
 
     # -- basic evaluation ---------------------------------------------------
@@ -103,9 +105,12 @@ class PolynomialEVP:
         nu = np.linalg.norm(u)
         if nu == 0:
             return np.inf
-        scale = max(np.linalg.norm(c, ord=np.inf) *
-                    max(abs(lam), 1.0) ** m
-                    for m, c in enumerate(self.coeffs))
+        if self._coeff_norms is None:
+            # energy-fixed, so once per polynomial and not per eigenpair
+            self._coeff_norms = [np.linalg.norm(c, ord=np.inf)
+                                 for c in self.coeffs]
+        scale = max(cn * max(abs(lam), 1.0) ** m
+                    for m, cn in enumerate(self._coeff_norms))
         return float(np.linalg.norm(self.eval(lam) @ u) / (nu * max(scale, 1e-300)))
 
     # -- companion linearization (Eqs. 8-9 equivalent) -----------------------

@@ -4,13 +4,14 @@ The architectural layer between the physics modules and the runtime:
 one (k, E) point is an explicit ``PREPARE -> OBC -> ASSEMBLE -> SOLVE ->
 ANALYZE`` stage sequence (:class:`TransportPipeline`), stage
 implementations are pluggable through decorator registries
-(:func:`register_solver`, :func:`register_obc_method`), k-invariant data
-lives in a :class:`DeviceCache`, and every stage emits a
+(:func:`register_solver`, :func:`register_obc_method`), potential-invariant
+data lives in a :class:`DeviceFamily` and k-invariant data of one potential
+in its :class:`DeviceCache` objects, and every stage emits a
 :class:`StageTrace` that rolls up into run-level telemetry and measured
 load-balancer costs.
 
-``TransportPipeline`` and ``DeviceCache`` are imported lazily: the
-registry and trace primitives must stay importable from low-level
+``TransportPipeline``, ``DeviceFamily`` and ``DeviceCache`` are imported
+lazily: the registry and trace primitives must stay importable from low-level
 modules (``repro.obc``, ``repro.solvers``) without dragging in the full
 solve path.
 """
@@ -54,12 +55,14 @@ __all__ = [
     "apportion_exact",
     "TransportPipeline",
     "DeviceCache",
+    "DeviceFamily",
     "as_cache",
 ]
 
 _LAZY = {
     "TransportPipeline": "repro.pipeline.pipeline",
     "DeviceCache": "repro.pipeline.cache",
+    "DeviceFamily": "repro.pipeline.cache",
     "as_cache": "repro.pipeline.cache",
 }
 

@@ -1,10 +1,26 @@
-"""Per-k device cache: k-invariant data materialized once, reused per E.
+"""Two cache levels: what a run shares, and what one potential owns.
 
 One momentum point of the paper's (k, E) grid solves hundreds of energy
-points against the *same* Hamiltonian.  The seed path re-extracted the
-block-tridiagonal H and S from sparse storage and re-validated the lead
-polynomial structure at every energy; :class:`DeviceCache` hoists all of
-that out of the energy loop:
+points against the *same* Hamiltonian, and a Schroedinger-Poisson run
+solves that grid once per iteration against the *same* leads: the
+contact cells are potential-frozen, so ``with_potential`` passes the
+lead blocks through untouched and Sigma^RB(E) does not change between
+iterations, bias points, or the SCF loop and the final spectrum.
+
+:class:`DeviceFamily` holds everything about ``(structure, basis,
+num_cells, k-grid)`` that does not depend on the potential - the
+energy-independent set-up of :class:`~repro.obc.polynomial.PolynomialFamily`
+one level up:
+
+* the potential-free ``DeviceMatrices`` per k-point, built once;
+* the per-lead :class:`~repro.obc.polynomial.PolynomialFamily`;
+* one :class:`BoundaryMemo` of :class:`OpenBoundary` results keyed
+  ``(lead content fingerprint, energy, method, sorted kwargs)``, whose
+  lifetime is the family's, i.e. the run's - never the process's.
+
+``family.caches(potential)`` hands out one :class:`DeviceCache` per
+k-point for that potential; they read and fill the family's memo.  A
+``DeviceCache`` hoists what one potential fixes out of the energy loop:
 
 * ``h_blocks()``/``s_blocks()`` run ``to_block_tridiagonal`` once and
   return the same :class:`~repro.linalg.BlockTridiagonalMatrix` objects
@@ -12,47 +28,92 @@ that out of the energy loop:
 * ``a_matrix(E)`` becomes one axpy over the cached blocks (and the most
   recent energy's result is memoized, so retried or solver-compared
   points pay nothing);
-* ``polynomial(E)`` reuses a :class:`~repro.obc.polynomial.PolynomialFamily`
-  so the per-energy PolynomialEVP is one subtraction per coefficient;
+* ``polynomial(E)`` reuses the lead's ``PolynomialFamily`` so the
+  per-energy PolynomialEVP is one subtraction per coefficient;
 * ``boundary(E, method, ...)`` shares :class:`OpenBoundary` results
-  between callers hitting the same (energy, method, kwargs).
+  between callers hitting the same (lead, energy, method, kwargs).
+
+A ``DeviceCache`` made without a family (``DeviceCache(device)``) owns a
+private memo and polynomial family: the same code path, shared with
+nobody.
 
 Caching contract: everything handed out is **shared and must be treated
-as read-only** by consumers.  That holds for the built-in solvers — none
+as read-only** by consumers.  That holds for the built-in solvers - none
 writes into its input blocks (``assemble_t`` copies the two corner
-blocks it modifies) — and is part of the registry contract for
+blocks it modifies) - and is part of the registry contract for
 third-party solvers.  Bitwise equivalence with the uncached path holds
-because extraction and the axpy are deterministic and performed on
-identical inputs.  A cache is valid for exactly one
+because extraction, the axpy and the OBC solves are deterministic and
+performed on identical inputs.  A cache is valid for exactly one
 :class:`~repro.hamiltonian.device.DeviceMatrices` instance; anything
-producing new matrices (``with_potential``) needs a new cache.
+producing new matrices (``with_potential``) needs a new cache from the
+same family.  A family serves one kernel backend (the batched OBC
+kernels dispatch through it), which is what every driver passes to all
+of its spectra.
 
-All memoization is lock-guarded: one cache may be shared by the threads
-of a :class:`~repro.parallel.ThreadTaskRunner` solving different
-energies of the same k-point.
+All memoization is lock-guarded: one cache, and one family's memo, may
+be shared by the threads of a :class:`~repro.parallel.ThreadTaskRunner`
+solving different energies.  Two threads that miss the same key both
+solve it; the first result published is the one everybody gets.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 
+from repro.cache.keys import lead_content_hash
+from repro.hamiltonian import build_device, transverse_k_grid
 from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
 from repro.pipeline.registry import OBC_METHODS
+from repro.utils.errors import ConfigurationError
+
+
+class BoundaryMemo:
+    """Lock-guarded :class:`OpenBoundary` memo shared by a run's caches.
+
+    Keys are ``(lead content fingerprint, energy, method, sorted
+    kwargs)`` - or the whole-batch form of warm-started FEAST sweeps.
+    The first value published under a key wins; later publishers get it
+    back, so every caller holds the identical object.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            return self._entries.get(key)
+
+    def publish(self, key, value):
+        with self._lock:
+            return self._entries.setdefault(key, value)
 
 
 class DeviceCache:
-    """Read-through cache wrapping one ``DeviceMatrices``."""
+    """Read-through cache wrapping one ``DeviceMatrices``.
 
-    def __init__(self, device):
+    ``memo`` and ``polynomials`` are the potential-invariant parts a
+    :class:`DeviceFamily` shares between its caches; a cache made
+    without them owns private ones.
+    """
+
+    def __init__(self, device, memo: BoundaryMemo | None = None,
+                 polynomials: PolynomialFamily | None = None):
         self.device = device
         self._lock = threading.Lock()
         self._h = None
         self._s = None
-        self._family = None
+        self._polynomials = polynomials
         self._a_memo = None          # (energy, BlockTridiagonalMatrix)
         self._a_batch_memo = None    # (energies tuple, BatchedBlockTridiag)
-        self._boundary_memo: dict = {}
+        self._memo = memo if memo is not None else BoundaryMemo()
+        self._lead_key = None
 
     # -- delegated geometry (so a cache can stand in for the device) -------
 
@@ -128,10 +189,11 @@ class DeviceCache:
 
     def _polynomial_family(self):
         with self._lock:
-            if self._family is None:
+            if self._polynomials is None:
                 lead = self.device.lead
-                self._family = PolynomialFamily(lead.h_cells, lead.s_cells)
-            return self._family
+                self._polynomials = PolynomialFamily(lead.h_cells,
+                                                     lead.s_cells)
+            return self._polynomials
 
     def polynomial(self, energy: float):
         """The lead PolynomialEVP at ``energy``, via the shared family."""
@@ -145,27 +207,44 @@ class DeviceCache:
         """
         return self._polynomial_family().at_energies(energies)
 
-    def boundary(self, energy: float, method: str, **kwargs):
-        """OpenBoundary at (energy, method, kwargs), shared across callers.
+    def _memo_key(self, energy, method: str, kwargs: dict):
+        """``(lead fingerprint, energy, method, sorted kwargs)``, with the
+        energy tuple of a warm-started batch in the energy slot (a tuple
+        never equals a float, so the two kinds cannot alias).  ``None``
+        when the kwargs are unhashable, which disables sharing for that
+        call."""
+        try:
+            kw_key = tuple(sorted(kwargs.items()))
+            hash(kw_key)
+        except TypeError:
+            return None
+        with self._lock:
+            if self._lead_key is None:
+                self._lead_key = lead_content_hash(self.device.lead)
+            return (self._lead_key, energy, method, kw_key)
 
+    def boundary(self, energy: float, method: str, **kwargs):
+        """OpenBoundary at (energy, method, kwargs), shared across callers."""
+        return self.lookup_boundary(energy, method, **kwargs)[0]
+
+    def lookup_boundary(self, energy: float, method: str, **kwargs):
+        """``(OpenBoundary, reused)`` at (energy, method, kwargs).
+
+        ``reused`` says the memo already held it and nothing was solved.
         Mode-based methods (registry meta ``uses_pevp``) receive the
         family-built PolynomialEVP.  Unhashable kwargs disable sharing
         for that call but still compute correctly.
         """
         fn = OBC_METHODS.get(method)
         uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
-        try:
-            key = (float(energy), method, tuple(sorted(kwargs.items())))
-        except TypeError:
-            key = None
+        key = self._memo_key(float(energy), method, kwargs)
         tracer = current_tracer()
         if key is not None:
-            with self._lock:
-                hit = self._boundary_memo.get(key)
+            hit = self._memo.get(key)
             if hit is not None:
                 if tracer is not None:
                     tracer.metrics.counter("obc_point_cache_hits").inc()
-                return hit
+                return hit, True
         if tracer is not None:
             tracer.metrics.counter("obc_point_cache_misses").inc()
         if uses_pevp:
@@ -174,15 +253,24 @@ class DeviceCache:
         else:
             ob = fn(self.device.lead, energy, **kwargs)
         if key is not None:
-            with self._lock:
-                self._boundary_memo.setdefault(key, ob)
-                ob = self._boundary_memo[key]
-        return ob
+            ob = self._memo.publish(key, ob)
+        return ob, False
 
     def boundary_batch(self, energies, method: str,
                        warm_start: bool = False, subspace_guess=None,
                        **kwargs) -> list:
+        """The OpenBoundary list of :meth:`lookup_boundary_batch`."""
+        return self.lookup_boundary_batch(
+            energies, method, warm_start=warm_start,
+            subspace_guess=subspace_guess, **kwargs)[0]
+
+    def lookup_boundary_batch(self, energies, method: str,
+                              warm_start: bool = False,
+                              subspace_guess=None, **kwargs):
         """Batched OpenBoundary computation with batch-aware memoization.
+
+        Returns ``(boundaries, reused)``, one flag per energy: the memo
+        already held that boundary and nothing was solved for it.
 
         The default (lock-step) batch path is bitwise identical to the
         per-energy one, so its results share the **per-energy** memo keys
@@ -196,39 +284,34 @@ class DeviceCache:
         """
         energies = [float(e) for e in energies]
         uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
-        try:
-            kw_key = tuple(sorted(kwargs.items()))
-        except TypeError:
-            kw_key = None
 
         if warm_start:
             # A subspace-seeded batch depends on the (external) guess, so
             # it is never memoized — the guess is not part of a hashable
             # key and the seeded result differs by round-off anyway.
-            key = None if (kw_key is None or subspace_guess is not None) \
-                else ("batch-warm", tuple(energies), method, kw_key)
+            key = None if subspace_guess is not None else self._memo_key(
+                ("batch-warm",) + tuple(energies), method, kwargs)
             if key is not None:
-                with self._lock:
-                    if key in self._boundary_memo:
-                        return self._boundary_memo[key]
+                hit = self._memo.get(key)
+                if hit is not None:
+                    return hit, [True] * len(energies)
             obs = self._compute_boundary_batch(energies, method,
                                                uses_pevp, True, kwargs,
                                                subspace_guess=subspace_guess)
             if key is not None:
-                with self._lock:
-                    self._boundary_memo.setdefault(key, obs)
-                    obs = self._boundary_memo[key]
-            return obs
+                obs = self._memo.publish(key, obs)
+            return obs, [False] * len(energies)
 
         if len(energies) == 1:
-            return [self.boundary(energies[0], method, **kwargs)]
-        keys = [None if kw_key is None else (e, method, kw_key)
-                for e in energies]
+            ob, reused = self.lookup_boundary(energies[0], method, **kwargs)
+            return [ob], [reused]
+        keys = [self._memo_key(e, method, kwargs) for e in energies]
         have: dict = {}
-        with self._lock:
-            for j, k in enumerate(keys):
-                if k is not None and k in self._boundary_memo:
-                    have[j] = self._boundary_memo[k]
+        for j, k in enumerate(keys):
+            hit = None if k is None else self._memo.get(k)
+            if hit is not None:
+                have[j] = hit
+        reused = [j in have for j in range(len(energies))]
         missing = [j for j in range(len(energies)) if j not in have]
         tracer = current_tracer()
         if tracer is not None:
@@ -238,14 +321,10 @@ class DeviceCache:
             fresh = self._compute_boundary_batch(
                 [energies[j] for j in missing], method, uses_pevp,
                 False, kwargs)
-            with self._lock:
-                for j, ob in zip(missing, fresh):
-                    k = keys[j]
-                    if k is not None:
-                        self._boundary_memo.setdefault(k, ob)
-                        ob = self._boundary_memo[k]
-                    have[j] = ob
-        return [have[j] for j in range(len(energies))]
+            for j, ob in zip(missing, fresh):
+                have[j] = ob if keys[j] is None \
+                    else self._memo.publish(keys[j], ob)
+        return [have[j] for j in range(len(energies))], reused
 
     def _compute_boundary_batch(self, energies, method, uses_pevp,
                                 warm_start, kwargs,
@@ -256,6 +335,82 @@ class DeviceCache:
             self.device.lead, energies, method=method, pevps=pevps,
             warm_start=warm_start, subspace_guess=subspace_guess,
             **kwargs)
+
+
+_FAMILY_TOKENS = itertools.count()
+
+
+class DeviceFamily:
+    """Potential-invariant set-up of one (structure, basis, cells, k-grid).
+
+    Built once per run by whichever driver owns the run
+    (:func:`~repro.core.production.run_production` for a sweep,
+    :func:`~repro.poisson.scf.schroedinger_poisson` for its loop,
+    :func:`~repro.core.runner.compute_spectrum` for a standalone
+    spectrum) and handed down, like ``task_runner``.  It dies with that
+    call: there is no process-wide registry of families.
+
+    Memory: the memo holds one ``OpenBoundary`` per distinct
+    (k, E, method, kwargs) the run asks for - the union of its energy
+    grids, independent of SCF iterations and bias points.
+    """
+
+    def __init__(self, structure, basis, num_cells: int, num_k: int = 1):
+        self.structure = structure
+        self.basis = basis
+        self.num_cells = int(num_cells)
+        self.num_k = int(num_k)
+        self.kgrid = transverse_k_grid(num_k)
+        #: the potential-free device of every k-point
+        self.devices = [build_device(structure, basis, num_cells,
+                                     kpoint=(0.0, kz))
+                        for kz, _w in self.kgrid]
+        self._gamma = None
+        self.memo = BoundaryMemo()
+        self._polynomials = [PolynomialFamily(d.lead.h_cells, d.lead.s_cells)
+                             for d in self.devices]
+        #: names this family in picklable unit specs, so a worker process
+        #: keeps one device and one memo per family, not per spectrum
+        self.token = f"{os.getpid()}:{next(_FAMILY_TOKENS)}"
+
+    def gamma_device(self):
+        """The potential-free device at k = 0: the SCF loop and the
+        production sweep take their energy grids (its lead) and the
+        Mulliken overlap from it whatever the k-grid.  It is the first
+        k-point of every odd grid; an even grid builds it on first use."""
+        if self._gamma is None:
+            self._gamma = self.devices[0] if self.kgrid[0, 0] == 0.0 \
+                else build_device(self.structure, self.basis,
+                                  self.num_cells)
+        return self._gamma
+
+    def cache(self, ik: int, potential=None) -> DeviceCache:
+        """The :class:`DeviceCache` of k-point ``ik`` at ``potential``."""
+        dev = self.devices[ik]
+        if potential is not None:
+            dev = dev.with_potential(potential)
+        return DeviceCache(dev, memo=self.memo,
+                           polynomials=self._polynomials[ik])
+
+    def caches(self, potential=None) -> list:
+        """One :class:`DeviceCache` per k-point, all at ``potential``."""
+        return [self.cache(ik, potential)
+                for ik in range(len(self.devices))]
+
+
+def as_family(family, structure, basis, num_cells: int,
+              num_k: int) -> DeviceFamily:
+    """``family`` if it was built for exactly these inputs (anything else
+    is a different device: raise), a new private one when ``None``."""
+    if family is None:
+        return DeviceFamily(structure, basis, num_cells, num_k)
+    if (structure is not family.structure or basis is not family.basis
+            or int(num_cells) != family.num_cells
+            or int(num_k) != family.num_k):
+        raise ConfigurationError(
+            "device family was built for a different "
+            "(structure, basis, num_cells, num_k)")
+    return family
 
 
 def as_cache(device_or_cache) -> DeviceCache:

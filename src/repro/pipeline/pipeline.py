@@ -116,8 +116,10 @@ class TransportPipeline:
                 ob = boundary
                 st.meta["reused"] = True
             else:
-                ob = cache.boundary(energy, self.obc_method,
-                                    **self.obc_kwargs)
+                ob, reused = cache.lookup_boundary(energy, self.obc_method,
+                                                   **self.obc_kwargs)
+                if reused:
+                    st.meta["reused"] = True
             st.meta["method"] = ob.method or self.obc_method
             if ob.modes is None:
                 raise ConfigurationError(
@@ -251,20 +253,26 @@ class TransportPipeline:
         # (decimation); methods without a batch implementation loop
         # per-energy inside the same scope.  Per-energy stage traces are
         # carved from the batch totals by solver iteration counts
-        # (post-hoc weights; exact flop apportionment).
+        # (post-hoc weights; exact flop apportionment).  A memo hit is a
+        # stage with nothing solved: weight 0, so the batch's flops and
+        # seconds go to the energies that were solved, and no predicted
+        # bytes next to its 0 measured ones.
         tracer = current_tracer()
         with batch_stage_scope(traces, "OBC") as sts:
-            obs = cache.boundary_batch(energies, self.obc_method,
-                                       warm_start=self.obc_warm_start,
-                                       subspace_guess=obc_subspace_guess,
-                                       **self.obc_kwargs)
-            for ob, st in zip(obs, sts):
+            obs, reused = cache.lookup_boundary_batch(
+                energies, self.obc_method,
+                warm_start=self.obc_warm_start,
+                subspace_guess=obc_subspace_guess, **self.obc_kwargs)
+            for ob, hit, st in zip(obs, reused, sts):
                 st.meta["method"] = ob.method or self.obc_method
                 st.meta["batch_size"] = ne
                 st.meta["backend"] = bk.name
                 st.meta["precision"] = bk.capabilities.precision
-                st.meta["weight"] = float(ob.info.get("iterations", 1))
-                if ("predicted_bytes" in ob.info
+                if hit:
+                    st.meta["reused"] = True
+                st.meta["weight"] = 0.0 if hit \
+                    else float(ob.info.get("iterations", 1))
+                if ("predicted_bytes" in ob.info and not hit
                         and bk.capabilities.deterministic):
                     # byte models transcribe the reference kernels, so
                     # the drift verdict only applies when the backend

@@ -19,6 +19,7 @@ from repro.core.energygrid import adaptive_energy_grid
 from repro.core.runner import compute_spectrum
 from repro.negf import atom_density, orbital_density
 from repro.observability.spans import current_tracer
+from repro.pipeline.cache import DeviceFamily, as_family
 from repro.poisson.fd import solve_poisson
 from repro.poisson.grid import PoissonGrid
 from repro.runtime.checkpoint import as_store
@@ -57,7 +58,8 @@ def schroedinger_poisson(structure, basis, num_cells: int,
                          use_arena: bool = False,
                          checkpoint=None,
                          kernel_backend: str | None = None,
-                         result_store=None) -> SCFResult:
+                         result_store=None,
+                         family: DeviceFamily | None = None) -> SCFResult:
     """Run the self-consistent Schroedinger-Poisson loop.
 
     Parameters
@@ -94,11 +96,19 @@ def schroedinger_poisson(structure, basis, num_cells: int,
         potential (new device hash → misses), but converged iterations
         repeated across bias points or re-runs hit the store and skip
         the solve entirely.
+    family : :class:`repro.pipeline.cache.DeviceFamily`, optional
+        The potential-invariant state shared by every inner transport
+        solve (base devices, open-boundary memo); pass the sweep's when
+        a driver runs several loops on one device.  Default: one owned
+        by this loop.
 
     Notes
     -----
     The contact cells' potential shift is frozen to zero so the lead
     blocks stay valid — the same constraint OMEN's Poisson solver applies.
+    That is also why the inner energy grid (a scan of the lead bands) and
+    every Sigma^RB(E) on it are the same at every iteration: the grid is
+    derived once, and the family's memo solves each boundary once.
     """
     if not 0 < mixing <= 1:
         raise ConfigurationError("mixing must be in (0, 1]")
@@ -143,6 +153,12 @@ def schroedinger_poisson(structure, basis, num_cells: int,
                              iterations=int(state["iteration"]),
                              converged=True, spectrum=None)
         start_iter = int(state["iteration"]) + 1
+
+    # everything the potential does not change, once for the whole loop
+    family = as_family(family, structure, basis, num_cells, num_k)
+    base = family.gamma_device()
+    energies = _scf_energy_grid(base.lead, e_window)
+    weights = _trapezoid_weights(energies)
     for it in range(start_iter, max_iter + 1):
         tracer = current_tracer()
         scope = tracer.span(f"scf-iter {it}", category="scf",
@@ -150,8 +166,6 @@ def schroedinger_poisson(structure, basis, num_cells: int,
             else nullcontext()
         with scope as sp:
             # (i) transport at the current potential
-            energies = _scf_energy_grid(structure, basis, num_cells, pot,
-                                        e_window)
             spectrum = compute_spectrum(
                 structure, basis, num_cells, energies,
                 num_k=num_k, obc_method=obc_method,
@@ -160,22 +174,17 @@ def schroedinger_poisson(structure, basis, num_cells: int,
                 energy_batch_size=energy_batch_size,
                 use_arena=use_arena,
                 kernel_backend=kernel_backend,
-                result_store=result_store)
+                result_store=result_store, family=family)
             # (ii) accumulate density (trapezoid over the energy grid)
-            dev = None
             dens_orb = None
-            weights = _trapezoid_weights(energies)
             for res, w in zip(spectrum.results, np.tile(
                     weights, len(spectrum.kpoints))):
-                if dev is None:
-                    from repro.hamiltonian import build_device
-                    dev = build_device(structure, basis, num_cells)
-                contrib = orbital_density(res, dev.smat, mu_l, mu_r,
+                contrib = orbital_density(res, base.smat, mu_l, mu_r,
                                           temperature_k)
                 dens_orb = contrib * w if dens_orb is None \
                     else dens_orb + contrib * w
             dens_atoms = density_scale * atom_density(
-                dens_orb, dev.orbital_offsets)
+                dens_orb, base.orbital_offsets)
 
             # (iii) Poisson with net charge (donors +, electrons -)
             net_charge = doping - dens_atoms
@@ -215,11 +224,8 @@ def schroedinger_poisson(structure, basis, num_cells: int,
                      converged=False, spectrum=spectrum)
 
 
-def _scf_energy_grid(structure, basis, num_cells, pot, e_window):
+def _scf_energy_grid(lead, e_window):
     """Moderate adaptive grid for the SCF inner transport solve."""
-    from repro.hamiltonian import build_device
-
-    lead = build_device(structure, basis, num_cells).lead
     return adaptive_energy_grid(lead, e_window[0], e_window[1],
                                 min_spacing=5e-3, max_spacing=0.05)
 

@@ -146,6 +146,38 @@ class TestDescriptors:
         assert pickle.loads(pickle.dumps(desc)).run() == desc.run()
         assert pickle.dumps(spec)
 
+    def test_worker_keeps_device_and_boundaries_per_family(self):
+        # two spectra of one run (same family, other potential and
+        # run_token) share the worker's device build and boundary memo;
+        # another family shares nothing, and all results agree bitwise
+        from repro.core.runner import _solve_unit
+
+        def spec(family_token, run_token, potential):
+            return SpectrumUnitSpec(
+                structure=linear_chain(6, 0.25), basis=single_s_basis(),
+                num_cells=6, kz=0.0, potential=potential,
+                obc_method="dense", solver="rgf", num_partitions=1,
+                obc_kwargs=None, energies=tuple(ENERGIES), kpoint_index=0,
+                energy_indices=(0, 1, 2, 3), run_token=run_token,
+                family_token=family_token)
+        pot = np.array([0.0, 0.0, 0.01, 0.02, 0.0, 0.0])
+        tracer = SpanTracer()
+        with tracing(tracer):
+            first = _solve_unit(spec("fam-a", "run-1", None))
+            second = _solve_unit(spec("fam-a", "run-2", pot))
+            alone = _solve_unit(spec("fam-b", "run-3", pot))
+        m = tracer.metrics
+        assert m.counter("worker_cache_misses").value == 2
+        assert m.counter("worker_cache_hits").value == 1
+        for a, b, c in zip(first, second, alone):
+            assert b.boundary is a.boundary
+            assert b.trace.stage("OBC").meta["reused"] is True
+            assert b.trace.stage("OBC").flops == 0
+            assert c.boundary is not a.boundary
+            assert c.trace.stage("OBC").flops > 0
+            assert c.transmission_lr.hex() == b.transmission_lr.hex()
+            assert np.array_equal(c.psi, b.psi)
+
     def test_bare_module_level_callable_fallback(self):
         from functools import partial
 

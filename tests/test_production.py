@@ -51,3 +51,34 @@ class TestProduction:
         with pytest.raises(ConfigurationError):
             run_production(chain, single_s_basis(), 6, [], -0.5,
                            (-1.5, -0.3))
+
+
+class TestSweepSharesOneFamily:
+    def test_device_built_once_and_boundaries_solved_once(self, monkeypatch):
+        """The whole sweep - every SCF iteration and final spectrum of
+        every bias point - runs on one device build and solves each
+        distinct boundary once."""
+        import repro.pipeline.cache as cache_mod
+        from repro.observability.spans import SpanTracer, tracing
+
+        builds = []
+        real = cache_mod.build_device
+        monkeypatch.setattr(
+            cache_mod, "build_device",
+            lambda *a, **kw: builds.append(1) or real(*a, **kw))
+        tracer = SpanTracer()
+        with tracing(tracer):
+            out = run_production(linear_chain(6, 0.25), single_s_basis(), 6,
+                                 [0.0, 0.1], -0.5, (-1.0, -0.4),
+                                 scf_kwargs=dict(max_iter=2))
+        assert len(builds) == 1
+        spectra = sum(p.scf_iterations + 1 for p in out.points)
+        assert spectra == 6
+        misses = tracer.metrics.counter("obc_point_cache_misses").value
+        hits = tracer.metrics.counter("obc_point_cache_hits").value
+        stages = sum(sp.category == "stage" and sp.name == "OBC"
+                     for sp in tracer.records())
+        assert hits + misses == stages
+        # two grids (inner, final) asked three times over: a spectrum's
+        # worth of misses at most twice, everything else is a hit
+        assert hits >= 2 * misses
