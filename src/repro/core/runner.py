@@ -14,6 +14,7 @@ from repro.cache import (ResultStore, as_result_store,
                          pack_result, result_key, unpack_result)
 from repro.constants import LANDAUER_2E_OVER_H
 from repro.hamiltonian import build_device
+from repro.linalg import BlockStructure
 from repro.negf.density import fermi
 from repro.observability.spans import current_tracer
 from repro.parallel.serialization import TaskDescriptor
@@ -117,16 +118,17 @@ class SpectrumUnitSpec:
 class _WorkerDevice:
     """What a worker keeps of one k-point of one device family.
 
-    The potential-invariant part (base device, boundary memo) lives as
-    long as the entry; the pipeline and the :class:`DeviceCache` of the
-    spectrum being solved are replaced when a unit of another spectrum
-    (``run_token``) arrives.
+    The potential-invariant part (base device, boundary memo, block
+    structure) lives as long as the entry; the pipeline and the
+    :class:`DeviceCache` of the spectrum being solved are replaced when
+    a unit of another spectrum (``run_token``) arrives.
     """
 
     def __init__(self, spec: SpectrumUnitSpec):
         self.device = build_device(spec.structure, spec.basis,
                                    spec.num_cells, kpoint=(0.0, spec.kz))
         self.memo = BoundaryMemo()
+        self.structure = BlockStructure()
         self.run_key = None
         self.pipe = None
         self.cache = None
@@ -144,7 +146,8 @@ class _WorkerDevice:
                 use_arena=spec.use_arena, backend=kernel_backend)
             dev = self.device if spec.potential is None \
                 else self.device.with_potential(spec.potential)
-            self.cache = DeviceCache(dev, memo=self.memo)
+            self.cache = DeviceCache(dev, memo=self.memo,
+                                     structure=self.structure)
             self.run_key = run_key
         return self.pipe, self.cache
 

@@ -39,7 +39,13 @@ from repro.linalg.kernels import (
     geig,
     qr_orth,
 )
-from repro.linalg.blocktridiag import BlockTridiagonalMatrix
+from repro.linalg.blocktridiag import (
+    BlockStructure,
+    BlockTridiagonalMatrix,
+    CouplingSupport,
+    as_complex,
+    block_support,
+)
 from repro.linalg.batched import (
     BatchedBlockTridiag,
     adjoint_batched,
@@ -92,7 +98,11 @@ __all__ = [
     "eigh",
     "geig",
     "qr_orth",
+    "BlockStructure",
     "BlockTridiagonalMatrix",
+    "CouplingSupport",
+    "as_complex",
+    "block_support",
     "BatchedBlockTridiag",
     "adjoint_batched",
     "build_a_batch",

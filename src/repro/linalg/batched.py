@@ -231,10 +231,12 @@ class BatchedBlockTridiag:
     ``(nE, ni, ni)``, ``upper[i]`` is ``(nE, ni, n_{i+1})``, ``lower[i]``
     is ``(nE, n_{i+1}, ni)``.  This is the layout the batched RGF sweeps
     consume: one stacked kernel call per block, amortized over all
-    energies of the batch.
+    energies of the batch.  ``structure`` is the
+    :class:`~repro.linalg.BlockStructure` the slices share (handed on by
+    :meth:`point` and :meth:`take`).
     """
 
-    def __init__(self, diag, upper, lower, energies=None):
+    def __init__(self, diag, upper, lower, energies=None, structure=None):
         if len(upper) != len(diag) - 1 or len(lower) != len(diag) - 1:
             raise ShapeError(
                 f"block counts inconsistent: {len(diag)} diagonal, "
@@ -244,6 +246,7 @@ class BatchedBlockTridiag:
         self.lower = [np.asarray(b) for b in lower]
         self.energies = None if energies is None \
             else np.asarray(energies, dtype=float)
+        self.structure = structure
         ne = self.diag[0].shape[0]
         for i, b in enumerate(self.diag):
             if b.ndim != 3 or b.shape[1] != b.shape[2] or b.shape[0] != ne:
@@ -287,7 +290,7 @@ class BatchedBlockTridiag:
         return BlockTridiagonalMatrix(
             [b[j] for b in self.diag],
             [b[j] for b in self.upper],
-            [b[j] for b in self.lower])
+            [b[j] for b in self.lower], structure=self.structure)
 
     def take(self, indices) -> "BatchedBlockTridiag":
         """Sub-batch along the energy axis (used by rhs-width bucketing).
@@ -304,7 +307,8 @@ class BatchedBlockTridiag:
             [b[idx] for b in self.diag],
             [b[idx] for b in self.upper],
             [b[idx] for b in self.lower],
-            energies=None if self.energies is None else self.energies[idx])
+            energies=None if self.energies is None else self.energies[idx],
+            structure=self.structure)
 
     def __repr__(self):
         return (f"BatchedBlockTridiag(nE={self.batch_size}, "
@@ -312,12 +316,13 @@ class BatchedBlockTridiag:
 
 
 def build_a_batch(h: BlockTridiagonalMatrix, s: BlockTridiagonalMatrix,
-                  energies) -> BatchedBlockTridiag:
+                  energies, structure=None) -> BatchedBlockTridiag:
     """Stacked A(E) = E*S - H for a whole energy vector, one pass per block.
 
     Broadcasting ``E`` over each stored block performs the same complex
     scalar multiply-add as the per-point ``scale_add(E, H, -1)``, so each
     slice of the result is bitwise identical to the per-point assembly.
+    ``structure`` is the one spanned by ``(h, s)``, as in ``scale_add``.
     """
     if h.block_sizes != s.block_sizes:
         raise ShapeError("build_a_batch: H and S block structure differs")
@@ -331,7 +336,8 @@ def build_a_batch(h: BlockTridiagonalMatrix, s: BlockTridiagonalMatrix,
     lower = [e * sb[None] + (-1.0) * hb[None]
              for sb, hb in zip(s.lower, h.lower)]
     return BatchedBlockTridiag(diag, upper, lower,
-                               energies=np.real(e).reshape(-1))
+                               energies=np.real(e).reshape(-1),
+                               structure=structure)
 
 
 def _adjoint_batched_impl(a: np.ndarray) -> np.ndarray:

@@ -7,14 +7,128 @@ RGF, BCR, and the sparse-direct baseline all consume this container.
 Blocks may have non-uniform sizes (device slabs can differ from lead unit
 cells).  Storage is a list of dense diagonal blocks plus lists of upper and
 lower coupling blocks, matching how OMEN distributes ``A`` over GPU memory.
+
+In a localized basis only the orbitals next to a slab interface couple
+to the neighbouring slab, so a coupling block is dense storage around a
+small non-zero ``rows x cols`` sub-block.  :class:`CouplingSupport`
+records those index sets exactly (``!= 0``, no tolerance) and
+:class:`BlockStructure` shares them - and the Hermiticity verdict -
+between all the matrices of one family, e.g. every ``A(E)`` of a device.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.utils.errors import ShapeError
+
+#: ``hermitian_error`` below this counts as Hermitian
+HERMITIAN_TOL = 1e-10
+
+
+def as_complex(b: np.ndarray) -> np.ndarray:
+    """complex128 view-or-copy: no copy when the block already is one."""
+    return b if b.dtype == np.complex128 else b.astype(complex)
+
+
+def block_support(*blocks) -> tuple:
+    """``(rows, cols)``: sorted indices of the rows and columns in which
+    any of the same-shaped ``blocks`` has a non-zero entry."""
+    nz = blocks[0] != 0
+    for b in blocks[1:]:
+        nz = nz | (b != 0)
+    return np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+
+
+class CouplingSupport:
+    """Exact row/column support of every coupling block.
+
+    ``upper[i] = (rows, cols)``: ``A[i, i+1]`` is exactly zero outside
+    ``rows x cols`` (sorted index arrays, local to blocks ``i`` and
+    ``i+1``); ``lower[i]`` is the same for ``A[i+1, i]``.  Any superset
+    of the true support is a valid support: the solvers that read it
+    only skip what it excludes.
+    """
+
+    def __init__(self, upper, lower):
+        self.upper = list(upper)
+        self.lower = list(lower)
+
+    @classmethod
+    def of(cls, *matrices) -> "CouplingSupport":
+        """Union of the ``!= 0`` supports of same-structure matrices.
+
+        The union over ``(H, S)`` supports every ``alpha*S + beta*H``,
+        whatever the coefficients.
+        """
+        return cls(
+            [block_support(*bs) for bs in zip(*(m.upper for m in matrices))],
+            [block_support(*bs) for bs in zip(*(m.lower for m in matrices))])
+
+    def block_range(self, start: int, stop: int) -> "CouplingSupport":
+        """Support of the couplings inside block rows ``start:stop``."""
+        return CouplingSupport(self.upper[start:stop - 1],
+                               self.lower[start:stop - 1])
+
+    def widths(self) -> tuple:
+        """``(upper rows, upper cols, lower rows, lower cols)``, each the
+        largest over the blocks: what the uniform-block cost models of
+        :mod:`repro.perfmodel` price SplitSolve with."""
+        return tuple(max((len(pair[axis]) for pair in side), default=0)
+                     for side in (self.upper, self.lower)
+                     for axis in (0, 1))
+
+
+class BlockStructure:
+    """Coupling support and Hermiticity of a family of matrices.
+
+    The family is every real linear combination of the ``spanning``
+    matrices: ``(H, S)`` span all ``A(E) = E*S - H`` of a device at real
+    energies.  Its members point at it (``structure=``) instead of
+    deriving the facts from their own blocks.  Both are worked out on
+    first request, once, under a lock - a solver that never asks (RGF)
+    never pays, and the energies of a sweep share one evaluation.
+    """
+
+    def __init__(self, *spanning):
+        self._lock = threading.Lock()
+        self._spanning = spanning
+        self._support = None
+        self._hermitian = None
+
+    def spanned_by(self, *matrices) -> "BlockStructure":
+        """Name the spanning matrices unless they are named already;
+        returns ``self``.  The caches of a device family all offer their
+        ``(H, S)`` and the first offer stands: a potential adds
+        ``V * S`` entries to ``H``, which changes neither fact."""
+        with self._lock:
+            if not self._spanning:
+                self._spanning = matrices
+        return self
+
+    def _matrices(self) -> tuple:
+        if not self._spanning:
+            raise ShapeError("BlockStructure has no spanning matrices yet")
+        return self._spanning
+
+    @property
+    def support(self) -> CouplingSupport:
+        with self._lock:
+            if self._support is None:
+                self._support = CouplingSupport.of(*self._matrices())
+            return self._support
+
+    @property
+    def hermitian(self) -> bool:
+        with self._lock:
+            if self._hermitian is None:
+                self._hermitian = all(
+                    m.hermitian_error() < HERMITIAN_TOL
+                    for m in self._matrices())
+            return self._hermitian
 
 
 class BlockTridiagonalMatrix:
@@ -28,9 +142,14 @@ class BlockTridiagonalMatrix:
         Super-diagonal blocks ``A[i, i+1]``; length ``len(diag) - 1``.
     lower : list of (n_{i+1}, ni) ndarrays
         Sub-diagonal blocks ``A[i+1, i]``; length ``len(diag) - 1``.
+    structure : BlockStructure, optional
+        The family this matrix belongs to, which then answers
+        :meth:`coupling_support` and :meth:`is_hermitian`; a matrix
+        without one derives both from its own blocks.
     """
 
-    def __init__(self, diag, upper, lower):
+    def __init__(self, diag, upper, lower,
+                 structure: BlockStructure | None = None):
         if len(upper) != len(diag) - 1 or len(lower) != len(diag) - 1:
             raise ShapeError(
                 f"block counts inconsistent: {len(diag)} diagonal, "
@@ -38,6 +157,9 @@ class BlockTridiagonalMatrix:
         self.diag = [np.asarray(b) for b in diag]
         self.upper = [np.asarray(b) for b in upper]
         self.lower = [np.asarray(b) for b in lower]
+        self.structure = structure
+        self._support = None
+        self._hermitian = None
         for i, b in enumerate(self.diag):
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ShapeError(f"diagonal block {i} not square: {b.shape}")
@@ -86,6 +208,34 @@ class BlockTridiagonalMatrix:
     def is_uniform(self) -> bool:
         sizes = self.block_sizes
         return all(s == sizes[0] for s in sizes)
+
+    def coupling_support(self) -> CouplingSupport:
+        """Exact support of the coupling blocks (the family's, or this
+        matrix's own, derived on first request)."""
+        if self.structure is not None:
+            return self.structure.support
+        if self._support is None:
+            self._support = CouplingSupport.of(self)
+        return self._support
+
+    def is_hermitian(self) -> bool:
+        """Whether A = A^H to :data:`HERMITIAN_TOL` (the family's verdict,
+        or this matrix's own, checked on first request)."""
+        if self.structure is not None:
+            return self.structure.hermitian
+        if self._hermitian is None:
+            self._hermitian = self.hermitian_error() < HERMITIAN_TOL
+        return self._hermitian
+
+    def block_range(self, start: int, stop: int) -> "BlockTridiagonalMatrix":
+        """Block rows ``start:stop`` as a matrix of their own (blocks
+        shared, not copied), with the matching slice of the coupling
+        support: a SplitSolve partition."""
+        sub = BlockTridiagonalMatrix(self.diag[start:stop],
+                                     self.upper[start:stop - 1],
+                                     self.lower[start:stop - 1])
+        sub._support = self.coupling_support().block_range(start, stop)
+        return sub
 
     # -- constructors ------------------------------------------------------
 
@@ -196,19 +346,23 @@ class BlockTridiagonalMatrix:
         lower = [b.conj().T for b in self.upper]
         return BlockTridiagonalMatrix(diag, upper, lower)
 
-    def scale_add(self, alpha, other: "BlockTridiagonalMatrix",
-                  beta) -> "BlockTridiagonalMatrix":
+    def scale_add(self, alpha, other: "BlockTridiagonalMatrix", beta,
+                  structure: BlockStructure | None = None
+                  ) -> "BlockTridiagonalMatrix":
         """Return ``alpha*self + beta*other`` (same block structure).
 
         This builds ``A(E) = E*S - H`` from stored H and S without
-        re-assembling sparsity: ``S.scale_add(E, H, -1)``.
+        re-assembling sparsity: ``S.scale_add(E, H, -1)``.  ``structure``
+        is the result's when the caller already holds it (the one
+        spanned by ``self`` and ``other``, for real coefficients).
         """
         if other.block_sizes != self.block_sizes:
             raise ShapeError("scale_add: incompatible block structure")
         diag = [alpha * a + beta * b for a, b in zip(self.diag, other.diag)]
         upper = [alpha * a + beta * b for a, b in zip(self.upper, other.upper)]
         lower = [alpha * a + beta * b for a, b in zip(self.lower, other.lower)]
-        return BlockTridiagonalMatrix(diag, upper, lower)
+        return BlockTridiagonalMatrix(diag, upper, lower,
+                                      structure=structure)
 
     def residual_outside_band(self, a: np.ndarray) -> float:
         """Max |entry| of dense ``a`` outside this block-tridiagonal band."""

@@ -7,6 +7,7 @@ scaling laws used to extrapolate to the paper's structure sizes.
 """
 
 from repro.perfmodel.costmodel import (
+    splitsolve_kernels,
     splitsolve_flop_model,
     rgf_flop_model,
     rgf_batched_flop_model,
@@ -38,6 +39,7 @@ from repro.perfmodel.scaling import (
 )
 
 __all__ = [
+    "splitsolve_kernels",
     "splitsolve_flop_model",
     "rgf_flop_model",
     "rgf_batched_flop_model",

@@ -8,7 +8,8 @@ operands in, results out, exactly the ``nbytes`` sums the wrappers in
 :class:`~repro.linalg.flops.FlopLedger`.  Predicted bytes therefore
 reconcile with measured ledger bytes the same way predicted flops do:
 exactly for RGF (the model accepts the true per-block sizes), and
-kernel-for-kernel for single-partition SplitSolve on uniform blocks.
+kernel-for-kernel for SplitSolve on uniform blocks with uniform coupling
+supports (it prices the one kernel sequence the flop model prices).
 
 These are *traffic* models in the roofline sense: together with the flop
 models they give every stage an analytic arithmetic intensity, which is
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.perfmodel.costmodel import splitsolve_kernels
 from repro.utils.errors import ConfigurationError
 
 #: bytes per element
@@ -213,58 +215,23 @@ def mixed_lu_solve_bytes(n: int, nrhs: int, refine_iters: int = 1,
 
 def splitsolve_byte_model(num_blocks: int, block_size: int, num_rhs: int,
                           num_partitions: int = 1,
-                          is_complex: bool = True) -> int:
+                          is_complex: bool = True,
+                          coupling_widths=None) -> int:
     """Bytes of one SplitSolve solve (preprocess + merges + postprocess).
 
-    Walks the same operation sequence as
-    :func:`~repro.perfmodel.costmodel.splitsolve_flop_model`, pricing
-    each step with the byte count its kernel records (Algorithm 1's
-    block solves run the ``gesv`` kernel, so they carry the matrix
-    operand as well as rhs + solution).  Exact for uniform blocks and a
-    single partition; merged runs add the corner algebra and the fused
-    ``(s, 2s)``-wide spike-update gemms per block row.
+    Prices the kernel sequence of
+    :func:`~repro.perfmodel.costmodel.splitsolve_kernels` with the byte
+    count each kernel records (Algorithm 1's block solves run the
+    ``gesv`` kernel, so they carry the matrix operand as well as rhs +
+    solution).  Exact on uniform blocks with uniform coupling supports
+    (``coupling_widths``; default: dense coupling blocks).
     """
-    if num_blocks < 2:
-        raise ConfigurationError("model needs >= 2 blocks")
-    s = int(block_size)
-    m = int(num_rhs)
-    cf = is_complex
-
-    total = 0
-    # --- preprocessing: per partition, two sweeps of Algorithm 1 ---
-    bounds = np.linspace(0, num_blocks, num_partitions + 1).astype(int)
-    for p in range(num_partitions):
-        nb = int(bounds[p + 1] - bounds[p])
-        schur_gemms = max(nb - 2, 0) + (1 if nb > 1 else 0)
-        q_gemms = nb - 1
-        per_sweep = (schur_gemms * gemm_bytes(s, s, s, cf)
-                     + nb * solve_bytes(s, s, cf)
-                     + q_gemms * gemm_bytes(s, s, s, cf))
-        total += 2 * per_sweep
-
-    # --- SPIKE merges: log2(p) levels ---
-    parts = num_partitions
-    sizes = [int(bounds[i + 1] - bounds[i]) for i in range(num_partitions)]
-    while parts > 1:
-        new_sizes = []
-        for k in range(0, parts, 2):
-            nb_top, nb_bot = sizes[k], sizes[k + 1]
-            # corner algebra of merge_partitions: 10 (s,s,s) gemms + the
-            # two small corner solves
-            total += 10 * gemm_bytes(s, s, s, cf) + 2 * solve_bytes(s, s, cf)
-            # fused spike updates: one (s, 2s, s) gemm per block row
-            total += (nb_top + nb_bot) * gemm_bytes(s, 2 * s, s, cf)
-            new_sizes.append(nb_top + nb_bot)
-        sizes = new_sizes
-        parts //= 2
-
-    # --- postprocessing (steps 2-4) ---
-    total += 2 * gemm_bytes(s, m, 2 * s, cf)          # y_top, y_bot
-    total += 2 * gemm_bytes(s, m, s, cf)              # C y
-    total += 2 * gemm_bytes(s, 2 * s, s, cf)          # C Q
-    total += solve_bytes(2 * s, m, cf)                # R z = C y
-    total += num_blocks * gemm_bytes(s, m, 2 * s, cf)  # x = Q (b' + z)
-    return total
+    return sum(
+        count * (gemm_bytes(*dims, is_complex) if kernel == "gemm"
+                 else solve_bytes(*dims, is_complex))
+        for count, kernel, dims in splitsolve_kernels(
+            num_blocks, block_size, num_rhs, num_partitions,
+            coupling_widths))
 
 
 def byte_drift(measured_bytes: float, predicted_bytes: float,

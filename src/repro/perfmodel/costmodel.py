@@ -17,76 +17,101 @@ from repro.linalg.flops import ledger_scope
 from repro.utils.errors import ConfigurationError
 
 
-def splitsolve_flop_model(num_blocks: int, block_size: int,
-                          num_rhs: int, num_partitions: int = 1,
-                          is_complex: bool = True,
-                          hermitian: bool = False) -> int:
-    """Flops of one SplitSolve solve (preprocess + postprocess).
+def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
+                       num_partitions: int = 1, coupling_widths=None):
+    """The kernels of one SplitSolve solve, as ``(count, kernel, dims)``.
 
-    Exact for ``num_partitions == 1``; for p > 1 the per-partition sweeps
-    are exact and the SPIKE merges are counted per level.
+    The one transcription of the solver's kernel sequence (uniform
+    blocks of size s, m rhs columns); :func:`splitsolve_flop_model` and
+    :func:`~repro.perfmodel.bytemodel.splitsolve_byte_model` price it.
+    ``kernel`` is ``"gemm"`` with ``dims = (m, n, k)``, or ``"solve"`` /
+    ``"schur_solve"`` (the Schur blocks D_i, Hermitian when A is) with
+    ``dims = (n, nrhs)``.
 
-    Derivation (single partition, nb blocks of size s, m rhs columns):
+    ``coupling_widths = (upper rows, upper cols, lower rows, lower
+    cols)`` are the support widths of the coupling blocks
+    (:meth:`repro.linalg.CouplingSupport.widths`); the default, the
+    block size four times, is the paper's dense Algorithm 1.
 
-    * two sweeps of Algorithm 1: per sweep (nb-2)+1 Schur gemms,
-      (nb-1)+1 block solves (LU + 2 triangular solves with s rhs), and
-      (nb-1) Q-accumulation gemms;
+    * Algorithm 1, per partition of nb blocks and per sweep: nb-1 block
+      solves for X_i on the non-zero columns of its right-hand side,
+      nb-1 Schur updates on the ``rows x cols`` they touch, the boundary
+      block's full inverse, nb-1 Q-accumulation gemms;
+    * SPIKE, per merge: the corner algebra (10 gemms on the coupling
+      sub-blocks, two full corner solves) and one fused update gemm per
+      block row, contracted over the boundary coupling's rows;
     * postprocessing: corner gemms, the (2s x 2s) R solve, and one
       (s x 2s)(2s x m) gemm per block row.
     """
     if num_blocks < 2:
         raise ConfigurationError("model needs >= 2 blocks")
-    s = block_size
-    m = num_rhs
-    cf = is_complex
+    s = int(block_size)
+    m = int(num_rhs)
+    ru, cu, rl, cl = (s,) * 4 if coupling_widths is None \
+        else (int(w) for w in coupling_widths)
 
-    def gemm(mm, nn, kk):
-        return _fl.gemm_flops(mm, nn, kk, cf)
-
-    def solve_gen(n, nrhs):
-        return _fl.lu_flops(n, cf) + 2 * _fl.trsm_flops(n, nrhs, cf)
-
-    def solve_schur(n, nrhs):
-        # the Schur blocks D_i take the zhesv path when A is Hermitian
-        lu = _fl.lu_flops(n, cf)
-        if hermitian:
-            lu //= 2
-        return lu + 2 * _fl.trsm_flops(n, nrhs, cf)
-
-    total = 0
-    # --- preprocessing: per partition, two sweeps of Algorithm 1 ---
     bounds = np.linspace(0, num_blocks, num_partitions + 1).astype(int)
-    for p in range(num_partitions):
-        nb = int(bounds[p + 1] - bounds[p])
-        schur_gemms = max(nb - 2, 0) + (1 if nb > 1 else 0)
-        q_gemms = nb - 1
-        per_sweep = (schur_gemms * gemm(s, s, s)
-                     + nb * solve_schur(s, s)
-                     + q_gemms * gemm(s, s, s))
-        total += 2 * per_sweep
+    sizes = [int(bounds[p + 1] - bounds[p]) for p in range(num_partitions)]
+    for nb in sizes:
+        # first column (downward sweep): X_i = D_i^{-1} A[i, i-1]
+        yield nb - 1, "gemm", (ru, cl, cu)
+        yield nb - 1, "schur_solve", (s, cl)
+        yield nb - 1, "gemm", (s, s, cl)
+        # last column (upward sweep): X_i = D_i^{-1} A[i, i+1]
+        yield nb - 1, "gemm", (rl, cu, cl)
+        yield nb - 1, "schur_solve", (s, cu)
+        yield nb - 1, "gemm", (s, s, cu)
+        yield 2, "schur_solve", (s, s)
 
     # --- SPIKE merges: log2(p) levels ---
-    parts = num_partitions
-    sizes = [int(bounds[i + 1] - bounds[i]) for i in range(num_partitions)]
-    while parts > 1:
-        new_sizes = []
-        for k in range(0, parts, 2):
-            nb_top, nb_bot = sizes[k], sizes[k + 1]
-            # corner algebra of merge_partitions: 10 (s,s,s) gemms + the
-            # two small corner solves (generic LU)
-            total += 10 * gemm(s, s, s) + 2 * solve_gen(s, s)
-            # thin per-row spike updates: 2 gemms per block row, each side
-            total += 2 * (nb_top + nb_bot) * gemm(s, s, s)
-            new_sizes.append(nb_top + nb_bot)
-        sizes = new_sizes
-        parts //= 2
+    while len(sizes) > 1:
+        for nb_top, nb_bot in zip(sizes[::2], sizes[1::2]):
+            # merged first column, then its mirror image
+            for r_a, c_a, r_b, c_b in ((ru, cu, rl, cl), (rl, cl, ru, cu)):
+                yield 1, "gemm", (c_a, c_b, r_b)
+                yield 1, "gemm", (r_a, c_b, c_a)
+                yield 1, "gemm", (s, c_b, r_a)
+                yield 1, "solve", (s, s)
+                yield 1, "gemm", (r_a, s, c_b)
+                yield 1, "gemm", (r_b, s, c_b)
+            yield nb_top, "gemm", (s, 2 * s, ru)
+            yield nb_bot, "gemm", (s, 2 * s, rl)
+        sizes = [a + b for a, b in zip(sizes[::2], sizes[1::2])]
 
     # --- postprocessing (steps 2-4) ---
-    total += 2 * gemm(s, m, 2 * s)          # y_top, y_bot
-    total += 2 * gemm(s, m, s)              # C y
-    total += 2 * gemm(s, 2 * s, s)          # C Q
-    total += solve_gen(2 * s, m)            # R z = C y (generic LU)
-    total += num_blocks * gemm(s, m, 2 * s)  # x = Q (b' + z)
+    yield 2, "gemm", (s, m, 2 * s)            # y_top, y_bot
+    yield 2, "gemm", (s, m, s)                # C y
+    yield 2, "gemm", (s, 2 * s, s)            # C Q
+    yield 1, "solve", (2 * s, m)              # R z = C y
+    yield num_blocks, "gemm", (s, m, 2 * s)   # x = Q (b' + z)
+
+
+def splitsolve_flop_model(num_blocks: int, block_size: int,
+                          num_rhs: int, num_partitions: int = 1,
+                          is_complex: bool = True,
+                          hermitian: bool = False,
+                          coupling_widths=None) -> int:
+    """Flops of one SplitSolve solve (preprocess + postprocess).
+
+    Prices :func:`splitsolve_kernels`; integer-exact against the ledger
+    on uniform blocks with uniform coupling supports.  The Schur blocks
+    D_i take the zhesv path (half an LU) when A is Hermitian; the corner
+    solves of the merges and of postprocessing are generic.
+    """
+    cf = is_complex
+    total = 0
+    for count, kernel, dims in splitsolve_kernels(
+            num_blocks, block_size, num_rhs, num_partitions,
+            coupling_widths):
+        if kernel == "gemm":
+            flops = _fl.gemm_flops(*dims, cf)
+        else:
+            n, nrhs = dims
+            lu = _fl.lu_flops(n, cf)
+            if hermitian and kernel == "schur_solve":
+                lu //= 2
+            flops = lu + 2 * _fl.trsm_flops(n, nrhs, cf)
+        total += count * flops
     return total
 
 
@@ -207,20 +232,23 @@ def _device_rate_ratio() -> float:
 
 
 def choose_solver(num_blocks: int, block_size: int, num_rhs: int,
-                  num_partitions: int = 1, hermitian: bool = False) -> str:
+                  num_partitions: int = 1, hermitian: bool = False,
+                  coupling_widths=None) -> str:
     """The OMEN-style SplitSolve-vs-RGF choice (``solver="auto"``).
 
     Compares the deterministic flop models, weighting SplitSolve's count
     by the GPU/CPU rate ratio (SplitSolve runs on the accelerators, RGF
     on the host cores).  Systems the SplitSolve model cannot price
-    (fewer than 2 blocks) fall back to RGF.
+    (fewer than 2 blocks) fall back to RGF.  ``coupling_widths`` prices
+    SplitSolve on the coupling support (RGF treats the blocks as dense).
     """
     num_rhs = max(int(num_rhs), 1)
     if num_blocks < 2:
         return "rgf"
     ss = splitsolve_flop_model(num_blocks, block_size, num_rhs,
                                num_partitions=num_partitions,
-                               hermitian=hermitian)
+                               hermitian=hermitian,
+                               coupling_widths=coupling_widths)
     rgf = rgf_flop_model(num_blocks, block_size, num_rhs)
     return "splitsolve" if ss / _device_rate_ratio() <= rgf else "rgf"
 
@@ -236,7 +264,8 @@ DISPATCH_FLOPS_PER_CALL = 5e4
 def choose_batch_solver(num_blocks: int, block_size: int, rhs_widths,
                         num_partitions: int = 1, hermitian: bool = False,
                         dispatch_flops: float | None = None,
-                        machine=None, backend: str | None = None) -> str:
+                        machine=None, backend: str | None = None,
+                        coupling_widths=None) -> str:
     """SOLVE-stage choice for one (k, E-batch) bucket (``solver="auto"``).
 
     Per-energy SplitSolve runs each energy on the accelerators (flops
@@ -264,6 +293,9 @@ def choose_batch_solver(num_blocks: int, block_size: int, rhs_widths,
     solver wins; byte traffic is left at the double-precision figure
     (the residual copies offset the half-width factors).  Other backend
     names price like the reference.
+
+    ``coupling_widths`` prices SplitSolve on the coupling support, as in
+    :func:`choose_solver`.
     """
     widths = [int(m) for m in rhs_widths if int(m) > 0]
     if not widths or num_blocks < 2:
@@ -272,7 +304,9 @@ def choose_batch_solver(num_blocks: int, block_size: int, rhs_widths,
         else float(dispatch_flops)
     ss = sum(splitsolve_flop_model(num_blocks, block_size, m,
                                    num_partitions=num_partitions,
-                                   hermitian=hermitian) for m in widths)
+                                   hermitian=hermitian,
+                                   coupling_widths=coupling_widths)
+             for m in widths)
     rgf = rgf_batched_flop_model(num_blocks, block_size, widths)
     if machine is None:
         ratio = _device_rate_ratio()
@@ -293,7 +327,8 @@ def choose_batch_solver(num_blocks: int, block_size: int, rhs_widths,
                 * node.usable_core_fraction * mult)
     cpu_bw = node.cpu.bandwidth_gb_s * 1e9
     ss_bytes = sum(splitsolve_byte_model(num_blocks, block_size, m,
-                                         num_partitions=num_partitions)
+                                         num_partitions=num_partitions,
+                                         coupling_widths=coupling_widths)
                    for m in widths)
     rgf_bytes = rgf_batched_byte_model(num_blocks, block_size, widths)
     disp_s = d / cpu_rate

@@ -14,6 +14,7 @@ one level up:
 
 * the potential-free ``DeviceMatrices`` per k-point, built once;
 * the per-lead :class:`~repro.obc.polynomial.PolynomialFamily`;
+* one :class:`~repro.linalg.BlockStructure` per k-point;
 * one :class:`BoundaryMemo` of :class:`OpenBoundary` results keyed
   ``(lead content fingerprint, energy, method, sorted kwargs)``, whose
   lifetime is the family's, i.e. the run's - never the process's.
@@ -27,7 +28,11 @@ k-point for that potential; they read and fill the family's memo.  A
   afterwards;
 * ``a_matrix(E)`` becomes one axpy over the cached blocks (and the most
   recent energy's result is memoized, so retried or solver-compared
-  points pay nothing);
+  points pay nothing); every ``A(E)`` carries the cache's
+  :class:`~repro.linalg.BlockStructure` - coupling support and
+  Hermiticity of ``E*S - H``, worked out from ``(H, S)`` the first time
+  a solver asks, once per family and k-point (neither depends on the
+  energy or on the potential);
 * ``polynomial(E)`` reuses the lead's ``PolynomialFamily`` so the
   per-energy PolynomialEVP is one subtraction per coefficient;
 * ``boundary(E, method, ...)`` shares :class:`OpenBoundary` results
@@ -64,6 +69,7 @@ import threading
 
 from repro.cache.keys import lead_content_hash
 from repro.hamiltonian import build_device, transverse_k_grid
+from repro.linalg import BlockStructure
 from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
 from repro.pipeline.registry import OBC_METHODS
@@ -98,13 +104,14 @@ class BoundaryMemo:
 class DeviceCache:
     """Read-through cache wrapping one ``DeviceMatrices``.
 
-    ``memo`` and ``polynomials`` are the potential-invariant parts a
-    :class:`DeviceFamily` shares between its caches; a cache made
-    without them owns private ones.
+    ``memo``, ``polynomials`` and ``structure`` are the
+    potential-invariant parts a :class:`DeviceFamily` shares between its
+    caches; a cache made without them owns private ones.
     """
 
     def __init__(self, device, memo: BoundaryMemo | None = None,
-                 polynomials: PolynomialFamily | None = None):
+                 polynomials: PolynomialFamily | None = None,
+                 structure: BlockStructure | None = None):
         self.device = device
         self._lock = threading.Lock()
         self._h = None
@@ -113,6 +120,8 @@ class DeviceCache:
         self._a_memo = None          # (energy, BlockTridiagonalMatrix)
         self._a_batch_memo = None    # (energies tuple, BatchedBlockTridiag)
         self._memo = memo if memo is not None else BoundaryMemo()
+        self._structure = structure if structure is not None \
+            else BlockStructure()
         self._lead_key = None
 
     # -- delegated geometry (so a cache can stand in for the device) -------
@@ -152,6 +161,16 @@ class DeviceCache:
         self.h_blocks()
         self.s_blocks()
 
+    def structure(self) -> BlockStructure:
+        """Coupling support and Hermiticity of every ``A(E)``, real E.
+
+        Spanned by ``(H, S)``: the support is the union of theirs - an
+        energy only mixes the two, a potential only adds multiples of S
+        entries to H - and ``E*S - H`` is Hermitian when both are.
+        Nothing is computed until a solver reads a fact.
+        """
+        return self._structure.spanned_by(self.h_blocks(), self.s_blocks())
+
     def a_matrix(self, energy: float):
         """A(E) = E*S - H from the cached blocks (one axpy)."""
         e = float(energy)
@@ -160,7 +179,7 @@ class DeviceCache:
         with self._lock:
             if self._a_memo is not None and self._a_memo[0] == e:
                 return self._a_memo[1]
-        a = s.scale_add(complex(e), h, -1.0)
+        a = s.scale_add(complex(e), h, -1.0, structure=self.structure())
         with self._lock:
             self._a_memo = (e, a)
         return a
@@ -182,7 +201,7 @@ class DeviceCache:
             if self._a_batch_memo is not None \
                     and self._a_batch_memo[0] == key:
                 return self._a_batch_memo[1]
-        batch = build_a_batch(h, s, key)
+        batch = build_a_batch(h, s, key, structure=self.structure())
         with self._lock:
             self._a_batch_memo = (key, batch)
         return batch
@@ -369,6 +388,7 @@ class DeviceFamily:
         self.memo = BoundaryMemo()
         self._polynomials = [PolynomialFamily(d.lead.h_cells, d.lead.s_cells)
                              for d in self.devices]
+        self._structures = [BlockStructure() for _ in self.devices]
         #: names this family in picklable unit specs, so a worker process
         #: keeps one device and one memo per family, not per spectrum
         self.token = f"{os.getpid()}:{next(_FAMILY_TOKENS)}"
@@ -390,7 +410,8 @@ class DeviceFamily:
         if potential is not None:
             dev = dev.with_potential(potential)
         return DeviceCache(dev, memo=self.memo,
-                           polynomials=self._polynomials[ik])
+                           polynomials=self._polynomials[ik],
+                           structure=self._structures[ik])
 
     def caches(self, potential=None) -> list:
         """One :class:`DeviceCache` per k-point, all at ``potential``."""

@@ -30,7 +30,8 @@ from repro.linalg.batched import bucket_by_width
 from repro.negf.transmission import EnergyPointResult, analyze_solution
 from repro.observability.spans import current_tracer
 from repro.pipeline.cache import DeviceCache, as_cache
-from repro.pipeline.registry import (SOLVERS, resolve_batch_solver_name,
+from repro.pipeline.registry import (AUTO, SOLVERS,
+                                     resolve_batch_solver_name,
                                      resolve_solver_name)
 from repro.pipeline.trace import TaskTrace, batch_stage_scope, stage_scope
 from repro.utils.errors import ConfigurationError
@@ -151,7 +152,8 @@ class TransportPipeline:
                 self.solver, num_blocks=cache.num_blocks,
                 block_size=int(max(cache.block_sizes)),
                 num_rhs=int(inj.shape[1]),
-                num_partitions=self.num_partitions)
+                num_partitions=self.num_partitions,
+                coupling_widths=self._pricing_widths(cache))
             st.meta["solver"] = name
             st.meta["backend"] = bk.name
             st.meta["precision"] = bk.capabilities.precision
@@ -320,7 +322,8 @@ class TransportPipeline:
                 self.solver, num_blocks=cache.num_blocks,
                 block_size=int(max(cache.block_sizes)),
                 rhs_widths=[width] * len(pos),
-                num_partitions=self.num_partitions)
+                num_partitions=self.num_partitions,
+                coupling_widths=self._pricing_widths(cache))
             with batch_stage_scope([traces[j] for j in pos],
                                    "SOLVE") as sts:
                 if name == "rgf_batched":
@@ -360,8 +363,8 @@ class TransportPipeline:
                             a_batch.point(j), obs[j], injs[j],
                             num_partitions=self.num_partitions,
                             parallel=self.parallel, info=info))
-                predicted = self._predicted_solve_bytes(cache, name,
-                                                        width) \
+                predicted = self._predicted_solve_bytes(
+                    cache, name, width, self.num_partitions) \
                     if bk.capabilities.deterministic else None
                 for st in sts:
                     st.meta.update(solver=name,
@@ -392,14 +395,25 @@ class TransportPipeline:
             results.append(result)
         return results
 
+    def _pricing_widths(self, cache):
+        """The coupling support widths ``"auto"`` prices SplitSolve
+        with; an explicit solver name prices nothing, so it does not
+        make the cache work out its support either."""
+        if self.solver != AUTO:
+            return None
+        return cache.structure().support.widths()
+
     @staticmethod
-    def _predicted_solve_bytes(cache, solver_name: str, width: int):
+    def _predicted_solve_bytes(cache, solver_name: str, width: int,
+                               num_partitions: int = 1):
         """Model-predicted kernel bytes of one energy's SOLVE stage.
 
         Exact for the batched RGF path (the byte model transcribes the
         kernel sequence, per-block sizes included); the SplitSolve model
-        prices uniform blocks, so non-uniform devices carry a documented
-        tolerance.  Returns ``None`` for solvers without a byte model.
+        prices ``num_partitions`` partitions of uniform blocks with
+        uniform coupling supports, so non-uniform devices carry a
+        documented tolerance.  Returns ``None`` for solvers without a
+        byte model.
         """
         try:
             from repro.perfmodel.bytemodel import (rgf_byte_model,
@@ -410,7 +424,8 @@ class TransportPipeline:
             if solver_name == "splitsolve":
                 return splitsolve_byte_model(
                     cache.num_blocks, int(max(cache.block_sizes)),
-                    int(width))
+                    int(width), num_partitions=num_partitions,
+                    coupling_widths=cache.structure().support.widths())
         except Exception:
             return None
         return None

@@ -147,7 +147,8 @@ def get_obc_method(name: str):
 
 def resolve_solver_name(name: str, *, num_blocks: int, block_size: int,
                         num_rhs: int, num_partitions: int = 1,
-                        hermitian: bool = False) -> str:
+                        hermitian: bool = False,
+                        coupling_widths=None) -> str:
     """Map ``"auto"`` to a concrete registered solver via the cost model.
 
     Explicit names pass through unchanged (after a registry existence
@@ -157,7 +158,8 @@ def resolve_solver_name(name: str, *, num_blocks: int, block_size: int,
         from repro.perfmodel.costmodel import choose_solver
         name = choose_solver(num_blocks=num_blocks, block_size=block_size,
                              num_rhs=num_rhs, num_partitions=num_partitions,
-                             hermitian=hermitian)
+                             hermitian=hermitian,
+                             coupling_widths=coupling_widths)
     SOLVERS.get(name)
     return name
 
@@ -165,7 +167,8 @@ def resolve_solver_name(name: str, *, num_blocks: int, block_size: int,
 def resolve_batch_solver_name(name: str, *, num_blocks: int,
                               block_size: int, rhs_widths,
                               num_partitions: int = 1,
-                              hermitian: bool = False) -> str:
+                              hermitian: bool = False,
+                              coupling_widths=None) -> str:
     """Resolve the SOLVE implementation for one (k, E-batch) bucket.
 
     Explicit solver names keep the energy-batched semantics: the bucket
@@ -185,4 +188,5 @@ def resolve_batch_solver_name(name: str, *, num_blocks: int,
                                block_size=block_size,
                                rhs_widths=rhs_widths,
                                num_partitions=num_partitions,
-                               hermitian=hermitian)
+                               hermitian=hermitian,
+                               coupling_widths=coupling_widths)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import BlockTridiagonalMatrix
+from repro.linalg import BlockTridiagonalMatrix, as_complex
 from repro.linalg.arena import scratch
 from repro.linalg.batched import BatchedBlockTridiag
 from repro.utils.errors import ShapeError
@@ -31,14 +31,14 @@ def assemble_t(a: BlockTridiagonalMatrix, sigma_l: np.ndarray,
     # which keeps assembly O(s1^2 + s2^2) instead of O(total).  ``astype``
     # already copies, so the corners are always private; interior blocks
     # are converted only when they are not complex128 yet.
-    diag = [_as_complex(b) for b in a.diag]
+    diag = [as_complex(b) for b in a.diag]
     diag[0] = a.diag[0].astype(complex)
     if len(diag) > 1:
         diag[-1] = a.diag[-1].astype(complex)
     t = BlockTridiagonalMatrix(
         diag,
-        [_as_complex(b) for b in a.upper],
-        [_as_complex(b) for b in a.lower])
+        [as_complex(b) for b in a.upper],
+        [as_complex(b) for b in a.lower])
     t.diag[0] -= sigma_l
     t.diag[-1] -= sigma_r
     return t
@@ -65,7 +65,7 @@ def assemble_t_batched(a: BatchedBlockTridiag, sigma_l: np.ndarray,
     if sigma_r.shape != (ne, s2, s2):
         raise ShapeError(
             f"sigma_r stack is {sigma_r.shape}, expected {(ne, s2, s2)}")
-    diag = [_as_complex(b) for b in a.diag]
+    diag = [as_complex(b) for b in a.diag]
     diag[0] = scratch(a.diag[0].shape, complex, tag="assemble.corner")
     np.copyto(diag[0], a.diag[0])
     if len(diag) > 1:
@@ -74,16 +74,12 @@ def assemble_t_batched(a: BatchedBlockTridiag, sigma_l: np.ndarray,
         np.copyto(diag[-1], a.diag[-1])
     t = BatchedBlockTridiag(
         diag,
-        [_as_complex(b) for b in a.upper],
-        [_as_complex(b) for b in a.lower],
+        [as_complex(b) for b in a.upper],
+        [as_complex(b) for b in a.lower],
         energies=a.energies)
     t.diag[0] -= sigma_l
     t.diag[-1] -= sigma_r
     return t
-
-
-def _as_complex(b: np.ndarray) -> np.ndarray:
-    return b if b.dtype == np.complex128 else b.astype(complex)
 
 
 def boundary_rhs(block_sizes, b_top: np.ndarray,

@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import BlockTridiagonalMatrix, gemm, lu_factor, lu_solve
+from repro.linalg import (BlockTridiagonalMatrix, as_complex, gemm,
+                          lu_factor, lu_solve)
 from repro.linalg.arena import scratch, scratch_release
 from repro.linalg.batched import (BatchedBlockTridiag, gemm_batched,
                                   lu_factor_batched, lu_solve_batched)
 from repro.utils.errors import ShapeError
-
-
-def _as_complex(b: np.ndarray) -> np.ndarray:
-    """complex128 view-or-copy: no copy when the block already is one."""
-    return b if b.dtype == np.complex128 else b.astype(complex)
 
 
 def solve_rgf(t: BlockTridiagonalMatrix, b: np.ndarray,
@@ -41,12 +37,12 @@ def solve_rgf(t: BlockTridiagonalMatrix, b: np.ndarray,
         b = b[:, None]
     # b is only ever read below (the sweeps subtract *from* its slices
     # into fresh arrays), so a complex input needs no defensive copy.
-    b = _as_complex(b)
+    b = as_complex(b)
     # One up-front conversion per coupling block; the sweeps below used
     # to re-convert t.lower[i]/t.upper[i] on every use (up to three times
     # per block per call).
-    upper = [_as_complex(u) for u in t.upper]
-    lower = [_as_complex(l) for l in t.lower]
+    upper = [as_complex(u) for u in t.upper]
+    lower = [as_complex(l) for l in t.lower]
 
     # Backward sweep: Schur-complement factors from the bottom up.
     # schur_i = T_ii - T_{i,i+1} inv(schur_{i+1}) T_{i+1,i}
@@ -105,9 +101,9 @@ def solve_rgf_batched(t: BatchedBlockTridiag, b: np.ndarray,
         raise ShapeError(f"rhs has {b.shape[1]} rows, matrix {offs[-1]}")
     # b is read-only below; complex inputs (the pipeline's stacked
     # injection rhs) are used in place instead of defensively copied.
-    b = _as_complex(b)
-    upper = [_as_complex(u) for u in t.upper]
-    lower = [_as_complex(l) for l in t.lower]
+    b = as_complex(b)
+    upper = [as_complex(u) for u in t.upper]
+    lower = [as_complex(l) for l in t.lower]
     ne, m = b.shape[0], b.shape[2]
 
     # All large per-sweep temporaries — Schur stacks, rhs carries, the
@@ -136,7 +132,7 @@ def solve_rgf_batched(t: BatchedBlockTridiag, b: np.ndarray,
         facs = [None] * nb
         xi_up = [None] * nb
         yi = [None] * nb
-        schur = _as_complex(t.diag[nb - 1])
+        schur = as_complex(t.diag[nb - 1])
         carry = _scr((ne, offs[nb] - offs[nb - 1], m), "rgf.carry")
         np.copyto(carry, b[:, offs[nb - 1]:offs[nb]])
         facs[nb - 1] = lu_factor_batched(schur, tag=tag)
@@ -185,9 +181,9 @@ def rgf_greens_blocks(t: BlockTridiagonalMatrix, tag: str = "rgf-g"):
     """
     nb = t.num_blocks
     # Convert every block once; the three recursions below reuse them.
-    diag = [_as_complex(d) for d in t.diag]
-    upper = [_as_complex(u) for u in t.upper]
-    lower = [_as_complex(l) for l in t.lower]
+    diag = [as_complex(d) for d in t.diag]
+    upper = [as_complex(u) for u in t.upper]
+    lower = [as_complex(l) for l in t.lower]
     # Right-connected Green's functions gR_i (standard RGF).
     g_right = [None] * nb
     fac = lu_factor(diag[nb - 1], tag=tag)

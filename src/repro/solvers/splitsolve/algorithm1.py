@@ -6,6 +6,14 @@ multiplications, one LU factorization, and one backward substitution" on
 dense blocks — the cuBLAS zgemm / MAGMA zgesv_nopiv_gpu kernel mix whose
 GPU execution the paper profiles in Fig. 12(b).
 
+The coupling blocks are dense storage around the few interface orbitals
+that couple two slabs; the sweeps read their exact support
+(:class:`~repro.linalg.CouplingSupport`) and skip the zeros: X_i is solved
+for the non-zero columns of its right-hand side only, the Schur update
+touches the ``rows x cols`` sub-block of D_i it can change, and the Q
+recursion contracts over X_i's non-zero columns.  The kernel mix per
+block is the paper's; with full support so are the operand shapes.
+
 When A is Hermitian (real energy, 1-D/2-D structures) the Schur blocks
 D_i = A_ii - A_{i,i+1} D_{i+1}^{-1} A_{i+1,i} are Hermitian too, enabling
 the zhesv_nopiv_gpu variant that lifted the paper's sustained performance
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import BlockTridiagonalMatrix, gemm, solve
+from repro.linalg import BlockTridiagonalMatrix, as_complex, gemm, solve
 from repro.utils.errors import ShapeError
 
 
@@ -40,46 +48,44 @@ def block_column_inverse(a: BlockTridiagonalMatrix, which: str = "first",
         raise ShapeError(f"which must be 'first' or 'last', not {which!r}")
     nb = a.num_blocks
     assume = "her" if hermitian else "gen"
+    sup = a.coupling_support()
 
+    # The two sweeps are mirror images.  ``chain`` runs from the far end
+    # to the boundary block whose inverse column is wanted; ``ahead[i]``
+    # is block i's coupling to the next block of the chain and
+    # ``behind[i]`` its coupling to the previous one, each as
+    # ``(block, (rows, cols))``.
+    below = dict(enumerate(zip(a.upper, sup.upper)))              # A[i, i+1]
+    above = dict(enumerate(zip(a.lower, sup.lower), start=1))     # A[i, i-1]
     if which == "first":
-        # Downward sweep (phases P1/P3 of Fig. 6): X_{nB+1} = 0;
-        # (A_ii - A_{i,i+1} X_{i+1}) X_i = A_{i,i-1}, then
-        # Q_i = -X_i Q_{i-1} with Q_0 = -1 (so Q_1 = D_1^{-1}).
-        x_next = None
-        xs = [None] * nb
-        for i in range(nb - 1, 0, -1):
-            d = a.diag[i].astype(complex)
-            if x_next is not None:
-                d = d - gemm(a.upper[i].astype(complex), x_next, tag=tag)
-            xs[i] = solve(d, a.lower[i - 1].astype(complex),
-                          assume_a=assume, tag=tag)
-            x_next = xs[i]
-        d1 = a.diag[0].astype(complex)
-        if nb > 1:
-            d1 = d1 - gemm(a.upper[0].astype(complex), xs[1], tag=tag)
-        q = [None] * nb
-        q[0] = solve(d1, np.eye(a.block_sizes[0], dtype=complex),
-                     assume_a=assume, tag=tag)
-        for i in range(1, nb):
-            q[i] = -gemm(xs[i], q[i - 1], tag=tag)
-        return q
+        # downward sweep, phases P1/P3 of Fig. 6
+        chain, ahead, behind = range(nb - 1, -1, -1), above, below
+    else:
+        chain, ahead, behind = range(nb), below, above
 
-    # Upward sweep for the last column (mirror image).
-    x_prev = None
+    # (A_ii - A[i, prev] X_prev) X_i = A[i, next]: X_i is kept as its
+    # non-zero columns, the column support ``xcols`` of A[i, next].
     xs = [None] * nb
-    for i in range(0, nb - 1):
-        d = a.diag[i].astype(complex)
+    x_prev = xcols = None
+    for i in chain:
+        d = np.array(a.diag[i], dtype=complex)    # private: updated in place
         if x_prev is not None:
-            d = d - gemm(a.lower[i - 1].astype(complex), x_prev, tag=tag)
-        xs[i] = solve(d, a.upper[i].astype(complex),
-                      assume_a=assume, tag=tag)
-        x_prev = xs[i]
-    dn = a.diag[nb - 1].astype(complex)
-    if nb > 1:
-        dn = dn - gemm(a.lower[nb - 2].astype(complex), xs[nb - 2], tag=tag)
+            blk, (rows, cols) = behind[i]
+            d[np.ix_(rows, xcols)] -= gemm(
+                as_complex(blk[np.ix_(rows, cols)]), x_prev[cols], tag=tag)
+        if i in ahead:
+            blk, (_, xcols) = ahead[i]
+            x_prev = xs[i] = solve(d, as_complex(blk[:, xcols]),
+                                   assume_a=assume, tag=tag)
+
+    # Q_end = D_end^{-1}, then Q_i = -X_i Q_next back along the chain,
+    # contracting over the rows of Q_next that X_i's columns meet.
     q = [None] * nb
-    q[nb - 1] = solve(dn, np.eye(a.block_sizes[-1], dtype=complex),
-                      assume_a=assume, tag=tag)
-    for i in range(nb - 2, -1, -1):
-        q[i] = -gemm(xs[i], q[i + 1], tag=tag)
+    nxt = chain[-1]
+    q[nxt] = solve(d, np.eye(a.block_sizes[nxt], dtype=complex),
+                   assume_a=assume, tag=tag)
+    for i in reversed(chain[:-1]):
+        _, (_, xcols) = ahead[i]
+        q[i] = -gemm(xs[i], q[nxt][xcols], tag=tag)
+        nxt = i
     return q

@@ -53,7 +53,9 @@ class SplitSolve:
         matching the paper's "p/2 partitions on p accelerators".
     hermitian : bool | None
         Use the Hermitian Schur factorization path (the paper's
-        zhesv_nopiv_gpu optimization).  ``None`` = autodetect from A.
+        zhesv_nopiv_gpu optimization).  ``None`` = ask
+        ``a.is_hermitian()``: decided once for all the A(E) of a device
+        cache, autodetected from the blocks of a matrix built elsewhere.
     parallel : bool
         Run partition sweeps/merges on a thread pool (NumPy releases the
         GIL, so this gives genuine multi-core speedups standing in for
@@ -70,7 +72,7 @@ class SplitSolve:
         self.num_partitions = num_partitions
         self.ranges = _partition_ranges(a.num_blocks, num_partitions)
         if hermitian is None:
-            hermitian = a.hermitian_error() < 1e-10
+            hermitian = a.is_hermitian()
         self.hermitian = hermitian
         self.parallel = parallel
         self.timer = StageTimer()
@@ -85,12 +87,10 @@ class SplitSolve:
     def preprocess(self) -> "SplitSolve":
         """Compute Q = A^{-1} B (first + last block columns of A^{-1})."""
         a = self.a
+        support = a.coupling_support()
 
         def _local(p):
-            start, stop = self.ranges[p]
-            local = BlockTridiagonalMatrix(
-                a.diag[start:stop], a.upper[start:stop - 1],
-                a.lower[start:stop - 1])
+            local = a.block_range(*self.ranges[p])
             dev_f, dev_l = f"gpu{2 * p}", f"gpu{2 * p + 1}"
             with device_scope(dev_f):
                 vf = block_column_inverse(local, "first",
@@ -101,7 +101,7 @@ class SplitSolve:
                                           hermitian=self.hermitian,
                                           tag="P2")
             devices = [dev_f if i % 2 == 0 else dev_l
-                       for i in range(stop - start)]
+                       for i in range(local.num_blocks)]
             return PartitionColumns(first=vf, last=vl,
                                     devices=devices).validate()
 
@@ -126,11 +126,12 @@ class SplitSolve:
                     for k in range(0, len(parts), 2):
                         top, bottom = parts[k], parts[k + 1]
                         boundary = ranges[k][1] - 1  # global block index
-                        bc = a.upper[boundary].astype(complex)
-                        cc = a.lower[boundary].astype(complex)
                         merged.append(merge_partitions(
-                            top, bottom, bc, cc,
-                            executor=pool, tag=f"spike{step}"))
+                            top, bottom, a.upper[boundary],
+                            a.lower[boundary], executor=pool,
+                            tag=f"spike{step}",
+                            support=(support.upper[boundary],
+                                     support.lower[boundary])))
                         new_ranges.append((ranges[k][0], ranges[k + 1][1]))
                     parts = merged
                     self._mranges = new_ranges

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg import gemm, solve
+from repro.linalg import as_complex, block_support, gemm, solve
 from repro.linalg.flops import device_scope
 from repro.observability.spans import current_tracer
 from repro.utils.errors import ShapeError
@@ -47,13 +47,18 @@ class PartitionColumns:
 def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
                      coupling_upper: np.ndarray,
                      coupling_lower: np.ndarray,
-                     executor=None, tag: str = "spike") -> PartitionColumns:
+                     executor=None, tag: str = "spike",
+                     support=None) -> PartitionColumns:
     """Merge two adjacent partitions' inverse boundary columns.
 
     Parameters
     ----------
     coupling_upper : A_{last(top), first(bottom)} (the global upper block)
     coupling_lower : A_{first(bottom), last(top)}
+    support : ``((rows, cols) of coupling_upper, (rows, cols) of
+        coupling_lower)`` when the caller holds it (the driver passes the
+        matrix's, the same at every energy); default: the blocks' own
+        ``!= 0`` support.
 
     Notes
     -----
@@ -66,9 +71,20 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
     x_S = -V^f_S (Cc xi); the merged last column is the mirror image.
     The corner solves are tiny; the V-updates are one thin gemm per block
     row and constitute the spike cost.
+
+    Bc and Cc enter as their non-zero sub-blocks: a product with a
+    coupling block on the left has its row support, one with it on the
+    right its column support, so every operand below is cut to the index
+    sets that can contribute - the update weights ``coupling @ something``
+    in particular have the coupling's few rows, and the per-row updates
+    contract over those.
     """
-    bc = np.asarray(coupling_upper, dtype=complex)
-    cc = np.asarray(coupling_lower, dtype=complex)
+    if support is None:
+        support = (block_support(np.asarray(coupling_upper)),
+                   block_support(np.asarray(coupling_lower)))
+    (rb, cb), (rc, cl) = support
+    bc = as_complex(np.asarray(coupling_upper)[np.ix_(rb, cb)])
+    cc = as_complex(np.asarray(coupling_lower)[np.ix_(rc, cl)])
     vpf_last = top.first[-1]
     vpl_last = top.last[-1]
     vsf_first = bottom.first[0]
@@ -76,18 +92,20 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
 
     with device_scope(top.devices[-1]):
         # --- merged FIRST column ---
-        bvc = gemm(bc, gemm(vsf_first, cc, tag=tag), tag=tag)
-        lhs = np.eye(vpf_last.shape[0], dtype=complex) \
-            - gemm(vpl_last, bvc, tag=tag)
-        xi = solve(lhs, vpf_last, tag=tag)
+        # Bc V^f_S[0] Cc on rows(Bc) x cols(Cc)
+        bvc = gemm(bc, gemm(vsf_first[np.ix_(cb, rc)], cc, tag=tag), tag=tag)
+        lhs = np.eye(vpf_last.shape[0], dtype=complex)
+        lhs[:, cl] -= gemm(vpl_last[:, rb], bvc, tag=tag)
+        xi = solve(lhs, vpf_last, tag=tag)[cl]      # the rows Cc meets
         w_first = gemm(bvc, xi, tag=tag)            # update weight for top
         cc_xi = gemm(cc, xi, tag=tag)               # weight for bottom
 
         # --- merged LAST column ---
-        cvb = gemm(cc, gemm(vpl_last, bc, tag=tag), tag=tag)
-        lhs2 = np.eye(vsf_first.shape[0], dtype=complex) \
-            - gemm(vsf_first, cvb, tag=tag)
-        zeta = solve(lhs2, vsl_first, tag=tag)
+        # Cc V^l_P[-1] Bc on rows(Cc) x cols(Bc)
+        cvb = gemm(cc, gemm(vpl_last[np.ix_(cl, rb)], bc, tag=tag), tag=tag)
+        lhs2 = np.eye(vsf_first.shape[0], dtype=complex)
+        lhs2[:, cb] -= gemm(vsf_first[:, rc], cvb, tag=tag)
+        zeta = solve(lhs2, vsl_first, tag=tag)[cb]  # the rows Bc meets
         w_last = gemm(cvb, zeta, tag=tag)           # update weight, bottom
         bc_zeta = gemm(bc, zeta, tag=tag)           # weight for top
 
@@ -108,21 +126,22 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
     # block row applies them with ONE fused (s, 2s)-wide gemm instead of
     # two (s, s) gemms: identical flop count, but top.last[i] /
     # bottom.first[i] stream through memory once instead of twice — the
-    # spike traffic is the merge's dominant byte mover.
+    # spike traffic is the merge's dominant byte mover.  The weights for
+    # the top live on rows(Bc), those for the bottom on rows(Cc).
     w_top = np.hstack([w_first, bc_zeta])
     w_bot = np.hstack([cc_xi, w_last])
     nf = w_first.shape[1]
 
     def _update_top(i):
         with device_scope(top.devices[i]):
-            upd = gemm(top.last[i], w_top, tag=tag)
+            upd = gemm(top.last[i][:, rb], w_top, tag=tag)
             newf = top.first[i] + upd[:, :nf]
             newl = -upd[:, nf:]
         return newf, newl
 
     def _update_bottom(i):
         with device_scope(bottom.devices[i]):
-            upd = gemm(bottom.first[i], w_bot, tag=tag)
+            upd = gemm(bottom.first[i][:, rc], w_bot, tag=tag)
             newf = -upd[:, :nf]
             newl = bottom.last[i] + upd[:, nf:]
         return newf, newl

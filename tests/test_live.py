@@ -850,7 +850,9 @@ class TestLiveAcceptance:
         report = out["live"]
         stragglers = [a for a in report["alerts"]
                       if a["kind"] == "straggler"]
-        assert stragglers and stragglers[0]["node"] == "node1"
+        # on a loaded box node0 can trip the detector first; the injected
+        # straggler must be flagged, whoever else is
+        assert "node1" in {a["node"] for a in stragglers}
         # the alert fired before the run ended, not post hoc
         assert alert_times and alert_times[0] < t_end
         # and the balancer visibly reshaped the next share split
@@ -863,8 +865,8 @@ class TestLiveAcceptance:
         from repro.pipeline.pipeline import TransportPipeline
         original = TransportPipeline._predicted_solve_bytes
 
-        def shrunk(cache, solver_name, width):
-            predicted = original(cache, solver_name, width)
+        def shrunk(cache, solver_name, width, num_partitions=1):
+            predicted = original(cache, solver_name, width, num_partitions)
             return None if predicted is None \
                 else max(int(predicted) // 4, 1)
 
