@@ -32,8 +32,11 @@ from scipy.sparse import issparse
 
 from repro.linalg.backend import KernelBackend, resolve_backend
 
-#: bump when the key derivation itself changes incompatibly
-KEY_SCHEMA_VERSION = 1
+#: bump when the key derivation itself changes incompatibly, or when what
+#: a key stands for does (2: lead modes come from the interface-reduced
+#: polynomial, so spectra differ from version 1's by round-off and cached
+#: FEAST subspaces have ``2 NBW |B|`` rows)
+KEY_SCHEMA_VERSION = 2
 
 
 def canonical_float(value) -> str:

@@ -16,6 +16,7 @@ from repro.constants import LANDAUER_2E_OVER_H
 from repro.hamiltonian import build_device
 from repro.linalg import BlockStructure
 from repro.negf.density import fermi
+from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
 from repro.parallel.serialization import TaskDescriptor
 from repro.pipeline import TransportPipeline
@@ -129,6 +130,8 @@ class _WorkerDevice:
                                    spec.num_cells, kpoint=(0.0, spec.kz))
         self.memo = BoundaryMemo()
         self.structure = BlockStructure()
+        self.polynomials = PolynomialFamily(self.device.lead.h_cells,
+                                            self.device.lead.s_cells)
         self.run_key = None
         self.pipe = None
         self.cache = None
@@ -147,6 +150,7 @@ class _WorkerDevice:
             dev = self.device if spec.potential is None \
                 else self.device.with_potential(spec.potential)
             self.cache = DeviceCache(dev, memo=self.memo,
+                                     polynomials=self.polynomials,
                                      structure=self.structure)
             self.run_key = run_key
         return self.pipe, self.cache

@@ -416,9 +416,14 @@ def feast_annulus_batch(stack, r_outer: float = 3.0,
 
     ``subspace_guess`` (warm-start mode only) seeds the first energy of
     the sweep — typically a cached near-neighbour subspace published by
-    the persistent result store.
+    the persistent result store.  A guess with another row count than
+    the pencil's (cached by a solve on the full-size polynomial, say) is
+    no guess: the sweep starts cold.
     """
     if warm_start:
+        if np.ndim(subspace_guess) == 2 \
+                and np.shape(subspace_guess)[0] != stack.size:
+            subspace_guess = None
         return _feast_warm_sweep(stack, r_outer, subspace, num_points,
                                  max_iter, tol, seed, auto_expand,
                                  initial_guess=subspace_guess)

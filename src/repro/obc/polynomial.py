@@ -21,12 +21,82 @@ to NBC/(2 NBW)".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.linalg import geig, lu_factor, lu_solve
-from repro.linalg.batched import (lu_factor_batched, lu_solve_batched,
-                                  take_factor)
+from repro.linalg import block_support, geig, gemm, lu_factor, lu_solve
+from repro.linalg.batched import (gemm_batched, lu_factor_batched,
+                                  lu_solve_batched, take_factor)
+from repro.observability.spans import current_tracer
 from repro.utils.errors import ConfigurationError, ShapeError
+
+#: an interface-reduced centre coefficient g times larger than the
+#: unreduced one has lost log10(g) digits to cancellation (E sits next to
+#: a level of the isolated interior, where K_II is singular): beyond
+#: four lost digits that energy is solved unreduced
+_SCHUR_GROWTH_LIMIT = 1e4
+
+
+def count_interface_fallback() -> None:
+    """One lead energy solved unreduced although the lead has an interior
+    (metric ``obc_interface_fallbacks`` of the active tracer)."""
+    tracer = current_tracer()
+    if tracer is not None:
+        tracer.metrics.counter("obc_interface_fallbacks").inc()
+
+
+class _Factored:
+    """LU factor of P(z) next to the Horner prefactors G_j(z) of the
+    companion elimination: both depend on z only, so both are built once
+    per contour point and reused by every resolvent apply.  Unpacks like
+    the bare factor."""
+
+    __slots__ = ("lu", "horner")
+
+    def __init__(self, lu, horner):
+        self.lu = lu
+        self.horner = horner
+
+    def __iter__(self):
+        return iter(self.lu)
+
+
+def _horner_prefactors(coeffs, z: complex) -> dict:
+    """``{j: G_j}`` for j = 1..M-1 with G_M = C_M, G_j = C_j + z G_{j+1}:
+    the sums left over from eliminating x_2..x_M (see
+    :meth:`PolynomialEVP.resolvent_apply`)."""
+    m = len(coeffs) - 1
+    g = coeffs[m]
+    horner = {}
+    for j in range(m - 1, 0, -1):
+        g = coeffs[j] + z * g
+        horner[j] = g
+    return horner
+
+
+@dataclass
+class InterfaceReduction:
+    """What ties an interface-reduced polynomial to the full one.
+
+    ``x = K_II^{-1} K_IB`` (``K`` the centre coefficient) turns an
+    eigenvector ``u_B`` of the reduced polynomial into the eigenvector
+    ``[u_B; -x u_B]`` of ``full``.
+    """
+
+    full: "PolynomialEVP"
+    interface: np.ndarray
+    interior: np.ndarray
+    x: np.ndarray
+
+    def lift(self, us: np.ndarray) -> np.ndarray:
+        """Unit-normalized full-size eigenvectors from reduced ones."""
+        us = np.asarray(us, dtype=complex)
+        out = np.empty((self.full.n, us.shape[1]), dtype=complex)
+        out[self.interface] = us
+        out[self.interior] = -gemm(self.x, us, tag="obc-lift")
+        norms = np.linalg.norm(out, axis=0)
+        return out / np.where(norms > 0, norms, 1.0)
 
 
 class PolynomialEVP:
@@ -67,6 +137,7 @@ class PolynomialEVP:
                           else htl[-l].conj().T.astype(complex))
         self.coeffs = coeffs
         self._coeff_norms = None
+        self.reduction = None
 
     @classmethod
     def _from_coeffs(cls, coeffs, energy: float, n: int, nbw: int):
@@ -82,7 +153,20 @@ class PolynomialEVP:
         self.degree = 2 * self.nbw
         self.coeffs = list(coeffs)
         self._coeff_norms = None
+        self.reduction = None
         return self
+
+    # -- interface reduction (set by PolynomialFamily) -----------------------
+
+    @property
+    def full(self) -> "PolynomialEVP":
+        """The polynomial on all unit-cell orbitals: ``self`` unless this
+        one is interface-reduced (``reduction`` is set)."""
+        return self if self.reduction is None else self.reduction.full
+
+    def lift(self, us: np.ndarray) -> np.ndarray:
+        """Eigenvectors of :attr:`full` from eigenvectors of ``self``."""
+        return us if self.reduction is None else self.reduction.lift(us)
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -183,7 +267,8 @@ class PolynomialEVP:
 
     def factor_reduced(self, z: complex):
         """LU-factorize P(z) once for reuse over many right-hand sides."""
-        return lu_factor(self.eval(z), tag="obc-P(z)")
+        return _Factored(lu_factor(self.eval(z), tag="obc-P(z)"),
+                         _horner_prefactors(self.coeffs, z))
 
     def resolvent_apply(self, z: complex, y: np.ndarray,
                         factor=None) -> np.ndarray:
@@ -209,18 +294,15 @@ class PolynomialEVP:
         w[m - 1] = self.coeffs[m] @ w[m - 1]
 
         # rhs = w_M + sum_{j=1}^{M-1} (sum_{m>=j} C_m' z^{m'-j}) w_j, where
-        # the inner sums come from eliminating x_2..x_M.  Build the
-        # prefactors G_j = sum_{p=j}^{M} z^{p-j} C_p efficiently by a
-        # Horner-style backward recurrence: G_M = C_M, G_j = C_j + z G_{j+1}.
+        # the inner sums come from eliminating x_2..x_M: the prefactors
+        # G_j = sum_{p=j}^{M} z^{p-j} C_p, built with the factor.
+        fac = factor if factor is not None else self.factor_reduced(z)
         rhs = w[m - 1].copy()
-        g = self.coeffs[m].astype(complex)
         # walk j = M-1 .. 1; note w index j-1 stores w_j (1-based w_j).
         for j in range(m - 1, 0, -1):
-            g = self.coeffs[j] + z * g
-            rhs = rhs + g @ w[j - 1]
+            rhs = rhs + fac.horner[j] @ w[j - 1]
 
-        fac = factor if factor is not None else self.factor_reduced(z)
-        x1 = lu_solve(fac, rhs, tag="obc-P(z)-solve")
+        x1 = lu_solve(fac.lu, rhs, tag="obc-P(z)-solve")
 
         x = np.empty((m * n, ncol), dtype=complex)
         x[:n] = x1
@@ -244,6 +326,26 @@ class PolynomialFamily:
     conjugate-transpose commutes exactly with the real-scalar multiply
     and the subtraction under IEEE-754 (negation and conjugation are
     exact), so pre-folding the blocks changes nothing in the result.
+
+    **Interface reduction.**  In a localized basis the off-centre
+    coefficients touch the orbitals next to the cell boundary only:
+    outside the ``interface`` set B (union of the exact ``!= 0`` row and
+    column supports of every ``h_cells[l]``/``s_cells[l]``, l >= 1) their
+    rows and columns vanish for every energy.  With I the ``interior``
+    and K = C_NBW the centre coefficient, P(lambda) u = 0 at finite
+    lambda != 0 splits into
+
+        K_IB u_B + K_II u_I = 0,
+        [sum_{m != NBW} lambda^m C_m[B,B]
+         + lambda^NBW (K_BB - K_BI K_II^{-1} K_IB)] u_B = 0,
+
+    so the finite non-zero Bloch factors are exactly those of a
+    polynomial of size |B| and the modes follow from
+    u_I = -K_II^{-1} K_IB u_B.  :meth:`at_energy` hands out that reduced
+    polynomial (``.full`` and ``.lift`` lead back); when B is everything
+    (dense coupling) or nothing it is the full polynomial itself, and so
+    it is at an energy where the Schur complement blows up
+    (``obc_interface_fallbacks`` counts those).
     """
 
     def __init__(self, h_cells, s_cells):
@@ -252,9 +354,11 @@ class PolynomialFamily:
         if len(h_cells) < 2:
             raise ConfigurationError(
                 "need at least onsite and first-neighbour blocks")
-        n = np.asarray(h_cells[0]).shape[0]
+        h_cells = [np.asarray(b) for b in h_cells]
+        s_cells = [np.asarray(b) for b in s_cells]
+        n = h_cells[0].shape[0]
         for blk in (*h_cells, *s_cells):
-            if np.asarray(blk).shape != (n, n):
+            if blk.shape != (n, n):
                 raise ShapeError("all lead blocks must be n x n")
         self.n = n
         self.nbw = len(h_cells) - 1
@@ -263,22 +367,77 @@ class PolynomialFamily:
         for m in range(self.degree + 1):
             l = m - self.nbw
             if l >= 0:
-                pairs.append((np.asarray(h_cells[l]),
-                              np.asarray(s_cells[l])))
+                pairs.append((h_cells[l], s_cells[l]))
             else:
-                pairs.append((np.asarray(h_cells[-l]).conj().T,
-                              np.asarray(s_cells[-l]).conj().T))
+                pairs.append((h_cells[-l].conj().T, s_cells[-l].conj().T))
         self._pairs = pairs
 
-    def at_energy(self, energy: float) -> PolynomialEVP:
-        """P(lambda; E) with coefficients C_m = H_m - E S_m."""
+        interface = np.union1d(*block_support(*h_cells[1:], *s_cells[1:]))
+        if not 0 < interface.size < n:
+            interface = np.arange(n)
+        #: orbitals some off-centre coefficient touches, and the rest
+        self.interface = interface
+        self.interior = np.setdiff1d(np.arange(n), interface)
+
+    def _full_at(self, energy: float) -> PolynomialEVP:
         e = float(energy)
         coeffs = [(h - e * s).astype(complex) for h, s in self._pairs]
         return PolynomialEVP._from_coeffs(coeffs, e, self.n, self.nbw)
 
+    def _split(self, k: np.ndarray) -> tuple:
+        """``(K_II, K_IB, K_BI, K_BB)`` of a centre coefficient, or of an
+        ``(nE, n, n)`` stack of them."""
+        b, i = self.interface, self.interior
+        return (k[..., i[:, None], i], k[..., i[:, None], b],
+                k[..., b[:, None], i], k[..., b[:, None], b])
+
+    def _reduced(self, full: PolynomialEVP, x, schur) -> PolynomialEVP:
+        """The interface polynomial of ``full`` from x = K_II^{-1} K_IB
+        and schur = K_BB - K_BI x; ``full`` itself when K_II is singular
+        to working precision at this energy."""
+        k_norm = np.linalg.norm(full.coeffs[self.nbw], ord=np.inf)
+        growth = np.linalg.norm(schur, ord=np.inf)
+        if not growth <= _SCHUR_GROWTH_LIMIT * k_norm:   # catches NaN too
+            count_interface_fallback()
+            return full
+        b = self.interface
+        coeffs = [schur if m == self.nbw else c[b[:, None], b]
+                  for m, c in enumerate(full.coeffs)]
+        pevp = PolynomialEVP._from_coeffs(coeffs, full.energy,
+                                          self.interface.size, self.nbw)
+        pevp.reduction = InterfaceReduction(full, self.interface,
+                                            self.interior, x)
+        return pevp
+
+    def at_energy(self, energy: float) -> PolynomialEVP:
+        """P(lambda; E) with coefficients C_m = H_m - E S_m, on the
+        interface orbitals when the lead has an interior."""
+        full = self._full_at(energy)
+        if not self.interior.size:
+            return full
+        k_ii, k_ib, k_bi, k_bb = self._split(full.coeffs[self.nbw])
+        x = lu_solve(lu_factor(k_ii, tag="obc-interior"), k_ib,
+                     tag="obc-interior")
+        schur = k_bb - gemm(k_bi, x, tag="obc-interior")
+        return self._reduced(full, x, schur)
+
     def at_energies(self, energies) -> list:
-        """One :class:`PolynomialEVP` per energy (input order)."""
-        return [self.at_energy(e) for e in energies]
+        """One :class:`PolynomialEVP` per energy (input order).
+
+        The reduction of the whole batch is one stacked LU, one stacked
+        back-substitution and one stacked product; each slice is bitwise
+        what :meth:`at_energy` builds.
+        """
+        fulls = [self._full_at(e) for e in energies]
+        if not self.interior.size or not fulls:
+            return fulls
+        k_ii, k_ib, k_bi, k_bb = self._split(
+            np.stack([p.coeffs[self.nbw] for p in fulls]))
+        x = lu_solve_batched(lu_factor_batched(k_ii, tag="obc-interior"),
+                             k_ib, tag="obc-interior")
+        schur = k_bb - gemm_batched(k_bi, x, tag="obc-interior")
+        return [self._reduced(full, x[j], schur[j])
+                for j, full in enumerate(fulls)]
 
 
 class PolynomialEVPStack:
@@ -346,7 +505,11 @@ class PolynomialEVPStack:
         """Stacked LU of P(z; E) over the batch: one ``zgetrf_batched``
         ledger record whose count is the exact sum of the per-energy
         :meth:`PolynomialEVP.factor_reduced` records."""
-        return lu_factor_batched(self.eval(z, idx=idx), tag="obc-P(z)")
+        coeffs = self.coeffs if idx is None \
+            else [c[idx] for c in self.coeffs]
+        return _Factored(
+            lu_factor_batched(self.eval(z, idx=idx), tag="obc-P(z)"),
+            _horner_prefactors(coeffs, z))
 
     @staticmethod
     def slice_factor(factor, i: int):
@@ -362,7 +525,8 @@ class PolynomialEVPStack:
         Factor objects are kernel-backend-specific, so this dispatches
         through :func:`repro.linalg.batched.take_factor`.
         """
-        return take_factor(factor, idx)
+        return _Factored(take_factor(factor.lu, idx),
+                         {j: g[idx] for j, g in factor.horner.items()})
 
     def resolvent_apply(self, z: complex, ys: np.ndarray, factor=None,
                         idx=None) -> np.ndarray:
@@ -382,29 +546,26 @@ class PolynomialEVPStack:
             raise ShapeError(f"ys must be (nE, NBC, m), got {ys.shape}")
         if ys.shape[1] != m * n:
             raise ShapeError(f"ys must have {m * n} rows, got {ys.shape[1]}")
-        coeffs = self.coeffs if idx is None \
-            else [c[idx] for c in self.coeffs]
-        if ys.shape[0] != coeffs[0].shape[0]:
+        c_top = self.coeffs[m] if idx is None else self.coeffs[m][idx]
+        if ys.shape[0] != c_top.shape[0]:
             raise ShapeError(
                 f"ys batch {ys.shape[0]} != stack batch "
-                f"{coeffs[0].shape[0]}")
+                f"{c_top.shape[0]}")
         ncol = ys.shape[2]
 
         # w = B y: identity blocks except the last, which applies C_M.
         w = [ys[:, j * n:(j + 1) * n] for j in range(m)]
-        w[m - 1] = coeffs[m] @ w[m - 1]
+        w[m - 1] = c_top @ w[m - 1]
 
-        # Horner-style backward recurrence, stacked over the batch (see
+        # Horner prefactors stacked over the batch (see
         # PolynomialEVP.resolvent_apply for the derivation).
-        rhs = w[m - 1].copy()
-        g = coeffs[m].astype(complex)
-        for j in range(m - 1, 0, -1):
-            g = coeffs[j] + z * g
-            rhs = rhs + g @ w[j - 1]
-
         fac = factor if factor is not None else self.factor_reduced(z,
                                                                     idx=idx)
-        x1 = lu_solve_batched(fac, rhs, tag="obc-P(z)-solve")
+        rhs = w[m - 1].copy()
+        for j in range(m - 1, 0, -1):
+            rhs = rhs + fac.horner[j] @ w[j - 1]
+
+        x1 = lu_solve_batched(fac.lu, rhs, tag="obc-P(z)-solve")
 
         x = np.empty((ys.shape[0], m * n, ncol), dtype=complex)
         x[:, :n] = x1

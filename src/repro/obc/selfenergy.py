@@ -39,11 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hamiltonian.device import LeadBlocks
+from repro.linalg import block_support
 from repro.obc.decimation import (sancho_rubio, sancho_rubio_batch,
                                   sigma_from_surface_gf)
 from repro.obc.feast import feast_annulus, feast_annulus_batch
 from repro.obc.modes import LeadModes, classify_modes, fold_modes, folded_velocity
-from repro.obc.polynomial import PolynomialEVP, PolynomialEVPStack
+from repro.obc.polynomial import (PolynomialEVP, PolynomialEVPStack,
+                                  PolynomialFamily, count_interface_fallback)
 from repro.obc.shift_invert import shift_invert_modes
 from repro.pipeline.registry import (OBC_BATCH_METHODS, OBC_METHODS,
                                      register_obc_batch_method,
@@ -162,12 +164,25 @@ def boundary_from_modes(lead: LeadBlocks, energy: float,
 
 
 def _nullspace(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the (right) null space of ``mat``."""
-    u, s, vh = np.linalg.svd(mat)
-    if s.size == 0:
-        return np.eye(mat.shape[1], dtype=complex)
+    """Orthonormal basis of the (right) null space of ``mat``.
+
+    A coupling block is zero outside its ``rows x cols`` support, so the
+    null space is that of the compact block (one small SVD) plus one unit
+    vector per all-zero column.  The boundary maps only see the span: the
+    null vectors carry zero weight in ``Phi Lambda Phi^+``.
+    """
+    rows, cols = block_support(mat)
+    n = mat.shape[1]
+    compact = mat[np.ix_(rows, cols)]
+    if compact.size == 0:
+        return np.eye(n, dtype=complex)
+    u, s, vh = np.linalg.svd(compact)
     rank = int(np.count_nonzero(s > rtol * s[0]))
-    return vh[rank:].conj().T
+    null = np.zeros((n, n - rank), dtype=complex)
+    null[cols, :cols.size - rank] = vh[rank:].conj().T
+    zero_cols = np.setdiff1d(np.arange(n), cols)
+    null[zero_cols, cols.size - rank + np.arange(zero_cols.size)] = 1.0
+    return null
 
 
 def _boundary_map(mset: LeadModes, invert_lambda: bool, n: int,
@@ -211,36 +226,57 @@ def boundary_from_decimation(lead: LeadBlocks, energy: float,
 #
 # Mode-based methods carry ``uses_pevp=True`` metadata and accept a
 # ``pevp=`` keyword so a per-k DeviceCache can pass a pre-assembled
-# :class:`PolynomialEVP`; when omitted they build their own.
+# :class:`PolynomialEVP`; when omitted they build their own.  Either way
+# it comes from a :class:`PolynomialFamily`, i.e. interface-reduced when
+# the lead has an interior: the eigen-solver runs on it as it is, its
+# vectors are lifted, and classification judges them on ``pevp.full``.
 # --------------------------------------------------------------------------
 
-def _boundary_from_eigs(lead: LeadBlocks, energy: float,
-                        pevp: PolynomialEVP, lams, us,
-                        method: str) -> OpenBoundary:
-    """Classify + fold solved lead modes and assemble the OpenBoundary."""
-    modes = classify_modes(pevp, lams, us)
-    folded = fold_modes(modes, lead.nbw)
-    return boundary_from_modes(lead, energy, folded, method=method)
+def _lifted_modes(pevp: PolynomialEVP, lams, us) -> LeadModes | None:
+    """Classified modes of ``pevp.full`` from eigenpairs of ``pevp``.
+
+    Every pair is lifted and then judged on the full polynomial, exactly
+    like the pairs of an unreduced solve.  ``None`` when a pair the
+    reduced polynomial accepts fails there: the reduction lost accuracy
+    at this energy and the caller solves it unreduced.
+    """
+    modes = classify_modes(pevp.full, lams, pevp.lift(us))
+    if pevp.reduction is not None and not np.isin(
+            classify_modes(pevp, lams, us).lambdas, modes.lambdas).all():
+        return None
+    return modes
 
 
 def _mode_boundary(lead: LeadBlocks, energy: float, solve_modes,
                    method: str, pevp: PolynomialEVP | None,
                    **kwargs) -> OpenBoundary:
     if pevp is None:
-        pevp = PolynomialEVP(lead.h_cells, lead.s_cells, energy)
-    lams, us = solve_modes(pevp, **kwargs)
-    return _boundary_from_eigs(lead, energy, pevp, lams, us, method)
+        pevp = PolynomialFamily(lead.h_cells, lead.s_cells).at_energy(energy)
+    modes = _lifted_modes(pevp, *solve_modes(pevp, **kwargs))
+    if modes is None:
+        count_interface_fallback()
+        pevp = pevp.full
+        modes = _lifted_modes(pevp, *solve_modes(pevp, **kwargs))
+    return boundary_from_modes(lead, energy, fold_modes(modes, lead.nbw),
+                               method=method)
 
 
-def _feast_info(res, n: int) -> dict:
-    from repro.perfmodel.bytemodel import feast_byte_model
+def _feast_info(res, pevp: PolynomialEVP, wasted_bytes: int = 0) -> dict:
+    from repro.perfmodel.bytemodel import kernel_bytes
+    from repro.perfmodel.costmodel import (feast_kernels,
+                                           interface_reduction_kernels)
+    predicted = kernel_bytes(feast_kernels(
+        pevp.n, res.num_solves, res.solve_widths, res.rr_sizes))
+    if pevp.reduction is not None:
+        predicted += kernel_bytes(interface_reduction_kernels(
+            pevp.reduction.interior.size, pevp.n, res.num_modes))
     return {"iterations": int(res.iterations),
             "num_solves": int(res.num_solves),
             "subspace_size": int(res.subspace_size),
             "warm_started": bool(res.warm_started),
-            # exact recorded-byte prediction for the drift verdict
-            "predicted_bytes": feast_byte_model(
-                n, res.num_solves, res.solve_widths, res.rr_sizes),
+            # exact recorded-byte prediction for the drift verdict;
+            # ``wasted_bytes``: a reduced solve this one had to redo
+            "predicted_bytes": predicted + wasted_bytes,
             # converged Ritz block — persisted by the result store so
             # cache hits can warm-start near-neighbour misses
             "subspace": res.subspace}
@@ -263,7 +299,7 @@ def _obc_feast(lead: LeadBlocks, energy: float, *, pevp=None,
 
     def solve(p, **kw):
         res = feast_annulus(p, **kw)
-        info.update(_feast_info(res, p.n))
+        info.update(_feast_info(res, p, info.get("predicted_bytes", 0)))
         return res.lambdas, res.vectors
 
     ob = _mode_boundary(lead, energy, solve, "feast", pevp, **kwargs)
@@ -322,16 +358,44 @@ def _obc_feast_batch(lead: LeadBlocks, energies, *, pevps=None,
     with ``subspace_guess`` — e.g. a cached neighbour's subspace)."""
     energies = [float(e) for e in energies]
     if pevps is None:
-        pevps = [PolynomialEVP(lead.h_cells, lead.s_cells, e)
-                 for e in energies]
-    stack = PolynomialEVPStack(pevps)
-    fres = feast_annulus_batch(stack, warm_start=warm_start,
-                               subspace_guess=subspace_guess, **kwargs)
+        pevps = PolynomialFamily(lead.h_cells,
+                                 lead.s_cells).at_energies(energies)
+
+    infos: list = [{} for _ in energies]
+    modes: list = [None] * len(energies)
+
+    def solve(positions, polys) -> list:
+        """FEAST over same-size polynomials; the positions whose lifted
+        modes did not hold up on the full polynomial."""
+        fres = feast_annulus_batch(
+            PolynomialEVPStack(polys), warm_start=warm_start,
+            subspace_guess=subspace_guess, **kwargs)
+        failed = []
+        for j, p, res in zip(positions, polys, fres):
+            infos[j] = _feast_info(res, p,
+                                   infos[j].get("predicted_bytes", 0))
+            modes[j] = _lifted_modes(p, res.lambdas, res.vectors)
+            if modes[j] is None:
+                count_interface_fallback()
+                failed.append(j)
+        return failed
+
+    # an energy the family could not reduce is a full-size polynomial
+    # among reduced ones: one stack per size
+    by_size: dict = {}
+    for j, p in enumerate(pevps):
+        by_size.setdefault(p.n, []).append(j)
+    redo = []
+    for positions in by_size.values():
+        redo += solve(positions, [pevps[j] for j in positions])
+    if redo:
+        solve(redo, [pevps[j].full for j in redo])
+
     obs = []
-    for pevp, e, res in zip(pevps, energies, fres):
-        ob = _boundary_from_eigs(lead, e, pevp, res.lambdas, res.vectors,
-                                 "feast")
-        ob.info.update(_feast_info(res, pevp.n))
+    for e, found, info in zip(energies, modes, infos):
+        ob = boundary_from_modes(lead, e, fold_modes(found, lead.nbw),
+                                 method="feast")
+        ob.info.update(info)
         obs.append(ob)
     return obs
 

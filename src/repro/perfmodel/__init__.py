@@ -11,6 +11,10 @@ from repro.perfmodel.costmodel import (
     splitsolve_flop_model,
     rgf_flop_model,
     rgf_batched_flop_model,
+    interface_reduction_kernels,
+    feast_kernels,
+    dense_obc_kernels,
+    kernel_flops,
     mixed_refinement_flop_model,
     mixed_rate_multiplier,
     measure_flops,
@@ -25,6 +29,7 @@ from repro.perfmodel.bytemodel import (
     rgf_batched_byte_model,
     sancho_rubio_byte_model,
     geig_bytes,
+    kernel_bytes,
     feast_byte_model,
     mixed_lu_factor_bytes,
     mixed_lu_solve_bytes,
@@ -43,6 +48,10 @@ __all__ = [
     "splitsolve_flop_model",
     "rgf_flop_model",
     "rgf_batched_flop_model",
+    "interface_reduction_kernels",
+    "feast_kernels",
+    "dense_obc_kernels",
+    "kernel_flops",
     "mixed_refinement_flop_model",
     "mixed_rate_multiplier",
     "measure_flops",
@@ -55,6 +64,7 @@ __all__ = [
     "rgf_batched_byte_model",
     "sancho_rubio_byte_model",
     "geig_bytes",
+    "kernel_bytes",
     "feast_byte_model",
     "mixed_lu_factor_bytes",
     "mixed_lu_solve_bytes",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perfmodel.costmodel import splitsolve_kernels
+from repro.perfmodel.costmodel import feast_kernels, splitsolve_kernels
 from repro.utils.errors import ConfigurationError
 
 #: bytes per element
@@ -154,35 +154,22 @@ def geig_bytes(n: int, is_complex: bool = True) -> int:
     return 4 * n * n * _itemsize(is_complex)
 
 
+def kernel_bytes(kernels, is_complex: bool = True) -> int:
+    """Bytes the kernels of a ``(count, kernel, dims)`` sequence record
+    (the sequences of :mod:`repro.perfmodel.costmodel`)."""
+    price = {"gemm": gemm_bytes, "lu_factor": lu_factor_bytes,
+             "lu_solve": lu_solve_bytes, "geig": geig_bytes,
+             "solve": solve_bytes, "schur_solve": solve_bytes}
+    return sum(count * price[kernel](*dims, is_complex)
+               for count, kernel, dims in kernels)
+
+
 def feast_byte_model(n: int, num_solves: int, solve_widths,
                      rr_sizes, is_complex: bool = True) -> int:
-    """Bytes of one FEAST annulus solve at one energy.
-
-    Transcribes the recorded-kernel sequence of
-    :func:`repro.obc.feast.feast_annulus` (and, slice for slice, of the
-    lock-step batch driver, whose stacked kernels record exactly the
-    per-energy sum):
-
-    - ``num_solves`` reduced contour factorizations of the
-      ``(n, n)`` matrix ``P(z_p)``, done once up front and reused across
-      every refinement iteration *and* auto-expand attempt
-      (``num_solves = 2 * num_points``, both circles);
-    - per refinement iteration, one resolvent back-substitution per
-      contour point on an ``(n, width)`` rhs — ``solve_widths`` is the
-      per-iteration width log (``FeastResult.solve_widths``);
-    - per iteration, one Rayleigh-Ritz ``zggev`` of the reduced size in
-      ``rr_sizes`` (``FeastResult.rr_sizes``).
-
-    The Horner recurrences, SVD orthonormalization, and unit-vector
-    extraction run through plain numpy (unrecorded), so they are
-    (correctly) absent here.
-    """
-    total = num_solves * lu_factor_bytes(n, is_complex)
-    for width in solve_widths:
-        total += num_solves * lu_solve_bytes(n, int(width), is_complex)
-    for size in rr_sizes:
-        total += geig_bytes(int(size), is_complex)
-    return total
+    """Bytes of one FEAST annulus solve at one energy: the kernels of
+    :func:`~repro.perfmodel.costmodel.feast_kernels`, priced."""
+    return kernel_bytes(feast_kernels(n, num_solves, solve_widths,
+                                      rr_sizes), is_complex)
 
 
 def mixed_lu_factor_bytes(n: int, is_complex: bool = True) -> int:
@@ -226,12 +213,9 @@ def splitsolve_byte_model(num_blocks: int, block_size: int, num_rhs: int,
     solution).  Exact on uniform blocks with uniform coupling supports
     (``coupling_widths``; default: dense coupling blocks).
     """
-    return sum(
-        count * (gemm_bytes(*dims, is_complex) if kernel == "gemm"
-                 else solve_bytes(*dims, is_complex))
-        for count, kernel, dims in splitsolve_kernels(
-            num_blocks, block_size, num_rhs, num_partitions,
-            coupling_widths))
+    return kernel_bytes(
+        splitsolve_kernels(num_blocks, block_size, num_rhs, num_partitions,
+                           coupling_widths), is_complex)
 
 
 def byte_drift(measured_bytes: float, predicted_bytes: float,

@@ -98,21 +98,9 @@ def splitsolve_flop_model(num_blocks: int, block_size: int,
     D_i take the zhesv path (half an LU) when A is Hermitian; the corner
     solves of the merges and of postprocessing are generic.
     """
-    cf = is_complex
-    total = 0
-    for count, kernel, dims in splitsolve_kernels(
-            num_blocks, block_size, num_rhs, num_partitions,
-            coupling_widths):
-        if kernel == "gemm":
-            flops = _fl.gemm_flops(*dims, cf)
-        else:
-            n, nrhs = dims
-            lu = _fl.lu_flops(n, cf)
-            if hermitian and kernel == "schur_solve":
-                lu //= 2
-            flops = lu + 2 * _fl.trsm_flops(n, nrhs, cf)
-        total += count * flops
-    return total
+    return kernel_flops(
+        splitsolve_kernels(num_blocks, block_size, num_rhs, num_partitions,
+                           coupling_widths), is_complex, hermitian)
 
 
 def rgf_flop_model(num_blocks: int, block_size: int, num_rhs: int,
@@ -164,6 +152,87 @@ def rgf_batched_flop_model(num_blocks: int, block_size: int, rhs_widths,
         total += rgf_flop_model(num_blocks, block_size, m,
                                 is_complex=is_complex)
     return total
+
+
+# --------------------------------------------------------------------------
+# Open-boundary (lead mode) solves: kernel sequences as ``(count, kernel,
+# dims)`` with ``kernel`` one of ``"gemm"`` (m, n, k), ``"lu_factor"``
+# (n,), ``"lu_solve"`` (n, nrhs), ``"geig"`` (n,).  :func:`kernel_flops`
+# and :func:`repro.perfmodel.bytemodel.kernel_bytes` price them; chain
+# the reduction's with the eigen-solve's for one whole OBC solve.
+# --------------------------------------------------------------------------
+
+def interface_reduction_kernels(n_interior: int, n_interface: int,
+                                num_lifted: int):
+    """The kernels of reducing one lead polynomial to its interface
+    orbitals (:class:`repro.obc.polynomial.PolynomialFamily`): the LU of
+    the interior block K_II, its back-substitution against the
+    ``n_interface`` columns of K_IB, the Schur-complement product
+    K_BI (K_II^{-1} K_IB), and the product that lifts ``num_lifted``
+    eigenvectors back to the full cell."""
+    ni, nb = int(n_interior), int(n_interface)
+    yield 1, "lu_factor", (ni,)
+    yield 1, "lu_solve", (ni, nb)
+    yield 1, "gemm", (nb, nb, ni)
+    yield 1, "gemm", (ni, int(num_lifted), nb)
+
+
+def feast_kernels(n: int, num_solves: int, solve_widths, rr_sizes):
+    """The recorded kernels of one :func:`repro.obc.feast.feast_annulus`
+    solve on a polynomial of size ``n`` (slice for slice also the
+    lock-step batch driver's, whose stacked kernels record the exact
+    per-energy sum):
+
+    - ``num_solves`` contour factorizations of the ``(n, n)`` matrix
+      ``P(z_p)``, done once up front and reused across every refinement
+      iteration *and* auto-expand attempt (``2 * num_points``);
+    - per refinement iteration, one back-substitution per contour point
+      on an ``(n, width)`` rhs (``FeastResult.solve_widths``);
+    - per iteration, one Rayleigh-Ritz ``zggev`` of the size in
+      ``FeastResult.rr_sizes``.
+
+    The Horner recurrences, SVD orthonormalization, and unit-vector
+    extraction run through plain numpy (unrecorded), so they are
+    (correctly) absent here.
+    """
+    yield int(num_solves), "lu_factor", (int(n),)
+    for width in solve_widths:
+        yield int(num_solves), "lu_solve", (int(n), int(width))
+    for size in rr_sizes:
+        yield 1, "geig", (int(size),)
+
+
+def dense_obc_kernels(n: int, nbw: int = 1):
+    """The one recorded kernel of :meth:`PolynomialEVP.solve_dense`:
+    ``zggev`` on the ``2 NBW n`` companion pencil."""
+    yield 1, "geig", (2 * int(nbw) * int(n),)
+
+
+def kernel_flops(kernels, is_complex: bool = True,
+                 hermitian: bool = False) -> int:
+    """Flops the kernels of a ``(count, kernel, dims)`` sequence record
+    (the open-boundary sequences above and :func:`splitsolve_kernels`).
+    With ``hermitian`` the ``"schur_solve"`` blocks take the zhesv path:
+    half an LU."""
+    cf = is_complex
+
+    def lu(n):
+        return _fl.lu_flops(n, cf)
+
+    def subst(n, nrhs):
+        return 2 * _fl.trsm_flops(n, nrhs, cf)
+
+    price = {
+        "gemm": lambda m, n, k: _fl.gemm_flops(m, n, k, cf),
+        "lu_factor": lu,
+        "lu_solve": subst,
+        "solve": lambda n, nrhs: lu(n) + subst(n, nrhs),
+        "schur_solve": lambda n, nrhs: lu(n) // (2 if hermitian else 1)
+        + subst(n, nrhs),
+        "geig": lambda n: 2 * _fl.eig_flops(n, True),
+    }
+    return sum(count * price[kernel](*dims)
+               for count, kernel, dims in kernels)
 
 
 def mixed_refinement_flop_model(n: int, nrhs: int, refine_iters: int = 1,

@@ -34,7 +34,9 @@ k-point for that potential; they read and fill the family's memo.  A
   a solver asks, once per family and k-point (neither depends on the
   energy or on the potential);
 * ``polynomial(E)`` reuses the lead's ``PolynomialFamily`` so the
-  per-energy PolynomialEVP is one subtraction per coefficient;
+  per-energy PolynomialEVP is one subtraction per coefficient plus the
+  Schur reduction onto the family's interface orbitals (index sets
+  worked out once per lead);
 * ``boundary(E, method, ...)`` shares :class:`OpenBoundary` results
   between callers hitting the same (lead, energy, method, kwargs).
 

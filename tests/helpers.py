@@ -105,3 +105,117 @@ def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
         err = np.abs(x - ref).max() / scale
         assert err < tol, f"{name} differs from rgf by {err:.2e}"
     return ref
+
+
+def make_confined_lead(n, rows, cols, nbw=1, seed=0, cplx=False,
+                       overlap=True):
+    """Lead whose unit cell is a chain of ``n`` orbitals (onsite 2, hopping
+    -1, a small random Hermitian perturbation) coupled to the next cell
+    only through ``rows x cols``: ``h_cells[l]``/``s_cells[l]``, l >= 1, are
+    zero outside that support (``None`` = dense), so the interior orbitals
+    see no other cell.  ``rows``/``cols`` may be one pair for every l or a
+    list of ``nbw`` pairs; ``cplx`` draws complex blocks (a k != 0 lead).
+    """
+    from repro.hamiltonian import fold_lead_blocks
+    from repro.hamiltonian.device import LeadBlocks
+    rng = np.random.default_rng(seed)
+
+    def draw(scale):
+        b = rng.standard_normal((n, n))
+        if cplx:
+            b = b + 1j * rng.standard_normal((n, n))
+        return scale * b
+
+    def confine(b, support):
+        if support[0] is None:
+            return b
+        out = np.zeros_like(b)
+        ix = np.ix_(np.asarray(support[0], dtype=int),
+                    np.asarray(support[1], dtype=int))
+        out[ix] = b[ix]
+        return out
+
+    per_l = nbw > 1 and rows is not None and len(rows) > 0 \
+        and not np.isscalar(rows[0])
+    supports = list(zip(rows, cols)) if per_l else [(rows, cols)] * nbw
+    pert = draw(0.05)
+    h0 = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1) \
+        + 0.5 * (pert + pert.conj().T)
+    spert = draw(0.01) if overlap else np.zeros((n, n))
+    s0 = np.eye(n) + 0.5 * (spert + spert.conj().T)
+    h_cells, s_cells = [h0], [s0]
+    for l, support in enumerate(supports, start=1):
+        h_cells.append(confine(-np.ones((n, n)) * 0.7 ** l
+                               + draw(0.2 * 0.5 ** l), support))
+        s_cells.append(confine(draw(0.02 * 0.5 ** l) if overlap
+                               else np.zeros((n, n)), support))
+    h00, h01 = fold_lead_blocks(h_cells, nbw)
+    s00, s01 = fold_lead_blocks(s_cells, nbw)
+    return LeadBlocks(h_cells=h_cells, s_cells=s_cells,
+                      h00=h00, h01=h01, s00=s00, s01=s01)
+
+
+def check_obc_agreement(lead, energies, r_outer=3.0):
+    """Reduced == unreduced lead modes, and the four OBC methods agree.
+
+    At every energy: the interface-reduced polynomial of ``lead`` has the
+    finite spectrum of the full one inside the annulus (matched to 1e-10)
+    and its lifted vectors solve the full polynomial (residual <= 1e-9);
+    ``dense`` == ``decimation`` self-energies to rel 1e-4 (the decimation
+    broadening), and ``feast`` / ``shift_invert`` agree with ``dense`` on
+    their own outgoing modes to rel 1e-6 (a truncated mode set only fixes
+    Sigma there).  Returns the dense boundaries.
+    """
+    from repro.obc import (PolynomialEVP, PolynomialFamily,
+                           compute_open_boundary)
+
+    family = PolynomialFamily(lead.h_cells, lead.s_cells)
+    dense = []
+    for e in energies:
+        full = PolynomialEVP(lead.h_cells, lead.s_cells, e)
+        pevp = family.at_energy(e)
+        lam_full, _ = full.solve_dense()
+        lam, us = pevp.solve_dense()
+        inside = (np.abs(lam) < r_outer) & (np.abs(lam) > 1.0 / r_outer)
+        assert_spectra_match(
+            lam[inside],
+            lam_full[(np.abs(lam_full) < r_outer)
+                     & (np.abs(lam_full) > 1.0 / r_outer)], atol=1e-10)
+        lifted = pevp.lift(us[:, inside])
+        for i, lam_i in enumerate(lam[inside]):
+            res = full.residual(lam_i, lifted[:, i])
+            assert res <= 1e-9, f"lifted mode {lam_i}: residual {res:.1e}"
+
+        ob = compute_open_boundary(lead, e, method="dense")
+        scale = max(np.abs(ob.sigma_l).max(), np.abs(ob.sigma_r).max())
+        dec = compute_open_boundary(lead, e, method="decimation")
+        for got, want in ((dec.sigma_l, ob.sigma_l),
+                          (dec.sigma_r, ob.sigma_r)):
+            err = np.abs(got - want).max() / scale
+            assert err < 1e-4, f"E={e}: decimation vs dense {err:.1e}"
+        for method, kwargs in (
+                ("feast", dict(r_outer=r_outer, num_points=16, seed=0)),
+                ("shift_invert", dict(keep_radius=r_outer, seed=0,
+                                      shift_radii=(1.05, 2.0, 0.5)))):
+            other = compute_open_boundary(lead, e, method=method, **kwargs)
+            m = other.modes
+            assert m.num_propagating_right == ob.modes.num_propagating_right
+            assert m.num_propagating_left == ob.modes.num_propagating_left
+            for got, want, phi in (
+                    (other.sigma_l, ob.sigma_l, m.vectors[:, ~m.right_going]),
+                    (other.sigma_r, ob.sigma_r, m.vectors[:, m.right_going])):
+                err = np.abs((got - want) @ phi).max(initial=0.0) / scale
+                assert err < 1e-6, \
+                    f"E={e}: {method} vs dense on outgoing modes {err:.1e}"
+        dense.append(ob)
+    return dense
+
+
+def open_energies(lead, count=3):
+    """``count`` energies at which ``lead`` conducts: band energies at
+    generic k (away from 0 and pi, so away from most band edges), spread
+    over the bands."""
+    from repro.core.energygrid import lead_band_structure
+    _ks, bands = lead_band_structure(lead, 7)
+    picks = np.linspace(0, bands.shape[1] - 1, count).round().astype(int)
+    return [float(bands[2 + (j % 3), b]) for j, b in enumerate(picks)]

@@ -1,0 +1,387 @@
+"""Lead modes on the interface orbitals.
+
+``PolynomialFamily`` hands out the lead polynomial Schur-reduced to the
+orbitals its coupling blocks touch; the eigen-solvers run on that, the
+lifted modes are judged on the full polynomial, and an energy the
+reduction cannot be trusted at is solved unreduced and counted.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from repro.basis import tight_binding_set
+from repro.cache import keys as cache_keys
+from repro.hamiltonian import build_device
+from repro.hamiltonian.device import synthetic_device_from_lead
+from repro.linalg import ledger_scope
+from repro.obc import (PolynomialEVP, PolynomialEVPStack, PolynomialFamily,
+                       compute_open_boundary, compute_open_boundary_batch,
+                       feast_annulus, polynomial, selfenergy)
+from repro.obc.feast import feast_annulus_batch
+from repro.observability.spans import tracing
+from repro.perfmodel import (dense_obc_kernels, feast_kernels,
+                             interface_reduction_kernels, kernel_bytes,
+                             kernel_flops)
+from repro.pipeline import DeviceCache
+from repro.structure import silicon_nanowire, silicon_utb_film
+from tests.helpers import (check_obc_agreement, make_confined_lead,
+                           open_energies)
+
+pytestmark = pytest.mark.usefixtures("reference_kernel_backend")
+
+FEAST = dict(r_outer=3.0, num_points=8, seed=0)
+
+#: name -> make_confined_lead arguments, and the interface it must find
+GENERATED = {
+    "rectangular": (dict(n=10, rows=[7, 8, 9], cols=[0, 1]),
+                    [0, 1, 7, 8, 9]),
+    "ragged": (dict(n=12, rows=[3, 8, 11], cols=[0, 5], seed=1),
+               [0, 3, 5, 8, 11]),
+    "overlapping": (dict(n=8, rows=[0, 5, 6, 7], cols=[0, 1, 7], seed=2),
+                    [0, 1, 5, 6, 7]),
+    "full": (dict(n=5, rows=None, cols=None, seed=3), [0, 1, 2, 3, 4]),
+    "complex": (dict(n=10, rows=[7, 8, 9], cols=[0, 1, 2], cplx=True,
+                     seed=4), [0, 1, 2, 7, 8, 9]),
+    "no-overlap-matrix": (dict(n=9, rows=[6, 7, 8], cols=[0, 1],
+                               overlap=False, seed=5), [0, 1, 6, 7, 8]),
+    # supports are taken over all off-centre coefficients
+    "nbw2": (dict(n=9, rows=[[6, 7, 8], [8]], cols=[[0, 1], [0]], nbw=2,
+                  seed=6), [0, 1, 6, 7, 8]),
+}
+
+
+def _rectangular(seed=0):
+    return make_confined_lead(10, [7, 8, 9], [0, 1], seed=seed)
+
+
+def _interior_levels(lead):
+    """Eigenvalues of the isolated interior pencil (H_II, S_II)."""
+    family = PolynomialFamily(lead.h_cells, lead.s_cells)
+    ii = np.ix_(family.interior, family.interior)
+    return sla.eigvalsh(lead.h_cells[0][ii], lead.s_cells[0][ii])
+
+
+def _sigma_error(ob, ref):
+    return max(np.abs(ob.sigma_l - ref.sigma_l).max(),
+               np.abs(ob.sigma_r - ref.sigma_r).max())
+
+
+def _unreduced(lead, energy, method, **kwargs):
+    return compute_open_boundary(
+        lead, energy, method=method,
+        pevp=PolynomialEVP(lead.h_cells, lead.s_cells, energy), **kwargs)
+
+
+class TestAgreement:
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generated_leads(self, name):
+        kwargs, interface = GENERATED[name]
+        lead = make_confined_lead(**kwargs)
+        family = PolynomialFamily(lead.h_cells, lead.s_cells)
+        assert family.interface.tolist() == interface
+        assert family.interface.size + family.interior.size == family.n
+        obs = check_obc_agreement(lead, open_energies(lead))
+        assert all(ob.injected for ob in obs)
+
+    def test_nanowire_lead(self):
+        lead = build_device(silicon_nanowire(0.7, 4), tight_binding_set(),
+                            4).lead
+        family = PolynomialFamily(lead.h_cells, lead.s_cells)
+        assert (family.interface.size, family.n) == (24, 48)
+        check_obc_agreement(lead, open_energies(lead, 2))
+
+    def test_utb_lead_at_complex_k(self):
+        lead = build_device(silicon_utb_film(0.8, 4), tight_binding_set(),
+                            4, kpoint=(0.0, 0.7)).lead
+        assert np.iscomplexobj(lead.h_cells[1])
+        family = PolynomialFamily(lead.h_cells, lead.s_cells)
+        assert 0 < family.interior.size
+        check_obc_agreement(lead, open_energies(lead, 2))
+
+
+class TestBatchParity:
+    """Per-energy == lock-step batch, bit for bit, on the reduced path."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_feast_batch_is_hex_equal_to_per_energy(self, batch):
+        lead = _rectangular()
+        lo, hi = open_energies(lead, 2)
+        energies = np.linspace(lo, hi, 16)[:batch]
+        obs = compute_open_boundary_batch(lead, energies, method="feast",
+                                          **FEAST)
+        for e, ob in zip(energies, obs):
+            ref = compute_open_boundary(lead, e, method="feast", **FEAST)
+            for got, want in ((ob.sigma_l, ref.sigma_l),
+                              (ob.sigma_r, ref.sigma_r)):
+                assert [x.hex() for x in got.real.ravel()] \
+                    == [x.hex() for x in want.real.ravel()]
+                assert np.array_equal(got, want)
+            assert [m.lam for m in ob.injected] \
+                == [m.lam for m in ref.injected]
+            assert ob.info["iterations"] == ref.info["iterations"]
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_reduced_polynomials_are_bitwise_the_per_energy_ones(self, batch):
+        lead = make_confined_lead(10, [7, 8, 9], [0, 1, 2], cplx=True)
+        family = PolynomialFamily(lead.h_cells, lead.s_cells)
+        energies = np.linspace(0.5, 3.5, 16)[:batch]
+        for e, p in zip(energies, family.at_energies(energies)):
+            ref = family.at_energy(e)
+            assert p.n == ref.n == family.interface.size
+            for c, c_ref in zip(p.coeffs, ref.coeffs):
+                assert np.array_equal(c, c_ref)
+            assert np.array_equal(p.reduction.x, ref.reduction.x)
+            for c, c_ref in zip(p.full.coeffs, ref.full.coeffs):
+                assert np.array_equal(c, c_ref)
+
+    def test_cache_batch_of_dense_obc_equals_per_point(self):
+        lead = _rectangular()
+        energies = open_energies(lead, 3)
+        batch = DeviceCache(synthetic_device_from_lead(lead, 3)) \
+            .boundary_batch(energies, "dense")
+        point = DeviceCache(synthetic_device_from_lead(lead, 3))
+        for e, ob in zip(energies, batch):
+            ref = point.boundary(e, "dense")
+            assert np.array_equal(ob.sigma_l, ref.sigma_l)
+            assert np.array_equal(ob.sigma_r, ref.sigma_r)
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("offset", [0.0, 1e-13])
+    @pytest.mark.parametrize("method", ["dense", "feast"])
+    def test_energy_on_an_interior_level_is_solved_unreduced(self, offset,
+                                                             method):
+        lead = _rectangular(seed=3)
+        kwargs = dict(r_outer=20.0, num_points=24, seed=0) \
+            if method == "feast" else {}
+        for level in _interior_levels(lead)[:3]:
+            energy = float(level) + offset
+            with tracing() as tracer:
+                ob = compute_open_boundary(lead, energy, method=method,
+                                           **kwargs)
+            fallbacks = tracer.metrics.counter("obc_interface_fallbacks")
+            assert fallbacks.value == 1
+            ref = _unreduced(lead, energy, method, **kwargs)
+            assert _sigma_error(ob, ref) <= 1e-8
+
+    def test_batch_solves_only_the_singular_energy_unreduced(self):
+        lead = _rectangular(seed=3)
+        level = float(_interior_levels(lead)[2])
+        energies = [level - 0.02, level, level + 0.03]
+        family = PolynomialFamily(lead.h_cells, lead.s_cells)
+        with tracing() as tracer:
+            sizes = [p.n for p in family.at_energies(energies)]
+            obs = compute_open_boundary_batch(lead, energies,
+                                              method="feast", **FEAST)
+        assert sizes == [family.interface.size, family.n,
+                         family.interface.size]
+        assert tracer.metrics.counter("obc_interface_fallbacks").value == 2
+        for e, ob in zip(energies, obs):
+            ref = compute_open_boundary(lead, e, method="feast", **FEAST)
+            assert np.array_equal(ob.sigma_l, ref.sigma_l)
+            assert np.array_equal(ob.sigma_r, ref.sigma_r)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_lifted_mode_failing_the_full_residual_is_resolved_unreduced(
+            self, monkeypatch, batch):
+        # without the growth limit the reduction goes ahead 1e-9 above an
+        # interior level; its modes are then too inaccurate for the full
+        # polynomial, which the residual check on the lifted vectors sees
+        monkeypatch.setattr(polynomial, "_SCHUR_GROWTH_LIMIT", np.inf)
+        lead = _rectangular(seed=3)
+        energy = float(_interior_levels(lead)[1]) + 1e-9
+        with tracing() as tracer, ledger_scope() as led:
+            if batch:
+                family = PolynomialFamily(lead.h_cells, lead.s_cells)
+                pevps = family.at_energies([energy, energy + 0.1])
+                ob = selfenergy._obc_feast_batch(
+                    lead, [energy, energy + 0.1], pevps=pevps,
+                    r_outer=1e3, num_points=48, seed=0)[0]
+            else:
+                ob = compute_open_boundary(lead, energy, method="dense")
+        assert tracer.metrics.counter("obc_interface_fallbacks").value == 1
+        if batch:
+            ref = _unreduced(lead, energy, "feast", r_outer=1e3,
+                             num_points=48, seed=0)
+            assert np.array_equal(ob.sigma_l, ref.sigma_l)
+        else:
+            ref = _unreduced(lead, energy, "dense")
+            assert _sigma_error(ob, ref) == 0.0
+            # the discarded reduced solve is still in the books
+            lifted = PolynomialFamily(lead.h_cells, lead.s_cells) \
+                .at_energy(energy).solve_dense()[0].size
+            assert led.total_flops == kernel_flops(dense_obc_kernels(10)) \
+                + kernel_flops(dense_obc_kernels(5)) + kernel_flops(
+                    interface_reduction_kernels(5, 5, lifted))
+
+    def test_all_zero_coupling_is_not_reduced(self):
+        lead = make_confined_lead(6, [], [])
+        family = PolynomialFamily(lead.h_cells, lead.s_cells)
+        assert family.interior.size == 0
+        assert family.at_energy(1.0).reduction is None
+        ob = compute_open_boundary(lead, 1.0, method="dense")
+        assert _sigma_error(ob, _unreduced(lead, 1.0, "dense")) == 0.0
+        assert not ob.injected
+
+    @pytest.mark.parametrize("method,kwargs", [("dense", {}),
+                                               ("feast", FEAST),
+                                               ("shift_invert",
+                                                dict(seed=0))])
+    def test_dense_coupling_is_the_unreduced_path_bit_for_bit(self, method,
+                                                              kwargs):
+        lead = make_confined_lead(5, None, None, seed=3)
+        energy = open_energies(lead, 1)[0]
+        family = PolynomialFamily(lead.h_cells, lead.s_cells)
+        pevp = family.at_energy(energy)
+        assert pevp.reduction is None and pevp.full is pevp
+        direct = PolynomialEVP(lead.h_cells, lead.s_cells, energy)
+        for c, c_ref in zip(pevp.coeffs, direct.coeffs):
+            assert np.array_equal(c, c_ref)
+        with ledger_scope() as led:
+            ob = compute_open_boundary(lead, energy, method=method,
+                                       **kwargs)
+        with ledger_scope() as led_ref:
+            ref = _unreduced(lead, energy, method, **kwargs)
+        assert [x.hex() for x in ob.sigma_l.real.ravel()] \
+            == [x.hex() for x in ref.sigma_l.real.ravel()]
+        assert np.array_equal(ob.sigma_l, ref.sigma_l)
+        assert np.array_equal(ob.sigma_r, ref.sigma_r)
+        assert led.as_snapshot() == led_ref.as_snapshot()
+
+
+class TestCompactNullSpace:
+    @pytest.mark.parametrize("name", ["rectangular", "overlapping", "full",
+                                      "nbw2"])
+    def test_spans_the_null_space_of_the_full_svd(self, name):
+        lead = make_confined_lead(**GENERATED[name][0])
+        t01 = (1.3 * lead.s01 - lead.h01).astype(complex)
+        for mat in (t01, t01.conj().T):
+            null = selfenergy._nullspace(mat)
+            _u, s, vh = np.linalg.svd(mat)
+            rank = int(np.count_nonzero(s > 1e-10 * s[0]))
+            ref = vh[rank:].conj().T
+            assert null.shape == ref.shape
+            np.testing.assert_allclose(null.conj().T @ null,
+                                       np.eye(null.shape[1]), atol=1e-12)
+            np.testing.assert_allclose(null @ null.conj().T,
+                                       ref @ ref.conj().T, atol=1e-12)
+            assert np.abs(mat @ null).max(initial=0.0) < 1e-12
+
+    def test_all_zero_block(self):
+        null = selfenergy._nullspace(np.zeros((4, 4), dtype=complex))
+        assert np.array_equal(null, np.eye(4))
+
+
+class TestModels:
+    """Ledger == model, integer-exact, on a confined-support lead."""
+
+    def _lead(self):
+        lead = make_confined_lead(12, [8, 9, 10, 11], [0, 1, 2], seed=7)
+        family = PolynomialFamily(lead.h_cells, lead.s_cells)
+        return lead, family, open_energies(lead, 3)
+
+    def test_dense_obc(self):
+        lead, family, energies = self._lead()
+        ni, nb = family.interior.size, family.interface.size
+        assert (ni, nb) == (5, 7)
+        for e in energies:
+            lifted = family.at_energy(e).solve_dense()[0].size
+            kernels = [*interface_reduction_kernels(ni, nb, lifted),
+                       *dense_obc_kernels(nb)]
+            with ledger_scope() as led:
+                compute_open_boundary(lead, e, method="dense")
+            assert led.total_flops == kernel_flops(kernels)
+            assert led.total_bytes == kernel_bytes(kernels)
+            assert led.total_flops < kernel_flops(dense_obc_kernels(12))
+
+    def test_feast_obc(self):
+        lead, family, energies = self._lead()
+        ni, nb = family.interior.size, family.interface.size
+        for e in energies:
+            res = feast_annulus(family.at_energy(e), **FEAST)
+            kernels = [*interface_reduction_kernels(ni, nb, res.num_modes),
+                       *feast_kernels(nb, res.num_solves, res.solve_widths,
+                                      res.rr_sizes)]
+            with ledger_scope() as led:
+                ob = compute_open_boundary(lead, e, method="feast", **FEAST)
+            assert led.total_flops == kernel_flops(kernels)
+            assert led.total_bytes == kernel_bytes(kernels)
+            assert ob.info["predicted_bytes"] == led.total_bytes
+
+    def test_feast_batch_predicts_its_bytes_with_a_fallback_in_it(self):
+        lead = _rectangular(seed=3)
+        level = float(_interior_levels(lead)[2])
+        energies = [level - 0.02, level, level + 0.03, level + 0.05]
+        with ledger_scope() as led:
+            obs = compute_open_boundary_batch(lead, energies,
+                                              method="feast", **FEAST)
+        # the reduction is attempted for the whole batch (one stacked LU),
+        # the singular energy then runs FEAST at full size and lifts
+        # nothing
+        wasted = kernel_bytes(interface_reduction_kernels(5, 5, 0)) \
+            - kernel_bytes([(1, "gemm", (5, 0, 5))])
+        assert sum(ob.info["predicted_bytes"] for ob in obs) + wasted \
+            == led.total_bytes
+
+    def test_reduction_happens_inside_the_cache_lookup(self):
+        # the OBC stage's ledger scope must see the reduction's kernels
+        lead, family, energies = self._lead()
+        cache = DeviceCache(synthetic_device_from_lead(lead, 3))
+        with ledger_scope() as led:
+            ob = cache.boundary(energies[0], "feast", **FEAST)
+        assert ob.info["predicted_bytes"] == led.total_bytes
+
+
+class TestResultStoreCompatibility:
+    def test_key_schema_was_bumped_so_old_records_are_misses(self,
+                                                             monkeypatch):
+        args = dict(obc_method="feast", obc_kwargs=FEAST,
+                    solver="splitsolve", num_partitions=1,
+                    backend_identity=("reference", "complex128"), kz=0.0,
+                    energy=0.5)
+        new = cache_keys.result_key("d" * 64, **args)
+        monkeypatch.setattr(cache_keys, "KEY_SCHEMA_VERSION", 1)
+        assert cache_keys.result_key("d" * 64, **args) != new
+
+    def test_stale_store_subspace_of_wrong_height_is_a_cold_start(self):
+        # a record written before the reduction (or by an energy that fell
+        # back) holds a 2*NBW*n-row subspace; seeding the 2*NBW*|B|-row
+        # pencil with it used to die with ConfigurationError
+        lead = _rectangular()
+        family = PolynomialFamily(lead.h_cells, lead.s_cells)
+        energies = open_energies(lead, 2)
+        stack = PolynomialEVPStack(family.at_energies(energies))
+        stale = np.ones((2 * family.n, 3), dtype=complex)
+        assert stale.shape[0] != stack.size
+        warm = feast_annulus_batch(stack, warm_start=True,
+                                   subspace_guess=stale, **FEAST)
+        cold = feast_annulus_batch(stack, warm_start=True, **FEAST)
+        assert not warm[0].warm_started
+        for got, want in zip(warm, cold):
+            assert np.array_equal(got.lambdas, want.lambdas)
+        obs = compute_open_boundary_batch(
+            lead, energies, method="feast", warm_start=True,
+            subspace_guess=stale, **FEAST)
+        assert len(obs) == 2
+
+
+class TestHornerPrefactors:
+    def test_built_once_with_the_factor(self, monkeypatch):
+        lead = make_confined_lead(**GENERATED["nbw2"][0])
+        pevp = PolynomialEVP(lead.h_cells, lead.s_cells, 2.0)
+        z = 0.7 + 0.2j
+        fac = pevp.factor_reduced(z)
+        assert sorted(fac.horner) == [1, 2, 3]
+        g = pevp.coeffs[4]
+        for j in (3, 2, 1):
+            g = pevp.coeffs[j] + z * g
+            assert np.array_equal(fac.horner[j], g)
+        y = np.ones((pevp.size, 2), dtype=complex)
+        want = pevp.resolvent_apply(z, y)
+        calls = []
+        monkeypatch.setattr(
+            polynomial, "_horner_prefactors",
+            lambda *a: calls.append(a) or pytest.fail("rebuilt"))
+        assert np.array_equal(pevp.resolvent_apply(z, y, factor=fac), want)
+        assert not calls
