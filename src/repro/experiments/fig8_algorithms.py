@@ -93,6 +93,8 @@ def run(basis: str = "3sp", diameter_nm: float = 1.0,
     transmissions = {}
     nprop = {}
     node_times = {}
+    obc_flop_counts = {}
+    solver_flop_counts = {}
     for name, kw in combos.items():
         best = np.inf
         best_obc = np.inf
@@ -120,6 +122,8 @@ def run(basis: str = "3sp", diameter_nm: float = 1.0,
         nprop[name] = res.num_prop_left
         node_times[name] = _simulated_node_time(
             kw["solver"], obc_flops, solver_flops)
+        obc_flop_counts[name] = int(obc_flops)
+        solver_flop_counts[name] = int(solver_flops)
 
     speedup_total = times["shift_invert+direct"] / times["feast+splitsolve"]
     speedup_obc = (obc_times["shift_invert+direct"]
@@ -131,6 +135,10 @@ def run(basis: str = "3sp", diameter_nm: float = 1.0,
         "times": times,
         "obc_times": obc_times,
         "node_times": node_times,
+        # exact ledger counts: they repeat run to run where the seconds
+        # above move with the host's load and BLAS threading
+        "obc_flops": obc_flop_counts,
+        "solver_flops": solver_flop_counts,
         "transmissions": transmissions,
         "num_propagating": nprop,
         "speedup_total": speedup_total,

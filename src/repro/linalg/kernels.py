@@ -10,10 +10,13 @@ activity traces read like the paper's nvprof output.
 
 from __future__ import annotations
 
+import functools
 import time
+import warnings
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack as _lapack
 
 from repro.linalg import flops as _fl
 from repro.utils.errors import ShapeError, SingularMatrixError
@@ -72,32 +75,94 @@ def lu_solve(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
     return x
 
 
+#: LAPACK ``(factor, condition estimate, substitute)`` per (complex?,
+#: assume_a); ``"her"`` on real operands is the symmetric family.
+_SOLVE_ROUTINES = {
+    (True, "gen"): (_lapack.zgetrf, _lapack.zgecon, _lapack.zgetrs),
+    (False, "gen"): (_lapack.dgetrf, _lapack.dgecon, _lapack.dgetrs),
+    (True, "her"): (_lapack.zhetrf, _lapack.zhecon, _lapack.zhetrs),
+    (False, "her"): (_lapack.dsytrf, _lapack.dsycon, _lapack.dsytrs),
+}
+_LWORK_QUERIES = {True: _lapack.zhetrf_lwork, False: _lapack.dsytrf_lwork}
+
+
+@functools.lru_cache(maxsize=None)
+def _hetrf_lwork(is_complex: bool, n: int) -> int:
+    """Optimal ``?hetrf``/``?sytrf`` workspace for order n (one query)."""
+    lwork, info = _LWORK_QUERIES[is_complex](n)
+    _check_lapack_info(info, "hetrf_lwork")
+    return int(lwork.real)
+
+
+def _check_lapack_info(info: int, routine: str) -> None:
+    """``info < 0`` is an illegal argument: our bug, never the data's."""
+    if info < 0:
+        raise ValueError(f"LAPACK {routine}: illegal argument {-info}")
+
+
 def solve(a: np.ndarray, b: np.ndarray, assume_a: str = "gen",
-          tag: str = "") -> np.ndarray:
+          tag: str = "", overwrite_a: bool = False) -> np.ndarray:
     """Solve A x = b (``gesv``/``hesv``), counting LU + substitutions.
 
     ``assume_a='her'`` mirrors the paper's §5E optimization of switching
     MAGMA from ``zgesv_nopiv_gpu`` to ``zhesv_nopiv_gpu`` for Hermitian
     2-D-structure matrices: an LDL^H factorization at roughly half the LU
-    cost.
+    cost (the upper triangle is read).
+
+    Runs the three LAPACK routines ``scipy.linalg.solve`` ends in -
+    factor, condition estimate, substitute - without its argument
+    handling, and keeps its verdicts: a zero pivot raises
+    :class:`SingularMatrixError`, ``rcond`` below machine epsilon emits
+    ``LinAlgWarning``.  ``overwrite_a`` lets a caller that owns ``a``
+    have it factored in place (no copy when it is Fortran-ordered and
+    of the working dtype).
     """
     if a.shape[0] != a.shape[1] or a.shape[1] != b.shape[0]:
         raise ShapeError(f"solve: incompatible shapes {a.shape}, {b.shape}")
     t0 = time.perf_counter()
-    try:
-        x = sla.solve(a, b, assume_a="her" if assume_a == "her" else "gen",
-                      check_finite=False)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise SingularMatrixError(f"solve failed: {exc}") from exc
     n = a.shape[0]
     nrhs = b.shape[1] if b.ndim == 2 else 1
     cx = _is_complex(a, b)
+    her = assume_a == "her"
+    dtype = np.complex128 if cx else np.float64
+    nbytes = a.nbytes + b.nbytes
+    if a.size == 0 or b.size == 0:
+        x = np.empty(b.shape, dtype=dtype)
+    else:
+        factor, estimate, substitute = _SOLVE_ROUTINES[cx, "her" if her
+                                                       else "gen"]
+        a = np.asarray(a, dtype=dtype)
+        anorm = np.abs(a).sum(axis=0).max()     # 1-norm, before a is lost
+        if her:
+            fac, piv, info = factor(a, lwork=_hetrf_lwork(cx, n),
+                                    overwrite_a=overwrite_a)
+        else:
+            fac, piv, info = factor(a, overwrite_a=overwrite_a)
+        _check_lapack_info(info, "factorization")
+        if info > 0:
+            raise SingularMatrixError(
+                f"solve failed: pivot {info} of the factorization is "
+                "exactly zero")
+        if her:
+            rcond, info = estimate(fac, piv, anorm)
+        else:
+            rcond, info = estimate(fac, anorm)
+        _check_lapack_info(info, "condition estimate")
+        if rcond < np.finfo(np.float64).eps:
+            warnings.warn(
+                f"An ill-conditioned matrix detected: rcond = {rcond}.",
+                sla.LinAlgWarning, stacklevel=2)
+        b2 = np.asarray(b, dtype=dtype)
+        x, info = substitute(fac, piv, b2 if b.ndim == 2 else b2[:, None])
+        _check_lapack_info(info, "substitution")
+        if b.ndim == 1:
+            x = x[:, 0]
     nflops = _fl.solve_flops(n, nrhs, cx)
     kernel = "zgesv" if cx else "dgesv"
-    if assume_a == "her":
+    if her:
         nflops = _fl.lu_flops(n, cx) // 2 + 2 * _fl.trsm_flops(n, nrhs, cx)
         kernel = "zhesv" if cx else "dsysv"
-    _record(kernel, nflops, a.nbytes + b.nbytes + x.nbytes, t0, tag)
+    _record(kernel, nflops, nbytes + x.nbytes, t0, tag)
     return x
 
 

@@ -203,7 +203,8 @@ def mixed_lu_solve_bytes(n: int, nrhs: int, refine_iters: int = 1,
 def splitsolve_byte_model(num_blocks: int, block_size: int, num_rhs: int,
                           num_partitions: int = 1,
                           is_complex: bool = True,
-                          coupling_widths=None) -> int:
+                          coupling_widths=None,
+                          boundary_widths=None) -> int:
     """Bytes of one SplitSolve solve (preprocess + merges + postprocess).
 
     Prices the kernel sequence of
@@ -211,11 +212,12 @@ def splitsolve_byte_model(num_blocks: int, block_size: int, num_rhs: int,
     count each kernel records (Algorithm 1's block solves run the
     ``gesv`` kernel, so they carry the matrix operand as well as rhs +
     solution).  Exact on uniform blocks with uniform coupling supports
-    (``coupling_widths``; default: dense coupling blocks).
+    (``coupling_widths``; default: dense coupling blocks) at the given
+    ``boundary_widths`` (default: every row of the end blocks).
     """
     return kernel_bytes(
         splitsolve_kernels(num_blocks, block_size, num_rhs, num_partitions,
-                           coupling_widths), is_complex)
+                           coupling_widths, boundary_widths), is_complex)
 
 
 def byte_drift(measured_bytes: float, predicted_bytes: float,

@@ -18,7 +18,8 @@ from repro.utils.errors import ConfigurationError
 
 
 def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
-                       num_partitions: int = 1, coupling_widths=None):
+                       num_partitions: int = 1, coupling_widths=None,
+                       boundary_widths=None):
     """The kernels of one SplitSolve solve, as ``(count, kernel, dims)``.
 
     The one transcription of the solver's kernel sequence (uniform
@@ -30,18 +31,25 @@ def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
 
     ``coupling_widths = (upper rows, upper cols, lower rows, lower
     cols)`` are the support widths of the coupling blocks
-    (:meth:`repro.linalg.CouplingSupport.widths`); the default, the
-    block size four times, is the paper's dense Algorithm 1.
+    (:meth:`repro.linalg.CouplingSupport.widths`) and ``boundary_widths
+    = (first, last)`` the number of rows of the first / last block the
+    boundary can touch (``SplitSolve(boundary_support=...)``); the
+    defaults, the block size throughout, are the paper's dense
+    Algorithm 1.
 
     * Algorithm 1, per partition of nb blocks and per sweep: nb-1 block
       solves for X_i on the non-zero columns of its right-hand side,
-      nb-1 Schur updates on the ``rows x cols`` they touch, the boundary
-      block's full inverse, nb-1 Q-accumulation gemms;
+      nb-1 Schur updates on the ``rows x cols`` they touch, the wanted
+      columns of the boundary block's inverse - the boundary width on
+      the device's outer sides, the row width of the coupling block on
+      a cut between partitions - and nb-1 Q-accumulation gemms of that
+      width;
     * SPIKE, per merge: the corner algebra (10 gemms on the coupling
-      sub-blocks, two full corner solves) and one fused update gemm per
-      block row, contracted over the boundary coupling's rows;
-    * postprocessing: corner gemms, the (2s x 2s) R solve, and one
-      (s x 2s)(2s x m) gemm per block row.
+      sub-blocks, two corner solves as wide as the merged partition's
+      first / last column set) and one fused update gemm per block row,
+      contracted over the boundary coupling's rows;
+    * postprocessing on the w = first + last support rows: corner gemms,
+      the (w x w) R solve, and one (s x w)(w x m) gemm per block row.
     """
     if num_blocks < 2:
         raise ConfigurationError("model needs >= 2 blocks")
@@ -49,48 +57,63 @@ def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
     m = int(num_rhs)
     ru, cu, rl, cl = (s,) * 4 if coupling_widths is None \
         else (int(w) for w in coupling_widths)
+    wf, wl = (s, s) if boundary_widths is None \
+        else (int(w) for w in boundary_widths)
 
     bounds = np.linspace(0, num_blocks, num_partitions + 1).astype(int)
-    sizes = [int(bounds[p + 1] - bounds[p]) for p in range(num_partitions)]
-    for nb in sizes:
+    # per (merged) partition: [blocks, first-column width, last-column
+    # width]; a cut's inner widths are the coupling blocks' row widths
+    parts = [[int(bounds[p + 1] - bounds[p]), rl, ru]
+             for p in range(num_partitions)]
+    parts[0][1], parts[-1][2] = wf, wl
+    for nb, first, last in parts:
         # first column (downward sweep): X_i = D_i^{-1} A[i, i-1]
         yield nb - 1, "gemm", (ru, cl, cu)
         yield nb - 1, "schur_solve", (s, cl)
-        yield nb - 1, "gemm", (s, s, cl)
+        yield 1, "schur_solve", (s, first)
+        yield nb - 1, "gemm", (s, first, cl)
         # last column (upward sweep): X_i = D_i^{-1} A[i, i+1]
         yield nb - 1, "gemm", (rl, cu, cl)
         yield nb - 1, "schur_solve", (s, cu)
-        yield nb - 1, "gemm", (s, s, cu)
-        yield 2, "schur_solve", (s, s)
+        yield 1, "schur_solve", (s, last)
+        yield nb - 1, "gemm", (s, last, cu)
 
     # --- SPIKE merges: log2(p) levels ---
-    while len(sizes) > 1:
-        for nb_top, nb_bot in zip(sizes[::2], sizes[1::2]):
+    while len(parts) > 1:
+        merged = []
+        for (nb_top, first, _), (nb_bot, _, last) in zip(parts[::2],
+                                                         parts[1::2]):
             # merged first column, then its mirror image
-            for r_a, c_a, r_b, c_b in ((ru, cu, rl, cl), (rl, cl, ru, cu)):
+            for r_a, c_a, r_b, c_b, width in ((ru, cu, rl, cl, first),
+                                              (rl, cl, ru, cu, last)):
                 yield 1, "gemm", (c_a, c_b, r_b)
                 yield 1, "gemm", (r_a, c_b, c_a)
                 yield 1, "gemm", (s, c_b, r_a)
-                yield 1, "solve", (s, s)
-                yield 1, "gemm", (r_a, s, c_b)
-                yield 1, "gemm", (r_b, s, c_b)
-            yield nb_top, "gemm", (s, 2 * s, ru)
-            yield nb_bot, "gemm", (s, 2 * s, rl)
-        sizes = [a + b for a, b in zip(sizes[::2], sizes[1::2])]
+                yield 1, "solve", (s, width)
+                yield 1, "gemm", (r_a, width, c_b)
+                yield 1, "gemm", (r_b, width, c_b)
+            yield nb_top, "gemm", (s, first + last, ru)
+            yield nb_bot, "gemm", (s, first + last, rl)
+            merged.append([nb_top + nb_bot, first, last])
+        parts = merged
 
     # --- postprocessing (steps 2-4) ---
-    yield 2, "gemm", (s, m, 2 * s)            # y_top, y_bot
-    yield 2, "gemm", (s, m, s)                # C y
-    yield 2, "gemm", (s, 2 * s, s)            # C Q
-    yield 1, "solve", (2 * s, m)              # R z = C y
-    yield num_blocks, "gemm", (s, m, 2 * s)   # x = Q (b' + z)
+    w = wf + wl
+    yield 2, "gemm", (s, m, w)                # y_top, y_bot
+    yield 1, "gemm", (wf, m, s)               # C y
+    yield 1, "gemm", (wl, m, s)
+    yield 1, "gemm", (wf, w, s)               # C Q
+    yield 1, "gemm", (wl, w, s)
+    yield 1, "solve", (w, m)                  # R z = C y
+    yield num_blocks, "gemm", (s, m, w)       # x = Q (b' + z)
 
 
 def splitsolve_flop_model(num_blocks: int, block_size: int,
                           num_rhs: int, num_partitions: int = 1,
                           is_complex: bool = True,
                           hermitian: bool = False,
-                          coupling_widths=None) -> int:
+                          coupling_widths=None,
+                          boundary_widths=None) -> int:
     """Flops of one SplitSolve solve (preprocess + postprocess).
 
     Prices :func:`splitsolve_kernels`; integer-exact against the ledger
@@ -100,7 +123,8 @@ def splitsolve_flop_model(num_blocks: int, block_size: int,
     """
     return kernel_flops(
         splitsolve_kernels(num_blocks, block_size, num_rhs, num_partitions,
-                           coupling_widths), is_complex, hermitian)
+                           coupling_widths, boundary_widths),
+        is_complex, hermitian)
 
 
 def rgf_flop_model(num_blocks: int, block_size: int, num_rhs: int,
@@ -302,14 +326,15 @@ def _device_rate_ratio() -> float:
 
 def choose_solver(num_blocks: int, block_size: int, num_rhs: int,
                   num_partitions: int = 1, hermitian: bool = False,
-                  coupling_widths=None) -> str:
+                  coupling_widths=None, boundary_widths=None) -> str:
     """The OMEN-style SplitSolve-vs-RGF choice (``solver="auto"``).
 
     Compares the deterministic flop models, weighting SplitSolve's count
     by the GPU/CPU rate ratio (SplitSolve runs on the accelerators, RGF
     on the host cores).  Systems the SplitSolve model cannot price
-    (fewer than 2 blocks) fall back to RGF.  ``coupling_widths`` prices
-    SplitSolve on the coupling support (RGF treats the blocks as dense).
+    (fewer than 2 blocks) fall back to RGF.  ``coupling_widths`` and
+    ``boundary_widths`` price SplitSolve on the coupling and boundary
+    supports it runs on (RGF treats the blocks as dense).
     """
     num_rhs = max(int(num_rhs), 1)
     if num_blocks < 2:
@@ -317,7 +342,8 @@ def choose_solver(num_blocks: int, block_size: int, num_rhs: int,
     ss = splitsolve_flop_model(num_blocks, block_size, num_rhs,
                                num_partitions=num_partitions,
                                hermitian=hermitian,
-                               coupling_widths=coupling_widths)
+                               coupling_widths=coupling_widths,
+                               boundary_widths=boundary_widths)
     rgf = rgf_flop_model(num_blocks, block_size, num_rhs)
     return "splitsolve" if ss / _device_rate_ratio() <= rgf else "rgf"
 
@@ -334,7 +360,7 @@ def choose_batch_solver(num_blocks: int, block_size: int, rhs_widths,
                         num_partitions: int = 1, hermitian: bool = False,
                         dispatch_flops: float | None = None,
                         machine=None, backend: str | None = None,
-                        coupling_widths=None) -> str:
+                        coupling_widths=None, boundary_widths=None) -> str:
     """SOLVE-stage choice for one (k, E-batch) bucket (``solver="auto"``).
 
     Per-energy SplitSolve runs each energy on the accelerators (flops
@@ -363,8 +389,8 @@ def choose_batch_solver(num_blocks: int, block_size: int, rhs_widths,
     (the residual copies offset the half-width factors).  Other backend
     names price like the reference.
 
-    ``coupling_widths`` prices SplitSolve on the coupling support, as in
-    :func:`choose_solver`.
+    ``coupling_widths`` and ``boundary_widths`` price SplitSolve on its
+    supports, as in :func:`choose_solver`.
     """
     widths = [int(m) for m in rhs_widths if int(m) > 0]
     if not widths or num_blocks < 2:
@@ -374,7 +400,8 @@ def choose_batch_solver(num_blocks: int, block_size: int, rhs_widths,
     ss = sum(splitsolve_flop_model(num_blocks, block_size, m,
                                    num_partitions=num_partitions,
                                    hermitian=hermitian,
-                                   coupling_widths=coupling_widths)
+                                   coupling_widths=coupling_widths,
+                                   boundary_widths=boundary_widths)
              for m in widths)
     rgf = rgf_batched_flop_model(num_blocks, block_size, widths)
     if machine is None:
@@ -397,7 +424,8 @@ def choose_batch_solver(num_blocks: int, block_size: int, rhs_widths,
     cpu_bw = node.cpu.bandwidth_gb_s * 1e9
     ss_bytes = sum(splitsolve_byte_model(num_blocks, block_size, m,
                                          num_partitions=num_partitions,
-                                         coupling_widths=coupling_widths)
+                                         coupling_widths=coupling_widths,
+                                         boundary_widths=boundary_widths)
                    for m in widths)
     rgf_bytes = rgf_batched_byte_model(num_blocks, block_size, widths)
     disp_s = d / cpu_rate

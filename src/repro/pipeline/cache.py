@@ -71,7 +71,7 @@ import threading
 
 from repro.cache.keys import lead_content_hash
 from repro.hamiltonian import build_device, transverse_k_grid
-from repro.linalg import BlockStructure
+from repro.linalg import BlockStructure, block_support
 from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
 from repro.pipeline.registry import OBC_METHODS
@@ -125,6 +125,7 @@ class DeviceCache:
         self._structure = structure if structure is not None \
             else BlockStructure()
         self._lead_key = None
+        self._boundary_support = None
 
     # -- delegated geometry (so a cache can stand in for the device) -------
 
@@ -172,6 +173,23 @@ class DeviceCache:
         Nothing is computed until a solver reads a fact.
         """
         return self._structure.spanned_by(self.h_blocks(), self.s_blocks())
+
+    def boundary_support(self) -> tuple:
+        """``(rows_first, rows_last)``: the rows of the first and last
+        device block that Sigma^RB and Inj can touch at any energy.
+
+        Sigma_L and the left injection are ``T10 @ ...``, Sigma_R and
+        the right one ``T01 @ ...`` with ``T01 = E*S01 - H01``, so they
+        vanish outside the column / row support of the lead's folded
+        coupling ``(H01, S01)`` - which the contact cells fix, not the
+        energy or the potential.
+        """
+        with self._lock:
+            if self._boundary_support is None:
+                lead = self.device.lead
+                rows, cols = block_support(lead.h01, lead.s01)
+                self._boundary_support = (cols, rows)
+            return self._boundary_support
 
     def a_matrix(self, energy: float):
         """A(E) = E*S - H from the cached blocks (one axpy)."""

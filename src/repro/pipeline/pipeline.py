@@ -153,7 +153,7 @@ class TransportPipeline:
                 block_size=int(max(cache.block_sizes)),
                 num_rhs=int(inj.shape[1]),
                 num_partitions=self.num_partitions,
-                coupling_widths=self._pricing_widths(cache))
+                **self._pricing_widths(cache))
             st.meta["solver"] = name
             st.meta["backend"] = bk.name
             st.meta["precision"] = bk.capabilities.precision
@@ -323,7 +323,7 @@ class TransportPipeline:
                 block_size=int(max(cache.block_sizes)),
                 rhs_widths=[width] * len(pos),
                 num_partitions=self.num_partitions,
-                coupling_widths=self._pricing_widths(cache))
+                **self._pricing_widths(cache))
             with batch_stage_scope([traces[j] for j in pos],
                                    "SOLVE") as sts:
                 if name == "rgf_batched":
@@ -395,13 +395,20 @@ class TransportPipeline:
             results.append(result)
         return results
 
-    def _pricing_widths(self, cache):
-        """The coupling support widths ``"auto"`` prices SplitSolve
-        with; an explicit solver name prices nothing, so it does not
-        make the cache work out its support either."""
+    def _pricing_widths(self, cache) -> dict:
+        """The coupling and boundary support widths ``"auto"`` prices
+        SplitSolve with (keywords of the cost models); an explicit
+        solver name prices nothing, so it does not make the cache work
+        out its supports either."""
         if self.solver != AUTO:
-            return None
-        return cache.structure().support.widths()
+            return {}
+        return self._support_widths(cache)
+
+    @staticmethod
+    def _support_widths(cache) -> dict:
+        return dict(
+            coupling_widths=cache.structure().support.widths(),
+            boundary_widths=tuple(len(r) for r in cache.boundary_support()))
 
     @staticmethod
     def _predicted_solve_bytes(cache, solver_name: str, width: int,
@@ -425,7 +432,7 @@ class TransportPipeline:
                 return splitsolve_byte_model(
                     cache.num_blocks, int(max(cache.block_sizes)),
                     int(width), num_partitions=num_partitions,
-                    coupling_widths=cache.structure().support.widths())
+                    **TransportPipeline._support_widths(cache))
         except Exception:
             return None
         return None

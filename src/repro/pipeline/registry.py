@@ -148,18 +148,20 @@ def get_obc_method(name: str):
 def resolve_solver_name(name: str, *, num_blocks: int, block_size: int,
                         num_rhs: int, num_partitions: int = 1,
                         hermitian: bool = False,
-                        coupling_widths=None) -> str:
+                        coupling_widths=None, boundary_widths=None) -> str:
     """Map ``"auto"`` to a concrete registered solver via the cost model.
 
     Explicit names pass through unchanged (after a registry existence
-    check, so a typo fails before any work is done).
+    check, so a typo fails before any work is done).  The widths are the
+    supports SplitSolve would run on, for its price.
     """
     if name == AUTO:
         from repro.perfmodel.costmodel import choose_solver
         name = choose_solver(num_blocks=num_blocks, block_size=block_size,
                              num_rhs=num_rhs, num_partitions=num_partitions,
                              hermitian=hermitian,
-                             coupling_widths=coupling_widths)
+                             coupling_widths=coupling_widths,
+                             boundary_widths=boundary_widths)
     SOLVERS.get(name)
     return name
 
@@ -168,7 +170,8 @@ def resolve_batch_solver_name(name: str, *, num_blocks: int,
                               block_size: int, rhs_widths,
                               num_partitions: int = 1,
                               hermitian: bool = False,
-                              coupling_widths=None) -> str:
+                              coupling_widths=None,
+                              boundary_widths=None) -> str:
     """Resolve the SOLVE implementation for one (k, E-batch) bucket.
 
     Explicit solver names keep the energy-batched semantics: the bucket
@@ -189,4 +192,5 @@ def resolve_batch_solver_name(name: str, *, num_blocks: int,
                                rhs_widths=rhs_widths,
                                num_partitions=num_partitions,
                                hermitian=hermitian,
-                               coupling_widths=coupling_widths)
+                               coupling_widths=coupling_widths,
+                               boundary_widths=boundary_widths)

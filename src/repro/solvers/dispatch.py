@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.linalg import block_support
 from repro.pipeline.registry import register_solver
 from repro.solvers.assemble import assemble_t
 from repro.solvers.bcr import solve_bcr
@@ -33,13 +34,25 @@ def _solve_splitsolve(a, ob, inj, *, num_partitions=1, parallel=False,
     side (left-injected columns live in the first block row, right-injected
     in the last) and the solution columns are scattered back into injected
     order.
+
+    Sigma_L and the left injection are ``T10 @ ...``, Sigma_R and the
+    right one ``T01 @ ...``: they vanish outside the column / row support
+    of the lead's coupling block, known before any mode is, so Q is
+    computed on those rows only.  A generic rhs promises nothing about
+    its rows and gets every one.
     """
-    ss = SplitSolve(a, num_partitions=num_partitions, parallel=parallel)
     s1 = a.block_sizes[0]
     s2 = a.block_sizes[-1]
     ntot = sum(a.block_sizes)
     from_left = np.array([m.from_left for m in ob.injected], dtype=bool)
-    if from_left.size != inj.shape[1]:
+    per_mode = from_left.size == inj.shape[1]
+    support = None
+    if per_mode:
+        rows, cols = block_support(ob.t01)
+        support = (cols, rows)      # T10's rows on the left, T01's right
+    ss = SplitSolve(a, num_partitions=num_partitions, parallel=parallel,
+                    boundary_support=support)
+    if not per_mode:
         # generic rhs (not one column per injected mode): solve all
         # columns against both block rows
         b_top = inj[:s1]

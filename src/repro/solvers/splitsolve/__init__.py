@@ -5,9 +5,11 @@ The algorithm rests on three ideas:
 1. **Low-rank decoupling** (Sherman-Morrison-Woodbury): write
    T = A - B C with A = E S - H block tridiagonal and B C the boundary
    self-energy confined to the two corner blocks.  The expensive part —
-   Q = A^{-1} B, the first and last block columns of A^{-1} — does not
-   depend on Sigma^RB, so it runs on the GPUs *while* FEAST computes the
-   OBCs on the CPUs.
+   Q = A^{-1} B, the first and last block columns of A^{-1} at the rows
+   the boundary can touch (the *boundary support*, read off the lead's
+   coupling block; every row by default) — does not depend on the
+   values of Sigma^RB, so it runs on the GPUs *while* FEAST computes
+   the OBCs on the CPUs.
 
 2. **Algorithm 1**: block-column inversion by two independent sweeps
    (first column downward, last column upward — "naturally scale to two
@@ -17,8 +19,9 @@ The algorithm rests on three ideas:
    horizontal partitions, each inverted locally, then merged pairwise and
    recursively (log2 p steps of constant cost).
 
-Postprocessing (steps 2-4 of the paper) is a small (2s x 2s) solve plus
-one gemm per block.
+Postprocessing (steps 2-4 of the paper) is a small solve, as large as
+the boundary support (2s x 2s when that is every row), plus one gemm per
+block.
 """
 
 from repro.solvers.splitsolve.driver import SplitSolve

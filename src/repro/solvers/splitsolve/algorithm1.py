@@ -14,6 +14,13 @@ touches the ``rows x cols`` sub-block of D_i it can change, and the Q
 recursion contracts over X_i's non-zero columns.  The kernel mix per
 block is the paper's; with full support so are the operand shapes.
 
+The same holds at the boundary: of the block column only the
+``columns`` a caller will read are computed - the closing solve takes
+those columns of the identity as its right-hand side and the Q
+recursion carries that width (the rows Sigma^RB and Inj can touch for
+the device's outer columns, the row support of the coupling block a
+SPIKE merge crosses for a partition's inner ones).
+
 When A is Hermitian (real energy, 1-D/2-D structures) the Schur blocks
 D_i = A_ii - A_{i,i+1} D_{i+1}^{-1} A_{i+1,i} are Hermitian too, enabling
 the zhesv_nopiv_gpu variant that lifted the paper's sustained performance
@@ -29,7 +36,8 @@ from repro.utils.errors import ShapeError
 
 
 def block_column_inverse(a: BlockTridiagonalMatrix, which: str = "first",
-                         hermitian: bool = False, tag: str = "P1") -> list:
+                         hermitian: bool = False, tag: str = "P1",
+                         columns=None) -> list:
     """Return the blocks of one boundary block-column of A^{-1}.
 
     Parameters
@@ -38,11 +46,15 @@ def block_column_inverse(a: BlockTridiagonalMatrix, which: str = "first",
         Which block column of the inverse to compute.
     hermitian : bool
         Use the Hermitian factorization path for the Schur blocks.
+    columns : index array, optional
+        The columns of that block column to compute (indices into the
+        boundary block); default: all of them.
 
     Returns
     -------
-    list of blocks ``q[i] = (A^{-1})_{i, 0}`` (or ``_{i, nB-1}``), i.e.
-    the paper's Q_i with Q_{i,1:s} = A^{-1}_{i,1}.
+    list of blocks ``q[i] = (A^{-1})_{i, 0}[:, columns]`` (or
+    ``_{i, nB-1}``), i.e. the paper's Q_i with Q_{i,1:s} = A^{-1}_{i,1},
+    cut to the columns something will read.
     """
     if which not in ("first", "last"):
         raise ShapeError(f"which must be 'first' or 'last', not {which!r}")
@@ -68,7 +80,8 @@ def block_column_inverse(a: BlockTridiagonalMatrix, which: str = "first",
     xs = [None] * nb
     x_prev = xcols = None
     for i in chain:
-        d = np.array(a.diag[i], dtype=complex)    # private: updated in place
+        # private: updated, then factored, in place (LAPACK's order)
+        d = np.array(a.diag[i], dtype=complex, order="F")
         if x_prev is not None:
             blk, (rows, cols) = behind[i]
             d[np.ix_(rows, xcols)] -= gemm(
@@ -76,14 +89,18 @@ def block_column_inverse(a: BlockTridiagonalMatrix, which: str = "first",
         if i in ahead:
             blk, (_, xcols) = ahead[i]
             x_prev = xs[i] = solve(d, as_complex(blk[:, xcols]),
-                                   assume_a=assume, tag=tag)
+                                   assume_a=assume, tag=tag,
+                                   overwrite_a=True)
 
-    # Q_end = D_end^{-1}, then Q_i = -X_i Q_next back along the chain,
-    # contracting over the rows of Q_next that X_i's columns meet.
+    # Q_end = the wanted columns of D_end^{-1}, then Q_i = -X_i Q_next
+    # back along the chain, contracting over the rows of Q_next that
+    # X_i's columns meet.
     q = [None] * nb
     nxt = chain[-1]
-    q[nxt] = solve(d, np.eye(a.block_sizes[nxt], dtype=complex),
-                   assume_a=assume, tag=tag)
+    size = a.block_sizes[nxt]
+    columns = np.arange(size) if columns is None else columns
+    q[nxt] = solve(d, np.eye(size, dtype=complex)[:, columns],
+                   assume_a=assume, tag=tag, overwrite_a=True)
     for i in reversed(chain[:-1]):
         _, (_, xcols) = ahead[i]
         q[i] = -gemm(xs[i], q[nxt][xcols], tag=tag)

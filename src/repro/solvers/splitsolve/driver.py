@@ -7,12 +7,16 @@ Workflow (Fig. 6):
   Algorithm 1 for its local first and last inverse columns on its pair of
   simulated accelerators (phases P1-P4), then partitions are merged
   recursively with SPIKE (log2 p steps).  This step is independent of the
-  boundary conditions — the decoupling that lets the paper overlap it with
-  FEAST on the CPUs.
+  boundary *values* — the decoupling that lets the paper overlap it with
+  FEAST on the CPUs.  B only has to span the rows the boundary can touch:
+  it is the unit columns of the *boundary support* ``(rows_first,
+  rows_last)``, known from the lead's coupling block before any
+  self-energy is, and Q is never stored wider than that.
 
 * ``solve(sigma_l, sigma_r, b_top, b_bottom)`` — Steps 2-4: with
-  Sigma^RB = B C and Q in hand, y = Q b', R = 1 - C Q (a 2s x 2s system),
-  z = R^{-1} C y, and x = Q (b' + z) with one gemm per block.
+  Sigma^RB = B C, C the support's rows of Sigma, and Q in hand,
+  y = Q b', R = 1 - C Q (as large as the support: 2s x 2s when it is
+  every row), z = R^{-1} C y, and x = Q (b' + z) with one gemm per block.
 """
 
 from __future__ import annotations
@@ -39,6 +43,34 @@ def _partition_ranges(nb: int, parts: int) -> list:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(parts)]
 
 
+def _row_set(rows, size: int, name: str) -> np.ndarray:
+    """``rows`` as a sorted index array into a block of ``size`` rows;
+    ``None`` is every row."""
+    if rows is None:
+        return np.arange(size)
+    rows = np.asarray(rows)
+    if rows.size == 0:
+        rows = rows.astype(np.intp)     # an empty list has no dtype yet
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or (rows.size and (
+            rows[0] < 0 or rows[-1] >= size or np.any(np.diff(rows) <= 0))):
+        raise ShapeError(
+            f"{name} must be sorted, distinct row indices below {size}")
+    return rows
+
+
+def _require_zero_outside(block: np.ndarray, rows: np.ndarray,
+                          name: str) -> None:
+    """Raise unless ``block`` vanishes outside ``rows``, the boundary
+    support Q was computed for: a row of Sigma or Inj that Q has no
+    column for would silently drop out of the solution."""
+    outside = np.delete(np.arange(block.shape[0]), rows)
+    bad = outside[np.any(block[outside] != 0, axis=1)]
+    if bad.size:
+        raise ShapeError(
+            f"{name} is non-zero in row {int(bad[0])}, outside the "
+            "boundary support SplitSolve was preprocessed for")
+
+
 class SplitSolve:
     """SplitSolve solver for T = (A - Sigma^RB) with A block tridiagonal.
 
@@ -60,10 +92,18 @@ class SplitSolve:
         Run partition sweeps/merges on a thread pool (NumPy releases the
         GIL, so this gives genuine multi-core speedups standing in for
         multi-GPU execution).
+    boundary_support : (rows_first, rows_last), optional
+        Sorted row indices into the first and the last diagonal block
+        outside which ``sigma_l`` / ``b_top`` and ``sigma_r`` /
+        ``b_bottom`` are exactly zero; ``None`` (either entry, or the
+        pair) is every row.  Q is computed and kept at these columns
+        only.  Any superset of the true support is valid; ``solve``
+        rejects operands that reach outside it.
     """
 
     def __init__(self, a: BlockTridiagonalMatrix, num_partitions: int = 1,
-                 hermitian: bool | None = None, parallel: bool = True):
+                 hermitian: bool | None = None, parallel: bool = True,
+                 boundary_support=None):
         check_power_of_two(num_partitions, "num_partitions")
         if a.num_blocks < 2:
             raise ConfigurationError(
@@ -75,8 +115,14 @@ class SplitSolve:
             hermitian = a.is_hermitian()
         self.hermitian = hermitian
         self.parallel = parallel
+        rows_first, rows_last = boundary_support or (None, None)
+        sizes = a.block_sizes
+        self.boundary_support = (
+            _row_set(rows_first, sizes[0], "boundary_support[0]"),
+            _row_set(rows_last, sizes[-1], "boundary_support[1]"))
         self.timer = StageTimer()
         self.q: PartitionColumns | None = None
+        self._q_rows: list | None = None     # [q.first[i] | q.last[i]]
 
     @property
     def num_devices(self) -> int:
@@ -85,25 +131,35 @@ class SplitSolve:
     # -- Step 1 --------------------------------------------------------------
 
     def preprocess(self) -> "SplitSolve":
-        """Compute Q = A^{-1} B (first + last block columns of A^{-1})."""
+        """Compute Q = A^{-1} B: the boundary support's columns of the
+        first and last block columns of A^{-1}."""
         a = self.a
         support = a.coupling_support()
+        rows_first, rows_last = self.boundary_support
 
         def _local(p):
-            local = a.block_range(*self.ranges[p])
+            lo, hi = self.ranges[p]
+            local = a.block_range(lo, hi)
+            # Outer column sets are the boundary support; an inner one
+            # is the row support of the coupling block across that cut,
+            # which is all the merge over it contracts with.
+            first_cols = rows_first if lo == 0 else support.lower[lo - 1][0]
+            last_cols = rows_last if hi == a.num_blocks \
+                else support.upper[hi - 1][0]
             dev_f, dev_l = f"gpu{2 * p}", f"gpu{2 * p + 1}"
             with device_scope(dev_f):
                 vf = block_column_inverse(local, "first",
                                           hermitian=self.hermitian,
-                                          tag="P1")
+                                          tag="P1", columns=first_cols)
             with device_scope(dev_l):
                 vl = block_column_inverse(local, "last",
                                           hermitian=self.hermitian,
-                                          tag="P2")
+                                          tag="P2", columns=last_cols)
             devices = [dev_f if i % 2 == 0 else dev_l
                        for i in range(local.num_blocks)]
-            return PartitionColumns(first=vf, last=vl,
-                                    devices=devices).validate()
+            return PartitionColumns(first=vf, last=vl, devices=devices,
+                                    first_cols=first_cols,
+                                    last_cols=last_cols).validate()
 
         pool = ThreadPoolExecutor(max_workers=self.num_devices) \
             if self.parallel else None
@@ -135,11 +191,26 @@ class SplitSolve:
                         new_ranges.append((ranges[k][0], ranges[k + 1][1]))
                     parts = merged
                     self._mranges = new_ranges
-            self.q = parts[0]
+            self._store(parts[0])
         finally:
             if pool is not None:
                 pool.shutdown()
         return self
+
+    def _store(self, q: PartitionColumns) -> None:
+        """Keep Q as one array, first and last columns side by side -
+        the operand every postprocessing gemm wants - with ``q.first`` /
+        ``q.last`` as views of it."""
+        wf = q.first_cols.size
+        offs = self.a.block_offsets()
+        fused = np.empty((offs[-1], wf + q.last_cols.size), dtype=complex)
+        np.concatenate(q.first, out=fused[:, :wf])
+        np.concatenate(q.last, out=fused[:, wf:])
+        self._q_rows = [fused[lo:hi] for lo, hi in zip(offs, offs[1:])]
+        self.q = PartitionColumns(
+            first=[r[:, :wf] for r in self._q_rows],
+            last=[r[:, wf:] for r in self._q_rows], devices=q.devices,
+            first_cols=q.first_cols, last_cols=q.last_cols)
 
     # -- Steps 2-4 -----------------------------------------------------------
 
@@ -160,39 +231,45 @@ class SplitSolve:
             raise ShapeError("self-energy block sizes do not match A")
         if b_top.shape[0] != s1 or b_bottom.shape[0] != s2:
             raise ShapeError("rhs block sizes do not match A")
+        rows_first, rows_last = self.boundary_support
+        _require_zero_outside(sigma_l, rows_first, "sigma_l")
+        _require_zero_outside(b_top, rows_first, "b_top")
+        _require_zero_outside(sigma_r, rows_last, "sigma_r")
+        _require_zero_outside(b_bottom, rows_last, "b_bottom")
+
+        # b' and C on the support: B is its unit columns, so Inj = B b'
+        # and Sigma^RB = B C with C the support's rows of Sigma.
+        wf = rows_first.size
         m = b_top.shape[1] + b_bottom.shape[1]
-        bprime = np.zeros((s1 + s2, m), dtype=complex)
-        bprime[:s1, :b_top.shape[1]] = b_top
-        bprime[s1:, b_top.shape[1]:] = b_bottom
+        bprime = np.zeros((wf + rows_last.size, m), dtype=complex)
+        bprime[:wf, :b_top.shape[1]] = b_top[rows_first]
+        bprime[wf:, b_top.shape[1]:] = b_bottom[rows_last]
+        c_l = sigma_l[rows_first]
+        c_r = sigma_r[rows_last]
 
         with self.timer.stage("postprocessing"):
             with device_scope(q.devices[0]):
                 # Corner blocks of Q: rows 0 and nB-1.
-                q_top = np.hstack([q.first[0], q.last[0]])        # s1 x (s1+s2)
-                q_bot = np.hstack([q.first[-1], q.last[-1]])      # s2 x (s1+s2)
+                q_top, q_bot = self._q_rows[0], self._q_rows[-1]
 
                 # Step 2: y = A^{-1} b = Q b' (only corner rows needed now).
                 y_top = gemm(q_top, bprime, tag="post")
                 y_bot = gemm(q_bot, bprime, tag="post")
 
-                # Step 3: R z = C y with C = diag-corners(Sigma_L, Sigma_R).
-                cy = np.vstack([gemm(sigma_l, y_top, tag="post"),
-                                gemm(sigma_r, y_bot, tag="post")])
-                cq = np.vstack([gemm(sigma_l, q_top, tag="post"),
-                                gemm(sigma_r, q_bot, tag="post")])
-                r = np.eye(s1 + s2, dtype=complex) - cq
-                z = solve(r, cy, tag="post")
+                # Step 3: R z = C y, R = 1 - C Q on the support.
+                cy = np.vstack([gemm(c_l, y_top, tag="post"),
+                                gemm(c_r, y_bot, tag="post")])
+                cq = np.vstack([gemm(c_l, q_top, tag="post"),
+                                gemm(c_r, q_bot, tag="post")])
+                r = np.eye(bprime.shape[0], dtype=complex) - cq
+                z = solve(r, cy, tag="post", overwrite_a=True)
                 weights = bprime + z
 
-            # Step 4: x = Q (b' + z), one gemm per block row.
-            def _row(i):
-                with device_scope(q.devices[i]):
-                    qi = np.hstack([q.first[i], q.last[i]])
-                    return gemm(qi, weights, tag="post")
-
-            if self.parallel and q.num_block_rows > 1:
-                with ThreadPoolExecutor(max_workers=self.num_devices) as ex:
-                    rows = list(ex.map(_row, range(q.num_block_rows)))
-            else:
-                rows = [_row(i) for i in range(q.num_block_rows)]
+            # Step 4: x = Q (b' + z), one gemm per block row.  A row is
+            # O(s w m) flops, less than a hand-off to a worker thread
+            # costs, so the rows run in turn.
+            rows = []
+            for dev, qi in zip(q.devices, self._q_rows):
+                with device_scope(dev):
+                    rows.append(gemm(qi, weights, tag="post"))
         return np.vstack(rows)

@@ -6,7 +6,8 @@ boundary columns V^f = A_p^{-1} e_first and V^l = A_p^{-1} e_last
 only the coupling blocks between them and small corner solves, followed by
 thin per-row updates — the "spikes" whose generation the paper times at
 ~10 s per recursive step.  log2(p) merge steps produce the global first
-and last block columns of A^{-1}.
+and last block columns of A^{-1} - at the columns the boundary support
+names; every intermediate V holds only the columns a later step reads.
 """
 
 from __future__ import annotations
@@ -26,13 +27,20 @@ class PartitionColumns:
     """Boundary columns of one (possibly merged) partition's inverse.
 
     ``first[i]``/``last[i]`` are the block-row i pieces of
-    A_p^{-1} e_first / A_p^{-1} e_last; ``devices[i]`` names the simulated
-    accelerator holding row i (flop attribution + memory model).
+    A_p^{-1} e_first / A_p^{-1} e_last, stored at the columns
+    ``first_cols``/``last_cols`` only (sorted indices into the
+    partition's first/last block): the rows the boundary can touch on
+    the device's outer sides, the row support of the coupling block the
+    next merge crosses on the inner ones.  ``devices[i]`` names the
+    simulated accelerator holding row i (flop attribution + memory
+    model).
     """
 
     first: list
     last: list
     devices: list
+    first_cols: np.ndarray
+    last_cols: np.ndarray
 
     @property
     def num_block_rows(self) -> int:
@@ -41,6 +49,12 @@ class PartitionColumns:
     def validate(self):
         if not (len(self.first) == len(self.last) == len(self.devices)):
             raise ShapeError("PartitionColumns lists must align")
+        for side, blocks, cols in (("first", self.first, self.first_cols),
+                                   ("last", self.last, self.last_cols)):
+            if any(b.shape[1] != len(cols) for b in blocks):
+                raise ShapeError(
+                    f"PartitionColumns.{side} blocks are not "
+                    f"{len(cols)} columns wide")
         return self
 
 
@@ -77,35 +91,46 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
     right its column support, so every operand below is cut to the index
     sets that can contribute - the update weights ``coupling @ something``
     in particular have the coupling's few rows, and the per-row updates
-    contract over those.
+    contract over those.  The columns a merge reads of ``top.last`` and
+    ``bottom.first`` are therefore rows(Bc) and rows(Cc), and those are
+    the columns the two must hold (:class:`ShapeError` otherwise);
+    ``top.first`` and ``bottom.last`` keep whatever column sets they
+    came with and pass them on to the merged partition.
     """
     if support is None:
         support = (block_support(np.asarray(coupling_upper)),
                    block_support(np.asarray(coupling_lower)))
     (rb, cb), (rc, cl) = support
+    if not (np.array_equal(top.last_cols, rb)
+            and np.array_equal(bottom.first_cols, rc)):
+        raise ShapeError(
+            "merge_partitions: the partitions' inner columns are not the "
+            "row supports of the coupling blocks between them")
     bc = as_complex(np.asarray(coupling_upper)[np.ix_(rb, cb)])
     cc = as_complex(np.asarray(coupling_lower)[np.ix_(rc, cl)])
     vpf_last = top.first[-1]
-    vpl_last = top.last[-1]
-    vsf_first = bottom.first[0]
+    vpl_last = top.last[-1]         # columns rows(Bc)
+    vsf_first = bottom.first[0]     # columns rows(Cc)
     vsl_first = bottom.last[0]
 
     with device_scope(top.devices[-1]):
         # --- merged FIRST column ---
         # Bc V^f_S[0] Cc on rows(Bc) x cols(Cc)
-        bvc = gemm(bc, gemm(vsf_first[np.ix_(cb, rc)], cc, tag=tag), tag=tag)
-        lhs = np.eye(vpf_last.shape[0], dtype=complex)
-        lhs[:, cl] -= gemm(vpl_last[:, rb], bvc, tag=tag)
-        xi = solve(lhs, vpf_last, tag=tag)[cl]      # the rows Cc meets
+        bvc = gemm(bc, gemm(vsf_first[cb], cc, tag=tag), tag=tag)
+        lhs = np.eye(vpf_last.shape[0], dtype=complex, order="F")
+        lhs[:, cl] -= gemm(vpl_last, bvc, tag=tag)
+        xi = solve(lhs, vpf_last, tag=tag,
+                   overwrite_a=True)[cl]            # the rows Cc meets
         w_first = gemm(bvc, xi, tag=tag)            # update weight for top
         cc_xi = gemm(cc, xi, tag=tag)               # weight for bottom
 
         # --- merged LAST column ---
         # Cc V^l_P[-1] Bc on rows(Cc) x cols(Bc)
-        cvb = gemm(cc, gemm(vpl_last[np.ix_(cl, rb)], bc, tag=tag), tag=tag)
-        lhs2 = np.eye(vsf_first.shape[0], dtype=complex)
-        lhs2[:, cb] -= gemm(vsf_first[:, rc], cvb, tag=tag)
-        zeta = solve(lhs2, vsl_first, tag=tag)[cb]  # the rows Bc meets
+        cvb = gemm(cc, gemm(vpl_last[cl], bc, tag=tag), tag=tag)
+        lhs2 = np.eye(vsf_first.shape[0], dtype=complex, order="F")
+        lhs2[:, cb] -= gemm(vsf_first, cvb, tag=tag)
+        zeta = solve(lhs2, vsl_first, tag=tag,
+                     overwrite_a=True)[cb]          # the rows Bc meets
         w_last = gemm(cvb, zeta, tag=tag)           # update weight, bottom
         bc_zeta = gemm(bc, zeta, tag=tag)           # weight for top
 
@@ -123,25 +148,26 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
         tracer.metrics.counter("splitsolve_merges").inc()
 
     # Both update weights for a side are broadcast together, and each
-    # block row applies them with ONE fused (s, 2s)-wide gemm instead of
-    # two (s, s) gemms: identical flop count, but top.last[i] /
-    # bottom.first[i] stream through memory once instead of twice — the
-    # spike traffic is the merge's dominant byte mover.  The weights for
-    # the top live on rows(Bc), those for the bottom on rows(Cc).
+    # block row applies them with ONE fused gemm, as wide as the merged
+    # first and last column sets together, instead of one gemm per
+    # column: identical flop count, but top.last[i] / bottom.first[i]
+    # stream through memory once instead of twice — the spike traffic
+    # is the merge's dominant byte mover.  The weights for the top live
+    # on rows(Bc), those for the bottom on rows(Cc).
     w_top = np.hstack([w_first, bc_zeta])
     w_bot = np.hstack([cc_xi, w_last])
     nf = w_first.shape[1]
 
     def _update_top(i):
         with device_scope(top.devices[i]):
-            upd = gemm(top.last[i][:, rb], w_top, tag=tag)
+            upd = gemm(top.last[i], w_top, tag=tag)
             newf = top.first[i] + upd[:, :nf]
             newl = -upd[:, nf:]
         return newf, newl
 
     def _update_bottom(i):
         with device_scope(bottom.devices[i]):
-            upd = gemm(bottom.first[i][:, rc], w_bot, tag=tag)
+            upd = gemm(bottom.first[i], w_bot, tag=tag)
             newf = -upd[:, :nf]
             newl = bottom.last[i] + upd[:, nf:]
         return newf, newl
@@ -157,4 +183,6 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
     first = [f for f, _ in top_res] + [f for f, _ in bot_res]
     last = [l for _, l in top_res] + [l for _, l in bot_res]
     return PartitionColumns(first=first, last=last,
-                            devices=top.devices + bottom.devices).validate()
+                            devices=top.devices + bottom.devices,
+                            first_cols=top.first_cols,
+                            last_cols=bottom.last_cols).validate()

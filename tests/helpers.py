@@ -51,7 +51,8 @@ def make_confined_btd(block_sizes, supports, seed=0, cplx=True):
 
 
 def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
-                           tol=1e-10, seed=0):
+                           tol=1e-10, seed=0, boundary_support=None,
+                           num_rhs=(2, 1)):
     """SplitSolve at every partition count == RGF == sparse-direct.
 
     ``system`` is a :class:`~repro.linalg.BlockTridiagonalMatrix` (random
@@ -60,6 +61,14 @@ def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
     its dense open boundary and injection vectors through the registered
     solvers.  Solutions must agree to ``tol`` relative to the largest
     entry of the RGF one, which is returned.
+
+    For a matrix, ``boundary_support = (rows_first, rows_last)`` confines
+    the drawn self-energies and right-hand sides to those rows of the end
+    blocks (``None``: every row) and is what SplitSolve is preprocessed
+    for - its Q must then be those columns of the dense inverse, to the
+    same ``tol`` - and ``num_rhs = (top, bottom)`` sets the number of
+    columns injected from each side (either may be 0).  A device's
+    support and columns come from its open boundary.
     """
     from repro.linalg import BlockTridiagonalMatrix
     from repro.pipeline import get_solver
@@ -72,21 +81,42 @@ def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
         a = system
         rng = np.random.default_rng(seed)
         s1, s2 = a.block_sizes[0], a.block_sizes[-1]
+        rows_first, rows_last = (
+            np.arange(size) if rows is None else np.asarray(rows, dtype=int)
+            for rows, size in zip(boundary_support or (None, None),
+                                  (s1, s2)))
 
-        def draw(m, n):
-            return rng.standard_normal((m, n)) \
-                + 1j * rng.standard_normal((m, n))
+        def draw(m, n, rows):
+            """Non-zero in ``rows`` only."""
+            out = np.zeros((m, n), dtype=complex)
+            out[rows] = rng.standard_normal((len(rows), n)) \
+                + 1j * rng.standard_normal((len(rows), n))
+            return out
 
-        sigma_l, sigma_r = 0.3 * draw(s1, s1), 0.3 * draw(s2, s2)
-        b_top, b_bot = draw(s1, 2), draw(s2, 1)
+        sigma_l = 0.3 * draw(s1, s1, rows_first)
+        sigma_r = 0.3 * draw(s2, s2, rows_last)
+        b_top = draw(s1, num_rhs[0], rows_first)
+        b_bot = draw(s2, num_rhs[1], rows_last)
         t = assemble_t(a, sigma_l, sigma_r)
         rhs = boundary_rhs(a.block_sizes, b_top, b_bot)
         solutions["rgf"] = solve_rgf(t, rhs)
         solutions["direct"] = solve_direct(t, rhs)
+        inverse = np.linalg.inv(a.to_dense())
+        offs = a.block_offsets()
         for p in partitions:
-            solutions[f"splitsolve p={p}"] = SplitSolve(
-                a, num_partitions=p, parallel=False).solve(
-                    sigma_l, sigma_r, b_top, b_bot)
+            ss = SplitSolve(a, num_partitions=p, parallel=False,
+                            boundary_support=(rows_first, rows_last))
+            solutions[f"splitsolve p={p}"] = ss.solve(
+                sigma_l, sigma_r, b_top, b_bot)
+            np.testing.assert_array_equal(ss.q.first_cols, rows_first)
+            np.testing.assert_array_equal(ss.q.last_cols, rows_last)
+            for held, want in (
+                    (np.vstack(ss.q.first), inverse[:, rows_first]),
+                    (np.vstack(ss.q.last), inverse[:, offs[-2] + rows_last])):
+                err = np.abs(held - want).max(initial=0.0) \
+                    / np.abs(inverse).max()
+                assert err < tol, \
+                    f"Q (p={p}) differs from the dense inverse by {err:.2e}"
     else:
         cache = as_cache(system)
         ob = cache.boundary(energy, "dense")
@@ -100,9 +130,10 @@ def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
                 a, ob, inj, num_partitions=p)
 
     ref = solutions["rgf"]
-    scale = np.abs(ref).max()
+    scale = np.abs(ref).max(initial=0.0) or 1.0
     for name, x in solutions.items():
-        err = np.abs(x - ref).max() / scale
+        assert x.shape == ref.shape, f"{name}: {x.shape} != {ref.shape}"
+        err = np.abs(x - ref).max(initial=0.0) / scale
         assert err < tol, f"{name} differs from rgf by {err:.2e}"
     return ref
 

@@ -315,7 +315,8 @@ class TestPredictedSolveBytes:
         with one partition whatever the pipeline ran with, so byte drift
         on ``"auto"`` batches with p > 1 compared against the wrong
         model.  It now prices the pipeline's partition count on the
-        cache's coupling support - exactly what the ledger records."""
+        cache's coupling and boundary supports - exactly what the ledger
+        records."""
         monkeypatch.setattr(pipeline_module, "resolve_batch_solver_name",
                             lambda *a, **k: "splitsolve")
         device = wire()
@@ -326,12 +327,15 @@ class TestPredictedSolveBytes:
             cache = pipe.cache(device)
             results = pipe.solve_batch(cache, [e0 + 0.2, e0 + 0.3])
             widths = cache.structure().support.widths()
+            boundary = tuple(len(r) for r in cache.boundary_support())
+            assert boundary == (8, 16)
             for res in results:
                 st = res.trace.stage("SOLVE")
                 assert st.meta["solver"] == "splitsolve"
                 want = splitsolve_byte_model(
                     device.num_blocks, 48, st.meta["num_rhs"],
-                    num_partitions=parts, coupling_widths=widths)
+                    num_partitions=parts, coupling_widths=widths,
+                    boundary_widths=boundary)
                 assert st.meta["predicted_bytes"] == want
                 ob = res.boundary
                 inj = ob.injection_matrix(cache.num_blocks,

@@ -161,8 +161,12 @@ class TestFig8:
         assert max(ts) - min(ts) < 1e-4
 
     def test_feast_beats_shift_invert(self, results):
-        assert results["speedup_obc"] > 2.0
-        assert results["speedup_total"] > 1.5
+        # on the exact ledger counts: the wall-clock ratios next to them
+        # move with the host's load and BLAS threading
+        obc, solver = results["obc_flops"], results["solver_flops"]
+        assert obc["shift_invert+direct"] > 2.0 * obc["feast+direct"]
+        assert obc["shift_invert+direct"] + solver["shift_invert+direct"] \
+            > 1.5 * (obc["feast+splitsolve"] + solver["feast+splitsolve"])
 
     def test_simulated_node_ordering(self, results):
         nt = results["node_times"]

@@ -60,14 +60,17 @@ class TestGatedSCF:
 class TestFailureInjection:
     def test_singular_device_block_raises_cleanly(self):
         """A zero diagonal block must surface as SingularMatrixError,
-        never silently as NaNs."""
+        never silently as NaNs - from the LU and the LDL^H driver."""
         a = BlockTridiagonalMatrix(
             [np.zeros((2, 2)), np.eye(2)],
             [np.zeros((2, 2))], [np.zeros((2, 2))])
-        ss = SplitSolve(a, 1, parallel=False)
-        with pytest.raises(SingularMatrixError):
-            ss.solve(np.zeros((2, 2), complex), np.zeros((2, 2), complex),
-                     np.ones((2, 1), complex), np.zeros((2, 0), complex))
+        for hermitian in (False, True):
+            ss = SplitSolve(a, 1, parallel=False, hermitian=hermitian)
+            with pytest.raises(SingularMatrixError):
+                ss.solve(np.zeros((2, 2), complex),
+                         np.zeros((2, 2), complex),
+                         np.ones((2, 1), complex),
+                         np.zeros((2, 0), complex))
 
     def test_feast_energy_in_gap_returns_decaying_only(self):
         """Inside the band gap there are no propagating modes; FEAST must

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +49,58 @@ class TestSolve:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             solve(np.zeros((3, 3)), np.ones((3, 1)))
+
+    @pytest.mark.parametrize("assume_a", ["gen", "her"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_singular_raises_on_every_driver(self, assume_a, dtype):
+        with pytest.raises(SingularMatrixError):
+            solve(np.zeros((3, 3), dtype=dtype), np.ones((3, 1)),
+                  assume_a=assume_a)
+
+    @pytest.mark.parametrize("assume_a", ["gen", "her"])
+    def test_rank_deficient_to_round_off_warns(self, assume_a):
+        """No pivot is exactly zero, so LAPACK factors it; the condition
+        estimate is what says the answer is noise."""
+        a = np.diag([1.0, 1.0, 1e-20]).astype(complex)
+        with pytest.warns(sla.LinAlgWarning, match="ill-conditioned"):
+            x = solve(a, np.ones((3, 1), dtype=complex), assume_a=assume_a)
+        assert np.isfinite(x).all()
+
+    @pytest.mark.parametrize("assume_a,dtype", [("gen", float),
+                                                ("her", complex)])
+    def test_matches_scipy_bit_for_bit(self, assume_a, dtype):
+        """Same LAPACK routines on the same operands as scipy's driver."""
+        a = _rand((9, 9), 11, dtype is complex)
+        a = a + a.conj().T + 9 * np.eye(9)
+        b = _rand((9, 4), 12, dtype is complex)
+        np.testing.assert_array_equal(
+            solve(a, b, assume_a=assume_a),
+            sla.solve(a, b, assume_a=assume_a))
+        keep = a.copy()
+        solve(a, b, assume_a=assume_a)
+        np.testing.assert_array_equal(a, keep)      # not overwritten
+
+    def test_overwrite_a_factors_in_place(self):
+        a = np.asfortranarray(_rand((6, 6), 13, True) + 6 * np.eye(6))
+        b = _rand((6, 2), 14, True)
+        keep = a.copy()
+        x = solve(a, b, overwrite_a=True)
+        np.testing.assert_allclose(keep @ x, b, atol=1e-12)
+        assert not np.array_equal(a, keep)
+
+    def test_illegal_lapack_argument_is_not_swallowed(self, monkeypatch):
+        """``info < 0`` is a bug in the call, not a singular matrix."""
+        from repro.linalg import kernels
+        factor, estimate, substitute = kernels._SOLVE_ROUTINES[True, "gen"]
+        monkeypatch.setitem(
+            kernels._SOLVE_ROUTINES, (True, "gen"),
+            (lambda a, **kw: (a, None, -4), estimate, substitute))
+        with pytest.raises(ValueError, match="illegal argument 4"):
+            solve(np.eye(3, dtype=complex), np.ones((3, 1)))
+
+    def test_empty_right_hand_side(self):
+        x = solve(np.eye(3), np.ones((3, 0)))
+        assert x.shape == (3, 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -216,11 +216,15 @@ class TestSplitSolve:
         ss = SplitSolve(a, num_partitions=4, parallel=False).preprocess()
         inv = np.linalg.inv(a.to_dense())
         offs = a.block_offsets()
+        # no boundary support given: Q holds every column of both blocks
+        np.testing.assert_array_equal(ss.q.first_cols, [0, 1])
+        np.testing.assert_array_equal(ss.q.last_cols, [0, 1])
         for i in range(a.num_blocks):
+            rows = inv[offs[i]:offs[i + 1]]
             np.testing.assert_allclose(
-                ss.q.first[i], inv[offs[i]:offs[i + 1], :2], atol=1e-8)
+                ss.q.first[i], rows[:, ss.q.first_cols], atol=1e-8)
             np.testing.assert_allclose(
-                ss.q.last[i], inv[offs[i]:offs[i + 1], offs[-2]:offs[-1]],
+                ss.q.last[i], rows[:, offs[-2] + ss.q.last_cols],
                 atol=1e-8)
 
     def test_preprocess_reused_across_solves(self):
