@@ -56,12 +56,11 @@ def main(argv=None) -> int:
                         help="write the merged RunTelemetry snapshot as "
                              "JSON (machine-readable CI artifact)")
     tracep.add_argument("--kernel-backend", default=None,
+                        choices=("numpy", "mixed"),
                         help="kernel backend for the batched linear "
-                             "algebra: numpy (bitwise reference), mixed "
-                             "(complex64 LU + iterative refinement), "
-                             "simulated-gpu, numba, or auto (per-node "
-                             "resolution); default: REPRO_KERNEL_BACKEND "
-                             "env var, else numpy")
+                             "algebra: numpy (bitwise reference, the "
+                             "default) or mixed (complex64 LU + "
+                             "iterative refinement)")
     tracep.add_argument("--result-store", default=None,
                         help="persistent result-store root directory: "
                              "publish every solved (k, E) point and "
@@ -306,8 +305,6 @@ def _cmd_cache(args) -> int:
         print(f"result store at {s['root']}")
         print(f"  {s['objects']} objects, "
               f"{s['total_bytes'] / 1e6:.2f} MB")
-        if s["calibrations"]:
-            print("  calibrations: " + ", ".join(s["calibrations"]))
         return 0
     if args.action == "verify":
         v = store.verify()

@@ -13,7 +13,6 @@ from repro.basis import gaussian_3sp_set, tight_binding_set
 from repro.core.energygrid import adaptive_energy_grid, lead_band_structure
 from repro.core.runner import TransportSpectrum, compute_spectrum
 from repro.hamiltonian import build_device
-from repro.negf import qtbm_energy_point
 from repro.structure import silicon_nanowire, silicon_utb_film
 from repro.utils.errors import ConfigurationError
 
@@ -50,43 +49,33 @@ def transmission(device, energies, obc_method: str = "feast",
                  **kwargs) -> np.ndarray:
     """T(E) of a prepared device; one row per energy: (E, modes, T).
 
-    ``energy_batch_size > 1`` solves the grid in (E-batch) chunks
-    through :meth:`repro.pipeline.TransportPipeline.solve_batch` —
-    stacked assembly and batched RGF kernels — instead of one call per
-    point; the returned rows are numerically equivalent.
+    The grid is solved in chunks of ``energy_batch_size`` energies
+    through :meth:`repro.pipeline.TransportPipeline.solve_batch`; the
+    rows do not depend on the chunk size.
 
     ``kernel_backend`` selects the kernel backend for the solves (a
-    registered :mod:`repro.linalg.backend` name like ``"numpy"`` or
-    ``"mixed"``, an instance, or ``"auto"``); the default defers to the
-    ambient backend (environment variable, else the bitwise reference).
+    registered :mod:`repro.linalg.backend` name, ``"numpy"`` or
+    ``"mixed"``, or an instance); the default is the bitwise reference.
     """
+    from repro.pipeline import TransportPipeline
     energies = [float(e) for e in energies]
     obc_kwargs = kwargs.pop("obc_kwargs", None)
     if obc_kwargs is None and obc_method == "feast":
         obc_kwargs = dict(r_outer=3.0, num_points=8, seed=0)
+    pipe = TransportPipeline(obc_method=obc_method, solver=solver,
+                             num_partitions=num_partitions,
+                             obc_kwargs=obc_kwargs,
+                             backend=kernel_backend, **kwargs)
+    cache = pipe.cache(device)
+    b = int(energy_batch_size)
+    if b < 1:
+        raise ConfigurationError("energy_batch_size must be >= 1")
     rows = []
-    if int(energy_batch_size) > 1:
-        from repro.pipeline import TransportPipeline
-        pipe = TransportPipeline(obc_method=obc_method, solver=solver,
-                                 num_partitions=num_partitions,
-                                 obc_kwargs=obc_kwargs,
-                                 backend=kernel_backend, **kwargs)
-        cache = pipe.cache(device)
-        b = int(energy_batch_size)
-        for lo in range(0, len(energies), b):
-            chunk = energies[lo:lo + b]
-            for e, res in zip(chunk, pipe.solve_batch(
-                    cache, chunk,
-                    energy_indices=range(lo, lo + len(chunk)))):
-                rows.append((e, res.num_prop_left, res.transmission_lr))
-        return np.asarray(rows)
-    for e in energies:
-        res = qtbm_energy_point(device, e, obc_method=obc_method,
-                                solver=solver,
-                                num_partitions=num_partitions,
-                                obc_kwargs=obc_kwargs,
-                                kernel_backend=kernel_backend, **kwargs)
-        rows.append((e, res.num_prop_left, res.transmission_lr))
+    for lo in range(0, len(energies), b):
+        chunk = energies[lo:lo + b]
+        for e, res in zip(chunk, pipe.solve_batch(
+                cache, chunk, energy_indices=range(lo, lo + len(chunk)))):
+            rows.append((e, res.num_prop_left, res.transmission_lr))
     return np.asarray(rows)
 
 

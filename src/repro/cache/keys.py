@@ -13,11 +13,11 @@ its bitwise value matches.  The key therefore hashes, in a fixed order:
 
 Backend identity is deliberately coarser than the backend name: every
 deterministic backend is bitwise-identical to the numpy reference by
-contract (``BackendCapabilities.deterministic``), so ``numpy``,
-``numba`` and ``simulated-gpu`` all share the identity
-``("reference", <precision>)`` and may exchange cache entries.
-Non-deterministic backends (``mixed``) key on their name, precision and
-residual-gate tolerance so results never cross a precision boundary.
+contract (``BackendCapabilities.deterministic``), so all of them share
+the identity ``("reference", <precision>)`` and may exchange cache
+entries.  Non-deterministic backends (``mixed``) key on their name,
+precision and residual-gate tolerance so results never cross a precision
+boundary.
 
 Floats enter the hash via :func:`canonical_float` (``float.hex`` — an
 exact, locale-independent round-trip), never ``str()``.
@@ -34,9 +34,10 @@ from repro.linalg.backend import KernelBackend, resolve_backend
 
 #: bump when the key derivation itself changes incompatibly, or when what
 #: a key stands for does (2: lead modes come from the interface-reduced
-#: polynomial, so spectra differ from version 1's by round-off and cached
-#: FEAST subspaces have ``2 NBW |B|`` rows)
-KEY_SCHEMA_VERSION = 2
+#: polynomial, so spectra differ from version 1's by round-off; 3: a
+#: batched run used to publish RGF's bits under whatever solver name it
+#: was given, so version-2 records of other solvers cannot be trusted)
+KEY_SCHEMA_VERSION = 3
 
 
 def canonical_float(value) -> str:

@@ -3,8 +3,6 @@
 Layout (one directory tree per store root)::
 
     <root>/objects/<key[:2]>/<key>.npz     one (k, E) result record
-    <root>/calibration/<name>.json         machine calibrations (dispatch
-                                           overhead per backend+node, ...)
 
 Records follow the :class:`~repro.runtime.checkpoint.CheckpointStore`
 idiom: pickle-free ``.npz`` payloads written to a unique temp file and
@@ -62,12 +60,11 @@ def pack_result(res: EnergyPointResult) -> dict:
     """Array-only payload of one energy-point result.
 
     ``psi``/``from_left``/``velocities`` are included because downstream
-    consumers (the SCF density loop) read them; the FEAST subspace, when
-    the OBC solve exposes one, rides along so cache hits can warm-start
-    near-neighbor misses.  Span traces and the full boundary object are
-    deliberately dropped — a cache hit performs no work to trace.
+    consumers (the SCF density loop) read them.  Span traces and the
+    boundary object are deliberately dropped — a cache hit performs no
+    work to trace.
     """
-    payload = {
+    return {
         "energy": np.float64(res.energy),
         "num_prop_left": np.int64(res.num_prop_left),
         "num_prop_right": np.int64(res.num_prop_right),
@@ -80,12 +77,6 @@ def pack_result(res: EnergyPointResult) -> dict:
         "from_left": np.asarray(res.from_left),
         "velocities": np.asarray(res.velocities),
     }
-    boundary = getattr(res, "boundary", None)
-    if boundary is not None:
-        subspace = boundary.info.get("subspace")
-        if subspace is not None and np.asarray(subspace).size:
-            payload["feast_subspace"] = np.asarray(subspace)
-    return payload
 
 
 def unpack_result(record: dict) -> EnergyPointResult:
@@ -93,7 +84,9 @@ def unpack_result(record: dict) -> EnergyPointResult:
 
     The rebuilt result carries ``boundary=None`` and ``trace=None``: a
     hit re-solves nothing, so there is no boundary operator and no span
-    trace to attach.
+    trace to attach.  Arrays the record holds beyond the fields below
+    (records written before the FEAST Ritz block was dropped) are
+    ignored.
     """
     return EnergyPointResult(
         energy=float(record["energy"]),
@@ -119,9 +112,7 @@ class ResultStore:
         self.root = str(root)
         self.max_bytes = max_bytes
         self._objects = os.path.join(self.root, "objects")
-        self._calibration = os.path.join(self.root, "calibration")
         os.makedirs(self._objects, exist_ok=True)
-        os.makedirs(self._calibration, exist_ok=True)
 
     # -- paths ---------------------------------------------------------
 
@@ -239,7 +230,7 @@ class ResultStore:
     # -- maintenance ---------------------------------------------------
 
     def stats(self) -> dict:
-        """Object count, total bytes, and calibration count."""
+        """Object count and total bytes."""
         num, total = 0, 0
         for path in self._object_paths():
             try:
@@ -247,11 +238,8 @@ class ResultStore:
                 num += 1
             except OSError:
                 continue
-        calibrations = [name[:-len(".json")]
-                        for name in sorted(os.listdir(self._calibration))
-                        if name.endswith(".json")]
         return {"root": self.root, "objects": num, "total_bytes": total,
-                "max_bytes": self.max_bytes, "calibrations": calibrations}
+                "max_bytes": self.max_bytes}
 
     def verify(self) -> dict:
         """Checksum-verify every object; returns counts + corrupt keys."""
@@ -301,32 +289,6 @@ class ResultStore:
                                       "budget_bytes": budget})
         return {"removed": removed, "freed_bytes": freed,
                 "total_bytes": total - freed}
-
-    # -- calibrations --------------------------------------------------
-
-    def _calibration_path(self, name: str) -> str:
-        safe = "".join(c if c.isalnum() or c in "-._" else "_"
-                       for c in name)
-        return os.path.join(self._calibration, safe + ".json")
-
-    def load_calibration(self, name: str) -> dict | None:
-        path = self._calibration_path(name)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def save_calibration(self, name: str, data: dict) -> None:
-        path = self._calibration_path(name)
-        tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, sort_keys=True)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
 
 
 def as_result_store(store) -> ResultStore | None:

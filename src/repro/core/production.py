@@ -83,9 +83,9 @@ def run_production(structure, basis, num_cells: int, bias_points,
         :class:`repro.runtime.ResilientTaskRunner`, nodes its telemetry
         quarantines are removed from the balancer's allocation.
     energy_batch_size : forwarded to the SCF loop and the final
-        transport solve; values > 1 schedule (k, E-batch) units through
-        the batched pipeline.  The balancer feedback is unchanged —
-        batch tasks still emit per-energy stage traces.
+        transport solve; the energies per (k, E-batch) unit (an int
+        >= 1).  The balancer feedback does not depend on it — batch
+        tasks emit per-energy stage traces.
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
         Persist the sweep after every completed bias point and resume
         from it: completed points (and the balancer's learned work
@@ -105,11 +105,9 @@ def run_production(structure, basis, num_cells: int, bias_points,
         fresh ones.  Bitwise-identical results; arena reuse statistics
         appear as ``memory``-category span instants.
     kernel_backend : str, optional
-        Kernel-backend selector for every transport solve of the sweep
-        (see :func:`repro.core.runner.compute_spectrum`): ``"numpy"``
-        (bitwise reference, default), ``"mixed"``, ``"simulated-gpu"``,
-        ``"numba"``, or ``"auto"`` for per-worker resolution against
-        the registered node specs.
+        Kernel backend of every transport solve of the sweep (see
+        :func:`repro.core.runner.compute_spectrum`): ``"numpy"``
+        (bitwise reference, default) or ``"mixed"``.
     result_store : path or :class:`repro.cache.ResultStore`, optional
         Persistent cross-run result cache, forwarded to every transport
         solve of the sweep (the SCF inner solves and the final spectrum

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,21 +96,14 @@ class SpectrumUnitSpec:
     energy_indices: tuple
     run_token: str             # unique per spectrum (one potential)
     use_arena: bool = False    # workspace-arena buffer reuse in SOLVE
-    #: kernel-backend selector (name or "auto"); resolved *in the
-    #: worker*, so "auto" consults the worker's own device scope against
-    #: the :mod:`repro.hardware` node-spec registry — heterogeneous
-    #: machines pick per-node backends
+    #: kernel-backend name the worker's pipeline solves under
     kernel_backend: str | None = None
-    #: warm-start the batched OBC stage (mirrors the parent pipeline)
-    obc_warm_start: bool = False
     #: persistent result-store root; workers publish their fresh solves
     #: directly (concurrent, atomic), so a crash mid-run loses nothing
     #: already solved
     store_root: str | None = None
     #: result-store keys aligned one-to-one with ``energies``
     store_keys: tuple | None = None
-    #: cached near-neighbour FEAST subspace seeding a warm-started unit
-    obc_subspace_guess: object = None
     #: names the :class:`~repro.pipeline.cache.DeviceFamily` of the run;
     #: ``None`` (a hand-built spec) falls back to ``run_token``
     family_token: str | None = None
@@ -145,7 +138,6 @@ class _WorkerDevice:
                 obc_method=spec.obc_method, solver=spec.solver,
                 num_partitions=spec.num_partitions,
                 obc_kwargs=spec.obc_kwargs,
-                obc_warm_start=getattr(spec, "obc_warm_start", False),
                 use_arena=spec.use_arena, backend=kernel_backend)
             dev = self.device if spec.potential is None \
                 else self.device.with_potential(spec.potential)
@@ -194,8 +186,7 @@ def _solve_unit(spec: SpectrumUnitSpec):
     outputs = pipe.solve_batch(
         cache, np.asarray(spec.energies, dtype=float),
         kpoint_index=spec.kpoint_index,
-        energy_indices=list(spec.energy_indices),
-        obc_subspace_guess=getattr(spec, "obc_subspace_guess", None))
+        energy_indices=list(spec.energy_indices))
     root = getattr(spec, "store_root", None)
     keys = getattr(spec, "store_keys", None)
     if root is not None and keys is not None:
@@ -217,7 +208,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                      use_arena: bool = False,
                      kernel_backend: str | None = None,
                      result_store=None,
-                     obc_warm_start: bool = False,
                      family: DeviceFamily | None = None
                      ) -> TransportSpectrum:
     """Run the full (k, E) transport loop on a structure.
@@ -233,22 +223,16 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         ``task_runner(tasks) -> list`` mapping a list of zero-argument
         callables to their results; hook for the parallel substrate.
         Default: sequential execution.
-    energy_batch_size : int or "auto"
-        Energies solved per task.  The default of 1 is the per-point
-        path (one :meth:`TransportPipeline.solve_point` per task,
-        unchanged); larger values turn each task into one (k, E-batch)
-        solved through :meth:`TransportPipeline.solve_batch` — stacked
-        OBC/assembly/RGF kernels that amortize Python/BLAS dispatch
-        across the batch.  ``"auto"`` picks the batch size from measured
-        dispatch overhead vs the measured per-energy solve time
-        (:func:`repro.perfmodel.costmodel.suggest_energy_batch_size`,
-        probed on the first k-point's first energy); when resuming from
-        a checkpoint, ``"auto"`` is clamped to the checkpoint's stored
-        batch size so the unit layout always matches.  Per-energy
-        TaskTraces are still emitted (batch timings apportioned by
-        per-energy flops), so the dynamic load balancer's measured
-        per-k costs and :meth:`TransportSpectrum.measured_time_per_k`
-        work identically.
+    energy_batch_size : int
+        Energies solved per task (>= 1): each task is one (k, E-batch)
+        unit solved through :meth:`TransportPipeline.solve_batch` —
+        stacked OBC/assembly kernels, and stacked RGF sweeps under
+        ``solver="rgf"``, that amortize Python/BLAS dispatch across the
+        batch; every solver returns the bits of the one-energy run.
+        Per-energy TaskTraces are emitted whatever the size (batch
+        timings apportioned by per-energy flops), so the dynamic load
+        balancer's measured per-k costs and
+        :meth:`TransportSpectrum.measured_time_per_k` work identically.
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
         Persist transmission/mode-count state at (k, E-batch) unit
         granularity and resume from it: completed units are restored
@@ -274,33 +258,22 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         batches reuse buffers instead of reallocating (bitwise-identical
         spectra; allocation telemetry via the span tracer).
     kernel_backend : str, optional
-        Kernel-backend selector for the batched linear algebra
-        (:mod:`repro.linalg.backend`): a registered name (``"numpy"``,
-        ``"simulated-gpu"``, ``"mixed"``, ``"numba"``) or ``"auto"``.
-        Resolved where the solves run — each worker resolves ``"auto"``
-        against its *own* device's registered
-        :func:`~repro.hardware.node_spec`, so a heterogeneous machine
-        runs GPU-priced kernels only on GPU-carrying nodes.  ``None``
-        (default) defers to the ``REPRO_KERNEL_BACKEND`` environment
-        variable, then the bitwise-reference ``"numpy"`` backend.
+        Kernel backend of the batched linear algebra
+        (:mod:`repro.linalg.backend`): ``"numpy"``, the bitwise
+        reference and the default, or ``"mixed"``.  Workers get the name
+        in their :class:`SpectrumUnitSpec`.
     result_store : path or :class:`repro.cache.ResultStore`, optional
         Persistent cross-run result cache.  Before scheduling, every
         (k, E-batch) unit is partitioned into hits and misses against
         the store (content-addressed keys over device matrices,
         potential, OBC method + kwargs, solver, kernel-backend identity,
         k, E); only the misses are solved (partially-hit units re-bucket
-        to their miss energies — bitwise-safe, the batch path equals the
-        per-energy path bit for bit), hits merge back bitwise-identically
+        to their miss energies — bitwise-safe, a batch returns the bits
+        of its one-energy runs), hits merge back bitwise-identically
         from disk, and fresh solves are published (workers publish
         concurrently under ``backend="process"``).  Cache traffic is
         observable: ``result_store_*`` counters, a bytes-loaded
         histogram, and ``category="cache"`` span instants.
-    obc_warm_start : bool
-        Warm-start the batched OBC stage (FEAST seeded
-        energy-to-energy; round-off-level deviations from the default
-        lock-step mode).  With a ``result_store``, a partially-hit
-        unit's sweep is additionally seeded with the cached subspace of
-        the hit nearest its first miss.
     family : :class:`repro.pipeline.cache.DeviceFamily`, optional
         The run's potential-invariant state (per-k base devices, lead
         polynomial families, open-boundary memo), handed down by a
@@ -325,29 +298,21 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     if backend is not None:
         from repro.parallel.backend import make_task_runner
         task_runner = owned_runner = make_task_runner(backend, num_workers)
-    if isinstance(energy_batch_size, str):
-        if energy_batch_size != "auto":
-            raise ConfigurationError(
-                'energy_batch_size must be an int >= 1 or "auto"')
-        batch = None
-    else:
-        if int(energy_batch_size) < 1:
-            raise ConfigurationError("energy_batch_size must be >= 1")
-        batch = int(energy_batch_size)
+    if not isinstance(energy_batch_size, numbers.Integral) \
+            or energy_batch_size < 1:
+        raise ConfigurationError("energy_batch_size must be an int >= 1")
+    batch = int(energy_batch_size)
     family = as_family(family, structure, basis, num_cells, num_k)
     kgrid = family.kgrid
 
     pipe = TransportPipeline(obc_method=obc_method, solver=solver,
                              num_partitions=num_partitions,
                              obc_kwargs=obc_kwargs, use_arena=use_arena,
-                             obc_warm_start=obc_warm_start,
                              backend=kernel_backend)
     caches = family.caches(potential)
 
     store = as_store(checkpoint)
     rstore = as_result_store(result_store)
-    if batch is None:
-        batch = _auto_batch_size(pipe, caches[0], energies, store, rstore)
 
     # The work units: one per (k, E-batch); batch == 1 reproduces the
     # historical one-task-per-point granularity exactly.
@@ -380,9 +345,9 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
 
     # Partition every pending unit into store hits and misses *before*
     # scheduling: fully-hit units never become tasks, partially-hit
-    # units re-bucket to their miss energies (bitwise-safe — the batch
-    # path equals the per-energy path bit for bit), and hit records
-    # merge back from disk below.
+    # units re-bucket to their miss energies (bitwise-safe — a batch
+    # returns the bits of its one-energy runs), and hit records merge
+    # back from disk below.
     unit_hits: dict = {}   # ui -> {ie: stored record}
     unit_keys: dict = {}   # ui -> {ie: store key}
     if rstore is not None:
@@ -428,8 +393,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         if not miss:
             continue   # fully cached: merged below without a task
         keys = unit_keys.get(ui)
-        guess = _nearest_subspace(hits, miss[0]) if obc_warm_start \
-            else None
         spec = SpectrumUnitSpec(
             structure=structure, basis=basis, num_cells=num_cells,
             kz=float(kgrid[ik, 0]), potential=potential,
@@ -439,13 +402,11 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             kpoint_index=ik, energy_indices=tuple(int(e) for e in miss),
             run_token=token, use_arena=use_arena,
             kernel_backend=kernel_backend,
-            obc_warm_start=obc_warm_start,
             store_root=rstore.root if rstore is not None else None,
             store_keys=tuple(keys[ie] for ie in miss) if keys else None,
-            obc_subspace_guess=guess, family_token=family.token)
+            family_token=family.token)
         tasks.append((ui, _make_task(pipe, caches[ik],
-                                     energies[miss], ik, miss, spec,
-                                     guess)))
+                                     energies[miss], ik, miss, spec)))
 
     results = []
     traces = []
@@ -508,79 +469,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                              telemetry=telemetry)
 
 
-def _auto_batch_size(pipe, cache, energies, store, rstore=None) -> int:
-    """Resolve ``energy_batch_size="auto"`` for one spectrum run.
-
-    Resuming from a checkpoint pins the batch size to the stored unit
-    layout (the done-mask is batch-granular, so any other choice would be
-    a different computation).  Otherwise the first k-point's first energy
-    is solved once as a probe — its OBC/A(E) products stay memoized in
-    the cache, so the real unit covering it pays almost nothing — and the
-    batch size balances that measured per-energy cost against the
-    per-call dispatch overhead
-    (:func:`~repro.perfmodel.costmodel.suggest_energy_batch_size`),
-    clamped to the energy-grid length.  The dispatch overhead is a
-    machine property, not a run property: with a ``result_store`` it is
-    measured once per (backend, node) and persisted in the store's
-    calibration area (:func:`_dispatch_overhead`).
-    """
-    if store is not None and store.exists():
-        return max(1, int(store.load("spectrum")["energy_batch_size"]))
-    from repro.perfmodel.costmodel import suggest_energy_batch_size
-    t0 = time.perf_counter()
-    pipe.solve_point(cache, float(energies[0]))
-    per_energy = max(time.perf_counter() - t0, 1e-9)
-    batch = suggest_energy_batch_size(per_energy,
-                                      _dispatch_overhead(pipe, rstore))
-    return int(min(batch, energies.size))
-
-
-def _dispatch_overhead(pipe, rstore) -> float:
-    """Per-call dispatch overhead, persisted per (backend, node).
-
-    Without a result store this measures every run (the historical
-    behaviour).  With one, the first run on a given (kernel backend,
-    node) measures and saves; later runs reuse the stored seconds — one
-    less warm-up cost per run, and ``"auto"`` batch sizing becomes
-    reproducible across runs on the same machine.
-    """
-    import platform
-
-    from repro.linalg.backend import resolve_backend
-    from repro.perfmodel.costmodel import measure_dispatch_overhead
-    if rstore is None:
-        return measure_dispatch_overhead()
-    backend_name = resolve_backend(pipe.backend).name
-    node = platform.node() or "unknown"
-    name = f"dispatch-{backend_name}-{node}"
-    tracer = current_tracer()
-    data = rstore.load_calibration(name)
-    if data is not None and "dispatch_overhead_s" in data:
-        if tracer is not None:
-            tracer.metrics.counter("dispatch_calibration_hits").inc()
-        return float(data["dispatch_overhead_s"])
-    value = float(measure_dispatch_overhead())
-    rstore.save_calibration(name, {"dispatch_overhead_s": value,
-                                   "backend": backend_name,
-                                   "node": node})
-    if tracer is not None:
-        tracer.metrics.counter("dispatch_calibration_misses").inc()
-    return value
-
-
-def _nearest_subspace(hits: dict, ie0: int):
-    """Cached FEAST subspace of the hit nearest energy index ``ie0``."""
-    best, best_dist = None, None
-    for ie, rec in hits.items():
-        sub = rec.get("feast_subspace")
-        if sub is None:
-            continue
-        dist = abs(int(ie) - int(ie0))
-        if best_dist is None or dist < best_dist:
-            best, best_dist = sub, dist
-    return None if best is None else np.asarray(best)
-
-
 def _publish_unit(rstore, keys, miss, outputs) -> None:
     """Publish one unit's fresh solves to the result store (idempotent)."""
     if rstore is None or keys is None or not miss:
@@ -601,12 +489,10 @@ def _merge_unit_results(unit, miss, outputs, hits) -> list:
     return merged
 
 
-def _make_task(pipe, cache, unit_energies, ik, ies, spec=None,
-               obc_subspace_guess=None):
+def _make_task(pipe, cache, unit_energies, ik, ies, spec=None):
     def task():
         return pipe.solve_batch(cache, unit_energies, kpoint_index=ik,
-                                energy_indices=ies,
-                                obc_subspace_guess=obc_subspace_guess)
+                                energy_indices=ies)
     if spec is not None:
         # the picklable twin of the closure: serial/thread runners call
         # the closure, the process backend ships the descriptor

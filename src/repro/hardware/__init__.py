@@ -17,9 +17,6 @@ from repro.hardware.specs import (
     TITAN,
     PIZ_DAINT,
     K20X,
-    clear_node_specs,
-    node_spec,
-    register_node_spec,
 )
 from repro.hardware.machine import SimulatedMachine, RunEstimate
 from repro.hardware.power import PowerModel, power_profile
@@ -38,7 +35,4 @@ __all__ = [
     "PowerModel",
     "power_profile",
     "activity_table",
-    "clear_node_specs",
-    "node_spec",
-    "register_node_spec",
 ]

@@ -27,16 +27,6 @@ class GpuSpec:
     #: zgesv_nopiv); calibrated against the paper's 15 PFlop/s on 18688
     #: K20X ( ~690 GF/s per GPU out of 1311 peak).
     sustained_fraction: float = 0.53
-    #: single-precision peak; 0.0 means "unpublished", and consumers
-    #: fall back to the canonical 2x DP ratio (see :meth:`sp_gflops`).
-    peak_sp_gflops: float = 0.0
-
-    def sp_gflops(self) -> float:
-        """Single-precision peak, defaulting to twice the DP peak —
-        the ratio of every paper-era accelerator without a published
-        SP number."""
-        return self.peak_sp_gflops if self.peak_sp_gflops > 0.0 \
-            else 2.0 * self.peak_dp_gflops
 
 
 @dataclass(frozen=True)
@@ -45,8 +35,6 @@ class CpuSpec:
     cores: int
     peak_dp_gflops: float
     sustained_fraction: float = 0.60
-    #: socket memory bandwidth; paper-era DDR3 nodes sat near 40 GB/s
-    bandwidth_gb_s: float = 40.0
 
 
 @dataclass(frozen=True)
@@ -99,10 +87,10 @@ class MachineSpec:
                 f"{n.gpu.peak_dp_gflops:.0f} GFlop/s")
 
 
-#: NVIDIA Tesla K20X: 1311 DP / 3935 SP GFlop/s, 6 GB GDDR5, 250 GB/s.
+#: NVIDIA Tesla K20X: 1311 DP GFlop/s, 6 GB GDDR5, 250 GB/s.
 K20X = GpuSpec(model="Tesla K20X", peak_dp_gflops=1311.0, memory_gb=6.0,
                bandwidth_gb_s=250.0, pcie_gb_s=6.0, tdp_w=235.0,
-               idle_w=20.0, peak_sp_gflops=3935.0)
+               idle_w=20.0)
 
 _XEON_E5_2670 = CpuSpec(model="Xeon E5-2670", cores=8,
                         peak_dp_gflops=166.4)
@@ -124,33 +112,3 @@ TITAN = MachineSpec(
     node=NodeSpec(cpu=_OPTERON_6274, gpu=K20X, usable_core_fraction=0.5),
     interconnect_gb_s=8.0, interconnect_latency_us=2.5,
     facility_overhead=0.35)
-
-
-# --------------------------------------------------------------------------
-# Per-node spec registry — heterogeneous backend resolution
-# --------------------------------------------------------------------------
-
-#: worker/node name (the ledger device string) -> :class:`NodeSpec`.
-#: Workers run under ``device_scope(node)``, so
-#: ``resolve_backend("auto")`` can look its own node up here and pick a
-#: GPU-capable kernel backend only where the machine model says one
-#: exists.
-_NODE_SPECS: dict = {}
-
-
-def register_node_spec(name: str, spec: NodeSpec | None) -> None:
-    """Declare (or clear, with ``None``) the hardware of one node name."""
-    if spec is None:
-        _NODE_SPECS.pop(str(name), None)
-    else:
-        _NODE_SPECS[str(name)] = spec
-
-
-def node_spec(name: str):
-    """The registered :class:`NodeSpec` of a node name, or ``None``."""
-    return _NODE_SPECS.get(str(name))
-
-
-def clear_node_specs() -> None:
-    """Drop every registered node spec (test isolation)."""
-    _NODE_SPECS.clear()

@@ -62,7 +62,6 @@ from repro.linalg.backend import (
     BackendUnavailableError,
     KernelBackend,
     NumpyBackend,
-    SimulatedGpuBackend,
     available_backends,
     backend_scope,
     current_backend,
@@ -116,7 +115,6 @@ __all__ = [
     "BackendUnavailableError",
     "KernelBackend",
     "NumpyBackend",
-    "SimulatedGpuBackend",
     "available_backends",
     "backend_scope",
     "current_backend",

@@ -13,17 +13,6 @@ Built-in backends
     The reference implementation — the exact NumPy/SciPy code path the
     repo has always run.  Selecting it is bitwise identical to the
     pre-backend code (the dispatchers call the very same functions).
-``simulated-gpu``
-    Reuses the reference kernels (bitwise identical results) but prices
-    every call through a :class:`~repro.hardware.specs.GpuSpec`
-    roofline, accumulating the seconds a real accelerator of that spec
-    would have taken.  Scheduling/perfmodel paths use it to exercise
-    heterogeneous backend selection without real device code.
-``numba``
-    JIT-compiled batched loops (:mod:`repro.linalg.numba_backend`).
-    Optional import: constructing it without numba installed raises
-    :class:`BackendUnavailableError`, and :func:`available_backends`
-    simply omits it.
 ``mixed``
     Mixed-precision LU with iterative refinement
     (:mod:`repro.linalg.mixed`): complex64 factorization, complex128
@@ -33,19 +22,14 @@ Built-in backends
 Selection
 ---------
 :func:`resolve_backend` accepts a backend instance, a registered name,
-``None`` (the ``REPRO_KERNEL_BACKEND`` environment variable, default
-``numpy``) or ``"auto"`` (per-node resolution from the
-:mod:`repro.hardware` node-spec registry: nodes whose spec carries a
-GPU pick ``simulated-gpu``).  :func:`backend_scope` installs a backend
-thread-locally — the pipeline wraps each solve in one, so worker
-threads and processes each resolve their own backend.
+or ``None`` (``numpy``).  :func:`backend_scope` installs a backend
+thread-locally — the pipeline wraps each solve in one; worker processes
+get the name in their unit spec.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -129,30 +113,6 @@ class KernelBackend(ABC):
         idx = np.asarray(idx, dtype=int)
         return lu[idx], piv[idx]
 
-    def dispatch_overhead_s(self, repeats: int = 32) -> float:
-        """Measured per-call dispatch overhead of this backend (s).
-
-        Min-timed 1x2x2 ``gemm_batched`` under a throwaway ledger, so
-        the number reflects Python dispatch + record cost rather than
-        arithmetic.  Cached after the first measurement.
-        """
-        cached = getattr(self, "_dispatch_overhead_s", None)
-        if cached is not None:
-            return cached
-        import numpy as np
-
-        from repro.linalg.flops import FlopLedger, ledger_scope
-        a = np.eye(2, dtype=complex)[None]
-        best = float("inf")
-        with ledger_scope(FlopLedger()):
-            self.gemm_batched(a, a)          # warm up (JIT, caches)
-            for _ in range(max(int(repeats), 1)):
-                t0 = time.perf_counter()
-                self.gemm_batched(a, a)
-                best = min(best, time.perf_counter() - t0)
-        self._dispatch_overhead_s = float(best)
-        return self._dispatch_overhead_s
-
     @property
     def name(self) -> str:
         return self.capabilities.name
@@ -201,78 +161,9 @@ class NumpyBackend(KernelBackend):
         return _b._adjoint_batched_impl(a)
 
 
-class SimulatedGpuBackend(NumpyBackend):
-    """Reference kernels + GpuSpec roofline pricing per call.
-
-    Results and ledger records are bitwise those of the reference
-    backend; additionally every call's analytic flops/bytes are priced
-    at ``max(flops / peak, bytes / bandwidth)`` against the configured
-    :class:`~repro.hardware.specs.GpuSpec` and accumulated in
-    :attr:`simulated_seconds` — the time a real device of that spec
-    would have needed.  ``perfmodel`` paths read the accumulator to
-    exercise heterogeneous scheduling without device code.
-    """
-
-    def __init__(self, gpu=None):
-        if gpu is None:
-            from repro.hardware.specs import K20X
-            gpu = K20X
-        self.gpu = gpu
-        self.simulated_seconds = 0.0
-        self.simulated_calls = 0
-        self.capabilities = BackendCapabilities(
-            name="simulated-gpu",
-            dtypes=("float64", "complex128"),
-            native_batching=True,
-            precision="double",
-            deterministic=True,
-            description=f"numpy kernels priced as {gpu.model}")
-
-    def price_call(self, nflops: int, nbytes: int) -> float:
-        """Roofline seconds of one call on the simulated device."""
-        peak = (self.gpu.peak_dp_gflops * 1e9
-                * getattr(self.gpu, "sustained_fraction", 1.0))
-        bw = self.gpu.bandwidth_gb_s * 1e9
-        t_flop = nflops / peak if peak > 0 else 0.0
-        t_byte = nbytes / bw if bw > 0 else 0.0
-        return max(t_flop, t_byte)
-
-    def _priced(self, fn, *args, **kwargs):
-        from repro.linalg.flops import FlopLedger, current_ledger, \
-            ledger_scope
-        parent = current_ledger()
-        probe = FlopLedger(trace=parent.trace)
-        try:
-            with ledger_scope(probe):
-                return fn(*args, **kwargs)
-        finally:
-            parent.merge(probe)
-            self.simulated_seconds += self.price_call(
-                int(probe.total_flops),
-                int(sum(probe.bytes_by_device.values())))
-            self.simulated_calls += 1
-
-    def gemm_batched(self, a, b, tag: str = "", out=None):
-        return self._priced(super().gemm_batched, a, b, tag=tag, out=out)
-
-    def lu_factor_batched(self, a, tag: str = ""):
-        return self._priced(super().lu_factor_batched, a, tag=tag)
-
-    def lu_solve_batched(self, fac, b, tag: str = ""):
-        return self._priced(super().lu_solve_batched, fac, b, tag=tag)
-
-    def solve_batched(self, a, b, tag: str = ""):
-        return self._priced(super().solve_batched, a, b, tag=tag)
-
-
 # --------------------------------------------------------------------------
 # Registry and selection
 # --------------------------------------------------------------------------
-
-def _make_numba():
-    from repro.linalg.numba_backend import NumbaBackend
-    return NumbaBackend()
-
 
 def _make_mixed():
     from repro.linalg.mixed import MixedPrecisionBackend
@@ -281,8 +172,6 @@ def _make_mixed():
 
 _FACTORIES = {
     "numpy": NumpyBackend,
-    "simulated-gpu": SimulatedGpuBackend,
-    "numba": _make_numba,
     "mixed": _make_mixed,
 }
 _INSTANCES: dict = {}
@@ -305,8 +194,8 @@ def get_backend(name: str) -> KernelBackend:
     """The singleton instance of a registered backend.
 
     Raises :class:`BackendUnavailableError` when the backend's factory
-    cannot construct in this environment (e.g. ``numba`` without numba
-    installed) and :class:`ConfigurationError` for unknown names.
+    cannot construct in this environment and :class:`ConfigurationError`
+    for unknown names.
     """
     name = str(name)
     with _REGISTRY_LOCK:
@@ -336,29 +225,12 @@ def available_backends() -> tuple:
 
 
 def resolve_backend(backend=None) -> KernelBackend:
-    """Resolve a backend selector to an instance.
-
-    * ``KernelBackend`` instance — returned as-is;
-    * registered name — the singleton instance;
-    * ``None`` — the ``REPRO_KERNEL_BACKEND`` environment variable when
-      set, else ``numpy``;
-    * ``"auto"`` — per-node resolution: look up the current ledger
-      device name in the :mod:`repro.hardware` node-spec registry and
-      pick ``simulated-gpu`` for GPU-carrying nodes, ``numpy``
-      otherwise.  Workers run under ``device_scope(node)``, so on a
-      heterogeneous machine each worker resolves its own backend.
-    """
+    """Resolve a backend selector to an instance: a ``KernelBackend`` is
+    returned as-is, a registered name gives the singleton instance, and
+    ``None`` is ``numpy``."""
     if isinstance(backend, KernelBackend):
         return backend
-    if backend is None:
-        backend = os.environ.get("REPRO_KERNEL_BACKEND") or "numpy"
-    if backend == "auto":
-        from repro.hardware import node_spec
-        from repro.linalg.flops import current_device
-        spec = node_spec(current_device())
-        backend = "simulated-gpu" if spec is not None \
-            and spec.gpu is not None else "numpy"
-    return get_backend(backend)
+    return get_backend("numpy" if backend is None else backend)
 
 
 # --------------------------------------------------------------------------

@@ -20,10 +20,10 @@ carry a ``_batched`` suffix so activity traces distinguish the two paths.
 
 Backends: the public module functions are thin dispatchers to the
 kernel backend selected via :mod:`repro.linalg.backend`
-(``backend_scope`` / ``REPRO_KERNEL_BACKEND``; default the reference
-``numpy`` backend).  The ``_*_impl`` functions below are the reference
-implementations — the exact code path the repo has always run — so
-selecting ``numpy`` is bitwise identical to the pre-backend behaviour.
+(``backend_scope``; default the reference ``numpy`` backend).  The
+``_*_impl`` functions below are the reference implementations — the
+exact code path the repo has always run — so selecting ``numpy`` is
+bitwise identical to the pre-backend behaviour.
 """
 
 from __future__ import annotations

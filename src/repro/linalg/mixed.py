@@ -31,7 +31,7 @@ kernel names distinguish the low-precision sweeps in activity traces;
 per-slice fallbacks record ``zgetrf_batched``/``zgetrs_batched`` with
 a ``|fallback`` tag.  Byte formulas live in
 :mod:`repro.perfmodel.bytemodel` (``mixed_lu_factor_bytes`` and
-friends) so ``choose_batch_solver(machine=)`` can price the mode.
+friends).
 """
 
 from __future__ import annotations

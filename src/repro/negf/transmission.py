@@ -72,9 +72,9 @@ def qtbm_energy_point(device, energy: float, obc_method: str = "feast",
     boundary : OpenBoundary, optional
         Reuse a precomputed boundary (e.g. when comparing solvers).
     kernel_backend : optional
-        Kernel-backend selector for the batched linear algebra (a
-        registered :mod:`repro.linalg.backend` name, instance, or
-        ``"auto"``); ``None`` uses the ambient default.
+        Kernel backend of the batched linear algebra (a registered
+        :mod:`repro.linalg.backend` name or an instance); ``None`` is
+        the ``"numpy"`` reference.
     """
     from repro.pipeline import TransportPipeline
     pipe = TransportPipeline(obc_method=obc_method, solver=solver,

@@ -17,22 +17,15 @@ paper run the OBCs on a handful of CPU cores while the GPUs handle
 SplitSolve.
 
 Energy batching (:func:`feast_annulus_batch`) runs one lead's FEAST over a
-whole energy batch in one of two modes:
-
-* **lock-step** (default): all energies advance through the refinement
-  loop together; the contour factorizations and resolvent applies go
-  through the stacked kernels of :mod:`repro.linalg.batched`
-  (:meth:`~repro.obc.polynomial.PolynomialEVPStack.factor_reduced` /
-  ``resolvent_apply``), grouped per iteration by current subspace width
-  (rank truncation makes widths diverge).  Each energy's iterate sequence
-  is **bitwise identical** to a solo :func:`feast_annulus` call with the
-  same arguments — the stacked LAPACK/BLAS routines factor and solve the
-  identical matrices slice by slice.
-* **warm-start**: energies run sequentially and E_{i+1} seeds its initial
-  block with E_i's converged in-annulus Ritz subspace (random columns,
-  drawn from the same seeded stream, pad a too-narrow guess).  On smooth
-  energy grids this cuts refinement iterations; results differ from the
-  cold path only by round-off of the different starting block.
+whole energy batch in lock-step: all energies advance through the
+refinement loop together; the contour factorizations and resolvent
+applies go through the stacked kernels of :mod:`repro.linalg.batched`
+(:meth:`~repro.obc.polynomial.PolynomialEVPStack.factor_reduced` /
+``resolvent_apply``), grouped per iteration by current subspace width
+(rank truncation makes widths diverge).  Each energy's iterate sequence
+is **bitwise identical** to a solo :func:`feast_annulus` call with the
+same arguments — the stacked LAPACK/BLAS routines factor and solve the
+identical matrices slice by slice.
 """
 
 from __future__ import annotations
@@ -57,10 +50,6 @@ class FeastResult:
     iterations: int
     num_solves: int          # number of reduced P(z) factorizations
     subspace_size: int
-    #: converged in-annulus Ritz block (NBC, m) — the warm-start seed
-    subspace: np.ndarray | None = None
-    #: whether this solve was seeded from a neighbouring energy's subspace
-    warm_started: bool = False
     #: rhs width of the resolvent applies, one entry per refinement
     #: iteration (accumulated across auto-expand attempts) — together with
     #: ``num_solves`` and ``rr_sizes`` this determines the exact ledger
@@ -89,26 +78,10 @@ def _contour_points(r_outer: float, num_points: int):
     return pts
 
 
-def _seed_subspace(rng, nbc: int, m0: int, guess):
-    """Initial FEAST block: random (cold) or a prior subspace padded with
-    random columns from the same seeded stream (warm)."""
-    if guess is None or guess.shape[1] == 0:
-        y = rng.standard_normal((nbc, m0)) \
-            + 1j * rng.standard_normal((nbc, m0))
-        return y, False
-    k = min(guess.shape[1], m0)
-    if k == m0:
-        return guess[:, :m0].copy(), True
-    pad = rng.standard_normal((nbc, m0 - k)) \
-        + 1j * rng.standard_normal((nbc, m0 - k))
-    return np.hstack([guess[:, :k], pad]), True
-
-
 def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
                   num_points: int = 8, max_iter: int = 12,
                   tol: float = 1e-10, seed=None,
-                  auto_expand: bool = True,
-                  subspace_guess: np.ndarray | None = None) -> FeastResult:
+                  auto_expand: bool = True) -> FeastResult:
     """Find all eigenpairs of the lead polynomial with 1/R < |lambda| < R.
 
     Parameters
@@ -124,25 +97,12 @@ def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
         annulus turns out fuller than that.
     num_points : int
         Trapezoid points per circle.
-    subspace_guess : (NBC, k) array, optional
-        Warm-start block — typically the converged ``subspace`` of a
-        neighbouring energy's :class:`FeastResult`.  Columns beyond the
-        guess are drawn from the seeded stream; if the warm attempt stalls
-        the solver falls back to fully random (still seeded) redraws, so
-        results stay deterministic under a fixed ``seed``.
     """
     if r_outer <= 1.0:
         raise ConfigurationError("r_outer must exceed 1")
     nbc = pevp.size
     n = pevp.n
     m0 = subspace if subspace is not None else min(nbc, n + 8)
-    guess = None
-    if subspace_guess is not None:
-        guess = np.asarray(subspace_guess, dtype=complex)
-        if guess.ndim != 2 or guess.shape[0] != nbc:
-            raise ConfigurationError(
-                f"subspace_guess must be ({nbc}, k), got {guess.shape}")
-        m0 = max(m0, guess.shape[1])
     m0 = max(2, min(m0, nbc))
     rng = make_rng(seed)
 
@@ -161,8 +121,8 @@ def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
     rr_log: list = []
 
     while True:
-        y, used_guess = _seed_subspace(rng, nbc, m0, guess)
-        guess = None   # a failed warm attempt falls back to cold redraws
+        y = rng.standard_normal((nbc, m0)) \
+            + 1j * rng.standard_normal((nbc, m0))
         try:
             result = _feast_iterate(pevp, a_lin, b_lin, factors, y,
                                     r_outer, max_iter, tol,
@@ -174,7 +134,7 @@ def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
                 m0 = min(nbc, 2 * m0)
                 continue
             raise
-        lambdas, vectors, residuals, iters, ritz_in = result
+        lambdas, vectors, residuals, iters = result
         # FEAST convention: if the subspace is nearly saturated the count
         # is untrustworthy (modes may be missing) — expand and redo.
         if auto_expand and len(lambdas) >= m0 - 1 and m0 < nbc:
@@ -182,9 +142,7 @@ def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
             continue
         return FeastResult(lambdas=lambdas, vectors=vectors,
                            residuals=residuals, iterations=iters,
-                           num_solves=num_solves,
-                           subspace_size=m0, subspace=ritz_in,
-                           warm_started=used_guess,
+                           num_solves=num_solves, subspace_size=m0,
                            solve_widths=tuple(width_log),
                            rr_sizes=tuple(rr_log))
 
@@ -201,9 +159,9 @@ def _orthonormal_basis(q: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
 def _rr_step(pevp, a_lin, b_lin, q, r_outer):
     """One post-filter step: orthonormalize, Rayleigh-Ritz, select annulus.
 
-    Returns ``(lam_in, us, res, ritz_in, ritz)``: in-annulus eigenvalues,
-    unit-cell vectors and residuals, the in-annulus linearized Ritz block
-    (the warm-start seed), and the full Ritz block (the next iterate).
+    Returns ``(lam_in, us, res, ritz)``: in-annulus eigenvalues,
+    unit-cell vectors and residuals, and the full Ritz block (the next
+    iterate).
     """
     # Orthonormalize with rank truncation: after the contour filter the
     # subspace collapses onto the (often much smaller) invariant
@@ -220,14 +178,11 @@ def _rr_step(pevp, a_lin, b_lin, q, r_outer):
     finite = np.isfinite(w_rr)
     inside = finite & (np.abs(w_rr) < r_outer) \
         & (np.abs(w_rr) > 1.0 / r_outer)
-    lam_in = w_rr[inside]
-    ritz_in = ritz[:, inside]
-
     # Residuals on the physical unit-cell eigenvectors.
-    lam_in, us = pevp.extract_unit_vectors(lam_in, ritz_in)
+    lam_in, us = pevp.extract_unit_vectors(w_rr[inside], ritz[:, inside])
     res = np.array([pevp.residual(l, us[:, i])
                     for i, l in enumerate(lam_in)])
-    return lam_in, us, res, ritz_in, ritz
+    return lam_in, us, res, ritz
 
 
 def _feast_iterate(pevp, a_lin, b_lin, factors, y, r_outer,
@@ -242,16 +197,15 @@ def _feast_iterate(pevp, a_lin, b_lin, factors, y, r_outer,
         for z, w, fac in factors:
             q += w * pevp.resolvent_apply(z, y, factor=fac)
 
-        lam_in, us, res, ritz_in, ritz = _rr_step(pevp, a_lin, b_lin, q,
-                                                  r_outer)
+        lam_in, us, res, ritz = _rr_step(pevp, a_lin, b_lin, q, r_outer)
         if rr_log is not None:
             rr_log.append(int(ritz.shape[1]))
-        best = (lam_in, us, res, it, ritz_in)
+        best = (lam_in, us, res, it)
         if len(lam_in) == 0 or (len(res) and res.max() < tol):
             return best
         # Refine: next subspace = the full set of Ritz vectors.
         y = ritz
-    lam_in, us, res, it, ritz_in = best
+    lam_in, us, res, it = best
     if len(res) and res.max() > 1e3 * tol:
         raise ConvergenceError(
             f"FEAST stalled: max residual {res.max():.2e} after "
@@ -304,10 +258,9 @@ def _lockstep_advance(st: _LockstepState, pevp, pencil, q, r_outer,
     a_lin, b_lin = pencil
     st.it += 1
     st.width_log.append(int(q.shape[1]))
-    lam_in, us, res, ritz_in, ritz = _rr_step(pevp, a_lin, b_lin, q,
-                                              r_outer)
+    lam_in, us, res, ritz = _rr_step(pevp, a_lin, b_lin, q, r_outer)
     st.rr_log.append(int(ritz.shape[1]))
-    st.best = (lam_in, us, res, st.it, ritz_in)
+    st.best = (lam_in, us, res, st.it)
     converged = len(lam_in) == 0 or (len(res) and res.max() < tol)
     if not converged:
         if st.it < max_iter:
@@ -321,21 +274,29 @@ def _lockstep_advance(st: _LockstepState, pevp, pencil, q, r_outer,
                 f"FEAST stalled: max residual {res.max():.2e} after "
                 f"{max_iter} refinements", iterations=max_iter,
                 residual=float(res.max()))
-    lambdas, vectors, residuals, iters, ritz_best = st.best
+    lambdas, vectors, residuals, iters = st.best
     if auto_expand and len(lambdas) >= st.m0 - 1 and st.m0 < nbc:
         st.expand(nbc)
         return None
     return FeastResult(lambdas=lambdas, vectors=vectors,
                        residuals=residuals, iterations=iters,
                        num_solves=num_solves, subspace_size=st.m0,
-                       subspace=ritz_best,
                        solve_widths=tuple(st.width_log),
                        rr_sizes=tuple(st.rr_log))
 
 
-def _feast_lockstep(stack, r_outer, subspace, num_points, max_iter, tol,
-                    seed, auto_expand):
-    """Batched FEAST, all energies advancing together (bitwise == solo)."""
+def feast_annulus_batch(stack, r_outer: float = 3.0,
+                        subspace: int | None = None, num_points: int = 8,
+                        max_iter: int = 12, tol: float = 1e-10, seed=None,
+                        auto_expand: bool = True) -> list:
+    """FEAST over a whole energy batch; one :class:`FeastResult` per energy.
+
+    ``stack`` is a :class:`~repro.obc.polynomial.PolynomialEVPStack`.  All
+    energies advance together: the contour factorizations and resolvent
+    applies are stacked over the batch (one batched kernel call each),
+    bitwise identical, energy by energy, to calling :func:`feast_annulus`
+    with the same arguments.
+    """
     if r_outer <= 1.0:
         raise ConfigurationError("r_outer must exceed 1")
     nbc = stack.size
@@ -373,59 +334,3 @@ def _feast_lockstep(stack, r_outer, subspace, num_points, max_iter, tol,
                     states[i], stack.pevps[i], pencils[i], q[slot],
                     r_outer, max_iter, tol, auto_expand, nbc, num_solves)
     return results
-
-
-def _feast_warm_sweep(stack, r_outer, subspace, num_points, max_iter, tol,
-                      seed, auto_expand, initial_guess=None):
-    """Sequential sweep, each energy seeded by its predecessor's subspace.
-
-    ``initial_guess`` seeds the *first* energy (e.g. a cached
-    near-neighbour subspace from the persistent result store); after
-    that each energy chains from its predecessor as usual.
-    """
-    results = []
-    guess = None
-    if initial_guess is not None:
-        guess = np.asarray(initial_guess, dtype=complex)
-    for pevp in stack.pevps:
-        res = feast_annulus(pevp, r_outer=r_outer, subspace=subspace,
-                            num_points=num_points, max_iter=max_iter,
-                            tol=tol, seed=seed, auto_expand=auto_expand,
-                            subspace_guess=guess)
-        results.append(res)
-        guess = res.subspace if res.num_modes else None
-    return results
-
-
-def feast_annulus_batch(stack, r_outer: float = 3.0,
-                        subspace: int | None = None, num_points: int = 8,
-                        max_iter: int = 12, tol: float = 1e-10, seed=None,
-                        auto_expand: bool = True,
-                        warm_start: bool = False,
-                        subspace_guess: np.ndarray | None = None) -> list:
-    """FEAST over a whole energy batch; one :class:`FeastResult` per energy.
-
-    ``stack`` is a :class:`~repro.obc.polynomial.PolynomialEVPStack`.  The
-    default lock-step mode stacks the contour factorizations and resolvent
-    applies over the batch (one batched kernel call each) and is bitwise
-    identical, energy by energy, to calling :func:`feast_annulus` with the
-    same arguments.  ``warm_start=True`` instead sweeps the energies in
-    order, seeding each from the previous converged subspace — fewer
-    refinement iterations on smooth grids, at the price of sequential
-    execution and tiny (round-off level) deviations from the cold path.
-
-    ``subspace_guess`` (warm-start mode only) seeds the first energy of
-    the sweep — typically a cached near-neighbour subspace published by
-    the persistent result store.  A guess with another row count than
-    the pencil's (cached by a solve on the full-size polynomial, say) is
-    no guess: the sweep starts cold.
-    """
-    if warm_start:
-        if np.ndim(subspace_guess) == 2 \
-                and np.shape(subspace_guess)[0] != stack.size:
-            subspace_guess = None
-        return _feast_warm_sweep(stack, r_outer, subspace, num_points,
-                                 max_iter, tol, seed, auto_expand,
-                                 initial_guess=subspace_guess)
-    return _feast_lockstep(stack, r_outer, subspace, num_points, max_iter,
-                           tol, seed, auto_expand)

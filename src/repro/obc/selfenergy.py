@@ -77,7 +77,7 @@ class OpenBoundary:
     injected: list                # of InjectedMode
     method: str = ""
     #: solver diagnostics (FEAST iterations, decimation iteration count,
-    #: warm-start flag, ...) — surfaced on the OBC stage trace
+    #: predicted bytes, ...) — surfaced on the OBC stage trace
     info: dict = field(default_factory=dict)
 
     @property
@@ -273,13 +273,9 @@ def _feast_info(res, pevp: PolynomialEVP, wasted_bytes: int = 0) -> dict:
     return {"iterations": int(res.iterations),
             "num_solves": int(res.num_solves),
             "subspace_size": int(res.subspace_size),
-            "warm_started": bool(res.warm_started),
             # exact recorded-byte prediction for the drift verdict;
             # ``wasted_bytes``: a reduced solve this one had to redo
-            "predicted_bytes": predicted + wasted_bytes,
-            # converged Ritz block — persisted by the result store so
-            # cache hits can warm-start near-neighbour misses
-            "subspace": res.subspace}
+            "predicted_bytes": predicted + wasted_bytes}
 
 
 @register_obc_method("dense", uses_pevp=True)
@@ -347,15 +343,11 @@ def compute_open_boundary(lead: LeadBlocks, energy: float,
 # :func:`compute_open_boundary_batch` — same results, no stacking.
 # --------------------------------------------------------------------------
 
-@register_obc_batch_method("feast", uses_pevp=True,
-                           supports_warm_start=True)
+@register_obc_batch_method("feast", uses_pevp=True)
 def _obc_feast_batch(lead: LeadBlocks, energies, *, pevps=None,
-                     warm_start: bool = False, subspace_guess=None,
                      **kwargs) -> list:
     """Batched FEAST: stacked contour factorizations and resolvent applies
-    over the whole energy batch (lock-step, bitwise == per-energy), or a
-    warm-started sequential sweep (``warm_start=True``, optionally seeded
-    with ``subspace_guess`` — e.g. a cached neighbour's subspace)."""
+    over the whole energy batch (lock-step, bitwise == per-energy)."""
     energies = [float(e) for e in energies]
     if pevps is None:
         pevps = PolynomialFamily(lead.h_cells,
@@ -367,9 +359,7 @@ def _obc_feast_batch(lead: LeadBlocks, energies, *, pevps=None,
     def solve(positions, polys) -> list:
         """FEAST over same-size polynomials; the positions whose lifted
         modes did not hold up on the full polynomial."""
-        fres = feast_annulus_batch(
-            PolynomialEVPStack(polys), warm_start=warm_start,
-            subspace_guess=subspace_guess, **kwargs)
+        fres = feast_annulus_batch(PolynomialEVPStack(polys), **kwargs)
         failed = []
         for j, p, res in zip(positions, polys, fres):
             infos[j] = _feast_info(res, p,
@@ -428,8 +418,6 @@ def _obc_decimation_batch(lead: LeadBlocks, energies, *,
 
 def compute_open_boundary_batch(lead: LeadBlocks, energies,
                                 method: str = "feast", pevps=None,
-                                warm_start: bool = False,
-                                subspace_guess=None,
                                 **kwargs) -> list:
     """Compute the OBCs of one lead for a whole energy batch.
 
@@ -440,21 +428,14 @@ def compute_open_boundary_batch(lead: LeadBlocks, energies,
     way.  ``pevps`` optionally provides pre-built per-energy
     :class:`~repro.obc.polynomial.PolynomialEVP` objects (from a
     :class:`~repro.pipeline.DeviceCache`'s polynomial family) for
-    mode-based methods.  ``warm_start`` is forwarded only to batch
-    methods that declare ``supports_warm_start`` metadata.
+    mode-based methods.
     """
     energies = [float(e) for e in energies]
     if method in OBC_BATCH_METHODS:
         fn = OBC_BATCH_METHODS.get(method)
-        meta = OBC_BATCH_METHODS.meta(method)
-        kw = dict(kwargs)
-        if meta.get("supports_warm_start"):
-            kw["warm_start"] = warm_start
-            if subspace_guess is not None:
-                kw["subspace_guess"] = subspace_guess
-        if meta.get("uses_pevp"):
-            kw["pevps"] = pevps
-        return fn(lead, energies, **kw)
+        if OBC_BATCH_METHODS.meta(method).get("uses_pevp"):
+            return fn(lead, energies, pevps=pevps, **kwargs)
+        return fn(lead, energies, **kwargs)
     fn = OBC_METHODS.get(method)
     uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
     obs = []

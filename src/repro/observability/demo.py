@@ -14,11 +14,9 @@ then exports and cross-checks every observability artifact:
   :class:`~repro.runtime.RunTelemetry` stage tables bit-for-bit and sum
   to the ledger total exactly; seconds agree to float-sum tolerance.
 
-The demo deliberately runs fault-free and with a *fixed* energy batch
-size: failed resilient attempts would emit stage spans whose flops never
-merge into the ledger, and the ``"auto"`` batch-size probe solves one
-point outside the telemetry path — either would (correctly) break the
-exact reconciliation this demo asserts.
+The demo deliberately runs fault-free: failed resilient attempts would
+emit stage spans whose flops never merge into the ledger, which would
+(correctly) break the exact reconciliation this demo asserts.
 
 It also runs with ``use_arena=True``: the transport pipelines reuse
 workspace-arena scratch buffers across energy batches.  The arena never
@@ -66,8 +64,7 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
     smoke : shrink to one bias point and one SCF iteration (CI budget).
     trace_path, jsonl_path : optional export destinations; exports are
         skipped when omitted.
-    energy_batch_size : fixed batch size (> 0; never ``"auto"`` — see
-        the module docstring).
+    energy_batch_size : energies per (k, E-batch) unit (> 0).
     backend : ``"thread"`` (the default: a fault-protected
         :class:`~repro.runtime.ResilientTaskRunner` over threads) or
         ``"process"`` (the same resilient wrapper around a
@@ -76,10 +73,9 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
         worker-side with the identical policy).  Either way the same
         reconciliation must hold exactly.
     kernel_backend : optional kernel-backend name for the transport
-        solves (``"numpy"``, ``"mixed"``, ``"simulated-gpu"``,
-        ``"numba"``, ``"auto"``).  Every backend keeps the same ledger
+        solves (``"numpy"`` or ``"mixed"``).  Both keep the same ledger
         discipline — one record per batched call — so the flop/byte
-        reconciliation holds exactly under all of them, mixed precision
+        reconciliation holds exactly under either, mixed precision
         included (its ``cgetrf``/``cgetrs`` records carry analytic flop
         counts and the actual low-precision bytes).
     result_store : optional path or :class:`~repro.cache.ResultStore` —

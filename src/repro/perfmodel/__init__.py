@@ -16,7 +16,6 @@ from repro.perfmodel.costmodel import (
     dense_obc_kernels,
     kernel_flops,
     mixed_refinement_flop_model,
-    mixed_rate_multiplier,
     measure_flops,
     extrapolate_flops,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "dense_obc_kernels",
     "kernel_flops",
     "mixed_refinement_flop_model",
-    "mixed_rate_multiplier",
     "measure_flops",
     "extrapolate_flops",
     "gemm_bytes",

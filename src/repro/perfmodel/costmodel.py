@@ -275,35 +275,6 @@ lu_solve_batched`: one low-precision back-substitution sweep for the
     return sweeps + residuals
 
 
-#: Fraction of a solver's leading-order flops spent in the LU
-#: factor + triangular-solve kernels the mixed backend runs in
-#: complex64 (the remainder — Schur/spike/residual gemms — stays
-#: double).  ~1/2 for both SplitSolve and RGF at m ~ s.
-MIXED_FACTOR_FRACTION = 0.5
-
-
-def mixed_rate_multiplier(node=None) -> float:
-    """Effective throughput gain of the mixed backend over full double.
-
-    Amdahl over the kernel mix: the factor/back-substitution fraction
-    (:data:`MIXED_FACTOR_FRACTION`) speeds up by the device's SP/DP
-    rate ratio, the gemm remainder does not; the O(n^2) refinement
-    sweeps are lower-order and already inside the measured SP rate's
-    slack.  ``node`` is a :class:`~repro.hardware.specs.NodeSpec` (or
-    anything with a ``gpu``); without one the canonical 2x SP/DP ratio
-    is assumed.
-    """
-    ratio = 2.0
-    if node is not None:
-        gpu = getattr(node, "gpu", node)
-        try:
-            ratio = gpu.sp_gflops() / gpu.peak_dp_gflops
-        except (AttributeError, ZeroDivisionError):
-            ratio = 2.0
-    f = MIXED_FACTOR_FRACTION
-    return 1.0 / (f / ratio + (1.0 - f))
-
-
 def _device_rate_ratio() -> float:
     """Sustained GPU/CPU rate ratio used to weigh solver flop counts.
 
@@ -346,141 +317,6 @@ def choose_solver(num_blocks: int, block_size: int, num_rhs: int,
                                boundary_widths=boundary_widths)
     rgf = rgf_flop_model(num_blocks, block_size, num_rhs)
     return "splitsolve" if ss / _device_rate_ratio() <= rgf else "rgf"
-
-
-#: Flop-equivalent price of one Python-level solver dispatch — the fixed
-#: per-task cost (argument marshalling, kernel-launch latency, ledger
-#: bookkeeping) that batching amortizes.  Calibrated as dispatch time
-#: (~tens of microseconds) times a sustained host rate (~GFLOP/s); the
-#: batch-solver choice only needs the order of magnitude.
-DISPATCH_FLOPS_PER_CALL = 5e4
-
-
-def choose_batch_solver(num_blocks: int, block_size: int, rhs_widths,
-                        num_partitions: int = 1, hermitian: bool = False,
-                        dispatch_flops: float | None = None,
-                        machine=None, backend: str | None = None,
-                        coupling_widths=None, boundary_widths=None) -> str:
-    """SOLVE-stage choice for one (k, E-batch) bucket (``solver="auto"``).
-
-    Per-energy SplitSolve runs each energy on the accelerators (flops
-    weighted by the GPU/CPU rate ratio) but pays one dispatch *per
-    energy*; the batched RGF sweeps run at host rate but pay a single
-    dispatch for the whole bucket.  As the batch grows the amortized
-    dispatch term tilts the choice towards ``"rgf_batched"`` — the
-    crossover the adaptive-batching tests pin down.
-
-    ``dispatch_flops`` overrides :data:`DISPATCH_FLOPS_PER_CALL` (useful
-    for calibrated values from :func:`measure_dispatch_overhead`).
-
-    ``machine`` (a :class:`~repro.hardware.specs.MachineSpec` or
-    :class:`~repro.hardware.specs.NodeSpec`) switches to the
-    movement-aware comparison: each candidate is priced in *seconds* on
-    its target device as ``max(flops / rate, bytes / bandwidth)`` — the
-    roofline time, so a memory-bound candidate is charged for its
-    traffic, not its arithmetic.  Without ``machine`` the historical
-    flop-only comparison runs unchanged.
-
-    ``backend`` names the active kernel backend.  ``"mixed"`` scales
-    both candidates' arithmetic terms by
-    :func:`mixed_rate_multiplier` — the kernel backend is a global
-    substitution, so the complex64 factor speedup applies to whichever
-    solver wins; byte traffic is left at the double-precision figure
-    (the residual copies offset the half-width factors).  Other backend
-    names price like the reference.
-
-    ``coupling_widths`` and ``boundary_widths`` price SplitSolve on its
-    supports, as in :func:`choose_solver`.
-    """
-    widths = [int(m) for m in rhs_widths if int(m) > 0]
-    if not widths or num_blocks < 2:
-        return "rgf_batched"
-    d = DISPATCH_FLOPS_PER_CALL if dispatch_flops is None \
-        else float(dispatch_flops)
-    ss = sum(splitsolve_flop_model(num_blocks, block_size, m,
-                                   num_partitions=num_partitions,
-                                   hermitian=hermitian,
-                                   coupling_widths=coupling_widths,
-                                   boundary_widths=boundary_widths)
-             for m in widths)
-    rgf = rgf_batched_flop_model(num_blocks, block_size, widths)
-    if machine is None:
-        ratio = _device_rate_ratio()
-        mult = mixed_rate_multiplier() if backend == "mixed" else 1.0
-        ss_cost = ss / (ratio * mult) + len(widths) * d
-        rgf_cost = rgf / mult + d
-        return "splitsolve" if ss_cost <= rgf_cost else "rgf_batched"
-
-    from repro.perfmodel.bytemodel import (rgf_batched_byte_model,
-                                           splitsolve_byte_model)
-    node = machine.node if hasattr(machine, "node") else machine
-    mult = mixed_rate_multiplier(node) if backend == "mixed" else 1.0
-    gpu_rate = (node.gpu.peak_dp_gflops * 1e9
-                * node.gpu.sustained_fraction * mult)
-    gpu_bw = node.gpu.bandwidth_gb_s * 1e9
-    cpu_rate = (node.cpu.peak_dp_gflops * 1e9
-                * node.cpu.sustained_fraction
-                * node.usable_core_fraction * mult)
-    cpu_bw = node.cpu.bandwidth_gb_s * 1e9
-    ss_bytes = sum(splitsolve_byte_model(num_blocks, block_size, m,
-                                         num_partitions=num_partitions,
-                                         coupling_widths=coupling_widths,
-                                         boundary_widths=boundary_widths)
-                   for m in widths)
-    rgf_bytes = rgf_batched_byte_model(num_blocks, block_size, widths)
-    disp_s = d / cpu_rate
-    ss_t = max(ss / gpu_rate, ss_bytes / gpu_bw) + len(widths) * disp_s
-    rgf_t = max(rgf / cpu_rate, rgf_bytes / cpu_bw) + disp_s
-    return "splitsolve" if ss_t <= rgf_t else "rgf_batched"
-
-
-def measure_dispatch_overhead(repeats: int = 64) -> float:
-    """Measured per-call dispatch overhead (seconds) of one batched kernel.
-
-    Times a 1x2x2 :func:`~repro.linalg.batched.gemm_batched` — arithmetic
-    is negligible, so the minimum over ``repeats`` calls isolates the
-    fixed Python/BLAS/ledger dispatch cost that energy batching
-    amortizes.  Runs under its own ledger so the probe flops never leak
-    into the caller's accounting.
-    """
-    import time
-
-    from repro.linalg.batched import gemm_batched
-
-    a = np.ones((1, 2, 2))
-    best = np.inf
-    with ledger_scope():
-        gemm_batched(a, a)   # warm the dispatch path un-timed
-        for _ in range(max(int(repeats), 1)):
-            t0 = time.perf_counter()
-            gemm_batched(a, a)
-            dt = time.perf_counter() - t0
-            if dt < best:
-                best = dt
-    return float(best)
-
-
-def suggest_energy_batch_size(solve_seconds_per_energy: float,
-                              dispatch_seconds: float | None = None,
-                              target_overhead: float = 0.05,
-                              max_batch: int = 64) -> int:
-    """Smallest energy batch keeping dispatch overhead below target.
-
-    A per-point task pays the dispatch cost once per energy; a batch of
-    ``b`` pays it once for all ``b``, i.e. ``dispatch/b`` per energy.
-    This returns the smallest ``b`` with ``dispatch / b <=
-    target_overhead * solve_seconds_per_energy``, clamped to
-    ``[1, max_batch]`` — energies cheaper than the dispatch itself get a
-    large batch, heavyweight energies that dwarf the dispatch stay near
-    per-point granularity.
-    """
-    if target_overhead <= 0.0:
-        raise ConfigurationError("target_overhead must be positive")
-    if dispatch_seconds is None:
-        dispatch_seconds = measure_dispatch_overhead()
-    per = max(float(solve_seconds_per_energy), 1e-12)
-    b = int(np.ceil(float(dispatch_seconds) / (target_overhead * per)))
-    return int(max(1, min(b, int(max_batch))))
 
 
 def measure_flops(fn, *args, **kwargs):

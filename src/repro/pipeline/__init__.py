@@ -27,7 +27,6 @@ from repro.pipeline.registry import (
     register_obc_batch_method,
     register_obc_method,
     register_solver,
-    resolve_batch_solver_name,
     resolve_solver_name,
 )
 from repro.pipeline.trace import (STAGES, StageTrace, TaskTrace,
@@ -45,7 +44,6 @@ __all__ = [
     "register_obc_batch_method",
     "register_obc_method",
     "register_solver",
-    "resolve_batch_solver_name",
     "resolve_solver_name",
     "STAGES",
     "StageTrace",

@@ -82,9 +82,8 @@ class BoundaryMemo:
     """Lock-guarded :class:`OpenBoundary` memo shared by a run's caches.
 
     Keys are ``(lead content fingerprint, energy, method, sorted
-    kwargs)`` - or the whole-batch form of warm-started FEAST sweeps.
-    The first value published under a key wins; later publishers get it
-    back, so every caller holds the identical object.
+    kwargs)``.  The first value published under a key wins; later
+    publishers get it back, so every caller holds the identical object.
     """
 
     def __init__(self):
@@ -246,10 +245,8 @@ class DeviceCache:
         """
         return self._polynomial_family().at_energies(energies)
 
-    def _memo_key(self, energy, method: str, kwargs: dict):
-        """``(lead fingerprint, energy, method, sorted kwargs)``, with the
-        energy tuple of a warm-started batch in the energy slot (a tuple
-        never equals a float, so the two kinds cannot alias).  ``None``
+    def _memo_key(self, energy: float, method: str, kwargs: dict):
+        """``(lead fingerprint, energy, method, sorted kwargs)``; ``None``
         when the kwargs are unhashable, which disables sharing for that
         call."""
         try:
@@ -295,52 +292,23 @@ class DeviceCache:
             ob = self._memo.publish(key, ob)
         return ob, False
 
-    def boundary_batch(self, energies, method: str,
-                       warm_start: bool = False, subspace_guess=None,
-                       **kwargs) -> list:
+    def boundary_batch(self, energies, method: str, **kwargs) -> list:
         """The OpenBoundary list of :meth:`lookup_boundary_batch`."""
-        return self.lookup_boundary_batch(
-            energies, method, warm_start=warm_start,
-            subspace_guess=subspace_guess, **kwargs)[0]
+        return self.lookup_boundary_batch(energies, method, **kwargs)[0]
 
-    def lookup_boundary_batch(self, energies, method: str,
-                              warm_start: bool = False,
-                              subspace_guess=None, **kwargs):
+    def lookup_boundary_batch(self, energies, method: str, **kwargs):
         """Batched OpenBoundary computation with batch-aware memoization.
 
         Returns ``(boundaries, reused)``, one flag per energy: the memo
         already held that boundary and nothing was solved for it.
 
-        The default (lock-step) batch path is bitwise identical to the
-        per-energy one, so its results share the **per-energy** memo keys
-        of :meth:`boundary`: a batch only recomputes the energies no
-        per-point (or prior-batch) caller has produced yet, and per-point
-        retries after a batch pay nothing.  Warm-started FEAST results
-        depend on the batch composition (each energy is seeded by its
-        predecessor) and differ from the cold path by round-off, so they
-        are memoized under one whole-batch key instead — never aliased
-        with per-energy entries.
+        The batch path is bitwise identical to the per-energy one, so its
+        results share the **per-energy** memo keys of :meth:`boundary`: a
+        batch only recomputes the energies no per-point (or prior-batch)
+        caller has produced yet, and per-point retries after a batch pay
+        nothing.
         """
         energies = [float(e) for e in energies]
-        uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
-
-        if warm_start:
-            # A subspace-seeded batch depends on the (external) guess, so
-            # it is never memoized — the guess is not part of a hashable
-            # key and the seeded result differs by round-off anyway.
-            key = None if subspace_guess is not None else self._memo_key(
-                ("batch-warm",) + tuple(energies), method, kwargs)
-            if key is not None:
-                hit = self._memo.get(key)
-                if hit is not None:
-                    return hit, [True] * len(energies)
-            obs = self._compute_boundary_batch(energies, method,
-                                               uses_pevp, True, kwargs,
-                                               subspace_guess=subspace_guess)
-            if key is not None:
-                obs = self._memo.publish(key, obs)
-            return obs, [False] * len(energies)
-
         if len(energies) == 1:
             ob, reused = self.lookup_boundary(energies[0], method, **kwargs)
             return [ob], [reused]
@@ -357,23 +325,17 @@ class DeviceCache:
             tracer.metrics.counter("obc_cache_hits").inc(len(have))
             tracer.metrics.counter("obc_cache_misses").inc(len(missing))
         if missing:
-            fresh = self._compute_boundary_batch(
-                [energies[j] for j in missing], method, uses_pevp,
-                False, kwargs)
+            from repro.obc.selfenergy import compute_open_boundary_batch
+            sub = [energies[j] for j in missing]
+            uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
+            fresh = compute_open_boundary_batch(
+                self.device.lead, sub, method=method,
+                pevps=self.polynomial_batch(sub) if uses_pevp else None,
+                **kwargs)
             for j, ob in zip(missing, fresh):
                 have[j] = ob if keys[j] is None \
                     else self._memo.publish(keys[j], ob)
         return [have[j] for j in range(len(energies))], reused
-
-    def _compute_boundary_batch(self, energies, method, uses_pevp,
-                                warm_start, kwargs,
-                                subspace_guess=None) -> list:
-        from repro.obc.selfenergy import compute_open_boundary_batch
-        pevps = self.polynomial_batch(energies) if uses_pevp else None
-        return compute_open_boundary_batch(
-            self.device.lead, energies, method=method, pevps=pevps,
-            warm_start=warm_start, subspace_guess=subspace_guess,
-            **kwargs)
 
 
 _FAMILY_TOKENS = itertools.count()

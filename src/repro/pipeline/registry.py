@@ -152,8 +152,9 @@ def resolve_solver_name(name: str, *, num_blocks: int, block_size: int,
     """Map ``"auto"`` to a concrete registered solver via the cost model.
 
     Explicit names pass through unchanged (after a registry existence
-    check, so a typo fails before any work is done).  The widths are the
-    supports SplitSolve would run on, for its price.
+    check, so a typo fails before any work is done) - for one energy or
+    a bucket of sixteen.  The widths are the supports SplitSolve would
+    run on, for its price.
     """
     if name == AUTO:
         from repro.perfmodel.costmodel import choose_solver
@@ -164,33 +165,3 @@ def resolve_solver_name(name: str, *, num_blocks: int, block_size: int,
                              boundary_widths=boundary_widths)
     SOLVERS.get(name)
     return name
-
-
-def resolve_batch_solver_name(name: str, *, num_blocks: int,
-                              block_size: int, rhs_widths,
-                              num_partitions: int = 1,
-                              hermitian: bool = False,
-                              coupling_widths=None,
-                              boundary_widths=None) -> str:
-    """Resolve the SOLVE implementation for one (k, E-batch) bucket.
-
-    Explicit solver names keep the energy-batched semantics: the bucket
-    runs through the batched RGF sweeps (the one batched solver
-    implementation), exactly as before — after a registry existence check
-    so a typo still fails early.  ``"auto"`` instead prices the bucket
-    through :func:`repro.perfmodel.costmodel.choose_batch_solver`: the sum
-    of per-energy SplitSolve models (GPU rate, one dispatch per energy)
-    against the batched RGF model (host rate, one dispatch per bucket) —
-    returning either ``"rgf_batched"`` or ``"splitsolve"``.
-    """
-    if name != AUTO:
-        SOLVERS.get(name)
-        return "rgf_batched"
-    from repro.perfmodel.costmodel import choose_batch_solver
-    return choose_batch_solver(num_blocks=num_blocks,
-                               block_size=block_size,
-                               rhs_widths=rhs_widths,
-                               num_partitions=num_partitions,
-                               hermitian=hermitian,
-                               coupling_widths=coupling_widths,
-                               boundary_widths=boundary_widths)

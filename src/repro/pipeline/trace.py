@@ -2,10 +2,10 @@
 
 Each (k, E) task runs through the fixed stage sequence ``PREPARE ->
 OBC -> ASSEMBLE -> SOLVE -> ANALYZE`` (paper Fig. 6: the phases of one
-energy point).  :func:`stage_scope` wraps one stage execution and
-captures
+energy point).  :func:`batch_stage_scope` wraps one stage execution -
+for one task or for a whole energy batch - and captures
 
-* wall time, via :class:`repro.utils.timing.StageTimer`, and
+* wall time, and
 * flops, by running the stage under a fresh probe
   :class:`repro.linalg.flops.FlopLedger` that is merged into whatever
   ledger was active when the stage started.
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 from repro.linalg.flops import FlopLedger, current_ledger, ledger_scope
 from repro.observability.spans import current_tracer
-from repro.utils.timing import StageTimer
 
 #: Canonical stage order of one (k, E) transport task.
 STAGES = ("PREPARE", "OBC", "ASSEMBLE", "SOLVE", "ANALYZE")
@@ -90,47 +89,6 @@ class TaskTrace:
         return "\n".join(lines)
 
 
-@contextmanager
-def stage_scope(trace: TaskTrace, name: str, timer: StageTimer | None = None):
-    """Run one stage under timing + a probe flop ledger.
-
-    Yields the :class:`StageTrace` so the stage body can attach ``meta``
-    entries (e.g. the resolved solver name, SplitSolve phase times).  The
-    probe ledger inherits the parent's ``trace`` flag so per-kernel event
-    streams (Fig. 12 activity) survive, and is merged into the parent on
-    exit — success or failure — so resilience accounting of a failed
-    attempt still sees the flops it burned.
-    """
-    timer = timer if timer is not None else StageTimer()
-    parent = current_ledger()
-    probe = FlopLedger(trace=parent.trace)
-    st = StageTrace(name=name)
-    trace.stages.append(st)
-    t0 = time.perf_counter()
-    try:
-        with timer.stage(name):
-            with ledger_scope(probe):
-                yield st
-    finally:
-        parent.merge(probe)
-        st.seconds = float(timer.stages.get(name, 0.0))
-        st.flops = int(probe.total_flops)
-        st.meta.setdefault(
-            "bytes", int(sum(probe.bytes_by_device.values())))
-        tracer = current_tracer()
-        if tracer is not None:
-            attrs = {"kpoint": trace.kpoint_index,
-                     "energy_index": trace.energy_index,
-                     "energy": trace.energy}
-            for key in ("backend", "precision"):
-                if key in st.meta:
-                    attrs[key] = st.meta[key]
-            tracer.emit(name, category="stage", t_start=t0,
-                        seconds=st.seconds, flops=st.flops,
-                        bytes_moved=st.meta["bytes"],
-                        attrs=attrs)
-
-
 def apportion_exact(total: int, weights) -> list:
     """Split integer ``total`` proportionally to ``weights``, exactly.
 
@@ -159,7 +117,7 @@ def apportion_exact(total: int, weights) -> list:
 
 @contextmanager
 def batch_stage_scope(traces, name: str, weights=None):
-    """Run one *batched* stage once for several (k, E) tasks.
+    """Run one stage once for one or several (k, E) tasks.
 
     The stage body executes a single time for the whole energy batch
     under one probe ledger; on exit, one :class:`StageTrace` per task is
@@ -168,6 +126,10 @@ def batch_stage_scope(traces, name: str, weights=None):
     (per-energy analytic flop counts; equal shares when omitted).  Flop
     apportionment is exact (:func:`apportion_exact`), so the sum of the
     per-task stage counts still reconciles with the surrounding ledger.
+    The probe inherits the parent's ``trace`` flag so per-kernel event
+    streams (Fig. 12 activity) survive, and is merged into the parent on
+    exit — success or failure — so resilience accounting of a failed
+    attempt still sees the flops it burned.
 
     Yields the list of per-task :class:`StageTrace` objects so the body
     can attach ``meta`` entries (batch size, bucket widths, ...).  Some
@@ -229,3 +191,13 @@ def batch_stage_scope(traces, name: str, weights=None):
             tracer.emit(name, category="stage", t_start=t0,
                         seconds=elapsed, flops=int(probe.total_flops),
                         bytes_moved=total_bytes, attrs=attrs)
+
+
+@contextmanager
+def stage_scope(trace: TaskTrace, name: str):
+    """Run one stage of one task: :func:`batch_stage_scope` over the one
+    trace.  Yields the :class:`StageTrace` so the stage body can attach
+    ``meta`` entries (e.g. the resolved solver name, SplitSolve phase
+    times)."""
+    with batch_stage_scope([trace], name) as (st,):
+        yield st

@@ -77,15 +77,15 @@ def schroedinger_poisson(structure, basis, num_cells: int,
         for each inner transport solve (e.g. a
         :class:`repro.runtime.ResilientTaskRunner`).
     energy_batch_size : forwarded to
-        :func:`repro.core.runner.compute_spectrum`; values > 1 run the
-        inner transport solves through the batched (k, E-batch) path.
+        :func:`repro.core.runner.compute_spectrum`; the energies per
+        (k, E-batch) task of the inner transport solves (an int >= 1).
     use_arena : forwarded to :func:`repro.core.runner.compute_spectrum`;
         the inner transport solves reuse workspace-arena scratch buffers
         (bitwise-identical spectra).
     kernel_backend : forwarded to
         :func:`repro.core.runner.compute_spectrum`; selects the kernel
-        backend of the inner transport solves (``"numpy"`` reference,
-        ``"mixed"``, ``"simulated-gpu"``, ``"numba"``, or ``"auto"``).
+        backend of the inner transport solves (``"numpy"``, the
+        reference and the default, or ``"mixed"``).
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
         Persist the loop state after every completed iteration — one
         (k, E) batch — and resume from it when the file already exists.

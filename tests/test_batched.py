@@ -36,10 +36,6 @@ from repro.utils.errors import (CheckpointError, ConfigurationError,
 
 from tests.test_hamiltonian import single_s_basis
 
-# bitwise batched-vs-per-energy parity must not be skewed by an
-# ambient kernel-backend selection (see tests/conftest.py)
-pytestmark = pytest.mark.usefixtures("reference_kernel_backend")
-
 
 def _stack(rng, ne, m, n):
     return (rng.standard_normal((ne, m, n))
@@ -258,9 +254,8 @@ class TestSolveBatch:
         names = [s.name for s in results[3].trace.stages]
         assert "SOLVE" not in names and "OBC" in names
         assert results[3].transmission_lr == 0.0
-        # batched points carry the batched solver in their SOLVE meta
-        assert results[0].trace.stage("SOLVE").meta["solver"] == \
-            "rgf_batched"
+        # a stacked sweep is how "rgf" runs a bucket, not another solver
+        assert results[0].trace.stage("SOLVE").meta["solver"] == "rgf"
         assert results[0].trace.stage("SOLVE").meta["bucket_size"] == 2
 
     def test_single_energy_degenerates_to_solve_point(self):
@@ -274,6 +269,56 @@ class TestSolveBatch:
         assert got[0].transmission_lr == ref.transmission_lr
         assert [s.name for s in got[0].trace.stages] == \
             [s.name for s in ref.trace.stages]
+
+    @pytest.mark.parametrize("obc_method",
+                             ["dense", "feast", "shift_invert"])
+    @pytest.mark.parametrize("solver", ["rgf", "bcr", "direct",
+                                        "splitsolve", "auto"])
+    def test_point_is_a_slice_of_a_ragged_batch(self, obc_method, solver):
+        """``solve_point(E)`` is ``solve_batch([E])[0]`` is slice ``j`` of
+        a ragged batch, bit for bit, for every built-in pair."""
+        dev = synthetic_device_from_lead(_test_lead(6, seed=3), 8)
+        kw = dict(r_outer=3.0, num_points=8, seed=0) \
+            if obc_method == "feast" else {}
+        pipe = TransportPipeline(
+            obc_method=obc_method, solver=solver, obc_kwargs=kw,
+            num_partitions=2 if solver == "splitsolve" else 1)
+        energies = [0.5, 4.2, 2.0, -0.5, 4.1, 1.0]
+        with ledger_scope() as led:
+            batch = pipe.solve_batch(pipe.cache(dev), energies)
+        assert sum(r.trace.total_flops for r in batch) == led.total_flops
+        widths = [r.psi.shape[1] for r in batch]
+        assert len(set(widths)) >= 2 and 0 in widths
+        for j, e in enumerate(energies):
+            # fresh caches: nothing memoized, every stage runs
+            with ledger_scope() as led:
+                point = pipe.solve_point(pipe.cache(dev), e)
+            assert point.trace.total_flops == led.total_flops
+            (one,) = pipe.solve_batch(pipe.cache(dev), [e])
+            for got in (one, batch[j]):
+                assert got.transmission_lr == point.transmission_lr
+                assert got.transmission_rl == point.transmission_rl
+                assert got.num_prop_left == point.num_prop_left
+                assert got.num_prop_right == point.num_prop_right
+                assert np.array_equal(got.psi, point.psi)
+                assert [s.name for s in got.trace.stages] \
+                    == [s.name for s in point.trace.stages]
+            assert one.trace.total_flops == point.trace.total_flops
+            if widths[j]:
+                assert batch[j].trace.stage("SOLVE").meta["solver"] \
+                    == point.trace.stage("SOLVE").meta["solver"]
+
+    def test_splitsolve_info_survives_on_a_batch(self):
+        dev = synthetic_device_from_lead(_test_lead(6, seed=3), 8)
+        pipe = TransportPipeline(obc_method="dense", solver="splitsolve",
+                                 num_partitions=2)
+        point = pipe.solve_point(dev, 2.0).trace.stage("SOLVE").meta
+        for res in pipe.solve_batch(dev, [1.7, 1.9, 2.1, 2.3]):
+            meta = res.trace.stage("SOLVE").meta
+            assert meta["solver"] == "splitsolve"
+            assert set(meta["phase_times"]) == set(point["phase_times"])
+            assert meta["num_devices"] == point["num_devices"]
+            assert meta["predicted_bytes"] > 0
 
     def test_trace_flops_reconcile_with_ledger(self):
         dev = synthetic_device_from_lead(_test_lead(5, seed=6), 6)

@@ -5,15 +5,13 @@ records exactly (uniform and ragged blocks, batched and per-point), the
 roofline must consume exact per-kernel traffic (falling back to the old
 flop-proportional apportionment only for legacy snapshots), the drift
 check must flag injected extra traffic, and the movement-aware
-schedulers (balancer shares, SOLVE-stage auto choice) must react to
-arithmetic intensity.
+balancer shares must react to arithmetic intensity.
 """
 
 import numpy as np
 import pytest
 
 from repro.hardware import TITAN
-from repro.hardware.specs import CpuSpec, GpuSpec, NodeSpec
 from repro.linalg import BatchedBlockTridiag, ledger_scope
 from repro.linalg.flops import FlopLedger
 from repro.linalg.kernels import gemm, lu_factor, lu_solve, solve
@@ -30,7 +28,6 @@ from repro.perfmodel import (
     solve_bytes,
     splitsolve_byte_model,
 )
-from repro.perfmodel.costmodel import choose_batch_solver
 from repro.perfmodel.roofline import drift_report, roofline_from_ledger
 from repro.pipeline import StageTrace, TaskTrace
 from repro.solvers import (SplitSolve, assemble_t, boundary_rhs, solve_rgf,
@@ -38,10 +35,6 @@ from repro.solvers import (SplitSolve, assemble_t, boundary_rhs, solve_rgf,
 from repro.utils.errors import ConfigurationError
 from tests.test_blocktridiag import make_btd
 from tests.test_solvers import make_system
-
-# bitwise batched-vs-per-energy parity must not be skewed by an
-# ambient kernel-backend selection (see tests/conftest.py)
-pytestmark = pytest.mark.usefixtures("reference_kernel_backend")
 
 
 def _cplx(rng, *shape):
@@ -152,6 +145,41 @@ class TestSplitSolveByteModel:
         assert abs(led.total_bytes - model) / model < 0.15
 
 
+class TestSolveStagePrediction:
+    """Every SOLVE span carries the byte model's prediction, the
+    per-point path included."""
+
+    def _point(self):
+        from repro.experiments.fig6_phases import _test_lead
+        from repro.hamiltonian.device import synthetic_device_from_lead
+        from repro.pipeline import TransportPipeline
+
+        pipe = TransportPipeline(obc_method="dense", solver="rgf")
+        dev = synthetic_device_from_lead(_test_lead(5, seed=4), 6)
+        return lambda: pipe.solve_point(dev, 2.0)
+
+    def test_per_point_rgf_span_is_exact(self):
+        from repro.observability.spans import tracing
+
+        with tracing() as tracer, ledger_scope():
+            self._point()()
+        (sp,) = [sp for sp in tracer.by_category("stage")
+                 if sp.name == "SOLVE"]
+        assert sp.attrs["predicted_bytes"] == sp.bytes_moved > 0
+
+    def test_broken_byte_model_is_not_swallowed(self, monkeypatch):
+        """Regression: any exception of the model silently dropped
+        ``predicted_bytes``, and the drift check went blind."""
+        import repro.perfmodel.bytemodel as bytemodel
+
+        def broken(*_a, **_k):
+            raise ZeroDivisionError("broken byte model")
+
+        monkeypatch.setattr(bytemodel, "rgf_byte_model", broken)
+        with pytest.raises(ZeroDivisionError), ledger_scope():
+            self._point()()
+
+
 class TestByteDrift:
     def test_exact_match_is_not_drifting(self):
         v = byte_drift(1000, 1000)
@@ -250,38 +278,6 @@ class TestBalancerMovementAware:
         assert shares["a"] > shares["b"]
 
 
-class TestMovementAwareSolverChoice:
-    def test_default_path_is_flop_only_and_unchanged(self):
-        # small bucket of wide-rhs energies: per-energy dispatch overhead
-        # dominates and the batched host sweep wins (historical behavior)
-        assert choose_batch_solver(8, 4, [2] * 4) == \
-            choose_batch_solver(8, 4, [2] * 4, machine=None)
-
-    def test_machine_accepts_machine_or_node_spec(self):
-        widths = [64] * 8
-        a = choose_batch_solver(24, 96, widths, machine=TITAN)
-        b = choose_batch_solver(24, 96, widths, machine=TITAN.node)
-        assert a == b and a in ("splitsolve", "rgf_batched")
-
-    def test_bandwidth_starved_gpu_tilts_to_host(self):
-        widths = [32] * 16
-        fat_gpu = NodeSpec(
-            cpu=CpuSpec(model="host", cores=16, peak_dp_gflops=130.0,
-                        bandwidth_gb_s=40.0),
-            gpu=GpuSpec(model="fast", peak_dp_gflops=1311.0,
-                        memory_gb=6.0, bandwidth_gb_s=250.0,
-                        pcie_gb_s=6.0, tdp_w=235.0, idle_w=20.0))
-        starved = NodeSpec(
-            cpu=fat_gpu.cpu,
-            gpu=GpuSpec(model="starved", peak_dp_gflops=1311.0,
-                        memory_gb=6.0, bandwidth_gb_s=0.001,
-                        pcie_gb_s=6.0, tdp_w=235.0, idle_w=20.0))
-        assert choose_batch_solver(24, 64, widths,
-                                   machine=fat_gpu) == "splitsolve"
-        assert choose_batch_solver(24, 64, widths,
-                                   machine=starved) == "rgf_batched"
-
-
 class TestFeastByteModel:
     """The FEAST contour-solve byte model must equal the ledger exactly.
 
@@ -319,19 +315,16 @@ class TestFeastByteModel:
                                 res.solve_widths, res.rr_sizes) \
             == led.total_bytes
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_exact_on_batched_paths(self, warm):
+    def test_exact_on_batched_paths(self):
         # lockstep logs identical solve widths to the solo path by
-        # construction; the warm sweep logs whatever each seeded energy
-        # actually ran -- both must stay ledger-exact
+        # construction
         from repro.obc import PolynomialEVPStack
         from repro.obc.feast import feast_annulus_batch
 
         pevps = [self._chain_pevp(e) for e in (0.3, 0.5, 0.7)]
         stack = PolynomialEVPStack(pevps)
         with ledger_scope() as led:
-            batch = feast_annulus_batch(stack, r_outer=3.0, seed=5,
-                                        warm_start=warm)
+            batch = feast_annulus_batch(stack, r_outer=3.0, seed=5)
         pred = sum(feast_byte_model(p.n, r.num_solves,
                                     r.solve_widths, r.rr_sizes)
                    for p, r in zip(pevps, batch))

@@ -19,7 +19,6 @@ from repro.linalg import (BlockStructure, CouplingSupport, block_support,
 from repro.linalg import blocktridiag
 from repro.perfmodel import splitsolve_byte_model, splitsolve_flop_model
 from repro.pipeline import DeviceCache, TransportPipeline, get_solver
-from repro.pipeline import pipeline as pipeline_module
 from repro.pipeline.cache import DeviceFamily
 from repro.solvers import SplitSolve
 from repro.structure import silicon_nanowire, silicon_utb_film
@@ -309,20 +308,18 @@ class TestDeviceCacheStructure:
 
 
 class TestPredictedSolveBytes:
-    def test_predicted_solve_bytes_prices_pipeline_partition_count(
-            self, monkeypatch):
+    def test_predicted_solve_bytes_prices_pipeline_partition_count(self):
         """Regression: ``_predicted_solve_bytes`` priced ``"splitsolve"``
         with one partition whatever the pipeline ran with, so byte drift
-        on ``"auto"`` batches with p > 1 compared against the wrong
+        on SplitSolve batches with p > 1 compared against the wrong
         model.  It now prices the pipeline's partition count on the
         cache's coupling and boundary supports - exactly what the ledger
         records."""
-        monkeypatch.setattr(pipeline_module, "resolve_batch_solver_name",
-                            lambda *a, **k: "splitsolve")
         device = wire()
         e0 = open_energy(device, 0.0)
         for parts in (1, 2):
-            pipe = TransportPipeline(obc_method="dense", solver="auto",
+            pipe = TransportPipeline(obc_method="dense",
+                                     solver="splitsolve",
                                      num_partitions=parts)
             cache = pipe.cache(device)
             results = pipe.solve_batch(cache, [e0 + 0.2, e0 + 0.3])

@@ -15,10 +15,9 @@ from repro.cache import keys as cache_keys
 from repro.hamiltonian import build_device
 from repro.hamiltonian.device import synthetic_device_from_lead
 from repro.linalg import ledger_scope
-from repro.obc import (PolynomialEVP, PolynomialEVPStack, PolynomialFamily,
+from repro.obc import (PolynomialEVP, PolynomialFamily,
                        compute_open_boundary, compute_open_boundary_batch,
                        feast_annulus, polynomial, selfenergy)
-from repro.obc.feast import feast_annulus_batch
 from repro.observability.spans import tracing
 from repro.perfmodel import (dense_obc_kernels, feast_kernels,
                              interface_reduction_kernels, kernel_bytes,
@@ -28,7 +27,6 @@ from repro.structure import silicon_nanowire, silicon_utb_film
 from tests.helpers import (check_obc_agreement, make_confined_lead,
                            open_energies)
 
-pytestmark = pytest.mark.usefixtures("reference_kernel_backend")
 
 FEAST = dict(r_outer=3.0, num_points=8, seed=0)
 
@@ -343,27 +341,6 @@ class TestResultStoreCompatibility:
         new = cache_keys.result_key("d" * 64, **args)
         monkeypatch.setattr(cache_keys, "KEY_SCHEMA_VERSION", 1)
         assert cache_keys.result_key("d" * 64, **args) != new
-
-    def test_stale_store_subspace_of_wrong_height_is_a_cold_start(self):
-        # a record written before the reduction (or by an energy that fell
-        # back) holds a 2*NBW*n-row subspace; seeding the 2*NBW*|B|-row
-        # pencil with it used to die with ConfigurationError
-        lead = _rectangular()
-        family = PolynomialFamily(lead.h_cells, lead.s_cells)
-        energies = open_energies(lead, 2)
-        stack = PolynomialEVPStack(family.at_energies(energies))
-        stale = np.ones((2 * family.n, 3), dtype=complex)
-        assert stale.shape[0] != stack.size
-        warm = feast_annulus_batch(stack, warm_start=True,
-                                   subspace_guess=stale, **FEAST)
-        cold = feast_annulus_batch(stack, warm_start=True, **FEAST)
-        assert not warm[0].warm_started
-        for got, want in zip(warm, cold):
-            assert np.array_equal(got.lambdas, want.lambdas)
-        obs = compute_open_boundary_batch(
-            lead, energies, method="feast", warm_start=True,
-            subspace_guess=stale, **FEAST)
-        assert len(obs) == 2
 
 
 class TestHornerPrefactors:

@@ -37,8 +37,6 @@ from repro.observability.live import (BusPublisher, LiveAggregator,
 from repro.observability.spans import SpanTracer
 from repro.utils.errors import ConfigurationError
 
-pytestmark = pytest.mark.usefixtures("reference_kernel_backend")
-
 
 def _ev(etype, worker="node0", seq=0, t=100.0, pid=1, **fields):
     """A fully stamped schema-v1 stream event for aggregator tests."""

@@ -67,6 +67,11 @@ def test_pipeline_matches_seed_path(device, obc_method, solver):
     got = pipe.solve_point(device, ENERGY)
     assert want.transmission_lr > 1.0  # a non-trivial point
     assert_bitwise_equal(got, want)
+    # one driver: the point is a batch of one and a slice of a batch
+    for batch in ([ENERGY], [1.6, ENERGY, 2.4]):
+        sliced = pipe.solve_batch(device, batch)[batch.index(ENERGY)]
+        assert_bitwise_equal(sliced, want)
+        assert sliced.trace.stage("SOLVE").meta["solver"] == solver
 
 
 @pytest.mark.parametrize("obc_method", ["dense", "feast", "shift_invert"])
@@ -96,6 +101,8 @@ def test_boundary_reuse_is_bitwise_neutral(device):
     fresh = pipe.solve_point(device, ENERGY)
     reused = pipe.solve_point(device, ENERGY, boundary=ob)
     assert reused.trace.stage("OBC").meta.get("reused") is True
+    assert reused.trace.stage("OBC").flops == 0   # nothing solved in it
+    assert fresh.trace.stage("OBC").flops > 0
     assert_bitwise_equal(reused, fresh)
 
 

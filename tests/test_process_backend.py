@@ -29,9 +29,6 @@ from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError, TaskExecutionError
 from tests.test_hamiltonian import single_s_basis
 
-# bitwise batched-vs-per-energy parity must not be skewed by an
-# ambient kernel-backend selection (see tests/conftest.py)
-pytestmark = pytest.mark.usefixtures("reference_kernel_backend")
 
 ENERGIES = [-0.55, -0.45, -0.35, -0.25]
 

@@ -6,9 +6,8 @@ solving nothing (zero ledger flops), keys must be sensitive to every
 input that determines the bitwise value (device content, applied
 potential, energy, k, solver, OBC configuration, kernel-backend
 identity), corrupt objects must degrade to misses, eviction must be
-LRU, and — under ``backend="process"`` with a forced
-``REPRO_KERNEL_BACKEND=mixed`` — backend-identity keys must prevent any
-cross-precision cache hit.
+LRU, and — under ``backend="process"`` with ``kernel_backend="mixed"``
+— backend-identity keys must prevent any cross-precision cache hit.
 """
 
 import os
@@ -120,10 +119,13 @@ class TestKeys:
             == _key(dh, obc_kwargs={"r_outer": 3.0, "seed": 3})
 
     def test_deterministic_backends_share_identity(self):
-        # numpy / simulated-gpu are bitwise-identical by contract and
+        # deterministic backends are bitwise-identical by contract and
         # may exchange cache entries; mixed must never alias them
+        from repro.linalg.backend import NumpyBackend
+
         ref = backend_cache_identity("numpy")
-        assert backend_cache_identity("simulated-gpu") == ref
+        assert backend_cache_identity(None) == ref
+        assert backend_cache_identity(NumpyBackend()) == ref
         mixed = backend_cache_identity("mixed")
         assert mixed != ref
         assert mixed[0] == "mixed"
@@ -234,14 +236,13 @@ class TestStoreIO:
     def test_stats_and_calibrations(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("ff" * 32, _payload(8))
-        store.save_calibration("dispatch-numpy-host",
-                               {"dispatch_overhead_s": 1e-4})
-        s = store.stats()
+        # a calibration area an earlier version left behind is not the
+        # store's business any more: neither counted nor in the way
+        (tmp_path / "calibration").mkdir()
+        (tmp_path / "calibration" / "dispatch-host.json").write_text("{}")
+        s = ResultStore(tmp_path).stats()
         assert s["objects"] == 1 and s["total_bytes"] > 0
-        assert s["calibrations"] == ["dispatch-numpy-host"]
-        assert store.load_calibration("dispatch-numpy-host") \
-            == {"dispatch_overhead_s": 1e-4}
-        assert store.load_calibration("unknown") is None
+        assert "calibrations" not in s
 
     def test_as_result_store_coercion(self, tmp_path):
         assert as_result_store(None) is None
@@ -259,20 +260,20 @@ class TestPackUnpack:
         _assert_bitwise_results([rebuilt], [res])
         assert rebuilt.trace is None and rebuilt.boundary is None
 
-    def test_feast_subspace_rides_along(self, tmp_path):
+    def test_record_with_an_extra_array_stays_readable(self, tmp_path):
+        # FEAST records used to carry the solve's Ritz block next to
+        # the result; such a record still loads and unpacks
         spec = compute_spectrum(linear_chain(6, 0.25), single_s_basis(),
                                 6, ENERGIES[:2], obc_method="feast",
                                 solver="rgf", obc_kwargs={"seed": 3})
         payload = pack_result(spec.results[0])
-        assert "feast_subspace" in payload
+        assert set(payload) == set(pack_result(_spectrum().results[0]))
         store = ResultStore(tmp_path)
-        store.put("99" * 32, payload)
-        rec = store.get("99" * 32)
-        assert np.array_equal(rec["feast_subspace"],
-                              payload["feast_subspace"])
+        store.put("99" * 32, dict(payload, ritz_block=np.ones((4, 2))))
+        _assert_bitwise_results([unpack_result(store.get("99" * 32))],
+                                [spec.results[0]])
 
 
-@pytest.mark.usefixtures("reference_kernel_backend")
 class TestSpectrumIntegration:
     def test_cold_run_publishes_every_point(self, tmp_path):
         tracer = SpanTracer()
@@ -348,47 +349,29 @@ class TestSpectrumIntegration:
         second = _spectrum(result_store=tmp_path / "store", checkpoint=ck)
         assert np.array_equal(first.transmission, second.transmission)
 
-    def test_feast_warm_start_seeded_from_cached_neighbors(
-            self, tmp_path):
-        kw = dict(obc_method="feast", solver="rgf",
-                  obc_kwargs={"seed": 3})
-        ref = compute_spectrum(linear_chain(6, 0.25), single_s_basis(),
-                               6, ENERGIES, **kw)
-        # cache the alternate energies, then warm-start the rest from
-        # their stored FEAST subspaces (round-off-level deviations)
-        compute_spectrum(linear_chain(6, 0.25), single_s_basis(), 6,
-                         ENERGIES[::2], result_store=tmp_path / "store",
-                         **kw)
-        warm = compute_spectrum(linear_chain(6, 0.25), single_s_basis(),
-                                6, ENERGIES, energy_batch_size=2,
-                                result_store=tmp_path / "store",
-                                obc_warm_start=True, **kw)
-        assert np.allclose(ref.transmission, warm.transmission,
-                           atol=1e-6)
 
-
-def _mixed_spectrum(store_root):
+def _process_spectrum(store_root, kernel_backend):
     return _spectrum(backend="process", num_workers=2,
-                     energy_batch_size=2, result_store=store_root)
+                     energy_batch_size=2, result_store=store_root,
+                     kernel_backend=kernel_backend)
 
 
 class TestProcessBackendPrecisionIsolation:
-    """Store round-trip under ``backend="process"`` with a forced
-    ``REPRO_KERNEL_BACKEND=mixed``: workers publish concurrently, the
-    warm mixed re-run is bitwise-identical to the cold mixed run, and
+    """Store round-trip under ``backend="process"`` with
+    ``kernel_backend="mixed"``: workers publish concurrently, the warm
+    mixed re-run is bitwise-identical to the cold mixed run, and
     backend-identity keys prevent any cross-precision hit."""
 
     def test_mixed_warm_bitwise_and_no_cross_precision_hits(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         store_root = tmp_path / "store"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "mixed")
-        cold = _mixed_spectrum(store_root)
+        cold = _process_spectrum(store_root, "mixed")
         store = ResultStore(store_root)
         assert store.stats()["objects"] == len(ENERGIES)
 
         tracer = SpanTracer()
         with tracing(tracer):
-            warm = _mixed_spectrum(store_root)
+            warm = _process_spectrum(store_root, "mixed")
         assert np.array_equal(cold.transmission, warm.transmission)
         _assert_bitwise_results(warm.results, cold.results)
         probes = [sp for sp in tracer.records()
@@ -398,10 +381,9 @@ class TestProcessBackendPrecisionIsolation:
         # the same store probed under the reference backend must miss
         # everything: mixed records can never satisfy a double-precision
         # request (and the re-run doubles the object count)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
         tracer2 = SpanTracer()
         with tracing(tracer2):
-            refrun = _mixed_spectrum(store_root)
+            refrun = _process_spectrum(store_root, None)
         probes2 = [sp for sp in tracer2.records()
                    if sp.name == "result-store-probe"]
         assert probes2[0].attrs["hits"] == 0
@@ -410,51 +392,11 @@ class TestProcessBackendPrecisionIsolation:
         # and the reference spectrum round-trips bitwise on its own keys
         tracer3 = SpanTracer()
         with tracing(tracer3):
-            refwarm = _mixed_spectrum(store_root)
+            refwarm = _process_spectrum(store_root, None)
         assert np.array_equal(refrun.transmission, refwarm.transmission)
         probes3 = [sp for sp in tracer3.records()
                    if sp.name == "result-store-probe"]
         assert probes3[0].attrs["hits"] == len(ENERGIES)
-
-
-class TestDispatchCalibrationPersistence:
-    def test_measured_once_then_loaded(self, tmp_path, monkeypatch):
-        import repro.perfmodel.costmodel as costmodel
-        from repro.core.runner import _dispatch_overhead
-
-        calls = []
-
-        def fake_measure(*a, **kw):
-            calls.append(1)
-            return 1.25e-4
-
-        monkeypatch.setattr(costmodel, "measure_dispatch_overhead",
-                            fake_measure)
-        pipe = TransportPipeline(obc_method="dense", solver="rgf")
-        store = ResultStore(tmp_path)
-        tracer = SpanTracer()
-        with tracing(tracer):
-            first = _dispatch_overhead(pipe, store)
-            second = _dispatch_overhead(pipe, store)
-        assert first == second == 1.25e-4
-        assert len(calls) == 1   # second call served from the store
-        m = tracer.metrics
-        assert m.counter("dispatch_calibration_misses").value == 1
-        assert m.counter("dispatch_calibration_hits").value == 1
-        names = store.stats()["calibrations"]
-        assert len(names) == 1 and names[0].startswith("dispatch-")
-
-    def test_no_store_measures_every_time(self, monkeypatch):
-        import repro.perfmodel.costmodel as costmodel
-        from repro.core.runner import _dispatch_overhead
-
-        calls = []
-        monkeypatch.setattr(costmodel, "measure_dispatch_overhead",
-                            lambda *a, **kw: calls.append(1) or 2e-4)
-        pipe = TransportPipeline(obc_method="dense", solver="rgf")
-        assert _dispatch_overhead(pipe, None) == 2e-4
-        assert _dispatch_overhead(pipe, None) == 2e-4
-        assert len(calls) == 2
 
 
 class TestInRunCacheCounters:

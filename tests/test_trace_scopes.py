@@ -155,8 +155,8 @@ class TestStageScope:
         # emit(seconds=...) keeps the duration identical modulo one
         # float add/subtract round trip
         assert sp.seconds == pytest.approx(st.seconds, abs=1e-9)
-        assert sp.attrs == {"kpoint": 1, "energy_index": 4,
-                            "energy": 0.25}
+        assert sp.attrs == {"kpoint": 1, "batch_size": 1,
+                            "energy_indices": [4]}
 
     def test_no_tracer_no_span_overhead_path(self):
         trace = TaskTrace()
