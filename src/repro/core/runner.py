@@ -225,13 +225,14 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         Default: sequential execution.
     energy_batch_size : int
         Energies solved per task (>= 1): each task is one (k, E-batch)
-        unit solved through :meth:`TransportPipeline.solve_batch` —
-        stacked OBC/assembly kernels, and stacked RGF sweeps under
-        ``solver="rgf"``, that amortize Python/BLAS dispatch across the
-        batch; every solver returns the bits of the one-energy run.
-        Per-energy TaskTraces are emitted whatever the size (batch
-        timings apportioned by per-energy flops), so the dynamic load
-        balancer's measured per-k costs and
+        unit solved through :meth:`TransportPipeline.solve_batch` — the
+        open boundaries energy by energy, one stacked assembly, and
+        stacked RGF sweeps under ``solver="rgf"`` that amortize
+        Python/BLAS dispatch across the batch; every solver returns the
+        bits of the one-energy run.  Per-energy TaskTraces are emitted
+        whatever the size (a stage that ran once for several energies
+        splits equally), so the dynamic load balancer's measured per-k
+        costs and
         :meth:`TransportSpectrum.measured_time_per_k` work identically.
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
         Persist transmission/mode-count state at (k, E-batch) unit

@@ -48,14 +48,11 @@ from repro.linalg.blocktridiag import (
 )
 from repro.linalg.batched import (
     BatchedBlockTridiag,
-    adjoint_batched,
     build_a_batch,
     bucket_by_width,
     gemm_batched,
     lu_factor_batched,
     lu_solve_batched,
-    solve_batched,
-    take_factor,
 )
 from repro.linalg.backend import (
     BackendCapabilities,
@@ -103,14 +100,11 @@ __all__ = [
     "as_complex",
     "block_support",
     "BatchedBlockTridiag",
-    "adjoint_batched",
     "build_a_batch",
     "bucket_by_width",
     "gemm_batched",
     "lu_factor_batched",
     "lu_solve_batched",
-    "solve_batched",
-    "take_factor",
     "BackendCapabilities",
     "BackendUnavailableError",
     "KernelBackend",

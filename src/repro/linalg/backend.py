@@ -1,10 +1,10 @@
 """Pluggable kernel backends for the batched dense primitives.
 
 :mod:`repro.linalg.batched` defines *what* the energy-batched kernels
-compute (stacked GEMM, LU factor/solve, direct solve, adjoint) and what
-they record in the flop ledger.  This module defines *who* executes
-them: a :class:`KernelBackend` exposes the same five batched primitives
-plus capability metadata, and the public functions in ``batched``
+compute (stacked GEMM, LU factor, LU solve) and what they record in the
+flop ledger.  This module defines *who* executes them: a
+:class:`KernelBackend` exposes the same three batched primitives plus
+capability metadata, and the public functions in ``batched``
 dispatch to whichever backend is currently selected.
 
 Built-in backends
@@ -33,8 +33,6 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.utils.errors import ConfigurationError
 
@@ -92,27 +90,6 @@ class KernelBackend(ABC):
     def lu_solve_batched(self, fac, b, tag: str = ""):
         """Solve with a factor object from ``lu_factor_batched``."""
 
-    @abstractmethod
-    def solve_batched(self, a, b, tag: str = ""):
-        """Solve A[e] x[e] = b[e] over the stack."""
-
-    @abstractmethod
-    def adjoint_batched(self, a):
-        """Per-slice conjugate transpose (no flops, no record)."""
-
-    def take_factor(self, fac, idx):
-        """Sub-batch of a stacked LU factor along the energy axis.
-
-        Lock-step drivers (batched FEAST) shrink their active set as
-        energies converge and re-solve through the surviving slices of
-        an existing factor.  The default handles the reference
-        ``(lu, piv)`` tuple; backends with opaque factor objects
-        override it.  No ledger record — nothing is recomputed.
-        """
-        lu, piv = fac
-        idx = np.asarray(idx, dtype=int)
-        return lu[idx], piv[idx]
-
     @property
     def name(self) -> str:
         return self.capabilities.name
@@ -151,14 +128,6 @@ class NumpyBackend(KernelBackend):
     def lu_solve_batched(self, fac, b, tag: str = ""):
         from repro.linalg import batched as _b
         return _b._lu_solve_batched_impl(fac, b, tag=tag)
-
-    def solve_batched(self, a, b, tag: str = ""):
-        from repro.linalg import batched as _b
-        return _b._solve_batched_impl(a, b, tag=tag)
-
-    def adjoint_batched(self, a):
-        from repro.linalg import batched as _b
-        return _b._adjoint_batched_impl(a)
 
 
 # --------------------------------------------------------------------------

@@ -35,18 +35,8 @@ import scipy.linalg as sla
 
 from repro.linalg import flops as _fl
 from repro.linalg.blocktridiag import BlockTridiagonalMatrix
+from repro.linalg.kernels import _is_complex, _record
 from repro.utils.errors import ShapeError, SingularMatrixError
-
-
-def _is_complex(*arrays) -> bool:
-    return any(np.iscomplexobj(a) for a in arrays)
-
-
-def _record(kernel: str, nflops: int, nbytes: int, t0: float, tag: str = ""):
-    _fl.current_ledger().record(
-        kernel, nflops, nbytes, device=_fl.current_device(), tag=tag,
-        t_start=t0, t_stop=time.perf_counter(),
-    )
 
 
 def _check_stack(a: np.ndarray, name: str, square: bool = False):
@@ -92,34 +82,6 @@ def lu_solve_batched(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
     Dispatches to the selected kernel backend.
     """
     return _backend().lu_solve_batched(fac, b, tag=tag)
-
-
-def take_factor(fac, idx):
-    """Sub-batch of a stacked LU factor along the energy axis.
-
-    Dispatches to the selected kernel backend (factor objects are
-    backend-specific); the result solves through
-    :func:`lu_solve_batched` exactly as the corresponding slices of
-    the full factor would.
-    """
-    return _backend().take_factor(fac, idx)
-
-
-def solve_batched(a: np.ndarray, b: np.ndarray, tag: str = "") -> np.ndarray:
-    """Solve A[e] x[e] = b[e] over the stack (``zgesvBatched``).
-
-    Dispatches to the selected kernel backend.
-    """
-    return _backend().solve_batched(a, b, tag=tag)
-
-
-def adjoint_batched(a: np.ndarray) -> np.ndarray:
-    """Per-slice conjugate transpose of a matrix stack.
-
-    Dispatches to the selected kernel backend (pure layout: no flops,
-    no ledger record on any backend).
-    """
-    return _backend().adjoint_batched(a)
 
 
 # --------------------------------------------------------------------------
@@ -189,33 +151,6 @@ def _lu_solve_batched_impl(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
     _record("zgetrs_batched" if cx else "dgetrs_batched",
             ne * 2 * _fl.trsm_flops(n, nrhs, cx),
             b.nbytes + x.nbytes, t0, tag)
-    return x
-
-
-def _solve_batched_impl(a: np.ndarray, b: np.ndarray,
-                        tag: str = "") -> np.ndarray:
-    """Solve A[e] x[e] = b[e] over the stack (``zgesvBatched``).
-
-    One ``np.linalg.solve`` over ``(nE, n, n) x (nE, n, nrhs)``, one
-    ledger record of ``nE * solve_flops(n, nrhs)``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_stack(a, "solve_batched", square=True)
-    _check_stack(b, "solve_batched")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(
-            f"solve_batched: incompatible stacks {a.shape}, {b.shape}")
-    t0 = time.perf_counter()
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"batched solve failed: {exc}") from exc
-    ne, n, nrhs = x.shape
-    cx = _is_complex(a, b)
-    _record("zgesv_batched" if cx else "dgesv_batched",
-            ne * _fl.solve_flops(n, nrhs, cx),
-            a.nbytes + b.nbytes + x.nbytes, t0, tag)
     return x
 
 
@@ -338,17 +273,6 @@ def build_a_batch(h: BlockTridiagonalMatrix, s: BlockTridiagonalMatrix,
     return BatchedBlockTridiag(diag, upper, lower,
                                energies=np.real(e).reshape(-1),
                                structure=structure)
-
-
-def _adjoint_batched_impl(a: np.ndarray) -> np.ndarray:
-    """Per-slice conjugate transpose of a matrix stack.
-
-    Pure layout (no flops, no ledger record): slice ``e`` of the result is
-    ``a[e].conj().T`` bitwise — conjugation is exact under IEEE-754.
-    """
-    a = np.asarray(a)
-    _check_stack(a, "adjoint_batched")
-    return np.conj(np.transpose(a, (0, 2, 1)))
 
 
 def bucket_by_width(widths) -> dict:

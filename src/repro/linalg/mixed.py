@@ -46,7 +46,8 @@ from scipy.linalg import lapack as _lap
 
 from repro.linalg import flops as _fl
 from repro.linalg.backend import BackendCapabilities, KernelBackend
-from repro.linalg.batched import _check_stack, _record
+from repro.linalg.batched import _check_stack
+from repro.linalg.kernels import _record
 from repro.observability.spans import current_tracer
 from repro.utils.errors import SingularMatrixError
 
@@ -85,20 +86,6 @@ class MixedLUFactor:
     def n(self) -> int:
         return self.lu32.shape[1]
 
-    def take(self, idx) -> "MixedLUFactor":
-        """Sub-batch along the energy axis (the backend's
-        ``take_factor``): complex64 factors, residual operands,
-        overflow bookkeeping, and cached double-precision fallback
-        factors all follow the subset, renumbered to the new axis."""
-        idx = [int(i) for i in np.asarray(idx, dtype=int)]
-        sub = MixedLUFactor(
-            self.lu32[idx], self.piv[idx], self.a[idx],
-            [j for j, i in enumerate(idx) if i in self.bad_slices])
-        for j, i in enumerate(idx):
-            if i in self._zfacs:
-                sub._zfacs[j] = self._zfacs[i]
-        return sub
-
     def z_factor(self, i: int, tag: str = ""):
         """Double-precision factor of slice ``i`` (cached, recorded)."""
         fac = self._zfacs.get(i)
@@ -120,9 +107,9 @@ class MixedLUFactor:
 class MixedPrecisionBackend(KernelBackend):
     """complex64 batched LU + iterative refinement to complex128.
 
-    GEMM and adjoint run the reference double-precision kernels — the
-    win targets the factor-dominated LU pipeline, and double-precision
-    residual GEMMs are what make the refinement sound.  Real (float64)
+    GEMM runs the reference double-precision kernel — the win targets
+    the factor-dominated LU pipeline, and double-precision residual
+    GEMMs are what make the refinement sound.  Real (float64)
     stacks take the reference path unchanged.
 
     Parameters
@@ -171,15 +158,6 @@ class MixedPrecisionBackend(KernelBackend):
     def gemm_batched(self, a, b, tag: str = "", out=None):
         from repro.linalg import batched as _b
         return _b._gemm_batched_impl(a, b, tag=tag, out=out)
-
-    def adjoint_batched(self, a):
-        from repro.linalg import batched as _b
-        return _b._adjoint_batched_impl(a)
-
-    def take_factor(self, fac, idx):
-        if isinstance(fac, MixedLUFactor):
-            return fac.take(idx)
-        return super().take_factor(fac, idx)   # real stacks: (lu, piv)
 
     # -- mixed-precision factor -------------------------------------------
 
@@ -323,15 +301,3 @@ class MixedPrecisionBackend(KernelBackend):
                 tracer.metrics.counter("mixed_fallback_slices").inc(
                     len(failed))
         return x
-
-    def solve_batched(self, a, b, tag: str = ""):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-            from repro.linalg import batched as _b
-            return _b._solve_batched_impl(a, b, tag=tag)
-        _check_stack(a, "solve_batched", square=True)
-        _check_stack(b, "solve_batched")
-        fac = self.lu_factor_batched(a, tag=tag)
-        return self.lu_solve_batched(
-            fac, b.astype(np.complex128, copy=False), tag=tag)

@@ -17,13 +17,11 @@ self-energy Sigma^RB and injection vectors Inj of Eq. (5):
   SplitSolve) and of the injection vectors.
 """
 
-from repro.obc.polynomial import (PolynomialEVP, PolynomialEVPStack,
-                                  PolynomialFamily)
+from repro.obc.polynomial import PolynomialEVP, PolynomialFamily
 from repro.obc.modes import LeadModes, classify_modes, fold_modes
-from repro.obc.feast import feast_annulus, feast_annulus_batch, FeastResult
+from repro.obc.feast import feast_annulus, FeastResult
 from repro.obc.shift_invert import shift_invert_modes
-from repro.obc.decimation import (sancho_rubio, sancho_rubio_batch,
-                                  sigma_from_surface_gf)
+from repro.obc.decimation import sancho_rubio, sigma_from_surface_gf
 from repro.obc.selfenergy import (
     OpenBoundary,
     compute_open_boundary,
@@ -34,17 +32,14 @@ from repro.obc.selfenergy import (
 
 __all__ = [
     "PolynomialEVP",
-    "PolynomialEVPStack",
     "PolynomialFamily",
     "LeadModes",
     "classify_modes",
     "fold_modes",
     "feast_annulus",
-    "feast_annulus_batch",
     "FeastResult",
     "shift_invert_modes",
     "sancho_rubio",
-    "sancho_rubio_batch",
     "sigma_from_surface_gf",
     "OpenBoundary",
     "compute_open_boundary",

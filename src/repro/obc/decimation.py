@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg import gemm, solve
-from repro.linalg.arena import scratch, scratch_release
-from repro.linalg.batched import adjoint_batched, gemm_batched, solve_batched
-from repro.utils.errors import ConvergenceError, ShapeError
+from repro.utils.errors import ConvergenceError
 
 
 def sancho_rubio(t00: np.ndarray, t01: np.ndarray, eta: float = 1e-8,
@@ -34,9 +32,10 @@ def sancho_rubio(t00: np.ndarray, t01: np.ndarray, eta: float = 1e-8,
 
     Returns
     -------
-    (g_left, g_right): surface GFs of the left lead (semi-infinite towards
-    -x, surface cell adjacent to the device's first block) and of the
-    right lead (towards +x).
+    (g_left, g_right, iterations): surface GFs of the left lead
+    (semi-infinite towards -x, surface cell adjacent to the device's first
+    block) and of the right lead (towards +x), and the number of
+    decimation steps it took.
     """
     n = t00.shape[0]
     ieta = 1j * eta * np.eye(n)
@@ -52,7 +51,7 @@ def sancho_rubio(t00: np.ndarray, t01: np.ndarray, eta: float = 1e-8,
     eps_sr = eps.copy()
 
     err = np.inf
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         ga = solve(eps, np.hstack([alpha, beta]), tag="sancho")
         g_alpha = ga[:, :n]   # eps^{-1} alpha
         g_beta = ga[:, n:]    # eps^{-1} beta
@@ -71,104 +70,11 @@ def sancho_rubio(t00: np.ndarray, t01: np.ndarray, eta: float = 1e-8,
         if err < tol:
             g_left = np.linalg.inv(eps_sl)
             g_right = np.linalg.inv(eps_sr)
-            return g_left, g_right
+            return g_left, g_right, it
     raise ConvergenceError(
         f"Sancho-Rubio did not converge in {max_iter} iterations "
         f"(coupling residual {err:.2e}); increase eta or max_iter",
         iterations=max_iter, residual=float(err))
-
-
-def sancho_rubio_batch(t00s: np.ndarray, t01s: np.ndarray,
-                       eta: float = 1e-8, max_iter: int = 200,
-                       tol: float = 1e-12):
-    """Batched Sancho-Rubio: all energies' recursions as one (nE, n, n) stack.
-
-    Runs the same Schur-complement doubling as :func:`sancho_rubio`, but
-    with one stacked :func:`~repro.linalg.batched.solve_batched` and four
-    stacked gemms per iteration for the *whole* energy batch.  Energies
-    converge at different iteration counts: a per-energy convergence mask
-    retires finished slices from the active stack, so no energy iterates
-    past its own convergence point (flop counts are the exact sum of the
-    per-energy runs) and each slice's iterate sequence — hence its surface
-    GF — is bitwise identical to the per-energy function.
-
-    Parameters
-    ----------
-    t00s, t01s : (nE, n, n) stacks
-        Per-energy onsite and coupling blocks of A = E S - H (same
-        convention as :func:`sancho_rubio`).
-
-    Returns
-    -------
-    (g_left, g_right, iterations): ``(nE, n, n)`` surface-GF stacks and
-    the per-energy iteration counts at convergence.
-    """
-    t00s = np.asarray(t00s)
-    t01s = np.asarray(t01s)
-    if t00s.ndim != 3 or t00s.shape[1] != t00s.shape[2]:
-        raise ShapeError(f"t00s must be (nE, n, n), got {t00s.shape}")
-    if t01s.shape != t00s.shape:
-        raise ShapeError(
-            f"t01s shape {t01s.shape} != t00s shape {t00s.shape}")
-    ne, n = t00s.shape[0], t00s.shape[1]
-    ieta = 1j * eta * np.eye(n)
-
-    alpha = t01s.astype(complex)
-    beta = adjoint_batched(alpha)
-    eps = t00s.astype(complex) + ieta
-    eps_sl = eps.copy()
-    eps_sr = eps.copy()
-
-    g_left = np.empty((ne, n, n), dtype=complex)
-    g_right = np.empty((ne, n, n), dtype=complex)
-    iterations = np.zeros(ne, dtype=int)
-    act = np.arange(ne)     # original batch positions still iterating
-
-    err = np.full(ne, np.inf)
-    for it in range(1, max_iter + 1):
-        # The [alpha | beta] staging block is workspace scratch: read
-        # once by the stacked solve, then released — the active-set
-        # shapes recur across energy batches, so steady state reuses
-        # the same buffers instead of reallocating per iteration.
-        stage = scratch((len(act), n, 2 * n), complex, tag="obc.sancho")
-        np.concatenate([alpha, beta], axis=2, out=stage)
-        ga = solve_batched(eps, stage, tag="sancho")
-        scratch_release(stage)
-        g_alpha = ga[:, :, :n]
-        g_beta = ga[:, :, n:]
-        a_gb = gemm_batched(alpha, g_beta, tag="sancho")
-        b_ga = gemm_batched(beta, g_alpha, tag="sancho")
-        eps_sl = eps_sl - b_ga
-        eps_sr = eps_sr - a_gb
-        eps = eps - a_gb - b_ga
-        alpha = -gemm_batched(alpha, g_alpha, tag="sancho")
-        beta = -gemm_batched(beta, g_beta, tag="sancho")
-        err = np.maximum(
-            np.abs(alpha).reshape(len(act), -1).max(axis=1),
-            np.abs(beta).reshape(len(act), -1).max(axis=1))
-        conv = err < tol
-        if conv.any():
-            for pos in np.flatnonzero(conv):
-                i = act[pos]
-                # same 2-D np.linalg.inv call (on bitwise-equal input) as
-                # the per-energy function's convergence exit
-                g_left[i] = np.linalg.inv(eps_sl[pos])
-                g_right[i] = np.linalg.inv(eps_sr[pos])
-                iterations[i] = it
-            keep = ~conv
-            act = act[keep]
-            if act.size == 0:
-                return g_left, g_right, iterations
-            alpha = alpha[keep]
-            beta = beta[keep]
-            eps = eps[keep]
-            eps_sl = eps_sl[keep]
-            eps_sr = eps_sr[keep]
-    raise ConvergenceError(
-        f"Sancho-Rubio did not converge in {max_iter} iterations for "
-        f"{act.size}/{ne} batch energies (worst coupling residual "
-        f"{float(err.max()):.2e}); increase eta or max_iter",
-        iterations=max_iter, residual=float(err.max()))
 
 
 def sigma_from_surface_gf(g_left: np.ndarray, g_right: np.ndarray,

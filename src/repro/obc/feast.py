@@ -16,16 +16,8 @@ is that of one unit-cell-sized factorization — the property that lets the
 paper run the OBCs on a handful of CPU cores while the GPUs handle
 SplitSolve.
 
-Energy batching (:func:`feast_annulus_batch`) runs one lead's FEAST over a
-whole energy batch in lock-step: all energies advance through the
-refinement loop together; the contour factorizations and resolvent
-applies go through the stacked kernels of :mod:`repro.linalg.batched`
-(:meth:`~repro.obc.polynomial.PolynomialEVPStack.factor_reduced` /
-``resolvent_apply``), grouped per iteration by current subspace width
-(rank truncation makes widths diverge).  Each energy's iterate sequence
-is **bitwise identical** to a solo :func:`feast_annulus` call with the
-same arguments — the stacked LAPACK/BLAS routines factor and solve the
-identical matrices slice by slice.
+Every (k, E) point is its own FEAST problem, as in the paper: an energy
+batch calls :func:`feast_annulus` once per energy.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.linalg import geig
-from repro.linalg.batched import bucket_by_width
 from repro.utils.errors import ConfigurationError, ConvergenceError
 from repro.utils.rng import make_rng
 
@@ -53,7 +44,7 @@ class FeastResult:
     #: rhs width of the resolvent applies, one entry per refinement
     #: iteration (accumulated across auto-expand attempts) — together with
     #: ``num_solves`` and ``rr_sizes`` this determines the exact ledger
-    #: byte traffic via :func:`repro.perfmodel.bytemodel.feast_byte_model`
+    #: byte traffic (:func:`repro.perfmodel.costmodel.feast_kernels`)
     solve_widths: tuple = ()
     #: reduced Rayleigh-Ritz problem size, one entry per iteration
     rr_sizes: tuple = ()
@@ -212,125 +203,3 @@ def _feast_iterate(pevp, a_lin, b_lin, factors, y, r_outer,
             f"{max_iter} refinements", iterations=max_iter,
             residual=float(res.max()))
     return best
-
-
-# --------------------------------------------------------------------------
-# Energy-batched drivers
-# --------------------------------------------------------------------------
-
-class _LockstepState:
-    """One energy's FEAST state while the batch advances in lock-step."""
-
-    __slots__ = ("rng", "m0", "y", "it", "best", "width_log", "rr_log")
-
-    def __init__(self, rng, m0: int, nbc: int):
-        self.rng = rng
-        self.m0 = m0
-        self.it = 0
-        self.best = None
-        self.y = None
-        self.width_log: list = []
-        self.rr_log: list = []
-        self.draw(nbc)
-
-    def draw(self, nbc: int) -> None:
-        # identical expression (and draw order) to the per-energy path
-        self.y = self.rng.standard_normal((nbc, self.m0)) \
-            + 1j * self.rng.standard_normal((nbc, self.m0))
-
-    def expand(self, nbc: int) -> None:
-        self.m0 = min(nbc, 2 * self.m0)
-        self.it = 0
-        self.best = None
-        self.draw(nbc)
-
-
-def _lockstep_advance(st: _LockstepState, pevp, pencil, q, r_outer,
-                      max_iter, tol, auto_expand, nbc, num_solves):
-    """Consume one filtered block for one energy; return its FeastResult
-    when finished, else None (state updated for the next round).
-
-    Mirrors one turn of :func:`_feast_iterate` plus the expansion logic of
-    :func:`feast_annulus`'s outer loop, so the per-energy decision
-    sequence — convergence, stall, subspace saturation, redraw-on-expand —
-    is identical statement for statement.
-    """
-    a_lin, b_lin = pencil
-    st.it += 1
-    st.width_log.append(int(q.shape[1]))
-    lam_in, us, res, ritz = _rr_step(pevp, a_lin, b_lin, q, r_outer)
-    st.rr_log.append(int(ritz.shape[1]))
-    st.best = (lam_in, us, res, st.it)
-    converged = len(lam_in) == 0 or (len(res) and res.max() < tol)
-    if not converged:
-        if st.it < max_iter:
-            st.y = ritz
-            return None
-        if len(res) and res.max() > 1e3 * tol:
-            if auto_expand and st.m0 < nbc:
-                st.expand(nbc)
-                return None
-            raise ConvergenceError(
-                f"FEAST stalled: max residual {res.max():.2e} after "
-                f"{max_iter} refinements", iterations=max_iter,
-                residual=float(res.max()))
-    lambdas, vectors, residuals, iters = st.best
-    if auto_expand and len(lambdas) >= st.m0 - 1 and st.m0 < nbc:
-        st.expand(nbc)
-        return None
-    return FeastResult(lambdas=lambdas, vectors=vectors,
-                       residuals=residuals, iterations=iters,
-                       num_solves=num_solves, subspace_size=st.m0,
-                       solve_widths=tuple(st.width_log),
-                       rr_sizes=tuple(st.rr_log))
-
-
-def feast_annulus_batch(stack, r_outer: float = 3.0,
-                        subspace: int | None = None, num_points: int = 8,
-                        max_iter: int = 12, tol: float = 1e-10, seed=None,
-                        auto_expand: bool = True) -> list:
-    """FEAST over a whole energy batch; one :class:`FeastResult` per energy.
-
-    ``stack`` is a :class:`~repro.obc.polynomial.PolynomialEVPStack`.  All
-    energies advance together: the contour factorizations and resolvent
-    applies are stacked over the batch (one batched kernel call each),
-    bitwise identical, energy by energy, to calling :func:`feast_annulus`
-    with the same arguments.
-    """
-    if r_outer <= 1.0:
-        raise ConfigurationError("r_outer must exceed 1")
-    nbc = stack.size
-    n = stack.n
-    ne = stack.batch_size
-    m0 = subspace if subspace is not None else min(nbc, n + 8)
-    m0 = max(2, min(m0, nbc))
-
-    pts = _contour_points(r_outer, num_points)
-    # Stacked contour factorizations: one zgetrf_batched per point covers
-    # the whole batch; the ledger record is the exact sum of the
-    # per-energy counts.
-    factors = [(z, w, stack.factor_reduced(z)) for (z, w) in pts]
-    num_solves = len(factors)
-    pencils = [p.pencil() for p in stack.pevps]
-
-    states = [_LockstepState(make_rng(seed), m0, nbc) for _ in range(ne)]
-    results: list = [None] * ne
-
-    while any(r is None for r in results):
-        active = [i for i in range(ne) if results[i] is None]
-        # Rank truncation lets subspace widths diverge mid-run; bucket the
-        # active energies by current width so every stacked resolvent
-        # apply is rectangular (no padding).
-        widths = [states[i].y.shape[1] for i in active]
-        for _width, positions in bucket_by_width(widths).items():
-            idx = np.asarray([active[p] for p in positions], dtype=int)
-            ys = np.stack([states[i].y for i in idx])
-            q = np.zeros_like(ys)
-            for z, w, fac in factors:
-                q += w * stack.resolvent_apply(
-                    z, ys, factor=stack.take_factor(fac, idx), idx=idx)
-            for slot, i in enumerate(idx):
-                results[i] = _lockstep_advance(
-                    states[i], stack.pevps[i], pencils[i], q[slot],
-                    r_outer, max_iter, tol, auto_expand, nbc, num_solves)
-    return results

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.linalg import block_support, geig, gemm, lu_factor, lu_solve
-from repro.linalg.batched import (gemm_batched, lu_factor_batched,
-                                  lu_solve_batched, take_factor)
 from repro.observability.spans import current_tracer
 from repro.utils.errors import ConfigurationError, ShapeError
 
@@ -379,198 +377,29 @@ class PolynomialFamily:
         self.interface = interface
         self.interior = np.setdiff1d(np.arange(n), interface)
 
-    def _full_at(self, energy: float) -> PolynomialEVP:
+    def at_energy(self, energy: float) -> PolynomialEVP:
+        """P(lambda; E) with coefficients C_m = H_m - E S_m, on the
+        interface orbitals when the lead has an interior; the full
+        polynomial when K_II is singular to working precision at this
+        energy."""
         e = float(energy)
         coeffs = [(h - e * s).astype(complex) for h, s in self._pairs]
-        return PolynomialEVP._from_coeffs(coeffs, e, self.n, self.nbw)
-
-    def _split(self, k: np.ndarray) -> tuple:
-        """``(K_II, K_IB, K_BI, K_BB)`` of a centre coefficient, or of an
-        ``(nE, n, n)`` stack of them."""
+        full = PolynomialEVP._from_coeffs(coeffs, e, self.n, self.nbw)
+        if not self.interior.size:
+            return full
         b, i = self.interface, self.interior
-        return (k[..., i[:, None], i], k[..., i[:, None], b],
-                k[..., b[:, None], i], k[..., b[:, None], b])
-
-    def _reduced(self, full: PolynomialEVP, x, schur) -> PolynomialEVP:
-        """The interface polynomial of ``full`` from x = K_II^{-1} K_IB
-        and schur = K_BB - K_BI x; ``full`` itself when K_II is singular
-        to working precision at this energy."""
-        k_norm = np.linalg.norm(full.coeffs[self.nbw], ord=np.inf)
+        k = coeffs[self.nbw]
+        x = lu_solve(lu_factor(k[i[:, None], i], tag="obc-interior"),
+                     k[i[:, None], b], tag="obc-interior")
+        schur = k[b[:, None], b] - gemm(k[b[:, None], i], x,
+                                        tag="obc-interior")
+        k_norm = np.linalg.norm(k, ord=np.inf)
         growth = np.linalg.norm(schur, ord=np.inf)
         if not growth <= _SCHUR_GROWTH_LIMIT * k_norm:   # catches NaN too
             count_interface_fallback()
             return full
-        b = self.interface
-        coeffs = [schur if m == self.nbw else c[b[:, None], b]
-                  for m, c in enumerate(full.coeffs)]
-        pevp = PolynomialEVP._from_coeffs(coeffs, full.energy,
-                                          self.interface.size, self.nbw)
-        pevp.reduction = InterfaceReduction(full, self.interface,
-                                            self.interior, x)
+        pevp = PolynomialEVP._from_coeffs(
+            [schur if m == self.nbw else c[b[:, None], b]
+             for m, c in enumerate(coeffs)], e, b.size, self.nbw)
+        pevp.reduction = InterfaceReduction(full, b, i, x)
         return pevp
-
-    def at_energy(self, energy: float) -> PolynomialEVP:
-        """P(lambda; E) with coefficients C_m = H_m - E S_m, on the
-        interface orbitals when the lead has an interior."""
-        full = self._full_at(energy)
-        if not self.interior.size:
-            return full
-        k_ii, k_ib, k_bi, k_bb = self._split(full.coeffs[self.nbw])
-        x = lu_solve(lu_factor(k_ii, tag="obc-interior"), k_ib,
-                     tag="obc-interior")
-        schur = k_bb - gemm(k_bi, x, tag="obc-interior")
-        return self._reduced(full, x, schur)
-
-    def at_energies(self, energies) -> list:
-        """One :class:`PolynomialEVP` per energy (input order).
-
-        The reduction of the whole batch is one stacked LU, one stacked
-        back-substitution and one stacked product; each slice is bitwise
-        what :meth:`at_energy` builds.
-        """
-        fulls = [self._full_at(e) for e in energies]
-        if not self.interior.size or not fulls:
-            return fulls
-        k_ii, k_ib, k_bi, k_bb = self._split(
-            np.stack([p.coeffs[self.nbw] for p in fulls]))
-        x = lu_solve_batched(lu_factor_batched(k_ii, tag="obc-interior"),
-                             k_ib, tag="obc-interior")
-        schur = k_bb - gemm_batched(k_bi, x, tag="obc-interior")
-        return [self._reduced(full, x[j], schur[j])
-                for j, full in enumerate(fulls)]
-
-
-class PolynomialEVPStack:
-    """Same-structure :class:`PolynomialEVP`\\ s stacked along an energy axis.
-
-    One lead solved at an energy batch shares every structural property
-    of the polynomial — only the coefficient values C_m(E) = H_m - E S_m
-    differ.  Stacking those coefficients into ``(nE, n, n)`` arrays turns
-    the per-energy resolvent machinery into batched kernels: for a fixed
-    contour point z_p the reduced factorizations P(z_p; E_i) over all
-    energies become **one** :func:`~repro.linalg.lu_factor_batched` call
-    (the ``zgetrfBatched`` analogue, one exact-sum ledger record per
-    batch), and the companion-reduction resolvent applies become one
-    :func:`~repro.linalg.lu_solve_batched` per contour point.
-
-    Every slice of every result is bitwise identical to the per-energy
-    :class:`PolynomialEVP` path: the stacked LAPACK/BLAS routines execute
-    the same factorizations and products slice by slice.
-    """
-
-    def __init__(self, pevps):
-        pevps = list(pevps)
-        if not pevps:
-            raise ConfigurationError("need at least one PolynomialEVP")
-        n, nbw = pevps[0].n, pevps[0].nbw
-        for p in pevps:
-            if p.n != n or p.nbw != nbw:
-                raise ConfigurationError(
-                    "all stacked PolynomialEVPs must share (n, NBW)")
-        self.pevps = pevps
-        self.n = n
-        self.nbw = nbw
-        self.degree = 2 * nbw
-        self.energies = np.asarray([p.energy for p in pevps], dtype=float)
-        #: coeffs[m] is the (nE, n, n) stack of C_m(E_i).
-        self.coeffs = [np.stack([p.coeffs[m] for p in pevps])
-                       for m in range(self.degree + 1)]
-
-    @property
-    def batch_size(self) -> int:
-        return len(self.pevps)
-
-    @property
-    def size(self) -> int:
-        """NBC: dimension of each linearized pencil."""
-        return self.degree * self.n
-
-    def eval(self, z: complex, idx=None) -> np.ndarray:
-        """Stacked P(z; E) — slice ``i`` equals ``pevps[i].eval(z)``.
-
-        ``idx`` restricts the evaluation to a subset of batch positions
-        (an integer index array), used by lock-step drivers whose active
-        set shrinks as energies converge.
-        """
-        coeffs = self.coeffs if idx is None \
-            else [c[idx] for c in self.coeffs]
-        out = np.zeros_like(coeffs[0])
-        zp = 1.0
-        for c in coeffs:
-            out += zp * c
-            zp *= z
-        return out
-
-    def factor_reduced(self, z: complex, idx=None):
-        """Stacked LU of P(z; E) over the batch: one ``zgetrf_batched``
-        ledger record whose count is the exact sum of the per-energy
-        :meth:`PolynomialEVP.factor_reduced` records."""
-        coeffs = self.coeffs if idx is None \
-            else [c[idx] for c in self.coeffs]
-        return _Factored(
-            lu_factor_batched(self.eval(z, idx=idx), tag="obc-P(z)"),
-            _horner_prefactors(coeffs, z))
-
-    @staticmethod
-    def slice_factor(factor, i: int):
-        """Energy ``i``'s (lu, piv) out of a stacked factor — bitwise the
-        factor :meth:`PolynomialEVP.factor_reduced` would have built."""
-        lu, piv = factor
-        return lu[i], piv[i]
-
-    @staticmethod
-    def take_factor(factor, idx):
-        """Sub-batch of a stacked factor along the energy axis.
-
-        Factor objects are kernel-backend-specific, so this dispatches
-        through :func:`repro.linalg.batched.take_factor`.
-        """
-        return _Factored(take_factor(factor.lu, idx),
-                         {j: g[idx] for j, g in factor.horner.items()})
-
-    def resolvent_apply(self, z: complex, ys: np.ndarray, factor=None,
-                        idx=None) -> np.ndarray:
-        """Stacked x[i] = (z B_i - A_i)^{-1} B_i y[i] at unit-cell cost.
-
-        The batched counterpart of
-        :meth:`PolynomialEVP.resolvent_apply`: ``ys`` is ``(nE, NBC, m)``
-        (all slices share the subspace width ``m``; lock-step callers
-        bucket ragged widths), the Horner elimination runs once over the
-        coefficient stacks, and the single reduced solve goes through
-        :func:`~repro.linalg.lu_solve_batched`.  Slice ``i`` of the
-        result is bitwise identical to the per-energy apply.
-        """
-        m, n = self.degree, self.n
-        ys = np.asarray(ys, dtype=complex)
-        if ys.ndim != 3:
-            raise ShapeError(f"ys must be (nE, NBC, m), got {ys.shape}")
-        if ys.shape[1] != m * n:
-            raise ShapeError(f"ys must have {m * n} rows, got {ys.shape[1]}")
-        c_top = self.coeffs[m] if idx is None else self.coeffs[m][idx]
-        if ys.shape[0] != c_top.shape[0]:
-            raise ShapeError(
-                f"ys batch {ys.shape[0]} != stack batch "
-                f"{c_top.shape[0]}")
-        ncol = ys.shape[2]
-
-        # w = B y: identity blocks except the last, which applies C_M.
-        w = [ys[:, j * n:(j + 1) * n] for j in range(m)]
-        w[m - 1] = c_top @ w[m - 1]
-
-        # Horner prefactors stacked over the batch (see
-        # PolynomialEVP.resolvent_apply for the derivation).
-        fac = factor if factor is not None else self.factor_reduced(z,
-                                                                    idx=idx)
-        rhs = w[m - 1].copy()
-        for j in range(m - 1, 0, -1):
-            rhs = rhs + fac.horner[j] @ w[j - 1]
-
-        x1 = lu_solve_batched(fac.lu, rhs, tag="obc-P(z)-solve")
-
-        x = np.empty((ys.shape[0], m * n, ncol), dtype=complex)
-        x[:, :n] = x1
-        prev = x1
-        for j in range(1, m):
-            prev = z * prev - w[j - 1]
-            x[:, j * n:(j + 1) * n] = prev
-        return x

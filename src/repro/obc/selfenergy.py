@@ -40,16 +40,13 @@ import numpy as np
 
 from repro.hamiltonian.device import LeadBlocks
 from repro.linalg import block_support
-from repro.obc.decimation import (sancho_rubio, sancho_rubio_batch,
-                                  sigma_from_surface_gf)
-from repro.obc.feast import feast_annulus, feast_annulus_batch
+from repro.obc.decimation import sancho_rubio, sigma_from_surface_gf
+from repro.obc.feast import feast_annulus
 from repro.obc.modes import LeadModes, classify_modes, fold_modes, folded_velocity
-from repro.obc.polynomial import (PolynomialEVP, PolynomialEVPStack,
-                                  PolynomialFamily, count_interface_fallback)
+from repro.obc.polynomial import (PolynomialEVP, PolynomialFamily,
+                                  count_interface_fallback)
 from repro.obc.shift_invert import shift_invert_modes
-from repro.pipeline.registry import (OBC_BATCH_METHODS, OBC_METHODS,
-                                     register_obc_batch_method,
-                                     register_obc_method)
+from repro.pipeline.registry import OBC_METHODS, register_obc_method
 from repro.utils.errors import ConfigurationError
 
 
@@ -210,15 +207,20 @@ def _boundary_map(mset: LeadModes, invert_lambda: bool, n: int,
 
 
 def boundary_from_decimation(lead: LeadBlocks, energy: float,
-                             eta: float = 1e-8) -> OpenBoundary:
-    """Sigma^RB via Sancho-Rubio (no modes: NEGF-only route)."""
+                             eta: float = 1e-8, **kwargs) -> OpenBoundary:
+    """Sigma^RB via Sancho-Rubio (no modes: NEGF-only route); ``kwargs``
+    (``max_iter``, ``tol``) go to :func:`sancho_rubio`."""
+    from repro.perfmodel.bytemodel import sancho_rubio_byte_model
     t00 = (energy * lead.s00 - lead.h00).astype(complex)
     t01 = (energy * lead.s01 - lead.h01).astype(complex)
-    gl, gr = sancho_rubio(t00, t01, eta=eta)
+    gl, gr, iterations = sancho_rubio(t00, t01, eta=eta, **kwargs)
     sigma_l, sigma_r = sigma_from_surface_gf(gl, gr, t01)
+    info = {"iterations": iterations,
+            "predicted_bytes": sancho_rubio_byte_model(t00.shape[0],
+                                                       iterations)}
     return OpenBoundary(energy=energy, sigma_l=sigma_l, sigma_r=sigma_r,
                         t01=t01, ml=None, mr=None, modes=None,
-                        injected=[], method="decimation")
+                        injected=[], method="decimation", info=info)
 
 
 # --------------------------------------------------------------------------
@@ -335,113 +337,8 @@ def compute_open_boundary(lead: LeadBlocks, energy: float,
     return OBC_METHODS.get(method)(lead, energy, **kwargs)
 
 
-# --------------------------------------------------------------------------
-# Energy-batched OBC adapters (the pipeline's batched OBC stage).
-#
-# Methods with genuinely stackable kernels register in OBC_BATCH_METHODS;
-# everything else falls back to a per-energy loop through OBC_METHODS in
-# :func:`compute_open_boundary_batch` — same results, no stacking.
-# --------------------------------------------------------------------------
-
-@register_obc_batch_method("feast", uses_pevp=True)
-def _obc_feast_batch(lead: LeadBlocks, energies, *, pevps=None,
-                     **kwargs) -> list:
-    """Batched FEAST: stacked contour factorizations and resolvent applies
-    over the whole energy batch (lock-step, bitwise == per-energy)."""
-    energies = [float(e) for e in energies]
-    if pevps is None:
-        pevps = PolynomialFamily(lead.h_cells,
-                                 lead.s_cells).at_energies(energies)
-
-    infos: list = [{} for _ in energies]
-    modes: list = [None] * len(energies)
-
-    def solve(positions, polys) -> list:
-        """FEAST over same-size polynomials; the positions whose lifted
-        modes did not hold up on the full polynomial."""
-        fres = feast_annulus_batch(PolynomialEVPStack(polys), **kwargs)
-        failed = []
-        for j, p, res in zip(positions, polys, fres):
-            infos[j] = _feast_info(res, p,
-                                   infos[j].get("predicted_bytes", 0))
-            modes[j] = _lifted_modes(p, res.lambdas, res.vectors)
-            if modes[j] is None:
-                count_interface_fallback()
-                failed.append(j)
-        return failed
-
-    # an energy the family could not reduce is a full-size polynomial
-    # among reduced ones: one stack per size
-    by_size: dict = {}
-    for j, p in enumerate(pevps):
-        by_size.setdefault(p.n, []).append(j)
-    redo = []
-    for positions in by_size.values():
-        redo += solve(positions, [pevps[j] for j in positions])
-    if redo:
-        solve(redo, [pevps[j].full for j in redo])
-
-    obs = []
-    for e, found, info in zip(energies, modes, infos):
-        ob = boundary_from_modes(lead, e, fold_modes(found, lead.nbw),
-                                 method="feast")
-        ob.info.update(info)
-        obs.append(ob)
-    return obs
-
-
-@register_obc_batch_method("decimation", uses_pevp=False)
-def _obc_decimation_batch(lead: LeadBlocks, energies, *,
-                          eta: float = 1e-8, **kwargs) -> list:
-    """Batched Sancho-Rubio: one (nE, n, n) recursion stack with
-    per-energy convergence masking (bitwise == per-energy)."""
-    energies = [float(e) for e in energies]
-    t00s = np.stack([(e * lead.s00 - lead.h00).astype(complex)
-                     for e in energies])
-    t01s = np.stack([(e * lead.s01 - lead.h01).astype(complex)
-                     for e in energies])
-    gls, grs, iters = sancho_rubio_batch(t00s, t01s, eta=eta, **kwargs)
-    from repro.perfmodel.bytemodel import sancho_rubio_byte_model
-    n = t00s.shape[1]
-    obs = []
-    for j, e in enumerate(energies):
-        sigma_l, sigma_r = sigma_from_surface_gf(gls[j], grs[j], t01s[j])
-        ob = OpenBoundary(energy=e, sigma_l=sigma_l, sigma_r=sigma_r,
-                          t01=t01s[j], ml=None, mr=None, modes=None,
-                          injected=[], method="decimation")
-        ob.info["iterations"] = int(iters[j])
-        ob.info["predicted_bytes"] = sancho_rubio_byte_model(
-            n, int(iters[j]))
-        obs.append(ob)
-    return obs
-
-
 def compute_open_boundary_batch(lead: LeadBlocks, energies,
-                                method: str = "feast", pevps=None,
-                                **kwargs) -> list:
-    """Compute the OBCs of one lead for a whole energy batch.
-
-    Dispatches to the method's :data:`OBC_BATCH_METHODS` entry when one
-    exists (built-ins: ``"feast"`` with stacked contour solves,
-    ``"decimation"`` with the masked recursion stack); other methods loop
-    per energy through the per-point registry — identical results either
-    way.  ``pevps`` optionally provides pre-built per-energy
-    :class:`~repro.obc.polynomial.PolynomialEVP` objects (from a
-    :class:`~repro.pipeline.DeviceCache`'s polynomial family) for
-    mode-based methods.
-    """
-    energies = [float(e) for e in energies]
-    if method in OBC_BATCH_METHODS:
-        fn = OBC_BATCH_METHODS.get(method)
-        if OBC_BATCH_METHODS.meta(method).get("uses_pevp"):
-            return fn(lead, energies, pevps=pevps, **kwargs)
-        return fn(lead, energies, **kwargs)
-    fn = OBC_METHODS.get(method)
-    uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
-    obs = []
-    for j, e in enumerate(energies):
-        if uses_pevp and pevps is not None:
-            obs.append(fn(lead, e, pevp=pevps[j], **kwargs))
-        else:
-            obs.append(fn(lead, e, **kwargs))
-    return obs
+                                method: str = "feast", **kwargs) -> list:
+    """:func:`compute_open_boundary` at each of ``energies``, in order."""
+    return [compute_open_boundary(lead, float(e), method=method, **kwargs)
+            for e in energies]

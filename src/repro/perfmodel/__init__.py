@@ -10,7 +10,6 @@ from repro.perfmodel.costmodel import (
     splitsolve_kernels,
     splitsolve_flop_model,
     rgf_flop_model,
-    rgf_batched_flop_model,
     interface_reduction_kernels,
     feast_kernels,
     dense_obc_kernels,
@@ -25,11 +24,9 @@ from repro.perfmodel.bytemodel import (
     lu_solve_bytes,
     solve_bytes,
     rgf_byte_model,
-    rgf_batched_byte_model,
     sancho_rubio_byte_model,
     geig_bytes,
     kernel_bytes,
-    feast_byte_model,
     mixed_lu_factor_bytes,
     mixed_lu_solve_bytes,
     splitsolve_byte_model,
@@ -46,7 +43,6 @@ __all__ = [
     "splitsolve_kernels",
     "splitsolve_flop_model",
     "rgf_flop_model",
-    "rgf_batched_flop_model",
     "interface_reduction_kernels",
     "feast_kernels",
     "dense_obc_kernels",
@@ -59,11 +55,9 @@ __all__ = [
     "lu_solve_bytes",
     "solve_bytes",
     "rgf_byte_model",
-    "rgf_batched_byte_model",
     "sancho_rubio_byte_model",
     "geig_bytes",
     "kernel_bytes",
-    "feast_byte_model",
     "mixed_lu_factor_bytes",
     "mixed_lu_solve_bytes",
     "splitsolve_byte_model",

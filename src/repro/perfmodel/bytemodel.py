@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perfmodel.costmodel import feast_kernels, splitsolve_kernels
+from repro.perfmodel.costmodel import splitsolve_kernels
 from repro.utils.errors import ConfigurationError
 
 #: bytes per element
@@ -102,41 +102,19 @@ def rgf_byte_model(num_blocks: int, block_size, num_rhs: int,
     return total
 
 
-def rgf_batched_byte_model(num_blocks: int, block_size, rhs_widths,
-                           is_complex: bool = True) -> int:
-    """Bytes of one batched RGF task over an energy batch.
-
-    The stacked kernels record the exact per-slice sum, so the batch
-    bytes are the sum of per-energy :func:`rgf_byte_model` counts over
-    the positive injection widths (zero-width energies are never
-    dispatched), mirroring
-    :func:`~repro.perfmodel.costmodel.rgf_batched_flop_model`.
-    """
-    total = 0
-    for m in rhs_widths:
-        m = int(m)
-        if m <= 0:
-            continue
-        total += rgf_byte_model(num_blocks, block_size, m,
-                                is_complex=is_complex)
-    return total
-
-
 def sancho_rubio_byte_model(n: int, iterations,
                             is_complex: bool = True) -> int:
     """Bytes of Sancho-Rubio decimation at one or many energies.
 
     Transcribes the kernel sequence of
-    :func:`repro.obc.decimation.sancho_rubio` — and, slice for slice, of
-    the masked :func:`~repro.obc.decimation.sancho_rubio_batch`, whose
-    active-set stacking records exactly the per-energy sum.  Per
-    (energy, iteration): one ``(n, 2n)``-wide block solve against the
+    :func:`repro.obc.decimation.sancho_rubio`.  Per (energy,
+    iteration): one ``(n, 2n)``-wide block solve against the
     renormalized ``eps`` plus four ``(n, n, n)`` gemms; the convergence
     exit's two small inverses are plain ``np.linalg.inv`` calls the
     ledger never sees, so they are (correctly) absent here.
 
-    ``iterations`` is one energy's iteration count or a sequence of
-    per-energy counts (e.g. the third return of ``sancho_rubio_batch``).
+    ``iterations`` is one energy's iteration count (the third return of
+    ``sancho_rubio``) or a sequence of per-energy counts.
     """
     total_iters = int(iterations) if np.isscalar(iterations) \
         else int(sum(int(i) for i in iterations))
@@ -162,14 +140,6 @@ def kernel_bytes(kernels, is_complex: bool = True) -> int:
              "solve": solve_bytes, "schur_solve": solve_bytes}
     return sum(count * price[kernel](*dims, is_complex)
                for count, kernel, dims in kernels)
-
-
-def feast_byte_model(n: int, num_solves: int, solve_widths,
-                     rr_sizes, is_complex: bool = True) -> int:
-    """Bytes of one FEAST annulus solve at one energy: the kernels of
-    :func:`~repro.perfmodel.costmodel.feast_kernels`, priced."""
-    return kernel_bytes(feast_kernels(n, num_solves, solve_widths,
-                                      rr_sizes), is_complex)
 
 
 def mixed_lu_factor_bytes(n: int, is_complex: bool = True) -> int:

@@ -155,29 +155,6 @@ def rgf_flop_model(num_blocks: int, block_size: int, num_rhs: int,
     return total
 
 
-def rgf_batched_flop_model(num_blocks: int, block_size: int, rhs_widths,
-                           is_complex: bool = True) -> int:
-    """Flops of one batched RGF task over an energy batch.
-
-    The batched kernels (:func:`repro.solvers.solve_rgf_batched`) execute
-    the same block recursion as the per-point path, once per stacked
-    slice — so the exact cost of a (k, E-batch) unit is the *sum* of the
-    per-energy :func:`rgf_flop_model` counts over the batch's injection
-    widths.  Zero-width energies (no propagating modes) are skipped, just
-    as :meth:`TransportPipeline.solve_batch` never dispatches them.  This
-    is what prices a batch unit for the scheduler: batching changes wall
-    time (fewer dispatches), never the flop count.
-    """
-    total = 0
-    for m in rhs_widths:
-        m = int(m)
-        if m <= 0:
-            continue
-        total += rgf_flop_model(num_blocks, block_size, m,
-                                is_complex=is_complex)
-    return total
-
-
 # --------------------------------------------------------------------------
 # Open-boundary (lead mode) solves: kernel sequences as ``(count, kernel,
 # dims)`` with ``kernel`` one of ``"gemm"`` (m, n, k), ``"lu_factor"``
@@ -203,9 +180,7 @@ def interface_reduction_kernels(n_interior: int, n_interface: int,
 
 def feast_kernels(n: int, num_solves: int, solve_widths, rr_sizes):
     """The recorded kernels of one :func:`repro.obc.feast.feast_annulus`
-    solve on a polynomial of size ``n`` (slice for slice also the
-    lock-step batch driver's, whose stacked kernels record the exact
-    per-energy sum):
+    solve on a polynomial of size ``n``:
 
     - ``num_solves`` contour factorizations of the ``(n, n)`` matrix
       ``P(z_p)``, done once up front and reused across every refinement

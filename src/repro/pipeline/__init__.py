@@ -18,13 +18,11 @@ solve path.
 
 from repro.pipeline.registry import (
     AUTO,
-    OBC_BATCH_METHODS,
     OBC_METHODS,
     SOLVERS,
     Registry,
     get_obc_method,
     get_solver,
-    register_obc_batch_method,
     register_obc_method,
     register_solver,
     resolve_solver_name,
@@ -35,13 +33,11 @@ from repro.pipeline.trace import (STAGES, StageTrace, TaskTrace,
 
 __all__ = [
     "AUTO",
-    "OBC_BATCH_METHODS",
     "OBC_METHODS",
     "SOLVERS",
     "Registry",
     "get_obc_method",
     "get_solver",
-    "register_obc_batch_method",
     "register_obc_method",
     "register_solver",
     "resolve_solver_name",

@@ -53,9 +53,7 @@ because extraction, the axpy and the OBC solves are deterministic and
 performed on identical inputs.  A cache is valid for exactly one
 :class:`~repro.hamiltonian.device.DeviceMatrices` instance; anything
 producing new matrices (``with_potential``) needs a new cache from the
-same family.  A family serves one kernel backend (the batched OBC
-kernels dispatch through it), which is what every driver passes to all
-of its spectra.
+same family.
 
 All memoization is lock-guarded: one cache, and one family's memo, may
 be shared by the threads of a :class:`~repro.parallel.ThreadTaskRunner`
@@ -237,14 +235,6 @@ class DeviceCache:
         """The lead PolynomialEVP at ``energy``, via the shared family."""
         return self._polynomial_family().at_energy(energy)
 
-    def polynomial_batch(self, energies) -> list:
-        """Per-energy PolynomialEVPs for a batch, via the shared family.
-
-        Element ``j`` is bitwise identical to ``polynomial(energies[j])``
-        — same family, same one-axpy-per-coefficient construction.
-        """
-        return self._polynomial_family().at_energies(energies)
-
     def _memo_key(self, energy: float, method: str, kwargs: dict):
         """``(lead fingerprint, energy, method, sorted kwargs)``; ``None``
         when the kwargs are unhashable, which disables sharing for that
@@ -291,51 +281,6 @@ class DeviceCache:
         if key is not None:
             ob = self._memo.publish(key, ob)
         return ob, False
-
-    def boundary_batch(self, energies, method: str, **kwargs) -> list:
-        """The OpenBoundary list of :meth:`lookup_boundary_batch`."""
-        return self.lookup_boundary_batch(energies, method, **kwargs)[0]
-
-    def lookup_boundary_batch(self, energies, method: str, **kwargs):
-        """Batched OpenBoundary computation with batch-aware memoization.
-
-        Returns ``(boundaries, reused)``, one flag per energy: the memo
-        already held that boundary and nothing was solved for it.
-
-        The batch path is bitwise identical to the per-energy one, so its
-        results share the **per-energy** memo keys of :meth:`boundary`: a
-        batch only recomputes the energies no per-point (or prior-batch)
-        caller has produced yet, and per-point retries after a batch pay
-        nothing.
-        """
-        energies = [float(e) for e in energies]
-        if len(energies) == 1:
-            ob, reused = self.lookup_boundary(energies[0], method, **kwargs)
-            return [ob], [reused]
-        keys = [self._memo_key(e, method, kwargs) for e in energies]
-        have: dict = {}
-        for j, k in enumerate(keys):
-            hit = None if k is None else self._memo.get(k)
-            if hit is not None:
-                have[j] = hit
-        reused = [j in have for j in range(len(energies))]
-        missing = [j for j in range(len(energies)) if j not in have]
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.counter("obc_cache_hits").inc(len(have))
-            tracer.metrics.counter("obc_cache_misses").inc(len(missing))
-        if missing:
-            from repro.obc.selfenergy import compute_open_boundary_batch
-            sub = [energies[j] for j in missing]
-            uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
-            fresh = compute_open_boundary_batch(
-                self.device.lead, sub, method=method,
-                pevps=self.polynomial_batch(sub) if uses_pevp else None,
-                **kwargs)
-            for j, ob in zip(missing, fresh):
-                have[j] = ob if keys[j] is None \
-                    else self._memo.publish(keys[j], ob)
-        return [have[j] for j in range(len(energies))], reused
 
 
 _FAMILY_TOKENS = itertools.count()

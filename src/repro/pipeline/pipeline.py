@@ -99,9 +99,9 @@ class TransportPipeline:
 
         ``device`` is a DeviceMatrices or a :class:`DeviceCache`; pass the
         same cache for every energy of a k-point to amortize the PREPARE
-        work.  The OBC stage solves the whole batch at once (stacked
-        FEAST contour factorizations / masked decimation stacks via
-        :meth:`DeviceCache.lookup_boundary_batch`), ASSEMBLE builds the
+        work.  The OBC stage is a loop: each energy's boundary is looked
+        up (and, on a miss, solved) on its own through
+        :meth:`DeviceCache.lookup_boundary`.  ASSEMBLE builds the
         stacked ``A(E) = E*S - H`` in one pass, and SOLVE buckets the
         energies by injection width (:func:`repro.linalg.bucket_by_width`,
         so ragged mode counts never force padding) and runs each bucket
@@ -113,12 +113,13 @@ class TransportPipeline:
         through its registry entry.  All of it is bitwise the one-energy
         run, energy for energy.
 
-        One :class:`~repro.pipeline.TaskTrace` is emitted *per energy*;
-        stages that ran once for several energies carve their wall time
-        and flops out of the totals (exact integer apportionment — ledger
-        reconciliation holds, see
-        :func:`~repro.pipeline.trace.batch_stage_scope`; the OBC stage
-        weighs energies by solver iteration counts).
+        One :class:`~repro.pipeline.TaskTrace` is emitted *per energy*.
+        OBC, ANALYZE and every per-energy SOLVE are measured per energy;
+        a stage that ran once for several energies (PREPARE, ASSEMBLE, a
+        stacked RGF bucket) splits its wall time equally and its flops
+        and bytes into exact equal integer shares, so ledger
+        reconciliation holds (see
+        :func:`~repro.pipeline.trace.batch_stage_scope`).
 
         Returns one :class:`EnergyPointResult` per energy, input order.
         """
@@ -160,30 +161,22 @@ class TransportPipeline:
                 for st in sts:
                     st.meta["batch_size"] = ne
 
-            # OBC: one computation for the whole energy batch — stacked
-            # contour factorizations (FEAST) or masked recursion stacks
-            # (decimation); methods without a batch implementation loop
-            # per-energy inside the same scope.  Per-energy stage traces
-            # are carved from the batch totals by solver iteration counts
-            # (post-hoc weights; exact flop apportionment).  A boundary
-            # the memo (or the caller) already held is a stage with
-            # nothing solved: weight 0, so the batch's flops and seconds
-            # go to the energies that were solved, and no predicted bytes
-            # next to its 0 measured ones.
-            with batch_stage_scope(traces, "OBC") as sts:
-                if boundaries is not None:
-                    obs, reused = boundaries, [True] * ne
-                else:
-                    obs, reused = cache.lookup_boundary_batch(
-                        energies, self.obc_method, **self.obc_kwargs)
-                for ob, hit, st in zip(obs, reused, sts):
-                    st.meta.update(ran, batch_size=ne,
-                                   method=ob.method or self.obc_method)
+            # OBC: one scope per energy around that energy's lookup, so
+            # its trace reads what that boundary cost.  A boundary the
+            # memo (or the caller) already held is a stage that solved
+            # nothing: no predicted bytes next to its 0 measured ones.
+            obs = []
+            for j, (e, tr) in enumerate(zip(energies, traces)):
+                with batch_stage_scope([tr], "OBC") as (st,):
+                    if boundaries is not None:
+                        ob, hit = boundaries[j], True
+                    else:
+                        ob, hit = cache.lookup_boundary(
+                            e, self.obc_method, **self.obc_kwargs)
+                    st.meta.update(ran, method=ob.method or self.obc_method)
                     if hit:
                         st.meta["reused"] = True
-                    st.meta["weight"] = 0.0 if hit \
-                        else float(ob.info.get("iterations", 1))
-                    if ("predicted_bytes" in ob.info and not hit
+                    elif ("predicted_bytes" in ob.info
                             and bk.capabilities.deterministic):
                         # byte models transcribe the reference kernels,
                         # so the drift verdict only applies when the
@@ -197,6 +190,7 @@ class TransportPipeline:
                         raise ConfigurationError(
                             "QTBM needs lead modes; use a mode-based "
                             "obc_method")
+                obs.append(ob)
 
             injs, from_lefts, velss = [], [], []
             with batch_stage_scope(traces, "ASSEMBLE") as sts:

@@ -109,12 +109,6 @@ class Registry:
 SOLVERS = Registry("solver")
 OBC_METHODS = Registry("OBC method")
 
-#: Batched OBC implementations: callables ``fn(lead, energies, **kwargs)
-#: -> list[OpenBoundary]`` solving a whole energy batch in stacked kernels.
-#: Methods without an entry fall back to a per-energy loop through
-#: ``OBC_METHODS`` (see ``compute_open_boundary_batch``).
-OBC_BATCH_METHODS = Registry("batched OBC method")
-
 
 def register_solver(name: str, *, overwrite: bool = False, **meta):
     """Decorator: add a linear solver to the pipeline's SOLVE stage."""
@@ -124,17 +118,6 @@ def register_solver(name: str, *, overwrite: bool = False, **meta):
 def register_obc_method(name: str, *, overwrite: bool = False, **meta):
     """Decorator: add a boundary method to the pipeline's OBC stage."""
     return OBC_METHODS.register(name, overwrite=overwrite, **meta)
-
-
-def register_obc_batch_method(name: str, *, overwrite: bool = False,
-                              **meta):
-    """Decorator: add an energy-batched boundary method.
-
-    ``name`` should match a per-point ``OBC_METHODS`` entry; the batched
-    pipeline path prefers the batch implementation and falls back to the
-    per-point one, energy by energy, when none is registered.
-    """
-    return OBC_BATCH_METHODS.register(name, overwrite=overwrite, **meta)
 
 
 def get_solver(name: str):

@@ -89,58 +89,39 @@ class TaskTrace:
         return "\n".join(lines)
 
 
-def apportion_exact(total: int, weights) -> list:
-    """Split integer ``total`` proportionally to ``weights``, exactly.
+def apportion_exact(total: int, n: int) -> list:
+    """Split integer ``total`` over ``n`` tasks as equally as integers
+    allow (the first ``total % n`` get one more).
 
-    Largest-remainder rounding: the returned integers sum to ``total``
-    bit-for-bit, which is what keeps batch-stage flop apportionment
-    reconcilable with the surrounding ledger.  Non-positive or empty
-    weight vectors fall back to equal shares.
+    The shares sum to ``total`` bit-for-bit, which is what keeps the
+    flop counts of a stage that ran once for several tasks reconcilable
+    with the surrounding ledger.
     """
-    n = len(weights)
     if n == 0:
         return []
-    w = [max(float(x), 0.0) for x in weights]
-    s = sum(w)
-    if s <= 0.0:
-        w = [1.0] * n
-        s = float(n)
-    raw = [total * x / s for x in w]
-    shares = [int(r) for r in raw]
-    rest = int(total) - sum(shares)
-    by_frac = sorted(range(n), key=lambda i: raw[i] - shares[i],
-                     reverse=True)
-    for i in range(rest):
-        shares[by_frac[i % n]] += 1
-    return shares
+    share, rest = divmod(int(total), n)
+    return [share + 1] * rest + [share] * (n - rest)
 
 
 @contextmanager
-def batch_stage_scope(traces, name: str, weights=None):
+def batch_stage_scope(traces, name: str):
     """Run one stage once for one or several (k, E) tasks.
 
-    The stage body executes a single time for the whole energy batch
-    under one probe ledger; on exit, one :class:`StageTrace` per task is
-    appended to each ``TaskTrace`` in ``traces``, with the batch wall
-    time and flop total carved up proportionally to ``weights``
-    (per-energy analytic flop counts; equal shares when omitted).  Flop
-    apportionment is exact (:func:`apportion_exact`), so the sum of the
-    per-task stage counts still reconciles with the surrounding ledger.
+    The stage body executes a single time under one probe ledger; on
+    exit, one :class:`StageTrace` per task is appended to each
+    ``TaskTrace`` in ``traces``, with the wall time split equally and
+    the flop and byte totals split into exact equal integer shares
+    (:func:`apportion_exact`), so the sum of the per-task stage counts
+    still reconciles with the surrounding ledger.  A stage whose cost
+    differs from task to task (OBC) opens one scope per task instead.
     The probe inherits the parent's ``trace`` flag so per-kernel event
     streams (Fig. 12 activity) survive, and is merged into the parent on
     exit — success or failure — so resilience accounting of a failed
     attempt still sees the flops it burned.
 
     Yields the list of per-task :class:`StageTrace` objects so the body
-    can attach ``meta`` entries (batch size, bucket widths, ...).  Some
-    carving weights only become known *inside* the stage — e.g. the OBC
-    stage learns each energy's FEAST/decimation iteration count from the
-    solver results — so if the body sets ``st.meta["weight"]`` on every
-    yielded trace, those post-hoc weights override the ``weights``
-    argument (apportionment stays exact either way).
+    can attach ``meta`` entries (batch size, bucket widths, ...).
     """
-    if weights is None:
-        weights = [1.0] * len(traces)
     parent = current_ledger()
     probe = FlopLedger(trace=parent.trace)
     sts = [StageTrace(name=name) for _ in traces]
@@ -153,20 +134,13 @@ def batch_stage_scope(traces, name: str, weights=None):
     finally:
         parent.merge(probe)
         elapsed = time.perf_counter() - t0
-        posthoc = [st.meta.get("weight") for st in sts]
-        if sts and all(w is not None for w in posthoc):
-            weights = posthoc
-        wsum = sum(max(float(x), 0.0) for x in weights)
-        if wsum <= 0.0:
-            weights = [1.0] * len(sts)
-            wsum = float(len(sts)) if sts else 1.0
         total_bytes = int(sum(probe.bytes_by_device.values()))
-        flop_shares = apportion_exact(int(probe.total_flops), weights)
-        byte_shares = apportion_exact(total_bytes, weights)
-        for st, w, f, b in zip(sts, weights, flop_shares, byte_shares):
-            st.seconds = elapsed * max(float(w), 0.0) / wsum
-            st.flops = int(f)
-            st.meta.setdefault("bytes", int(b))
+        flop_shares = apportion_exact(int(probe.total_flops), len(sts))
+        byte_shares = apportion_exact(total_bytes, len(sts))
+        for st, f, b in zip(sts, flop_shares, byte_shares):
+            st.seconds = elapsed / len(sts)
+            st.flops = f
+            st.meta.setdefault("bytes", b)
         tracer = current_tracer()
         if tracer is not None and traces:
             attrs = {"kpoint": traces[0].kpoint_index,

@@ -19,9 +19,8 @@ from repro.linalg.backend import (KernelBackend, available_backends,
                                   backend_scope, current_backend,
                                   get_backend, registered_backends,
                                   resolve_backend)
-from repro.linalg.batched import (adjoint_batched, gemm_batched,
-                                  lu_factor_batched, lu_solve_batched,
-                                  solve_batched, take_factor)
+from repro.linalg.batched import (gemm_batched, lu_factor_batched,
+                                  lu_solve_batched)
 from repro.linalg.flops import gemm_flops, trsm_flops
 from repro.linalg.mixed import MixedPrecisionBackend
 from repro.perfmodel import (gemm_bytes, mixed_lu_factor_bytes,
@@ -52,10 +51,14 @@ def _rhs(ne=NE, n=N, nrhs=NRHS, seed=1):
 RETIRED_SELECTORS = ("auto", "num" "ba", "simulated" "-gpu")
 
 
+def _solve(a, b):
+    return lu_solve_batched(lu_factor_batched(a), b)
+
+
 def _reference_solution(a, b):
     with ledger_scope():
         with backend_scope("numpy"):
-            return solve_batched(a, b)
+            return _solve(a, b)
 
 
 class TestRegistry:
@@ -111,17 +114,6 @@ class TestConformance:
         else:
             assert np.allclose(got, ref, rtol=1e-6, atol=1e-12)
 
-    def test_solve_batched(self, name):
-        a, b = _stack(), _rhs()
-        ref = _reference_solution(a, b)
-        with ledger_scope() as led:
-            with backend_scope(name) as bk:
-                got = solve_batched(a, b)
-        assert got.shape == ref.shape
-        assert led.total_flops > 0
-        assert led.total_bytes > 0
-        self._tolerance_check(bk, got, ref)
-
     def test_lu_factor_then_solve(self, name):
         a, b = _stack(seed=2), _rhs(seed=3)
         ref = _reference_solution(a, b)
@@ -129,33 +121,20 @@ class TestConformance:
             with backend_scope(name) as bk:
                 fac = lu_factor_batched(a)
                 got = lu_solve_batched(fac, b)
+        assert got.shape == ref.shape
         assert led.total_flops > 0
+        assert led.total_bytes > 0
         self._tolerance_check(bk, got, ref)
 
-    def test_take_factor_sub_batch(self, name):
-        # lock-step FEAST shrinks its active set and re-solves through
-        # a subset of an existing factor (PolynomialEVPStack.take_factor)
-        a, b = _stack(seed=7), _rhs(seed=8)
-        idx = np.array([0, 2, 3])
-        with ledger_scope():
-            with backend_scope(name) as bk:
-                fac = lu_factor_batched(a)
-                full = lu_solve_batched(fac, b)
-                sub = lu_solve_batched(take_factor(fac, idx), b[idx])
-        self._tolerance_check(bk, sub, full[idx])
-
-    def test_gemm_and_adjoint_bitwise_for_all(self, name):
-        # every built-in delegates GEMM/adjoint to the reference kernels
+    def test_gemm_bitwise_for_all(self, name):
+        # every built-in delegates GEMM to the reference kernel
         a, b = _stack(seed=4), _stack(seed=5)
         with ledger_scope():
             with backend_scope("numpy"):
                 ref_c = gemm_batched(a, b)
-                ref_h = adjoint_batched(a)
             with backend_scope(name):
                 got_c = gemm_batched(a, b)
-                got_h = adjoint_batched(a)
         assert np.array_equal(got_c, ref_c)
-        assert np.array_equal(got_h, ref_h)
 
     def test_real_stacks_take_reference_path(self, name):
         rng = np.random.default_rng(6)
@@ -163,9 +142,9 @@ class TestConformance:
         b = rng.standard_normal((NE, N, NRHS))
         with ledger_scope():
             with backend_scope("numpy"):
-                ref = solve_batched(a, b)
+                ref = _solve(a, b)
             with backend_scope(name):
-                got = solve_batched(a, b)
+                got = _solve(a, b)
         assert np.array_equal(got, ref)
 
     def test_capabilities(self, name):
@@ -185,7 +164,7 @@ class TestMixedPrecision:
         bk.reset_stats()
         with ledger_scope():
             with backend_scope(bk):
-                x = solve_batched(a, b)
+                x = _solve(a, b)
         r = b - np.matmul(a, x)
         rel = (np.linalg.norm(r.reshape(NE, -1), axis=1)
                / np.linalg.norm(b.reshape(NE, -1), axis=1))
@@ -200,7 +179,7 @@ class TestMixedPrecision:
         a, b = _stack(), _rhs()
         with ledger_scope() as led:
             with backend_scope("mixed"):
-                solve_batched(a, b)
+                _solve(a, b)
         for kernel in ("cgetrf_batched", "cgetrs_batched",
                        "zgemm_batched"):
             assert led.flops_by_kernel[kernel] > 0
@@ -213,7 +192,7 @@ class TestMixedPrecision:
         bk.reset_stats()
         with ledger_scope() as led:
             with backend_scope(bk):
-                x = solve_batched(a, b)
+                x = _solve(a, b)
         for e in range(NE):
             assert np.allclose(x[e], np.linalg.solve(a[e], b[e]),
                                rtol=1e-6, atol=1e-12)
@@ -223,27 +202,6 @@ class TestMixedPrecision:
         # the healthy slices still took the low-precision path
         assert led.flops_by_kernel["cgetrf_batched"] > 0
 
-    def test_take_factor_renumbers_fallback_bookkeeping(self):
-        # sub-batching a factor must carry the overflow flags and any
-        # cached double factors to the renumbered slice positions
-        a, b = _stack(), _rhs()
-        a[2] *= 1e200   # complex64 cast overflows on slice 2
-        bk = MixedPrecisionBackend()
-        with ledger_scope():
-            with backend_scope(bk):
-                fac = lu_factor_batched(a)
-                lu_solve_batched(fac, b)        # caches slice 2's z factor
-                idx = [1, 2]
-                sub = take_factor(fac, idx)
-                assert sub.bad_slices == {1}    # old slice 2 -> position 1
-                assert 1 in sub._zfacs          # cached z factor followed
-                zled_before = len(sub._zfacs)
-                x = lu_solve_batched(sub, b[idx])
-                assert len(sub._zfacs) == zled_before  # no refactorization
-        for j, e in enumerate(idx):
-            assert np.allclose(x[j], np.linalg.solve(a[e], b[e]),
-                               rtol=1e-6, atol=1e-12)
-
     def test_refinement_exhaustion_falls_back(self):
         # a tight gate no refinement can reach forces the z fallback
         a, b = _stack(), _rhs()
@@ -251,7 +209,7 @@ class TestMixedPrecision:
         bk.reset_stats()
         with ledger_scope():
             with backend_scope(bk):
-                x = solve_batched(a, b)
+                x = _solve(a, b)
         ref = _reference_solution(a, b)
         assert np.allclose(x, ref, rtol=1e-10, atol=1e-14)
         assert bk.stats["fallback_slices"] == NE

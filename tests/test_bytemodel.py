@@ -18,12 +18,12 @@ from repro.linalg.kernels import gemm, lu_factor, lu_solve, solve
 from repro.parallel import DynamicLoadBalancer
 from repro.perfmodel import (
     byte_drift,
-    feast_byte_model,
+    feast_kernels,
     geig_bytes,
     gemm_bytes,
+    kernel_bytes,
     lu_factor_bytes,
     lu_solve_bytes,
-    rgf_batched_byte_model,
     rgf_byte_model,
     solve_bytes,
     splitsolve_byte_model,
@@ -110,13 +110,7 @@ class TestRgfByteModel:
         b = _cplx(rng, ne, nb * s, m)
         with ledger_scope() as led:
             solve_rgf_batched(t, b)
-        assert led.total_bytes == rgf_batched_byte_model(nb, s, [m] * ne)
-
-    def test_batched_model_sums_positive_widths(self):
-        widths = [3, 0, 5, 2]
-        want = sum(rgf_byte_model(7, 4, m) for m in widths if m > 0)
-        assert rgf_batched_byte_model(7, 4, widths) == want
-        assert rgf_batched_byte_model(7, 4, [0, 0]) == 0
+        assert led.total_bytes == ne * rgf_byte_model(nb, s, m)
 
     def test_ragged_length_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
@@ -299,8 +293,8 @@ class TestFeastByteModel:
         pevp = self._chain_pevp()
         with ledger_scope() as led:
             res = feast_annulus(pevp, r_outer=3.0, seed=5)
-        assert feast_byte_model(pevp.n, res.num_solves,
-                                res.solve_widths, res.rr_sizes) \
+        assert kernel_bytes(feast_kernels(
+            pevp.n, res.num_solves, res.solve_widths, res.rr_sizes)) \
             == led.total_bytes
 
     def test_exact_on_banded_random_pevp(self):
@@ -311,24 +305,9 @@ class TestFeastByteModel:
         with ledger_scope() as led:
             res = feast_annulus(pevp, r_outer=3.0, seed=5)
         assert res.num_solves > 0 and len(res.solve_widths) >= 1
-        assert feast_byte_model(pevp.n, res.num_solves,
-                                res.solve_widths, res.rr_sizes) \
+        assert kernel_bytes(feast_kernels(
+            pevp.n, res.num_solves, res.solve_widths, res.rr_sizes)) \
             == led.total_bytes
-
-    def test_exact_on_batched_paths(self):
-        # lockstep logs identical solve widths to the solo path by
-        # construction
-        from repro.obc import PolynomialEVPStack
-        from repro.obc.feast import feast_annulus_batch
-
-        pevps = [self._chain_pevp(e) for e in (0.3, 0.5, 0.7)]
-        stack = PolynomialEVPStack(pevps)
-        with ledger_scope() as led:
-            batch = feast_annulus_batch(stack, r_outer=3.0, seed=5)
-        pred = sum(feast_byte_model(p.n, r.num_solves,
-                                    r.solve_widths, r.rr_sizes)
-                   for p, r in zip(pevps, batch))
-        assert pred == led.total_bytes
 
     def test_geig_bytes_formula(self):
         assert geig_bytes(6) == 4 * 6 * 6 * 16

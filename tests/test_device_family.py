@@ -182,7 +182,7 @@ class TestAccounting:
         assert [st.meta.get("reused", False) for st in stages] \
             == [True, True, False, False]
         assert stages[0].flops == stages[1].flops == 0
-        assert stages[0].seconds == stages[1].seconds == 0.0
+        assert stages[0].meta["bytes"] == stages[1].meta["bytes"] == 0
         assert stages[2].flops > 0 and stages[3].flops > 0
         assert "predicted_bytes" not in stages[0].meta
         assert "predicted_bytes" in stages[2].meta
@@ -250,10 +250,9 @@ class TestMemoKeys:
         b = cache.boundary(-0.5, "feast", seed=[7])
         assert a is not b
         assert np.array_equal(a.sigma_l, b.sigma_l)
-        obs, reused = cache.lookup_boundary_batch([-0.5, -0.4], "feast",
-                                                  seed=[7])
-        assert reused == [False, False]
-        assert np.array_equal(obs[0].sigma_l, a.sigma_l)
+        ob, reused = cache.lookup_boundary(-0.5, "feast", seed=[7])
+        assert not reused
+        assert np.array_equal(ob.sigma_l, a.sigma_l)
         assert len(family.memo) == 0
 
     def test_family_rejects_other_inputs(self):

@@ -22,7 +22,7 @@ from repro.observability.spans import tracing
 from repro.perfmodel import (dense_obc_kernels, feast_kernels,
                              interface_reduction_kernels, kernel_bytes,
                              kernel_flops)
-from repro.pipeline import DeviceCache
+from repro.pipeline import DeviceCache, TransportPipeline
 from repro.structure import silicon_nanowire, silicon_utb_film
 from tests.helpers import (check_obc_agreement, make_confined_lead,
                            open_energies)
@@ -99,7 +99,7 @@ class TestAgreement:
 
 
 class TestBatchParity:
-    """Per-energy == lock-step batch, bit for bit, on the reduced path."""
+    """Per-energy == batch spelling, bit for bit, on the reduced path."""
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
     def test_feast_batch_is_hex_equal_to_per_energy(self, batch):
@@ -119,28 +119,15 @@ class TestBatchParity:
                 == [m.lam for m in ref.injected]
             assert ob.info["iterations"] == ref.info["iterations"]
 
-    @pytest.mark.parametrize("batch", [1, 3, 16])
-    def test_reduced_polynomials_are_bitwise_the_per_energy_ones(self, batch):
-        lead = make_confined_lead(10, [7, 8, 9], [0, 1, 2], cplx=True)
-        family = PolynomialFamily(lead.h_cells, lead.s_cells)
-        energies = np.linspace(0.5, 3.5, 16)[:batch]
-        for e, p in zip(energies, family.at_energies(energies)):
-            ref = family.at_energy(e)
-            assert p.n == ref.n == family.interface.size
-            for c, c_ref in zip(p.coeffs, ref.coeffs):
-                assert np.array_equal(c, c_ref)
-            assert np.array_equal(p.reduction.x, ref.reduction.x)
-            for c, c_ref in zip(p.full.coeffs, ref.full.coeffs):
-                assert np.array_equal(c, c_ref)
-
     def test_cache_batch_of_dense_obc_equals_per_point(self):
         lead = _rectangular()
         energies = open_energies(lead, 3)
-        batch = DeviceCache(synthetic_device_from_lead(lead, 3)) \
-            .boundary_batch(energies, "dense")
+        pipe = TransportPipeline(obc_method="dense", solver="rgf")
+        batch = pipe.solve_batch(synthetic_device_from_lead(lead, 3),
+                                 energies)
         point = DeviceCache(synthetic_device_from_lead(lead, 3))
-        for e, ob in zip(energies, batch):
-            ref = point.boundary(e, "dense")
+        for e, res in zip(energies, batch):
+            ob, ref = res.boundary, point.boundary(e, "dense")
             assert np.array_equal(ob.sigma_l, ref.sigma_l)
             assert np.array_equal(ob.sigma_r, ref.sigma_r)
 
@@ -169,7 +156,7 @@ class TestHostileInputs:
         energies = [level - 0.02, level, level + 0.03]
         family = PolynomialFamily(lead.h_cells, lead.s_cells)
         with tracing() as tracer:
-            sizes = [p.n for p in family.at_energies(energies)]
+            sizes = [family.at_energy(e).n for e in energies]
             obs = compute_open_boundary_batch(lead, energies,
                                               method="feast", **FEAST)
         assert sizes == [family.interface.size, family.n,
@@ -180,28 +167,23 @@ class TestHostileInputs:
             assert np.array_equal(ob.sigma_l, ref.sigma_l)
             assert np.array_equal(ob.sigma_r, ref.sigma_r)
 
-    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("method", ["dense", "feast"])
     def test_lifted_mode_failing_the_full_residual_is_resolved_unreduced(
-            self, monkeypatch, batch):
+            self, monkeypatch, method):
         # without the growth limit the reduction goes ahead 1e-9 above an
         # interior level; its modes are then too inaccurate for the full
         # polynomial, which the residual check on the lifted vectors sees
         monkeypatch.setattr(polynomial, "_SCHUR_GROWTH_LIMIT", np.inf)
         lead = _rectangular(seed=3)
         energy = float(_interior_levels(lead)[1]) + 1e-9
+        kwargs = dict(r_outer=1e3, num_points=48, seed=0) \
+            if method == "feast" else {}
         with tracing() as tracer, ledger_scope() as led:
-            if batch:
-                family = PolynomialFamily(lead.h_cells, lead.s_cells)
-                pevps = family.at_energies([energy, energy + 0.1])
-                ob = selfenergy._obc_feast_batch(
-                    lead, [energy, energy + 0.1], pevps=pevps,
-                    r_outer=1e3, num_points=48, seed=0)[0]
-            else:
-                ob = compute_open_boundary(lead, energy, method="dense")
+            ob = compute_open_boundary(lead, energy, method=method,
+                                       **kwargs)
         assert tracer.metrics.counter("obc_interface_fallbacks").value == 1
-        if batch:
-            ref = _unreduced(lead, energy, "feast", r_outer=1e3,
-                             num_points=48, seed=0)
+        if method == "feast":
+            ref = _unreduced(lead, energy, "feast", **kwargs)
             assert np.array_equal(ob.sigma_l, ref.sigma_l)
         else:
             ref = _unreduced(lead, energy, "dense")
@@ -314,9 +296,8 @@ class TestModels:
         with ledger_scope() as led:
             obs = compute_open_boundary_batch(lead, energies,
                                               method="feast", **FEAST)
-        # the reduction is attempted for the whole batch (one stacked LU),
-        # the singular energy then runs FEAST at full size and lifts
-        # nothing
+        # the reduction is attempted at every energy; the singular one
+        # then runs FEAST at full size and lifts nothing
         wasted = kernel_bytes(interface_reduction_kernels(5, 5, 0)) \
             - kernel_bytes([(1, "gemm", (5, 0, 5))])
         assert sum(ob.info["predicted_bytes"] for ob in obs) + wasted \

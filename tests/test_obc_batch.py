@@ -1,11 +1,11 @@
-"""Tests for the batched open-boundary stage.
+"""Tests for the open-boundary stage of an energy batch.
 
-Pins down the acceptance invariants of the OBC batching work: bitwise
-parity between the batched (lock-step) paths and their per-energy
-counterparts for every OBC method, per-energy convergence masking in the
-batched decimation, exact flop-ledger parity, that a batch runs the
-solver it was asked for (``"auto"`` included) with the bits of the
-per-point run, and the zero-scratch injection-matrix assembly.
+A batch loops the per-energy boundary solve: the batch spelling is
+element for element the per-energy call for every OBC method, each OBC
+stage trace reads what its own energy cost, the flop ledger agrees with
+the per-point run, a batch runs the solver it was asked for (``"auto"``
+included) with the bits of the per-point run, and the injection-matrix
+assembly needs no scratch.
 """
 
 import numpy as np
@@ -15,17 +15,14 @@ from repro.core.runner import compute_spectrum
 from repro.experiments.fig6_phases import _test_lead
 from repro.hamiltonian.device import synthetic_device_from_lead
 from repro.linalg.flops import ledger_scope
-from repro.obc import (PolynomialEVP, PolynomialEVPStack, feast_annulus,
-                       feast_annulus_batch, sancho_rubio,
-                       sancho_rubio_batch)
 from repro.obc.selfenergy import (compute_open_boundary,
                                   compute_open_boundary_batch)
 from repro.perfmodel.costmodel import choose_solver
-from repro.pipeline import (OBC_BATCH_METHODS, TransportPipeline,
-                            resolve_solver_name)
+from repro.pipeline import TransportPipeline, resolve_solver_name
 from repro.structure import linear_chain
-from repro.utils.errors import ConfigurationError, ConvergenceError
+from repro.utils.errors import ConfigurationError
 
+from tests.helpers import make_confined_lead, open_energies
 from tests.test_hamiltonian import single_s_basis
 
 
@@ -50,81 +47,6 @@ def _bitwise_boundary(ob, ref):
         assert np.array_equal(mb.vector, mr.vector)
 
 
-class TestPolynomialStack:
-    def test_eval_and_factor_match_per_energy(self):
-        lead = _lead()
-        pevps = [PolynomialEVP(lead.h_cells, lead.s_cells, e) for e in ENERGIES]
-        stack = PolynomialEVPStack(pevps)
-        assert stack.batch_size == len(ENERGIES)
-        z = 0.3 + 0.4j
-        pz = stack.eval(z)
-        for j, p in enumerate(pevps):
-            assert np.array_equal(pz[j], p.eval(z))
-        fac = stack.factor_reduced(z)
-        for j, p in enumerate(pevps):
-            lu, piv = p.factor_reduced(z)
-            slu, spiv = PolynomialEVPStack.slice_factor(fac, j)
-            assert np.array_equal(slu, lu)
-            assert np.array_equal(spiv, piv)
-
-    def test_mixed_sizes_rejected(self):
-        lead = _lead()
-        other = _test_lead(4, seed=2)
-        with pytest.raises(ConfigurationError):
-            PolynomialEVPStack([PolynomialEVP(lead.h_cells, lead.s_cells, 2.0),
-                                PolynomialEVP(other.h_cells, other.s_cells, 2.0)])
-
-
-class TestFeastBatch:
-    def test_lockstep_bitwise_matches_per_energy(self):
-        lead = _lead()
-        pevps = [PolynomialEVP(lead.h_cells, lead.s_cells, e) for e in ENERGIES]
-        batch = feast_annulus_batch(PolynomialEVPStack(pevps), seed=11)
-        for p, res in zip(pevps, batch):
-            ref = feast_annulus(p, seed=11)
-            assert np.array_equal(res.lambdas, ref.lambdas)
-            assert np.array_equal(res.vectors, ref.vectors)
-            assert res.iterations == ref.iterations
-            assert res.num_solves == ref.num_solves
-
-
-class TestDecimationBatch:
-    def test_bitwise_matches_per_energy(self):
-        lead = _lead()
-        t00s = np.stack([(e * lead.s00 - lead.h00).astype(complex)
-                         for e in ENERGIES])
-        t01s = np.stack([(e * lead.s01 - lead.h01).astype(complex)
-                         for e in ENERGIES])
-        gl, gr, its = sancho_rubio_batch(t00s, t01s)
-        for j, e in enumerate(ENERGIES):
-            rl, rr = sancho_rubio(t00s[j], t01s[j])
-            assert np.array_equal(gl[j], rl)
-            assert np.array_equal(gr[j], rr)
-            assert its[j] >= 1
-
-    def test_convergence_mask_tracks_each_energy(self):
-        # energies near/far from the band edge converge at different
-        # rates; the mask must retire each energy at its own iteration
-        # while keeping the survivors bitwise on the per-energy track.
-        lead = _lead()
-        energies = [0.05, 2.0]          # near band edge vs mid-band
-        t00s = np.stack([(e * lead.s00 - lead.h00).astype(complex)
-                         for e in energies])
-        t01s = np.stack([(e * lead.s01 - lead.h01).astype(complex)
-                         for e in energies])
-        gl, gr, its = sancho_rubio_batch(t00s, t01s)
-        assert its[0] != its[1]
-        for j in range(len(energies)):
-            assert np.array_equal(gl[j], sancho_rubio(t00s[j], t01s[j])[0])
-
-    def test_exhaustion_raises(self):
-        lead = _lead()
-        t00s = np.stack([(2.0 * lead.s00 - lead.h00).astype(complex)])
-        t01s = np.stack([(2.0 * lead.s01 - lead.h01).astype(complex)])
-        with pytest.raises(ConvergenceError):
-            sancho_rubio_batch(t00s, t01s, max_iter=2)
-
-
 class TestBoundaryBatchParity:
     @pytest.mark.parametrize("method",
                              ["feast", "dense", "shift_invert",
@@ -136,8 +58,9 @@ class TestBoundaryBatchParity:
                                           **kw)
         assert len(obs) == len(ENERGIES)
         for e, ob in zip(ENERGIES, obs):
-            _bitwise_boundary(
-                ob, compute_open_boundary(lead, e, method=method, **kw))
+            ref = compute_open_boundary(lead, e, method=method, **kw)
+            _bitwise_boundary(ob, ref)
+            assert ob.info == ref.info
 
     def test_batch_of_one_matches(self):
         lead = _lead()
@@ -146,9 +69,10 @@ class TestBoundaryBatchParity:
         _bitwise_boundary(obs[0], compute_open_boundary(
             lead, 2.0, method="feast", seed=11))
 
-    def test_batch_registry_has_native_entries(self):
-        assert "feast" in OBC_BATCH_METHODS.names()
-        assert "decimation" in OBC_BATCH_METHODS.names()
+    def test_removed_pevps_parameter_is_rejected(self):
+        with pytest.raises(TypeError):
+            compute_open_boundary_batch(_lead(), [2.0], method="dense",
+                                        pevps=None)
 
     def test_info_diagnostics_populated(self):
         lead = _lead()
@@ -160,27 +84,6 @@ class TestBoundaryBatchParity:
                                           method="decimation")
         for ob in obs:
             assert ob.info["iterations"] >= 1
-
-
-class TestCacheBatchMemo:
-    def test_lockstep_shares_per_energy_memo(self):
-        pipe = TransportPipeline(obc_method="feast",
-                                 obc_kwargs={"seed": 11})
-        cache = pipe.cache(synthetic_device_from_lead(_lead(), 4))
-        obs = cache.boundary_batch(ENERGIES, "feast", seed=11)
-        for e, ob in zip(ENERGIES, obs):
-            assert cache.boundary(e, "feast", seed=11) is ob
-
-    def test_partial_memo_hit_recomputes_only_missing(self):
-        pipe = TransportPipeline()
-        cache = pipe.cache(synthetic_device_from_lead(_lead(), 4))
-        pre = cache.boundary(ENERGIES[2], "feast", seed=11)
-        obs = cache.boundary_batch(ENERGIES, "feast", seed=11)
-        assert obs[2] is pre
-        ref = compute_open_boundary_batch(_lead(), ENERGIES,
-                                          method="feast", seed=11)
-        for ob, rb in zip(obs, ref):
-            _bitwise_boundary(ob, rb)
 
 
 class TestPipelineBatchedObc:
@@ -207,15 +110,24 @@ class TestPipelineBatchedObc:
             led_b.total_flops
 
     def test_obc_stage_traces_carry_batch_meta(self):
-        pipe = TransportPipeline(obc_method="feast", solver="rgf",
-                                 obc_kwargs={"seed": 3})
-        res = pipe.solve_batch(pipe.cache(self._device()), ENERGIES)
-        for r in res:
-            st = r.trace.stage("OBC")
+        """Each energy's OBC stage is measured, not a share of the
+        batch: its flops are those of that energy's one-energy run."""
+        lead = make_confined_lead(10, [7, 8, 9], [0, 1])
+        dev = synthetic_device_from_lead(lead, 4)
+        energies = np.linspace(*open_energies(lead, 2), 5)
+        pipe = TransportPipeline(
+            obc_method="feast", solver="rgf",
+            obc_kwargs=dict(r_outer=3.0, num_points=8, seed=0))
+        with ledger_scope() as led:
+            res = pipe.solve_batch(pipe.cache(dev), energies)
+        assert sum(r.trace.total_flops for r in res) == led.total_flops
+        stages = [r.trace.stage("OBC") for r in res]
+        assert len({st.flops for st in stages}) > 1
+        for e, st in zip(energies, stages):
             assert st.meta["method"] == "feast"
-            assert st.meta["batch_size"] == len(ENERGIES)
-            assert st.meta["weight"] >= 1.0
-
+            assert st.meta["predicted_bytes"] == st.meta["bytes"]
+            point = pipe.solve_point(pipe.cache(dev), e)
+            assert st.flops == point.trace.stage("OBC").flops
 
     def test_retired_keyword_is_rejected(self):
         # the FEAST seeding opt-in is gone, not ignored; spelled in pieces

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hamiltonian import build_device
+from repro.linalg import ledger_scope
 from repro.obc import (
     PolynomialEVP,
     boundary_from_decimation,
@@ -17,7 +18,7 @@ from repro.obc import (
 from repro.obc.modes import group_velocity
 from repro.structure import linear_chain, silicon_nanowire
 from repro.basis import tight_binding_set
-from repro.utils.errors import ConfigurationError
+from repro.utils.errors import ConfigurationError, ConvergenceError
 from tests.test_hamiltonian import single_s_basis
 from tests.helpers import assert_spectra_match
 from tests.test_obc_polynomial import chain_lead, random_pevp
@@ -170,13 +171,34 @@ class TestDecimation:
         t00 = e * dev.lead.s00 - dev.lead.h00 + 1e-9j * np.eye(
             dev.lead.folded_size)
         t01 = e * dev.lead.s01 - dev.lead.h01
-        gl, gr = sancho_rubio(e * dev.lead.s00 - dev.lead.h00, t01, eta=1e-9)
+        gl, gr, iterations = sancho_rubio(e * dev.lead.s00 - dev.lead.h00,
+                                          t01, eta=1e-9)
+        assert iterations >= 1
         lhs = np.linalg.inv(gl)
         rhs = t00 - t01.conj().T @ gl @ t01
         np.testing.assert_allclose(lhs, rhs, atol=1e-6)
         lhs_r = np.linalg.inv(gr)
         rhs_r = t00 - t01 @ gr @ t01.conj().T
         np.testing.assert_allclose(lhs_r, rhs_r, atol=1e-6)
+
+    def test_registry_entry_reports_iterations_and_predicted_bytes(self):
+        """Regression: the per-energy decimation adapter returned an
+        empty ``info`` where its batch twin reported both."""
+        lead = build_device(silicon_nanowire(0.7, 4), tight_binding_set(),
+                            num_cells=4).lead
+        with ledger_scope() as led:
+            ob = compute_open_boundary(lead, -4.0, method="decimation")
+        assert ob.info["iterations"] >= 1
+        assert ob.info["predicted_bytes"] == led.total_bytes > 0
+
+    def test_registry_entry_forwards_max_iter(self):
+        """Regression: ``max_iter`` was a ``TypeError`` on the per-energy
+        adapter and a ``ConvergenceError`` on its batch twin."""
+        lead = build_device(linear_chain(8, 0.25), single_s_basis(),
+                            num_cells=8).lead
+        with pytest.raises(ConvergenceError):
+            compute_open_boundary(lead, 0.3, method="decimation",
+                                  max_iter=2)
 
 
 class TestSelfEnergyCrossValidation:

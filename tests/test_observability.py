@@ -358,8 +358,9 @@ class TestPipelineIntegration:
                 pipe.solve_batch(cache, [1.8, 2.2],
                                  energy_indices=[0, 1])
         snap = tracer.metrics.snapshot()
-        assert snap["obc_cache_misses"]["value"] == 2
-        assert snap["obc_cache_hits"]["value"] == 2
+        # one lookup per point, batched or not
+        assert snap["obc_point_cache_misses"]["value"] == 2
+        assert snap["obc_point_cache_hits"]["value"] == 2
         assert snap["rhs_bucket_width"]["count"] >= 1
         assert snap["obc_iterations"]["count"] == 4
 

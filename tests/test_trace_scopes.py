@@ -2,9 +2,8 @@
 
 Pins down the contract the observability reconciliation relies on:
 :func:`apportion_exact` preserves integer totals bit-for-bit for any
-weight vector, and :func:`batch_stage_scope` keeps ledger/stage-trace
-totals reconciled even when the batched body raises mid-way or installs
-post-hoc per-task weights.
+task count, and :func:`batch_stage_scope` keeps ledger/stage-trace
+totals reconciled even when the batched body raises mid-way.
 """
 
 import numpy as np
@@ -18,38 +17,25 @@ from repro.pipeline.trace import (TaskTrace, apportion_exact,
 
 
 class TestApportionExact:
-    def test_empty_weights_empty_shares(self):
-        assert apportion_exact(100, []) == []
-
-    def test_all_zero_weights_fall_back_to_equal_shares(self):
-        shares = apportion_exact(10, [0.0, 0.0, 0.0])
-        assert sum(shares) == 10
-        assert max(shares) - min(shares) <= 1
-
-    def test_negative_weights_clamped_to_zero(self):
-        shares = apportion_exact(12, [-5.0, 1.0, 1.0])
-        assert shares[0] == 0
-        assert sum(shares) == 12
-
-    def test_all_negative_weights_fall_back_to_equal_shares(self):
-        shares = apportion_exact(9, [-1.0, -2.0, -3.0])
-        assert sum(shares) == 9
-        assert max(shares) - min(shares) <= 1
+    def test_no_tasks_no_shares(self):
+        assert apportion_exact(100, 0) == []
 
     def test_total_preserved_bit_for_bit(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(1, 12))
             total = int(rng.integers(0, 10**12))
-            weights = rng.random(n) * rng.choice([1e-6, 1.0, 1e6])
-            assert sum(apportion_exact(total, weights)) == total
+            shares = apportion_exact(total, n)
+            assert len(shares) == n
+            assert sum(shares) == total
+            assert max(shares) - min(shares) <= 1
 
-    def test_proportionality(self):
-        shares = apportion_exact(100, [1.0, 3.0])
-        assert shares == [25, 75]
+    def test_remainder_goes_to_the_first_tasks(self):
+        assert apportion_exact(100, 4) == [25, 25, 25, 25]
+        assert apportion_exact(10, 3) == [4, 3, 3]
 
     def test_zero_total(self):
-        assert apportion_exact(0, [2.0, 1.0]) == [0, 0]
+        assert apportion_exact(0, 2) == [0, 0]
 
 
 def _burn(n=8):
@@ -58,41 +44,10 @@ def _burn(n=8):
 
 
 class TestBatchStageScope:
-    def test_posthoc_weight_overrides_argument(self):
-        traces = [TaskTrace(energy_index=i) for i in range(2)]
-        with ledger_scope() as led:
-            with batch_stage_scope(traces, "OBC",
-                                   weights=[1.0, 1.0]) as sts:
-                _burn()
-                sts[0].meta["weight"] = 3.0
-                sts[1].meta["weight"] = 1.0
-        flops = [tr.stage("OBC").flops for tr in traces]
-        assert sum(flops) == led.total_flops
-        assert flops[0] == 3 * flops[1]
-        secs = [tr.stage("OBC").seconds for tr in traces]
-        assert secs[0] == pytest.approx(3 * secs[1])
-
-    def test_partial_posthoc_weights_ignored(self):
-        # only some tasks set meta["weight"]: the argument wins
-        traces = [TaskTrace(energy_index=i) for i in range(2)]
-        with ledger_scope() as led:
-            with batch_stage_scope(traces, "OBC",
-                                   weights=[1.0, 3.0]) as sts:
-                _burn()
-                sts[0].meta["weight"] = 100.0
-        flops = [tr.stage("OBC").flops for tr in traces]
-        assert sum(flops) == led.total_flops
-        assert flops[1] == 3 * flops[0]
-
-    def test_bad_weights_fall_back_to_equal_shares(self):
-        traces = [TaskTrace(energy_index=i) for i in range(4)]
-        with ledger_scope() as led:
-            with batch_stage_scope(traces, "OBC",
-                                   weights=[0.0, 0.0, 0.0, 0.0]):
-                _burn()
-        flops = [tr.stage("OBC").flops for tr in traces]
-        assert sum(flops) == led.total_flops
-        assert max(flops) - min(flops) <= 1
+    def test_removed_weights_parameter_is_rejected(self):
+        with pytest.raises(TypeError):
+            with batch_stage_scope([TaskTrace()], "OBC", weights=[1.0]):
+                pass
 
     def test_ledger_reconciles_when_body_raises_mid_way(self):
         traces = [TaskTrace(energy_index=i) for i in range(3)]
