@@ -36,8 +36,10 @@ from repro.linalg.backend import KernelBackend, resolve_backend
 #: a key stands for does (2: lead modes come from the interface-reduced
 #: polynomial, so spectra differ from version 1's by round-off; 3: a
 #: batched run used to publish RGF's bits under whatever solver name it
-#: was given, so version-2 records of other solvers cannot be trusted)
-KEY_SCHEMA_VERSION = 3
+#: was given, so version-2 records of other solvers cannot be trusted;
+#: 4: boundary maps are fitted on the coupling support and dense lead
+#: modes come from the face pencil, round-off again)
+KEY_SCHEMA_VERSION = 4
 
 
 def canonical_float(value) -> str:

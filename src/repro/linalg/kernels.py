@@ -219,17 +219,22 @@ def eigh(a: np.ndarray, b: np.ndarray | None = None, tag: str = ""):
     return w, v
 
 
-def geig(a: np.ndarray, b: np.ndarray, tag: str = ""):
+def geig(a: np.ndarray, b: np.ndarray, tag: str = "", left: bool = False):
     """Generalized nonsymmetric eigenproblem A u = lambda B u (``zggev``).
 
     This is the Rayleigh-Ritz reduction step of FEAST (Eq. 7 of the paper).
     Infinite eigenvalues (singular B directions) are returned as ``inf``.
+    Returns ``(w, vr)``, or ``(w, vl, vr)`` with ``left`` - the left
+    eigenvectors ``vl[:, i]^H A = w[i] vl[:, i]^H B``, unit-normalized like
+    the right ones.  The record is the same either way: the customary
+    25 n^3 count (:func:`repro.linalg.flops.eig_flops`) has no left/right
+    split.
     """
     t0 = time.perf_counter()
-    w, v = sla.eig(a, b, check_finite=False)
+    out = sla.eig(a, b, left=left, check_finite=False)
     n = a.shape[0]
     _record("zggev", 2 * _fl.eig_flops(n, True), 4 * a.nbytes, t0, tag)
-    return w, v
+    return out
 
 
 def qr_orth(a: np.ndarray, tag: str = "") -> np.ndarray:

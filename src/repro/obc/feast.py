@@ -171,9 +171,7 @@ def _rr_step(pevp, a_lin, b_lin, q, r_outer):
         & (np.abs(w_rr) > 1.0 / r_outer)
     # Residuals on the physical unit-cell eigenvectors.
     lam_in, us = pevp.extract_unit_vectors(w_rr[inside], ritz[:, inside])
-    res = np.array([pevp.residual(l, us[:, i])
-                    for i, l in enumerate(lam_in)])
-    return lam_in, us, res, ritz
+    return lam_in, us, pevp.residuals(lam_in, us), ritz
 
 
 def _feast_iterate(pevp, a_lin, b_lin, factors, y, r_outer,

@@ -14,6 +14,9 @@ import numpy as np
 
 from repro.utils.errors import ConfigurationError
 
+#: | |lambda| - 1 | below this is a propagating mode
+PROPAGATING_TOL = 1e-6
+
 
 def group_velocity(pevp, lam: complex, u: np.ndarray) -> float:
     """Group velocity dE/dk of a propagating mode (cell-length units).
@@ -74,9 +77,13 @@ class LeadModes:
         return int(np.count_nonzero(self.propagating & ~self.right_going))
 
 
-def classify_modes(pevp, lambdas, vectors, prop_tol: float = 1e-6,
+def classify_modes(pevp, lambdas, vectors, prop_tol: float = PROPAGATING_TOL,
                    residual_tol: float = 1e-7) -> LeadModes:
     """Classify raw eigenpairs into a :class:`LeadModes` table.
+
+    Array code: one stacked residual for all pairs
+    (:meth:`PolynomialEVP.residuals`), masks for the rest; only the few
+    propagating pairs are visited one by one, for their group velocity.
 
     Parameters
     ----------
@@ -86,39 +93,25 @@ def classify_modes(pevp, lambdas, vectors, prop_tol: float = 1e-6,
         right-decaying, |lambda| > 1 left-decaying.
     residual_tol : float
         Eigenpairs with relative residual above this are discarded
-        (contour methods can return spurious pairs outside their region).
+        (contour methods can return spurious pairs outside their region),
+        as are non-finite eigenvalues and zero vectors.
     """
     lambdas = np.asarray(lambdas, dtype=complex)
     vectors = np.asarray(vectors, dtype=complex)
     if vectors.shape[1] != len(lambdas):
         raise ConfigurationError("vectors/lambdas column count mismatch")
 
-    keep, lams, vels, props, right = [], [], [], [], []
-    for i, lam in enumerate(lambdas):
-        u = vectors[:, i]
-        if not np.isfinite(lam) or pevp.residual(lam, u) > residual_tol:
-            continue
-        is_prop = abs(abs(lam) - 1.0) < prop_tol
-        if is_prop:
-            v = group_velocity(pevp, lam, u)
-            goes_right = v > 0
-        else:
-            v = 0.0
-            goes_right = abs(lam) < 1.0
-        keep.append(i)
-        lams.append(lam)
-        vels.append(v)
-        props.append(is_prop)
-        right.append(goes_right)
-
+    keep = pevp.residuals(lambdas, vectors) <= residual_tol
+    lambdas, vectors = lambdas[keep], vectors[:, keep]
+    mags = np.abs(lambdas)
+    propagating = np.abs(mags - 1.0) < prop_tol
+    velocities = np.zeros(len(lambdas))
+    for i in np.flatnonzero(propagating):
+        velocities[i] = group_velocity(pevp, lambdas[i], vectors[:, i])
     return LeadModes(
-        lambdas=np.asarray(lams, dtype=complex),
-        vectors=vectors[:, keep] if keep else np.zeros((pevp.n, 0),
-                                                       dtype=complex),
-        velocities=np.asarray(vels, dtype=float),
-        propagating=np.asarray(props, dtype=bool),
-        right_going=np.asarray(right, dtype=bool),
-    )
+        lambdas=lambdas, vectors=vectors, velocities=velocities,
+        propagating=propagating,
+        right_going=np.where(propagating, velocities > 0, mags < 1.0))
 
 
 def fold_modes(modes: LeadModes, group: int) -> LeadModes:
@@ -134,16 +127,12 @@ def fold_modes(modes: LeadModes, group: int) -> LeadModes:
     if group == 1:
         return modes
     n, m = modes.vectors.shape
-    big = np.zeros((group * n, m), dtype=complex)
-    for i in range(m):
-        lam = modes.lambdas[i]
-        stack = [modes.vectors[:, i] * lam ** a for a in range(group)]
-        col = np.concatenate(stack)
-        nrm = np.linalg.norm(col)
-        big[:, i] = col / (nrm if nrm > 0 else 1.0)
+    powers = modes.lambdas ** np.arange(group)[:, None, None]
+    big = (modes.vectors[None] * powers).reshape(group * n, m)
+    norms = np.linalg.norm(big, axis=0)
     return LeadModes(
         lambdas=modes.lambdas ** group,
-        vectors=big,
+        vectors=big / np.where(norms > 0, norms, 1.0),
         velocities=modes.velocities.copy(),
         propagating=modes.propagating.copy(),
         right_going=modes.right_going.copy(),

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.linalg import block_support, geig, gemm, lu_factor, lu_solve
+from repro.obc.modes import PROPAGATING_TOL
 from repro.observability.spans import current_tracer
 from repro.utils.errors import ConfigurationError, ShapeError
 
@@ -182,18 +183,39 @@ class PolynomialEVP:
             zp *= z
         return out
 
-    def residual(self, lam: complex, u: np.ndarray) -> float:
-        """Relative residual ||P(lambda) u|| / ||u|| (scale-free)."""
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            return np.inf
+    def residuals(self, lams, us) -> np.ndarray:
+        """Relative residuals ||P(lambda_i) u_i|| / (||u_i|| scale_i) of
+        the pairs ``(lams[i], us[:, i])``, scale-free; ``inf`` for a zero
+        vector or a non-finite lambda.
+
+        All pairs at once: one product per coefficient,
+        ``sum_m C_m (us * lams^m)``.
+        """
+        lams = np.asarray(lams, dtype=complex)
+        us = np.asarray(us, dtype=complex)
         if self._coeff_norms is None:
             # energy-fixed, so once per polynomial and not per eigenpair
-            self._coeff_norms = [np.linalg.norm(c, ord=np.inf)
-                                 for c in self.coeffs]
-        scale = max(cn * max(abs(lam), 1.0) ** m
-                    for m, cn in enumerate(self._coeff_norms))
-        return float(np.linalg.norm(self.eval(lam) @ u) / (nu * max(scale, 1e-300)))
+            self._coeff_norms = np.array(
+                [np.linalg.norm(c, ord=np.inf) for c in self.coeffs])
+        finite = np.isfinite(lams)
+        z = np.where(finite, lams, 0.0)
+        acc = np.zeros_like(us)
+        zp = np.ones_like(z)
+        for c in self.coeffs:
+            acc += c @ (us * zp)
+            zp = zp * z
+        growth = np.maximum(np.abs(z), 1.0)
+        scale = (self._coeff_norms[:, None]
+                 * growth ** np.arange(self.degree + 1)[:, None]).max(axis=0)
+        norms = np.linalg.norm(us, axis=0)
+        with np.errstate(invalid="ignore"):     # 0 / 0 of a zero vector
+            res = np.linalg.norm(acc, axis=0) \
+                / (norms * np.maximum(scale, 1e-300))
+        return np.where(finite & (norms > 0), res, np.inf)
+
+    def residual(self, lam: complex, u: np.ndarray) -> float:
+        """:meth:`residuals` of the one pair ``(lam, u)``."""
+        return float(self.residuals([lam], np.asarray(u)[:, None])[0])
 
     # -- companion linearization (Eqs. 8-9 equivalent) -----------------------
 
@@ -229,37 +251,82 @@ class PolynomialEVP:
         Returns ``(w_kept, us)``.
         """
         m, n = self.degree, self.n
-        keep, cols = [], []
-        for i in range(v.shape[1]):
-            blocks = v[:, i].reshape(m, n)
-            norms = np.linalg.norm(blocks, axis=1)
-            j = int(np.argmax(norms))
-            if norms[j] < 1e-12:
-                continue
-            keep.append(i)
-            cols.append(blocks[j] / norms[j])
-        if not keep:
-            return (np.zeros(0, dtype=complex),
-                    np.zeros((n, 0), dtype=complex))
-        return np.asarray(w)[keep], np.column_stack(cols)
+        # (column, block, orbital): every block norm is a contiguous sum
+        blocks = v.T.reshape(v.shape[1], m, n)
+        norms = np.linalg.norm(blocks, axis=2)
+        best = norms.argmax(axis=1)
+        keep = np.flatnonzero(norms[np.arange(len(best)), best] >= 1e-12)
+        us = blocks[keep, best[keep]] / norms[keep, best[keep], None]
+        return np.asarray(w)[keep], np.ascontiguousarray(us.T)
+
+    def _face_rows(self):
+        """Row support R of the far coupling C_2 when the cell has two
+        disjoint faces - NBW = 1 and no orbital is both a row and a
+        column of C_2 - and ``None`` otherwise."""
+        if self.nbw != 1:
+            return None
+        rows, cols = block_support(self.coeffs[2])
+        return None if np.intersect1d(rows, cols).size else rows
 
     def solve_dense(self, drop_infinite: bool = True, inf_cut: float = 1e12):
-        """All eigenpairs via LAPACK ``zggev`` on the companion pencil.
+        """All finite eigenpairs via LAPACK ``zggev``: the exact reference
+        the fast methods are validated against.
 
-        This is the exact (and expensive, O(NBC^3)) reference the fast
-        methods are validated against.
+        *Two disjoint faces* (:meth:`_face_rows`; what a localized basis
+        gives, on the interface orbitals too).  With P = C_0 + lambda K +
+        lambda^2 C_2, rows R of C_0 and all other rows of C_2 vanish, so
+        rows R of P(lambda) u = 0 divided by lambda and the other rows as
+        they stand are the n-sized linear pencil
+
+            A = [K[R]; C_0[rest]],   B = -[C_2[R]; K[rest]],
+
+        which has P's finite non-zero spectrum and its eigenvectors.  It
+        resolves |lambda| >= 1 to working precision and loses digits for
+        |lambda| << 1, so the right-decaying modes come from the
+        palindromic symmetry instead (C_0 = C_2^H, K = K^H at real E): a
+        left eigenvector y at lambda, ``y^H (A - lambda B) = 0`` with
+        ``A - lambda B = D P(lambda)``, D = diag(1/lambda on R, 1
+        elsewhere), gives w = conj(D) y with P(lambda)^H w =
+        conj(lambda)^2 P(1/conj(lambda)) w = 0 - the mode at
+        1/conj(lambda).  Returned: the pairs on the unit circle as
+        computed, ``(lambda, v)`` and ``(1/conj(lambda), w)`` for every
+        |lambda| > 1; computed |lambda| < 1 pairs are dropped.
+
+        *Otherwise* (NBW > 1, or an orbital coupling both ways): the
+        ``2 NBW n`` companion pencil, O(NBC^3), every finite eigenvalue
+        including the lambda ~ 0 directions.
 
         Returns
         -------
         (lambdas, us) with ``us`` the n-dimensional unit-cell eigenvectors,
         column-normalized.
         """
-        a, b = self.pencil()
-        w, v = geig(a, b, tag="obc-dense")
+        rows = self._face_rows()
+        if rows is None:
+            a, b = self.pencil()
+            w, v = geig(a, b, tag="obc-dense")
+            if drop_infinite:
+                keep = np.isfinite(w) & (np.abs(w) < inf_cut)
+                w, v = w[keep], v[:, keep]
+            return self.extract_unit_vectors(w, v)
+        c0, k, c2 = self.coeffs
+        a = c0.copy()
+        a[rows] = k[rows]
+        b = -k
+        b[rows] = -c2[rows]
+        w, vl, vr = geig(a, b, left=True, tag="obc-dense")
+        mag = np.abs(w)
+        outer = mag > 1.0 + PROPAGATING_TOL
         if drop_infinite:
-            keep = np.isfinite(w) & (np.abs(w) < inf_cut)
-            w, v = w[keep], v[:, keep]
-        return self.extract_unit_vectors(w, v)
+            outer &= mag < inf_cut
+        # reciprocal bounds: a decaying pair never counts twice
+        circle = (mag <= 1.0 + PROPAGATING_TOL) \
+            & (mag >= 1.0 / (1.0 + PROPAGATING_TOL))
+        mirrored = vl[:, outer]
+        mirrored[rows] /= np.conj(w[outer])
+        mirrored /= np.linalg.norm(mirrored, axis=0)
+        return (np.concatenate([w[circle], w[outer], 1.0 / np.conj(w[outer])]),
+                np.hstack([vr[:, circle], vr[:, outer], mirrored]))
 
     # -- reduced resolvent solve (the "analytical block LU") -----------------
 

@@ -119,7 +119,16 @@ class OpenBoundary:
 
 def boundary_from_modes(lead: LeadBlocks, energy: float,
                         folded: LeadModes, method: str = "") -> OpenBoundary:
-    """Assemble Sigma^RB and injection data from classified folded modes."""
+    """Assemble Sigma^RB and injection data from classified folded modes.
+
+    The boundary maps M_L (left-going modes, weights 1/lambda, fitted on
+    the columns of T01) and M_R (right-going modes, weights lambda, on
+    the columns of T01^H, i.e. the rows of T01) come from
+    :func:`_support_map`: least squares over the orbitals the coupling
+    block can see, n x n results.  ``folded`` may be a truncated set
+    (FEAST's annulus) or hold lambda ~ 0 duplicates of the null space
+    (the companion ``zggev``); Sigma = -T M either way.
+    """
     h01, s01 = lead.h01, lead.s01
     h00f, s00f = lead.h00, lead.s00
     nf = lead.folded_size
@@ -132,17 +141,8 @@ def boundary_from_modes(lead: LeadBlocks, energy: float,
 
     left_set = folded.select(~folded.right_going)
     right_set = folded.select(folded.right_going)
-
-    # Modes at lambda = infinity (left set) and lambda = 0 (right set) are
-    # dropped by every finite-eigenvalue solver, yet their vectors are
-    # needed to decompose the boundary wavefunction: they span the null
-    # spaces of the coupling block T01 (resp. T01^H).  They carry
-    # lambda^{-1} = 0 (resp. lambda = 0), so they only enter through the
-    # pseudo-inverse, not the diagonal.
-    null_l = _nullspace(t01)
-    null_r = _nullspace(t10)
-    ml = _boundary_map(left_set, invert_lambda=True, n=nf, extra=null_l)
-    mr = _boundary_map(right_set, invert_lambda=False, n=nf, extra=null_r)
+    ml = _support_map(left_set.vectors, 1.0 / left_set.lambdas, t01)
+    mr = _support_map(right_set.vectors, right_set.lambdas, t10)
     sigma_l = -t10 @ ml
     sigma_r = -t01 @ mr
 
@@ -160,50 +160,41 @@ def boundary_from_modes(lead: LeadBlocks, energy: float,
                         injected=injected, method=method)
 
 
-def _nullspace(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the (right) null space of ``mat``.
+def _compact_nullspace(compact: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis, one vector per column, of the (right) null
+    space of a coupling block's compact ``rows x cols`` part."""
+    _u, s, vh = np.linalg.svd(compact)
+    rank = int(np.count_nonzero(s > rtol * s.max(initial=0.0)))
+    return vh[rank:].conj().T
 
-    A coupling block is zero outside its ``rows x cols`` support, so the
-    null space is that of the compact block (one small SVD) plus one unit
-    vector per all-zero column.  The boundary maps only see the span: the
-    null vectors carry zero weight in ``Phi Lambda Phi^+``.
+
+def _support_map(vectors: np.ndarray, weights: np.ndarray,
+                 coupling: np.ndarray) -> np.ndarray:
+    """``V diag(weights)`` times the rows of ``Phi^+`` that belong to V,
+    fitted on the columns ``coupling`` can see (rank-safe least squares).
+
+    Phi = [V | N] joins the modes V with a basis N of the null space of
+    ``coupling`` at zero weight: the lambda = 0 / infinity modes every
+    finite-eigenvalue solver drops, whose vectors are still needed to
+    decompose the boundary wavefunction.  ``coupling`` is zero outside
+    its ``rows x cols`` support, so N = [N_c | E_Z]: the null vectors of
+    the compact block on ``cols`` and one unit vector per all-zero column
+    Z.  The unit vectors absorb every component of a right-hand side
+    outside ``cols`` whatever the other weights are, so the least-squares
+    weights of V are those of the |cols|-row problem,
+
+        M[:, cols] = V diag(weights) pinv([V[cols] | N_c])[:k],
+        M[:, Z] = 0,
+
+    for every coupling shape (dense: Z is empty; all-zero: M = 0).
     """
-    rows, cols = block_support(mat)
-    n = mat.shape[1]
-    compact = mat[np.ix_(rows, cols)]
-    if compact.size == 0:
-        return np.eye(n, dtype=complex)
-    u, s, vh = np.linalg.svd(compact)
-    rank = int(np.count_nonzero(s > rtol * s[0]))
-    null = np.zeros((n, n - rank), dtype=complex)
-    null[cols, :cols.size - rank] = vh[rank:].conj().T
-    zero_cols = np.setdiff1d(np.arange(n), cols)
-    null[zero_cols, cols.size - rank + np.arange(zero_cols.size)] = 1.0
-    return null
-
-
-def _boundary_map(mset: LeadModes, invert_lambda: bool, n: int,
-                  extra: np.ndarray | None = None) -> np.ndarray:
-    """Phi diag(lambda^{+/-1}) Phi^+ via least squares (rank-safe).
-
-    ``extra`` columns join Phi with zero diagonal weight (the lambda =
-    0 / infinity modes).
-    """
-    phi_cols = []
-    lam_list = []
-    if mset.num_modes:
-        phi_cols.append(mset.vectors)
-        lam_list.append(1.0 / mset.lambdas if invert_lambda
-                        else mset.lambdas)
-    if extra is not None and extra.shape[1]:
-        phi_cols.append(extra)
-        lam_list.append(np.zeros(extra.shape[1], dtype=complex))
-    if not phi_cols:
-        return np.zeros((n, n), dtype=complex)
-    phi = np.hstack(phi_cols)
-    lam = np.concatenate(lam_list)
-    phi_pinv = np.linalg.pinv(phi, rcond=1e-12)
-    return (phi * lam[None, :]) @ phi_pinv
+    n, k = vectors.shape
+    rows, cols = block_support(coupling)
+    phi = np.hstack([vectors[cols],
+                     _compact_nullspace(coupling[np.ix_(rows, cols)])])
+    out = np.zeros((n, n), dtype=complex)
+    out[:, cols] = (vectors * weights) @ np.linalg.pinv(phi, rcond=1e-12)[:k]
+    return out
 
 
 def boundary_from_decimation(lead: LeadBlocks, energy: float,

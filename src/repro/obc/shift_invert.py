@@ -59,7 +59,8 @@ def shift_invert_modes(pevp, num_shifts: int = 8, k_per_shift: int | None = None
     shifts = [radius * np.exp(2j * np.pi * j / num_shifts)
               for radius in shift_radii for j in range(num_shifts)]
 
-    all_lam, all_vec = [], []
+    all_lam = [np.zeros(0, dtype=complex)]
+    all_vec = [np.zeros((n, 0), dtype=complex)]
     a_lin, b_lin = pevp.pencil()
     for sigma in shifts:
         fac = pevp.factor_reduced(sigma)
@@ -76,16 +77,11 @@ def shift_invert_modes(pevp, num_shifts: int = 8, k_per_shift: int | None = None
         sel = finite & (np.abs(w) > 1.0 / keep_radius) \
             & (np.abs(w) < keep_radius)
         w_sel, u_sel = pevp.extract_unit_vectors(w[sel], ritz[:, sel])
-        for i, lam in enumerate(w_sel):
-            u = u_sel[:, i]
-            if pevp.residual(lam, u) > tol:
-                continue
-            all_lam.append(lam)
-            all_vec.append(u)
+        converged = pevp.residuals(w_sel, u_sel) <= tol
+        all_lam.append(w_sel[converged])
+        all_vec.append(u_sel[:, converged])
 
-    return _dedupe(np.asarray(all_lam, dtype=complex),
-                   np.asarray(all_vec, dtype=complex).T
-                   if all_vec else np.zeros((n, 0), dtype=complex))
+    return _dedupe(np.concatenate(all_lam), np.hstack(all_vec))
 
 
 def _dedupe(lambdas, vectors, lam_tol: float = 1e-7,

@@ -201,10 +201,13 @@ def feast_kernels(n: int, num_solves: int, solve_widths, rr_sizes):
         yield 1, "geig", (int(size),)
 
 
-def dense_obc_kernels(n: int, nbw: int = 1):
+def dense_obc_kernels(n: int, nbw: int = 1, faces_disjoint: bool = False):
     """The one recorded kernel of :meth:`PolynomialEVP.solve_dense`:
-    ``zggev`` on the ``2 NBW n`` companion pencil."""
-    yield 1, "geig", (2 * int(nbw) * int(n),)
+    ``zggev`` on the n-sized face pencil when the cell has two disjoint
+    faces (NBW = 1 and no orbital both a row and a column of the far
+    coupling block), on the ``2 NBW n`` companion pencil otherwise."""
+    face = faces_disjoint and int(nbw) == 1
+    yield 1, "geig", (int(n) if face else 2 * int(nbw) * int(n),)
 
 
 def kernel_flops(kernels, is_complex: bool = True,

@@ -186,8 +186,41 @@ def make_confined_lead(n, rows, cols, nbw=1, seed=0, cplx=False,
                       h00=h00, h01=h01, s00=s00, s01=s01)
 
 
+def check_sigma_dyson(lead, ob, tol=1e-8):
+    """The boundary self-energies are the fixed point of the Dyson
+    recursion of the semi-infinite lead: with A = E S - H,
+    Sigma = T g(Sigma) T^H, g(Sigma) = (A00 - Sigma)^-1, T = T01^H on the
+    left and T01 on the right, to ``tol`` of the largest entry of Sigma.
+    For complete mode sets only (``dense``): a truncated set defines
+    Sigma on the kept modes alone.  Returns the (left, right) residuals.
+    """
+    a00 = (ob.energy * lead.s00 - lead.h00).astype(complex)
+    t10 = ob.t01.conj().T
+    residuals = []
+    for side, sigma, t in (("left", ob.sigma_l, t10),
+                           ("right", ob.sigma_r, ob.t01)):
+        fixed = t @ np.linalg.solve(a00 - sigma, t.conj().T)
+        res = np.abs(sigma - fixed).max() \
+            / (np.abs(sigma).max(initial=0.0) or 1.0)
+        assert res <= tol, \
+            f"E={ob.energy}: {side} Sigma misses its Dyson fixed point " \
+            f"by {res:.1e}"
+        residuals.append(res)
+    return tuple(residuals)
+
+
+def check_sigma_causal(ob, tol=1e-10):
+    """Retarded self-energies broaden, never amplify: the anti-Hermitian
+    part (Sigma - Sigma^H) / 2i has no eigenvalue above ``tol ||Sigma||_2``."""
+    for side, sigma in (("left", ob.sigma_l), ("right", ob.sigma_r)):
+        top = np.linalg.eigvalsh((sigma - sigma.conj().T) / 2j).max()
+        assert top <= tol * np.linalg.norm(sigma, 2), \
+            f"E={ob.energy}: {side} Sigma is not causal, eigenvalue {top:.1e}"
+
+
 def check_obc_agreement(lead, energies, r_outer=3.0):
-    """Reduced == unreduced lead modes, and the four OBC methods agree.
+    """Reduced == unreduced lead modes, the dense self-energies pass the
+    physics checks, and the four OBC methods agree.
 
     At every energy: the interface-reduced polynomial of ``lead`` has the
     finite spectrum of the full one inside the annulus (matched to 1e-10)
@@ -218,6 +251,9 @@ def check_obc_agreement(lead, energies, r_outer=3.0):
             assert res <= 1e-9, f"lifted mode {lam_i}: residual {res:.1e}"
 
         ob = compute_open_boundary(lead, e, method="dense")
+        # 1e-8: what zggev resolves on an sp3d5s* lead far above its bands
+        check_sigma_dyson(lead, ob, tol=1e-8)
+        check_sigma_causal(ob, tol=1e-8)
         scale = max(np.abs(ob.sigma_l).max(), np.abs(ob.sigma_r).max())
         dec = compute_open_boundary(lead, e, method="decimation")
         for got, want in ((dec.sigma_l, ob.sigma_l),

@@ -13,8 +13,8 @@ import scipy.linalg as sla
 from repro.basis import tight_binding_set
 from repro.cache import keys as cache_keys
 from repro.hamiltonian import build_device
-from repro.hamiltonian.device import synthetic_device_from_lead
-from repro.linalg import ledger_scope
+from repro.hamiltonian.device import LeadBlocks, synthetic_device_from_lead
+from repro.linalg import block_support, geig, ledger_scope
 from repro.obc import (PolynomialEVP, PolynomialFamily,
                        compute_open_boundary, compute_open_boundary_batch,
                        feast_annulus, polynomial, selfenergy)
@@ -24,8 +24,9 @@ from repro.perfmodel import (dense_obc_kernels, feast_kernels,
                              kernel_flops)
 from repro.pipeline import DeviceCache, TransportPipeline
 from repro.structure import silicon_nanowire, silicon_utb_film
-from tests.helpers import (check_obc_agreement, make_confined_lead,
-                           open_energies)
+from tests.helpers import (assert_spectra_match, check_obc_agreement,
+                           check_sigma_causal, check_sigma_dyson,
+                           make_confined_lead, open_energies)
 
 
 FEAST = dict(r_outer=3.0, num_points=8, seed=0)
@@ -170,12 +171,15 @@ class TestHostileInputs:
     @pytest.mark.parametrize("method", ["dense", "feast"])
     def test_lifted_mode_failing_the_full_residual_is_resolved_unreduced(
             self, monkeypatch, method):
-        # without the growth limit the reduction goes ahead 1e-9 above an
+        # without the growth limit the reduction goes ahead right above an
         # interior level; its modes are then too inaccurate for the full
-        # polynomial, which the residual check on the lifted vectors sees
+        # polynomial, which the residual check on the lifted vectors sees.
+        # FEAST's are 1e-9 above the level; the face pencil's only 1e-12
+        # above it (full residual 2.6e-6 there, 3.3e-9 at 1e-9)
         monkeypatch.setattr(polynomial, "_SCHUR_GROWTH_LIMIT", np.inf)
         lead = _rectangular(seed=3)
-        energy = float(_interior_levels(lead)[1]) + 1e-9
+        energy = float(_interior_levels(lead)[1]) \
+            + (1e-9 if method == "feast" else 1e-12)
         kwargs = dict(r_outer=1e3, num_points=48, seed=0) \
             if method == "feast" else {}
         with tracing() as tracer, ledger_scope() as led:
@@ -191,9 +195,10 @@ class TestHostileInputs:
             # the discarded reduced solve is still in the books
             lifted = PolynomialFamily(lead.h_cells, lead.s_cells) \
                 .at_energy(energy).solve_dense()[0].size
-            assert led.total_flops == kernel_flops(dense_obc_kernels(10)) \
-                + kernel_flops(dense_obc_kernels(5)) + kernel_flops(
-                    interface_reduction_kernels(5, 5, lifted))
+            assert led.total_flops == kernel_flops([
+                *dense_obc_kernels(10, faces_disjoint=True),
+                *dense_obc_kernels(5, faces_disjoint=True),
+                *interface_reduction_kernels(5, 5, lifted)])
 
     def test_all_zero_coupling_is_not_reduced(self):
         lead = make_confined_lead(6, [], [])
@@ -230,6 +235,19 @@ class TestHostileInputs:
         assert led.as_snapshot() == led_ref.as_snapshot()
 
 
+def _padded_nullspace(mat):
+    """Null space of a coupling block from that of its compact part:
+    one unit vector per all-zero column completes it."""
+    rows, cols = block_support(mat)
+    compact = selfenergy._compact_nullspace(mat[np.ix_(rows, cols)])
+    n, nc = mat.shape[1], compact.shape[1]
+    zero_cols = np.setdiff1d(np.arange(n), cols)
+    null = np.zeros((n, nc + zero_cols.size), dtype=complex)
+    null[cols, :nc] = compact
+    null[zero_cols, nc + np.arange(zero_cols.size)] = 1.0
+    return null
+
+
 class TestCompactNullSpace:
     @pytest.mark.parametrize("name", ["rectangular", "overlapping", "full",
                                       "nbw2"])
@@ -237,7 +255,7 @@ class TestCompactNullSpace:
         lead = make_confined_lead(**GENERATED[name][0])
         t01 = (1.3 * lead.s01 - lead.h01).astype(complex)
         for mat in (t01, t01.conj().T):
-            null = selfenergy._nullspace(mat)
+            null = _padded_nullspace(mat)
             _u, s, vh = np.linalg.svd(mat)
             rank = int(np.count_nonzero(s > 1e-10 * s[0]))
             ref = vh[rank:].conj().T
@@ -249,8 +267,136 @@ class TestCompactNullSpace:
             assert np.abs(mat @ null).max(initial=0.0) < 1e-12
 
     def test_all_zero_block(self):
-        null = selfenergy._nullspace(np.zeros((4, 4), dtype=complex))
+        null = _padded_nullspace(np.zeros((4, 4), dtype=complex))
         assert np.array_equal(null, np.eye(4))
+
+
+def _rank_deficient_lead():
+    """4 x 3 compact coupling of rank 2."""
+    rows, cols = [6, 7, 8, 9], [0, 1, 2]
+    base = make_confined_lead(10, rows, cols, overlap=False, seed=8)
+    h1 = np.zeros((10, 10))
+    h1[np.ix_(rows, cols)] = np.outer([1.0, -0.5, 0.3, 0.8], [-0.7, 0.4, 0.9]) \
+        + np.outer([0.2, 0.9, -0.6, 0.1], [0.5, 0.5, -0.3])
+    zero = np.zeros((10, 10))
+    return LeadBlocks(h_cells=[base.h00, h1], s_cells=[base.s00, zero],
+                      h00=base.h00, h01=h1, s00=base.s00, s01=zero)
+
+
+#: name -> (lead, interface size, NBW, dense modes from the face pencil?)
+PHYSICS = {
+    "faces-real": (_rectangular, 5, 1, True),
+    "faces-complex": (lambda: make_confined_lead(**GENERATED["complex"][0]),
+                      6, 1, True),
+    "overlapping": (lambda: make_confined_lead(
+        **GENERATED["overlapping"][0]), 5, 1, False),
+    "nbw2": (lambda: make_confined_lead(**GENERATED["nbw2"][0]), 5, 2,
+             False),
+    "rank-deficient": (_rank_deficient_lead, 7, 1, True),
+    "dense-coupling": (lambda: make_confined_lead(5, None, None, seed=3),
+                       5, 1, False),
+}
+
+
+class TestDenseSelfEnergyPhysics:
+    """Sigma of the exact solve is a causal Dyson fixed point whichever
+    pencil its modes came from."""
+
+    @pytest.mark.parametrize("name", sorted(PHYSICS))
+    def test_dyson_fixed_point_and_causality(self, name):
+        make, nb, nbw, face = PHYSICS[name]
+        lead = make()
+        for e in open_energies(lead):
+            with ledger_scope() as led:
+                ob = compute_open_boundary(lead, e, method="dense")
+            assert led.flops_by_kernel["zggev"] == kernel_flops(
+                dense_obc_kernels(nb, nbw, faces_disjoint=face))
+            assert ob.injected
+            check_sigma_dyson(lead, ob, tol=1e-10)
+            check_sigma_causal(ob)
+
+    def test_empty_mode_set(self):
+        lead = make_confined_lead(6, [], [])
+        ob = compute_open_boundary(lead, 1.0, method="dense")
+        assert ob.modes.num_modes == 0
+        assert not ob.sigma_l.any() and not ob.sigma_r.any()
+        assert check_sigma_dyson(lead, ob) == (0.0, 0.0)
+        check_sigma_causal(ob)
+
+    def test_face_pencil_spectrum_is_the_companion_pencils(self):
+        # every finite non-zero Bloch factor, the mirrored ones included
+        for name in ("faces-real", "faces-complex", "rank-deficient"):
+            lead = PHYSICS[name][0]()
+            for e in open_energies(lead):
+                pevp = PolynomialEVP(lead.h_cells, lead.s_cells, e)
+                lams, us = pevp.solve_dense()
+                w, _v = geig(*pevp.pencil())
+                ref = w[np.isfinite(w) & (np.abs(w) > 1e-10)
+                        & (np.abs(w) < 1e10)]
+                assert len(lams) == len(ref)
+                assert_spectra_match(lams[np.abs(lams) < 2.0],
+                                     ref[np.abs(ref) < 2.0], atol=1e-9)
+                assert_spectra_match(1.0 / lams[np.abs(lams) > 0.5],
+                                     1.0 / ref[np.abs(ref) > 0.5], atol=1e-9)
+                assert pevp.residuals(lams, us).max() < 1e-12
+
+
+def _full_size_map(vectors, weights, coupling):
+    """(Phi Lambda) pinv(Phi) on all n rows, Phi = [V | null(coupling)]."""
+    null = _padded_nullspace(coupling)
+    phi = np.hstack([vectors, null])
+    lam = np.concatenate([weights, np.zeros(null.shape[1])])
+    return (phi * lam) @ np.linalg.pinv(phi, rcond=1e-12)
+
+
+class TestBoundaryMapOnTheCouplingSupport:
+    """The fit on the columns T01 can see is the full-size fit."""
+
+    def _sides(self, ob):
+        """(V, weights, coupling, propagating mask) of the left and the
+        right map."""
+        left = ob.modes.select(~ob.modes.right_going)
+        right = ob.modes.select(ob.modes.right_going)
+        return ((left.vectors, 1.0 / left.lambdas, ob.t01, left.propagating),
+                (right.vectors, right.lambdas, ob.t01.conj().T,
+                 right.propagating))
+
+    def _assert_same_map(self, vectors, weights, coupling):
+        got = selfenergy._support_map(vectors, weights, coupling)
+        want = _full_size_map(vectors, weights, coupling)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() \
+            <= 1e-11 * np.abs(want).max(initial=1e-300)
+
+    @pytest.mark.parametrize("name", sorted(PHYSICS))
+    def test_complete_truncated_and_duplicated_mode_sets(self, name):
+        lead = PHYSICS[name][0]()
+        rng = np.random.default_rng(5)
+        for e in open_energies(lead):
+            ob = compute_open_boundary(lead, e, method="dense")
+            for vectors, weights, coupling, prop in self._sides(ob):
+                self._assert_same_map(vectors, weights, coupling)
+                # FEAST's annulus: random decaying modes removed
+                kept = prop | (rng.random(prop.size) < 0.5)
+                self._assert_same_map(vectors[:, kept], weights[kept],
+                                      coupling)
+                # the companion zggev's lambda ~ 0 / infinity directions:
+                # null vectors once more, as modes of weight ~ 1e-17
+                null = _padded_nullspace(coupling)
+                self._assert_same_map(
+                    np.hstack([vectors, null]),
+                    np.concatenate([weights,
+                                    np.full(null.shape[1], 1e-17 + 0j)]),
+                    coupling)
+
+    def test_no_modes_and_no_coupling(self):
+        lead = _rectangular()
+        t01 = (1.3 * lead.s01 - lead.h01).astype(complex)
+        none = np.zeros((10, 0), dtype=complex)
+        assert not selfenergy._support_map(none, np.zeros(0), t01).any()
+        modes = np.eye(10, 3, dtype=complex)
+        assert not selfenergy._support_map(
+            modes, np.ones(3), np.zeros((10, 10), dtype=complex)).any()
 
 
 class TestModels:
@@ -262,18 +408,25 @@ class TestModels:
         return lead, family, open_energies(lead, 3)
 
     def test_dense_obc(self):
-        lead, family, energies = self._lead()
-        ni, nb = family.interior.size, family.interface.size
-        assert (ni, nb) == (5, 7)
-        for e in energies:
-            lifted = family.at_energy(e).solve_dense()[0].size
-            kernels = [*interface_reduction_kernels(ni, nb, lifted),
-                       *dense_obc_kernels(nb)]
-            with ledger_scope() as led:
-                compute_open_boundary(lead, e, method="dense")
-            assert led.total_flops == kernel_flops(kernels)
-            assert led.total_bytes == kernel_bytes(kernels)
-            assert led.total_flops < kernel_flops(dense_obc_kernels(12))
+        # one lead of each kind: two disjoint faces (zggev on the |B|-sized
+        # face pencil) and an orbital coupling both ways (companion pencil)
+        overlapping = make_confined_lead(**GENERATED["overlapping"][0])
+        for lead, sizes, face in ((self._lead()[0], (5, 7), True),
+                                  (overlapping, (3, 5), False)):
+            family = PolynomialFamily(lead.h_cells, lead.s_cells)
+            ni, nb = family.interior.size, family.interface.size
+            assert (ni, nb) == sizes
+            for e in open_energies(lead, 3):
+                lifted = family.at_energy(e).solve_dense()[0].size
+                kernels = [*interface_reduction_kernels(ni, nb, lifted),
+                           *dense_obc_kernels(nb, faces_disjoint=face)]
+                assert kernels[-1] == (1, "geig", (nb if face else 2 * nb,))
+                with ledger_scope() as led:
+                    compute_open_boundary(lead, e, method="dense")
+                assert led.total_flops == kernel_flops(kernels)
+                assert led.total_bytes == kernel_bytes(kernels)
+                assert led.total_flops < kernel_flops(
+                    dense_obc_kernels(family.n))
 
     def test_feast_obc(self):
         lead, family, energies = self._lead()

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hamiltonian import build_device
-from repro.obc import PolynomialEVP
+from repro.obc import PolynomialEVP, classify_modes
+from repro.obc.modes import group_velocity
 from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError, ShapeError
+from tests.helpers import make_confined_lead, open_energies
 from tests.test_hamiltonian import single_s_basis
 
 
@@ -102,6 +104,72 @@ class TestDenseSolve:
         for lam in lams:
             partner = 1.0 / np.conj(lam)
             assert min(abs(lams - partner)) < 1e-7
+
+
+class TestStackedResiduals:
+    def test_matches_the_per_pair_formula(self):
+        pevp = random_pevp(n=4, nbw=2, seed=3)
+        rng = np.random.default_rng(0)
+        lams = np.array([0.3 + 0.1j, -2.5, 1e-9, 40j, np.nan, np.inf, 1.0])
+        us = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+        us[:, 6] = 0.0
+        got = pevp.residuals(lams, us)
+        for i in range(4):
+            scale = max(np.linalg.norm(c, ord=np.inf)
+                        * max(abs(lams[i]), 1.0) ** m
+                        for m, c in enumerate(pevp.coeffs))
+            want = np.linalg.norm(pevp.eval(lams[i]) @ us[:, i]) \
+                / (np.linalg.norm(us[:, i]) * scale)
+            assert got[i] == pytest.approx(want, rel=1e-12)
+            assert pevp.residual(lams[i], us[:, i]) == got[i]
+        # a non-finite lambda or a zero vector is never an eigenpair
+        assert np.isposinf(got[4:]).all()
+        assert pevp.residuals([], np.zeros((4, 0))).shape == (0,)
+
+    def test_classify_modes_is_the_per_mode_loop(self):
+        """Field for field what judging one pair at a time returned, on a
+        table with NaN / inf eigenvalues, a zero vector, a residual above
+        the tolerance and both propagating directions."""
+        lead = make_confined_lead(10, [7, 8, 9], [0, 1])
+        pevp = PolynomialEVP(lead.h_cells, lead.s_cells,
+                             open_energies(lead, 1)[0])
+        lams, us = pevp.solve_dense()
+        lams = np.concatenate([lams, [np.nan, np.inf, lams[0], 1.01 * lams[1]]])
+        us = np.hstack([us, us[:, :2], np.zeros((10, 1)), us[:, 1:2]])
+
+        def per_mode_loop(prop_tol=1e-6, residual_tol=1e-7):
+            keep, vels, props, right = [], [], [], []
+            for i, lam in enumerate(lams):
+                u = us[:, i]
+                scale = max(np.linalg.norm(c, ord=np.inf)
+                            * max(abs(lam), 1.0) ** m
+                            for m, c in enumerate(pevp.coeffs))
+                if not np.isfinite(lam) or not u.any() or np.linalg.norm(
+                        pevp.eval(lam) @ u) / (np.linalg.norm(u) * scale) \
+                        > residual_tol:
+                    continue
+                is_prop = abs(abs(lam) - 1.0) < prop_tol
+                v = group_velocity(pevp, lam, u) if is_prop else 0.0
+                keep.append(i)
+                vels.append(v)
+                props.append(is_prop)
+                right.append(v > 0 if is_prop else abs(lam) < 1.0)
+            return keep, vels, props, right
+
+        keep, vels, props, right = per_mode_loop()
+        assert len(keep) == len(lams) - 4
+        modes = classify_modes(pevp, lams, us)
+        assert modes.num_propagating_right >= 1
+        assert modes.num_propagating_left >= 1
+        assert np.array_equal(modes.lambdas, lams[keep])
+        assert np.array_equal(modes.vectors, us[:, keep])
+        assert np.array_equal(modes.velocities, vels)
+        assert np.array_equal(modes.propagating, props)
+        assert np.array_equal(modes.right_going, right)
+        assert (modes.velocities.dtype, modes.propagating.dtype,
+                modes.right_going.dtype) == (float, bool, bool)
+        empty = classify_modes(pevp, lams[-4:-2], us[:, -4:-2])
+        assert empty.vectors.shape == (10, 0) and empty.num_modes == 0
 
 
 class TestResolventReduction:
