@@ -38,8 +38,10 @@ from repro.linalg.backend import KernelBackend, resolve_backend
 #: batched run used to publish RGF's bits under whatever solver name it
 #: was given, so version-2 records of other solvers cannot be trusted;
 #: 4: boundary maps are fitted on the coupling support and dense lead
-#: modes come from the face pencil, round-off again)
-KEY_SCHEMA_VERSION = 4
+#: modes come from the face pencil, round-off again; 5: SplitSolve's
+#: Step 1 runs in real arithmetic on a real A(E), round-off on the
+#: SplitSolve records of real devices)
+KEY_SCHEMA_VERSION = 5
 
 
 def canonical_float(value) -> str:

@@ -21,7 +21,7 @@ from repro.hamiltonian.partition import (
     block_sizes_from_slabs,
     to_block_tridiagonal,
 )
-from repro.linalg import BlockTridiagonalMatrix
+from repro.linalg import BlockTridiagonalMatrix, energy_scalars
 from repro.structure.slabs import assign_slabs, order_by_slab
 from repro.utils.errors import ConfigurationError
 
@@ -89,11 +89,12 @@ class DeviceMatrices:
         return to_block_tridiagonal(self.smat, self.block_sizes)
 
     def a_matrix(self, energy: float) -> BlockTridiagonalMatrix:
-        """A(E) = E*S - H as block-tridiagonal (complex), Eq. (5) LHS
-        before the boundary self-energy is subtracted."""
+        """A(E) = E*S - H as block-tridiagonal, Eq. (5) LHS before the
+        boundary self-energy is subtracted: float64 for real H, S and
+        energy (:func:`repro.linalg.energy_scalars`), else complex128."""
         s = self.s_blocks()
         h = self.h_blocks()
-        return s.scale_add(complex(energy), h, -1.0)
+        return s.scale_add(energy_scalars(energy, h, s), h, -1.0)
 
     def with_potential(self, v_atom: np.ndarray) -> "DeviceMatrices":
         """Return a copy with an electrostatic potential applied.

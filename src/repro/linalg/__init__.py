@@ -45,6 +45,8 @@ from repro.linalg.blocktridiag import (
     CouplingSupport,
     as_complex,
     block_support,
+    energy_scalars,
+    working_dtype,
 )
 from repro.linalg.batched import (
     BatchedBlockTridiag,
@@ -99,6 +101,8 @@ __all__ = [
     "CouplingSupport",
     "as_complex",
     "block_support",
+    "energy_scalars",
+    "working_dtype",
     "BatchedBlockTridiag",
     "build_a_batch",
     "bucket_by_width",

@@ -34,7 +34,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from repro.linalg import flops as _fl
-from repro.linalg.blocktridiag import BlockTridiagonalMatrix
+from repro.linalg.blocktridiag import (BlockTridiagonalMatrix,
+                                       energy_scalars)
 from repro.linalg.kernels import _is_complex, _record
 from repro.utils.errors import ShapeError, SingularMatrixError
 
@@ -254,14 +255,15 @@ def build_a_batch(h: BlockTridiagonalMatrix, s: BlockTridiagonalMatrix,
                   energies, structure=None) -> BatchedBlockTridiag:
     """Stacked A(E) = E*S - H for a whole energy vector, one pass per block.
 
-    Broadcasting ``E`` over each stored block performs the same complex
-    scalar multiply-add as the per-point ``scale_add(E, H, -1)``, so each
+    Broadcasting ``E`` over each stored block performs the same scalar
+    multiply-add as the per-point ``scale_add(E, H, -1)`` - in the dtype
+    :func:`~repro.linalg.energy_scalars` gives the whole batch - so each
     slice of the result is bitwise identical to the per-point assembly.
     ``structure`` is the one spanned by ``(h, s)``, as in ``scale_add``.
     """
     if h.block_sizes != s.block_sizes:
         raise ShapeError("build_a_batch: H and S block structure differs")
-    e = np.asarray(list(energies), dtype=complex).reshape(-1, 1, 1)
+    e = energy_scalars(list(energies), h, s).reshape(-1, 1, 1)
     if e.size == 0:
         raise ShapeError("build_a_batch: need at least one energy")
     diag = [e * sb[None] + (-1.0) * hb[None]

@@ -34,6 +34,27 @@ def as_complex(b: np.ndarray) -> np.ndarray:
     return b if b.dtype == np.complex128 else b.astype(complex)
 
 
+def working_dtype(*operands) -> np.dtype:
+    """float64 or complex128: the class of LAPACK/BLAS kernels that
+    ``operands`` (arrays or dtypes) meet in."""
+    return np.result_type(np.float64, *operands)
+
+
+def energy_scalars(energies, h: "BlockTridiagonalMatrix",
+                   s: "BlockTridiagonalMatrix") -> np.ndarray:
+    """The energies as the factors ``A(E) = E*S - H`` is built with.
+
+    The one rule for the dtype of ``A(E)``: float64 when H and S are
+    real and no energy has an imaginary part - ``A(E)`` is then real, and
+    whatever cannot see a self-energy (SplitSolve's Step 1) stays in
+    real arithmetic - complex128 otherwise.  Same shape as ``energies``.
+    """
+    e = np.asarray(energies, dtype=complex)
+    if h.dtype.kind == "c" or s.dtype.kind == "c" or e.imag.any():
+        return e
+    return e.real
+
+
 def block_support(*blocks) -> tuple:
     """``(rows, cols)``: sorted indices of the rows and columns in which
     any of the same-shaped ``blocks`` has a non-zero entry."""
@@ -160,6 +181,7 @@ class BlockTridiagonalMatrix:
         self.structure = structure
         self._support = None
         self._hermitian = None
+        self._dtype = None
         for i, b in enumerate(self.diag):
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ShapeError(f"diagonal block {i} not square: {b.shape}")
@@ -190,7 +212,12 @@ class BlockTridiagonalMatrix:
 
     @property
     def dtype(self):
-        return np.result_type(*[b.dtype for b in self.diag])
+        """Common dtype of the stored blocks (worked out on first
+        request)."""
+        if self._dtype is None:
+            self._dtype = np.result_type(
+                *[b.dtype for b in self.diag + self.upper + self.lower])
+        return self._dtype
 
     def block_offsets(self):
         """Row offset of each diagonal block in the assembled matrix."""
@@ -230,11 +257,12 @@ class BlockTridiagonalMatrix:
     def block_range(self, start: int, stop: int) -> "BlockTridiagonalMatrix":
         """Block rows ``start:stop`` as a matrix of their own (blocks
         shared, not copied), with the matching slice of the coupling
-        support: a SplitSolve partition."""
+        support and this matrix's dtype: a SplitSolve partition."""
         sub = BlockTridiagonalMatrix(self.diag[start:stop],
                                      self.upper[start:stop - 1],
                                      self.lower[start:stop - 1])
         sub._support = self.coupling_support().block_range(start, stop)
+        sub._dtype = self.dtype
         return sub
 
     # -- constructors ------------------------------------------------------

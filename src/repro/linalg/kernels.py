@@ -113,9 +113,11 @@ def solve(a: np.ndarray, b: np.ndarray, assume_a: str = "gen",
     factor, condition estimate, substitute - without its argument
     handling, and keeps its verdicts: a zero pivot raises
     :class:`SingularMatrixError`, ``rcond`` below machine epsilon emits
-    ``LinAlgWarning``.  ``overwrite_a`` lets a caller that owns ``a``
-    have it factored in place (no copy when it is Fortran-ordered and
-    of the working dtype).
+    ``LinAlgWarning``.  A matrix holding NaN or infinity is the data's
+    fault too: :class:`SingularMatrixError` before anything is factored
+    (its 1-norm is computed anyway).  ``overwrite_a`` lets a caller that
+    owns ``a`` have it factored in place (no copy when it is
+    Fortran-ordered and of the working dtype).
     """
     if a.shape[0] != a.shape[1] or a.shape[1] != b.shape[0]:
         raise ShapeError(f"solve: incompatible shapes {a.shape}, {b.shape}")
@@ -133,6 +135,9 @@ def solve(a: np.ndarray, b: np.ndarray, assume_a: str = "gen",
                                                        else "gen"]
         a = np.asarray(a, dtype=dtype)
         anorm = np.abs(a).sum(axis=0).max()     # 1-norm, before a is lost
+        if not np.isfinite(anorm):
+            raise SingularMatrixError(
+                "solve failed: the matrix holds non-finite entries")
         if her:
             fac, piv, info = factor(a, lwork=_hetrf_lwork(cx, n),
                                     overwrite_a=overwrite_a)

@@ -134,11 +134,16 @@ def geig_bytes(n: int, is_complex: bool = True) -> int:
 
 def kernel_bytes(kernels, is_complex: bool = True) -> int:
     """Bytes the kernels of a ``(count, kernel, dims)`` sequence record
-    (the sequences of :mod:`repro.perfmodel.costmodel`)."""
+    (the sequences of :mod:`repro.perfmodel.costmodel`); ``"zgemm"`` and
+    ``"zsolve"`` move complex operands whatever ``is_complex`` says of
+    the rest."""
     price = {"gemm": gemm_bytes, "lu_factor": lu_factor_bytes,
              "lu_solve": lu_solve_bytes, "geig": geig_bytes,
              "solve": solve_bytes, "schur_solve": solve_bytes}
-    return sum(count * price[kernel](*dims, is_complex)
+    always_complex = {"zgemm": gemm_bytes, "zsolve": solve_bytes}
+    return sum(count * (always_complex[kernel](*dims, True)
+                        if kernel in always_complex
+                        else price[kernel](*dims, is_complex))
                for count, kernel, dims in kernels)
 
 
@@ -183,11 +188,13 @@ def splitsolve_byte_model(num_blocks: int, block_size: int, num_rhs: int,
     ``gesv`` kernel, so they carry the matrix operand as well as rhs +
     solution).  Exact on uniform blocks with uniform coupling supports
     (``coupling_widths``; default: dense coupling blocks) at the given
-    ``boundary_widths`` (default: every row of the end blocks).
+    ``boundary_widths`` (default: every row of the end blocks), for a
+    complex A and (``is_complex=False``) for a real one.
     """
     return kernel_bytes(
         splitsolve_kernels(num_blocks, block_size, num_rhs, num_partitions,
-                           coupling_widths, boundary_widths), is_complex)
+                           coupling_widths, boundary_widths, is_complex),
+        is_complex)
 
 
 def byte_drift(measured_bytes: float, predicted_bytes: float,

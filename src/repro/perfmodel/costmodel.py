@@ -19,7 +19,7 @@ from repro.utils.errors import ConfigurationError
 
 def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
                        num_partitions: int = 1, coupling_widths=None,
-                       boundary_widths=None):
+                       boundary_widths=None, is_complex: bool = True):
     """The kernels of one SplitSolve solve, as ``(count, kernel, dims)``.
 
     The one transcription of the solver's kernel sequence (uniform
@@ -27,7 +27,9 @@ def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
     :func:`~repro.perfmodel.bytemodel.splitsolve_byte_model` price it.
     ``kernel`` is ``"gemm"`` with ``dims = (m, n, k)``, or ``"solve"`` /
     ``"schur_solve"`` (the Schur blocks D_i, Hermitian when A is) with
-    ``dims = (n, nrhs)``.
+    ``dims = (n, nrhs)``; these run in the dtype of A (``is_complex``).
+    ``"zgemm"`` / ``"zsolve"`` are the postprocessing kernels between
+    the self-energy and the right-hand side alone, complex whatever A is.
 
     ``coupling_widths = (upper rows, upper cols, lower rows, lower
     cols)`` are the support widths of the coupling blocks
@@ -50,6 +52,9 @@ def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
       contracted over the boundary coupling's rows;
     * postprocessing on the w = first + last support rows: corner gemms,
       the (w x w) R solve, and one (s x w)(w x m) gemm per block row.
+      Next to the Q of a real A the complex operand of a product enters
+      as its real and imaginary parts stacked: twice as wide, one real
+      gemm.
     """
     if num_blocks < 2:
         raise ConfigurationError("model needs >= 2 blocks")
@@ -99,13 +104,14 @@ def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
 
     # --- postprocessing (steps 2-4) ---
     w = wf + wl
-    yield 2, "gemm", (s, m, w)                # y_top, y_bot
-    yield 1, "gemm", (wf, m, s)               # C y
-    yield 1, "gemm", (wl, m, s)
-    yield 1, "gemm", (wf, w, s)               # C Q
-    yield 1, "gemm", (wl, w, s)
-    yield 1, "solve", (w, m)                  # R z = C y
-    yield num_blocks, "gemm", (s, m, w)       # x = Q (b' + z)
+    stack = 1 if is_complex else 2            # [Re | Im] next to a real Q
+    yield 2, "gemm", (s, stack * m, w)        # y_top, y_bot
+    yield 1, "zgemm", (wf, m, s)              # C y
+    yield 1, "zgemm", (wl, m, s)
+    yield 1, "gemm", (stack * wf, w, s)       # C Q
+    yield 1, "gemm", (stack * wl, w, s)
+    yield 1, "zsolve", (w, m)                 # R z = C y
+    yield num_blocks, "gemm", (s, stack * m, w)   # x = Q (b' + z)
 
 
 def splitsolve_flop_model(num_blocks: int, block_size: int,
@@ -117,13 +123,14 @@ def splitsolve_flop_model(num_blocks: int, block_size: int,
     """Flops of one SplitSolve solve (preprocess + postprocess).
 
     Prices :func:`splitsolve_kernels`; integer-exact against the ledger
-    on uniform blocks with uniform coupling supports.  The Schur blocks
-    D_i take the zhesv path (half an LU) when A is Hermitian; the corner
+    on uniform blocks with uniform coupling supports, for a complex A
+    and (``is_complex=False``) for a real one.  The Schur blocks D_i
+    take the zhesv path (half an LU) when A is Hermitian; the corner
     solves of the merges and of postprocessing are generic.
     """
     return kernel_flops(
         splitsolve_kernels(num_blocks, block_size, num_rhs, num_partitions,
-                           coupling_widths, boundary_widths),
+                           coupling_widths, boundary_widths, is_complex),
         is_complex, hermitian)
 
 
@@ -215,20 +222,21 @@ def kernel_flops(kernels, is_complex: bool = True,
     """Flops the kernels of a ``(count, kernel, dims)`` sequence record
     (the open-boundary sequences above and :func:`splitsolve_kernels`).
     With ``hermitian`` the ``"schur_solve"`` blocks take the zhesv path:
-    half an LU."""
-    cf = is_complex
-
-    def lu(n):
+    half an LU.  ``"zgemm"``, ``"zsolve"`` and ``"geig"`` are complex
+    whatever ``is_complex`` says of the rest."""
+    def lu(n, cf=is_complex):
         return _fl.lu_flops(n, cf)
 
-    def subst(n, nrhs):
+    def subst(n, nrhs, cf=is_complex):
         return 2 * _fl.trsm_flops(n, nrhs, cf)
 
     price = {
-        "gemm": lambda m, n, k: _fl.gemm_flops(m, n, k, cf),
+        "gemm": lambda m, n, k: _fl.gemm_flops(m, n, k, is_complex),
+        "zgemm": lambda m, n, k: _fl.gemm_flops(m, n, k, True),
         "lu_factor": lu,
         "lu_solve": subst,
         "solve": lambda n, nrhs: lu(n) + subst(n, nrhs),
+        "zsolve": lambda n, nrhs: lu(n, True) + subst(n, nrhs, True),
         "schur_solve": lambda n, nrhs: lu(n) // (2 if hermitian else 1)
         + subst(n, nrhs),
         "geig": lambda n: 2 * _fl.eig_flops(n, True),
@@ -275,7 +283,8 @@ def _device_rate_ratio() -> float:
 
 def choose_solver(num_blocks: int, block_size: int, num_rhs: int,
                   num_partitions: int = 1, hermitian: bool = False,
-                  coupling_widths=None, boundary_widths=None) -> str:
+                  coupling_widths=None, boundary_widths=None,
+                  is_complex: bool = True) -> str:
     """The OMEN-style SplitSolve-vs-RGF choice (``solver="auto"``).
 
     Compares the deterministic flop models, weighting SplitSolve's count
@@ -283,13 +292,16 @@ def choose_solver(num_blocks: int, block_size: int, num_rhs: int,
     on the host cores).  Systems the SplitSolve model cannot price
     (fewer than 2 blocks) fall back to RGF.  ``coupling_widths`` and
     ``boundary_widths`` price SplitSolve on the coupling and boundary
-    supports it runs on (RGF treats the blocks as dense).
+    supports it runs on (RGF treats the blocks as dense), ``is_complex``
+    in the dtype of A(E) (RGF sees the self-energy from its first block
+    and is complex whatever A is).
     """
     num_rhs = max(int(num_rhs), 1)
     if num_blocks < 2:
         return "rgf"
     ss = splitsolve_flop_model(num_blocks, block_size, num_rhs,
                                num_partitions=num_partitions,
+                               is_complex=is_complex,
                                hermitian=hermitian,
                                coupling_widths=coupling_widths,
                                boundary_widths=boundary_widths)

@@ -69,7 +69,7 @@ import threading
 
 from repro.cache.keys import lead_content_hash
 from repro.hamiltonian import build_device, transverse_k_grid
-from repro.linalg import BlockStructure, block_support
+from repro.linalg import BlockStructure, block_support, energy_scalars
 from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
 from repro.pipeline.registry import OBC_METHODS
@@ -188,15 +188,24 @@ class DeviceCache:
                 self._boundary_support = (cols, rows)
             return self._boundary_support
 
+    def is_complex(self) -> bool:
+        """Whether ``A(E)`` is complex128 rather than float64 (real H
+        and S; the energies of a cache are real): the dtype SplitSolve's
+        Step 1 runs in, and is priced in."""
+        return energy_scalars(
+            0.0, self.h_blocks(), self.s_blocks()).dtype.kind == "c"
+
     def a_matrix(self, energy: float):
-        """A(E) = E*S - H from the cached blocks (one axpy)."""
+        """A(E) = E*S - H from the cached blocks (one axpy), in the
+        dtype of :func:`~repro.linalg.energy_scalars`."""
         e = float(energy)
         h = self.h_blocks()
         s = self.s_blocks()
         with self._lock:
             if self._a_memo is not None and self._a_memo[0] == e:
                 return self._a_memo[1]
-        a = s.scale_add(complex(e), h, -1.0, structure=self.structure())
+        a = s.scale_add(energy_scalars(e, h, s), h, -1.0,
+                        structure=self.structure())
         with self._lock:
             self._a_memo = (e, a)
         return a

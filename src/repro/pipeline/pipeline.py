@@ -305,19 +305,20 @@ class TransportPipeline:
         return x
 
     def _pricing_widths(self, cache) -> dict:
-        """The coupling and boundary support widths ``"auto"`` prices
-        SplitSolve with (keywords of the cost models); an explicit
-        solver name prices nothing, so it does not make the cache work
-        out its supports either."""
+        """The coupling and boundary support widths and the dtype of
+        A(E) that ``"auto"`` prices SplitSolve with (keywords of the
+        cost models); an explicit solver name prices nothing, so it does
+        not make the cache work out its supports either."""
         if self.solver != AUTO:
             return {}
-        return self._support_widths(cache)
+        return self._splitsolve_pricing(cache)
 
     @staticmethod
-    def _support_widths(cache) -> dict:
+    def _splitsolve_pricing(cache) -> dict:
         return dict(
             coupling_widths=cache.structure().support.widths(),
-            boundary_widths=tuple(len(r) for r in cache.boundary_support()))
+            boundary_widths=tuple(len(r) for r in cache.boundary_support()),
+            is_complex=cache.is_complex())
 
     @staticmethod
     def _predicted_solve_bytes(cache, solver_name: str, width: int,
@@ -325,11 +326,13 @@ class TransportPipeline:
         """Model-predicted kernel bytes of one energy's SOLVE stage.
 
         Exact for RGF, stacked or not (the byte model transcribes the
-        kernel sequence, per-block sizes included); the SplitSolve model
-        prices ``num_partitions`` partitions of uniform blocks with
-        uniform coupling supports, so non-uniform devices carry a
-        documented tolerance.  Returns ``None`` for solvers without a
-        byte model and for shapes the model cannot price.
+        kernel sequence, per-block sizes included; it folds Sigma into
+        its first block and is complex whatever A(E) is); the SplitSolve
+        model prices ``num_partitions`` partitions of uniform blocks
+        with uniform coupling supports in the dtype of A(E), so
+        non-uniform devices carry a documented tolerance.  Returns
+        ``None`` for solvers without a byte model and for shapes the
+        model cannot price.
         """
         from repro.perfmodel.bytemodel import (rgf_byte_model,
                                                splitsolve_byte_model)
@@ -341,7 +344,7 @@ class TransportPipeline:
                 return splitsolve_byte_model(
                     cache.num_blocks, int(max(cache.block_sizes)),
                     int(width), num_partitions=num_partitions,
-                    **TransportPipeline._support_widths(cache))
+                    **TransportPipeline._splitsolve_pricing(cache))
             except ConfigurationError:
                 return None   # fewer than 2 blocks
         return None

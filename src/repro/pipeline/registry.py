@@ -131,13 +131,14 @@ def get_obc_method(name: str):
 def resolve_solver_name(name: str, *, num_blocks: int, block_size: int,
                         num_rhs: int, num_partitions: int = 1,
                         hermitian: bool = False,
-                        coupling_widths=None, boundary_widths=None) -> str:
+                        coupling_widths=None, boundary_widths=None,
+                        is_complex: bool = True) -> str:
     """Map ``"auto"`` to a concrete registered solver via the cost model.
 
     Explicit names pass through unchanged (after a registry existence
     check, so a typo fails before any work is done) - for one energy or
     a bucket of sixteen.  The widths are the supports SplitSolve would
-    run on, for its price.
+    run on and ``is_complex`` the dtype of its A(E), for its price.
     """
     if name == AUTO:
         from repro.perfmodel.costmodel import choose_solver
@@ -145,6 +146,7 @@ def resolve_solver_name(name: str, *, num_blocks: int, block_size: int,
                              num_rhs=num_rhs, num_partitions=num_partitions,
                              hermitian=hermitian,
                              coupling_widths=coupling_widths,
-                             boundary_widths=boundary_widths)
+                             boundary_widths=boundary_widths,
+                             is_complex=is_complex)
     SOLVERS.get(name)
     return name

@@ -25,13 +25,17 @@ When A is Hermitian (real energy, 1-D/2-D structures) the Schur blocks
 D_i = A_ii - A_{i,i+1} D_{i+1}^{-1} A_{i+1,i} are Hermitian too, enabling
 the zhesv_nopiv_gpu variant that lifted the paper's sustained performance
 from 12.8 to 15 PFlop/s (Section 5E).
+
+Everything runs in the dtype of A: the sweeps never see a self-energy, so
+a real A (real H, S and energy) gives real Schur blocks and a real Q
+through ``dsytrf``/``dgetrf`` and ``dgemm``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import BlockTridiagonalMatrix, as_complex, gemm, solve
+from repro.linalg import BlockTridiagonalMatrix, gemm, solve, working_dtype
 from repro.utils.errors import ShapeError
 
 
@@ -61,6 +65,7 @@ def block_column_inverse(a: BlockTridiagonalMatrix, which: str = "first",
     nb = a.num_blocks
     assume = "her" if hermitian else "gen"
     sup = a.coupling_support()
+    dtype = working_dtype(a.dtype)
 
     # The two sweeps are mirror images.  ``chain`` runs from the far end
     # to the boundary block whose inverse column is wanted; ``ahead[i]``
@@ -81,14 +86,15 @@ def block_column_inverse(a: BlockTridiagonalMatrix, which: str = "first",
     x_prev = xcols = None
     for i in chain:
         # private: updated, then factored, in place (LAPACK's order)
-        d = np.array(a.diag[i], dtype=complex, order="F")
+        d = np.array(a.diag[i], dtype=dtype, order="F")
         if x_prev is not None:
             blk, (rows, cols) = behind[i]
             d[np.ix_(rows, xcols)] -= gemm(
-                as_complex(blk[np.ix_(rows, cols)]), x_prev[cols], tag=tag)
+                blk[np.ix_(rows, cols)].astype(dtype, copy=False),
+                x_prev[cols], tag=tag)
         if i in ahead:
             blk, (_, xcols) = ahead[i]
-            x_prev = xs[i] = solve(d, as_complex(blk[:, xcols]),
+            x_prev = xs[i] = solve(d, blk[:, xcols].astype(dtype, copy=False),
                                    assume_a=assume, tag=tag,
                                    overwrite_a=True)
 
@@ -99,7 +105,7 @@ def block_column_inverse(a: BlockTridiagonalMatrix, which: str = "first",
     nxt = chain[-1]
     size = a.block_sizes[nxt]
     columns = np.arange(size) if columns is None else columns
-    q[nxt] = solve(d, np.eye(size, dtype=complex)[:, columns],
+    q[nxt] = solve(d, np.eye(size, dtype=dtype)[:, columns],
                    assume_a=assume, tag=tag, overwrite_a=True)
     for i in reversed(chain[:-1]):
         _, (_, xcols) = ahead[i]

@@ -17,6 +17,13 @@ Workflow (Fig. 6):
   Sigma^RB = B C, C the support's rows of Sigma, and Q in hand,
   y = Q b', R = 1 - C Q (as large as the support: 2s x 2s when it is
   every row), z = R^{-1} C y, and x = Q (b' + z) with one gemm per block.
+
+Step 1 runs in the dtype of A, so a real A (real H, S and energy) has a
+real Q.  Sigma, Inj, C, b', R and z are complex whatever A is; they are
+as small as the boundary support, and the three products that meet a
+real Q - Q b', C Q, Q (b' + z) - each run as one dgemm on their real and
+imaginary parts stacked (:func:`_stack`), never on a complex copy of Q,
+the largest array of the solve.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.linalg import BlockTridiagonalMatrix, gemm, solve
-from repro.linalg.flops import device_scope
+from repro.linalg import BlockTridiagonalMatrix, gemm, solve, working_dtype
+from repro.linalg.flops import current_ledger, device_scope, ledger_scope
 from repro.solvers.splitsolve.algorithm1 import block_column_inverse
 from repro.solvers.splitsolve.spike import PartitionColumns, merge_partitions
 from repro.utils.errors import ConfigurationError, ShapeError
@@ -69,6 +76,24 @@ def _require_zero_outside(block: np.ndarray, rows: np.ndarray,
         raise ShapeError(
             f"{name} is non-zero in row {int(bad[0])}, outside the "
             "boundary support SplitSolve was preprocessed for")
+
+
+def _stack(w: np.ndarray, axis: int, real_q: bool) -> np.ndarray:
+    """``w`` as the operand of a product with Q: itself next to a complex
+    Q, ``[Re w | Im w]`` side by side along ``axis`` next to a real one,
+    so that the product is one dgemm."""
+    return np.concatenate([w.real, w.imag], axis=axis) if real_q else w
+
+
+def _unstack(p: np.ndarray, axis: int, real_q: bool) -> np.ndarray:
+    """The complex product, from the product with a :func:`_stack`
+    operand."""
+    if not real_q:
+        return p
+    re, im = np.split(p, 2, axis=axis)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 class SplitSolve:
@@ -136,6 +161,7 @@ class SplitSolve:
         a = self.a
         support = a.coupling_support()
         rows_first, rows_last = self.boundary_support
+        ledger = current_ledger()   # the pool threads record into it too
 
         def _local(p):
             lo, hi = self.ranges[p]
@@ -147,14 +173,15 @@ class SplitSolve:
             last_cols = rows_last if hi == a.num_blocks \
                 else support.upper[hi - 1][0]
             dev_f, dev_l = f"gpu{2 * p}", f"gpu{2 * p + 1}"
-            with device_scope(dev_f):
-                vf = block_column_inverse(local, "first",
-                                          hermitian=self.hermitian,
-                                          tag="P1", columns=first_cols)
-            with device_scope(dev_l):
-                vl = block_column_inverse(local, "last",
-                                          hermitian=self.hermitian,
-                                          tag="P2", columns=last_cols)
+            with ledger_scope(ledger):
+                with device_scope(dev_f):
+                    vf = block_column_inverse(local, "first",
+                                              hermitian=self.hermitian,
+                                              tag="P1", columns=first_cols)
+                with device_scope(dev_l):
+                    vl = block_column_inverse(local, "last",
+                                              hermitian=self.hermitian,
+                                              tag="P2", columns=last_cols)
             devices = [dev_f if i % 2 == 0 else dev_l
                        for i in range(local.num_blocks)]
             return PartitionColumns(first=vf, last=vl, devices=devices,
@@ -203,7 +230,8 @@ class SplitSolve:
         ``q.last`` as views of it."""
         wf = q.first_cols.size
         offs = self.a.block_offsets()
-        fused = np.empty((offs[-1], wf + q.last_cols.size), dtype=complex)
+        fused = np.empty((offs[-1], wf + q.last_cols.size),
+                         dtype=working_dtype(self.a.dtype))
         np.concatenate(q.first, out=fused[:, :wf])
         np.concatenate(q.last, out=fused[:, wf:])
         self._q_rows = [fused[lo:hi] for lo, hi in zip(offs, offs[1:])]
@@ -251,19 +279,23 @@ class SplitSolve:
             with device_scope(q.devices[0]):
                 # Corner blocks of Q: rows 0 and nB-1.
                 q_top, q_bot = self._q_rows[0], self._q_rows[-1]
+                real_q = q_top.dtype.kind != "c"
 
                 # Step 2: y = A^{-1} b = Q b' (only corner rows needed now).
-                y_top = gemm(q_top, bprime, tag="post")
-                y_bot = gemm(q_bot, bprime, tag="post")
+                rhs = _stack(bprime, 1, real_q)
+                y_top = _unstack(gemm(q_top, rhs, tag="post"), 1, real_q)
+                y_bot = _unstack(gemm(q_bot, rhs, tag="post"), 1, real_q)
 
                 # Step 3: R z = C y, R = 1 - C Q on the support.
                 cy = np.vstack([gemm(c_l, y_top, tag="post"),
                                 gemm(c_r, y_bot, tag="post")])
-                cq = np.vstack([gemm(c_l, q_top, tag="post"),
-                                gemm(c_r, q_bot, tag="post")])
+                cq = np.vstack([
+                    _unstack(gemm(_stack(c, 0, real_q), qi, tag="post"),
+                             0, real_q)
+                    for c, qi in ((c_l, q_top), (c_r, q_bot))])
                 r = np.eye(bprime.shape[0], dtype=complex) - cq
                 z = solve(r, cy, tag="post", overwrite_a=True)
-                weights = bprime + z
+                weights = _stack(bprime + z, 1, real_q)
 
             # Step 4: x = Q (b' + z), one gemm per block row.  A row is
             # O(s w m) flops, less than a hand-off to a worker thread
@@ -272,4 +304,4 @@ class SplitSolve:
             for dev, qi in zip(q.devices, self._q_rows):
                 with device_scope(dev):
                     rows.append(gemm(qi, weights, tag="post"))
-        return np.vstack(rows)
+        return _unstack(np.vstack(rows), 1, real_q)

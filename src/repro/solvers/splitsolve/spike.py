@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg import as_complex, block_support, gemm, solve
-from repro.linalg.flops import device_scope
+from repro.linalg import block_support, gemm, solve, working_dtype
+from repro.linalg.flops import current_ledger, device_scope, ledger_scope
 from repro.observability.spans import current_tracer
 from repro.utils.errors import ShapeError
 
@@ -97,27 +97,31 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
     ``top.first`` and ``bottom.last`` keep whatever column sets they
     came with and pass them on to the merged partition.
     """
+    coupling_upper = np.asarray(coupling_upper)
+    coupling_lower = np.asarray(coupling_lower)
     if support is None:
-        support = (block_support(np.asarray(coupling_upper)),
-                   block_support(np.asarray(coupling_lower)))
+        support = (block_support(coupling_upper),
+                   block_support(coupling_lower))
     (rb, cb), (rc, cl) = support
     if not (np.array_equal(top.last_cols, rb)
             and np.array_equal(bottom.first_cols, rc)):
         raise ShapeError(
             "merge_partitions: the partitions' inner columns are not the "
             "row supports of the coupling blocks between them")
-    bc = as_complex(np.asarray(coupling_upper)[np.ix_(rb, cb)])
-    cc = as_complex(np.asarray(coupling_lower)[np.ix_(rc, cl)])
     vpf_last = top.first[-1]
     vpl_last = top.last[-1]         # columns rows(Bc)
     vsf_first = bottom.first[0]     # columns rows(Cc)
     vsl_first = bottom.last[0]
+    # the dtype of the matrix the columns came from: real for a real A
+    dtype = working_dtype(coupling_upper, coupling_lower, vpl_last, vsf_first)
+    bc = coupling_upper[np.ix_(rb, cb)].astype(dtype, copy=False)
+    cc = coupling_lower[np.ix_(rc, cl)].astype(dtype, copy=False)
 
     with device_scope(top.devices[-1]):
         # --- merged FIRST column ---
         # Bc V^f_S[0] Cc on rows(Bc) x cols(Cc)
         bvc = gemm(bc, gemm(vsf_first[cb], cc, tag=tag), tag=tag)
-        lhs = np.eye(vpf_last.shape[0], dtype=complex, order="F")
+        lhs = np.eye(vpf_last.shape[0], dtype=dtype, order="F")
         lhs[:, cl] -= gemm(vpl_last, bvc, tag=tag)
         xi = solve(lhs, vpf_last, tag=tag,
                    overwrite_a=True)[cl]            # the rows Cc meets
@@ -127,7 +131,7 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
         # --- merged LAST column ---
         # Cc V^l_P[-1] Bc on rows(Cc) x cols(Bc)
         cvb = gemm(cc, gemm(vpl_last[cl], bc, tag=tag), tag=tag)
-        lhs2 = np.eye(vsf_first.shape[0], dtype=complex, order="F")
+        lhs2 = np.eye(vsf_first.shape[0], dtype=dtype, order="F")
         lhs2[:, cb] -= gemm(vsf_first, cvb, tag=tag)
         zeta = solve(lhs2, vsl_first, tag=tag,
                      overwrite_a=True)[cb]          # the rows Bc meets
@@ -157,16 +161,17 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
     w_top = np.hstack([w_first, bc_zeta])
     w_bot = np.hstack([cc_xi, w_last])
     nf = w_first.shape[1]
+    ledger = current_ledger()   # the executor's threads record into it too
 
     def _update_top(i):
-        with device_scope(top.devices[i]):
+        with ledger_scope(ledger), device_scope(top.devices[i]):
             upd = gemm(top.last[i], w_top, tag=tag)
             newf = top.first[i] + upd[:, :nf]
             newl = -upd[:, nf:]
         return newf, newl
 
     def _update_bottom(i):
-        with device_scope(bottom.devices[i]):
+        with ledger_scope(ledger), device_scope(bottom.devices[i]):
             upd = gemm(bottom.first[i], w_bot, tag=tag)
             newf = -upd[:, :nf]
             newl = bottom.last[i] + upd[:, nf:]

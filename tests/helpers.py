@@ -50,6 +50,14 @@ def make_confined_btd(block_sizes, supports, seed=0, cplx=True):
     return BlockTridiagonalMatrix(diag, upper, lower)
 
 
+def promote_to_complex(a):
+    """``a`` with every block complex128 (the matrix the parent of the
+    dtype rule solved, whatever the blocks held)."""
+    from repro.linalg import BlockTridiagonalMatrix, as_complex
+    return BlockTridiagonalMatrix(*([as_complex(b) for b in side]
+                                    for side in (a.diag, a.upper, a.lower)))
+
+
 def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
                            tol=1e-10, seed=0, boundary_support=None,
                            num_rhs=(2, 1)):
@@ -69,6 +77,10 @@ def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
     same ``tol`` - and ``num_rhs = (top, bottom)`` sets the number of
     columns injected from each side (either may be 0).  A device's
     support and columns come from its open boundary.
+
+    A real matrix is solved in real arithmetic: its Q is float64 and the
+    real part of the Q of the same matrix promoted to complex128, whose
+    imaginary part is round-off (both to 1e-12 of the largest entry).
     """
     from repro.linalg import BlockTridiagonalMatrix
     from repro.pipeline import get_solver
@@ -103,11 +115,26 @@ def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
         solutions["direct"] = solve_direct(t, rhs)
         inverse = np.linalg.inv(a.to_dense())
         offs = a.block_offsets()
+        real = a.dtype.kind != "c"
+        promoted = promote_to_complex(a) if real else None
         for p in partitions:
             ss = SplitSolve(a, num_partitions=p, parallel=False,
                             boundary_support=(rows_first, rows_last))
             solutions[f"splitsolve p={p}"] = ss.solve(
                 sigma_l, sigma_r, b_top, b_bot)
+            if real:
+                assert all(b.dtype == np.float64
+                           for b in ss.q.first + ss.q.last)
+                ref = SplitSolve(promoted, num_partitions=p, parallel=False,
+                                 boundary_support=(rows_first, rows_last))
+                ref.preprocess()
+                for held, cplx in ((ss.q.first, ref.q.first),
+                                   (ss.q.last, ref.q.last)):
+                    held, cplx = np.vstack(held), np.vstack(cplx)
+                    assert cplx.dtype == np.complex128
+                    bound = 1e-12 * np.abs(cplx).max(initial=0.0)
+                    assert np.abs(cplx.imag).max(initial=0.0) <= bound
+                    assert np.abs(held - cplx.real).max(initial=0.0) <= bound
             np.testing.assert_array_equal(ss.q.first_cols, rows_first)
             np.testing.assert_array_equal(ss.q.last_cols, rows_last)
             for held, want in (

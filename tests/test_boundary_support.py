@@ -173,9 +173,10 @@ class TestDeviceSupport:
                 get_solver("splitsolve")(a, ob, inj, num_partitions=parts)
             assert led.total_flops == splitsolve_flop_model(
                 4, 48, inj.shape[1], num_partitions=parts,
-                hermitian=True, **widths)
+                is_complex=False, hermitian=True, **widths)
             assert led.total_bytes == splitsolve_byte_model(
-                4, 48, inj.shape[1], num_partitions=parts, **widths)
+                4, 48, inj.shape[1], num_partitions=parts,
+                is_complex=False, **widths)
 
     def test_generic_rhs_gets_every_row(self):
         """A right-hand side that is not one column per injected mode

@@ -331,8 +331,8 @@ class TestPredictedSolveBytes:
                 assert st.meta["solver"] == "splitsolve"
                 want = splitsolve_byte_model(
                     device.num_blocks, 48, st.meta["num_rhs"],
-                    num_partitions=parts, coupling_widths=widths,
-                    boundary_widths=boundary)
+                    num_partitions=parts, is_complex=False,
+                    coupling_widths=widths, boundary_widths=boundary)
                 assert st.meta["predicted_bytes"] == want
                 ob = res.boundary
                 inj = ob.injection_matrix(cache.num_blocks,

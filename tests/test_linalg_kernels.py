@@ -58,6 +58,21 @@ class TestSolve:
                   assume_a=assume_a)
 
     @pytest.mark.parametrize("assume_a", ["gen", "her"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_the_datas_fault(self, assume_a, dtype,
+                                                  bad):
+        """A NaN used to reach ``?gecon`` as an illegal ``anorm`` ("our
+        bug" ValueError) and ``?sytrf``/``?hetrf`` as a "zero pivot"."""
+        a = (_rand((5, 5), 21) + 5 * np.eye(5)).astype(dtype)
+        a = a + a.T
+        a[2, 3] = a[3, 2] = bad
+        keep = a.copy()
+        with pytest.raises(SingularMatrixError, match="non-finite"):
+            solve(a, np.ones((5, 2)), assume_a=assume_a, overwrite_a=True)
+        np.testing.assert_array_equal(a, keep)      # nothing was factored
+
+    @pytest.mark.parametrize("assume_a", ["gen", "her"])
     def test_rank_deficient_to_round_off_warns(self, assume_a):
         """No pivot is exactly zero, so LAPACK factors it; the condition
         estimate is what says the answer is noise."""
