@@ -40,8 +40,10 @@ from repro.linalg.backend import KernelBackend, resolve_backend
 #: 4: boundary maps are fitted on the coupling support and dense lead
 #: modes come from the face pencil, round-off again; 5: SplitSolve's
 #: Step 1 runs in real arithmetic on a real A(E), round-off on the
-#: SplitSolve records of real devices)
-KEY_SCHEMA_VERSION = 5
+#: SplitSolve records of real devices; 6: stored ``velocities`` are the
+#: un-normalised mode flux and every flux is read from one mode table, so
+#: T changes value off S = I / NBW = 1 and by round-off on it)
+KEY_SCHEMA_VERSION = 6
 
 
 def canonical_float(value) -> str:

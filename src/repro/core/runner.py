@@ -383,7 +383,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                        "hit_rate": nhit / nprobe if nprobe else 0.0})
 
     token = f"{os.getpid()}:{next(_RUN_TOKENS)}"
-    tasks = []
+    tasks: dict = {}       # ui -> zero-argument task of its miss energies
     miss_by_ui: dict = {}
     for ui, (ik, ies) in enumerate(units):
         if done[ui]:
@@ -406,58 +406,50 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             store_root=rstore.root if rstore is not None else None,
             store_keys=tuple(keys[ie] for ie in miss) if keys else None,
             family_token=family.token)
-        tasks.append((ui, _make_task(pipe, caches[ik],
-                                     energies[miss], ik, miss, spec)))
+        tasks[ui] = _make_task(pipe, caches[ik], energies[miss], ik, miss,
+                               spec)
 
     results = []
     traces = []
     try:
-        if task_runner is None:
-            task_by_ui = dict(tasks)
-            for ui, (ik, ies) in enumerate(units):
-                if done[ui]:
-                    continue
-                task = task_by_ui.get(ui)
-                out = task() if task is not None else []
-                _publish_unit(rstore, unit_keys.get(ui),
-                              miss_by_ui.get(ui, []), out)
-                merged = _merge_unit_results(
-                    units[ui], miss_by_ui.get(ui, []), out,
-                    unit_hits.get(ui, {}))
-                _absorb_unit(units[ui], merged, trans, counts, results,
-                             traces, None)
-                done[ui] = True
-                if store is not None:
-                    _save_spectrum(store, energies, kgrid, batch, done,
-                                   trans, counts)
-        else:
+        # A runner returns every unit's output at once; without one each
+        # task is called in place, when its turn comes.
+        out_by_ui = None
+        if task_runner is not None:
             try:
-                outputs = task_runner([t for _, t in tasks])
+                out_by_ui = dict(zip(tasks,
+                                     task_runner(list(tasks.values()))))
             except TaskExecutionError as exc:
                 # translate the runner's flat task index back to the
                 # (k, E) identity so the caller knows which unit to re-run
                 if 0 <= exc.task_index < len(tasks):
-                    ik, ies = units[tasks[exc.task_index][0]]
+                    ik, ies = units[list(tasks)[exc.task_index]]
                     exc.kpoint_index = ik
                     exc.energy_index = ies[0]
                 raise
-            out_by_ui = {ui: out
-                         for (ui, _), out in zip(tasks, outputs)}
-            newly_done = False
-            for ui, (ik, ies) in enumerate(units):
-                if done[ui]:
-                    continue
-                out = out_by_ui.get(ui, [])
-                _publish_unit(rstore, unit_keys.get(ui),
-                              miss_by_ui.get(ui, []), out)
-                merged = _merge_unit_results(
-                    units[ui], miss_by_ui.get(ui, []), out,
-                    unit_hits.get(ui, {}))
-                _absorb_unit(units[ui], merged, trans, counts, results,
-                             traces, telemetry)
-                done[ui] = True
-                newly_done = True
-            if store is not None and newly_done:
+        pending = np.flatnonzero(~done)
+        for ui in pending:
+            if ui not in tasks:
+                out = []                    # fully cached: no task
+            elif out_by_ui is None:
+                out = tasks[ui]()
+            else:
+                out = out_by_ui[ui]
+            fresh = dict(zip(miss_by_ui[ui], out))
+            if rstore is not None:          # idempotent
+                for ie, res in fresh.items():
+                    rstore.put(unit_keys[ui][ie], pack_result(res))
+            # fresh solves and stored hits, back in unit order
+            merged = [fresh[ie] if ie in fresh
+                      else unpack_result(unit_hits[ui][ie])
+                      for ie in units[ui][1]]
+            _absorb_unit(units[ui], merged, trans, counts, results,
+                         traces, telemetry)
+            done[ui] = True
+            # serial: a checkpoint per unit; behind a runner nothing is
+            # lost between units, so one save, with its telemetry
+            if store is not None and (task_runner is None
+                                      or ui == pending[-1]):
                 _save_spectrum(store, energies, kgrid, batch, done,
                                trans, counts, telemetry)
     finally:
@@ -468,26 +460,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                              transmission=trans, mode_counts=counts,
                              results=results, traces=traces,
                              telemetry=telemetry)
-
-
-def _publish_unit(rstore, keys, miss, outputs) -> None:
-    """Publish one unit's fresh solves to the result store (idempotent)."""
-    if rstore is None or keys is None or not miss:
-        return
-    for ie, res in zip(miss, outputs):
-        rstore.put(keys[ie], pack_result(res))
-
-
-def _merge_unit_results(unit, miss, outputs, hits) -> list:
-    """Interleave fresh solves and cached hits back into unit order."""
-    fresh = dict(zip(miss, outputs))
-    merged = []
-    for ie in unit[1]:
-        if ie in fresh:
-            merged.append(fresh[ie])
-        else:
-            merged.append(unpack_result(hits[ie]))
-    return merged
 
 
 def _make_task(pipe, cache, unit_energies, ik, ies, spec=None):

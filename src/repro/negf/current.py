@@ -13,36 +13,32 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obc.modes import bond_current
 from repro.utils.errors import ShapeError
 
 
 def state_block_current(psi: np.ndarray, h_blocks, s_blocks, energy: float,
                         offsets) -> np.ndarray:
-    """Per-interface current of one or more states.
-
-    Returns array of shape (nB-1,) for a single column, or (nB-1, m).
-    """
-    squeeze = psi.ndim == 1
-    if squeeze:
-        psi = psi[:, None]
+    """Per-interface current of the states in the columns of ``psi``,
+    shape (nB-1, m)."""
     nb = h_blocks.num_blocks
     out = np.zeros((nb - 1, psi.shape[1]))
     for i in range(nb - 1):
-        hi = h_blocks.upper[i]
-        si = s_blocks.upper[i]
-        ht = hi - energy * si
-        a = psi[offsets[i]:offsets[i + 1]]
-        b = psi[offsets[i + 1]:offsets[i + 2]]
-        out[i] = -2.0 * np.imag(np.einsum("im,ij,jm->m", np.conj(a), ht, b))
-    return out[:, 0] if squeeze else out
+        out[i] = bond_current(
+            psi[offsets[i]:offsets[i + 1]],
+            h_blocks.upper[i] - energy * s_blocks.upper[i],
+            psi[offsets[i + 1]:offsets[i + 2]])
+    return out
 
 
 def bond_current_profile(result, device, occupations=None) -> np.ndarray:
     """Occupation-weighted interface current profile of one energy point.
 
     ``occupations``: per-injected-mode weights (default: left modes 1,
-    right modes 0 — the pure forward-bias limit).  Velocity normalization
-    matches :func:`repro.negf.density.orbital_density`.
+    right modes 0 — the pure forward-bias limit).  Each state's current
+    is taken over the flux ``result.velocities`` of the unit-amplitude
+    mode it grew from, i.e. it is that state's transmission: the default
+    occupations give T_LR(E) at every interface, no mode decomposition.
     """
     psi = result.psi
     if psi.shape[1] == 0:

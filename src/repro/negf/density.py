@@ -38,7 +38,8 @@ def orbital_density(result, smat, mu_l: float, mu_r: float,
     Returns
     -------
     (norb,) real array; contributions from left-injected states weighted
-    by f(E - mu_l), right-injected by f(E - mu_r).
+    by f(E - mu_l), right-injected by f(E - mu_r), each over the flux
+    of its incoming mode.
     """
     psi = result.psi
     if psi.shape[1] == 0:
@@ -48,8 +49,9 @@ def orbital_density(result, smat, mu_l: float, mu_r: float,
     f_l = fermi(result.energy, mu_l, temperature_k)
     f_r = fermi(result.energy, mu_r, temperature_k)
     occ = np.where(result.from_left, f_l, f_r)
-    # Normalize per mode: a scattering state carries density ~ 1/|v| per
-    # unit energy (1-D density of states of its injecting channel).
+    # A state grown from a unit-amplitude mode of flux j carries |psi|^2 / j
+    # per unit energy whatever the norm or overlap of the mode vector: per
+    # lead cell U^H S(Lambda) U / j = 1 / |dE/dk|, its channel's 1-D DOS.
     v = np.maximum(result.velocities, 1e-300)
     return weight * dens @ (occ / v)
 

@@ -28,7 +28,9 @@ class EnergyPointResult:
     mode_transmissions: np.ndarray  # per injected mode (left then right)
     psi: np.ndarray             # solution columns (one per injected mode)
     from_left: np.ndarray       # bool per column
-    velocities: np.ndarray      # injection |velocity| per column
+    #: |mode_flux| of the injected mode vector per column, un-normalised:
+    #: what the density and current weights divide by
+    velocities: np.ndarray
     boundary: OpenBoundary = field(repr=False, default=None)
     #: per-stage TaskTrace when solved through the pipeline (else None)
     trace: object = field(repr=False, default=None)
@@ -87,38 +89,27 @@ def qtbm_energy_point(device, energy: float, obc_method: str = "feast",
 def analyze_solution(device, ob: OpenBoundary, psi: np.ndarray,
                      from_left: np.ndarray,
                      vels: np.ndarray) -> EnergyPointResult:
-    """Extract transmissions/reflections from solved wavefunctions."""
+    """Extract transmissions/reflections from solved wavefunctions:
+    ``|c|^2 flux_out / flux_in`` with every flux that of the vector psi
+    was injected with (``vels``: ``ob.injected_flux``) or is decomposed
+    onto, all out of the one table ``ob.modes``."""
     modes = ob.modes
     s1 = device.block_sizes[0]
     s2 = device.block_sizes[-1]
     ntot = sum(device.block_sizes)
 
-    prop = modes.propagating
-    right = modes.right_going
-    phi_r_prop = modes.vectors[:, prop & right]
-    v_r = np.abs(modes.velocities[prop & right])
-    phi_l_prop = modes.vectors[:, prop & ~right]
-    v_l = np.abs(modes.velocities[prop & ~right])
     # Decomposition bases: all kept outgoing modes (propagating + decaying)
     # so the propagating coefficients are not polluted by evanescent tails.
-    basis_r = modes.vectors[:, right]
-    idx_r_prop = np.nonzero(prop[right])[0] if right.any() else np.array([])
-    basis_l = modes.vectors[:, ~right]
-    idx_l_prop = np.nonzero(prop[~right])[0] if (~right).any() else np.array([])
-
-    # Each decomposition basis is factored once (rank-revealing QR) and
-    # reused for every injected mode, instead of one lstsq per column.
-    flux_r = _FluxBasis(basis_r, idx_r_prop, v_r)
-    flux_l = _FluxBasis(basis_l, idx_l_prop, v_l)
+    flux_r = _FluxBasis(modes.select(modes.right_going))
+    flux_l = _FluxBasis(modes.select(~modes.right_going))
 
     t_lr = t_rl = r_l = r_r = 0.0
     mode_t = []
-    injected = ob.injected
-    for col, mode in enumerate(injected):
+    for col, mode in enumerate(ob.injected):
         psi_first = psi[:s1, col]
         psi_last = psi[ntot - s2:, col]
         v_in = max(vels[col], 1e-300)
-        if mode.from_left:
+        if from_left[col]:
             # transmitted into the right lead
             t_val = flux_r.flux_fraction(psi_last, v_in)
             r_val = flux_l.flux_fraction(psi_first - mode.vector, v_in)
@@ -142,7 +133,8 @@ def analyze_solution(device, ob: OpenBoundary, psi: np.ndarray,
 
 
 class _FluxBasis:
-    """One outgoing-mode decomposition basis, factored once per point.
+    """The outgoing modes of one side (a :class:`LeadModes` selection) as
+    a decomposition basis, factored once per point.
 
     The least-squares decomposition of the boundary wavefunction is the
     same basis for every injected mode — only the right-hand side
@@ -152,12 +144,11 @@ class _FluxBasis:
     per-call ``lstsq``, which handles them via the pseudo-inverse.
     """
 
-    def __init__(self, basis: np.ndarray, prop_idx,
-                 prop_vel: np.ndarray):
-        self.basis = basis
-        self.prop_idx = np.asarray(prop_idx, dtype=int)
-        self.prop_vel = np.asarray(prop_vel, dtype=float)
-        self.empty = basis.shape[1] == 0 or self.prop_idx.size == 0
+    def __init__(self, outgoing):
+        self.basis = basis = outgoing.vectors
+        self.prop_idx = np.flatnonzero(outgoing.propagating)
+        self.prop_vel = np.abs(outgoing.velocities[self.prop_idx])
+        self.empty = self.prop_idx.size == 0
         self._qr = None
         if self.empty or basis.shape[0] < basis.shape[1]:
             return

@@ -2,8 +2,9 @@
 
 A solution of the lead polynomial EVP is a pair (lambda, u) describing a
 wave psi_j = lambda^j u over the lead cells j.  This module sorts modes
-into left-going and right-going sets (by decay or by group velocity) and
-folds per-cell modes into the supercell frame the transport blocks live in.
+into left-going and right-going sets (by decay, or by the sign of the
+current :func:`mode_flux` they carry) and folds per-cell modes into the
+supercell frame the transport blocks live in.
 """
 
 from __future__ import annotations
@@ -14,49 +15,68 @@ import numpy as np
 
 from repro.utils.errors import ConfigurationError
 
-#: | |lambda| - 1 | below this is a propagating mode
+#: | |lambda| - 1 | below this is a propagating mode (direction from the
+#: sign of its flux); otherwise |lambda| < 1 decays to the right
 PROPAGATING_TOL = 1e-6
 
+#: eigenpairs with a relative residual above this are discarded (contour
+#: methods can return spurious pairs outside their region)
+RESIDUAL_TOL = 1e-7
 
-def group_velocity(pevp, lam: complex, u: np.ndarray) -> float:
-    """Group velocity dE/dk of a propagating mode (cell-length units).
+#: propagating modes whose lambdas agree to this are one degenerate
+#: eigenspace (:func:`flux_orthogonalize`): a vector rotated inside such
+#: a cluster still solves the polynomial to RESIDUAL_TOL, so no looser
+DEGENERATE_TOL = RESIDUAL_TOL
 
-    From first-order perturbation theory on P(e^{ik}) u = 0:
-    v = u^H (sum_l i l lambda^l Htilde_l) u / (u^H S(lambda) u), real for
-    |lambda| = 1 up to round-off.
+
+def bond_current(a: np.ndarray, coupling: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """``-2 Im(a_m^H coupling b_m)`` for every column m: the probability
+    current from the orbitals of ``a`` into those of ``b`` through the
+    block ``coupling = H - E S`` that joins them (the lattice continuity
+    equation of a non-orthogonal basis)."""
+    return -2.0 * np.imag(np.einsum("im,ij,jm->m", np.conj(a), coupling, b))
+
+
+def mode_flux(lams, vectors: np.ndarray, couplings) -> np.ndarray:
+    """Current carried by each Bloch mode ``(lams[i], vectors[:, i])``,
+    **not divided by any norm** (DESIGN.md, "Flux").
+
+    ``couplings[l - 1]`` is the off-centre coefficient ``H_l - E S_l``,
+    l = 1..NBW, of the frame the vectors live in (per cell:
+    ``pevp.coeffs[nbw + 1:]``; folded: the one block ``h01 - E s01``).
+    The wave psi_q = lambda^q u sends ``-2 Im(lambda^l u^H Htilde_l u)``
+    through every pair of cells l apart, and l such pairs straddle a
+    face: a per-cell mode and its stacked supercell vector carry the same
+    number, dE/dk times ``u^H S(lambda) u``.
     """
-    nbw = pevp.nbw
-    fk = np.zeros((pevp.n, pevp.n), dtype=complex)
-    for m, c in enumerate(pevp.coeffs):
-        l = m - nbw
-        if l != 0:
-            fk += 1j * l * lam ** l * c
-    # S(lambda) from the energy derivative: Htilde_l = H_l - E S_l, so
-    # dP/dE = -S(lambda); we reconstruct S(lambda) via finite energy shift
-    # would be wasteful — instead the caller normalizes; here we use
-    # u^H u as the (positive) normalization since only consistent relative
-    # magnitudes and signs matter for flux ratios computed in one frame.
-    num = complex(u.conj() @ (fk @ u))
-    den = float(np.real(u.conj() @ u))
-    return float(np.real(num) / den)
+    lams = np.asarray(lams, dtype=complex)
+    flux = np.zeros(len(lams))
+    for l, coupling in enumerate(couplings, start=1):
+        flux += l * bond_current(vectors, coupling, vectors * lams ** l)
+    return flux
 
 
 @dataclass
 class LeadModes:
-    """Classified Bloch modes of one lead at one energy.
+    """Classified Bloch modes of one lead at one energy: the one table a
+    mode's lambda, vector, flux and direction live in.
 
     All arrays are column-aligned: ``lambdas[i]`` pairs with
     ``vectors[:, i]``, ``velocities[i]``, ``propagating[i]``.
-
-    ``vectors`` hold *unfolded* (per-unit-cell) modes of size n; use
-    :func:`fold_modes` to move to the supercell frame.
+    ``velocities[i]`` is :func:`mode_flux` of ``vectors[:, i]`` as stored
+    (0 for a decaying mode); a propagating mode is right-going iff it is
+    positive.  :func:`classify_modes` fills the table per unit cell,
+    :func:`fold_modes` moves it to the supercell frame and
+    :func:`flux_orthogonalize` finishes it for an
+    :class:`~repro.obc.selfenergy.OpenBoundary`.
     """
 
     lambdas: np.ndarray
     vectors: np.ndarray
     velocities: np.ndarray
     propagating: np.ndarray  # bool
-    right_going: np.ndarray  # bool: decays rightward or propagates with v>0
+    right_going: np.ndarray  # bool: decays rightward or carries flux > 0
 
     @property
     def num_modes(self) -> int:
@@ -77,37 +97,28 @@ class LeadModes:
         return int(np.count_nonzero(self.propagating & ~self.right_going))
 
 
-def classify_modes(pevp, lambdas, vectors, prop_tol: float = PROPAGATING_TOL,
-                   residual_tol: float = 1e-7) -> LeadModes:
-    """Classify raw eigenpairs into a :class:`LeadModes` table.
+def classify_modes(pevp, lambdas, vectors) -> LeadModes:
+    """Classify raw eigenpairs into a :class:`LeadModes` table, dropping
+    those above :data:`RESIDUAL_TOL`, non-finite eigenvalues and zero
+    vectors.
 
-    Array code: one stacked residual for all pairs
-    (:meth:`PolynomialEVP.residuals`), masks for the rest; only the few
-    propagating pairs are visited one by one, for their group velocity.
-
-    Parameters
-    ----------
-    prop_tol : float
-        | |lambda| - 1 | below this marks a propagating mode; direction
-        then comes from the group velocity.  Otherwise |lambda| < 1 is
-        right-decaying, |lambda| > 1 left-decaying.
-    residual_tol : float
-        Eigenpairs with relative residual above this are discarded
-        (contour methods can return spurious pairs outside their region),
-        as are non-finite eigenvalues and zero vectors.
+    Array code throughout: one stacked residual for all pairs
+    (:meth:`PolynomialEVP.residuals`), one :func:`mode_flux` for the
+    propagating ones (:data:`PROPAGATING_TOL`), masks for the rest.
     """
     lambdas = np.asarray(lambdas, dtype=complex)
     vectors = np.asarray(vectors, dtype=complex)
     if vectors.shape[1] != len(lambdas):
         raise ConfigurationError("vectors/lambdas column count mismatch")
 
-    keep = pevp.residuals(lambdas, vectors) <= residual_tol
+    keep = pevp.residuals(lambdas, vectors) <= RESIDUAL_TOL
     lambdas, vectors = lambdas[keep], vectors[:, keep]
     mags = np.abs(lambdas)
-    propagating = np.abs(mags - 1.0) < prop_tol
+    propagating = np.abs(mags - 1.0) < PROPAGATING_TOL
     velocities = np.zeros(len(lambdas))
-    for i in np.flatnonzero(propagating):
-        velocities[i] = group_velocity(pevp, lambdas[i], vectors[:, i])
+    velocities[propagating] = mode_flux(
+        lambdas[propagating], vectors[:, propagating],
+        pevp.coeffs[pevp.nbw + 1:])
     return LeadModes(
         lambdas=lambdas, vectors=vectors, velocities=velocities,
         propagating=propagating,
@@ -119,8 +130,8 @@ def fold_modes(modes: LeadModes, group: int) -> LeadModes:
 
     A per-cell mode (lambda, u) becomes the supercell mode
     (Lambda, U) = (lambda^group, [u; lambda u; ...; lambda^{group-1} u]),
-    normalized.  Velocities keep their per-cell values (direction and
-    flux *ratios* are preserved, which is all transport uses).
+    normalized: the stacked vector carries the flux of u, the stored one
+    that over the same squared norm.
     """
     if group < 1:
         raise ConfigurationError("group must be >= 1")
@@ -130,28 +141,47 @@ def fold_modes(modes: LeadModes, group: int) -> LeadModes:
     powers = modes.lambdas ** np.arange(group)[:, None, None]
     big = (modes.vectors[None] * powers).reshape(group * n, m)
     norms = np.linalg.norm(big, axis=0)
+    norms = np.where(norms > 0, norms, 1.0)
     return LeadModes(
         lambdas=modes.lambdas ** group,
-        vectors=big / np.where(norms > 0, norms, 1.0),
-        velocities=modes.velocities.copy(),
+        vectors=big / norms,
+        velocities=modes.velocities / norms ** 2,
         propagating=modes.propagating.copy(),
         right_going=modes.right_going.copy(),
     )
 
 
-def folded_velocity(lam: complex, u: np.ndarray, h01f: np.ndarray,
-                    s01f: np.ndarray, s00f: np.ndarray,
-                    energy: float) -> float:
-    """Group velocity evaluated in the folded (NBW = 1) frame.
+def flux_orthogonalize(modes: LeadModes, coupling: np.ndarray) -> LeadModes:
+    """Give the propagating modes of a degenerate lambda independent
+    currents (``coupling``: ``h01 - E s01`` of the frame of ``modes``).
 
-    v = -2 Im(Lambda u^H (H01 - E S01) u) / (u^H S(Lambda) u); used for
-    flux normalization of folded-mode amplitudes (all in one consistent
-    frame).
+    ``sum |c|^2 flux`` is a current only over flux-orthogonal modes.
+    Modes of different lambda are; inside one eigenspace an eigen-solver
+    may return any basis.  So each cluster of propagating modes whose
+    lambdas agree to :data:`DEGENERATE_TOL` has its Hermitian current
+    matrix ``J_ab = i U_a^H (Lambda Htilde01 - conj(Lambda) Htilde01^H)
+    U_b`` diagonalised and the table gets ``U W``, unit columns: still
+    eigenvectors, flux J's eigenvalue, direction its sign.
     """
-    ht01 = h01f - energy * s01f
-    a = complex(u.conj() @ (ht01 @ u))
-    sk = s00f + lam * s01f + np.conj(lam) * s01f.conj().T
-    den = float(np.real(u.conj() @ (sk @ u)))
-    if abs(den) < 1e-300:
-        return 0.0
-    return float(-2.0 * np.imag(lam * a) / den)
+    prop = np.flatnonzero(modes.propagating)
+    if prop.size < 2:
+        return modes
+    lams = modes.lambdas[prop]
+    # label each mode with the first one within the tolerance of it
+    first = (np.abs(lams[:, None] - lams) < DEGENERATE_TOL).argmax(axis=1)
+    clusters = np.flatnonzero(np.bincount(first) > 1)
+    if not clusters.size:
+        return modes
+    out = LeadModes(modes.lambdas, modes.vectors.copy(),
+                    modes.velocities.copy(), modes.propagating,
+                    modes.right_going.copy())
+    for c in clusters:
+        cols = prop[first == c]
+        u = modes.vectors[:, cols]
+        m = u.conj().T @ (coupling @ (u * modes.lambdas[cols]))
+        u = u @ np.linalg.eigh(1j * (m - m.conj().T))[1]
+        out.vectors[:, cols] = u / np.linalg.norm(u, axis=0)
+        out.velocities[cols] = mode_flux(modes.lambdas[cols],
+                                         out.vectors[:, cols], [coupling])
+        out.right_going[cols] = out.velocities[cols] > 0
+    return out

@@ -35,6 +35,7 @@ last block row).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,8 @@ from repro.hamiltonian.device import LeadBlocks
 from repro.linalg import block_support
 from repro.obc.decimation import sancho_rubio, sigma_from_surface_gf
 from repro.obc.feast import feast_annulus
-from repro.obc.modes import LeadModes, classify_modes, fold_modes, folded_velocity
+from repro.obc.modes import (LeadModes, classify_modes, flux_orthogonalize,
+                             fold_modes)
 from repro.obc.polynomial import (PolynomialEVP, PolynomialFamily,
                                   count_interface_fallback)
 from repro.obc.shift_invert import shift_invert_modes
@@ -52,17 +54,19 @@ from repro.utils.errors import ConfigurationError
 
 @dataclass
 class InjectedMode:
-    """One incoming propagating lead mode, ready for Inj assembly."""
+    """One incoming mode: a propagating row of :attr:`OpenBoundary.modes`."""
 
     lam: complex           # folded Bloch factor Lambda
-    vector: np.ndarray     # folded, normalized mode vector
-    velocity: float        # folded-frame group velocity (flux weight)
+    vector: np.ndarray     # folded mode vector, as stored in the table
+    velocity: float        # its un-normalised flux (modes.mode_flux), signed
     from_left: bool
 
 
 @dataclass
 class OpenBoundary:
-    """Sigma^RB + injection data for one (lead, energy) pair."""
+    """Sigma^RB + injection data for one (lead, energy) pair; ``injected``,
+    ``from_left`` and ``injected_flux`` are views of the propagating rows
+    of ``modes``, the one table the modes live in."""
 
     energy: float
     sigma_l: np.ndarray
@@ -70,44 +74,56 @@ class OpenBoundary:
     t01: np.ndarray               # folded E S01 - H01
     ml: np.ndarray | None         # boundary map M_L (None for decimation)
     mr: np.ndarray | None
-    modes: LeadModes | None       # folded classified modes
-    injected: list                # of InjectedMode
+    modes: LeadModes | None       # the mode table (None for decimation)
     method: str = ""
     #: solver diagnostics (FEAST iterations, decimation iteration count,
     #: predicted bytes, ...) — surfaced on the OBC stage trace
     info: dict = field(default_factory=dict)
 
     @property
-    def block_size(self) -> int:
-        return self.sigma_l.shape[0]
+    def from_left(self) -> np.ndarray:
+        """Per column of Inj: a right-going mode comes in from the left."""
+        if self.modes is None:
+            return np.zeros(0, dtype=bool)
+        return self.modes.right_going[self.modes.propagating]
+
+    @property
+    def injected_flux(self) -> np.ndarray:
+        """|flux| per injected mode: what a unit amplitude of it sends in."""
+        if self.modes is None:
+            return np.zeros(0)
+        return np.abs(self.modes.velocities[self.modes.propagating])
+
+    @cached_property
+    def injected(self) -> list:
+        """The propagating rows of ``modes`` as :class:`InjectedMode`."""
+        m = self.modes
+        return [] if m is None else [
+            InjectedMode(lam=m.lambdas[i], vector=m.vectors[:, i],
+                         velocity=float(m.velocities[i]),
+                         from_left=bool(m.right_going[i]))
+            for i in np.flatnonzero(m.propagating)]
 
     @property
     def num_left_injected(self) -> int:
-        return sum(1 for m in self.injected if m.from_left)
+        return int(np.count_nonzero(self.from_left))
 
     @property
     def num_right_injected(self) -> int:
-        return sum(1 for m in self.injected if not m.from_left)
+        return int(np.count_nonzero(~self.from_left))
 
-    def injection_matrix(self, num_blocks: int, block_sizes,
-                         sides: str = "both") -> np.ndarray:
+    def injection_matrix(self, num_blocks: int, block_sizes) -> np.ndarray:
         """Dense Inj of Eq. (5): one column per incoming propagating mode,
         non-zero only in the first and last block rows (Fig. 4).
 
-        Only the first/last block values are computed and scattered into
-        one preallocated (ntot, n_inj) array — no full-length zero column
-        per mode, no ``column_stack`` copy.  The per-mode matvecs are kept
-        as-is (a single stacked gemm would change the round-off), so each
-        column is bitwise what the per-column construction produced.
+        One matvec per mode, not a stacked gemm: each column is bitwise
+        what the per-column construction gives (the golden suites).
         """
         offs = np.concatenate([[0], np.cumsum(block_sizes)])
         ntot = int(offs[-1])
         t10 = self.t01.conj().T
-        picked = [m for m in self.injected
-                  if (m.from_left and sides in ("both", "left"))
-                  or ((not m.from_left) and sides in ("both", "right"))]
-        inj = np.zeros((ntot, len(picked)), dtype=complex)
-        for c, m in enumerate(picked):
+        inj = np.zeros((ntot, len(self.injected)), dtype=complex)
+        for c, m in enumerate(self.injected):
             if m.from_left:
                 inj[offs[0]:offs[1], c] = \
                     -t10 @ ((1.0 / m.lam) * m.vector - self.ml @ m.vector)
@@ -121,6 +137,9 @@ def boundary_from_modes(lead: LeadBlocks, energy: float,
                         folded: LeadModes, method: str = "") -> OpenBoundary:
     """Assemble Sigma^RB and injection data from classified folded modes.
 
+    ``folded`` is flux-orthogonalised first; Sigma, Inj and the returned
+    table all hold the vectors that leaves, one basis for every consumer.
+
     The boundary maps M_L (left-going modes, weights 1/lambda, fitted on
     the columns of T01) and M_R (right-going modes, weights lambda, on
     the columns of T01^H, i.e. the rows of T01) come from
@@ -129,35 +148,21 @@ def boundary_from_modes(lead: LeadBlocks, energy: float,
     (FEAST's annulus) or hold lambda ~ 0 duplicates of the null space
     (the companion ``zggev``); Sigma = -T M either way.
     """
-    h01, s01 = lead.h01, lead.s01
-    h00f, s00f = lead.h00, lead.s00
     nf = lead.folded_size
     if folded.vectors.shape[0] != nf:
         raise ConfigurationError(
             f"modes are size {folded.vectors.shape[0]}, lead folded size "
             f"is {nf}; fold modes with group = NBW first")
-    t01 = (energy * s01 - h01).astype(complex)
+    t01 = (energy * lead.s01 - lead.h01).astype(complex)
     t10 = t01.conj().T
+    folded = flux_orthogonalize(folded, -t01)
 
     left_set = folded.select(~folded.right_going)
     right_set = folded.select(folded.right_going)
     ml = _support_map(left_set.vectors, 1.0 / left_set.lambdas, t01)
     mr = _support_map(right_set.vectors, right_set.lambdas, t10)
-    sigma_l = -t10 @ ml
-    sigma_r = -t01 @ mr
-
-    injected = []
-    prop = folded.select(folded.propagating)
-    for i in range(prop.num_modes):
-        lam = prop.lambdas[i]
-        u = prop.vectors[:, i]
-        v = folded_velocity(lam, u, h01, s01, s00f, energy)
-        injected.append(InjectedMode(lam=lam, vector=u, velocity=v,
-                                     from_left=v > 0))
-
-    return OpenBoundary(energy=energy, sigma_l=sigma_l, sigma_r=sigma_r,
-                        t01=t01, ml=ml, mr=mr, modes=folded,
-                        injected=injected, method=method)
+    return OpenBoundary(energy=energy, sigma_l=-t10 @ ml, sigma_r=-t01 @ mr,
+                        t01=t01, ml=ml, mr=mr, modes=folded, method=method)
 
 
 def _compact_nullspace(compact: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
@@ -211,7 +216,7 @@ def boundary_from_decimation(lead: LeadBlocks, energy: float,
                                                        iterations)}
     return OpenBoundary(energy=energy, sigma_l=sigma_l, sigma_r=sigma_r,
                         t01=t01, ml=None, mr=None, modes=None,
-                        injected=[], method="decimation", info=info)
+                        method="decimation", info=info)
 
 
 # --------------------------------------------------------------------------

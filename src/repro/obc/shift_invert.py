@@ -88,24 +88,26 @@ def _dedupe(lambdas, vectors, lam_tol: float = 1e-7,
             overlap_tol: float = 1.0 - 1e-7):
     """Merge duplicate eigenpairs found from different shifts.
 
-    Two pairs are duplicates when their eigenvalues agree to ``lam_tol``
-    *and* their eigenvectors are parallel — degenerate eigenvalues with
-    orthogonal vectors are kept separately.
+    A pair is a duplicate when its eigenvalue agrees with a kept one to
+    ``lam_tol`` *and* its (unit) eigenvector does not raise the rank of
+    the vectors kept for that eigenvalue: its projection onto their span
+    has norm above ``overlap_tol``.  A degenerate eigenvalue so keeps one
+    vector per dimension of its eigenspace, however many shifts found it.
     """
-    keep_l, keep_v = [], []
+    groups = []     # (eigenvalue, orthonormal basis of its kept span)
+    keep = []
     for i, lam in enumerate(lambdas):
         u = vectors[:, i]
-        dup = False
-        for j, lam2 in enumerate(keep_l):
-            if abs(lam - lam2) < lam_tol * max(1.0, abs(lam)):
-                ov = abs(np.vdot(keep_v[j], u))
-                if ov > overlap_tol:
-                    dup = True
-                    break
-        if not dup:
-            keep_l.append(lam)
-            keep_v.append(u)
-    if not keep_l:
-        return (np.zeros(0, dtype=complex),
-                np.zeros((vectors.shape[0], 0), dtype=complex))
-    return np.asarray(keep_l), np.asarray(keep_v).T
+        for g, (lam_g, q) in enumerate(groups):
+            if abs(lam - lam_g) < lam_tol * max(1.0, abs(lam)):
+                proj = q.conj().T @ u
+                if np.linalg.norm(proj) <= overlap_tol:
+                    rest = u - q @ proj
+                    groups[g] = (lam_g, np.column_stack(
+                        [q, rest / np.linalg.norm(rest)]))
+                    keep.append(i)
+                break
+        else:
+            groups.append((lam, u[:, None]))
+            keep.append(i)
+    return lambdas[keep], vectors[:, keep]

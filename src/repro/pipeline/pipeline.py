@@ -37,7 +37,7 @@ from repro.observability.spans import current_tracer
 from repro.pipeline.cache import DeviceCache, as_cache
 from repro.pipeline.registry import AUTO, SOLVERS, resolve_solver_name
 from repro.pipeline.trace import TaskTrace, batch_stage_scope
-from repro.utils.errors import ConfigurationError
+from repro.utils.errors import ConfigurationError, SingularMatrixError
 
 
 class TransportPipeline:
@@ -192,18 +192,13 @@ class TransportPipeline:
                             "obc_method")
                 obs.append(ob)
 
-            injs, from_lefts, velss = [], [], []
+            injs = []
             with batch_stage_scope(traces, "ASSEMBLE") as sts:
                 a_batch = cache.a_matrix_batch(energies)
                 for ob, st in zip(obs, sts):
                     inj = ob.injection_matrix(cache.num_blocks,
                                               cache.block_sizes)
                     injs.append(inj)
-                    from_lefts.append(np.array(
-                        [m.from_left for m in ob.injected], dtype=bool))
-                    velss.append(np.array(
-                        [abs(m.velocity) for m in ob.injected],
-                        dtype=float))
                     st.meta.update(num_rhs=int(inj.shape[1]),
                                    batch_size=ne)
 
@@ -252,24 +247,27 @@ class TransportPipeline:
                             if predicted is not None:
                                 st.meta["predicted_bytes"] = int(predicted)
                     for j, x in zip(group, xs):
+                        # rgf / bcr factor with check_finite=False: a NaN
+                        # in A(E) comes back as a NaN psi, not an error
+                        if not np.isfinite(x).all():
+                            raise SingularMatrixError(
+                                f"solver {name!r} returned a non-finite "
+                                f"wavefunction at E = {energies[j]}: "
+                                "A(E) - Sigma is singular or not finite")
                         psis[j] = x
 
             results = []
             for j, (tr, ob) in enumerate(zip(traces, obs)):
-                if psis[j] is None:
-                    result = EnergyPointResult(
-                        energy=energies[j], num_prop_left=0,
-                        num_prop_right=0, transmission_lr=0.0,
-                        transmission_rl=0.0, reflection_l=0.0,
-                        reflection_r=0.0, mode_transmissions=np.zeros(0),
-                        psi=np.zeros((cache.num_orbitals, 0),
-                                     dtype=complex),
-                        from_left=from_lefts[j], velocities=velss[j],
-                        boundary=ob)
+                if psis[j] is None:     # nothing solved, nothing to time
+                    result = analyze_solution(
+                        cache, ob, np.zeros((cache.num_orbitals, 0),
+                                            dtype=complex),
+                        ob.from_left, ob.injected_flux)
                 else:
                     with batch_stage_scope([tr], "ANALYZE"):
-                        result = analyze_solution(cache, ob, psis[j],
-                                                  from_lefts[j], velss[j])
+                        result = analyze_solution(
+                            cache, ob, psis[j], ob.from_left,
+                            ob.injected_flux)
                 result.trace = tr
                 results.append(result)
             return results

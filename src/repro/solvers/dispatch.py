@@ -44,7 +44,7 @@ def _solve_splitsolve(a, ob, inj, *, num_partitions=1, parallel=False,
     s1 = a.block_sizes[0]
     s2 = a.block_sizes[-1]
     ntot = sum(a.block_sizes)
-    from_left = np.array([m.from_left for m in ob.injected], dtype=bool)
+    from_left = ob.from_left
     per_mode = from_left.size == inj.shape[1]
     support = None
     if per_mode:

@@ -313,3 +313,169 @@ def open_energies(lead, count=3):
     _ks, bands = lead_band_structure(lead, 7)
     picks = np.linspace(0, bands.shape[1] - 1, count).round().astype(int)
     return [float(bands[2 + (j % 3), b]) for j, b in enumerate(picks)]
+
+
+# --------------------------------------------------------------------------
+# Physics truth: what agreement between algorithms cannot see.
+# --------------------------------------------------------------------------
+
+#: keyword arguments of the truncating OBC methods in the truth checks
+#: (FEAST's annulus and the shift-and-invert keep radius coincide)
+_TRUTH_OBC_KWARGS = {
+    "dense": None,
+    "feast": dict(r_outer=3.0, num_points=8, seed=0),
+    "shift_invert": dict(keep_radius=3.0, seed=0),
+}
+
+
+def check_transmission_truth(device, energies, methods=("dense", "feast"),
+                             perfect=True, tol=None):
+    """QTBM == Caroli == bond current (== band count on a perfect device).
+
+    At every energy and for every OBC ``method`` - a registry name, or a
+    callable ``(lead, energy) -> OpenBoundary`` - the QTBM point (RGF
+    solve) is held against three routes that share no flux bookkeeping
+    with it: the Caroli transmission on decimation self-energies
+    (``negf_transmission``, one per energy), every entry of
+    ``bond_current_profile`` (the interface current of psi over the
+    injected flux: no mode decomposition), and, with ``perfect`` (no
+    scatterer: T(E) counts the open bands), the integer
+    ``num_prop_left``.
+
+    ``perfect``: ``T_lr == T_rl == num_prop_left == Caroli == bond
+    current`` to ``tol`` = 1e-8 and ``conserved < tol`` (``feast``:
+    1e-7, what its annulus leaves out).  Otherwise: ``T_lr == T_rl ==
+    Caroli == bond current`` to ``tol`` = 1e-6 (the decimation
+    broadening eta = 1e-8 bounds that reference), ``0 <= T <= modes``
+    and ``conserved < tol``; ``dense`` only unless the mode set a
+    truncating method keeps is known to be complete.  In a gap all of
+    them read 0.  Returns the results, ``[energy][method]``.
+    """
+    from repro.negf import (bond_current_profile, negf_transmission,
+                            qtbm_energy_point)
+    from repro.pipeline.cache import as_cache
+
+    cache = as_cache(device)
+    out = []
+    for e in energies:
+        caroli = negf_transmission(
+            cache, e, boundary=cache.boundary(e, "decimation", eta=1e-8))
+        row = []
+        for method in methods:
+            if callable(method):
+                label = getattr(method, "__name__", "callable")
+                res = qtbm_energy_point(cache, e, solver="rgf",
+                                        boundary=method(cache.lead, e))
+            else:
+                label = method
+                res = qtbm_energy_point(
+                    cache, e, obc_method=method, solver="rgf",
+                    obc_kwargs=_TRUTH_OBC_KWARGS[method])
+            eps = tol if tol is not None else (
+                1e-6 if not perfect else 1e-7 if method == "feast" else 1e-8)
+            where = f"E={e}, {label}"
+            modes = res.num_prop_left
+            assert res.num_prop_right == modes, where
+            want = {"transmission_rl": res.transmission_rl, "Caroli": caroli}
+            if perfect:
+                want["band count"] = modes
+            else:
+                assert -eps <= res.transmission_lr <= modes + eps, \
+                    f"{where}: T = {res.transmission_lr!r} of {modes} modes"
+            for name, value in want.items():
+                assert abs(res.transmission_lr - value) < eps, \
+                    f"{where}: transmission_lr {res.transmission_lr!r} " \
+                    f"!= {name} {value!r}"
+            profile = bond_current_profile(res, cache)
+            err = np.abs(profile - res.transmission_lr).max()
+            assert err < eps, \
+                f"{where}: bond current misses T by {err:.1e}: {profile}"
+            assert res.conserved < eps, \
+                f"{where}: |T + R - modes| / modes = {res.conserved:.1e}"
+            row.append(res)
+        out.append(row)
+    return out
+
+
+def check_density_dos(device, energy, rtol=1e-6):
+    """Charge == band density of states on a perfect device.
+
+    With every scattering state occupied once, the Mulliken charge
+    ``orbital_density`` puts on the middle folded block (``dense`` +
+    RGF) is ``sum 1 / |dE/dK|`` over the lead bands crossing ``energy``
+    in either direction: a unit-amplitude Bloch state holds
+    ``U^H S(K) U`` per block and is weighted by one over its flux.  The
+    slopes come from Hellmann-Feynman on ``eigh(H(K), S(K))`` of the
+    folded lead at K = arg Lambda (degenerate bands: the eigenvalues of
+    the slope operator in their eigenspace) - nothing of ``repro.obc``
+    but the Bloch factors.  Returns (charge, reference).
+    """
+    import scipy.linalg
+
+    from repro.negf import orbital_density, qtbm_energy_point
+    from repro.pipeline.cache import as_cache
+
+    cache = as_cache(device)
+    assert cache.num_blocks >= 3, "the middle block needs both neighbours"
+    res = qtbm_energy_point(cache, energy, obc_method="dense", solver="rgf")
+    modes = res.boundary.modes
+    dens = orbital_density(res, cache.device.smat, mu_l=energy + 1.0,
+                           mu_r=energy + 1.0, temperature_k=0.0)
+    offs = np.concatenate([[0], np.cumsum(cache.block_sizes)])
+    mid = cache.num_blocks // 2
+    charge = dens[offs[mid]:offs[mid + 1]].sum()
+
+    lead = cache.lead
+    ht01 = lead.h01 - energy * lead.s01
+    slopes = []
+    for k in np.unique(np.angle(modes.lambdas[modes.propagating]).round(7)):
+        phase = np.exp(1j * k)
+        w, c = scipy.linalg.eigh(
+            lead.h00 + phase * lead.h01 + np.conj(phase) * lead.h01.conj().T,
+            lead.s00 + phase * lead.s01 + np.conj(phase) * lead.s01.conj().T)
+        c = c[:, np.abs(w - energy) < 1e-6]
+        slope = 1j * phase * c.conj().T @ ht01 @ c
+        slopes.extend(np.linalg.eigvalsh(slope + slope.conj().T))
+    assert len(slopes) == np.count_nonzero(modes.propagating) > 0, \
+        f"E={energy}: {len(slopes)} band crossings for " \
+        f"{np.count_nonzero(modes.propagating)} propagating modes"
+    want = np.sum(1.0 / np.abs(slopes))
+    assert abs(charge - want) <= rtol * want, \
+        f"E={energy}: block charge {charge!r} != band DOS {want!r} " \
+        f"(ratio {charge / want:.6f})"
+    return charge, want
+
+
+def add_scatterer(device, blocks, delta):
+    """``device`` with the Hermitian ``delta`` (one folded block wide)
+    added to H on each of the diagonal ``blocks``: a compact scatterer as
+    long as the first and last block stay out of ``blocks``."""
+    import dataclasses
+
+    import scipy.sparse as sp
+    where = np.zeros(device.num_blocks)
+    where[list(blocks)] = 1.0
+    return dataclasses.replace(
+        device, hmat=(device.hmat + sp.kron(sp.diags(where), delta)).tocsr())
+
+
+def make_two_chain_lead(overlap=False, seed=3):
+    """Lead whose cell is two uncoupled copies of one random 3-orbital
+    chain (h = 2 + 0.1 sym N, t = -1 + 0.1 N): every band exactly twice,
+    so every Bloch factor is doubly degenerate and an eigen-solver may
+    return any basis of each pair.  ``overlap`` adds a block-diagonal
+    S != I, the same for both copies.  (Seed 3: a draw on which three
+    shifts of shift-and-invert each find their own basis of a pair, with
+    and without overlap.)"""
+    from repro.hamiltonian.device import LeadBlocks
+    rng = np.random.default_rng(seed)
+    draw = lambda: rng.standard_normal((3, 3))      # noqa: E731
+    pert, hop, spert, shop = draw(), draw(), draw(), draw()
+    cells = [[2.0 * np.eye(3) + 0.05 * (pert + pert.T),
+              -np.eye(3) + 0.1 * hop],
+             [np.eye(3) + 0.02 * (spert + spert.T) * overlap,
+              0.03 * shop * overlap]]
+    (h0, h1), (s0, s1) = ([np.kron(np.eye(2), b) for b in pair]
+                          for pair in cells)
+    return LeadBlocks(h_cells=[h0, h1], s_cells=[s0, s1],
+                      h00=h0, h01=h1, s00=s0, s01=s1)

@@ -16,6 +16,7 @@ from repro.negf import (
 from repro.negf.density import fermi
 from repro.structure import linear_chain, silicon_nanowire
 from repro.utils.errors import ConfigurationError
+from tests.helpers import check_transmission_truth
 from tests.test_hamiltonian import single_s_basis
 
 
@@ -131,10 +132,7 @@ class TestNanowireStaircase:
 
     @pytest.mark.parametrize("energy", [-4.5, -4.0, -3.0, 5.0])
     def test_integer_transmission(self, wire_device, energy):
-        res = qtbm_energy_point(wire_device, energy, obc_method="dense",
-                                solver="rgf")
-        assert res.transmission_lr == pytest.approx(res.num_prop_left,
-                                                    abs=1e-6)
+        check_transmission_truth(wire_device, [energy], methods=("dense",))
 
     def test_feast_obc_gives_same_staircase(self, wire_device):
         e = -4.0
@@ -173,11 +171,8 @@ class TestFiniteMomentum:
         film = silicon_utb_film(0.8, 4)
         dev = build_device(film, tight_binding_set(), 4,
                            kpoint=(0.0, kz))
-        for e in (-3.2, -2.9):
-            res = qtbm_energy_point(dev, e, obc_method="dense",
-                                    solver="rgf")
-            assert res.transmission_lr == pytest.approx(
-                res.num_prop_left, abs=1e-8)
+        for (res,) in check_transmission_truth(dev, (-3.2, -2.9),
+                                               methods=("dense",)):
             assert res.conserved < 1e-10
 
     def test_orthogonal_basis_images_have_zero_overlap(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.hamiltonian import build_device
 from repro.obc import PolynomialEVP, classify_modes
-from repro.obc.modes import group_velocity
+from repro.obc.modes import mode_flux
 from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError, ShapeError
 from tests.helpers import make_confined_lead, open_energies
@@ -149,7 +149,8 @@ class TestStackedResiduals:
                         > residual_tol:
                     continue
                 is_prop = abs(abs(lam) - 1.0) < prop_tol
-                v = group_velocity(pevp, lam, u) if is_prop else 0.0
+                v = mode_flux([lam], u[:, None], pevp.coeffs[2:])[0] \
+                    if is_prop else 0.0
                 keep.append(i)
                 vels.append(v)
                 props.append(is_prop)

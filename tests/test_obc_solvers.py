@@ -15,7 +15,7 @@ from repro.obc import (
     sancho_rubio,
     shift_invert_modes,
 )
-from repro.obc.modes import group_velocity
+from repro.obc.modes import mode_flux
 from repro.structure import linear_chain, silicon_nanowire
 from repro.basis import tight_binding_set
 from repro.utils.errors import ConfigurationError, ConvergenceError
@@ -117,9 +117,10 @@ class TestModeClassification:
         modes = classify_modes(pevp, lams, us)
         k = np.arccos(energy / (2 * t))
         v_expect = abs(-2 * t * np.sin(k))
-        for i in range(2):
-            v = group_velocity(pevp, modes.lambdas[i], modes.vectors[:, i])
-            assert abs(abs(v) - v_expect) < 1e-8
+        # unit-norm u and S = I: the un-normalised flux is dE/dk itself
+        v = mode_flux(modes.lambdas, modes.vectors, pevp.coeffs[2:])
+        assert np.array_equal(v, modes.velocities)
+        assert np.abs(np.abs(v) - v_expect).max() < 1e-8
 
     def test_chain_out_of_band(self):
         lead, pevp = chain_lead(energy=5.0)
