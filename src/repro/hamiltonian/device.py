@@ -47,10 +47,6 @@ class LeadBlocks:
         return len(self.h_cells) - 1
 
     @property
-    def cell_size(self) -> int:
-        return self.h_cells[0].shape[0]
-
-    @property
     def folded_size(self) -> int:
         return self.h00.shape[0]
 

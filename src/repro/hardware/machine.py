@@ -41,10 +41,6 @@ class RunEstimate:
     def sustained_pflops(self) -> float:
         return self.total_flops / self.wall_time_s / 1e15
 
-    @property
-    def avg_time_per_point_s(self) -> float:
-        return self.wall_time_s / max(self.avg_points_per_node, 1e-300)
-
 
 class SimulatedMachine:
     """A machine allocation executing the OMEN workload model."""

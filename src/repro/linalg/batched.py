@@ -109,9 +109,9 @@ def _gemm_batched_impl(a: np.ndarray, b: np.ndarray, tag: str = "",
     ne, m, k = a.shape
     n = b.shape[2]
     cx = _is_complex(a, b)
+    flops, moved = _fl.kernel_cost("gemm", (m, n, k), cx)
     _record("zgemm_batched" if cx else "dgemm_batched",
-            ne * _fl.gemm_flops(m, n, k, cx),
-            a.nbytes + b.nbytes + c.nbytes, t0, tag)
+            ne * flops, ne * moved, t0, tag)
     return c
 
 
@@ -131,8 +131,9 @@ def _lu_factor_batched_impl(a: np.ndarray, tag: str = ""):
             f"batched LU factorization failed: {exc}") from exc
     ne, n = a.shape[0], a.shape[1]
     cx = _is_complex(a)
+    flops, moved = _fl.kernel_cost("lu_factor", (n,), cx)
     _record("zgetrf_batched" if cx else "dgetrf_batched",
-            ne * _fl.lu_flops(n, cx), 2 * a.nbytes, t0, tag)
+            ne * flops, ne * moved, t0, tag)
     return fac
 
 
@@ -149,9 +150,9 @@ def _lu_solve_batched_impl(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
     x = sla.lu_solve(fac, b, check_finite=False)
     ne, n, nrhs = x.shape
     cx = _is_complex(fac[0], b)
+    flops, moved = _fl.kernel_cost("lu_solve", (n, nrhs), cx)
     _record("zgetrs_batched" if cx else "dgetrs_batched",
-            ne * 2 * _fl.trsm_flops(n, nrhs, cx),
-            b.nbytes + x.nbytes, t0, tag)
+            ne * flops, ne * moved, t0, tag)
     return x
 
 

@@ -6,6 +6,9 @@ sampling CUPTI device counters.  Here every instrumented kernel
 to the active :class:`FlopLedger`.  The counts use the standard LAPACK
 conventions (one multiply + one add = 2 flops; a complex multiply-add = 8
 flops), the same accounting the paper's 15 PFlop/s figure rests on.
+What a kernel costs - flops and bytes - is declared once, in the price
+table behind :func:`kernel_cost`: the wrappers record from it and the
+cost models of :mod:`repro.perfmodel.costmodel` sum over it.
 
 Ledgers are thread-local by default so SPMD rank programs running on
 threads each accumulate into their own ledger; a ledger can also be shared
@@ -58,6 +61,69 @@ def eig_flops(n: int, is_complex: bool = True) -> int:
     estimates for the FEAST Rayleigh-Ritz step.
     """
     return 25 * n ** 3 * _cplx_factor(is_complex)
+
+
+# --------------------------------------------------------------------------
+# The price table: what one instrumented kernel costs, declared once.
+# The wrappers of :mod:`repro.linalg.kernels` / :mod:`repro.linalg.batched`
+# record from it and the models of :mod:`repro.perfmodel.costmodel` sum
+# over it, so a model and a ledger cannot disagree on a kernel's price.
+#
+# kind -> (flops(*dims, is_complex), bytes(*dims, itemsize)): operands in
+# and results out, all of them in the working dtype (the one LAPACK runs
+# in, whatever dtype an operand arrived in).
+# --------------------------------------------------------------------------
+
+def _substitution_flops(n: int, nrhs: int, is_complex: bool) -> int:
+    return 2 * trsm_flops(n, nrhs, is_complex)
+
+
+def _solve_bytes(n: int, nrhs: int, itemsize: int) -> int:
+    return (n * n + 2 * n * nrhs) * itemsize        # a + b + x
+
+
+_KERNEL_COSTS = {
+    # C(m,n) = A(m,k) B(k,n): a + b + c
+    "gemm": (gemm_flops,
+             lambda m, n, k, w: (m * k + k * n + m * n) * w),
+    # getrf: the matrix read + the factors written
+    "lu_factor": (lu_flops, lambda n, w: 2 * n * n * w),
+    # getrs: rhs read + solution written
+    "lu_solve": (_substitution_flops, lambda n, nrhs, w: 2 * n * nrhs * w),
+    # gesv, and hesv (LDL^H: half an LU)
+    "solve": (solve_flops, _solve_bytes),
+    "solve_her": (lambda n, nrhs, cx: lu_flops(n, cx) // 2
+                  + _substitution_flops(n, nrhs, cx), _solve_bytes),
+    # getri after getrf: 2 n^3 in all
+    "inv": (lambda n, cx: 2 * n ** 3 * _cplx_factor(cx),
+            lambda n, w: 2 * n * n * w),
+    # geev / ggev run complex whatever the operands (ggev: two matrices,
+    # twice the nominal count); heev / hegv are half a geev
+    "eig": (lambda n, cx: eig_flops(n, True), lambda n, w: 3 * n * n * w),
+    "eigh": (lambda n, cx: eig_flops(n, cx) // 2,
+             lambda n, w: 3 * n * n * w),
+    "geig": (lambda n, cx: 2 * eig_flops(n, True),
+             lambda n, w: 4 * n * n * w),
+    # reduced QR of an (m, n) block
+    "qr": (lambda m, n, cx: (2 * m * n * n - 2 * n ** 3 // 3)
+           * _cplx_factor(cx),
+           lambda m, n, w: 2 * m * n * w),
+    # the mixed backend's low-precision pair (same operation counts; the
+    # factor reads the input, keeps a full-width copy for the residuals
+    # and factors the half-width cast in place, a sweep moves rhs +
+    # solution at half width)
+    "lu_factor_c64": (lu_flops,
+                      lambda n, w: 2 * n * n * w + 3 * n * n * (w // 2)),
+    "lu_solve_c64": (_substitution_flops,
+                     lambda n, nrhs, w: 2 * n * nrhs * (w // 2)),
+}
+
+
+def kernel_cost(kind: str, dims, is_complex: bool = True) -> tuple:
+    """``(flops, bytes)`` one instrumented kernel of ``kind`` records on
+    operands of ``dims``, both counted in the working dtype."""
+    flops, nbytes = _KERNEL_COSTS[kind]
+    return flops(*dims, is_complex), nbytes(*dims, 16 if is_complex else 8)
 
 
 # --------------------------------------------------------------------------

@@ -43,8 +43,7 @@ def gemm(a: np.ndarray, b: np.ndarray, tag: str = "") -> np.ndarray:
     n = b.shape[1] if b.ndim == 2 else 1
     cx = _is_complex(a, b)
     _record("zgemm" if cx else "dgemm",
-            _fl.gemm_flops(m, n, k, cx),
-            a.nbytes + b.nbytes + c.nbytes, t0, tag)
+            *_fl.kernel_cost("gemm", (m, n, k), cx), t0, tag)
     return c
 
 
@@ -57,8 +56,8 @@ def lu_factor(a: np.ndarray, tag: str = ""):
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
     n = a.shape[0]
     cx = _is_complex(a)
-    _record("zgetrf" if cx else "dgetrf", _fl.lu_flops(n, cx),
-            2 * a.nbytes, t0, tag)
+    _record("zgetrf" if cx else "dgetrf",
+            *_fl.kernel_cost("lu_factor", (n,), cx), t0, tag)
     return fac
 
 
@@ -70,8 +69,7 @@ def lu_solve(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
     nrhs = x.shape[1] if x.ndim == 2 else 1
     cx = _is_complex(fac[0], b)
     _record("zgetrs" if cx else "dgetrs",
-            2 * _fl.trsm_flops(n, nrhs, cx),
-            b.nbytes + x.nbytes, t0, tag)
+            *_fl.kernel_cost("lu_solve", (n, nrhs), cx), t0, tag)
     return x
 
 
@@ -127,7 +125,6 @@ def solve(a: np.ndarray, b: np.ndarray, assume_a: str = "gen",
     cx = _is_complex(a, b)
     her = assume_a == "her"
     dtype = np.complex128 if cx else np.float64
-    nbytes = a.nbytes + b.nbytes
     if a.size == 0 or b.size == 0:
         x = np.empty(b.shape, dtype=dtype)
     else:
@@ -162,12 +159,11 @@ def solve(a: np.ndarray, b: np.ndarray, assume_a: str = "gen",
         _check_lapack_info(info, "substitution")
         if b.ndim == 1:
             x = x[:, 0]
-    nflops = _fl.solve_flops(n, nrhs, cx)
-    kernel = "zgesv" if cx else "dgesv"
     if her:
-        nflops = _fl.lu_flops(n, cx) // 2 + 2 * _fl.trsm_flops(n, nrhs, cx)
-        kernel = "zhesv" if cx else "dsysv"
-    _record(kernel, nflops, nbytes + x.nbytes, t0, tag)
+        kernel, kind = "zhesv" if cx else "dsysv", "solve_her"
+    else:
+        kernel, kind = "zgesv" if cx else "dgesv", "solve"
+    _record(kernel, *_fl.kernel_cost(kind, (n, nrhs), cx), t0, tag)
     return x
 
 
@@ -200,7 +196,7 @@ def inv(a: np.ndarray, tag: str = "") -> np.ndarray:
     n = a.shape[0]
     cx = _is_complex(a)
     _record("zgetri" if cx else "dgetri",
-            2 * n ** 3 * (4 if cx else 1), 2 * a.nbytes, t0, tag)
+            *_fl.kernel_cost("inv", (n,), cx), t0, tag)
     return out
 
 
@@ -209,7 +205,8 @@ def eig(a: np.ndarray, tag: str = ""):
     t0 = time.perf_counter()
     w, v = sla.eig(a, check_finite=False)
     n = a.shape[0]
-    _record("zgeev", _fl.eig_flops(n, True), 3 * a.nbytes, t0, tag)
+    _record("zgeev", *_fl.kernel_cost("eig", (n,), _is_complex(a)),
+            t0, tag)
     return w, v
 
 
@@ -220,7 +217,7 @@ def eigh(a: np.ndarray, b: np.ndarray | None = None, tag: str = ""):
     n = a.shape[0]
     cx = _is_complex(a) or (b is not None and _is_complex(b))
     _record("zhegv" if b is not None else "zheev",
-            _fl.eig_flops(n, cx) // 2, 3 * a.nbytes, t0, tag)
+            *_fl.kernel_cost("eigh", (n,), cx), t0, tag)
     return w, v
 
 
@@ -238,7 +235,8 @@ def geig(a: np.ndarray, b: np.ndarray, tag: str = "", left: bool = False):
     t0 = time.perf_counter()
     out = sla.eig(a, b, left=left, check_finite=False)
     n = a.shape[0]
-    _record("zggev", 2 * _fl.eig_flops(n, True), 4 * a.nbytes, t0, tag)
+    _record("zggev", *_fl.kernel_cost("geig", (n,), _is_complex(a, b)),
+            t0, tag)
     return out
 
 
@@ -248,6 +246,6 @@ def qr_orth(a: np.ndarray, tag: str = "") -> np.ndarray:
     q, _ = sla.qr(a, mode="economic", check_finite=False)
     m, n = a.shape
     cx = _is_complex(a)
-    nflops = (2 * m * n * n - 2 * n ** 3 // 3) * (4 if cx else 1)
-    _record("zgeqrf" if cx else "dgeqrf", nflops, 2 * a.nbytes, t0, tag)
+    _record("zgeqrf" if cx else "dgeqrf",
+            *_fl.kernel_cost("qr", (m, n), cx), t0, tag)
     return q

@@ -29,9 +29,9 @@ bytes of the arrays touched (complex64 traffic is half the
 double-precision figure).  ``cgetrf_batched``/``cgetrs_batched``
 kernel names distinguish the low-precision sweeps in activity traces;
 per-slice fallbacks record ``zgetrf_batched``/``zgetrs_batched`` with
-a ``|fallback`` tag.  Byte formulas live in
-:mod:`repro.perfmodel.bytemodel` (``mixed_lu_factor_bytes`` and
-friends).
+a ``|fallback`` tag.  The converging sequence is
+:func:`repro.perfmodel.costmodel.mixed_kernels`, priced from the two
+``*_c64`` rows of :func:`repro.linalg.flops.kernel_cost`.
 """
 
 from __future__ import annotations

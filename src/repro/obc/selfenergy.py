@@ -206,14 +206,14 @@ def boundary_from_decimation(lead: LeadBlocks, energy: float,
                              eta: float = 1e-8, **kwargs) -> OpenBoundary:
     """Sigma^RB via Sancho-Rubio (no modes: NEGF-only route); ``kwargs``
     (``max_iter``, ``tol``) go to :func:`sancho_rubio`."""
-    from repro.perfmodel.bytemodel import sancho_rubio_byte_model
+    from repro.perfmodel.costmodel import decimation_kernels, kernel_bytes
     t00 = (energy * lead.s00 - lead.h00).astype(complex)
     t01 = (energy * lead.s01 - lead.h01).astype(complex)
     gl, gr, iterations = sancho_rubio(t00, t01, eta=eta, **kwargs)
     sigma_l, sigma_r = sigma_from_surface_gf(gl, gr, t01)
     info = {"iterations": iterations,
-            "predicted_bytes": sancho_rubio_byte_model(t00.shape[0],
-                                                       iterations)}
+            "predicted_bytes": kernel_bytes(
+                decimation_kernels(t00.shape[0], iterations))}
     return OpenBoundary(energy=energy, sigma_l=sigma_l, sigma_r=sigma_r,
                         t01=t01, ml=None, mr=None, modes=None,
                         method="decimation", info=info)
@@ -260,9 +260,9 @@ def _mode_boundary(lead: LeadBlocks, energy: float, solve_modes,
 
 
 def _feast_info(res, pevp: PolynomialEVP, wasted_bytes: int = 0) -> dict:
-    from repro.perfmodel.bytemodel import kernel_bytes
     from repro.perfmodel.costmodel import (feast_kernels,
-                                           interface_reduction_kernels)
+                                           interface_reduction_kernels,
+                                           kernel_bytes)
     predicted = kernel_bytes(feast_kernels(
         pevp.n, res.num_solves, res.solve_widths, res.rr_sizes))
     if pevp.reduction is not None:

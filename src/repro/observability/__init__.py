@@ -43,7 +43,7 @@ from repro.observability.report import (RooflineStage, activity_report,
                                         roofline_annotate, roofline_report)
 from repro.observability.spans import (CATEGORIES, Span, SpanTracer,
                                        current_tracer, install_tracer,
-                                       spans_from_kernel_events, tracing)
+                                       tracing)
 
 __all__ = [
     "CATEGORIES",
@@ -51,7 +51,6 @@ __all__ = [
     "SpanTracer",
     "current_tracer",
     "install_tracer",
-    "spans_from_kernel_events",
     "tracing",
     "Counter",
     "Gauge",

@@ -9,8 +9,8 @@ condition produces one warning (and at most one critical), not a flood.
 The built-in set covers the failure modes the paper's scaling runs care
 about: stragglers (per-node latency vs. the fleet), byte/flop drift
 (measured kernel traffic vs. the exact
-:mod:`repro.perfmodel.bytemodel` predictions, reusing
-:func:`~repro.perfmodel.bytemodel.byte_drift`), mixed-precision
+:mod:`repro.perfmodel.costmodel` predictions, reusing
+:func:`~repro.perfmodel.roofline.byte_drift`), mixed-precision
 fallback-rate spikes, result-store hit-rate collapse, and
 checkpoint-interval overrun.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.perfmodel.bytemodel import byte_drift
+from repro.perfmodel.roofline import byte_drift
 
 #: ordered severities (index = rank, used for escalation)
 SEVERITIES = ("info", "warning", "critical")
@@ -142,7 +142,7 @@ class ByteDriftDetector(Detector):
 
     Cumulative per-stage measured vs. ``predicted_bytes`` (attached to
     stage spans by the pipeline) through
-    :func:`~repro.perfmodel.bytemodel.byte_drift` — the data-centric
+    :func:`~repro.perfmodel.roofline.byte_drift` — the data-centric
     health signal: silently-introduced extra copies show up here first.
     """
 

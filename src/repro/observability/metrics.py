@@ -230,10 +230,6 @@ class LabeledCounter:
             out.setdefault(tenant, {})[label] = value
         return out
 
-    def tenant_total(self, tenant: str):
-        """Summed value of every label one tenant ever incremented."""
-        return sum(self.by_tenant().get(str(tenant), {}).values())
-
     def snapshot(self) -> dict:
         return {"kind": self.kind, "values": self.as_dict()}
 

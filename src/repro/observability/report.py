@@ -319,10 +319,10 @@ def memory_totals(spans, tolerance: float = 0.05) -> dict:
     Returns ``{"arena", "stages"}``: the latest workspace-arena counters
     (from the ``category="memory"`` instants the pipeline emits after
     each batch) and, per stage span that carried a byte-model
-    prediction, a :func:`~repro.perfmodel.bytemodel.byte_drift` verdict
+    prediction, a :func:`~repro.perfmodel.roofline.byte_drift` verdict
     of measured vs predicted traffic.
     """
-    from repro.perfmodel.bytemodel import byte_drift
+    from repro.perfmodel.roofline import byte_drift
     arena: dict = {}
     stages: dict = {}
     for sp in spans:

@@ -308,18 +308,3 @@ def tracing(tracer: SpanTracer | None = None):
         yield tracer
     finally:
         install_tracer(previous)
-
-
-def spans_from_kernel_events(events) -> list:
-    """Convert ledger :class:`~repro.linalg.flops.KernelEvent` records to
-    spans (category ``"kernel"``) so the Fig. 12(b) activity detail can
-    ride in the same Perfetto trace as the stage/task spans."""
-    out = []
-    for ev in events:
-        out.append(Span(name=ev.kernel, category="kernel",
-                        t_start=ev.t_start, t_stop=ev.t_stop,
-                        flops=int(ev.flops),
-                        bytes_moved=int(ev.bytes_moved),
-                        worker=ev.device,
-                        attrs={"tag": ev.tag} if ev.tag else {}))
-    return out

@@ -88,9 +88,6 @@ class WorkloadDistribution:
     def num_k(self) -> int:
         return len(self.nodes_per_k)
 
-    def groups_for_k(self, ik: int) -> int:
-        return int(self.nodes_per_k[ik] // self.nodes_per_solver)
-
     def tasks_per_node(self) -> np.ndarray:
         """Energy-point count handled per node (for Table II's E/node)."""
         counts = []

@@ -9,29 +9,19 @@ scaling laws used to extrapolate to the paper's structure sizes.
 from repro.perfmodel.costmodel import (
     splitsolve_kernels,
     splitsolve_flop_model,
-    rgf_flop_model,
+    splitsolve_byte_model,
+    rgf_kernels,
+    mixed_kernels,
     interface_reduction_kernels,
     feast_kernels,
     dense_obc_kernels,
+    decimation_kernels,
     kernel_flops,
-    mixed_refinement_flop_model,
+    kernel_bytes,
     measure_flops,
     extrapolate_flops,
 )
-from repro.perfmodel.bytemodel import (
-    gemm_bytes,
-    lu_factor_bytes,
-    lu_solve_bytes,
-    solve_bytes,
-    rgf_byte_model,
-    sancho_rubio_byte_model,
-    geig_bytes,
-    kernel_bytes,
-    mixed_lu_factor_bytes,
-    mixed_lu_solve_bytes,
-    splitsolve_byte_model,
-    byte_drift,
-)
+from repro.perfmodel.roofline import byte_drift
 from repro.perfmodel.scaling import (
     WeakScalingRow,
     weak_scaling_table,
@@ -42,25 +32,17 @@ from repro.perfmodel.scaling import (
 __all__ = [
     "splitsolve_kernels",
     "splitsolve_flop_model",
-    "rgf_flop_model",
+    "splitsolve_byte_model",
+    "rgf_kernels",
+    "mixed_kernels",
     "interface_reduction_kernels",
     "feast_kernels",
     "dense_obc_kernels",
+    "decimation_kernels",
     "kernel_flops",
-    "mixed_refinement_flop_model",
+    "kernel_bytes",
     "measure_flops",
     "extrapolate_flops",
-    "gemm_bytes",
-    "lu_factor_bytes",
-    "lu_solve_bytes",
-    "solve_bytes",
-    "rgf_byte_model",
-    "sancho_rubio_byte_model",
-    "geig_bytes",
-    "kernel_bytes",
-    "mixed_lu_factor_bytes",
-    "mixed_lu_solve_bytes",
-    "splitsolve_byte_model",
     "byte_drift",
     "WeakScalingRow",
     "weak_scaling_table",

@@ -1,19 +1,24 @@
-"""Flop cost models, validated against the instrumented kernels.
+"""Cost models: one kernel sequence per solver, priced from one table.
 
 The paper: "the number of floating point operations involved in
 SplitSolve is deterministic and can be accurately estimated" (Section
-5B).  This module writes that estimate down — and the test-suite checks
-it against the PAPI-substitute ledger *exactly* (single partition) or
-within a few percent (multi-partition, where merge bookkeeping varies
-with the partition tree).
+5B).  This module writes that estimate down as the solver's kernel
+sequence - ``(count, kernel, dims)`` entries, one generator per solver -
+and :func:`kernel_flops` / :func:`kernel_bytes` sum it over
+:func:`repro.linalg.flops.kernel_cost`, the table the instrumented
+kernels record from.  A model and the PAPI-substitute ledger can then
+only disagree on *which* kernels a solver runs, and the test-suite
+checks that they do not: ``(kernel_flops, kernel_bytes)`` of a sequence
+equals the ledger's totals exactly - RGF on any block sizes,
+decimation, FEAST, the dense OBC, the interface reduction, and
+SplitSolve on uniform blocks with uniform coupling supports.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import flops as _fl
-from repro.linalg.flops import ledger_scope
+from repro.linalg.flops import kernel_cost, ledger_scope
 from repro.utils.errors import ConfigurationError
 
 
@@ -24,7 +29,7 @@ def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
 
     The one transcription of the solver's kernel sequence (uniform
     blocks of size s, m rhs columns); :func:`splitsolve_flop_model` and
-    :func:`~repro.perfmodel.bytemodel.splitsolve_byte_model` price it.
+    :func:`splitsolve_byte_model` price it.
     ``kernel`` is ``"gemm"`` with ``dims = (m, n, k)``, or ``"solve"`` /
     ``"schur_solve"`` (the Schur blocks D_i, Hermitian when A is) with
     ``dims = (n, nrhs)``; these run in the dtype of A (``is_complex``).
@@ -134,40 +139,68 @@ def splitsolve_flop_model(num_blocks: int, block_size: int,
         is_complex, hermitian)
 
 
-def rgf_flop_model(num_blocks: int, block_size: int, num_rhs: int,
-                   is_complex: bool = True) -> int:
-    """Flops of one RGF (block Thomas) solve with ``num_rhs`` columns.
+def splitsolve_byte_model(num_blocks: int, block_size: int, num_rhs: int,
+                          num_partitions: int = 1,
+                          is_complex: bool = True,
+                          coupling_widths=None,
+                          boundary_widths=None) -> int:
+    """Bytes of one SplitSolve solve: the sum :func:`splitsolve_flop_model`
+    takes, in the other count (Algorithm 1's block solves run the
+    ``gesv`` kernel, so they carry the matrix operand as well as rhs +
+    solution)."""
+    return kernel_bytes(
+        splitsolve_kernels(num_blocks, block_size, num_rhs, num_partitions,
+                           coupling_widths, boundary_widths, is_complex),
+        is_complex)
 
-    Backward sweep: per interior block one LU factor, one block solve
-    with s+m right-hand sides (inv(schur) applied to the coupling block
-    and the rhs together), one (s,s,s) Schur gemm and one (s,m,s) rhs
-    gemm; forward substitution: one (s,m,s) gemm per block.  This is an
-    exact count of the kernels :func:`repro.solvers.rgf.solve_rgf`
-    executes, leading order ~ (8/3 + 16) nb s^3 real flops for m ~ s —
-    the classic RGF scaling the paper's Fig. 8 CPU curve follows.
+
+def rgf_kernels(block_sizes, num_rhs: int):
+    """The kernels of one RGF (block Thomas) solve of ``num_rhs`` columns
+    on blocks of the given sizes: :func:`repro.solvers.rgf.solve_rgf`
+    and, slice for slice, :func:`~repro.solvers.rgf.solve_rgf_batched`
+    (complex whatever A is: Sigma enters the first block).
+
+    Backward sweep from the last block's LU: per block ``i`` one
+    back-substitution of ``[lower_i | carry]`` (``s_i + m`` columns)
+    against the ``s_{i+1}`` factor, the Schur gemm, the rhs-carry gemm
+    and the LU of the updated block; forward substitution: one
+    back-substitution, then one gemm per block - the classic
+    ~ (8/3 + 16) nb s^3 of the paper's Fig. 8 CPU curve.
     """
-    if num_blocks < 1:
+    s = [int(size) for size in block_sizes]
+    m = int(num_rhs)
+    if not s:
         raise ConfigurationError("model needs >= 1 block")
-    s = block_size
-    m = num_rhs
-    total = 0
-    for i in range(num_blocks):
-        nrhs = (s if i < num_blocks - 1 else 0) + m
-        total += _fl.lu_flops(s, is_complex)
-        total += 2 * _fl.trsm_flops(s, nrhs, is_complex)
-        if i < num_blocks - 1:
-            total += _fl.gemm_flops(s, s, s, is_complex)  # Schur update
-            total += _fl.gemm_flops(s, m, s, is_complex)  # rhs update
-    total += (num_blocks - 1) * _fl.gemm_flops(s, m, s, is_complex)
-    return total
+    yield 1, "lu_factor", (s[-1],)
+    for i in range(len(s) - 2, -1, -1):
+        yield 1, "lu_solve", (s[i + 1], s[i] + m)
+        yield 1, "gemm", (s[i], s[i], s[i + 1])     # Schur update
+        yield 1, "gemm", (s[i], m, s[i + 1])        # rhs carry
+        yield 1, "lu_factor", (s[i],)
+    yield 1, "lu_solve", (s[0], m)
+    for i in range(1, len(s)):
+        yield 1, "gemm", (s[i], m, s[i - 1])
+
+
+def mixed_kernels(n: int, nrhs: int, refine_iters: int = 1):
+    """The kernels one slice of the mixed-precision backend records
+    (:class:`repro.linalg.mixed.MixedPrecisionBackend`) for a factor and
+    one refined solve that converges: the complex64 factorization, one
+    low-precision sweep for the first solution plus one per refinement
+    iteration, and one double-precision residual gemm per residual
+    check - ``refine_iters + 1`` checks for ``refine_iters``
+    corrections (the last one passes the gate)."""
+    yield 1, "lu_factor_c64", (int(n),)
+    yield 1 + int(refine_iters), "lu_solve_c64", (int(n), int(nrhs))
+    yield 1 + int(refine_iters), "gemm", (int(n), int(nrhs), int(n))
 
 
 # --------------------------------------------------------------------------
 # Open-boundary (lead mode) solves: kernel sequences as ``(count, kernel,
 # dims)`` with ``kernel`` one of ``"gemm"`` (m, n, k), ``"lu_factor"``
-# (n,), ``"lu_solve"`` (n, nrhs), ``"geig"`` (n,).  :func:`kernel_flops`
-# and :func:`repro.perfmodel.bytemodel.kernel_bytes` price them; chain
-# the reduction's with the eigen-solve's for one whole OBC solve.
+# (n,), ``"lu_solve"`` / ``"solve"`` (n, nrhs), ``"geig"`` (n,).
+# :func:`kernel_flops` and :func:`kernel_bytes` price them; chain the
+# reduction's with the eigen-solve's for one whole OBC solve.
 # --------------------------------------------------------------------------
 
 def interface_reduction_kernels(n_interior: int, n_interface: int,
@@ -217,48 +250,40 @@ def dense_obc_kernels(n: int, nbw: int = 1, faces_disjoint: bool = False):
     yield 1, "geig", (int(n) if face else 2 * int(nbw) * int(n),)
 
 
+def decimation_kernels(n: int, iterations: int):
+    """The recorded kernels of :func:`repro.obc.decimation.sancho_rubio`
+    on an ``(n, n)`` lead cell over ``iterations`` decimation steps (its
+    third return; summed over energies for a sweep): per step one
+    ``2n``-wide block solve against the renormalized ``eps`` and four
+    ``(n, n, n)`` gemms.  The convergence exit's two small inverses are
+    plain ``np.linalg.inv`` calls the ledger never sees."""
+    yield int(iterations), "solve", (int(n), 2 * int(n))
+    yield 4 * int(iterations), "gemm", (int(n),) * 3
+
+
+def _cost(kernel: str, dims, is_complex: bool, hermitian: bool = False):
+    """:func:`~repro.linalg.flops.kernel_cost` of one sequence entry:
+    ``"schur_solve"`` is the Hermitian (half-LU) solve when the matrix
+    is, ``"zgemm"`` / ``"zsolve"`` are complex whatever ``is_complex``
+    says of the rest."""
+    if kernel == "schur_solve":
+        kernel = "solve_her" if hermitian else "solve"
+    elif kernel in ("zgemm", "zsolve"):
+        kernel, is_complex = kernel[1:], True
+    return kernel_cost(kernel, dims, is_complex)
+
+
 def kernel_flops(kernels, is_complex: bool = True,
                  hermitian: bool = False) -> int:
-    """Flops the kernels of a ``(count, kernel, dims)`` sequence record
-    (the open-boundary sequences above and :func:`splitsolve_kernels`).
-    With ``hermitian`` the ``"schur_solve"`` blocks take the zhesv path:
-    half an LU.  ``"zgemm"``, ``"zsolve"`` and ``"geig"`` are complex
-    whatever ``is_complex`` says of the rest."""
-    def lu(n, cf=is_complex):
-        return _fl.lu_flops(n, cf)
-
-    def subst(n, nrhs, cf=is_complex):
-        return 2 * _fl.trsm_flops(n, nrhs, cf)
-
-    price = {
-        "gemm": lambda m, n, k: _fl.gemm_flops(m, n, k, is_complex),
-        "zgemm": lambda m, n, k: _fl.gemm_flops(m, n, k, True),
-        "lu_factor": lu,
-        "lu_solve": subst,
-        "solve": lambda n, nrhs: lu(n) + subst(n, nrhs),
-        "zsolve": lambda n, nrhs: lu(n, True) + subst(n, nrhs, True),
-        "schur_solve": lambda n, nrhs: lu(n) // (2 if hermitian else 1)
-        + subst(n, nrhs),
-        "geig": lambda n: 2 * _fl.eig_flops(n, True),
-    }
-    return sum(count * price[kernel](*dims)
+    """Flops the kernels of a ``(count, kernel, dims)`` sequence record."""
+    return sum(count * _cost(kernel, dims, is_complex, hermitian)[0]
                for count, kernel, dims in kernels)
 
 
-def mixed_refinement_flop_model(n: int, nrhs: int, refine_iters: int = 1,
-                                is_complex: bool = True) -> int:
-    """Flops one mixed-precision refined solve records per slice.
-
-    Transcribes :meth:`repro.linalg.mixed.MixedPrecisionBackend.\
-lu_solve_batched`: one low-precision back-substitution sweep for the
-    first solution plus one per refinement iteration (analytic counts
-    are precision-independent — ``cgetrs`` and ``zgetrs`` run the same
-    operations), and one double-precision residual gemm per residual
-    check, ``refine_iters + 1`` checks for ``refine_iters`` corrections.
-    """
-    sweeps = (1 + refine_iters) * 2 * _fl.trsm_flops(n, nrhs, is_complex)
-    residuals = (refine_iters + 1) * _fl.gemm_flops(n, nrhs, n, is_complex)
-    return sweeps + residuals
+def kernel_bytes(kernels, is_complex: bool = True) -> int:
+    """Bytes the kernels of a ``(count, kernel, dims)`` sequence record."""
+    return sum(count * _cost(kernel, dims, is_complex)[1]
+               for count, kernel, dims in kernels)
 
 
 def _device_rate_ratio() -> float:
@@ -305,7 +330,7 @@ def choose_solver(num_blocks: int, block_size: int, num_rhs: int,
                                hermitian=hermitian,
                                coupling_widths=coupling_widths,
                                boundary_widths=boundary_widths)
-    rgf = rgf_flop_model(num_blocks, block_size, num_rhs)
+    rgf = kernel_flops(rgf_kernels([block_size] * num_blocks, num_rhs))
     return "splitsolve" if ss / _device_rate_ratio() <= rgf else "rgf"
 
 

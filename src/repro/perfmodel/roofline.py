@@ -14,9 +14,12 @@ against the roofline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.hardware.specs import GpuSpec
 from repro.utils.errors import ConfigurationError
+
+if TYPE_CHECKING:       # annotations only: repro.hardware imports us back
+    from repro.hardware.specs import GpuSpec
 
 
 @dataclass
@@ -109,23 +112,42 @@ def roofline_from_ledger(ledger, gpu: GpuSpec,
     return out
 
 
+def byte_drift(measured_bytes: float, predicted_bytes: float,
+               tolerance: float = 0.05) -> dict:
+    """Measured-vs-model byte comparison for one stage or kernel.
+
+    Returns ``{"measured", "predicted", "ratio", "excess", "drifting"}``
+    where ``ratio`` is measured/predicted and ``drifting`` flags stages
+    moving more (or fewer) bytes than the model allows — the roofline
+    drift check that catches silently-introduced extra copies.  A zero
+    prediction only drifts when bytes were measured anyway.
+    """
+    measured = float(measured_bytes)
+    predicted = float(predicted_bytes)
+    if predicted <= 0.0:
+        return {"measured": measured, "predicted": predicted,
+                "ratio": float("inf") if measured > 0 else 1.0,
+                "excess": measured, "drifting": measured > 0.0}
+    ratio = measured / predicted
+    return {"measured": measured, "predicted": predicted, "ratio": ratio,
+            "excess": measured - predicted,
+            "drifting": abs(ratio - 1.0) > float(tolerance)}
+
+
 def drift_report(measured: dict, predicted: dict,
                  tolerance: float = 0.05) -> dict:
     """Measured-vs-model byte drift for a set of stages or kernels.
 
     ``measured`` and ``predicted`` map stage (or kernel) name to bytes;
-    every name present in either dict gets a
-    :func:`~repro.perfmodel.bytemodel.byte_drift` verdict.  A stage whose
-    measured traffic exceeds its byte model by more than ``tolerance``
-    is ``drifting`` — the regression signal for silently-introduced
-    extra copies that would erode arithmetic intensity.
+    every name present in either dict gets a :func:`byte_drift`
+    verdict.  A stage whose measured traffic exceeds its byte model by
+    more than ``tolerance`` is ``drifting`` — the regression signal for
+    silently-introduced extra copies that would erode arithmetic
+    intensity.
     """
-    from repro.perfmodel.bytemodel import byte_drift
-    out = {}
-    for name in sorted(set(measured) | set(predicted)):
-        out[name] = byte_drift(measured.get(name, 0),
-                               predicted.get(name, 0), tolerance)
-    return out
+    return {name: byte_drift(measured.get(name, 0),
+                             predicted.get(name, 0), tolerance)
+            for name in sorted(set(measured) | set(predicted))}
 
 
 def workload_roofline(ledger, gpu: GpuSpec, name: str = "workload"

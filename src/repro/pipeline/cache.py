@@ -26,9 +26,8 @@ k-point for that potential; they read and fill the family's memo.  A
 * ``h_blocks()``/``s_blocks()`` run ``to_block_tridiagonal`` once and
   return the same :class:`~repro.linalg.BlockTridiagonalMatrix` objects
   afterwards;
-* ``a_matrix(E)`` becomes one axpy over the cached blocks (and the most
-  recent energy's result is memoized, so retried or solver-compared
-  points pay nothing); every ``A(E)`` carries the cache's
+* ``a_matrix(E)`` becomes one axpy over the cached blocks; every
+  ``A(E)`` carries the cache's
   :class:`~repro.linalg.BlockStructure` - coupling support and
   Hermiticity of ``E*S - H``, worked out from ``(H, S)`` the first time
   a solver asks, once per family and k-point (neither depends on the
@@ -116,8 +115,6 @@ class DeviceCache:
         self._h = None
         self._s = None
         self._polynomials = polynomials
-        self._a_memo = None          # (energy, BlockTridiagonalMatrix)
-        self._a_batch_memo = None    # (energies tuple, BatchedBlockTridiag)
         self._memo = memo if memo is not None else BoundaryMemo()
         self._structure = structure if structure is not None \
             else BlockStructure()
@@ -198,17 +195,10 @@ class DeviceCache:
     def a_matrix(self, energy: float):
         """A(E) = E*S - H from the cached blocks (one axpy), in the
         dtype of :func:`~repro.linalg.energy_scalars`."""
-        e = float(energy)
         h = self.h_blocks()
         s = self.s_blocks()
-        with self._lock:
-            if self._a_memo is not None and self._a_memo[0] == e:
-                return self._a_memo[1]
-        a = s.scale_add(energy_scalars(e, h, s), h, -1.0,
-                        structure=self.structure())
-        with self._lock:
-            self._a_memo = (e, a)
-        return a
+        return s.scale_add(energy_scalars(float(energy), h, s), h, -1.0,
+                           structure=self.structure())
 
     def a_matrix_batch(self, energies):
         """Stacked A(E) = E*S - H for a whole energy vector, one pass.
@@ -216,21 +206,12 @@ class DeviceCache:
         Returns a :class:`~repro.linalg.BatchedBlockTridiag` whose slice
         ``j`` is bitwise identical to ``a_matrix(energies[j])`` — H and S
         are fixed per k, so the batch is one broadcast axpy per stored
-        block instead of one per block per energy.  The most recent
-        batch is memoized (retried batches pay nothing).
+        block instead of one per block per energy.
         """
         from repro.linalg.batched import build_a_batch
-        key = tuple(float(e) for e in energies)
-        h = self.h_blocks()
-        s = self.s_blocks()
-        with self._lock:
-            if self._a_batch_memo is not None \
-                    and self._a_batch_memo[0] == key:
-                return self._a_batch_memo[1]
-        batch = build_a_batch(h, s, key, structure=self.structure())
-        with self._lock:
-            self._a_batch_memo = (key, batch)
-        return batch
+        return build_a_batch(self.h_blocks(), self.s_blocks(),
+                             [float(e) for e in energies],
+                             structure=self.structure())
 
     def _polynomial_family(self):
         with self._lock:

@@ -323,23 +323,22 @@ class TransportPipeline:
                                num_partitions: int = 1):
         """Model-predicted kernel bytes of one energy's SOLVE stage.
 
-        Exact for RGF, stacked or not (the byte model transcribes the
-        kernel sequence, per-block sizes included; it folds Sigma into
-        its first block and is complex whatever A(E) is); the SplitSolve
+        Exact for RGF, stacked or not (the solver's kernel sequence
+        on the true per-block sizes; it folds Sigma into its first
+        block and is complex whatever A(E) is); the SplitSolve
         model prices ``num_partitions`` partitions of uniform blocks
         with uniform coupling supports in the dtype of A(E), so
         non-uniform devices carry a documented tolerance.  Returns
         ``None`` for solvers without a byte model and for shapes the
         model cannot price.
         """
-        from repro.perfmodel.bytemodel import (rgf_byte_model,
-                                               splitsolve_byte_model)
+        from repro.perfmodel import costmodel
         if solver_name == "rgf":
-            return rgf_byte_model(cache.num_blocks, cache.block_sizes,
-                                  int(width))
+            return costmodel.kernel_bytes(
+                costmodel.rgf_kernels(cache.block_sizes, int(width)))
         if solver_name == "splitsolve":
             try:
-                return splitsolve_byte_model(
+                return costmodel.splitsolve_byte_model(
                     cache.num_blocks, int(max(cache.block_sizes)),
                     int(width), num_partitions=num_partitions,
                     **TransportPipeline._splitsolve_pricing(cache))

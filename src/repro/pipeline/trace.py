@@ -68,12 +68,6 @@ class TaskTrace:
                 return s
         raise KeyError(name)
 
-    def stage_seconds(self) -> dict:
-        out: dict = {}
-        for s in self.stages:
-            out[s.name] = out.get(s.name, 0.0) + s.seconds
-        return out
-
     def stage_flops(self) -> dict:
         out: dict = {}
         for s in self.stages:

@@ -61,7 +61,7 @@ def promote_to_complex(a):
 def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
                            tol=1e-10, seed=0, boundary_support=None,
                            num_rhs=(2, 1)):
-    """SplitSolve at every partition count == RGF == sparse-direct.
+    """SplitSolve at every partition count == RGF == BCR == sparse-direct.
 
     ``system`` is a :class:`~repro.linalg.BlockTridiagonalMatrix` (random
     self-energies and boundary right-hand sides are drawn from ``seed``)
@@ -86,7 +86,7 @@ def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
     from repro.pipeline import get_solver
     from repro.pipeline.cache import as_cache
     from repro.solvers import (SplitSolve, assemble_t, boundary_rhs,
-                               solve_direct, solve_rgf)
+                               solve_bcr, solve_direct, solve_rgf)
 
     solutions = {}
     if isinstance(system, BlockTridiagonalMatrix):
@@ -112,6 +112,7 @@ def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
         t = assemble_t(a, sigma_l, sigma_r)
         rhs = boundary_rhs(a.block_sizes, b_top, b_bot)
         solutions["rgf"] = solve_rgf(t, rhs)
+        solutions["bcr"] = solve_bcr(t, rhs)
         solutions["direct"] = solve_direct(t, rhs)
         inverse = np.linalg.inv(a.to_dense())
         offs = a.block_offsets()
@@ -150,7 +151,7 @@ def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
         a = cache.a_matrix(energy)
         inj = ob.injection_matrix(cache.num_blocks, cache.block_sizes)
         assert inj.shape[1] > 0, f"no open channel at E = {energy}"
-        for name in ("rgf", "direct"):
+        for name in ("rgf", "bcr", "direct"):
             solutions[name] = get_solver(name)(a, ob, inj)
         for p in partitions:
             solutions[f"splitsolve p={p}"] = get_solver("splitsolve")(

@@ -23,10 +23,8 @@ from repro.linalg.batched import (gemm_batched, lu_factor_batched,
                                   lu_solve_batched)
 from repro.linalg.flops import gemm_flops, trsm_flops
 from repro.linalg.mixed import MixedPrecisionBackend
-from repro.perfmodel import (gemm_bytes, mixed_lu_factor_bytes,
-                             mixed_lu_solve_bytes,
-                             mixed_refinement_flop_model,
-                             sancho_rubio_byte_model)
+from repro.perfmodel import (decimation_kernels, kernel_bytes,
+                             kernel_flops, mixed_kernels)
 from repro.utils.errors import ConfigurationError
 
 NE, N, NRHS = 4, 8, 3
@@ -243,21 +241,24 @@ class TestMixedPrecision:
                 lu_solve_batched(fac, b)
         iters = bk.stats["refine_iterations"]
         assert bk.stats["fallback_slices"] == 0
+        factor, *refined = mixed_kernels(N, NRHS, refine_iters=iters)
         assert led.bytes_by_kernel["cgetrf_batched"] \
-            == NE * mixed_lu_factor_bytes(N)
+            == NE * kernel_bytes([factor]) \
+            == NE * (2 * N * N * 16 + 3 * N * N * 8)
+        assert led.flops_by_kernel["cgetrf_batched"] \
+            == NE * kernel_flops([factor])
         solve_bytes_total = (led.bytes_by_kernel["cgetrs_batched"]
                              + led.bytes_by_kernel["zgemm_batched"])
-        assert solve_bytes_total \
-            == NE * mixed_lu_solve_bytes(N, NRHS, refine_iters=iters)
+        assert solve_bytes_total == NE * kernel_bytes(refined)
         solve_flops_total = (led.flops_by_kernel["cgetrs_batched"]
                              + led.flops_by_kernel["zgemm_batched"])
-        assert solve_flops_total \
-            == NE * mixed_refinement_flop_model(N, NRHS,
-                                                refine_iters=iters)
-        # the analytic pieces the model is assembled from
-        assert mixed_lu_solve_bytes(N, NRHS, 1) \
-            == 2 * (2 * N * NRHS * 8) + 2 * gemm_bytes(N, NRHS, N)
-        assert mixed_refinement_flop_model(N, NRHS, 1) \
+        assert solve_flops_total == NE * kernel_flops(refined)
+        # the analytic pieces the sequence is assembled from
+        _, *one_refinement = mixed_kernels(N, NRHS, 1)
+        assert kernel_bytes(one_refinement) \
+            == 2 * (2 * N * NRHS * 8) \
+            + 2 * (N * N + 2 * N * NRHS) * 16
+        assert kernel_flops(one_refinement) \
             == 2 * 2 * trsm_flops(N, NRHS, True) \
             + 2 * gemm_flops(N, NRHS, N, True)
 
@@ -274,12 +275,15 @@ class TestSanchoRubioByteModel:
                                               method="decimation")
         n = lead.h_cells[0].shape[0]
         predicted = sum(ob.info["predicted_bytes"] for ob in obs)
-        assert predicted == sancho_rubio_byte_model(
-            n, [ob.info["iterations"] for ob in obs])
+        kernels = list(decimation_kernels(
+            n, sum(ob.info["iterations"] for ob in obs)))
+        assert predicted == kernel_bytes(kernels)
         assert predicted == led.total_bytes
+        assert kernel_flops(kernels) == led.total_flops
 
     def test_model_is_linear_in_iterations(self):
-        assert sancho_rubio_byte_model(6, 3) \
-            == 3 * sancho_rubio_byte_model(6, 1)
-        assert sancho_rubio_byte_model(6, [2, 3]) \
-            == sancho_rubio_byte_model(6, 5)
+        def model(iterations):
+            return kernel_bytes(decimation_kernels(6, iterations))
+
+        assert model(3) == 3 * model(1)
+        assert model(2) + model(3) == model(5)

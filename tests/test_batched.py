@@ -24,7 +24,7 @@ from repro.linalg import (
 )
 from repro.linalg.flops import ledger_scope
 from repro.linalg.kernels import gemm, lu_factor, lu_solve, solve_many
-from repro.perfmodel.costmodel import rgf_flop_model
+from repro.perfmodel.costmodel import kernel_flops, rgf_kernels
 from repro.pipeline import TransportPipeline, apportion_exact, batch_stage_scope
 from repro.pipeline.trace import TaskTrace
 from repro.solvers import assemble_t, assemble_t_batched, solve_rgf, \
@@ -165,7 +165,8 @@ class TestBatchedRgf:
         t, b = self._system(rng, ne, nb, s, m)
         with ledger_scope() as led:
             solve_rgf_batched(t, b)
-        assert led.total_flops == ne * rgf_flop_model(nb, s, m)
+        assert led.total_flops \
+            == ne * kernel_flops(rgf_kernels([s] * nb, m))
 
 
 class TestApportionment:

@@ -1,7 +1,8 @@
-"""Tests for the exact per-kernel byte cost models.
+"""Tests for the exact byte side of the cost models.
 
-The byte models must reproduce the instrumented kernels' own ledger
-records exactly (uniform and ragged blocks, batched and per-point), the
+The price table and the kernel sequences must reproduce the instrumented
+kernels' own ledger records exactly (uniform and ragged blocks, batched
+and per-point; ``test_cost_sequences.py`` draws the shapes), the
 roofline must consume exact per-kernel traffic (falling back to the old
 flop-proportional apportionment only for legacy snapshots), the drift
 check must flag injected extra traffic, and the movement-aware
@@ -13,19 +14,14 @@ import pytest
 
 from repro.hardware import TITAN
 from repro.linalg import BatchedBlockTridiag, ledger_scope
-from repro.linalg.flops import FlopLedger
+from repro.linalg.flops import FlopLedger, kernel_cost
 from repro.linalg.kernels import gemm, lu_factor, lu_solve, solve
 from repro.parallel import DynamicLoadBalancer
 from repro.perfmodel import (
     byte_drift,
     feast_kernels,
-    geig_bytes,
-    gemm_bytes,
     kernel_bytes,
-    lu_factor_bytes,
-    lu_solve_bytes,
-    rgf_byte_model,
-    solve_bytes,
+    rgf_kernels,
     splitsolve_byte_model,
 )
 from repro.perfmodel.roofline import drift_report, roofline_from_ledger
@@ -47,32 +43,36 @@ def rng():
 
 
 class TestKernelByteFormulas:
-    """Each formula must equal the kernel's own ledger byte record."""
+    """Each table row must equal the kernel's own ledger byte record."""
 
     def test_gemm(self, rng):
         a, b = _cplx(rng, 4, 6), _cplx(rng, 6, 3)
         with ledger_scope() as led:
             gemm(a, b)
-        assert led.total_bytes == gemm_bytes(4, 3, 6)
+        assert led.total_bytes == kernel_cost("gemm", (4, 3, 6))[1] \
+            == (4 * 6 + 6 * 3 + 4 * 3) * 16
 
     def test_lu_factor(self, rng):
         a = _cplx(rng, 5, 5) + 5 * np.eye(5)
         with ledger_scope() as led:
             lu_factor(a)
-        assert led.total_bytes == lu_factor_bytes(5)
+        assert led.total_bytes == kernel_cost("lu_factor", (5,))[1] \
+            == 2 * 5 * 5 * 16
 
     def test_lu_solve(self, rng):
         a = _cplx(rng, 5, 5) + 5 * np.eye(5)
         lu = lu_factor(a)
         with ledger_scope() as led:
             lu_solve(lu, _cplx(rng, 5, 3))
-        assert led.total_bytes == lu_solve_bytes(5, 3)
+        assert led.total_bytes == kernel_cost("lu_solve", (5, 3))[1] \
+            == 2 * 5 * 3 * 16
 
     def test_solve(self, rng):
         a = _cplx(rng, 6, 6) + 6 * np.eye(6)
         with ledger_scope() as led:
             solve(a, _cplx(rng, 6, 2))
-        assert led.total_bytes == solve_bytes(6, 2)
+        assert led.total_bytes == kernel_cost("solve", (6, 2))[1] \
+            == (6 * 6 + 2 * 6 * 2) * 16
 
 
 class TestRgfByteModel:
@@ -82,7 +82,8 @@ class TestRgfByteModel:
         rhs = boundary_rhs(a.block_sizes, bt, bb)
         with ledger_scope() as led:
             solve_rgf(t, rhs)
-        assert led.total_bytes == rgf_byte_model(6, 3, rhs.shape[1])
+        assert led.total_bytes == kernel_bytes(
+            rgf_kernels([3] * 6, rhs.shape[1]))
 
     def test_exact_ragged_blocks(self, rng):
         sizes = [3, 4, 5, 3, 4]
@@ -97,8 +98,8 @@ class TestRgfByteModel:
         rhs = boundary_rhs(a.block_sizes, bt, bb)
         with ledger_scope() as led:
             solve_rgf(t, rhs)
-        assert led.total_bytes == rgf_byte_model(len(sizes), sizes,
-                                                 rhs.shape[1])
+        assert led.total_bytes == kernel_bytes(
+            rgf_kernels(sizes, rhs.shape[1]))
 
     def test_exact_batched(self, rng):
         ne, nb, s, m = 3, 5, 3, 2
@@ -110,11 +111,11 @@ class TestRgfByteModel:
         b = _cplx(rng, ne, nb * s, m)
         with ledger_scope() as led:
             solve_rgf_batched(t, b)
-        assert led.total_bytes == ne * rgf_byte_model(nb, s, m)
+        assert led.total_bytes == ne * kernel_bytes(rgf_kernels([s] * nb, m))
 
-    def test_ragged_length_mismatch_raises(self):
+    def test_empty_block_list_raises(self):
         with pytest.raises(ConfigurationError):
-            rgf_byte_model(4, [3, 3], 2)
+            list(rgf_kernels([], 2))
 
 
 class TestSplitSolveByteModel:
@@ -164,12 +165,12 @@ class TestSolveStagePrediction:
     def test_broken_byte_model_is_not_swallowed(self, monkeypatch):
         """Regression: any exception of the model silently dropped
         ``predicted_bytes``, and the drift check went blind."""
-        import repro.perfmodel.bytemodel as bytemodel
+        import repro.perfmodel.costmodel as costmodel
 
         def broken(*_a, **_k):
             raise ZeroDivisionError("broken byte model")
 
-        monkeypatch.setattr(bytemodel, "rgf_byte_model", broken)
+        monkeypatch.setattr(costmodel, "rgf_kernels", broken)
         with pytest.raises(ZeroDivisionError), ledger_scope():
             self._point()()
 
@@ -310,8 +311,9 @@ class TestFeastByteModel:
             == led.total_bytes
 
     def test_geig_bytes_formula(self):
-        assert geig_bytes(6) == 4 * 6 * 6 * 16
-        assert geig_bytes(6, is_complex=False) == 4 * 6 * 6 * 8
+        assert kernel_cost("geig", (6,))[1] == 4 * 6 * 6 * 16
+        assert kernel_cost("geig", (6,), is_complex=False)[1] \
+            == 4 * 6 * 6 * 8
 
     def test_obc_feast_stage_reports_predicted_bytes(self):
         # the pipeline's OBC stage metadata carries the model prediction
