@@ -228,8 +228,8 @@ def _save_sweep(store, points, balancer, telemetry=None) -> None:
 def _restore_sweep(store, bias_points, balancer, telemetry=None) -> list:
     """Rebuild completed bias points (and balancer state) from disk.
 
-    The checkpoint's telemetry snapshot, when present, is merged into
-    the live runner's ``telemetry`` so post-restart reports cover the
+    The checkpoint's telemetry snapshot, when present, is adopted by a
+    fresh runner's ``telemetry`` so post-restart reports cover the
     whole sweep.
     """
     if store is None or not store.exists():

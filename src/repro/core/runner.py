@@ -241,8 +241,9 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         transport solve).  Restored units contribute to the
         ``transmission``/``mode_counts`` arrays only — ``results`` and
         ``traces`` hold just the freshly computed points.  The runner's
-        telemetry snapshot is checkpointed alongside and merged back on
-        resume, so the returned accounting covers the whole job.
+        telemetry snapshot is checkpointed alongside and adopted by a
+        fresh runner on resume, so the returned accounting covers the
+        whole job.
     backend : {"serial", "thread", "process"}, optional
         Convenience alternative to ``task_runner``: build (and own) the
         runner via :func:`repro.parallel.make_task_runner` with
@@ -340,8 +341,8 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     telemetry = getattr(task_runner, "telemetry", None)
     if (telemetry is not None and store is not None
             and store.last_telemetry and hasattr(telemetry, "restore")):
-        # resume: fold the checkpointed accounting into the live runner
-        # so the returned telemetry covers the whole job, not the tail
+        # resume: a fresh runner adopts the checkpointed accounting so
+        # the returned telemetry covers the whole job, not the tail
         telemetry.restore(store.last_telemetry)
 
     # Partition every pending unit into store hits and misses *before*
@@ -444,7 +445,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                       else unpack_result(unit_hits[ui][ie])
                       for ie in units[ui][1]]
             _absorb_unit(units[ui], merged, trans, counts, results,
-                         traces, telemetry)
+                         traces)
             done[ui] = True
             # serial: a checkpoint per unit; behind a runner nothing is
             # lost between units, so one save, with its telemetry
@@ -473,26 +474,21 @@ def _make_task(pipe, cache, unit_energies, ik, ies, spec=None):
     return task
 
 
-def _absorb_unit(unit, outputs, trans, counts, results, traces,
-                 telemetry) -> None:
+def _absorb_unit(unit, outputs, trans, counts, results, traces) -> None:
     """Fold one completed (k, E-batch) unit into the spectrum arrays.
 
     Cache hits arrive with ``trace=None`` (nothing was solved); they
     contribute to the transmission/mode-count arrays and ``results`` but
-    add no task trace — ledger/span/telemetry reconciliation therefore
-    sees exactly the freshly solved work, with hits at zero flops.
+    add no task trace — the stage table of ``traces`` therefore holds
+    exactly the freshly solved work, with hits at zero flops.
     """
     ik, ies = unit
     for ie, res in zip(ies, outputs):
         trans[ik, ie] = res.transmission_lr
         counts[ik, ie] = res.num_prop_left
         results.append(res)
-        if res.trace is None:
-            continue
-        traces.append(res.trace)
-        if telemetry is not None and hasattr(telemetry,
-                                             "record_task_trace"):
-            telemetry.record_task_trace(res.trace)
+        if res.trace is not None:
+            traces.append(res.trace)
 
 
 def _save_spectrum(store, energies, kgrid, batch, done, trans,

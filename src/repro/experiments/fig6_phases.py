@@ -23,7 +23,6 @@ from repro.hamiltonian.device import LeadBlocks, synthetic_device_from_lead
 from repro.hardware import activity_table
 from repro.linalg import ledger_scope
 from repro.observability import phase_totals, reconcile, tracing
-from repro.runtime import RunTelemetry
 from repro.utils.rng import make_rng
 
 
@@ -55,21 +54,16 @@ def run(num_blocks: int = 32, block_size: int = 24,
     pipe = TransportPipeline(obc_method="dense", solver="splitsolve",
                             num_partitions=num_partitions)
 
-    telemetry = RunTelemetry()
     with tracing() as tracer:
         with ledger_scope(trace=True) as led:
             result = pipe.solve_point(device, energy)
-    telemetry.record_task_trace(result.trace)
 
-    # the Fig. 6 stage split now comes from the observability spans the
-    # pipeline emits (one per stage_scope) rather than bespoke TaskTrace
-    # bookkeeping; the reconciliation check pins both views together —
-    # flops bit-for-bit against the ledger, seconds within float-sum
-    # tolerance
+    # the Fig. 6 stage split is the one stage table, folded from the
+    # spans the pipeline emits (one per stage_scope); the reconciliation
+    # check pins its flops bit-for-bit against the ledger
     spans = tracer.records()
     totals = phase_totals(spans)
-    check = reconcile(spans, [result.trace],
-                      ledger_total_flops=led.total_flops)
+    check = reconcile(spans, led.total_flops)
 
     solve_meta = result.trace.stage("SOLVE").meta
     # restrict the activity table to the simulated accelerators: the OBC
@@ -88,7 +82,6 @@ def run(num_blocks: int = 32, block_size: int = 24,
         "spans": spans,
         "num_rhs": int(result.psi.shape[1]),
         "transmission_lr": float(result.transmission_lr),
-        "telemetry": telemetry,
     }
 
 
@@ -119,7 +112,5 @@ def report(results: dict) -> str:
         lines.append(
             f"Reconciliation: span flops == ledger flops "
             f"{'OK' if check['flops_exact'] else 'MISMATCH'} "
-            f"({check['span_flops']:,d} flop), seconds "
-            f"{'OK' if check['seconds_close'] else 'MISMATCH'} "
-            f"(max delta {check['max_seconds_delta']:.2e} s)")
+            f"({check['span_flops']:,d} flop)")
     return "\n".join(lines)

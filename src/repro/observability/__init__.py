@@ -17,8 +17,8 @@ One subsystem replacing the fragmented telemetry of earlier PRs:
    from a real traced run (``python -m repro trace``).
 4. Reports — Fig. 6-style phase breakdowns, per-node activity tables,
    and roofline annotation (achieved vs. attainable GF/s per stage via
-   :mod:`repro.perfmodel.roofline`), plus the span/ledger/StageTrace
-   reconciliation check.
+   :mod:`repro.perfmodel.roofline`), all over the one stage table
+   ``fold_stage`` sums, plus its reconciliation against the ledger.
 5. Live telemetry — :class:`TelemetryBus` / :class:`LiveAggregator` /
    :class:`LiveMonitor` stream events *while the run executes*,
    :mod:`~repro.observability.anomaly` detectors raise typed

@@ -140,8 +140,8 @@ class StragglerDetector(Detector):
 class ByteDriftDetector(Detector):
     """Measured stage bytes drifting from the exact byte model.
 
-    Cumulative per-stage measured vs. ``predicted_bytes`` (attached to
-    stage spans by the pipeline) through
+    Cumulative per-stage ``priced_bytes`` vs. ``predicted_bytes`` (the
+    two byte-model columns of the aggregator's ``stage_totals``) through
     :func:`~repro.perfmodel.roofline.byte_drift` — the data-centric
     health signal: silently-introduced extra copies show up here first.
     """
@@ -158,11 +158,11 @@ class ByteDriftDetector(Detector):
 
     def update(self, aggregator) -> list:
         alerts = []
-        for stage, pair in aggregator.stage_bytes.items():
-            if pair["measured"] < self.min_bytes:
+        for stage, row in aggregator.stage_totals.items():
+            if row["priced_bytes"] < self.min_bytes:
                 continue
-            verdict = byte_drift(pair["measured"], pair["predicted"],
-                                 self.tolerance)
+            verdict = byte_drift(row["priced_bytes"],
+                                 row["predicted_bytes"], self.tolerance)
             if not verdict["drifting"]:
                 continue
             deviation = abs(verdict["ratio"] - 1.0)

@@ -10,9 +10,8 @@ then exports and cross-checks every observability artifact:
   Fig. 12 activity timeline of a real run),
 * the JSONL span event log ``python -m repro report`` re-reads,
 * the Fig. 6 phase report and roofline annotation derived from spans,
-* the reconciliation check: span-derived per-stage flops must equal the
-  :class:`~repro.runtime.RunTelemetry` stage tables bit-for-bit and sum
-  to the ledger total exactly; seconds agree to float-sum tolerance.
+* the reconciliation check: the stage table folded from the spans must
+  sum to the ledger total exactly, in flops and in bytes.
 
 The demo deliberately runs fault-free: failed resilient attempts would
 emit stage spans whose flops never merge into the ledger, which would
@@ -156,9 +155,7 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
 
     spans = tracer.records()
     totals = phase_totals(spans)
-    check = reconcile(spans, runner.telemetry,
-                      ledger_total_flops=ledger.total_flops,
-                      ledger_total_bytes=ledger.total_bytes)
+    check = reconcile(spans, ledger.total_flops, ledger.total_bytes)
     # A fully warm result-store run solves nothing: no phase carries
     # flops, and there is nothing to place on a roofline.
     roofline = roofline_annotate(totals, TITAN) \

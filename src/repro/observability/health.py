@@ -9,10 +9,8 @@ the whole rule set against a
 :class:`~repro.observability.live.LiveAggregator` and returns
 :class:`SLOStatus` verdicts the dashboard and CI render.
 
-Rules read the same cumulative metrics snapshot external scrapers get
-through :meth:`MetricsRegistry.to_prometheus`, so the SLO surface and
-the scrape surface never disagree — and per-tenant rules come for free
-from the tenant-namespaced :class:`LabeledCounter` keys.
+Rules read the aggregator's own view: its ``stage_totals`` table for
+useful flops, the cumulative metrics snapshots for wasted ones.
 """
 
 from __future__ import annotations
@@ -32,17 +30,11 @@ RULE_KINDS = {
 
 @dataclass
 class SLORule:
-    """One objective: measure ``kind``, require it ``op`` ``threshold``.
-
-    ``tenant`` scopes ``wasted_flop_budget`` / ``alert_ceiling``-style
-    rules to one tenant's share of the labeled counters (empty = whole
-    run).
-    """
+    """One objective: measure ``kind``, require it ``op`` ``threshold``."""
 
     name: str
     kind: str
     threshold: float
-    tenant: str = ""
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -102,21 +94,15 @@ class HealthMonitor:
             value = aggregator.latency_quantile(q)
             return value, f"q={q:g} over {len(aggregator.all_latencies)}"
         if rule.kind == "wasted_flop_budget":
-            tenant = rule.tenant or None
-            if tenant is None:
-                wasted = aggregator.counter_value("wasted_flops")
-                useful = aggregator.labeled_total("stage_flops")
-            else:
-                wasted = aggregator.labeled_total("wasted_flops_by_tenant",
-                                                  tenant=tenant)
-                useful = aggregator.labeled_total("stage_flops",
-                                                  tenant=tenant)
+            wasted = aggregator.counter_value("wasted_flops")
+            # every stage span that closed, so a stage a failed attempt
+            # got through before it died is in both terms
+            useful = sum(row["flops"]
+                         for row in aggregator.stage_totals.values())
             total = wasted + useful
             if total <= 0:
                 return None, "no flops recorded yet"
-            scope = f" tenant={tenant}" if tenant else ""
-            return wasted / total, \
-                f"wasted={wasted} useful={useful}{scope}"
+            return wasted / total, f"wasted={wasted} useful={useful}"
         if rule.kind == "alert_ceiling":
             severity = rule.params.get("severity")
             kind = rule.params.get("alert_kind")

@@ -16,7 +16,9 @@ explain a run after it finishes.  This module adds the streaming side:
   heartbeat queue for spawned workers).
 * :class:`LiveAggregator` — folds the interleaved worker streams into a
   consistent rolling view: per-node task latencies and EMA rates,
-  per-stage cumulative seconds/flops/bytes, the latest cumulative
+  the cumulative stage table (each closed stage span through
+  :func:`~repro.observability.report.fold_stage`, the sum the recorded
+  report uses), the latest cumulative
   metrics snapshot (int-exact: "metrics" events carry full snapshots
   with replace semantics, never deltas that could double-count), open
   spans, checkpoint marks, and alerts.
@@ -43,6 +45,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.observability.report import fold_stage
 from repro.utils.errors import ConfigurationError
 
 #: stream schema version stamped on every event
@@ -316,10 +319,9 @@ class LiveAggregator:
         #: (replace semantics; scope "tracer" is the installed tracer's
         #: registry, "telemetry" the resilient runner's)
         self.metrics_scopes: dict = {}
-        #: cumulative per-stage {count, seconds, flops, bytes}
+        #: cumulative per-stage table, rows as
+        #: :func:`~repro.observability.report.fold_stage` writes them
         self.stage_totals: dict = {}
-        #: cumulative measured/predicted bytes per stage (drift input)
-        self.stage_bytes: dict = {}
         self.alerts: list = []
         #: straggler delays injected but not slept (paired to task-end)
         self.pending_delay: dict = {}
@@ -377,20 +379,11 @@ class LiveAggregator:
     def _on_span_close(self, event: dict, node: NodeState) -> None:
         node.open_spans = max(node.open_spans - 1, 0)
         if event.get("category") == "stage":
-            name = event.get("name", "")
-            totals = self.stage_totals.setdefault(
-                name, {"count": 0, "seconds": 0.0, "flops": 0, "bytes": 0})
-            totals["count"] += 1
-            totals["seconds"] += float(event.get("seconds", 0.0))
-            totals["flops"] += int(event.get("flops", 0))
-            totals["bytes"] += int(event.get("bytes", 0))
             attrs = event.get("attrs") or {}
-            predicted = attrs.get("predicted_bytes")
-            if predicted is not None:
-                pair = self.stage_bytes.setdefault(
-                    name, {"measured": 0, "predicted": 0})
-                pair["measured"] += int(event.get("bytes", 0))
-                pair["predicted"] += int(predicted)
+            fold_stage(self.stage_totals, event.get("name", ""),
+                       event.get("seconds", 0.0), event.get("flops", 0),
+                       event.get("bytes", 0),
+                       attrs.get("predicted_bytes", 0))
 
     def _on_instant(self, event: dict, node: NodeState) -> None:
         name = event.get("name", "")
@@ -408,11 +401,6 @@ class LiveAggregator:
         if event.get("cumulative", True):
             self.metrics_scopes[event.get("scope", "tracer")] = \
                 event.get("snapshot") or {}
-
-    @property
-    def metrics_snapshot(self) -> dict:
-        """The tracer-scope snapshot (the most common query surface)."""
-        return self.metrics_scopes.get("tracer", {})
 
     def _on_alert(self, event: dict, node: NodeState) -> None:
         self.alerts.append(event)
@@ -456,30 +444,6 @@ class LiveAggregator:
             entry = snap.get(name)
             if entry and entry.get("kind") == "counter":
                 best = max(best, entry.get("value", 0))
-        return best
-
-    def labeled_total(self, name: str, tenant: str | None = None):
-        """Summed labeled-counter total (max across scopes, as above).
-
-        ``tenant`` restricts the sum to one tenant's namespaced keys
-        (``"tenant|label"``; untenanted keys count under tenant ``""``).
-        """
-        from repro.observability.metrics import TENANT_SEP
-        best = 0
-        for snap in self.metrics_scopes.values():
-            entry = snap.get(name)
-            if not entry or entry.get("kind") != "labeled_counter":
-                continue
-            total = 0
-            for key, value in entry.get("values", {}).items():
-                if tenant is not None:
-                    owner, sep, _ = key.partition(TENANT_SEP)
-                    if not sep:
-                        owner = ""
-                    if owner != tenant:
-                        continue
-                total += value
-            best = max(best, total)
         return best
 
     def summary(self) -> dict:
@@ -564,8 +528,8 @@ class LiveMonitor:
     def watch_registry(self, registry, scope: str = "telemetry") -> None:
         """Snapshot an additional :class:`MetricsRegistry` each poll as a
         cumulative ``metrics`` event under ``scope``.  The thread backend
-        books ``wasted_flops``/``stage_flops`` only into the resilient
-        runner's telemetry registry, so watch that one to feed the
+        books ``wasted_flops`` only into the resilient runner's
+        telemetry registry, so watch that one to feed the
         ``wasted_flop_budget`` SLO (the aggregator reads the max across
         scopes, so mirrored counters never double-count)."""
         self._registries[str(scope)] = registry

@@ -13,7 +13,6 @@ instances report one coherent total.
 from __future__ import annotations
 
 import math
-import re
 import threading
 from bisect import bisect_left
 
@@ -172,22 +171,11 @@ class Histogram:
                     bisect_left(self.bounds, mean)] += int(snap["count"])
 
 
-#: separator of the optional tenant namespace inside a labeled-counter
-#: key: ``"tenantA|SOLVE"`` is tenant ``tenantA``'s ``SOLVE`` counter
-TENANT_SEP = "|"
-
-
 class LabeledCounter:
     """A family of counters keyed by a string label.
 
     Backs set-like telemetry too: ``quarantined_nodes`` is the label set
     of a labeled counter, so a cross-runner merge is a plain union.
-
-    Labels optionally carry a *tenant* namespace (``tenant=`` on
-    :meth:`inc`), stored as ``"tenant|label"`` keys — snapshots and
-    merges need no schema change, and the per-tenant accounting the
-    async job layer will need (fair-share SLOs, usage reports) falls
-    out of :meth:`by_tenant` for free.
     """
 
     kind = "labeled_counter"
@@ -196,39 +184,17 @@ class LabeledCounter:
         self.values: dict = {}
         self._lock = lock
 
-    @staticmethod
-    def _key(label: str, tenant: str | None) -> str:
-        if tenant is None:
-            return label
-        if TENANT_SEP in str(tenant):
-            raise ConfigurationError(
-                f"tenant name may not contain {TENANT_SEP!r}: {tenant!r}")
-        return f"{tenant}{TENANT_SEP}{label}"
-
-    def inc(self, label: str, amount=1, tenant: str | None = None):
-        key = self._key(label, tenant)
+    def inc(self, label: str, amount=1):
         with self._lock:
-            self.values[key] = self.values.get(key, 0) + amount
+            self.values[label] = self.values.get(label, 0) + amount
 
-    def get(self, label: str, tenant: str | None = None):
-        key = self._key(label, tenant)
+    def get(self, label: str):
         with self._lock:
-            return self.values.get(key, 0)
+            return self.values.get(label, 0)
 
     def as_dict(self) -> dict:
         with self._lock:
             return dict(self.values)
-
-    def by_tenant(self) -> dict:
-        """Nested ``{tenant: {label: value}}`` view; labels written
-        without a tenant land under the ``""`` (untenanted) key."""
-        out: dict = {}
-        for key, value in self.as_dict().items():
-            tenant, _, label = key.partition(TENANT_SEP)
-            if not label:        # no separator: untenanted label
-                tenant, label = "", key
-            out.setdefault(tenant, {})[label] = value
-        return out
 
     def snapshot(self) -> dict:
         return {"kind": self.kind, "values": self.as_dict()}
@@ -236,15 +202,6 @@ class LabeledCounter:
     def merge_snapshot(self, snap: dict) -> None:
         for label, value in snap["values"].items():
             self.inc(label, value)
-
-
-def _prom_num(value) -> str:
-    """Render a sample value: ints stay exact, floats use repr."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
 
 
 _KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram,
@@ -317,57 +274,6 @@ class MetricsRegistry:
         reg = cls()
         reg.merge_snapshot(snap)
         return reg
-
-    def to_prometheus(self, prefix: str = "repro_") -> str:
-        """Prometheus text exposition of every metric.
-
-        One query surface for external scrapers and the in-process SLO
-        rules: counters and gauges become single samples, histograms
-        expose cumulative ``_bucket{le=...}`` series plus ``_sum`` /
-        ``_count`` (the exact ints :meth:`Histogram.quantile` reads),
-        labeled counters become ``{label=...}`` series with the tenant
-        namespace split into its own ``tenant`` label.
-        """
-        lines = []
-        for name, entry in self.snapshot().items():
-            metric = prefix + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-            kind = entry["kind"]
-            if kind == "counter":
-                lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {_prom_num(entry['value'])}")
-            elif kind == "gauge":
-                if not isinstance(entry["value"], (int, float)) \
-                        or isinstance(entry["value"], bool):
-                    continue          # non-numeric gauges are not samples
-                lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {_prom_num(entry['value'])}")
-            elif kind == "histogram":
-                lines.append(f"# TYPE {metric} histogram")
-                cum = 0
-                buckets = entry.get("buckets") or []
-                bounds = entry.get("bounds") or []
-                for bound, count in zip(bounds, buckets):
-                    cum += int(count)
-                    if count:        # sparse: only non-empty buckets
-                        lines.append(
-                            f'{metric}_bucket{{le="{bound:g}"}} {cum}')
-                lines.append(
-                    f'{metric}_bucket{{le="+Inf"}} {entry["count"]}')
-                lines.append(
-                    f"{metric}_sum {_prom_num(entry['total'])}")
-                lines.append(f"{metric}_count {entry['count']}")
-            else:                     # labeled counter
-                lines.append(f"# TYPE {metric} counter")
-                for key in sorted(entry["values"]):
-                    tenant, _, label = key.partition(TENANT_SEP)
-                    if not label:
-                        tenant, label = "", key
-                    sel = f'label="{label}"' if not tenant else \
-                        f'tenant="{tenant}",label="{label}"'
-                    lines.append(
-                        f"{metric}{{{sel}}} "
-                        f"{_prom_num(entry['values'][key])}")
-        return "\n".join(lines) + "\n"
 
     def as_rows(self) -> list:
         """Human-readable ``name  value`` rows for CLI reports."""

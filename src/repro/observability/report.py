@@ -13,9 +13,12 @@ produces the three views the paper tells its performance story with:
   attainable GF/s per stage, joining span flops/bytes/seconds against
   :mod:`repro.perfmodel.roofline` and a device's peaks.
 
-:func:`reconcile` is the acceptance check: span-derived phase totals
-must match the :class:`~repro.pipeline.TaskTrace` tables bit-for-bit in
-flops and within float-sum tolerance in seconds.
+:func:`fold_stage` is the only code that adds a stage to a table: the
+recorded report, the live view (:class:`~repro.observability.live.
+LiveAggregator`) and the memory view all go through it, over the
+records one :func:`~repro.pipeline.trace.batch_stage_scope` writes.
+:func:`reconcile` is the one check such a table can still fail: its
+flop and byte totals against the surrounding ledger.
 """
 
 from __future__ import annotations
@@ -23,29 +26,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.specs import GpuSpec, MachineSpec
-from repro.perfmodel.roofline import RooflinePoint
+from repro.perfmodel.roofline import RooflinePoint, byte_drift
 from repro.utils.errors import ConfigurationError
 
 
-def phase_totals(spans, category: str = "stage") -> dict:
-    """Aggregate spans of one category by name.
+def fold_stage(table: dict, name: str, seconds: float, flops: int,
+               nbytes: int, predicted: int = 0) -> None:
+    """Add one executed stage to ``table`` — the only code that does.
 
-    Returns ``{name: {"seconds", "flops", "bytes", "count"}}`` in
-    first-seen order.  For ``category="stage"`` this is the Fig. 6
-    phase table; per-stage flops are exact integer sums of the stage
-    probe ledgers, so they reconcile bit-for-bit with the surrounding
+    A row is ``{"seconds", "flops", "bytes", "count", "predicted_bytes",
+    "priced_bytes"}``.  A stage that carries a byte-model prediction
+    also adds its measured bytes to ``priced_bytes``, so measured and
+    predicted traffic are compared over the same stages.
+    """
+    row = table.setdefault(name, {"seconds": 0.0, "flops": 0, "bytes": 0,
+                                  "count": 0, "predicted_bytes": 0,
+                                  "priced_bytes": 0})
+    row["seconds"] += float(seconds)
+    row["flops"] += int(flops)
+    row["bytes"] += int(nbytes)
+    row["count"] += 1
+    if predicted > 0:
+        row["predicted_bytes"] += int(predicted)
+        row["priced_bytes"] += int(nbytes)
+
+
+def phase_totals(records, category: str = "stage") -> dict:
+    """:func:`fold_stage` over the records of one category, by name.
+
+    ``records`` are :class:`~repro.observability.spans.Span` objects or
+    :class:`~repro.pipeline.trace.StageTrace` rows (a record without a
+    ``category`` counts); the table is in first-seen order.  For
+    ``category="stage"`` this is the Fig. 6 phase table; per-stage
+    flops and bytes are exact integer sums of the stage probe ledgers,
+    so they reconcile bit-for-bit with the surrounding
     :class:`~repro.linalg.flops.FlopLedger`.
     """
     out: dict = {}
-    for sp in spans:
-        if sp.category != category:
+    for rec in records:
+        if getattr(rec, "category", category) != category:
             continue
-        entry = out.setdefault(sp.name, {"seconds": 0.0, "flops": 0,
-                                         "bytes": 0, "count": 0})
-        entry["seconds"] += sp.seconds
-        entry["flops"] += int(sp.flops)
-        entry["bytes"] += int(sp.bytes_moved)
-        entry["count"] += 1
+        notes = rec.attrs if hasattr(rec, "attrs") else rec.meta
+        fold_stage(out, rec.name, rec.seconds, rec.flops, rec.bytes_moved,
+                   notes.get("predicted_bytes", 0))
     return out
 
 
@@ -196,81 +219,29 @@ def roofline_report(annotated: dict, device_name: str = "") -> str:
     return "\n".join(lines)
 
 
-def reconcile(spans, traces, ledger_total_flops: int | None = None,
+def reconcile(records, ledger_total_flops: int,
               ledger_total_bytes: int | None = None) -> dict:
-    """Check span-derived phase totals against the TaskTrace tables.
+    """Check the stage table of ``records`` against the ledger totals.
 
-    ``traces`` is a list of :class:`~repro.pipeline.TaskTrace` objects,
-    or a :class:`~repro.runtime.RunTelemetry` (whose aggregated
-    ``stage_time_s``/``stage_flops``/``stage_bytes`` tables are the same
-    sums).  Returns ``{"flops_exact", "bytes_exact", "seconds_close",
-    "span_flops", "trace_flops", "ledger_flops", "span_bytes",
-    "trace_bytes", "ledger_bytes", "max_seconds_delta", "per_stage"}``.
-    Flops AND bytes must match bit-for-bit per stage (and, when ledger
-    totals are given, in aggregate); seconds must agree within float-sum
-    tolerance — batched stages carve their wall time with
-    largest-remainder apportionment, so per-stage sums differ from the
-    batch wall time only by rounding.
+    Every stage view is :func:`phase_totals` over the records one
+    :func:`~repro.pipeline.trace.batch_stage_scope` writes, so the one
+    way a stage table and the surrounding
+    :class:`~repro.linalg.flops.FlopLedger` can still disagree is a
+    kernel recorded outside every stage scope: it is in the ledger and
+    in no stage.  Returns ``{"flops_exact", "bytes_exact", "span_flops",
+    "ledger_flops", "span_bytes", "ledger_bytes"}``.
     """
-    span_totals = phase_totals(spans)
-    trace_totals: dict = {}
-    if hasattr(traces, "stage_flops") and hasattr(traces, "stage_time_s"):
-        times = traces.stage_time_s
-        byte_table = dict(getattr(traces, "stage_bytes", {}) or {})
-        for name, flops in traces.stage_flops.items():
-            trace_totals[name] = {"seconds": float(times.get(name, 0.0)),
-                                  "flops": int(flops),
-                                  "bytes": int(byte_table.get(name, 0))}
-    else:
-        for tr in traces:
-            if tr is None:
-                continue
-            for st in tr.stages:
-                e = trace_totals.setdefault(
-                    st.name, {"seconds": 0.0, "flops": 0, "bytes": 0})
-                e["seconds"] += st.seconds
-                e["flops"] += int(st.flops)
-                e["bytes"] += int(st.meta.get("bytes", 0))
-
-    per_stage = {}
-    max_dt = 0.0
-    flops_exact = set(span_totals) == set(trace_totals)
-    bytes_exact = flops_exact
-    for name in set(span_totals) | set(trace_totals):
-        se = span_totals.get(name, {"seconds": 0.0, "flops": 0, "bytes": 0})
-        te = trace_totals.get(name, {"seconds": 0.0, "flops": 0, "bytes": 0})
-        dt = abs(se["seconds"] - te["seconds"])
-        exact = se["flops"] == te["flops"]
-        b_exact = se["bytes"] == te["bytes"]
-        flops_exact = flops_exact and exact
-        bytes_exact = bytes_exact and b_exact
-        max_dt = max(max_dt, dt)
-        per_stage[name] = {"flops_exact": exact, "bytes_exact": b_exact,
-                           "seconds_delta": dt}
-
-    span_flops = sum(e["flops"] for e in span_totals.values())
-    trace_flops = sum(e["flops"] for e in trace_totals.values())
-    span_bytes = sum(e["bytes"] for e in span_totals.values())
-    trace_bytes = sum(e["bytes"] for e in trace_totals.values())
-    total_s = sum(e["seconds"] for e in span_totals.values())
-    tol = 1e-9 * max(total_s, 1.0) * max(len(per_stage), 1) * 64
-    if ledger_total_flops is not None:
-        flops_exact = flops_exact and span_flops == int(ledger_total_flops)
-    if ledger_total_bytes is not None:
-        bytes_exact = bytes_exact and span_bytes == int(ledger_total_bytes)
-    return {"flops_exact": bool(flops_exact),
-            "bytes_exact": bool(bytes_exact),
-            "seconds_close": bool(max_dt <= tol),
-            "span_flops": int(span_flops),
-            "trace_flops": int(trace_flops),
-            "ledger_flops": (None if ledger_total_flops is None
-                             else int(ledger_total_flops)),
-            "span_bytes": int(span_bytes),
-            "trace_bytes": int(trace_bytes),
+    totals = phase_totals(records).values()
+    span_flops = sum(e["flops"] for e in totals)
+    span_bytes = sum(e["bytes"] for e in totals)
+    return {"flops_exact": span_flops == int(ledger_total_flops),
+            "bytes_exact": (ledger_total_bytes is None
+                            or span_bytes == int(ledger_total_bytes)),
+            "span_flops": span_flops,
+            "ledger_flops": int(ledger_total_flops),
+            "span_bytes": span_bytes,
             "ledger_bytes": (None if ledger_total_bytes is None
-                             else int(ledger_total_bytes)),
-            "max_seconds_delta": float(max_dt),
-            "per_stage": per_stage}
+                             else int(ledger_total_bytes))}
 
 
 def cache_totals(spans) -> dict:
@@ -318,27 +289,21 @@ def memory_totals(spans, tolerance: float = 0.05) -> dict:
 
     Returns ``{"arena", "stages"}``: the latest workspace-arena counters
     (from the ``category="memory"`` instants the pipeline emits after
-    each batch) and, per stage span that carried a byte-model
-    prediction, a :func:`~repro.perfmodel.roofline.byte_drift` verdict
-    of measured vs predicted traffic.
+    each batch) and, per :func:`phase_totals` row that carries a
+    byte-model prediction, a
+    :func:`~repro.perfmodel.roofline.byte_drift` verdict of the traffic
+    measured on the priced stages vs the prediction.
     """
-    from repro.perfmodel.roofline import byte_drift
+    spans = list(spans)
     arena: dict = {}
-    stages: dict = {}
     for sp in spans:
+        # last instant wins: counters are cumulative over the workspace life
         if sp.category == "memory" and sp.name == "arena":
-            arena = dict(sp.attrs)   # last instant wins: counters are
-            continue                 # cumulative over the workspace life
-        if sp.category != "stage":
-            continue
-        predicted = int(sp.attrs.get("predicted_bytes", 0))
-        if predicted <= 0:
-            continue
-        e = stages.setdefault(sp.name, {"measured": 0, "predicted": 0})
-        e["measured"] += int(sp.bytes_moved)
-        e["predicted"] += predicted
-    for name, e in stages.items():
-        e.update(byte_drift(e["measured"], e["predicted"], tolerance))
+            arena = dict(sp.attrs)
+    stages = {name: byte_drift(e["priced_bytes"], e["predicted_bytes"],
+                               tolerance)
+              for name, e in phase_totals(spans).items()
+              if e["predicted_bytes"] > 0}
     return {"arena": arena, "stages": stages}
 
 

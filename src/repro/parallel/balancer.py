@@ -131,8 +131,7 @@ class DynamicLoadBalancer:
             if 0 <= ik < per_k.size:
                 per_k[ik] += tr.total_seconds
                 self.flops_per_k[ik] += tr.total_flops
-                self.bytes_per_k[ik] += sum(
-                    int(st.meta.get("bytes", 0)) for st in tr.stages)
+                self.bytes_per_k[ik] += tr.total_bytes
                 hits += 1
         if hits == 0:
             return None

@@ -7,7 +7,7 @@ implementations are pluggable through decorator registries
 (:func:`register_solver`, :func:`register_obc_method`), potential-invariant
 data lives in a :class:`DeviceFamily` and k-invariant data of one potential
 in its :class:`DeviceCache` objects, and every stage emits a
-:class:`StageTrace` that rolls up into run-level telemetry and measured
+:class:`StageTrace` that rolls up into the run's stage table and measured
 load-balancer costs.
 
 ``TransportPipeline``, ``DeviceFamily`` and ``DeviceCache`` are imported

@@ -12,10 +12,14 @@ for one task or for a whole energy batch - and captures
 
 Because every kernel-recording call inside the stage lands in the probe
 and the probe is merged verbatim into the parent, the sum of stage flop
-counts reconciles *exactly* with the surrounding ledger total — the
-acceptance criterion for trace-driven telemetry.  Traces are plain data:
-they aggregate into :class:`repro.runtime.RunTelemetry` and feed measured
-per-task costs to the dynamic load balancer.
+and byte counts reconciles *exactly* with the surrounding ledger total.
+:func:`batch_stage_scope` is the one writer of a stage's cost: the
+:class:`StageTrace` rows and the ``category="stage"`` span it emits
+carry the same ``name`` / ``seconds`` / ``flops`` / ``bytes_moved`` (and
+the same optional ``predicted_bytes`` note), and every stage table is
+:func:`repro.observability.report.phase_totals` over either.  Traces are
+plain data; they also feed measured per-task costs to the dynamic load
+balancer.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ STAGES = ("PREPARE", "OBC", "ASSEMBLE", "SOLVE", "ANALYZE")
 
 @dataclass
 class StageTrace:
-    """One executed pipeline stage: name, wall time, flops, diagnostics."""
+    """One executed pipeline stage: name, wall time, flops, kernel
+    traffic, diagnostics."""
 
     name: str
     seconds: float = 0.0
     flops: int = 0
+    bytes_moved: int = 0
     meta: dict = field(default_factory=dict)
 
     def as_row(self) -> str:
@@ -62,17 +68,15 @@ class TaskTrace:
     def total_flops(self) -> int:
         return int(sum(s.flops for s in self.stages))
 
+    @property
+    def total_bytes(self) -> int:
+        return int(sum(s.bytes_moved for s in self.stages))
+
     def stage(self, name: str) -> StageTrace:
         for s in self.stages:
             if s.name == name:
                 return s
         raise KeyError(name)
-
-    def stage_flops(self) -> dict:
-        out: dict = {}
-        for s in self.stages:
-            out[s.name] = out.get(s.name, 0) + s.flops
-        return out
 
     def as_table(self) -> str:
         lines = [f"task (k={self.kpoint_index}, iE={self.energy_index}, "
@@ -134,7 +138,7 @@ def batch_stage_scope(traces, name: str):
         for st, f, b in zip(sts, flop_shares, byte_shares):
             st.seconds = elapsed / len(sts)
             st.flops = f
-            st.meta.setdefault("bytes", b)
+            st.bytes_moved = b
         tracer = current_tracer()
         if tracer is not None and traces:
             attrs = {"kpoint": traces[0].kpoint_index,

@@ -1,7 +1,7 @@
 """Resilient task execution: retry, backoff, timeout, quarantine.
 
 :class:`ResilientTaskRunner` wraps any ``task_runner(tasks) -> list``
-(``ThreadTaskRunner``, ``run_spmd`` adapters, or plain sequential
+(``ThreadTaskRunner``, ``ProcessTaskRunner``, or plain sequential
 execution) so that each (k, E) task survives transient failures: failed
 attempts are retried with exponential backoff on a fresh simulated node,
 permanently dead nodes are quarantined, and everything — retries,
@@ -117,9 +117,11 @@ class RunTelemetry:
     """Structured failure/retry accounting of one resilient runner.
 
     A *view* over a :class:`~repro.observability.MetricsRegistry`: every
-    counter (attempts, retries, wasted flops, per-stage breakdown, ...)
-    lives in the registry, and the familiar attributes are read-through
-    properties.  That makes telemetry
+    counter (attempts, retries, wasted flops, ...) lives in the
+    registry, and the familiar attributes are read-through properties.
+    The stage breakdown of a run is not here: it is
+    :func:`~repro.observability.report.phase_totals` over the run's
+    spans or ``TransportSpectrum.traces``.  That makes telemetry
 
     * **mergeable** — :meth:`merge` folds another runner's telemetry in
       without ever sharing a lock, so production runs with several
@@ -160,10 +162,6 @@ class RunTelemetry:
         return self.metrics.counter("node_deaths").value
 
     @property
-    def tasks_traced(self) -> int:
-        return self.metrics.counter("tasks_traced").value
-
-    @property
     def wasted_flops(self) -> int:
         return self.metrics.counter("wasted_flops").value
 
@@ -182,20 +180,6 @@ class RunTelemetry:
     @property
     def quarantined_nodes(self) -> set:
         return set(self.metrics.labeled("quarantined_nodes").as_dict())
-
-    @property
-    def stage_time_s(self) -> dict:
-        """Aggregated pipeline stage breakdown (PREPARE/.../ANALYZE)."""
-        return self.metrics.labeled("stage_time_s").as_dict()
-
-    @property
-    def stage_flops(self) -> dict:
-        return self.metrics.labeled("stage_flops").as_dict()
-
-    @property
-    def stage_bytes(self) -> dict:
-        """Aggregated per-stage kernel traffic (ledger bytes)."""
-        return self.metrics.labeled("stage_bytes").as_dict()
 
     # -- recording ----------------------------------------------------------
 
@@ -226,19 +210,6 @@ class RunTelemetry:
     def record_giveup(self) -> None:
         self.metrics.counter("giveups").inc()
 
-    def record_task_trace(self, trace) -> None:
-        """Fold one pipeline :class:`~repro.pipeline.TaskTrace` in."""
-        if trace is None:
-            return
-        self.metrics.counter("tasks_traced").inc()
-        times = self.metrics.labeled("stage_time_s")
-        flops = self.metrics.labeled("stage_flops")
-        nbytes = self.metrics.labeled("stage_bytes")
-        for st in trace.stages:
-            times.inc(st.name, float(st.seconds))
-            flops.inc(st.name, int(st.flops))
-            nbytes.inc(st.name, int(st.meta.get("bytes", 0)))
-
     # -- aggregation / persistence ------------------------------------------
 
     def merge(self, other: "RunTelemetry") -> "RunTelemetry":
@@ -253,8 +224,14 @@ class RunTelemetry:
         return self.metrics.snapshot()
 
     def restore(self, snap: dict | None) -> None:
-        """Merge a persisted snapshot back in (on checkpoint resume)."""
-        if snap:
+        """Adopt a persisted snapshot (on checkpoint resume).
+
+        Only a telemetry that has recorded nothing (no submission, no
+        attempt) adopts it: a fresh runner resuming a job then reports
+        the whole job, while the runner that wrote the checkpoint
+        already holds what it says and would count itself twice.
+        """
+        if snap and not (self.tasks_submitted or self.attempts):
             self.metrics.merge_snapshot(snap)
 
     @classmethod
@@ -262,10 +239,6 @@ class RunTelemetry:
         """A telemetry view over a shipped metrics snapshot (the form a
         worker process sends home)."""
         return cls(MetricsRegistry.from_snapshot(snap))
-
-    @property
-    def traced_flops(self) -> int:
-        return int(sum(self.stage_flops.values()))
 
     @property
     def total_failures(self) -> int:
@@ -286,14 +259,6 @@ class RunTelemetry:
             f"{self.wasted_time_s:.3g} s "
             f"(+{self.straggler_delay_s:.3g} s straggling)",
         ]
-        if self.tasks_traced:
-            total_t = sum(self.stage_time_s.values()) or 1.0
-            rows.append(f"stages      ({self.tasks_traced} tasks traced)")
-            for name in self.stage_time_s:
-                t = self.stage_time_s[name]
-                rows.append(
-                    f"  {name:<9s} {t * 1e3:9.2f} ms ({t / total_t:5.1%})"
-                    f"  {self.stage_flops.get(name, 0):>14,d} flop")
         return "\n".join("  " + r for r in rows)
 
 

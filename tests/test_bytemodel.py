@@ -261,7 +261,7 @@ class TestBalancerMovementAware:
         assert bal.measured_intensity() is None
         tr = TaskTrace(kpoint_index=0, stages=[
             StageTrace(name="SOLVE", seconds=1.0, flops=4000,
-                       meta={"bytes": 1000})])
+                       bytes_moved=1000)])
         bal.record_task_traces([tr, None])
         assert bal.measured_intensity() == 4.0
 

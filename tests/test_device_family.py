@@ -182,7 +182,7 @@ class TestAccounting:
         assert [st.meta.get("reused", False) for st in stages] \
             == [True, True, False, False]
         assert stages[0].flops == stages[1].flops == 0
-        assert stages[0].meta["bytes"] == stages[1].meta["bytes"] == 0
+        assert stages[0].bytes_moved == stages[1].bytes_moved == 0
         assert stages[2].flops > 0 and stages[3].flops > 0
         assert "predicted_bytes" not in stages[0].meta
         assert "predicted_bytes" in stages[2].meta

@@ -208,10 +208,11 @@ class TestLiveAggregator:
         agg.consume(_ev("span-close", name="SOLVE", category="stage",
                         seconds=0.5, flops=1000, bytes=2048,
                         attrs={"predicted_bytes": 1024}))
-        totals = agg.stage_totals["SOLVE"]
-        assert totals["count"] == 2 and totals["flops"] == 2000
-        assert agg.stage_bytes["SOLVE"] == {"measured": 4096,
-                                            "predicted": 2048}
+        agg.consume(_ev("span-close", name="SOLVE", category="stage",
+                        seconds=0.5, flops=10, bytes=100))
+        assert agg.stage_totals["SOLVE"] == {
+            "seconds": pytest.approx(1.5), "flops": 2010, "bytes": 4196,
+            "count": 3, "predicted_bytes": 2048, "priced_bytes": 4096}
 
     def test_open_span_balance(self):
         agg = LiveAggregator()
@@ -240,17 +241,6 @@ class TestLiveAggregator:
             {"wasted_flops": {"kind": "counter", "value": 25}},
             scope="telemetry"))
         assert agg.counter_value("wasted_flops") == 25
-
-    def test_labeled_total_with_tenant_scope(self):
-        agg = LiveAggregator()
-        agg.consume(_metrics_event({"stage_flops": {
-            "kind": "labeled_counter",
-            "values": {"acme|SOLVE": 100, "acme|OBC": 50,
-                       "beta|SOLVE": 7, "RGF": 3}}}))
-        assert agg.labeled_total("stage_flops") == 160
-        assert agg.labeled_total("stage_flops", tenant="acme") == 150
-        assert agg.labeled_total("stage_flops", tenant="beta") == 7
-        assert agg.labeled_total("stage_flops", tenant="") == 3
 
     def test_checkpoint_marks(self):
         agg = LiveAggregator()
@@ -370,10 +360,16 @@ class TestStragglerDetector:
         assert StragglerDetector().update(agg) == []
 
 
+def _priced_stage(agg, measured, predicted, name="SOLVE"):
+    agg.consume(_ev("span-close", name=name, category="stage",
+                    seconds=0.1, bytes=measured,
+                    attrs={"predicted_bytes": predicted}))
+
+
 class TestByteDriftDetector:
     def test_drifting_stage_flagged(self):
         agg = LiveAggregator()
-        agg.stage_bytes["SOLVE"] = {"measured": 4096, "predicted": 2048}
+        _priced_stage(agg, 4096, 2048)
         alerts = ByteDriftDetector(tolerance=0.05).update(agg)
         assert len(alerts) == 1
         assert alerts[0].kind == "byte-drift"
@@ -383,12 +379,12 @@ class TestByteDriftDetector:
 
     def test_within_tolerance_silent(self):
         agg = LiveAggregator()
-        agg.stage_bytes["SOLVE"] = {"measured": 2088, "predicted": 2048}
+        _priced_stage(agg, 2088, 2048)
         assert ByteDriftDetector(tolerance=0.05).update(agg) == []
 
     def test_min_bytes_gate(self):
         agg = LiveAggregator()
-        agg.stage_bytes["SOLVE"] = {"measured": 512, "predicted": 16}
+        _priced_stage(agg, 512, 16)
         assert ByteDriftDetector(min_bytes=1024).update(agg) == []
 
 
@@ -517,28 +513,16 @@ class TestHealth:
     def test_wasted_flop_budget(self):
         agg = LiveAggregator()
         agg.consume(_metrics_event({
-            "wasted_flops": {"kind": "counter", "value": 300},
-            "stage_flops": {"kind": "labeled_counter",
-                            "values": {"SOLVE": 700}}}))
+            "wasted_flops": {"kind": "counter", "value": 300}}))
+        agg.consume(_ev("span-close", name="OBC", category="stage",
+                        seconds=0.1, flops=200))
+        agg.consume(_ev("span-close", name="SOLVE", category="stage",
+                        seconds=0.1, flops=500))
         monitor = HealthMonitor([
             SLORule("waste", "wasted_flop_budget", 0.25)])
         status, = monitor.evaluate(agg)
         assert not status.ok and status.value == pytest.approx(0.3)
-
-    def test_wasted_flop_budget_per_tenant(self):
-        agg = LiveAggregator()
-        agg.consume(_metrics_event({
-            "wasted_flops_by_tenant": {
-                "kind": "labeled_counter", "values": {"acme|retry": 100}},
-            "stage_flops": {"kind": "labeled_counter",
-                            "values": {"acme|SOLVE": 100,
-                                       "beta|SOLVE": 900}}}))
-        monitor = HealthMonitor([
-            SLORule("acme", "wasted_flop_budget", 0.25, tenant="acme"),
-            SLORule("beta", "wasted_flop_budget", 0.25, tenant="beta")])
-        acme, beta = monitor.evaluate(agg)
-        assert not acme.ok and acme.value == pytest.approx(0.5)
-        assert beta.ok and beta.value == 0.0
+        assert status.detail == "wasted=300 useful=700"
 
     def test_alert_ceiling_severity_filter(self):
         agg = LiveAggregator()
@@ -670,7 +654,7 @@ class TestLiveMonitor:
 
 
 # --------------------------------------------------------------------------
-# Metrics satellites: prometheus, quantiles, concurrent publishers
+# Metrics satellites: quantiles, concurrent publishers
 # --------------------------------------------------------------------------
 
 def _publish_metrics_worker(n: int) -> dict:
@@ -679,7 +663,7 @@ def _publish_metrics_worker(n: int) -> dict:
     for i in range(n):
         registry.counter("tasks").inc()
         registry.histogram("latency_seconds").observe(0.01 * (i % 7 + 1))
-        registry.labeled("stage_flops").inc("SOLVE", 10, tenant="acme")
+        registry.labeled("stage_flops").inc("SOLVE", 10)
     return registry.snapshot()
 
 
@@ -696,20 +680,6 @@ class TestMetricsSatellites:
         assert hist.quantile(1.0) == pytest.approx(100.0)
         with pytest.raises(ConfigurationError):
             hist.quantile(-0.1)
-
-    def test_to_prometheus_exposition(self):
-        registry = MetricsRegistry()
-        registry.counter("tasks").inc(5)
-        registry.gauge("depth").set(2.5)
-        registry.histogram("lat").observe(0.5)
-        registry.labeled("stage_flops").inc("SOLVE", 7, tenant="acme")
-        text = registry.to_prometheus()
-        assert "# TYPE repro_tasks counter" in text
-        assert "repro_tasks 5" in text
-        assert "repro_depth 2.5" in text
-        assert "repro_lat_count 1" in text
-        assert 'le="+Inf"' in text
-        assert 'label="SOLVE"' in text and 'tenant="acme"' in text
 
     def test_concurrent_thread_publishers_int_exact(self):
         registry = MetricsRegistry()
@@ -773,7 +743,7 @@ class TestMetricsSatellites:
         assert snap["tasks"]["value"] == total
         assert snap["latency_seconds"]["count"] == total
         assert sum(snap["latency_seconds"]["buckets"]) == total
-        assert snap["stage_flops"]["values"]["acme|SOLVE"] == 10 * total
+        assert snap["stage_flops"]["values"]["SOLVE"] == 10 * total
 
     def test_mismatched_bucket_grids_keep_counts_exact(self):
         lock = threading.Lock()
@@ -794,7 +764,7 @@ class TestMetricsSatellites:
 
 class TestComparableTelemetry:
     def test_drops_only_noisy_metrics(self):
-        snap = {"stage_time_s": {"kind": "labeled_counter", "values": {}},
+        snap = {"wasted_time_s": {"kind": "counter", "value": 0.5},
                 "task_seconds": {"kind": "histogram", "count": 1},
                 "arena_reuses": {"kind": "gauge", "value": 4},
                 "stage_flops": {"kind": "labeled_counter",
@@ -825,6 +795,28 @@ class TestLiveAcceptance:
         assert on["reconciliation"]["flops_exact"]
         records = read_stream_jsonl(tmp_path / "stream.jsonl")
         assert validate_stream(records) == on["live"]["records_written"]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_replayed_live_table_is_the_report_table(self, tmp_path,
+                                                     backend):
+        """One fold: the live view rebuilt from the recorded stream and
+        the report over the recorded spans hold the same stage table,
+        and the wasted-flop SLO reads it."""
+        from repro.observability.demo import traced_production_demo
+        from repro.observability.report import phase_totals
+        log = tmp_path / "stream.jsonl"
+        demo = traced_production_demo(smoke=True, backend=backend,
+                                      live_log=log)
+        replayer = LiveMonitor()
+        replayer.replay(read_stream_jsonl(log))
+        report = {
+            name: {**row, "seconds": pytest.approx(row["seconds"])}
+            for name, row in phase_totals(demo["spans"]).items()}
+        assert replayer.aggregator.stage_totals == report
+        assert demo["live_monitor"].aggregator.stage_totals == report
+        waste, = [s for s in replayer.slo_statuses
+                  if s.kind == "wasted_flop_budget"]
+        assert waste.detail == f"wasted=0 useful={demo['ledger_flops']}"
 
     def test_injected_straggler_alerts_and_reshapes_shares(self):
         from repro.observability.demo import traced_production_demo

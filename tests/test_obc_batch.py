@@ -125,7 +125,7 @@ class TestPipelineBatchedObc:
         assert len({st.flops for st in stages}) > 1
         for e, st in zip(energies, stages):
             assert st.meta["method"] == "feast"
-            assert st.meta["predicted_bytes"] == st.meta["bytes"]
+            assert st.meta["predicted_bytes"] == st.bytes_moved
             point = pipe.solve_point(pipe.cache(dev), e)
             assert st.flops == point.trace.stage("OBC").flops
 

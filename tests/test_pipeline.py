@@ -30,7 +30,7 @@ from repro.pipeline import (
     register_solver,
     resolve_solver_name,
 )
-from repro.runtime import ResilientTaskRunner, RunTelemetry
+from repro.runtime import ResilientTaskRunner
 from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError
 
@@ -220,7 +220,7 @@ class TestStageTraces:
                                     task_runner=runner)
         traced = sum(tr.total_flops for tr in spec.traces)
         assert traced == led.total_flops
-        assert runner.telemetry.traced_flops == traced
+        assert spec.telemetry is runner.telemetry
 
 
 class TestTelemetryAndBalancer:
@@ -229,26 +229,6 @@ class TestTelemetryAndBalancer:
         tr.stages.append(StageTrace(name="SOLVE", seconds=seconds,
                                     flops=flops))
         return tr
-
-    def test_run_telemetry_aggregates_traces(self):
-        tel = RunTelemetry()
-        tel.record_task_trace(self._trace(0, 0.25))
-        tel.record_task_trace(self._trace(1, 0.75))
-        tel.record_task_trace(None)
-        assert tel.tasks_traced == 2
-        assert tel.stage_time_s["SOLVE"] == pytest.approx(1.0)
-        assert tel.stage_flops["SOLVE"] == 20
-        assert "SOLVE" in tel.summary()
-
-    def test_spectrum_telemetry_records_stage_breakdown(self):
-        chain = linear_chain(6, 0.25)
-        runner = ResilientTaskRunner(None)
-        spec = compute_spectrum(chain, single_s_basis(), 6,
-                                [-0.55, -0.45], obc_method="dense",
-                                solver="rgf", task_runner=runner)
-        assert spec.telemetry is runner.telemetry
-        assert runner.telemetry.tasks_traced == 2
-        assert set(runner.telemetry.stage_time_s) == set(STAGES)
 
     def test_measured_time_per_k(self):
         chain = linear_chain(6, 0.25)

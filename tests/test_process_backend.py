@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.runner import SpectrumUnitSpec, compute_spectrum
 from repro.linalg import gemm, ledger_scope
+from repro.observability.report import phase_totals, reconcile
 from repro.observability.spans import SpanTracer, tracing
 from repro.parallel import (
     DynamicLoadBalancer,
@@ -33,9 +34,9 @@ from tests.test_hamiltonian import single_s_basis
 ENERGIES = [-0.55, -0.45, -0.35, -0.25]
 
 
-def _spectrum(**kwargs):
+def _spectrum(obc_method="dense", solver="rgf", **kwargs):
     return compute_spectrum(linear_chain(6, 0.25), single_s_basis(), 6,
-                            ENERGIES, obc_method="dense", solver="rgf",
+                            ENERGIES, obc_method=obc_method, solver=solver,
                             **kwargs)
 
 
@@ -111,10 +112,39 @@ class TestParity:
                              energy_batch_size=2)
         assert led.total_flops > 0
         assert proc.telemetry is not None
-        assert proc.telemetry.traced_flops == led.total_flops
+        assert sum(tr.total_flops for tr in proc.traces) \
+            == led.total_flops
         # worker flops arrive attributed to their logical node
         assert sum(led.flops_on(f"node{i}") for i in range(2)) \
             == led.total_flops
+
+    @pytest.mark.parametrize("methods", [("dense", "rgf"),
+                                         ("feast", "splitsolve")])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_stage_table_is_one(self, backend, batch, methods):
+        """The spans a run emits and the StageTrace rows it returns are
+        one table: row for row the same integers, and either
+        reconciles exactly against the ledger."""
+        with tracing() as tracer:
+            with ledger_scope() as led:
+                spec = _spectrum(*methods, backend=backend, num_workers=2,
+                                 energy_batch_size=batch)
+        assert led.total_flops > 0
+        spans = tracer.records()
+        rows = [st for tr in spec.traces for st in tr.stages]
+        from_spans, from_rows = phase_totals(spans), phase_totals(rows)
+        assert set(from_spans) == set(from_rows)
+        for name, row in from_rows.items():
+            for col in ("flops", "bytes", "predicted_bytes",
+                        "priced_bytes"):
+                assert from_spans[name][col] == row[col], (name, col)
+            assert from_spans[name]["seconds"] == pytest.approx(
+                row["seconds"], abs=1e-9)
+        assert from_rows["SOLVE"]["predicted_bytes"] > 0
+        for records in (spans, rows):
+            check = reconcile(records, led.total_flops, led.total_bytes)
+            assert check["flops_exact"] and check["bytes_exact"], check
 
     def test_worker_spans_absorbed_into_parent_tracer(self):
         tracer = SpanTracer()
@@ -421,3 +451,21 @@ class TestCheckpointTelemetryRoundTrip:
                            energy_batch_size=2, checkpoint=ck)
         assert np.array_equal(first.transmission, second.transmission)
         assert second.telemetry.attempts == attempts
+
+    def test_runner_resuming_its_own_checkpoint_counts_once(self, tmp_path):
+        from repro.runtime import ResilientTaskRunner
+        ck = tmp_path / "spectrum.npz"
+        runner = ResilientTaskRunner(ThreadTaskRunner(num_workers=2))
+        _spectrum(task_runner=runner, checkpoint=ck)
+        first = runner.telemetry.snapshot()
+        assert runner.telemetry.attempts == len(ENERGIES)
+        # the same runner over its finished checkpoint solves nothing
+        # and already holds what the checkpoint says
+        with ledger_scope() as led:
+            _spectrum(task_runner=runner, checkpoint=ck)
+        assert led.total_flops == 0
+        assert runner.telemetry.snapshot() == first
+        # a fresh runner adopts the checkpointed accounting
+        fresh = ResilientTaskRunner(ThreadTaskRunner(num_workers=2))
+        _spectrum(task_runner=fresh, checkpoint=ck)
+        assert fresh.telemetry.attempts == len(ENERGIES)

@@ -71,7 +71,7 @@ class TestBatchStageScope:
         with ledger_scope():
             with batch_stage_scope(traces, "OBC"):
                 _burn(6)
-        got = [tr.stage("OBC").meta["bytes"] for tr in traces]
+        got = [tr.stage("OBC").bytes_moved for tr in traces]
         assert sum(got) == expected
 
     def test_emits_one_batch_span_under_tracing(self):
@@ -106,7 +106,7 @@ class TestStageScope:
         st = trace.stage("SOLVE")
         (sp,) = tracer.by_category("stage")
         assert sp.flops == st.flops
-        assert sp.bytes_moved == st.meta["bytes"]
+        assert sp.bytes_moved == st.bytes_moved
         # emit(seconds=...) keeps the duration identical modulo one
         # float add/subtract round trip
         assert sp.seconds == pytest.approx(st.seconds, abs=1e-9)
