@@ -110,14 +110,6 @@ class BasisSet:
                 f"basis set {self.name!r} has no entry for species "
                 f"{symbol!r}; available: {sorted(self.species)}") from None
 
-    def orbitals_per_atom(self, structure) -> list:
-        """Orbital count of each atom in a structure, in atom order."""
-        return [self.for_species(sym).num_orbitals
-                for sym in structure.species]
-
-    def total_orbitals(self, structure) -> int:
-        return sum(self.orbitals_per_atom(structure))
-
     @property
     def is_orthogonal(self) -> bool:
         return self.overlap_scale == 0.0

@@ -12,7 +12,6 @@ H(k) and S(k) in OMEN").
 from repro.hamiltonian.builder import RealSpaceMatrices, build_matrices
 from repro.hamiltonian.kspace import assemble_k, transverse_k_grid
 from repro.hamiltonian.partition import (
-    orbital_offsets,
     block_sizes_from_slabs,
     block_bandwidth,
     to_block_tridiagonal,
@@ -31,7 +30,6 @@ __all__ = [
     "build_matrices",
     "assemble_k",
     "transverse_k_grid",
-    "orbital_offsets",
     "block_sizes_from_slabs",
     "block_bandwidth",
     "to_block_tridiagonal",

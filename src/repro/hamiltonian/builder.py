@@ -9,11 +9,14 @@ returns sparse H_R, S_R with
 assembled later by :mod:`repro.hamiltonian.kspace`.  The transport axis x
 is never wrapped: the device region is finite and its contact continuation
 is handled by the open boundary conditions (Eq. 5), exactly as in OMEN.
+
+No loop runs over atoms or bonds: an image's bonds are index arrays, and
+each (species, species) group of them is one stacked block build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,8 +26,9 @@ from repro.basis.shells import BasisSet
 from repro.hamiltonian.slater_koster import (
     ETA_HAMILTONIAN,
     ETA_OVERLAP,
-    atom_pair_block,
-    onsite_block,
+    atom_pair_blocks,
+    bond_lengths,
+    onsite_energies,
 )
 from repro.utils.errors import ConfigurationError
 
@@ -73,6 +77,29 @@ def _transverse_image_shifts(structure, cutoff: float):
     return shifts
 
 
+def _bond_triplets(i, j, delta, code, shells, offsets, basis):
+    """COO ``(rows, cols, h, s)`` of the bonds ``i -> j``, one stacked
+    block build per (species_i, species_j) group; entries with
+    ``|h| + |s| = 0`` dropped (``s`` is zero on an orthogonal basis)."""
+    nsp = len(shells)
+    key = code[i] * nsp + code[j]
+    # an empty first part: an image without bonds still concatenates
+    parts = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2]
+    for g in np.unique(key):
+        sel = key == g
+        sh_i, sh_j = shells[g // nsp], shells[g % nsp]
+        h = atom_pair_blocks(sh_i, sh_j, delta[sel], basis.energy_scale,
+                             ETA_HAMILTONIAN)
+        s = np.zeros_like(h) if basis.is_orthogonal else atom_pair_blocks(
+            sh_i, sh_j, delta[sel], basis.overlap_scale, ETA_OVERLAP,
+            basis.overlap_decay_factor)
+        mask = np.abs(h) + np.abs(s) > 0
+        p, rr, cc = np.nonzero(mask)
+        parts.append((offsets[i[sel]][p] + rr, offsets[j[sel]][p] + cc,
+                      h[mask], s[mask]))
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
 def build_matrices(structure, basis: BasisSet) -> RealSpaceMatrices:
     """Build image-resolved H and S.
 
@@ -83,91 +110,67 @@ def build_matrices(structure, basis: BasisSet) -> RealSpaceMatrices:
       transport problem, not the device matrix.
     * H and S are real; Hermiticity of H(k) follows from H_{-R} = H_R^T,
       which this routine enforces by construction.
+    * Two atoms at one point, in any image, are a ``ConfigurationError``.
     """
-    n = structure.num_atoms
-    if n == 0:
+    if structure.num_atoms == 0:
         raise ConfigurationError("cannot build matrices for empty structure")
-    shells = [basis.for_species(sym).shells for sym in structure.species]
-    norbs = np.array([sum(sh.num_orbitals for sh in s) for s in shells])
-    offsets = np.concatenate([[0], np.cumsum(norbs)])
+    names, code = np.unique(structure.species, return_inverse=True)
+    shells = [basis.for_species(sym).shells for sym in names]
+    onsite = [onsite_energies(s) for s in shells]
+    norb_species = np.array([len(e) for e in onsite])
+    offsets = np.concatenate([[0], np.cumsum(norb_species[code])])
     norb = int(offsets[-1])
+    # onsite diagonal in atom order: each atom's row of a padded table
+    valid = np.arange(norb_species.max()) < norb_species[:, None]
+    table = np.zeros(valid.shape)
+    table[valid] = np.concatenate(onsite)
+    diag = table[code][valid[code]]
+    on = np.flatnonzero(diag)
     cutoff = basis.cutoff
 
     pos = structure.positions
     tree = cKDTree(pos)
-    shifts = _transverse_image_shifts(structure, cutoff)
-
     images = {}
-    for (ny, nz) in shifts:
+    for (ny, nz) in _transverse_image_shifts(structure, cutoff):
         if (ny, nz) in images:
             continue
+        home = (ny, nz) == (0, 0)
         shift_vec = ny * structure.cell[1] + nz * structure.cell[2]
-        rows, cols, hvals, svals = [], [], [], []
-
-        if (ny, nz) == (0, 0):
-            # Onsite blocks.
-            for i in range(n):
-                blk = onsite_block(shells[i])
-                r, c = np.nonzero(blk)
-                rows.append(r + offsets[i])
-                cols.append(c + offsets[i])
-                hvals.append(blk[r, c])
-                # Onsite overlap (identity) is added once at the end.
-                svals.append(np.zeros(len(r)))
-            pairs = tree.query_pairs(cutoff, output_type="ndarray")
-            pair_list = [(i, j) for i, j in pairs]
+        if home:
+            i, j = tree.query_pairs(cutoff, output_type="ndarray").T
         else:
-            shifted = pos + shift_vec
-            neigh = tree.query_ball_point(shifted, cutoff)
-            pair_list = [(i, j) for j, lst in enumerate(neigh) for i in lst]
-
-        for i, j in pair_list:
-            delta = pos[j] + shift_vec - pos[i]
-            r = np.linalg.norm(delta)
-            if r < 1e-9 or r > cutoff:
-                continue
-            hblk = atom_pair_block(shells[i], shells[j], delta,
-                                   basis.energy_scale, ETA_HAMILTONIAN)
-            if basis.is_orthogonal:
-                sblk = None
-                rr, cc = np.nonzero(np.abs(hblk) > 0)
-            else:
-                sblk = atom_pair_block(shells[i], shells[j], delta,
-                                       basis.overlap_scale, ETA_OVERLAP,
-                                       basis.overlap_decay_factor)
-                rr, cc = np.nonzero(np.abs(hblk) + np.abs(sblk) > 0)
-            rows.append(rr + offsets[i])
-            cols.append(cc + offsets[j])
-            hvals.append(hblk[rr, cc])
-            svals.append(sblk[rr, cc] if sblk is not None
-                         else np.zeros(len(rr)))
-            if (ny, nz) == (0, 0):
-                # Symmetric counterpart within the home image.
-                rows.append(cc + offsets[j])
-                cols.append(rr + offsets[i])
-                hvals.append(hblk[rr, cc])
-                svals.append(sblk[rr, cc] if sblk is not None
-                             else np.zeros(len(rr)))
-
-        def _csr(vals):
-            if rows:
-                return sp.csr_matrix(
-                    (np.concatenate(vals),
-                     (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(norb, norb))
-            return sp.csr_matrix((norb, norb))
-
-        h = _csr(hvals)
-        s = _csr(svals)
+            found = tree.sparse_distance_matrix(
+                cKDTree(pos + shift_vec), cutoff, output_type="ndarray")
+            i, j = found["i"], found["j"]
+        delta = pos[j] + shift_vec - pos[i]
+        r = bond_lengths(delta)
+        if np.any(r < 1e-9):
+            k = int(np.argmax(r < 1e-9))
+            raise ConfigurationError(
+                f"atoms {int(i[k])} and {int(j[k])} coincide in image "
+                f"{(ny, nz)} (r < 1e-9 nm): a structure cannot hold two "
+                f"atoms at one point")
+        keep = r <= cutoff
+        rows, cols, hvals, svals = _bond_triplets(
+            i[keep], j[keep], delta[keep], code, shells, offsets, basis)
+        if home:
+            # onsite energies, then the symmetric counterpart of each bond
+            rows, cols = (np.concatenate([on, rows, cols]),
+                          np.concatenate([on, cols, rows]))
+            hvals = np.concatenate([diag[on], hvals, hvals])
+            svals = np.concatenate([np.zeros(len(on)), svals, svals])
+        h = sp.csr_matrix((hvals, (rows, cols)), shape=(norb, norb))
         # The onsite overlap (identity) belongs to the home image only;
         # orthogonal bases have no inter-atomic overlap at all.
         if basis.is_orthogonal:
-            s = sp.identity(norb, format="csr") if (ny, nz) == (0, 0) \
+            s = sp.identity(norb, format="csr") if home \
                 else sp.csr_matrix((norb, norb))
-        elif (ny, nz) == (0, 0):
-            s = s + sp.identity(norb, format="csr")
+        else:
+            s = sp.csr_matrix((svals, (rows, cols)), shape=(norb, norb))
+            if home:
+                s = s + sp.identity(norb, format="csr")
         images[(ny, nz)] = (h, s)
-        if (ny, nz) != (0, 0):
+        if not home:
             images[(-ny, -nz)] = (h.T.tocsr(), s.T.tocsr())
 
     return RealSpaceMatrices(structure=structure, basis=basis,

@@ -9,11 +9,12 @@ phase after loading the CP2K binary files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.hamiltonian.builder import build_matrices
+from repro.hamiltonian.builder import RealSpaceMatrices, build_matrices
 from repro.hamiltonian.folding import fold_block_sizes, fold_lead_blocks
 from repro.hamiltonian.kspace import assemble_k
 from repro.hamiltonian.partition import (
@@ -123,21 +124,34 @@ class DeviceMatrices:
             atom_slab=self.atom_slab, orbital_offsets=self.orbital_offsets)
 
 
-def extract_lead_blocks(hk, sk, cell_sizes, nbw: int, q: int = 0):
-    """Cut the per-cell lead blocks H_{q,q+l}, S_{q,q+l}, l = 0..NBW."""
+def extract_lead_blocks(mat, cell_sizes, nbw: int, q: int = 0) -> list:
+    """Cut the per-cell lead blocks M_{q,q+l}, l = 0..NBW, of H or S."""
     offs = np.concatenate([[0], np.cumsum(cell_sizes)])
     if q + nbw >= len(cell_sizes):
         raise ConfigurationError(
             f"need at least {q + nbw + 1} cells to extract NBW={nbw} blocks")
-    h_cells, s_cells = [], []
-    hk = sp.csr_matrix(hk)
-    sk = sp.csr_matrix(sk)
-    for l in range(nbw + 1):
-        rs = slice(offs[q], offs[q + 1])
-        cs = slice(offs[q + l], offs[q + l + 1])
-        h_cells.append(np.asarray(hk[rs, cs].todense()))
-        s_cells.append(np.asarray(sk[rs, cs].todense()))
-    return h_cells, s_cells
+    rows = sp.csr_matrix(mat)[offs[q]:offs[q + 1]]
+    return [np.asarray(rows[:, offs[q + l]:offs[q + l + 1]].todense())
+            for l in range(nbw + 1)]
+
+
+class RealSpaceDevice(NamedTuple):
+    """The k-independent half of a device, built once per family."""
+
+    matrices: RealSpaceMatrices
+    atom_slab: np.ndarray
+    cell_sizes: np.ndarray
+
+
+def real_space_device(structure, basis, num_cells: int) -> RealSpaceDevice:
+    """Order ``structure`` by unit cell along x and build its H_R / S_R."""
+    if num_cells < 2:
+        raise ConfigurationError("need at least 2 unit cells")
+    slab = assign_slabs(structure, num_cells)
+    ordered, _, slab = order_by_slab(structure, slab)
+    rsm = build_matrices(ordered, basis)
+    return RealSpaceDevice(rsm, slab, block_sizes_from_slabs(
+        rsm.offsets, slab, num_cells))
 
 
 def build_device(structure, basis, num_cells: int,
@@ -148,16 +162,18 @@ def build_device(structure, basis, num_cells: int,
     unit cells along x (as produced by the generators in
     :mod:`repro.structure`); the leads are taken to be semi-infinite
     continuations of the end cells, the standard flat-band setup of the
-    paper's benchmarks.
+    paper's benchmarks.  One k-point of :func:`device_at_k`.
     """
-    if num_cells < 2:
-        raise ConfigurationError("need at least 2 unit cells")
-    slab = assign_slabs(structure, num_cells)
-    ordered, _, slab = order_by_slab(structure, slab)
-    rsm = build_matrices(ordered, basis)
-    hk, sk = assemble_k(rsm, kpoint)
+    return device_at_k(real_space_device(structure, basis, num_cells),
+                       kpoint)
 
-    cell_sizes = block_sizes_from_slabs(ordered, basis, slab, num_cells)
+
+def device_at_k(real: RealSpaceDevice, kpoint=(0.0, 0.0)) -> DeviceMatrices:
+    """The device at transverse momentum ``kpoint``: H(k), S(k), NBW and
+    the lead blocks, from the k-independent half."""
+    rsm, slab, cell_sizes = real
+    hk, sk = assemble_k(rsm, kpoint)
+    num_cells = len(cell_sizes)
     nbw = max(block_bandwidth(hk, cell_sizes),
               block_bandwidth(sk, cell_sizes))
     if nbw == 0:
@@ -166,22 +182,20 @@ def build_device(structure, basis, num_cells: int,
         raise ConfigurationError(
             f"{num_cells} cells cannot hold 2 supercells at NBW={nbw}")
 
-    _check_lead_periodicity(hk, cell_sizes, nbw)
-
-    h_cells, s_cells = extract_lead_blocks(hk, sk, cell_sizes, nbw)
+    h_cells = extract_lead_blocks(hk, cell_sizes, nbw)
+    s_cells = extract_lead_blocks(sk, cell_sizes, nbw)
+    _check_lead_periodicity(hk, h_cells, cell_sizes, nbw)
     h00, h01 = fold_lead_blocks(h_cells, nbw)
     s00, s01 = fold_lead_blocks(s_cells, nbw)
     lead = LeadBlocks(h_cells=h_cells, s_cells=s_cells,
                       h00=h00, h01=h01, s00=s00, s01=s01)
 
     block_sizes = fold_block_sizes(list(cell_sizes), nbw)
-    offsets = np.concatenate(
-        [[0], np.cumsum(basis.orbitals_per_atom(ordered))])
     return DeviceMatrices(
-        structure=ordered, basis=basis, kpoint=tuple(kpoint),
-        hmat=hk, smat=sk, cell_sizes=np.asarray(cell_sizes),
+        structure=rsm.structure, basis=rsm.basis, kpoint=tuple(kpoint),
+        hmat=hk, smat=sk, cell_sizes=cell_sizes,
         block_sizes=block_sizes, lead=lead, atom_slab=slab,
-        orbital_offsets=offsets)
+        orbital_offsets=rsm.offsets)
 
 
 def synthetic_device_from_lead(lead: LeadBlocks,
@@ -213,29 +227,20 @@ def synthetic_device_from_lead(lead: LeadBlocks,
         orbital_offsets=np.arange(0, n * num_blocks + 1, n))
 
 
-def _check_lead_periodicity(hk, cell_sizes, nbw: int, atol=1e-9):
+def _check_lead_periodicity(hk, h_cells, cell_sizes, nbw: int, atol=1e-9):
     """Verify the contact cells are translationally identical.
 
     The device interior may be arbitrary (disorder, Li insertion, ...) —
     only the cells feeding the lead-block extraction must repeat: cell 0
-    must equal cell 1 block-for-block up to range NBW.  Structures must
-    therefore provide at least NBW + 2 crystalline cells per contact
-    (see e.g. the ``contact_cells`` parameter of the anode generator).
+    (``h_cells``) must equal cell 1 block-for-block up to range NBW.
+    Structures must therefore provide at least NBW + 2 crystalline cells
+    per contact (see e.g. the ``contact_cells`` parameter of the anode
+    generator).
     """
-    offs = np.concatenate([[0], np.cumsum(cell_sizes)])
-    ncell = len(cell_sizes)
-    if ncell < nbw + 2:
+    if len(cell_sizes) < nbw + 2:
         return
-    hk = sp.csr_matrix(hk)
-
-    def blk(q, l):
-        rs = slice(offs[q], offs[q + 1])
-        cs = slice(offs[q + l], offs[q + l + 1])
-        return np.asarray(hk[rs, cs].todense())
-
-    for l in range(nbw + 1):
-        first = blk(0, l)
-        second = blk(1, l)
+    second_cells = extract_lead_blocks(hk, cell_sizes, nbw, q=1)
+    for l, (first, second) in enumerate(zip(h_cells, second_cells)):
         if first.shape != second.shape:
             raise ConfigurationError(
                 f"contact cells 0 and 1 differ in size "

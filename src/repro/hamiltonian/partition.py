@@ -14,16 +14,12 @@ from repro.linalg import BlockTridiagonalMatrix
 from repro.utils.errors import ConfigurationError, ShapeError
 
 
-def orbital_offsets(structure, basis) -> np.ndarray:
-    """Orbital start index of each atom; last entry is the total count."""
-    norbs = basis.orbitals_per_atom(structure)
-    return np.concatenate([[0], np.cumsum(norbs)])
-
-
-def block_sizes_from_slabs(structure, basis, slab_index,
+def block_sizes_from_slabs(offsets, slab_index,
                            num_slabs: int) -> np.ndarray:
     """Orbital count per slab (block sizes of the transport matrix).
 
+    ``offsets`` are the atoms' orbital offsets
+    (:attr:`~repro.hamiltonian.builder.RealSpaceMatrices.offsets`).
     Requires the structure to already be slab-ordered (atoms of slab i
     contiguous and before slab i+1) — enforce with
     :func:`repro.structure.slabs.order_by_slab` first.
@@ -32,9 +28,8 @@ def block_sizes_from_slabs(structure, basis, slab_index,
     if np.any(np.diff(slab_index) < 0):
         raise ConfigurationError(
             "structure must be slab-ordered before block partitioning")
-    norbs = np.asarray(basis.orbitals_per_atom(structure))
     sizes = np.zeros(num_slabs, dtype=int)
-    np.add.at(sizes, slab_index, norbs)
+    np.add.at(sizes, slab_index, np.diff(offsets))
     if np.any(sizes == 0):
         raise ConfigurationError(
             f"empty slab(s) {np.nonzero(sizes == 0)[0].tolist()}: "

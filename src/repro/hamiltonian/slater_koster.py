@@ -3,6 +3,9 @@
 Couplings between shells are built from sigma/pi bond integrals with
 Gaussian radial decay; the angular structure follows Slater & Koster
 (1954), which guarantees a real-symmetric H for any geometry.
+
+Blocks are built for a stack of bonds sharing their shells (a single bond
+is a stack of one), element by element in the per-bond formula's order.
 """
 
 from __future__ import annotations
@@ -28,26 +31,34 @@ ETA_OVERLAP = {
 }
 
 
-def radial(r: float, sh_i: Shell, sh_j: Shell,
-           decay_factor: float = 1.0) -> float:
+def radial(r, sh_i: Shell, sh_j: Shell, decay_factor: float = 1.0):
     """Gaussian-product radial decay of a two-center integral.
 
     Two Gaussians of widths ``decay_i``/``decay_j`` separated by r overlap
     like exp(-r^2 / (2 (d_i^2 + d_j^2))); contraction weights multiply.
+    ``r`` may be a scalar or an array of bond lengths.
     """
     d2 = (sh_i.decay ** 2 + sh_j.decay ** 2) * decay_factor ** 2
     return sh_i.weight * sh_j.weight * np.exp(-r * r / (2.0 * d2))
 
 
-def shell_pair_block(sh_i: Shell, sh_j: Shell, delta: np.ndarray,
-                     scale: float, eta: dict,
-                     decay_factor: float = 1.0) -> np.ndarray:
-    """Matrix block between shell ``sh_i`` on atom A and ``sh_j`` on atom B.
+def bond_lengths(delta: np.ndarray) -> np.ndarray:
+    """|delta| of every row of a (P, 3) stack, bitwise ``np.linalg.norm``
+    of the row: one ``ddot`` each, as a stacked (1 x 3) @ (3 x 1) is
+    (``einsum`` or ``norm(axis=1)`` round differently in ~1 row of 8)."""
+    return np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+
+
+def atom_pair_blocks(shells_i, shells_j, delta: np.ndarray, scale: float,
+                     eta: dict, decay_factor: float = 1.0) -> np.ndarray:
+    """Inter-atomic blocks of a stack of bonds: all shells of A against
+    all shells of B.
 
     Parameters
     ----------
-    delta : (3,) array
-        r_B - r_A (nm); must be non-zero (onsite handled separately).
+    delta : (P, 3) array
+        r_B - r_A (nm) of every bond; must be non-zero (onsite handled
+        separately).
     scale : float
         Global energy scale (eV) or overlap scale (dimensionless).
     eta : dict
@@ -55,46 +66,38 @@ def shell_pair_block(sh_i: Shell, sh_j: Shell, delta: np.ndarray,
 
     Returns
     -------
-    (n_i, n_j) block in the orbital order (s,) or (px, py, pz).
+    (P, n_A, n_B) blocks, shells in order, orbitals (s,) or (px, py, pz).
     """
-    r = float(np.linalg.norm(delta))
-    d = delta / r  # direction cosines (l, m, n), pointing A -> B
-    rad = scale * radial(r, sh_i, sh_j, decay_factor)
-
-    if sh_i.l == 0 and sh_j.l == 0:
-        return np.array([[eta[("ss", "sigma")] * rad]])
-    if sh_i.l == 0 and sh_j.l == 1:
-        return (eta[("sp", "sigma")] * rad * d)[None, :]
-    if sh_i.l == 1 and sh_j.l == 0:
-        # <p_a(A) | O | s(B)> = -l_a V_sp(sigma): odd parity of p.
-        return (-eta[("sp", "sigma")] * rad * d)[:, None]
-    # p-p: sigma along the bond, pi transverse.
-    ddt = np.outer(d, d)
-    return rad * (eta[("pp", "sigma")] * ddt
-                  + eta[("pp", "pi")] * (np.eye(3) - ddt))
-
-
-def atom_pair_block(shells_i, shells_j, delta: np.ndarray, scale: float,
-                    eta: dict, decay_factor: float = 1.0) -> np.ndarray:
-    """Full inter-atomic block: all shells of A against all shells of B."""
+    r = bond_lengths(delta)
+    d = delta / r[:, None]  # direction cosines (l, m, n), pointing A -> B
+    ddt = d[:, :, None] * d[:, None, :]
     ni = sum(sh.num_orbitals for sh in shells_i)
     nj = sum(sh.num_orbitals for sh in shells_j)
-    out = np.zeros((ni, nj))
+    out = np.empty((len(delta), ni, nj))
     ro = 0
     for sh_i in shells_i:
         co = 0
         for sh_j in shells_j:
-            blk = shell_pair_block(sh_i, sh_j, delta, scale, eta,
-                                   decay_factor)
-            out[ro:ro + sh_i.num_orbitals, co:co + sh_j.num_orbitals] = blk
+            rad = scale * radial(r, sh_i, sh_j, decay_factor)
+            blk = out[:, ro:ro + sh_i.num_orbitals, co:co + sh_j.num_orbitals]
+            if sh_i.l == 0 and sh_j.l == 0:
+                blk[:, 0, 0] = eta[("ss", "sigma")] * rad
+            elif sh_i.l == 0:
+                blk[:, 0, :] = (eta[("sp", "sigma")] * rad)[:, None] * d
+            elif sh_j.l == 0:
+                # <p_a(A) | O | s(B)> = -l_a V_sp(sigma): odd parity of p.
+                blk[:, :, 0] = (-eta[("sp", "sigma")] * rad)[:, None] * d
+            else:
+                # p-p: sigma along the bond, pi transverse.
+                blk[:] = rad[:, None, None] * (
+                    eta[("pp", "sigma")] * ddt
+                    + eta[("pp", "pi")] * (np.eye(3) - ddt))
             co += sh_j.num_orbitals
         ro += sh_i.num_orbitals
     return out
 
 
-def onsite_block(shells) -> np.ndarray:
-    """Diagonal onsite block: shell energies on the diagonal."""
-    diag = []
-    for sh in shells:
-        diag.extend([sh.energy] * sh.num_orbitals)
-    return np.diag(diag)
+def onsite_energies(shells) -> np.ndarray:
+    """Onsite diagonal of one atom: each shell's energy per orbital."""
+    return np.repeat([sh.energy for sh in shells],
+                     [sh.num_orbitals for sh in shells])

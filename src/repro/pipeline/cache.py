@@ -12,7 +12,8 @@ num_cells, k-grid)`` that does not depend on the potential - the
 energy-independent set-up of :class:`~repro.obc.polynomial.PolynomialFamily`
 one level up:
 
-* the potential-free ``DeviceMatrices`` per k-point, built once;
+* the image-resolved H_R / S_R, built once, and the potential-free
+  ``DeviceMatrices`` assembled from them per k-point;
 * the per-lead :class:`~repro.obc.polynomial.PolynomialFamily`;
 * one :class:`~repro.linalg.BlockStructure` per k-point;
 * one :class:`BoundaryMemo` of :class:`OpenBoundary` results keyed
@@ -67,7 +68,8 @@ import os
 import threading
 
 from repro.cache.keys import lead_content_hash
-from repro.hamiltonian import build_device, transverse_k_grid
+from repro.hamiltonian import transverse_k_grid
+from repro.hamiltonian.device import device_at_k, real_space_device
 from repro.linalg import BlockStructure, block_support, energy_scalars
 from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
@@ -297,9 +299,10 @@ class DeviceFamily:
         self.num_cells = int(num_cells)
         self.num_k = int(num_k)
         self.kgrid = transverse_k_grid(num_k)
+        #: slab order and H_R / S_R, shared by every k-point
+        self.real_space = real_space_device(structure, basis, num_cells)
         #: the potential-free device of every k-point
-        self.devices = [build_device(structure, basis, num_cells,
-                                     kpoint=(0.0, kz))
+        self.devices = [device_at_k(self.real_space, (0.0, kz))
                         for kz, _w in self.kgrid]
         self._gamma = None
         self.memo = BoundaryMemo()
@@ -314,11 +317,11 @@ class DeviceFamily:
         """The potential-free device at k = 0: the SCF loop and the
         production sweep take their energy grids (its lead) and the
         Mulliken overlap from it whatever the k-grid.  It is the first
-        k-point of every odd grid; an even grid builds it on first use."""
+        k-point of every odd grid; an even grid assembles it from the
+        shared H_R / S_R on first use."""
         if self._gamma is None:
             self._gamma = self.devices[0] if self.kgrid[0, 0] == 0.0 \
-                else build_device(self.structure, self.basis,
-                                  self.num_cells)
+                else device_at_k(self.real_space)
         return self._gamma
 
     def cache(self, ik: int, potential=None) -> DeviceCache:

@@ -480,3 +480,112 @@ def make_two_chain_lead(overlap=False, seed=3):
                           for pair in cells)
     return LeadBlocks(h_cells=[h0, h1], s_cells=[s0, s1],
                       h00=h0, h01=h1, s00=s0, s01=s1)
+
+
+# --------------------------------------------------------------------------
+# Frozen reference: the per-pair Hamiltonian builder.
+# --------------------------------------------------------------------------
+
+def _reference_shell_block(sh_i, sh_j, delta, scale, eta, decay_factor):
+    """One shell pair of one bond, the per-bond Slater-Koster formula."""
+    r = float(np.linalg.norm(delta))
+    d = delta / r
+    d2 = (sh_i.decay ** 2 + sh_j.decay ** 2) * decay_factor ** 2
+    rad = scale * (sh_i.weight * sh_j.weight * np.exp(-r * r / (2.0 * d2)))
+    if sh_i.l == 0 and sh_j.l == 0:
+        return np.array([[eta[("ss", "sigma")] * rad]])
+    if sh_i.l == 0:
+        return (eta[("sp", "sigma")] * rad * d)[None, :]
+    if sh_j.l == 0:
+        return (-eta[("sp", "sigma")] * rad * d)[:, None]
+    ddt = np.outer(d, d)
+    return rad * (eta[("pp", "sigma")] * ddt
+                  + eta[("pp", "pi")] * (np.eye(3) - ddt))
+
+
+def reference_pair_block(shells_i, shells_j, delta, scale, eta,
+                         decay_factor=1.0):
+    """All shells of A against all shells of B for one bond ``delta``."""
+    return np.block([[_reference_shell_block(a, b, delta, scale, eta,
+                                             decay_factor)
+                      for b in shells_j] for a in shells_i])
+
+
+def reference_build_matrices(structure, basis):
+    """``build_matrices`` as one loop over atoms and one over atom pairs,
+    one block per pair: the builder the stacked one must equal bit for
+    bit.  Coincident atoms are skipped, as that builder did."""
+    import scipy.sparse as sp
+    from scipy.spatial import cKDTree
+
+    from repro.hamiltonian.builder import (RealSpaceMatrices,
+                                           _transverse_image_shifts)
+    from repro.hamiltonian.slater_koster import ETA_HAMILTONIAN, ETA_OVERLAP
+
+    n = structure.num_atoms
+    shells = [basis.for_species(sym).shells for sym in structure.species]
+    norbs = np.array([sum(sh.num_orbitals for sh in s) for s in shells])
+    offsets = np.concatenate([[0], np.cumsum(norbs)])
+    norb = int(offsets[-1])
+    cutoff = basis.cutoff
+    pos = structure.positions
+    tree = cKDTree(pos)
+    images = {}
+    for (ny, nz) in _transverse_image_shifts(structure, cutoff):
+        if (ny, nz) in images:
+            continue
+        home = (ny, nz) == (0, 0)
+        shift_vec = ny * structure.cell[1] + nz * structure.cell[2]
+        rows, cols, hvals, svals = [], [], [], []
+        if home:
+            for i in range(n):
+                diag = np.array([sh.energy for sh in shells[i]
+                                 for _ in range(sh.num_orbitals)])
+                k = np.flatnonzero(diag)
+                rows.append(k + offsets[i])
+                cols.append(k + offsets[i])
+                hvals.append(diag[k])
+                svals.append(np.zeros(len(k)))
+            pair_list = [(i, j) for i, j in
+                         tree.query_pairs(cutoff, output_type="ndarray")]
+        else:
+            neigh = tree.query_ball_point(pos + shift_vec, cutoff)
+            pair_list = [(i, j) for j, lst in enumerate(neigh) for i in lst]
+        for i, j in pair_list:
+            delta = pos[j] + shift_vec - pos[i]
+            r = np.linalg.norm(delta)
+            if r < 1e-9 or r > cutoff:
+                continue
+            hblk = reference_pair_block(shells[i], shells[j], delta,
+                                        basis.energy_scale, ETA_HAMILTONIAN)
+            sblk = np.zeros_like(hblk) if basis.is_orthogonal else \
+                reference_pair_block(shells[i], shells[j], delta,
+                                     basis.overlap_scale, ETA_OVERLAP,
+                                     basis.overlap_decay_factor)
+            rr, cc = np.nonzero(np.abs(hblk) + np.abs(sblk) > 0)
+            for a, b in ((rr + offsets[i], cc + offsets[j]),
+                         (cc + offsets[j], rr + offsets[i]))[:1 + home]:
+                rows.append(a)
+                cols.append(b)
+                hvals.append(hblk[rr, cc])
+                svals.append(sblk[rr, cc])
+
+        def csr(vals):
+            if not rows:
+                return sp.csr_matrix((norb, norb))
+            return sp.csr_matrix((np.concatenate(vals),
+                                  (np.concatenate(rows),
+                                   np.concatenate(cols))),
+                                 shape=(norb, norb))
+
+        h, s = csr(hvals), csr(svals)
+        if basis.is_orthogonal:
+            s = sp.identity(norb, format="csr") if home \
+                else sp.csr_matrix((norb, norb))
+        elif home:
+            s = s + sp.identity(norb, format="csr")
+        images[(ny, nz)] = (h, s)
+        if not home:
+            images[(-ny, -nz)] = (h.T.tocsr(), s.T.tocsr())
+    return RealSpaceMatrices(structure=structure, basis=basis,
+                             images=images, offsets=offsets)

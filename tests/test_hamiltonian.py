@@ -87,6 +87,26 @@ class TestBuilder:
         h_m, _ = rsm.images[(0, -1)]
         np.testing.assert_allclose(h_p.toarray(), h_m.toarray().T, atol=1e-12)
 
+    def test_coincident_atoms_rejected(self):
+        """Two atoms at one point are an error naming both and the
+        image, not a silently uncoupled pair."""
+        from repro.structure import Structure
+        chain = linear_chain(4, 0.25)
+        twin = Structure(np.vstack([chain.positions, chain.positions[2]]),
+                         np.append(chain.species, "X"), chain.cell,
+                         chain.periodic)
+        with pytest.raises(ConfigurationError,
+                           match=r"atoms 2 and 4 coincide in image \(0, 0\)"):
+            build_matrices(twin, single_s_basis())
+        # an atom on its neighbour's periodic image
+        film = silicon_utb_film(0.8, 2)
+        pos = film.positions.copy()
+        pos[1] = pos[0] + film.cell[2]
+        shifted = Structure(pos, film.species, film.cell, film.periodic)
+        with pytest.raises(ConfigurationError,
+                           match=r"atoms (0 and 1|1 and 0) coincide in image"):
+            build_matrices(shifted, tight_binding_set())
+
     def test_no_x_wraparound(self):
         """Transport direction must never be wrapped periodically."""
         chain = linear_chain(4, 0.25)  # periodic[0] is True
@@ -141,20 +161,19 @@ class TestPartition:
         chain = linear_chain(6, 0.25)
         slab = assign_slabs(chain, 3)
         ordered, _, slab = order_by_slab(chain, slab)
-        sizes = block_sizes_from_slabs(ordered, single_s_basis(), slab, 3)
+        offsets = build_matrices(ordered, single_s_basis()).offsets
+        sizes = block_sizes_from_slabs(offsets, slab, 3)
         np.testing.assert_array_equal(sizes, [2, 2, 2])
 
     def test_block_sizes_requires_order(self):
         chain = linear_chain(4, 0.25)
         with pytest.raises(ConfigurationError):
-            block_sizes_from_slabs(chain, single_s_basis(),
-                                   np.array([1, 0, 1, 0]), 2)
+            block_sizes_from_slabs(np.arange(5), np.array([1, 0, 1, 0]), 2)
 
     def test_empty_slab_rejected(self):
         chain = linear_chain(2, 0.25)
         with pytest.raises(ConfigurationError):
-            block_sizes_from_slabs(chain, single_s_basis(),
-                                   np.array([0, 2]), 3)
+            block_sizes_from_slabs(np.arange(3), np.array([0, 2]), 3)
 
     def test_bandwidth_nearest_neighbour(self):
         chain = linear_chain(6, 0.25)

@@ -62,9 +62,9 @@ class TestSweepSharesOneFamily:
         from repro.observability.spans import SpanTracer, tracing
 
         builds = []
-        real = cache_mod.build_device
+        real = cache_mod.real_space_device
         monkeypatch.setattr(
-            cache_mod, "build_device",
+            cache_mod, "real_space_device",
             lambda *a, **kw: builds.append(1) or real(*a, **kw))
         tracer = SpanTracer()
         with tracing(tracer):
