@@ -27,7 +27,6 @@ from repro.core.runner import compute_spectrum
 from repro.observability.spans import current_tracer
 from repro.parallel import DynamicLoadBalancer
 from repro.pipeline.cache import DeviceFamily
-from repro.poisson.scf import schroedinger_poisson
 from repro.runtime.checkpoint import as_store
 from repro.utils.errors import CheckpointError, ConfigurationError
 
@@ -116,11 +115,15 @@ def run_production(structure, basis, num_cells: int, bias_points,
 
     Notes
     -----
-    Bias points run one after the other (as in OMEN); the potential of
-    the previous point seeds the next one implicitly through the SCF's
-    own initial state, and the load balancer learns per-k costs across
-    points.
+    Bias points run one after the other (as in OMEN), and the load
+    balancer learns per-k costs across points.  Every point's SCF starts
+    from a zero potential; seeding it from the previous point's
+    converged potential (bias continuation) is ROADMAP item 2a.
     """
+    # imported here: repro.poisson.scf imports repro.core, whose package
+    # init imports this module
+    from repro.poisson.scf import schroedinger_poisson
+
     bias_points = [float(v) for v in bias_points]
     if not bias_points:
         raise ConfigurationError("need at least one bias point")

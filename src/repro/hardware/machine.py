@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hardware.specs import MachineSpec
-from repro.parallel.topology import build_distribution
 from repro.utils.errors import ConfigurationError
 
 
@@ -117,6 +116,10 @@ class SimulatedMachine:
             profile = fault_injector.profile
             straggler_s = (profile.straggler_prob
                            * profile.straggler_delay_s)
+        # imported here: repro.parallel sits above repro.hardware (its
+        # runners import the runtime, which imports observability and,
+        # through the report, this package)
+        from repro.parallel.topology import build_distribution
         dist = build_distribution(num_nodes, energies_per_k,
                                   nodes_per_solver)
         t_point = self.time_energy_point(gpu_flops_per_point,

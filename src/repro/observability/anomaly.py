@@ -85,12 +85,8 @@ class Detector:
 class StragglerDetector(Detector):
     """A node whose task latency exceeds the rest of the fleet.
 
-    The balancer's ``weighted_shares`` assumes near-uniform per-task
-    latency across nodes at equal speed; a node whose mean (windowed)
-    latency exceeds the mean of the *other* nodes by ``ratio`` is a
-    straggler.  The evidence carries ``suggested_speed`` — the relative
-    speed the balancer should assume (other-mean / node-mean) — so
-    consumers can act without re-deriving it.
+    A node whose mean (windowed) latency exceeds the mean of the *other*
+    nodes by ``ratio`` is a straggler.
     """
 
     kind = "straggler"
@@ -130,8 +126,7 @@ class StragglerDetector(Detector):
                          f"slower than the fleet"),
                 evidence={"latency_ratio": latency_ratio,
                           "node_mean_s": mine, "fleet_mean_s": fleet,
-                          "tasks_done": node.tasks_done,
-                          "suggested_speed": fleet / mine}))
+                          "tasks_done": node.tasks_done}))
             if alert is not None:
                 alerts.append(alert)
         return alerts

@@ -91,12 +91,14 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
     live_log : optional JSONL path; with ``live``, the event stream is
         recorded there for ``python -m repro watch --replay``.
     fault_injector : optional
-        :class:`~repro.runtime.faults.FaultInjector` handed to the
-        resilient wrapper (e.g. a ``slow_nodes`` profile to exercise
-        the live straggler detector).
+        :class:`~repro.runtime.faults.FaultInjector` (e.g. a
+        ``slow_nodes`` profile to exercise the live straggler
+        detector).  The thread backend hands it to the resilient
+        wrapper; the process backend to the process runner, which
+        injects at dispatch, with no retry.
     live_monitor : optional pre-built
         :class:`~repro.observability.live.LiveMonitor` (custom
-        detectors, alert sinks); implies ``live``.
+        detectors); implies ``live``.
 
     Returns a dict with the production ``result``, the ``tracer``, its
     ``spans``/``metrics``, the runner ``telemetry``, the span-derived
@@ -117,8 +119,9 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
     if backend == "process":
         from repro.parallel import ProcessTaskRunner
         runner = ResilientTaskRunner(
-            ProcessTaskRunner(num_workers=num_nodes), max_retries=1,
-            fault_injector=fault_injector)
+            ProcessTaskRunner(num_workers=num_nodes,
+                              fault_injector=fault_injector),
+            max_retries=1)
     elif backend == "thread":
         runner = ResilientTaskRunner(
             ThreadTaskRunner(num_workers=num_nodes), max_retries=1,

@@ -24,9 +24,8 @@ explain a run after it finishes.  This module adds the streaming side:
   spans, checkpoint marks, and alerts.
 * :class:`LiveMonitor` — owns the bus, aggregator, anomaly detectors
   and SLO rules; a daemon thread polls the bus, optionally records the
-  stream to JSONL (``--live-log``) for replay, and forwards fresh
-  alerts to registered sinks (e.g.
-  :meth:`~repro.parallel.balancer.DynamicLoadBalancer.apply_alerts`).
+  stream to JSONL (``--live-log``) for replay, and folds fresh alerts
+  back into the aggregator.
 
 The rolling view is read-only over the run's state: the end-of-run
 merge path (worker ledgers/metrics/spans absorbed at task completion)
@@ -466,8 +465,8 @@ class LiveAggregator:
 
 class LiveMonitor:
     """Drives the live side of a run: drains the bus, folds the stream
-    into the aggregator, runs anomaly detectors and SLO rules, records
-    the stream to JSONL, and forwards alerts to sinks.
+    into the aggregator, runs anomaly detectors and SLO rules, and
+    records the stream to JSONL.
 
     Use either as polled-from-outside (call :meth:`poll`) or with the
     background daemon thread (:meth:`start` / :meth:`stop`).  The final
@@ -491,8 +490,6 @@ class LiveMonitor:
         self.interval = float(interval)
         self.live_log = live_log
         self.clock = clock
-        #: callables receiving each fresh batch of Alert objects
-        self.alert_sinks: list = []
         self.slo_statuses: list = []
         self.records_written = 0
         self._monitor_publisher = BusPublisher(
@@ -521,9 +518,6 @@ class LiveMonitor:
         if self._tracer is not None:
             self._tracer.publisher = None
             self._tracer = None
-
-    def add_alert_sink(self, sink) -> None:
-        self.alert_sinks.append(sink)
 
     def watch_registry(self, registry, scope: str = "telemetry") -> None:
         """Snapshot an additional :class:`MetricsRegistry` each poll as a
@@ -573,9 +567,6 @@ class LiveMonitor:
             for event in self.bus.drain():
                 self._record(event)
                 self.aggregator.consume(event)
-            if fresh:
-                for sink in self.alert_sinks:
-                    sink(fresh)
             if self.health is not None:
                 self.slo_statuses = self.health.evaluate(self.aggregator)
             return len(events) + len(fresh)

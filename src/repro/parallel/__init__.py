@@ -20,7 +20,6 @@ from repro.parallel.topology import (
     allocate_nodes_to_momentum,
     distribute_items,
     build_distribution,
-    weighted_shares,
 )
 from repro.parallel.balancer import DynamicLoadBalancer
 from repro.parallel.executor import ThreadTaskRunner
@@ -36,7 +35,6 @@ __all__ = [
     "allocate_nodes_to_momentum",
     "distribute_items",
     "build_distribution",
-    "weighted_shares",
     "DynamicLoadBalancer",
     "ThreadTaskRunner",
     "ProcessTaskRunner",

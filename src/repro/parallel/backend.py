@@ -9,8 +9,7 @@ user-facing ``backend=`` argument of :func:`repro.core.compute_spectrum`
 * ``"thread"`` — :class:`~repro.parallel.executor.ThreadTaskRunner`,
   simulated nodes on threads (NumPy releases the GIL, so solves overlap);
 * ``"process"`` — :class:`~repro.parallel.process.ProcessTaskRunner`,
-  worker OS processes fed picklable task descriptors, with elastic
-  straggler-aware scheduling and a spare-worker reserve.
+  worker OS processes fed picklable task descriptors.
 
 Owned-runner lifecycle: callers that create a runner through this
 factory should ``close_task_runner`` it when done — a no-op for the
@@ -28,7 +27,7 @@ BACKENDS = ("serial", "thread", "process")
 
 
 def make_task_runner(backend: str, num_workers: int | None = None,
-                     fault_injector=None, **kwargs):
+                     fault_injector=None):
     """Build the task runner for ``backend``.
 
     Parameters
@@ -36,8 +35,6 @@ def make_task_runner(backend: str, num_workers: int | None = None,
     backend : one of :data:`BACKENDS`.
     num_workers : worker count (default 1; ignored for ``"serial"``).
     fault_injector : forwarded to the runner when it takes one.
-    **kwargs : backend-specific extras (e.g. ``spare_workers=`` or
-        ``balancer=`` for the process backend).
 
     Returns ``None`` for ``"serial"`` — the convention the execution
     layer already treats as "run inline".
@@ -52,10 +49,8 @@ def make_task_runner(backend: str, num_workers: int | None = None,
     if backend == "serial":
         return None
     if backend == "thread":
-        return ThreadTaskRunner(workers, fault_injector=fault_injector,
-                                **kwargs)
-    return ProcessTaskRunner(workers, fault_injector=fault_injector,
-                             **kwargs)
+        return ThreadTaskRunner(workers, fault_injector=fault_injector)
+    return ProcessTaskRunner(workers, fault_injector=fault_injector)
 
 
 def close_task_runner(runner) -> None:

@@ -10,25 +10,16 @@ ledger, metrics, and span tree are merged back into the parent — so a
 multi-process run produces the *same* observability artifacts as a
 threaded one, with per-node attribution intact.
 
-The runner is also **elastic**:
-
-* per-node throughput is measured (EMA over per-task wall times) and the
-  next batch's units are shared proportionally — a measured-slow worker
-  receives *fewer* (k, E) units, not an equal slice it will straggle on;
-* a spare-node pool replaces quarantined workers instead of shrinking
-  the allocation: ``quarantine_worker("node1")`` promotes ``spare0`` and
-  total concurrency is unchanged.
-
-An optional :class:`~repro.parallel.DynamicLoadBalancer` can own both
-decisions instead (``balancer=``), which keeps the k-level allocation
-and the worker-level shares in one feedback loop.
+Task ``i`` of a batch is labelled ``node{i % num_workers}``, the rule
+the thread runner uses.  The label is a logical scheduling slot, not a
+process identity: the pool hands each submitted task to whichever
+worker process is free.
 """
 
 from __future__ import annotations
 
 import queue as queue_mod
 import threading
-import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from multiprocessing import get_context
 
@@ -37,13 +28,12 @@ from repro.observability.spans import current_tracer
 from repro.parallel.serialization import (_init_worker_heartbeat,
                                           descriptor_of,
                                           execute_descriptor)
-from repro.parallel.topology import weighted_shares
 from repro.runtime.resilience import RunTelemetry
 from repro.utils.errors import ConfigurationError, TaskExecutionError
 
-#: EMA smoothing of the per-node speed model (same convention as the
-#: balancer: weight of the *old* estimate).
-_SPEED_SMOOTHING = 0.5
+#: ``multiprocessing`` start method of the worker pool (safe with a
+#: threaded parent)
+_START_METHOD = "spawn"
 
 
 class ProcessTaskRunner:
@@ -52,22 +42,11 @@ class ProcessTaskRunner:
     Parameters
     ----------
     num_workers : int
-        Active simulated nodes ``node{i}``, one OS process each.
+        Simulated nodes ``node{i}``, one OS process each.
     fault_injector : :class:`repro.runtime.faults.FaultInjector`, optional
         Injected per-attempt faults (attempt 0; no retries — the
         injector state lives in the parent, so injection happens at
         dispatch time).
-    spare_workers : int
-        Reserve nodes ``spare{i}`` promoted by :meth:`quarantine_worker`
-        so a dead node never shrinks the allocation.
-    start_method : str, optional
-        ``multiprocessing`` start method (default ``"spawn"`` — safe
-        with a threaded parent; pass ``"fork"`` on POSIX to skip the
-        per-worker interpreter start when the parent is single-threaded).
-    balancer : :class:`~repro.parallel.DynamicLoadBalancer`, optional
-        When given, unit shares come from the balancer's straggler-aware
-        node weights (and measured times are fed back to it); otherwise
-        the runner keeps its own per-node EMA speed model.
 
     Notes
     -----
@@ -79,28 +58,15 @@ class ProcessTaskRunner:
     pipeline code on bitwise-identical inputs.
     """
 
-    def __init__(self, num_workers: int, fault_injector=None, *,
-                 spare_workers: int = 0, start_method: str | None = None,
-                 balancer=None):
+    def __init__(self, num_workers: int, fault_injector=None):
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
-        if spare_workers < 0:
-            raise ConfigurationError("spare_workers must be >= 0")
+        self.num_workers = num_workers
         self.fault_injector = fault_injector
-        self.start_method = start_method or "spawn"
-        self.balancer = balancer
-        self.active_nodes = [f"node{i}" for i in range(num_workers)]
-        self.spare_nodes = [f"spare{i}" for i in range(spare_workers)]
-        #: nodes removed via :meth:`quarantine_worker`
-        self.quarantined: list = []
         self.task_times: list = []
         #: merged per-worker telemetry (RunTelemetry view; the parent's
         #: ``compute_spectrum`` also folds task traces into it)
         self.telemetry = RunTelemetry()
-        #: EMA units/second per node (the elastic weighting input)
-        self.node_speed: dict = {}
-        #: units assigned per node in the most recent call
-        self.last_assignment: dict = {}
         self._pool = None
         self._heartbeat_queue = None
         self._heartbeat_thread = None
@@ -108,14 +74,9 @@ class ProcessTaskRunner:
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def num_workers(self) -> int:
-        """Active node count (spares excluded until promoted)."""
-        return len(self.active_nodes)
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            ctx = get_context(self.start_method)
+            ctx = get_context(_START_METHOD)
             initializer, initargs = None, ()
             tracer = current_tracer()
             if tracer is not None and tracer.publisher is not None:
@@ -128,7 +89,7 @@ class ProcessTaskRunner:
                 initargs = (self._heartbeat_queue,)
                 self._start_heartbeat_drain(tracer.publisher.sink)
             self._pool = ProcessPoolExecutor(
-                max_workers=len(self.active_nodes), mp_context=ctx,
+                max_workers=self.num_workers, mp_context=ctx,
                 initializer=initializer, initargs=initargs)
         return self._pool
 
@@ -181,103 +142,6 @@ class ProcessTaskRunner:
         except Exception:
             pass
 
-    # -- elastic scheduling ---------------------------------------------------
-
-    def _weights(self) -> list:
-        if self.balancer is not None and \
-                hasattr(self.balancer, "node_weight"):
-            return [self.balancer.node_weight(n) for n in self.active_nodes]
-        return [self.node_speed.get(n, 1.0) for n in self.active_nodes]
-
-    def plan_assignment(self, num_tasks: int) -> dict:
-        """Units per active node for a batch of ``num_tasks``.
-
-        Proportional to the measured node speeds (equal shares before
-        any measurement), exact by largest-remainder rounding — the
-        "slow workers get fewer points" half of elastic scheduling.
-        """
-        shares = weighted_shares(num_tasks, self._weights())
-        return dict(zip(self.active_nodes, shares))
-
-    def _assign(self, num_tasks: int) -> list:
-        """Per-task node names honouring :meth:`plan_assignment`.
-
-        Tasks are dealt round-robin over nodes with remaining share so
-        neighbouring (k, E) units still spread across the machine.
-        """
-        remaining = self.plan_assignment(num_tasks)
-        self.last_assignment = dict(remaining)
-        order = []
-        while len(order) < num_tasks:
-            progressed = False
-            for node in self.active_nodes:
-                if len(order) >= num_tasks:
-                    break
-                if remaining.get(node, 0) > 0:
-                    remaining[node] -= 1
-                    order.append(node)
-                    progressed = True
-            if not progressed:   # defensive: shares always sum to n
-                order.extend([self.active_nodes[0]]
-                             * (num_tasks - len(order)))
-        return order
-
-    def observe_worker_time(self, node: str, seconds: float) -> None:
-        """Fold one measured per-unit wall time into the speed model."""
-        if seconds <= 0:
-            return
-        speed = 1.0 / seconds
-        prev = self.node_speed.get(node)
-        self.node_speed[node] = speed if prev is None else \
-            _SPEED_SMOOTHING * prev + (1.0 - _SPEED_SMOOTHING) * speed
-
-    def quarantine_worker(self, node: str) -> str | None:
-        """Remove ``node``, promoting a spare in its place when one exists.
-
-        Returns the promoted spare's name (concurrency unchanged), or
-        ``None`` when the reserve is empty and the pool shrank.  The OS
-        process pool is untouched — node names are the *logical*
-        scheduling slots, and a promoted spare starts with a fresh
-        (unweighted) speed estimate.
-        """
-        node = str(node)
-        if node not in self.active_nodes:
-            return None
-        self.quarantined.append(node)
-        self.node_speed.pop(node, None)
-        i = self.active_nodes.index(node)
-        tracer = current_tracer()
-        if self.spare_nodes:
-            promoted = self.spare_nodes.pop(0)
-            self.active_nodes[i] = promoted
-            if tracer is not None:
-                tracer.metrics.labeled("spares_promoted").inc(promoted)
-                tracer.instant("spare-promoted", category="balancer",
-                               attrs={"quarantined": node,
-                                      "promoted": promoted})
-            return promoted
-        self.active_nodes.pop(i)
-        if tracer is not None:
-            tracer.instant("worker-lost", category="balancer",
-                           attrs={"quarantined": node,
-                                  "survivors": len(self.active_nodes)})
-        return None
-
-    def apply_fault_quarantines(self) -> list:
-        """Replace every node the fault injector has permanently killed.
-
-        Returns the promoted spare names (idempotent across calls).
-        """
-        if self.fault_injector is None:
-            return []
-        promoted = []
-        for node in self.fault_injector.quarantined_nodes():
-            if node in self.active_nodes:
-                repl = self.quarantine_worker(node)
-                if repl is not None:
-                    promoted.append(repl)
-        return promoted
-
     # -- execution ------------------------------------------------------------
 
     def __call__(self, tasks) -> list:
@@ -288,13 +152,12 @@ class ProcessTaskRunner:
         times = [None] * len(tasks)
         results = [None] * len(tasks)
         self.telemetry.record_submitted(len(tasks))
-        assignment = self._assign(len(tasks))
         pool = self._ensure_pool()
         futures = []
         failure = None
         try:
             for idx, task in enumerate(tasks):
-                node = assignment[idx]
+                node = f"node{idx % self.num_workers}"
                 if self.fault_injector is not None:
                     try:
                         delay = self.fault_injector.inject(idx, 0, node)
@@ -323,14 +186,6 @@ class ProcessTaskRunner:
             for f in futures:
                 f.cancel()
             self.task_times = times
-            if self.balancer is not None and \
-                    hasattr(self.balancer, "record_worker_times"):
-                per_node: dict = {}
-                for idx, t in enumerate(times):
-                    if t is not None and idx < len(assignment):
-                        per_node.setdefault(assignment[idx], []).append(t)
-                if per_node:
-                    self.balancer.record_worker_times(per_node)
         if failure is not None:
             raise failure
         return results
@@ -373,7 +228,6 @@ class ProcessTaskRunner:
                         task_index=idx, node=wr.node)
                 continue
             results[idx] = wr.value
-            self.observe_worker_time(wr.node, wr.elapsed_s)
         if failure is None and not_done:
             failure = TaskExecutionError(
                 "process pool aborted before all tasks completed",

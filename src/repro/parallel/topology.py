@@ -41,31 +41,6 @@ def allocate_nodes_to_momentum(num_nodes: int, work_per_k,
     return base * nodes_per_solver
 
 
-def weighted_shares(total: int, weights) -> list:
-    """Split ``total`` items proportionally to ``weights``, exactly.
-
-    Largest-remainder rounding: the returned integers sum to ``total``.
-    The straggler-aware scheduling primitive — a node with half the
-    measured speed gets (about) half the units.  Non-positive weight
-    vectors fall back to equal shares.
-    """
-    n = len(weights)
-    if n == 0:
-        raise ConfigurationError("need at least one weight")
-    w = np.maximum(np.asarray(weights, dtype=float), 0.0)
-    s = float(w.sum())
-    if s <= 0.0 or not np.isfinite(s):
-        w = np.ones(n)
-        s = float(n)
-    raw = total * w / s
-    shares = np.floor(raw).astype(int)
-    rest = int(total) - int(shares.sum())
-    order = np.argsort(-(raw - shares), kind="stable")
-    for i in range(rest):
-        shares[order[i % n]] += 1
-    return [int(x) for x in shares]
-
-
 def distribute_items(num_items: int, num_groups: int) -> list:
     """Split item indices into contiguous, near-equal chunks."""
     if num_groups < 1:

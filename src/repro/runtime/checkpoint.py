@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -64,6 +65,10 @@ class CheckpointStore:
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as fh:
             np.savez(fh, **arrays)
+            # the bytes must be on disk before the rename publishes them,
+            # or a crash can leave a renamed-but-empty checkpoint
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, self.path)
 
     def load(self, kind: str | None = None) -> dict:
@@ -73,7 +78,7 @@ class CheckpointStore:
         try:
             with np.load(self.path, allow_pickle=False) as archive:
                 data = {key: archive[key] for key in archive.files}
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise CheckpointError(
                 f"unreadable checkpoint {self.path}: {exc}") from exc
         stored_kind = str(data.pop("__kind__", ""))

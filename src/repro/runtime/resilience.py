@@ -287,7 +287,9 @@ class ResilientTaskRunner:
     fault_injector : :class:`repro.runtime.faults.FaultInjector`, optional
         Injected faults are applied per attempt; retries of a task move
         it to the next simulated node, modelling rescheduling away from a
-        dead host.
+        dead host.  Refused around a
+        :class:`~repro.parallel.process.ProcessTaskRunner`, which never
+        calls the in-process closure that injects.
 
     Notes
     -----
@@ -301,8 +303,9 @@ class ResilientTaskRunner:
     ``TaskDescriptor(_retry_run, (RetryPolicy(...), inner))``.  The
     retry loop then runs *inside the worker process* with the same
     policy, so ``ResilientTaskRunner(ProcessTaskRunner(...))`` composes
-    — fault injection stays parent-side only, but real worker exceptions
-    are retried next to where they happened.
+    and real worker exceptions are retried next to where they happened.
+    Faults are injected on that backend only by the process runner's
+    own ``fault_injector``, at dispatch, with no retry.
     """
 
     def __init__(self, task_runner=None, *, max_retries: int = 3,
@@ -317,6 +320,15 @@ class ResilientTaskRunner:
                 "backoff_factor >= 1")
         if timeout_s is not None and timeout_s <= 0:
             raise ConfigurationError("timeout_s must be positive")
+        if fault_injector is not None:
+            from repro.parallel.process import ProcessTaskRunner
+            if isinstance(task_runner, ProcessTaskRunner):
+                raise ConfigurationError(
+                    "ResilientTaskRunner cannot inject faults around a "
+                    "ProcessTaskRunner: its tasks run worker-side, where "
+                    "this injector never reaches.  Pass the injector as "
+                    "ProcessTaskRunner(fault_injector=) instead; it "
+                    "injects at dispatch, with no retry.")
         self.task_runner = task_runner
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)

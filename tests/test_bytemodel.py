@@ -4,9 +4,8 @@ The price table and the kernel sequences must reproduce the instrumented
 kernels' own ledger records exactly (uniform and ragged blocks, batched
 and per-point; ``test_cost_sequences.py`` draws the shapes), the
 roofline must consume exact per-kernel traffic (falling back to the old
-flop-proportional apportionment only for legacy snapshots), the drift
-check must flag injected extra traffic, and the movement-aware
-balancer shares must react to arithmetic intensity.
+flop-proportional apportionment only for legacy snapshots), and the
+drift check must flag injected extra traffic.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from repro.hardware import TITAN
 from repro.linalg import BatchedBlockTridiag, ledger_scope
 from repro.linalg.flops import FlopLedger, kernel_cost
 from repro.linalg.kernels import gemm, lu_factor, lu_solve, solve
-from repro.parallel import DynamicLoadBalancer
 from repro.perfmodel import (
     byte_drift,
     feast_kernels,
@@ -25,7 +23,6 @@ from repro.perfmodel import (
     splitsolve_byte_model,
 )
 from repro.perfmodel.roofline import drift_report, roofline_from_ledger
-from repro.pipeline import StageTrace, TaskTrace
 from repro.solvers import (SplitSolve, assemble_t, boundary_rhs, solve_rgf,
                            solve_rgf_batched)
 from repro.utils.errors import ConfigurationError
@@ -214,63 +211,6 @@ class TestRooflineBytes:
         pts = roofline_from_ledger(led, TITAN.node.gpu)
         assert pts["zgemm"].bytes_moved == 300
         assert pts["zgetrf"].bytes_moved == 100
-
-
-class TestBalancerMovementAware:
-    def _balancer(self):
-        return DynamicLoadBalancer(4, [4, 4], smoothing=0.5)
-
-    def test_profile_validation(self):
-        bal = self._balancer()
-        with pytest.raises(ConfigurationError):
-            bal.set_node_profile("node0", 0.0, 1e9)
-        with pytest.raises(ConfigurationError):
-            bal.set_node_profile("node0", 1e12, -1.0)
-
-    def test_capability_needs_profile_and_intensity(self):
-        bal = self._balancer()
-        assert bal.node_capability("node0", 10.0) is None
-        bal.set_node_profile("node0", 1e12, 1e11)
-        assert bal.node_capability("node0", None) is None
-        assert bal.node_capability("node0", 1.0) == 1e11
-        assert bal.node_capability("node0", 100.0) == 1e12
-
-    def test_memory_bound_work_shifts_to_bandwidth(self):
-        bal = self._balancer()
-        bal.set_node_profile("fast-mem", 1e12, 2e11)
-        bal.set_node_profile("slow-mem", 1e12, 5e10)
-        shares = bal.worker_shares(100, ["fast-mem", "slow-mem"],
-                                   flops=1e9, bytes_moved=1e9)
-        assert sum(shares.values()) == 100
-        assert shares["fast-mem"] == 80 and shares["slow-mem"] == 20
-        # compute-bound work: both hit the flop peak, shares even out
-        even = bal.worker_shares(100, ["fast-mem", "slow-mem"],
-                                 flops=1e12, bytes_moved=1.0)
-        assert even["fast-mem"] == even["slow-mem"] == 50
-
-    def test_unprofiled_nodes_priced_at_mean_capability(self):
-        bal = self._balancer()
-        bal.set_node_profile("a", 1e12, 1e11)
-        shares = bal.worker_shares(90, ["a", "b", "c"],
-                                   flops=1e9, bytes_moved=1e9)
-        assert sum(shares.values()) == 90
-        assert shares["a"] == shares["b"] == shares["c"] == 30
-
-    def test_measured_intensity_from_traces(self):
-        bal = self._balancer()
-        assert bal.measured_intensity() is None
-        tr = TaskTrace(kpoint_index=0, stages=[
-            StageTrace(name="SOLVE", seconds=1.0, flops=4000,
-                       bytes_moved=1000)])
-        bal.record_task_traces([tr, None])
-        assert bal.measured_intensity() == 4.0
-
-    def test_shares_without_any_profile_fall_back_to_speed(self):
-        bal = self._balancer()
-        bal.record_worker_times({"a": 0.5, "b": 1.0})
-        shares = bal.worker_shares(30, ["a", "b"])
-        assert sum(shares.values()) == 30
-        assert shares["a"] > shares["b"]
 
 
 class TestFeastByteModel:

@@ -219,27 +219,6 @@ class TestBalancer:
             bal.record_iteration([1.0])
         with pytest.raises(ConfigurationError):
             bal.record_iteration([1.0, -1.0])
-        with pytest.raises(ConfigurationError):
-            DynamicLoadBalancer(4, [10], spare_nodes=-1)
-
-    def test_worker_speed_model_drives_shares(self):
-        bal = DynamicLoadBalancer(2, [10], smoothing=0.0)
-        bal.record_worker_times({"node0": [1.0, 1.0], "node1": [4.0]})
-        assert bal.node_weight("node0") == pytest.approx(1.0)
-        assert bal.node_weight("node1") == pytest.approx(0.25)
-        assert bal.node_weight("never-seen") == 1.0
-        shares = bal.worker_shares(10, ["node0", "node1"])
-        assert shares == {"node0": 8, "node1": 2}
-
-    def test_quarantine_promotes_spare_keeps_pool(self):
-        bal = DynamicLoadBalancer(4, [10, 10], spare_nodes=1)
-        assert bal.quarantine_node("node1") == "spare0"
-        assert bal.num_nodes == 4          # concurrency unchanged
-        assert bal.promoted == ["spare0"]
-        assert bal.spare_pool == []
-        # second quarantine finds an empty bench and shrinks
-        assert bal.quarantine_node("node2") is None
-        assert bal.num_nodes == 3
 
 
 class TestTaskRunner:

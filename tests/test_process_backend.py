@@ -1,12 +1,10 @@
-"""Tests for the multi-process backend: parity, telemetry merge, elasticity.
+"""Tests for the multi-process backend: parity, telemetry merge, labels.
 
 The acceptance bar of the distributed backend: ``backend="process"``
 must produce bit-identical spectra to the serial/thread paths on the
 same inputs, its merged :class:`~repro.runtime.RunTelemetry` must
-reconcile exactly against the parent flop ledger, and the elastic
-scheduler must (a) hand measured-slow workers fewer (k, E) units and
-(b) replace a quarantined worker from the spare pool without shrinking
-the allocation.
+reconcile exactly against the parent flop ledger, and task ``i`` must
+carry the label ``node{i % n}`` the thread runner gives it.
 """
 
 import numpy as np
@@ -14,17 +12,16 @@ import pytest
 
 from repro.core.runner import SpectrumUnitSpec, compute_spectrum
 from repro.linalg import gemm, ledger_scope
+from repro.linalg.flops import current_device
 from repro.observability.report import phase_totals, reconcile
 from repro.observability.spans import SpanTracer, tracing
 from repro.parallel import (
-    DynamicLoadBalancer,
     ProcessTaskRunner,
     TaskDescriptor,
     ThreadTaskRunner,
     close_task_runner,
     descriptor_of,
     make_task_runner,
-    weighted_shares,
 )
 from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError, TaskExecutionError
@@ -342,69 +339,39 @@ class TestWorkerSideRetries:
         with pytest.raises(ConfigurationError):
             _retry_run(RetryPolicy(max_retries=3), CountingDescriptor())
         assert len(calls) == 1
-    def test_slow_worker_gets_fewer_units(self):
-        runner = ProcessTaskRunner(2)
-        # node1 measured 4x slower than node0
-        runner.observe_worker_time("node0", 1.0)
-        runner.observe_worker_time("node1", 4.0)
-        plan = runner.plan_assignment(10)
-        assert plan["node0"] + plan["node1"] == 10
-        assert plan["node1"] < plan["node0"]
-        assert plan["node1"] == 2   # 10 * (1/4) / (1 + 1/4)
 
-    def test_equal_shares_before_any_measurement(self):
-        runner = ProcessTaskRunner(2)
-        assert runner.plan_assignment(10) == {"node0": 5, "node1": 5}
-
-    def test_quarantine_promotes_spare_without_shrinking(self):
-        runner = ProcessTaskRunner(3, spare_workers=2)
-        assert runner.num_workers == 3
-        promoted = runner.quarantine_worker("node1")
-        assert promoted == "spare0"
-        assert runner.num_workers == 3
-        assert runner.active_nodes == ["node0", "spare0", "node2"]
-        assert "node1" in runner.quarantined
-        plan = runner.plan_assignment(9)
-        assert set(plan) == {"node0", "spare0", "node2"}
-        assert sum(plan.values()) == 9
-
-    def test_quarantine_without_spares_shrinks(self):
-        runner = ProcessTaskRunner(2)
-        assert runner.quarantine_worker("node0") is None
-        assert runner.num_workers == 1
-        assert runner.active_nodes == ["node1"]
-
-    def test_fault_injector_quarantines_are_applied(self):
-        from repro.runtime.faults import FaultInjector
-
-        inj = FaultInjector()
-        inj.kill_node("node0")
-        runner = ProcessTaskRunner(2, fault_injector=inj,
-                                   spare_workers=1)
-        assert runner.apply_fault_quarantines() == ["spare0"]
-        assert runner.num_workers == 2
-        assert runner.apply_fault_quarantines() == []  # idempotent
-
-    def test_execution_respects_elastic_shares(self):
+    def test_resilient_injector_refused_around_process_runner(self):
+        # the resilient closure that injects never runs on the process
+        # backend; accepting the injector would silently drop every fault
         from functools import partial
 
-        with ProcessTaskRunner(2) as runner:
-            runner.observe_worker_time("node0", 1.0)
-            runner.observe_worker_time("node1", 3.0)
-            out = runner([partial(_square, i) for i in range(8)])
-        assert out == [_square(i) for i in range(8)]
-        assert runner.last_assignment["node1"] == 2
-        assert runner.last_assignment["node0"] == 6
-        by_worker = runner.telemetry.metrics.labeled("tasks_by_worker")
-        assert by_worker.values.get("node0", 0) == 6
-        assert by_worker.values.get("node1", 0) == 2
+        from repro.runtime import ResilientTaskRunner
+        from repro.runtime.faults import FaultInjector, FaultProfile
 
-    def test_balancer_owns_shares_when_given(self):
-        bal = DynamicLoadBalancer(2, [10], spare_nodes=1)
-        bal.record_worker_times({"node0": [1.0], "node1": [4.0]})
-        runner = ProcessTaskRunner(2, balancer=bal)
-        plan = runner.plan_assignment(10)
-        assert plan == {"node0": 8, "node1": 2}
+        fi = FaultInjector(FaultProfile(task_failure_prob=1.0))
+        with pytest.raises(ConfigurationError,
+                           match=r"ProcessTaskRunner\(fault_injector=\)"):
+            ResilientTaskRunner(ProcessTaskRunner(2), max_retries=1,
+                                fault_injector=fi)
+        # where the message points, the faults land: at dispatch
+        with ProcessTaskRunner(2, fault_injector=fi) as runner:
+            with pytest.raises(TaskExecutionError):
+                runner([partial(_square, 1.0)])
+        assert fi.stats["task_faults"] == 1
+
+
+class TestLabels:
+    @pytest.mark.parametrize("runner_cls",
+                             [ProcessTaskRunner, ThreadTaskRunner])
+    def test_task_i_is_labelled_node_i_mod_n(self, runner_cls):
+        runner = runner_cls(2)
+        tasks = [_descriptor_task(current_device) for _ in range(5)]
+        try:
+            calls = [runner(tasks), runner(tasks)]
+        finally:
+            close_task_runner(runner)
+        labels = ["node0", "node1", "node0", "node1", "node0"]
+        assert calls == [labels, labels]
 
 
 class TestBackendFactory:
@@ -427,15 +394,6 @@ class TestBackendFactory:
             compute_spectrum(linear_chain(4, 0.25), single_s_basis(), 4,
                              [-0.5], backend="thread",
                              task_runner=ThreadTaskRunner(1))
-
-    def test_weighted_shares_exact_and_proportional(self):
-        assert sum(weighted_shares(17, [1, 2, 3])) == 17
-        assert weighted_shares(10, [1.0, 1.0]) == [5, 5]
-        assert weighted_shares(10, [3.0, 1.0]) == [8, 2]
-        # degenerate weights fall back to equal shares
-        assert weighted_shares(4, [0.0, 0.0]) == [2, 2]
-        with pytest.raises(ConfigurationError):
-            weighted_shares(4, [])
 
 
 class TestCheckpointTelemetryRoundTrip:
