@@ -44,6 +44,7 @@ def run(diameter_nm: float = 1.0, lead_cells: int = 3,
         "feast_found": res.num_modes,
         "feast_max_residual": float(residuals.max(initial=0.0)),
         "feast_solves": res.num_solves,
+        "contour_points": 2 * num_points,
         "num_propagating": n_prop,
         "lambdas_feast": res.lambdas,
         "lambdas_dense": lams_dense,
@@ -62,6 +63,8 @@ def report(results: dict) -> str:
         f"({results['num_propagating']} propagating)",
         f"  FEAST found {results['feast_found']} modes with max residual "
         f"{results['feast_max_residual']:.1e} on the full polynomial using "
-        f"{results['feast_solves']} reduced P(z) factorizations",
+        f"{results['feast_solves']} reduced P(z) factorizations for "
+        f"{results['contour_points']} contour points (one per symmetry "
+        f"orbit)",
         f"  selection exact -> {'REPRODUCED' if ok else 'NOT reproduced'}",
     ])

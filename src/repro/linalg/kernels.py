@@ -19,7 +19,8 @@ import scipy.linalg as sla
 from scipy.linalg import lapack as _lapack
 
 from repro.linalg import flops as _fl
-from repro.utils.errors import ShapeError, SingularMatrixError
+from repro.utils.errors import (ConvergenceError, ShapeError,
+                                SingularMatrixError)
 
 
 def _is_complex(*arrays) -> bool:
@@ -61,10 +62,13 @@ def lu_factor(a: np.ndarray, tag: str = ""):
     return fac
 
 
-def lu_solve(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
-    """Solve with a precomputed LU factor (``getrs``)."""
+def lu_solve(fac, b: np.ndarray, tag: str = "",
+             trans: str = "N") -> np.ndarray:
+    """Solve with a precomputed LU factor (``getrs``): A x = b, or
+    A^T x = b / A^H x = b with ``trans`` ``"T"`` / ``"C"``, the same
+    record either way."""
     t0 = time.perf_counter()
-    x = sla.lu_solve(fac, b, check_finite=False)
+    x = sla.lu_solve(fac, b, trans="NTC".index(trans), check_finite=False)
     n = x.shape[0]
     nrhs = x.shape[1] if x.ndim == 2 else 1
     cx = _is_complex(fac[0], b)
@@ -221,23 +225,47 @@ def eigh(a: np.ndarray, b: np.ndarray | None = None, tag: str = ""):
     return w, v
 
 
+@functools.lru_cache(maxsize=None)
+def _ggev_lwork(n: int) -> int:
+    """Optimal ``zggev`` workspace for order n (one query per size)."""
+    square = np.zeros((n, n), dtype=complex)
+    *_, work, info = _lapack.zggev(square, square, lwork=-1)
+    _check_lapack_info(info, "ggev_lwork")
+    return max(int(work[0].real), 1)
+
+
 def geig(a: np.ndarray, b: np.ndarray, tag: str = "", left: bool = False):
     """Generalized nonsymmetric eigenproblem A u = lambda B u (``zggev``).
 
     This is the Rayleigh-Ritz reduction step of FEAST (Eq. 7 of the paper).
-    Infinite eigenvalues (singular B directions) are returned as ``inf``.
+    Infinite eigenvalues (singular B directions) are returned as ``inf``,
+    and ``alpha = beta = 0`` as NaN (scipy's convention).
     Returns ``(w, vr)``, or ``(w, vl, vr)`` with ``left`` - the left
     eigenvectors ``vl[:, i]^H A = w[i] vl[:, i]^H B``, unit-normalized like
     the right ones.  The record is the same either way: the customary
     25 n^3 count (:func:`repro.linalg.flops.eig_flops`) has no left/right
-    split.
+    split.  Real operands are solved as complex ones; QZ failing to
+    converge is a :class:`ConvergenceError`.
     """
     t0 = time.perf_counter()
-    out = sla.eig(a, b, left=left, check_finite=False)
     n = a.shape[0]
+    alpha, beta, vl, vr, _work, info = _lapack.zggev(
+        a, b, compute_vl=int(left), lwork=_ggev_lwork(n))
+    _check_lapack_info(info, "ggev")
+    if info > 0:
+        raise ConvergenceError(f"zggev: the QZ iteration failed (info "
+                               f"{info})")
+    w = np.full_like(alpha, np.inf)
+    finite = beta != 0
+    w[finite] = alpha[finite] / beta[finite]
+    w[~finite & (alpha == 0)] = complex(np.nan, np.nan) \
+        if alpha.imag.any() else np.nan
+    vr /= np.linalg.norm(vr, axis=0)
     _record("zggev", *_fl.kernel_cost("geig", (n,), _is_complex(a, b)),
             t0, tag)
-    return out
+    if left:
+        return w, vl / np.linalg.norm(vl, axis=0), vr
+    return w, vr
 
 
 def qr_orth(a: np.ndarray, tag: str = "") -> np.ndarray:

@@ -26,9 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg import geig
+from repro.linalg import geig, lu_solve
 from repro.utils.errors import ConfigurationError, ConvergenceError
 from repro.utils.rng import make_rng
+
+#: width of the first random block, doubled by appending freshly filtered
+#: columns while the filtered block keeps full numerical rank
+START_WIDTH = 16
 
 
 @dataclass
@@ -39,12 +43,11 @@ class FeastResult:
     vectors: np.ndarray      # (n, m) unit-cell eigenvectors (top block)
     residuals: np.ndarray    # (m,) relative polynomial residuals
     iterations: int
-    num_solves: int          # number of reduced P(z) factorizations
-    subspace_size: int
-    #: rhs width of the resolvent applies, one entry per refinement
-    #: iteration (accumulated across auto-expand attempts) — together with
-    #: ``num_solves`` and ``rr_sizes`` this determines the exact ledger
-    #: byte traffic (:func:`repro.perfmodel.costmodel.feast_kernels`)
+    num_solves: int          # P(z) factorizations: one per contour orbit
+    subspace_size: int       # width the first filtered block grew to
+    #: rhs width of every contour ``lu_solve`` call, in order — together
+    #: with ``num_solves`` and ``rr_sizes`` this determines the exact
+    #: ledger counts (:func:`repro.perfmodel.costmodel.feast_kernels`)
     solve_widths: tuple = ()
     #: reduced Rayleigh-Ritz problem size, one entry per iteration
     rr_sizes: tuple = ()
@@ -54,19 +57,74 @@ class FeastResult:
         return len(self.lambdas)
 
 
-def _contour_points(r_outer: float, num_points: int):
-    """Trapezoid nodes and weights for the annulus boundary.
+def _contour(r_outer: float, num_points: int):
+    """Trapezoid nodes ``z`` and weights ``w`` of the annulus boundary:
+    w = +z/N on the outer circle, w = -z/N on the inner one.  Mirrored by
+    construction, so :func:`_orbits` finds its symmetries bit for bit: the
+    lower outer half is the conjugate of the upper one, and every inner
+    point is 1/conj of an outer one."""
+    theta = 2.0 * np.pi * (np.arange(num_points // 2) + 0.5) / num_points
+    upper = r_outer * np.exp(1j * theta)
+    outer = np.concatenate([upper, upper.conj(),
+                            [-r_outer] * (num_points % 2)])
+    inner = 1.0 / outer.conj()
+    return (np.concatenate([outer, inner]),
+            np.concatenate([outer, -inner]) / num_points)
 
-    Returns a list of (z_p, w_p) with w_p = +z_p/N on the outer circle and
-    w_p = -z_p/N on the inner one (orientation: region kept between them).
+
+def _orbits(pevp, zs) -> list:
+    """One factorization point per symmetry orbit of the contour ``zs``,
+    and how each point of the orbit is solved with it.
+
+    With F = LU of P(z0): at real coefficients P(conj z0) = conj P(z0),
+    and for a palindromic polynomial P(1/conj z0) = conj(z0)^-M P(z0)^H;
+    so x = P(z)^{-1} b is, per image z of z0,
+
+        z0          F x = b
+        conj z0     F conj(x) = conj(b)                          (real)
+        1/conj z0   F^H x = conj(z0)^M b                         (palindromic)
+        1/z0        F^H conj(x) = conj(z0)^M conj(b)             (both)
+
+    Images are matched to contour points by exact equality.  Returns
+    ``[(z0, {trans: [(point, conjugated, scale), ...]})]``.
     """
-    theta = 2.0 * np.pi * (np.arange(num_points) + 0.5) / num_points
-    pts = []
-    for z in r_outer * np.exp(1j * theta):
-        pts.append((z, z / num_points))
-    for z in (1.0 / r_outer) * np.exp(1j * theta):
-        pts.append((z, -z / num_points))
-    return pts
+    real, mirror = pevp.real_coefficients, pevp.palindromic
+    todo = list(range(len(zs)))
+    orbits = []
+    while todo:
+        p0 = todo.pop(0)
+        z0 = zs[p0]
+        scale = np.conj(z0) ** pevp.degree
+        groups = {"N": [(p0, False, 1.0)]}
+        images = [(np.conj(z0), "N", True, 1.0, real),
+                  (1.0 / np.conj(z0), "C", False, scale, mirror),
+                  (1.0 / z0, "C", True, scale, real and mirror)]
+        for z, trans, conj, s, holds in images:
+            hit = next((p for p in todo if holds and zs[p] == z), None)
+            if hit is not None:
+                todo.remove(hit)
+                groups.setdefault(trans, []).append((hit, conj, s))
+        orbits.append((z0, groups))
+    return orbits
+
+
+def _contour_filter(pevp, factors, zs, ws, y, width_log) -> np.ndarray:
+    """Q = sum_p w_p (z_p B - A)^{-1} B y: one ``lu_solve`` per (factor,
+    operator) on the side-by-side right-hand sides of the orbit members
+    that use it."""
+    rhs = pevp.contour_rhs(zs, y)
+    x1 = np.empty_like(rhs)
+    for fac, groups in factors:
+        for trans, members in groups.items():
+            x = lu_solve(fac, np.hstack([
+                s * (rhs[p].conj() if conj else rhs[p])
+                for p, conj, s in members]), tag="obc-P(z)-solve",
+                trans=trans)
+            width_log.append(x.shape[1])
+            for (p, conj, _), xp in zip(members,
+                                        np.hsplit(x, len(members))):
+                x1[p] = xp.conj() if conj else xp
+    return pevp.contour_sum(zs, ws, x1, y)
 
 
 def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
@@ -83,59 +141,66 @@ def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
         decaying modes: boundary self-energies get more accurate, solves
         get bigger.
     subspace : int
-        FEAST subspace dimension m0 (must exceed the eigenvalue count in
-        the annulus).  Default: unit-cell size + 8, auto-doubled if the
-        annulus turns out fuller than that.
+        Width m0 of the first random block (default :data:`START_WIDTH`).
+        While the filtered block has full numerical rank, fresh filtered
+        columns are appended (doubling) up to NBC; with ``auto_expand``
+        False that is a :class:`ConvergenceError` instead.
     num_points : int
         Trapezoid points per circle.
     """
     if r_outer <= 1.0:
         raise ConfigurationError("r_outer must exceed 1")
     nbc = pevp.size
-    n = pevp.n
-    m0 = subspace if subspace is not None else min(nbc, n + 8)
-    m0 = max(2, min(m0, nbc))
+    width = max(2, min(subspace if subspace is not None else START_WIDTH,
+                       nbc))
     rng = make_rng(seed)
 
-    pts = _contour_points(r_outer, num_points)
-    # Reuse one factorization of P(z_p) per contour point across all FEAST
-    # refinement iterations — A and B never change.
-    factors = [(z, w, pevp.factor_reduced(z)) for (z, w) in pts]
-    num_solves = len(factors)
-
+    zs, ws = _contour(r_outer, num_points)
+    # one factorization of P(z0) per orbit, reused by every filter
+    # application - A and B never change
+    factors = [(pevp.factor_reduced(z0), groups)
+               for z0, groups in _orbits(pevp, zs)]
     a_lin, b_lin = pevp.pencil()
-
-    # Byte-model logs: one rhs width / RR size per refinement iteration,
-    # accumulated across auto-expand attempts (the contour factorizations
-    # are NOT redone on expand, so only the iteration terms grow).
     width_log: list = []
     rr_log: list = []
 
-    while True:
-        y = rng.standard_normal((nbc, m0)) \
-            + 1j * rng.standard_normal((nbc, m0))
-        try:
-            result = _feast_iterate(pevp, a_lin, b_lin, factors, y,
-                                    r_outer, max_iter, tol,
-                                    width_log, rr_log)
-        except ConvergenceError:
-            # A stall usually means the subspace is smaller than the
-            # annulus eigenvalue count; grow it before giving up.
-            if auto_expand and m0 < nbc:
-                m0 = min(nbc, 2 * m0)
-                continue
-            raise
-        lambdas, vectors, residuals, iters = result
-        # FEAST convention: if the subspace is nearly saturated the count
-        # is untrustworthy (modes may be missing) — expand and redo.
-        if auto_expand and len(lambdas) >= m0 - 1 and m0 < nbc:
-            m0 = min(nbc, 2 * m0)
-            continue
-        return FeastResult(lambdas=lambdas, vectors=vectors,
-                           residuals=residuals, iterations=iters,
-                           num_solves=num_solves, subspace_size=m0,
-                           solve_widths=tuple(width_log),
-                           rr_sizes=tuple(rr_log))
+    def draw(k):
+        return rng.standard_normal((nbc, k)) \
+            + 1j * rng.standard_normal((nbc, k))
+
+    q = _contour_filter(pevp, factors, zs, ws, draw(width), width_log)
+    basis = _orthonormal_basis(q)
+    # a full-rank filtered block may be missing directions: append fresh
+    # columns (the factors are reused) until the filter's rank shows
+    while basis.shape[1] == q.shape[1] < nbc:
+        if not auto_expand:
+            raise ConvergenceError(
+                f"FEAST subspace of {q.shape[1]} is saturated (full "
+                f"numerical rank after filtering) and auto_expand is off")
+        fresh = draw(min(q.shape[1], nbc - q.shape[1]))
+        q = np.hstack([q, _contour_filter(pevp, factors, zs, ws, fresh,
+                                          width_log)])
+        basis = _orthonormal_basis(q)
+
+    for it in range(1, max_iter + 1):
+        lam_in, us, res, ritz = _rr_step(pevp, a_lin, b_lin, basis,
+                                         r_outer)
+        rr_log.append(ritz.shape[1])
+        if len(lam_in) == 0 or res.max() < tol or it == max_iter:
+            break
+        # Refine: next subspace = the full set of Ritz vectors.
+        basis = _orthonormal_basis(_contour_filter(pevp, factors, zs, ws,
+                                                   ritz, width_log))
+    if len(res) and res.max() > 1e3 * tol:
+        raise ConvergenceError(
+            f"FEAST stalled: max residual {res.max():.2e} after "
+            f"{max_iter} refinements", iterations=max_iter,
+            residual=float(res.max()))
+    return FeastResult(lambdas=lam_in, vectors=us, residuals=res,
+                       iterations=it, num_solves=len(factors),
+                       subspace_size=q.shape[1],
+                       solve_widths=tuple(width_log),
+                       rr_sizes=tuple(rr_log))
 
 
 def _orthonormal_basis(q: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -147,19 +212,16 @@ def _orthonormal_basis(q: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     return u[:, keep]
 
 
-def _rr_step(pevp, a_lin, b_lin, q, r_outer):
-    """One post-filter step: orthonormalize, Rayleigh-Ritz, select annulus.
+def _rr_step(pevp, a_lin, b_lin, qn, r_outer):
+    """One post-filter step on the orthonormal basis ``qn``: Rayleigh-Ritz,
+    select annulus.  ``qn`` is rank-truncated: directions the filter
+    annihilated are round-off and would give spurious in-annulus Ritz
+    values.
 
     Returns ``(lam_in, us, res, ritz)``: in-annulus eigenvalues,
     unit-cell vectors and residuals, and the full Ritz block (the next
     iterate).
     """
-    # Orthonormalize with rank truncation: after the contour filter the
-    # subspace collapses onto the (often much smaller) invariant
-    # subspace of the annulus; directions annihilated by the filter are
-    # pure round-off and must not reach the Rayleigh-Ritz step, where
-    # they would produce spurious in-annulus Ritz values.
-    qn = _orthonormal_basis(q)
     # Rayleigh-Ritz (Eq. 7): (Q^H A Q) u = lambda (Q^H B Q) u.
     ar = qn.conj().T @ (a_lin @ qn)
     br = qn.conj().T @ (b_lin @ qn)
@@ -172,32 +234,3 @@ def _rr_step(pevp, a_lin, b_lin, q, r_outer):
     # Residuals on the physical unit-cell eigenvectors.
     lam_in, us = pevp.extract_unit_vectors(w_rr[inside], ritz[:, inside])
     return lam_in, us, pevp.residuals(lam_in, us), ritz
-
-
-def _feast_iterate(pevp, a_lin, b_lin, factors, y, r_outer,
-                   max_iter, tol, width_log=None, rr_log=None):
-    """Inner FEAST loop: filter -> Rayleigh-Ritz -> check residuals."""
-    best = None
-    for it in range(1, max_iter + 1):
-        if width_log is not None:
-            width_log.append(int(y.shape[1]))
-        # Contour filter: Q = sum_p w_p (z_p B - A)^{-1} B Y.
-        q = np.zeros_like(y)
-        for z, w, fac in factors:
-            q += w * pevp.resolvent_apply(z, y, factor=fac)
-
-        lam_in, us, res, ritz = _rr_step(pevp, a_lin, b_lin, q, r_outer)
-        if rr_log is not None:
-            rr_log.append(int(ritz.shape[1]))
-        best = (lam_in, us, res, it)
-        if len(lam_in) == 0 or (len(res) and res.max() < tol):
-            return best
-        # Refine: next subspace = the full set of Ritz vectors.
-        y = ritz
-    lam_in, us, res, it = best
-    if len(res) and res.max() > 1e3 * tol:
-        raise ConvergenceError(
-            f"FEAST stalled: max residual {res.max():.2e} after "
-            f"{max_iter} refinements", iterations=max_iter,
-            residual=float(res.max()))
-    return best

@@ -157,8 +157,8 @@ def flux_orthogonalize(modes: LeadModes, coupling: np.ndarray) -> LeadModes:
 
     ``sum |c|^2 flux`` is a current only over flux-orthogonal modes.
     Modes of different lambda are; inside one eigenspace an eigen-solver
-    may return any basis.  So each cluster of propagating modes whose
-    lambdas agree to :data:`DEGENERATE_TOL` has its Hermitian current
+    may return any basis.  So each cluster of propagating modes chained
+    by lambdas that agree to :data:`DEGENERATE_TOL` has its Hermitian current
     matrix ``J_ab = i U_a^H (Lambda Htilde01 - conj(Lambda) Htilde01^H)
     U_b`` diagonalised and the table gets ``U W``, unit columns: still
     eigenvectors, flux J's eigenvalue, direction its sign.
@@ -167,16 +167,20 @@ def flux_orthogonalize(modes: LeadModes, coupling: np.ndarray) -> LeadModes:
     if prop.size < 2:
         return modes
     lams = modes.lambdas[prop]
-    # label each mode with the first one within the tolerance of it
-    first = (np.abs(lams[:, None] - lams) < DEGENERATE_TOL).argmax(axis=1)
-    clusters = np.flatnonzero(np.bincount(first) > 1)
+    # connected components of "within the tolerance" (a chain a ~ b ~ c
+    # is one cluster): close the adjacency, label by first mode reached
+    reach = np.abs(lams[:, None] - lams) < DEGENERATE_TOL
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    label = reach.argmax(axis=1)
+    clusters = np.flatnonzero(np.bincount(label) > 1)
     if not clusters.size:
         return modes
     out = LeadModes(modes.lambdas, modes.vectors.copy(),
                     modes.velocities.copy(), modes.propagating,
                     modes.right_going.copy())
     for c in clusters:
-        cols = prop[first == c]
+        cols = prop[label == c]
         u = modes.vectors[:, cols]
         m = u.conj().T @ (coupling @ (u * modes.lambdas[cols]))
         u = u @ np.linalg.eigh(1j * (m - m.conj().T))[1]

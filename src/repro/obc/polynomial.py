@@ -22,6 +22,7 @@ to NBC/(2 NBW)".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,35 +44,6 @@ def count_interface_fallback() -> None:
     tracer = current_tracer()
     if tracer is not None:
         tracer.metrics.counter("obc_interface_fallbacks").inc()
-
-
-class _Factored:
-    """LU factor of P(z) next to the Horner prefactors G_j(z) of the
-    companion elimination: both depend on z only, so both are built once
-    per contour point and reused by every resolvent apply.  Unpacks like
-    the bare factor."""
-
-    __slots__ = ("lu", "horner")
-
-    def __init__(self, lu, horner):
-        self.lu = lu
-        self.horner = horner
-
-    def __iter__(self):
-        return iter(self.lu)
-
-
-def _horner_prefactors(coeffs, z: complex) -> dict:
-    """``{j: G_j}`` for j = 1..M-1 with G_M = C_M, G_j = C_j + z G_{j+1}:
-    the sums left over from eliminating x_2..x_M (see
-    :meth:`PolynomialEVP.resolvent_apply`)."""
-    m = len(coeffs) - 1
-    g = coeffs[m]
-    horner = {}
-    for j in range(m - 1, 0, -1):
-        g = coeffs[j] + z * g
-        horner[j] = g
-    return horner
 
 
 @dataclass
@@ -330,10 +302,57 @@ class PolynomialEVP:
 
     # -- reduced resolvent solve (the "analytical block LU") -----------------
 
+    @cached_property
+    def palindromic(self) -> bool:
+        """``C_{M-m} == C_m^H`` bit for bit (Hermitian lead blocks at a
+        real energy), so that ``P(z)^H = conj(z)^M P(1/conj(z))``."""
+        m = self.degree
+        return all(np.array_equal(self.coeffs[m - j], self.coeffs[j].conj().T)
+                   for j in range(m // 2 + 1))
+
+    @cached_property
+    def real_coefficients(self) -> bool:
+        """No coefficient has an imaginary part (k = 0), so that
+        ``P(conj(z)) = conj(P(z))``."""
+        return not any(c.imag.any() for c in self.coeffs)
+
     def factor_reduced(self, z: complex):
         """LU-factorize P(z) once for reuse over many right-hand sides."""
-        return _Factored(lu_factor(self.eval(z), tag="obc-P(z)"),
-                         _horner_prefactors(self.coeffs, z))
+        return lu_factor(self.eval(z), tag="obc-P(z)")
+
+    @cached_property
+    def _coeff_stacks(self) -> list:
+        """``[C_{1+d} ... C_M]`` side by side, d = 0..M-1."""
+        return [np.hstack(self.coeffs[1 + d:]) for d in range(self.degree)]
+
+    def contour_rhs(self, zs, y: np.ndarray) -> np.ndarray:
+        """The right-hand sides ``rhs(z)`` of P(z) x_1 = rhs(z) in
+        :meth:`resolvent_apply`, one ``(n, ncol)`` slice per z of ``zs``.
+
+        Eliminating x_2..x_M leaves rhs(z) = sum_d z^d R_d with
+        R_d = [C_{1+d} ... C_M] y[:(M-d) n]: one product per coefficient
+        stack, whatever the number of points.
+        """
+        r = np.stack([c @ y[:c.shape[1]] for c in self._coeff_stacks])
+        powers = np.asarray(zs, dtype=complex)[:, None] \
+            ** np.arange(self.degree)
+        return np.tensordot(powers, r, axes=1)
+
+    def contour_sum(self, zs, weights, x1: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+        """``sum_p weights[p] x(zs[p])`` with x(z) = (z B - A)^{-1} B y
+        rebuilt from its first blocks ``x1[p]``: rows 1..M-1 of
+        (z B - A) x = B y read x_{j+1} = z x_j - y_j."""
+        n = self.n
+        zs = np.asarray(zs, dtype=complex)[:, None, None]
+        weights = np.asarray(weights, dtype=complex)
+        out = np.empty((self.size, x1.shape[2]), dtype=complex)
+        xj = x1
+        out[:n] = np.tensordot(weights, xj, axes=1)
+        for j in range(1, self.degree):
+            xj = zs * xj - y[(j - 1) * n:j * n]
+            out[j * n:(j + 1) * n] = np.tensordot(weights, xj, axes=1)
+        return out
 
     def resolvent_apply(self, z: complex, y: np.ndarray,
                         factor=None) -> np.ndarray:
@@ -343,38 +362,19 @@ class PolynomialEVP:
         x = [x_1; ...; x_M] and w = B y, rows 1..M-1 of (zB - A)x = w give
         x_{j+1} = z x_j - w_j, and substituting into the last row leaves a
         single n x n system P(z) x_1 = rhs — the NBC/(2 NBW) reduction the
-        paper exploits to make FEAST cheap.
+        paper exploits to make FEAST cheap (:meth:`contour_rhs`,
+        :meth:`contour_sum`).
         """
-        m, n = self.degree, self.n
         y = np.asarray(y, dtype=complex)
         squeeze = y.ndim == 1
         if squeeze:
             y = y[:, None]
-        if y.shape[0] != m * n:
-            raise ShapeError(f"y must have {m * n} rows, got {y.shape[0]}")
-        ncol = y.shape[1]
-
-        # w = B y: identity blocks except the last, which applies C_M.
-        w = [y[j * n:(j + 1) * n] for j in range(m)]
-        w[m - 1] = self.coeffs[m] @ w[m - 1]
-
-        # rhs = w_M + sum_{j=1}^{M-1} (sum_{m>=j} C_m' z^{m'-j}) w_j, where
-        # the inner sums come from eliminating x_2..x_M: the prefactors
-        # G_j = sum_{p=j}^{M} z^{p-j} C_p, built with the factor.
+        if y.shape[0] != self.size:
+            raise ShapeError(f"y must have {self.size} rows, got {y.shape[0]}")
         fac = factor if factor is not None else self.factor_reduced(z)
-        rhs = w[m - 1].copy()
-        # walk j = M-1 .. 1; note w index j-1 stores w_j (1-based w_j).
-        for j in range(m - 1, 0, -1):
-            rhs = rhs + fac.horner[j] @ w[j - 1]
-
-        x1 = lu_solve(fac.lu, rhs, tag="obc-P(z)-solve")
-
-        x = np.empty((m * n, ncol), dtype=complex)
-        x[:n] = x1
-        prev = x1
-        for j in range(1, m):
-            prev = z * prev - w[j - 1]
-            x[j * n:(j + 1) * n] = prev
+        x1 = lu_solve(fac, self.contour_rhs([z], y)[0],
+                      tag="obc-P(z)-solve")
+        x = self.contour_sum([z], [1.0], x1[None], y)
         return x[:, 0] if squeeze else x
 
 
@@ -407,7 +407,9 @@ class PolynomialFamily:
     so the finite non-zero Bloch factors are exactly those of a
     polynomial of size |B| and the modes follow from
     u_I = -K_II^{-1} K_IB u_B.  :meth:`at_energy` hands out that reduced
-    polynomial (``.full`` and ``.lift`` lead back); when B is everything
+    polynomial (``.full`` and ``.lift`` lead back; a Hermitian K gets the
+    Hermitian part of its Schur complement, so the reduced polynomial is
+    palindromic bit for bit like the full one); when B is everything
     (dense coupling) or nothing it is the full polynomial itself, and so
     it is at an energy where the Schur complement blows up
     (``obc_interface_fallbacks`` counts those).
@@ -460,6 +462,8 @@ class PolynomialFamily:
                      k[i[:, None], b], tag="obc-interior")
         schur = k[b[:, None], b] - gemm(k[b[:, None], i], x,
                                         tag="obc-interior")
+        if np.array_equal(k, k.conj().T):   # so is its exact complement
+            schur = (schur + schur.conj().T) / 2
         k_norm = np.linalg.norm(k, ord=np.inf)
         growth = np.linalg.norm(schur, ord=np.inf)
         if not growth <= _SCHUR_GROWTH_LIMIT * k_norm:   # catches NaN too

@@ -223,20 +223,22 @@ def feast_kernels(n: int, num_solves: int, solve_widths, rr_sizes):
     solve on a polynomial of size ``n``:
 
     - ``num_solves`` contour factorizations of the ``(n, n)`` matrix
-      ``P(z_p)``, done once up front and reused across every refinement
-      iteration *and* auto-expand attempt (``2 * num_points``);
-    - per refinement iteration, one back-substitution per contour point
-      on an ``(n, width)`` rhs (``FeastResult.solve_widths``);
+      ``P(z_0)``, one per symmetry orbit of the contour, done once up
+      front and reused by every filter application;
+    - one back-substitution per ``FeastResult.solve_widths`` entry on an
+      ``(n, width)`` rhs (an orbit's members that share an operator
+      solve side by side; growing the first block adds filter
+      applications, not factorizations);
     - per iteration, one Rayleigh-Ritz ``zggev`` of the size in
       ``FeastResult.rr_sizes``.
 
-    The Horner recurrences, SVD orthonormalization, and unit-vector
-    extraction run through plain numpy (unrecorded), so they are
-    (correctly) absent here.
+    The coefficient-stack products, SVD orthonormalization, and
+    unit-vector extraction run through plain numpy (unrecorded), so they
+    are (correctly) absent here.
     """
     yield int(num_solves), "lu_factor", (int(n),)
     for width in solve_widths:
-        yield int(num_solves), "lu_solve", (int(n), int(width))
+        yield 1, "lu_solve", (int(n), int(width))
     for size in rr_sizes:
         yield 1, "geig", (int(size),)
 

@@ -193,5 +193,7 @@ def test_every_sequence_prices_its_solver(case):
         # 16 points: sharp enough a filter to converge on every lead the
         # strategy can draw (8 stalls on a Bloch factor next to the annulus)
         res = feast_annulus(pevp, r_outer=3.0, num_points=16, seed=0)
+    # 32 contour points: orbits of four at k = 0, of two otherwise
+    assert res.num_solves == (8 if pevp.real_coefficients else 16)
     assert _counts(led) == _priced(feast_kernels(
         pevp.n, res.num_solves, res.solve_widths, res.rr_sizes))

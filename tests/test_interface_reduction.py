@@ -174,12 +174,14 @@ class TestHostileInputs:
         # without the growth limit the reduction goes ahead right above an
         # interior level; its modes are then too inaccurate for the full
         # polynomial, which the residual check on the lifted vectors sees.
-        # FEAST's are 1e-9 above the level; the face pencil's only 1e-12
-        # above it (full residual 2.6e-6 there, 3.3e-9 at 1e-9)
+        # FEAST's are 1e-10 above the level (full residual 2.4e-4 there;
+        # 6.8e-8 at 1e-9, too close to the 1e-7 test to rely on); the face
+        # pencil's only 1e-12 above it (full residual 2.6e-6 there, 3.3e-9
+        # at 1e-9)
         monkeypatch.setattr(polynomial, "_SCHUR_GROWTH_LIMIT", np.inf)
         lead = _rectangular(seed=3)
         energy = float(_interior_levels(lead)[1]) \
-            + (1e-9 if method == "feast" else 1e-12)
+            + (1e-10 if method == "feast" else 1e-12)
         kwargs = dict(r_outer=1e3, num_points=48, seed=0) \
             if method == "feast" else {}
         with tracing() as tracer, ledger_scope() as led:
@@ -477,22 +479,26 @@ class TestResultStoreCompatibility:
         assert cache_keys.result_key("d" * 64, **args) != new
 
 
-class TestHornerPrefactors:
-    def test_built_once_with_the_factor(self, monkeypatch):
+class TestHoistedProducts:
+    def test_contour_rhs_is_the_horner_elimination(self):
+        """rhs(z) = sum_d z^d R_d with one product per coefficient stack
+        is what eliminating x_2..x_M with the Horner prefactors
+        G_M = C_M, G_j = C_j + z G_{j+1} leaves, at every point."""
         lead = make_confined_lead(**GENERATED["nbw2"][0])
         pevp = PolynomialEVP(lead.h_cells, lead.s_cells, 2.0)
-        z = 0.7 + 0.2j
-        fac = pevp.factor_reduced(z)
-        assert sorted(fac.horner) == [1, 2, 3]
-        g = pevp.coeffs[4]
-        for j in (3, 2, 1):
-            g = pevp.coeffs[j] + z * g
-            assert np.array_equal(fac.horner[j], g)
-        y = np.ones((pevp.size, 2), dtype=complex)
-        want = pevp.resolvent_apply(z, y)
-        calls = []
-        monkeypatch.setattr(
-            polynomial, "_horner_prefactors",
-            lambda *a: calls.append(a) or pytest.fail("rebuilt"))
-        assert np.array_equal(pevp.resolvent_apply(z, y, factor=fac), want)
-        assert not calls
+        m, n = pevp.degree, pevp.n
+        stacks = pevp._coeff_stacks
+        assert stacks is pevp._coeff_stacks
+        assert [s.shape for s in stacks] == [(n, (m - d) * n)
+                                             for d in range(m)]
+        rng = np.random.default_rng(0)
+        y = rng.standard_normal((pevp.size, 3)) \
+            + 1j * rng.standard_normal((pevp.size, 3))
+        zs = [0.7 + 0.2j, 3.0j, -1.0 / 3.0]
+        for z, got in zip(zs, pevp.contour_rhs(zs, y)):
+            g = pevp.coeffs[m]
+            want = g @ y[(m - 1) * n:]
+            for j in range(m - 1, 0, -1):
+                g = pevp.coeffs[j] + z * g
+                want = want + g @ y[(j - 1) * n:j * n]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

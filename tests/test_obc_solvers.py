@@ -5,8 +5,10 @@ import pytest
 
 from repro.hamiltonian import build_device
 from repro.linalg import ledger_scope
+from repro.linalg.flops import kernel_cost
 from repro.obc import (
     PolynomialEVP,
+    PolynomialFamily,
     boundary_from_decimation,
     classify_modes,
     compute_open_boundary,
@@ -15,12 +17,16 @@ from repro.obc import (
     sancho_rubio,
     shift_invert_modes,
 )
-from repro.obc.modes import mode_flux
+from repro.obc.modes import (DEGENERATE_TOL, LeadModes, flux_orthogonalize,
+                             mode_flux)
+from repro.obc import feast
+from repro.obc.feast import START_WIDTH
 from repro.structure import linear_chain, silicon_nanowire
 from repro.basis import tight_binding_set
 from repro.utils.errors import ConfigurationError, ConvergenceError
 from tests.test_hamiltonian import single_s_basis
-from tests.helpers import assert_spectra_match
+from tests.helpers import (assert_spectra_match, check_obc_agreement,
+                           make_confined_lead, open_energies)
 from tests.test_obc_polynomial import chain_lead, random_pevp
 
 
@@ -77,6 +83,101 @@ class TestFeast:
         assert res.num_modes == len(want)
 
 
+def _point_solves(pevp, num_points=8, r_outer=3.0):
+    """(orbits, per-point solutions through the orbit factors, per-point
+    dense solves (z B - A)^{-1} B y) on one random block."""
+    zs, _ws = feast._contour(r_outer, num_points)
+    orbits = feast._orbits(pevp, zs)
+    factors = [(pevp.factor_reduced(z0), groups) for z0, groups in orbits]
+    rng = np.random.default_rng(1)
+    y = rng.standard_normal((pevp.size, 3)) \
+        + 1j * rng.standard_normal((pevp.size, 3))
+    a, b = pevp.pencil()
+    got = [feast._contour_filter(pevp, factors, zs, one_hot, y, [])
+           for one_hot in np.eye(len(zs))]
+    want = [np.linalg.solve(z * b - a, b @ y) for z in zs]
+    return orbits, got, want
+
+
+class TestContourOrbits:
+    """One factorization per symmetry orbit of the contour."""
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("nbw", [1, 2])
+    @pytest.mark.parametrize("reduced", [True, False],
+                             ids=["reduced", "full"])
+    @pytest.mark.parametrize("num_points", [8, 7])
+    def test_orbit_solves_are_the_direct_solves(self, nbw, cplx, reduced,
+                                                num_points):
+        lead = make_confined_lead(10, [7, 8, 9], [0, 1], nbw=nbw, seed=3,
+                                  cplx=cplx)
+        pevp = PolynomialFamily(lead.h_cells, lead.s_cells).at_energy(
+            open_energies(lead, 1)[0])
+        assert pevp.reduction is not None
+        pevp = pevp if reduced else pevp.full
+        assert pevp.palindromic and pevp.real_coefficients == (not cplx)
+        orbits, got, want = _point_solves(pevp, num_points)
+        # orbits {z, conj z, 1/conj z, 1/z} at k = 0 (and {-R, -1/R} for
+        # an odd count), else {z, 1/conj z}
+        assert len(orbits) == (num_points if cplx
+                               else num_points // 2 + num_points % 2)
+        for x, x_ref in zip(got, want):
+            assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    def test_non_palindromic_coefficients_get_one_factor_per_point(self):
+        rng = np.random.default_rng(2)
+        coeffs = [rng.standard_normal((4, 4))
+                  + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
+        pevp = PolynomialEVP._from_coeffs(coeffs, 0.0, 4, 1)
+        assert not pevp.palindromic and not pevp.real_coefficients
+        orbits, got, want = _point_solves(pevp)
+        assert len(orbits) == 16
+        for x, x_ref in zip(got, want):
+            assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        res = feast_annulus(pevp, r_outer=3.0, num_points=8, seed=0)
+        assert res.num_solves == 16
+
+    def test_real_palindromic_lead_factors_once_per_orbit(self):
+        lead = make_confined_lead(10, [7, 8, 9], [0, 1], seed=3)
+        pevp = PolynomialFamily(lead.h_cells, lead.s_cells).at_energy(
+            open_energies(lead, 1)[0])
+        with ledger_scope() as led:
+            res = feast_annulus(pevp, r_outer=3.0, num_points=8, seed=0)
+        assert res.num_solves == 4
+        assert led.flops_by_kernel["zgetrf"] \
+            == 4 * kernel_cost("lu_factor", (pevp.n,))[0]
+
+
+class TestSubspaceGrowth:
+    """The first block grows to the filtered rank, and never silently
+    stays below it."""
+
+    def _lead(self):
+        # dense coupling: 24 Bloch factors inside the annulus at this
+        # energy, more than START_WIDTH columns can hold
+        lead = make_confined_lead(24, None, None, seed=1)
+        return lead, open_energies(lead, 3)[1]
+
+    def test_grows_past_the_start_and_matches_dense(self):
+        lead, energy = self._lead()
+        pevp = PolynomialFamily(lead.h_cells, lead.s_cells).at_energy(energy)
+        res = feast_annulus(pevp, r_outer=3.0, num_points=16, seed=0)
+        assert res.num_modes > START_WIDTH
+        assert res.subspace_size > START_WIDTH
+        check_obc_agreement(lead, [energy])
+
+    def test_saturated_start_without_auto_expand_raises(self):
+        lead, energy = self._lead()
+        pevp = PolynomialFamily(lead.h_cells, lead.s_cells).at_energy(energy)
+        with pytest.raises(ConvergenceError, match="saturated"):
+            feast_annulus(pevp, r_outer=3.0, num_points=16, seed=0,
+                          auto_expand=False)
+        # a start that already holds the filtered rank needs no growth
+        res = feast_annulus(pevp, r_outer=3.0, num_points=16, seed=0,
+                            subspace=pevp.size, auto_expand=False)
+        assert res.subspace_size == pevp.size
+
+
 class TestShiftInvert:
     def test_matches_dense_on_chain(self):
         lead, pevp = chain_lead(energy=0.4)
@@ -130,6 +231,31 @@ class TestModeClassification:
         assert modes.num_propagating_left == 0
         # one decays right, one left
         assert np.count_nonzero(modes.right_going) == 1
+
+    def test_flux_orthogonalize_clusters_a_chain(self):
+        """Regression: a ~ b ~ c with a, c further apart than
+        DEGENERATE_TOL was clustered as {a, b} and {c}, so the current
+        between b and c stayed.  One cluster: the current matrix of the
+        three comes out diagonal."""
+        rng = np.random.default_rng(4)
+        lams = np.exp(1j * (0.7 + 0.6 * DEGENERATE_TOL * np.arange(3)))
+        assert abs(lams[1] - lams[0]) < DEGENERATE_TOL \
+            < abs(lams[2] - lams[0])
+        vectors = rng.standard_normal((5, 3)) \
+            + 1j * rng.standard_normal((5, 3))
+        coupling = rng.standard_normal((5, 5)) \
+            + 1j * rng.standard_normal((5, 5))
+        flux = mode_flux(lams, vectors, [coupling])
+        modes = flux_orthogonalize(
+            LeadModes(lams, vectors, flux, np.ones(3, dtype=bool), flux > 0),
+            coupling)
+        u = modes.vectors
+        current = 1j * u.conj().T @ (lams[1] * coupling
+                                     - np.conj(lams[1]) * coupling.conj().T) @ u
+        off = current - np.diag(np.diag(current))
+        assert np.abs(off).max() < 1e-5 * np.abs(current).max()
+        np.testing.assert_allclose(np.diag(current).real, modes.velocities,
+                                   rtol=1e-5)
 
     def test_fold_modes_consistency(self):
         """Folded modes must solve the folded (supercell) NN polynomial."""
