@@ -1,7 +1,9 @@
 """Instrumented dense linear-algebra kernels.
 
-Thin wrappers around NumPy/SciPy-LAPACK that report analytic flop counts to
-the active :class:`~repro.linalg.flops.FlopLedger`.  These are the Python
+Thin wrappers around NumPy/LAPACK that report analytic flop counts to
+the active :class:`~repro.linalg.flops.FlopLedger`; LAPACK is called the
+way ``scipy.linalg`` calls it (same bits), keeping its verdicts, without
+its argument handling.  These are the Python
 equivalents of the kernels the paper runs on GPUs (cuBLAS ``zgemm``, MAGMA
 ``zgesv_nopiv_gpu``/``zhesv_nopiv_gpu``) and CPUs (LAPACK ``zggev``,
 ``zgesv``) — kernel names in the ledger mirror the BLAS/LAPACK ones so the
@@ -48,30 +50,57 @@ def gemm(a: np.ndarray, b: np.ndarray, tag: str = "") -> np.ndarray:
     return c
 
 
+@functools.lru_cache(maxsize=None)
+def _lapack_for(names: str, dtype: np.dtype) -> list:
+    """The routines ``names`` scipy picks for operands of ``dtype``."""
+    return sla.get_lapack_funcs(names.split(), dtype=dtype)
+
+
+@functools.lru_cache(maxsize=None)
+def _lwork(routine, *shapes) -> int:
+    """scipy's ``lwork=-1`` query of ``routine``, once per operand shapes."""
+    *_, work, info = routine(*(np.zeros(s, routine.dtype) for s in shapes),
+                             lwork=-1)
+    _check_lapack_info(info, "workspace query")
+    return max(int(work[0].real), 1)
+
+
 def lu_factor(a: np.ndarray, tag: str = ""):
-    """LU factorization (``getrf``); returns an opaque factor object."""
+    """LU factorization (``getrf``); returns ``(lu, piv)`` like scipy's,
+    but a zero pivot is a :class:`SingularMatrixError` (scipy only warns,
+    and every substitution with the factor then returns infinities)."""
     t0 = time.perf_counter()
+    a = np.asarray(a)
     try:
-        fac = sla.lu_factor(a, check_finite=False)
-    except (sla.LinAlgError, ValueError) as exc:
+        lu, piv, info = _lapack_for("getrf", a.dtype)[0](a) if a.size \
+            else (np.empty_like(a), np.arange(0, dtype=np.int32), 0)
+    except ValueError as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
+    if info != 0:
+        raise SingularMatrixError(f"LU factorization failed: getrf info "
+                                  f"{info} (a zero pivot if positive)")
     n = a.shape[0]
     cx = _is_complex(a)
     _record("zgetrf" if cx else "dgetrf",
             *_fl.kernel_cost("lu_factor", (n,), cx), t0, tag)
-    return fac
+    return lu, piv
 
 
 def lu_solve(fac, b: np.ndarray, tag: str = "",
              trans: str = "N") -> np.ndarray:
     """Solve with a precomputed LU factor (``getrs``): A x = b, or
     A^T x = b / A^H x = b with ``trans`` ``"T"`` / ``"C"``, the same
-    record either way."""
+    record either way; a real factor meets a complex ``b`` promoted."""
     t0 = time.perf_counter()
-    x = sla.lu_solve(fac, b, trans="NTC".index(trans), check_finite=False)
+    lu, piv = fac
+    b = np.asarray(b)
+    (getrs,) = _lapack_for("getrs", np.promote_types(lu.dtype, b.dtype))
+    x, info = getrs(lu, piv, b, trans="NTC".index(trans)) if b.size \
+        else (np.empty(b.shape, dtype=getrs.dtype), 0)
+    _check_lapack_info(info, "getrs")
     n = x.shape[0]
     nrhs = x.shape[1] if x.ndim == 2 else 1
-    cx = _is_complex(fac[0], b)
+    cx = _is_complex(lu, b)
     _record("zgetrs" if cx else "dgetrs",
             *_fl.kernel_cost("lu_solve", (n, nrhs), cx), t0, tag)
     return x
@@ -102,6 +131,30 @@ def _check_lapack_info(info: int, routine: str) -> None:
         raise ValueError(f"LAPACK {routine}: illegal argument {-info}")
 
 
+def _factor(a: np.ndarray, cx: bool, her: bool, overwrite_a: bool = False):
+    """Factor ``a`` (of the working dtype) with scipy's verdicts: a zero
+    pivot raises :class:`SingularMatrixError`, ``rcond`` below machine
+    epsilon emits ``LinAlgWarning``.  A matrix holding NaN or infinity is
+    the data's fault too: :class:`SingularMatrixError` before anything is
+    factored (its 1-norm is computed anyway)."""
+    factor, estimate, _ = _SOLVE_ROUTINES[cx, "her" if her else "gen"]
+    anorm = np.abs(a).sum(axis=0).max()     # 1-norm, before a is lost
+    if not np.isfinite(anorm):
+        raise SingularMatrixError("the matrix holds non-finite entries")
+    lwork = {"lwork": _hetrf_lwork(cx, a.shape[0])} if her else {}
+    fac, piv, info = factor(a, overwrite_a=overwrite_a, **lwork)
+    _check_lapack_info(info, "factorization")
+    if info > 0:
+        raise SingularMatrixError(
+            f"pivot {info} of the factorization is exactly zero")
+    rcond, info = estimate(fac, piv, anorm) if her else estimate(fac, anorm)
+    _check_lapack_info(info, "condition estimate")
+    if rcond < np.finfo(np.float64).eps:
+        warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond}.",
+                      sla.LinAlgWarning, stacklevel=3)
+    return fac, piv
+
+
 def solve(a: np.ndarray, b: np.ndarray, assume_a: str = "gen",
           tag: str = "", overwrite_a: bool = False) -> np.ndarray:
     """Solve A x = b (``gesv``/``hesv``), counting LU + substitutions.
@@ -112,14 +165,10 @@ def solve(a: np.ndarray, b: np.ndarray, assume_a: str = "gen",
     cost (the upper triangle is read).
 
     Runs the three LAPACK routines ``scipy.linalg.solve`` ends in -
-    factor, condition estimate, substitute - without its argument
-    handling, and keeps its verdicts: a zero pivot raises
-    :class:`SingularMatrixError`, ``rcond`` below machine epsilon emits
-    ``LinAlgWarning``.  A matrix holding NaN or infinity is the data's
-    fault too: :class:`SingularMatrixError` before anything is factored
-    (its 1-norm is computed anyway).  ``overwrite_a`` lets a caller that
-    owns ``a`` have it factored in place (no copy when it is
-    Fortran-ordered and of the working dtype).
+    factor, condition estimate, substitute - and keeps its verdicts
+    (:func:`_factor`).  ``overwrite_a`` lets a caller that owns ``a``
+    have it factored in place (no copy when it is Fortran-ordered and of
+    the working dtype).
     """
     if a.shape[0] != a.shape[1] or a.shape[1] != b.shape[0]:
         raise ShapeError(f"solve: incompatible shapes {a.shape}, {b.shape}")
@@ -132,34 +181,10 @@ def solve(a: np.ndarray, b: np.ndarray, assume_a: str = "gen",
     if a.size == 0 or b.size == 0:
         x = np.empty(b.shape, dtype=dtype)
     else:
-        factor, estimate, substitute = _SOLVE_ROUTINES[cx, "her" if her
-                                                       else "gen"]
-        a = np.asarray(a, dtype=dtype)
-        anorm = np.abs(a).sum(axis=0).max()     # 1-norm, before a is lost
-        if not np.isfinite(anorm):
-            raise SingularMatrixError(
-                "solve failed: the matrix holds non-finite entries")
-        if her:
-            fac, piv, info = factor(a, lwork=_hetrf_lwork(cx, n),
-                                    overwrite_a=overwrite_a)
-        else:
-            fac, piv, info = factor(a, overwrite_a=overwrite_a)
-        _check_lapack_info(info, "factorization")
-        if info > 0:
-            raise SingularMatrixError(
-                f"solve failed: pivot {info} of the factorization is "
-                "exactly zero")
-        if her:
-            rcond, info = estimate(fac, piv, anorm)
-        else:
-            rcond, info = estimate(fac, anorm)
-        _check_lapack_info(info, "condition estimate")
-        if rcond < np.finfo(np.float64).eps:
-            warnings.warn(
-                f"An ill-conditioned matrix detected: rcond = {rcond}.",
-                sla.LinAlgWarning, stacklevel=2)
+        fac, piv = _factor(np.asarray(a, dtype=dtype), cx, her, overwrite_a)
         b2 = np.asarray(b, dtype=dtype)
-        x, info = substitute(fac, piv, b2 if b.ndim == 2 else b2[:, None])
+        x, info = _SOLVE_ROUTINES[cx, "her" if her else "gen"][2](
+            fac, piv, b2 if b.ndim == 2 else b2[:, None])
         _check_lapack_info(info, "substitution")
         if b.ndim == 1:
             x = x[:, 0]
@@ -191,47 +216,60 @@ def solve_many(a: np.ndarray, bs, assume_a: str = "gen", tag: str = ""):
 
 
 def inv(a: np.ndarray, tag: str = "") -> np.ndarray:
-    """Matrix inverse (``getri`` after ``getrf``): 2 n^3 real flops total."""
+    """Matrix inverse (``getri`` after ``getrf``): 2 n^3 real flops total;
+    the verdicts are :func:`solve`'s."""
     t0 = time.perf_counter()
-    try:
-        out = sla.inv(a, check_finite=False)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise SingularMatrixError(f"inv failed: {exc}") from exc
-    n = a.shape[0]
     cx = _is_complex(a)
+    a = np.asarray(a, dtype=np.complex128 if cx else np.float64)
+    n = a.shape[0]
+    getri, query = _lapack_for("getri getri_lwork", a.dtype)
+    out, info = getri(*_factor(a, cx, her=False),
+                      lwork=int(query(n)[0].real))
+    _check_lapack_info(info, "getri")
     _record("zgetri" if cx else "dgetri",
             *_fl.kernel_cost("inv", (n,), cx), t0, tag)
     return out
 
 
 def eig(a: np.ndarray, tag: str = ""):
-    """Dense nonsymmetric eigendecomposition (``zgeev``)."""
+    """Dense nonsymmetric eigendecomposition (``zgeev``); real operands
+    are solved as complex ones."""
     t0 = time.perf_counter()
-    w, v = sla.eig(a, check_finite=False)
     n = a.shape[0]
+    geev, query = _lapack_for("geev geev_lwork", np.dtype(complex))
+    w, _vl, v, info = geev(a, compute_vl=0,
+                           lwork=int(query(n, compute_vl=0)[0].real))
+    _check_lapack_info(info, "geev")
+    if info > 0:
+        raise ConvergenceError(f"zgeev: the QR iteration failed (info {info})")
     _record("zgeev", *_fl.kernel_cost("eig", (n,), _is_complex(a)),
             t0, tag)
     return w, v
 
 
 def eigh(a: np.ndarray, b: np.ndarray | None = None, tag: str = ""):
-    """Hermitian (generalized) eigendecomposition (``zheev``/``zhegv``)."""
+    """Hermitian (generalized) eigendecomposition (``zheev``/``zhegv``)
+    with scipy's default drivers, ``?heevr`` / ``?hegvd`` (``?sy*`` when
+    real); failing is scipy's ``LinAlgError``."""
     t0 = time.perf_counter()
-    w, v = sla.eigh(a, b, check_finite=False)
+    a = np.asarray(a)
     n = a.shape[0]
     cx = _is_complex(a) or (b is not None and _is_complex(b))
+    pfx = "he" if cx else "sy"
+    if b is None:
+        drv, query = _lapack_for(f"{pfx}evr {pfx}evr_lwork", a.dtype)
+        *sizes, info = query(n, lower=1)
+        w, v, *_, info = drv(a, lower=1, **{k: int(x.real) for k, x in zip(
+            ("lwork", "lrwork", "liwork") if cx else ("lwork", "liwork"),
+            sizes)})
+    else:
+        (drv,) = _lapack_for(f"{pfx}gvd", np.promote_types(a.dtype, b.dtype))
+        w, v, info = drv(a, b)
+    if info != 0:
+        raise sla.LinAlgError(f"eigh failed (info {info})")
     _record("zhegv" if b is not None else "zheev",
             *_fl.kernel_cost("eigh", (n,), cx), t0, tag)
     return w, v
-
-
-@functools.lru_cache(maxsize=None)
-def _ggev_lwork(n: int) -> int:
-    """Optimal ``zggev`` workspace for order n (one query per size)."""
-    square = np.zeros((n, n), dtype=complex)
-    *_, work, info = _lapack.zggev(square, square, lwork=-1)
-    _check_lapack_info(info, "ggev_lwork")
-    return max(int(work[0].real), 1)
 
 
 def geig(a: np.ndarray, b: np.ndarray, tag: str = "", left: bool = False):
@@ -249,8 +287,9 @@ def geig(a: np.ndarray, b: np.ndarray, tag: str = "", left: bool = False):
     """
     t0 = time.perf_counter()
     n = a.shape[0]
-    alpha, beta, vl, vr, _work, info = _lapack.zggev(
-        a, b, compute_vl=int(left), lwork=_ggev_lwork(n))
+    (ggev,) = _lapack_for("ggev", np.dtype(complex))
+    alpha, beta, vl, vr, _work, info = ggev(
+        a, b, compute_vl=int(left), lwork=_lwork(ggev, (n, n), (n, n)))
     _check_lapack_info(info, "ggev")
     if info > 0:
         raise ConvergenceError(f"zggev: the QZ iteration failed (info "
@@ -268,10 +307,41 @@ def geig(a: np.ndarray, b: np.ndarray, tag: str = "", left: bool = False):
     return w, vr
 
 
+def economic_qr(a: np.ndarray, pivoting: bool = False):
+    """Unrecorded ``scipy.linalg.qr(a, mode="economic",
+    pivoting=pivoting)``: ``?geqrf`` (``?geqp3``), then ``?orgqr`` /
+    ``?ungqr``.  Returns ``(q, r, piv)``, ``piv`` ``None`` unpivoted."""
+    a = np.asarray(a)
+    m, n = a.shape
+    k = min(m, n)
+    factor, expand = _lapack_for(
+        f"{'geqp3' if pivoting else 'geqrf'} orgqr", a.dtype)
+    qr, *piv, tau, _work, info = factor(a, lwork=_lwork(factor, (m, n)))
+    _check_lapack_info(info, "QR factorization")
+    r = np.triu(qr[:k])
+    q, _work, info = expand(qr[:, :k], tau, overwrite_a=1,
+                            lwork=_lwork(expand, (m, k), (k,)))
+    _check_lapack_info(info, "QR expansion")
+    return q, r, piv[0] - 1 if pivoting else None
+
+
+def solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unrecorded ``scipy.linalg.solve_triangular(r, b)`` (upper,
+    ``?trtrs``); a C-ordered ``r`` is solved as its transpose, as scipy
+    does.  A zero diagonal is a :class:`SingularMatrixError`."""
+    (trtrs,) = _lapack_for("trtrs", np.promote_types(r.dtype, b.dtype))
+    x, info = trtrs(r, b) if r.flags.f_contiguous \
+        else trtrs(r.T, b, lower=1, trans=1)
+    _check_lapack_info(info, "trtrs")
+    if info > 0:
+        raise SingularMatrixError(f"diagonal {info} of R is exactly zero")
+    return x
+
+
 def qr_orth(a: np.ndarray, tag: str = "") -> np.ndarray:
     """Orthonormalize the columns of ``a`` via reduced QR (``zgeqrf``)."""
     t0 = time.perf_counter()
-    q, _ = sla.qr(a, mode="economic", check_finite=False)
+    q = economic_qr(a)[0]
     m, n = a.shape
     cx = _is_complex(a)
     _record("zgeqrf" if cx else "dgeqrf",

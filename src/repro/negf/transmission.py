@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import scipy.linalg
-
+from repro.linalg.kernels import economic_qr, solve_upper
 from repro.obc import compute_open_boundary
 from repro.obc.selfenergy import OpenBoundary
 from repro.solvers import assemble_t
@@ -93,15 +92,15 @@ def analyze_solution(device, ob: OpenBoundary, psi: np.ndarray,
     ``|c|^2 flux_out / flux_in`` with every flux that of the vector psi
     was injected with (``vels``: ``ob.injected_flux``) or is decomposed
     onto, all out of the one table ``ob.modes``."""
-    modes = ob.modes
     s1 = device.block_sizes[0]
     s2 = device.block_sizes[-1]
     ntot = sum(device.block_sizes)
-
-    # Decomposition bases: all kept outgoing modes (propagating + decaying)
-    # so the propagating coefficients are not polluted by evanescent tails.
-    flux_r = _FluxBasis(modes.select(modes.right_going))
-    flux_l = _FluxBasis(modes.select(~modes.right_going))
+    # Decomposition bases, factored once per boundary: all kept outgoing
+    # modes (propagating + decaying), so the propagating coefficients are
+    # not polluted by evanescent tails.
+    flux_r, flux_l = ob.derived("flux_bases", lambda ob: (
+        _FluxBasis(ob.modes, ob.modes.right_going),
+        _FluxBasis(ob.modes, ~ob.modes.right_going)))
 
     t_lr = t_rl = r_l = r_r = 0.0
     mode_t = []
@@ -133,44 +132,48 @@ def analyze_solution(device, ob: OpenBoundary, psi: np.ndarray,
 
 
 class _FluxBasis:
-    """The outgoing modes of one side (a :class:`LeadModes` selection) as
-    a decomposition basis, factored once per point.
+    """The outgoing modes of one side (the ``mask`` columns of a
+    :class:`LeadModes` table) as a decomposition basis, factored once per
+    boundary.
 
     The least-squares decomposition of the boundary wavefunction is the
-    same basis for every injected mode — only the right-hand side
-    changes.  A pivoted economic QR is computed once; each
+    same basis for every injected mode and every point sharing the
+    boundary — only the right-hand side changes.  A pivoted economic QR
+    is kept as (Q^H, R, inverse permutation), not the basis itself; each
     :meth:`flux_fraction` is then a gemv plus a triangular solve.  Bases
     that are rank-deficient (or have more columns than rows) fall back to
-    per-call ``lstsq``, which handles them via the pseudo-inverse.
+    per-call ``lstsq`` on the table's columns, which handles them via
+    the pseudo-inverse.
     """
 
-    def __init__(self, outgoing):
-        self.basis = basis = outgoing.vectors
-        self.prop_idx = np.flatnonzero(outgoing.propagating)
-        self.prop_vel = np.abs(outgoing.velocities[self.prop_idx])
+    def __init__(self, modes, mask):
+        self._vectors, self._cols = modes.vectors, np.flatnonzero(mask)
+        self.prop_idx = np.flatnonzero(modes.propagating[mask])
+        self.prop_vel = np.abs(modes.velocities[mask][self.prop_idx])
         self.empty = self.prop_idx.size == 0
         self._qr = None
+        basis = self._vectors[:, self._cols]
         if self.empty or basis.shape[0] < basis.shape[1]:
             return
-        q, r, piv = scipy.linalg.qr(basis, mode="economic", pivoting=True)
+        q, r, piv = economic_qr(basis, pivoting=True)
         diag = np.abs(np.diag(r))
         cutoff = (max(basis.shape) * np.finfo(np.float64).eps
                   * (diag[0] if diag.size else 0.0))
         if diag.size and np.all(diag > cutoff):
             inv_piv = np.empty_like(piv)
             inv_piv[piv] = np.arange(piv.size)
-            self._qr = (q, r, inv_piv)
+            self._qr = (q.conj().T, r, inv_piv)
 
     def flux_fraction(self, wave: np.ndarray, v_in: float) -> float:
         """Flux carried by the propagating components of ``wave`` / v_in."""
         if self.empty:
             return 0.0
         if self._qr is not None:
-            q, r, inv_piv = self._qr
-            coeff = scipy.linalg.solve_triangular(
-                r, q.conj().T @ wave)[inv_piv]
+            qh, r, inv_piv = self._qr
+            coeff = solve_upper(r, qh @ wave)[inv_piv]
         else:
-            coeff, *_ = np.linalg.lstsq(self.basis, wave, rcond=None)
+            coeff, *_ = np.linalg.lstsq(self._vectors[:, self._cols], wave,
+                                        rcond=None)
         c_prop = coeff[self.prop_idx]
         return float(np.sum(np.abs(c_prop) ** 2 * self.prop_vel) / v_in)
 

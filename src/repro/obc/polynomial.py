@@ -29,7 +29,8 @@ import numpy as np
 from repro.linalg import block_support, geig, gemm, lu_factor, lu_solve
 from repro.obc.modes import PROPAGATING_TOL
 from repro.observability.spans import current_tracer
-from repro.utils.errors import ConfigurationError, ShapeError
+from repro.utils.errors import (ConfigurationError, ShapeError,
+                                SingularMatrixError)
 
 #: an interface-reduced centre coefficient g times larger than the
 #: unreduced one has lost log10(g) digits to cancellation (E sits next to
@@ -458,8 +459,12 @@ class PolynomialFamily:
             return full
         b, i = self.interface, self.interior
         k = coeffs[self.nbw]
-        x = lu_solve(lu_factor(k[i[:, None], i], tag="obc-interior"),
-                     k[i[:, None], b], tag="obc-interior")
+        try:
+            x = lu_solve(lu_factor(k[i[:, None], i], tag="obc-interior"),
+                         k[i[:, None], b], tag="obc-interior")
+        except SingularMatrixError:     # K_II has an exactly zero pivot
+            count_interface_fallback()
+            return full
         schur = k[b[:, None], b] - gemm(k[b[:, None], i], x,
                                         tag="obc-interior")
         if np.array_equal(k, k.conj().T):   # so is its exact complement

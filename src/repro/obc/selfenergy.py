@@ -66,7 +66,8 @@ class InjectedMode:
 class OpenBoundary:
     """Sigma^RB + injection data for one (lead, energy) pair; ``injected``,
     ``from_left`` and ``injected_flux`` are views of the propagating rows
-    of ``modes``, the one table the modes live in."""
+    of ``modes``, the one table the modes live in.  What only these
+    fields decide is built once and kept with them (:meth:`derived`)."""
 
     energy: float
     sigma_l: np.ndarray
@@ -79,6 +80,23 @@ class OpenBoundary:
     #: solver diagnostics (FEAST iterations, decimation iteration count,
     #: predicted bytes, ...) — surfaced on the OBC stage trace
     info: dict = field(default_factory=dict)
+
+    def derived(self, name: str, build):
+        """``build(self)``, built the first time ``name`` is asked for and
+        kept with this boundary, so every point the boundary memo hands it
+        to reuses it.  Only for products of Sigma, M_L/R and the mode
+        table, O(boundary) in size (no device-length axis); they never
+        pickle.  Two threads may both build one: identical bits, the
+        first one published is kept."""
+        memo = self.__dict__.setdefault("_derived", {})
+        if name not in memo:
+            memo.setdefault(name, build(self))
+        return memo[name]
+
+    def __getstate__(self):
+        """The solved boundary only: what was built from it stays here."""
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_derived", "injected")}
 
     @property
     def from_left(self) -> np.ndarray:
@@ -114,23 +132,28 @@ class OpenBoundary:
 
     def injection_matrix(self, num_blocks: int, block_sizes) -> np.ndarray:
         """Dense Inj of Eq. (5): one column per incoming propagating mode,
-        non-zero only in the first and last block rows (Fig. 4).
-
-        One matvec per mode, not a stacked gemm: each column is bitwise
-        what the per-column construction gives (the golden suites).
-        """
-        offs = np.concatenate([[0], np.cumsum(block_sizes)])
-        ntot = int(offs[-1])
-        t10 = self.t01.conj().T
-        inj = np.zeros((ntot, len(self.injected)), dtype=complex)
-        for c, m in enumerate(self.injected):
-            if m.from_left:
-                inj[offs[0]:offs[1], c] = \
-                    -t10 @ ((1.0 / m.lam) * m.vector - self.ml @ m.vector)
-            else:
-                inj[offs[-2]:offs[-1], c] = \
-                    -self.t01 @ (m.lam * m.vector - self.mr @ m.vector)
+        non-zero only in the first and last block rows (Fig. 4): a zero
+        fill and two writes of the boundary's injection rows."""
+        rows_l, rows_r = self.derived("injection_rows",
+                                      OpenBoundary._injection_rows)
+        ntot = int(np.sum(block_sizes))
+        left = self.from_left
+        inj = np.zeros((ntot, left.size), dtype=complex)
+        inj[:block_sizes[0], left] = rows_l
+        inj[ntot - block_sizes[-1]:, ~left] = rows_r
         return inj
+
+    def _injection_rows(self) -> tuple:
+        """The first block's rows of the left-injected columns of Inj and
+        the last block's of the right-injected ones.  One matvec per mode,
+        not a stacked gemm: each column is bitwise what the per-column
+        construction gives (the golden suites)."""
+        t10, nf = self.t01.conj().T, self.t01.shape[0]
+        left = [-t10 @ ((1.0 / m.lam) * m.vector - self.ml @ m.vector)
+                for m in self.injected if m.from_left]
+        right = [-self.t01 @ (m.lam * m.vector - self.mr @ m.vector)
+                 for m in self.injected if not m.from_left]
+        return np.reshape(left, (-1, nf)).T, np.reshape(right, (-1, nf)).T
 
 
 def boundary_from_modes(lead: LeadBlocks, energy: float,

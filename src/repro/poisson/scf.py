@@ -108,7 +108,11 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     blocks stay valid — the same constraint OMEN's Poisson solver applies.
     That is also why the inner energy grid (a scan of the lead bands) and
     every Sigma^RB(E) on it are the same at every iteration: the grid is
-    derived once, and the family's memo solves each boundary once.
+    derived once, and the family's memo solves each boundary once.  An
+    iteration after the first reuses, per (k, E), the boundary and what
+    it alone decides (the injection rows of Inj, the factored outgoing
+    flux bases of ANALYZE); it re-solves what the potential changed:
+    A(E), SOLVE and the density.
     """
     if not 0 < mixing <= 1:
         raise ConfigurationError("mixing must be in (0, 1]")

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.linalg import BlockTridiagonalMatrix, ledger_scope
 from repro.linalg.flops import kernel_cost
-from repro.linalg.kernels import (eigh, geig, gemm, inv, lu_factor,
-                                  lu_solve, qr_orth, solve)
+from repro.linalg.kernels import (economic_qr, eig, eigh, geig, gemm, inv,
+                                  lu_factor, lu_solve, qr_orth, solve,
+                                  solve_upper)
 from repro.obc.decimation import sancho_rubio
 from repro.obc.feast import feast_annulus
 from repro.obc.polynomial import PolynomialFamily
@@ -77,6 +78,15 @@ def test_table_bytes_are_the_operands_nbytes(cplx):
         geig(a, herm)
     assert led.total_bytes == kernel_cost("geig", (6,), cplx)[1] \
         == 4 * a.nbytes
+    with ledger_scope() as led:
+        eig(a)
+    assert _counts(led) == kernel_cost("eig", (6,), cplx)
+    assert list(led.flops_by_kernel) == ["zgeev"]
+    # the transmission helpers are not kernels of the model: unrecorded
+    with ledger_scope() as led:
+        q, r, _piv = economic_qr(b, pivoting=True)
+        solve_upper(r, q.conj().T @ b[:, 0])
+    assert _counts(led) == (0, 0)
 
 
 # -- one record, one dtype ----------------------------------------------------
@@ -101,6 +111,20 @@ class TestMixedDtypeRecord:
             solve(a.astype(complex), b, assume_a=assume_a)
         assert _counts(mixed) == _counts(promoted)
         assert mixed.total_bytes == (6 * 6 + 2 * 6 * 2) * 16
+        assert dict(mixed.flops_by_kernel) == dict(promoted.flops_by_kernel)
+
+    @pytest.mark.parametrize("trans", ["N", "T", "C"])
+    def test_lu_solve(self, operands, trans):
+        """A real factor meets a complex right-hand side: LAPACK solves
+        with the promoted factor, and every ``trans`` is one record."""
+        a, b = operands
+        fac, cfac = lu_factor(a), lu_factor(a.astype(complex))
+        with ledger_scope() as mixed:
+            lu_solve(fac, b, trans=trans)
+        with ledger_scope() as promoted:
+            lu_solve(cfac, b)
+        assert _counts(mixed) == _counts(promoted) \
+            == kernel_cost("lu_solve", (6, 2), True)
         assert dict(mixed.flops_by_kernel) == dict(promoted.flops_by_kernel)
 
     def test_gemm(self, operands):

@@ -6,6 +6,8 @@ lifted modes are judged on the full polynomial, and an energy the
 reduction cannot be trusted at is solved unreduced and counted.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -150,6 +152,24 @@ class TestHostileInputs:
             assert fallbacks.value == 1
             ref = _unreduced(lead, energy, method, **kwargs)
             assert _sigma_error(ob, ref) <= 1e-8
+
+    def test_exactly_singular_interior_falls_back_without_a_warning(self):
+        """K_II = [[1, 2], [2, 4]] at E = 0 has an exactly zero pivot: the
+        interior LU raises its typed error and the energy is solved
+        unreduced, as for a NaN growth - not scipy's "Diagonal number 2
+        is exactly zero" warning and a Schur complement of infinities."""
+        h0 = np.array([[0.5, 0.3, 0.1], [0.3, 1.0, 2.0], [0.1, 2.0, 4.0]])
+        h1 = np.zeros((3, 3))
+        h1[0, 0] = -1.0
+        family = PolynomialFamily([h0, h1], [np.eye(3), np.zeros((3, 3))])
+        assert family.interior.tolist() == [1, 2]
+        with tracing() as tracer, warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            pevp = family.at_energy(0.0)
+            pevp_away = family.at_energy(0.25)
+        assert pevp.reduction is None and pevp.n == 3
+        assert pevp_away.reduction is not None and pevp_away.n == 1
+        assert tracer.metrics.counter("obc_interface_fallbacks").value == 1
 
     def test_batch_solves_only_the_singular_energy_unreduced(self):
         lead = _rectangular(seed=3)

@@ -6,7 +6,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import eig, eigh, gemm, geig, inv, qr_orth, solve, solve_many
+from repro.linalg import (eig, eigh, gemm, geig, inv, lu_factor, lu_solve,
+                          qr_orth, solve, solve_many)
+from repro.linalg.kernels import economic_qr, solve_upper
 from repro.utils.errors import ShapeError, SingularMatrixError
 
 
@@ -138,6 +140,10 @@ class TestInvEig:
         with pytest.raises(SingularMatrixError):
             inv(np.zeros((2, 2)))
 
+    def test_inv_rank_deficient_to_round_off_warns(self):
+        with pytest.warns(sla.LinAlgWarning, match="ill-conditioned"):
+            inv(np.array([[1.0, 2.0], [2.0, 4.0 + 1e-15]]))
+
     def test_eig_reconstruction(self):
         a = _rand((6, 6), 7, True)
         w, v = eig(a)
@@ -182,3 +188,79 @@ def test_solve_property_random_diagonally_dominant(n, nrhs, seed):
     b = rng.standard_normal((n, nrhs))
     x = solve(a, b)
     np.testing.assert_allclose(a @ x, b, atol=1e-8)
+
+
+class TestZeroPivot:
+    def test_lu_factor_raises_a_typed_error(self):
+        """scipy only warns ("Diagonal number 2 is exactly zero") and its
+        substitution then returns [-inf, inf]; ``solve`` already raised."""
+        with pytest.raises(SingularMatrixError, match="getrf info 2"):
+            lu_factor([[1, 2], [2, 4]])
+        with pytest.raises(SingularMatrixError, match="exactly zero"):
+            solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
+    def test_empty_matrix_factors_to_nothing(self):
+        lu, piv = lu_factor(np.zeros((0, 0)))
+        assert lu.shape == (0, 0) and piv.shape == (0,)
+
+
+# -- the same LAPACK calls as scipy.linalg, so the same bits -------------------
+
+def _same(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 20), nrhs=st.integers(0, 4), cplx=st.booleans(),
+       rhs_cplx=st.booleans(), seed=st.integers(0, 99))
+def test_lu_matches_scipy_bit_for_bit(n, nrhs, cplx, rhs_cplx, seed):
+    """Every ``trans``, 1-D and 2-D right-hand sides, and a real factor
+    meeting a complex right-hand side (promoted, as scipy does)."""
+    a = _rand((n, n), seed, cplx)
+    b = _rand((n, nrhs), seed + 1, cplx or rhs_cplx)
+    fac, ref = lu_factor(a), sla.lu_factor(a, check_finite=False)
+    _same(fac[0], ref[0])
+    _same(fac[1], ref[1])
+    for trans in "NTC":
+        for rhs in (b, b[:, 0] if nrhs else b[:, :0]):
+            x = lu_solve(fac, rhs, trans=trans)
+            y = sla.lu_solve(ref, rhs, trans="NTC".index(trans))
+            assert x.dtype == y.dtype and x.shape == y.shape
+            if rhs.size:
+                _same(x, y)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 20), cplx=st.booleans(), seed=st.integers(0, 99))
+def test_inv_eigh_eig_match_scipy_bit_for_bit(n, cplx, seed):
+    """``inv`` from n = 2: scipy inverts a 1 x 1 complex matrix with its
+    own division, ``?getri`` agrees with NumPy's there instead."""
+    a = _rand((n, n), seed, cplx)
+    _same(inv(a), sla.inv(a))
+    herm = a + a.conj().T
+    spd = a @ a.conj().T + n * np.eye(n)
+    for got, want in ((eigh(herm), sla.eigh(herm)),
+                      (eigh(herm, spd), sla.eigh(herm, spd))):
+        _same(got[0], want[0])
+        _same(got[1], want[1])
+    if cplx:    # real operands are solved as complex ones
+        for got, want in zip(eig(a), sla.eig(a)):
+            _same(got, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(1, 24), n=st.integers(1, 12), cplx=st.booleans(),
+       seed=st.integers(0, 99))
+def test_qr_and_triangular_solve_match_scipy_bit_for_bit(m, n, cplx, seed):
+    a = _rand((m, n), seed, cplx)
+    _same(qr_orth(a), sla.qr(a, mode="economic")[0])
+    q, r, piv = economic_qr(a, pivoting=True)
+    for got, want in zip((q, r, piv),
+                         sla.qr(a, mode="economic", pivoting=True)):
+        _same(got, want)
+    if m >= n:
+        wave = _rand((n,), seed + 2, True)
+        for layout in (r, np.asfortranarray(r)):
+            _same(solve_upper(layout, wave),
+                  sla.solve_triangular(layout, wave))
