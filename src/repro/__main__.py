@@ -55,12 +55,6 @@ def main(argv=None) -> int:
     tracep.add_argument("--telemetry-out", default=None,
                         help="write the merged RunTelemetry snapshot as "
                              "JSON (machine-readable CI artifact)")
-    tracep.add_argument("--kernel-backend", default=None,
-                        choices=("numpy", "mixed"),
-                        help="kernel backend for the batched linear "
-                             "algebra: numpy (bitwise reference, the "
-                             "default) or mixed (complex64 LU + "
-                             "iterative refinement)")
     tracep.add_argument("--result-store", default=None,
                         help="persistent result-store root directory: "
                              "publish every solved (k, E) point and "
@@ -160,15 +154,12 @@ def _cmd_trace(args) -> int:
                                   trace_path=args.out,
                                   jsonl_path=args.jsonl,
                                   backend=args.backend,
-                                  kernel_backend=args.kernel_backend,
                                   result_store=args.result_store,
                                   live=args.live,
                                   live_log=args.live_log)
     elapsed = time.perf_counter() - t0
 
     print(f"backend: {args.backend} ({args.nodes} workers)")
-    if args.kernel_backend:
-        print(f"kernel backend: {args.kernel_backend}")
     print(demo["result"].iv_table())
     print()
     print(phase_report(demo["totals"]))

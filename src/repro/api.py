@@ -45,17 +45,13 @@ def silicon_utb_device(tbody_nm: float = 0.8, length_cells: int = 4,
 
 def transmission(device, energies, obc_method: str = "feast",
                  solver: str = "splitsolve", num_partitions: int = 1,
-                 energy_batch_size: int = 1, kernel_backend=None,
+                 energy_batch_size: int = 1,
                  **kwargs) -> np.ndarray:
     """T(E) of a prepared device; one row per energy: (E, modes, T).
 
     The grid is solved in chunks of ``energy_batch_size`` energies
     through :meth:`repro.pipeline.TransportPipeline.solve_batch`; the
     rows do not depend on the chunk size.
-
-    ``kernel_backend`` selects the kernel backend for the solves (a
-    registered :mod:`repro.linalg.backend` name, ``"numpy"`` or
-    ``"mixed"``, or an instance); the default is the bitwise reference.
     """
     from repro.pipeline import TransportPipeline
     energies = [float(e) for e in energies]
@@ -64,8 +60,7 @@ def transmission(device, energies, obc_method: str = "feast",
         obc_kwargs = dict(r_outer=3.0, num_points=8, seed=0)
     pipe = TransportPipeline(obc_method=obc_method, solver=solver,
                              num_partitions=num_partitions,
-                             obc_kwargs=obc_kwargs,
-                             backend=kernel_backend, **kwargs)
+                             obc_kwargs=obc_kwargs, **kwargs)
     cache = pipe.cache(device)
     b = int(energy_batch_size)
     if b < 1:

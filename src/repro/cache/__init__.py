@@ -4,15 +4,13 @@
 memoization to a durable on-disk store: every solved (k, E) point is
 published under a canonical content hash of everything that determines
 its value — device matrices (Hamiltonian/overlap blocks, i.e. structure,
-basis and applied potential), OBC method and kwargs, solver, kernel
-backend identity and precision gate, k, and E.  Repeated or overlapping
-requests — the millions-of-users scenario — hit the store instead of
-re-solving.
+basis and applied potential), OBC method and kwargs, solver, k, and E.
+Repeated or overlapping requests — the millions-of-users scenario — hit
+the store instead of re-solving.
 """
 
-from repro.cache.keys import (backend_cache_identity, canonical_float,
-                              device_content_hash, lead_content_hash,
-                              result_key)
+from repro.cache.keys import (canonical_float, device_content_hash,
+                              lead_content_hash, result_key)
 from repro.cache.store import (RECORD_SCHEMA_VERSION, ResultStore,
                                as_result_store, pack_result, unpack_result)
 
@@ -20,7 +18,6 @@ __all__ = [
     "RECORD_SCHEMA_VERSION",
     "ResultStore",
     "as_result_store",
-    "backend_cache_identity",
     "canonical_float",
     "device_content_hash",
     "lead_content_hash",

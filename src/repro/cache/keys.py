@@ -8,16 +8,10 @@ its bitwise value matches.  The key therefore hashes, in a fixed order:
   by :meth:`DeviceMatrices.with_potential`, so it is captured here;
 - the OBC method name and its canonicalized kwargs;
 - the solver name and partition count;
-- the kernel-backend *cache identity* (see below);
 - k (the transverse wave vector) and E.
 
-Backend identity is deliberately coarser than the backend name: every
-deterministic backend is bitwise-identical to the numpy reference by
-contract (``BackendCapabilities.deterministic``), so all of them share
-the identity ``("reference", <precision>)`` and may exchange cache
-entries.  Non-deterministic backends (``mixed``) key on their name,
-precision and residual-gate tolerance so results never cross a precision
-boundary.
+No kernel backend enters the key: every transport solve runs the
+reference kernels (:mod:`repro.linalg.backend`).
 
 Floats enter the hash via :func:`canonical_float` (``float.hex`` — an
 exact, locale-independent round-trip), never ``str()``.
@@ -30,8 +24,6 @@ import hashlib
 import numpy as np
 from scipy.sparse import issparse
 
-from repro.linalg.backend import KernelBackend, resolve_backend
-
 #: bump when the key derivation itself changes incompatibly, or when what
 #: a key stands for does (2: lead modes come from the interface-reduced
 #: polynomial, so spectra differ from version 1's by round-off; 3: a
@@ -42,8 +34,9 @@ from repro.linalg.backend import KernelBackend, resolve_backend
 #: Step 1 runs in real arithmetic on a real A(E), round-off on the
 #: SplitSolve records of real devices; 6: stored ``velocities`` are the
 #: un-normalised mode flux and every flux is read from one mode table, so
-#: T changes value off S = I / NBW = 1 and by round-off on it)
-KEY_SCHEMA_VERSION = 6
+#: T changes value off S = I / NBW = 1 and by round-off on it; 7: the
+#: kernel-backend identity left the key, every record is the reference's)
+KEY_SCHEMA_VERSION = 7
 
 
 def canonical_float(value) -> str:
@@ -119,22 +112,6 @@ def lead_content_hash(lead) -> str:
     return h.hexdigest()
 
 
-def backend_cache_identity(backend=None) -> tuple:
-    """Cache identity of a kernel backend selector.
-
-    Deterministic backends are bitwise-identical to the reference by
-    contract and share one identity; non-deterministic backends key on
-    (name, precision, tolerance gate) so e.g. ``mixed`` results can
-    never satisfy a double-precision request.
-    """
-    inst = backend if isinstance(backend, KernelBackend) \
-        else resolve_backend(backend)
-    cap = inst.capabilities
-    if cap.deterministic:
-        return ("reference", cap.precision)
-    return (cap.name, cap.precision, canonical_float(cap.tolerance))
-
-
 def _canonical_value(value) -> str:
     """Deterministic text form of one kwargs value."""
     if isinstance(value, float):
@@ -162,8 +139,8 @@ def canonical_kwargs(kwargs) -> str:
 
 
 def result_key(device_hash: str, *, obc_method: str, obc_kwargs,
-               solver: str, num_partitions: int, backend_identity: tuple,
-               kz: float, energy: float) -> str:
+               solver: str, num_partitions: int, kz: float,
+               energy: float) -> str:
     """Content-addressed key of one (k, E) solve."""
     parts = (
         f"schema={KEY_SCHEMA_VERSION}",
@@ -172,7 +149,6 @@ def result_key(device_hash: str, *, obc_method: str, obc_kwargs,
         f"obc_kwargs={canonical_kwargs(obc_kwargs)}",
         f"solver={solver}",
         f"partitions={int(num_partitions)}",
-        f"backend={'|'.join(str(p) for p in backend_identity)}",
         f"kz={canonical_float(kz)}",
         f"energy={canonical_float(energy)}",
     )

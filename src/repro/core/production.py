@@ -65,7 +65,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
                    checkpoint=None, backend: str | None = None,
                    num_workers: int | None = None,
                    use_arena: bool = False,
-                   kernel_backend: str | None = None,
                    result_store=None) -> ProductionResult:
     """Run the full multi-bias production simulation.
 
@@ -103,10 +102,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
         energy batches reuse scratch buffers instead of allocating
         fresh ones.  Bitwise-identical results; arena reuse statistics
         appear as ``memory``-category span instants.
-    kernel_backend : str, optional
-        Kernel backend of every transport solve of the sweep (see
-        :func:`repro.core.runner.compute_spectrum`): ``"numpy"``
-        (bitwise reference, default) or ``"mixed"``.
     result_store : path or :class:`repro.cache.ResultStore`, optional
         Persistent cross-run result cache, forwarded to every transport
         solve of the sweep (the SCF inner solves and the final spectrum
@@ -118,7 +113,9 @@ def run_production(structure, basis, num_cells: int, bias_points,
     Bias points run one after the other (as in OMEN), and the load
     balancer learns per-k costs across points.  Every point's SCF starts
     from a zero potential; seeding it from the previous point's
-    converged potential (bias continuation) is ROADMAP item 2a.
+    converged potential (bias continuation) is ROADMAP item 2a.  Every
+    transport solve runs the reference complex-double kernels (see
+    :func:`repro.core.runner.compute_spectrum`).
     """
     # imported here: repro.poisson.scf imports repro.core, whose package
     # init imports this module
@@ -169,7 +166,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
                     task_runner=task_runner,
                     energy_batch_size=energy_batch_size,
                     use_arena=use_arena,
-                    kernel_backend=kernel_backend,
                     result_store=result_store, family=family, **kwargs)
                 spec = compute_spectrum(structure, basis, num_cells,
                                         energies,
@@ -179,7 +175,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
                                         task_runner=task_runner,
                                         energy_batch_size=energy_batch_size,
                                         use_arena=use_arena,
-                                        kernel_backend=kernel_backend,
                                         result_store=result_store,
                                         family=family)
                 current = spec.current(mu_source, mu_source - vds,

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache import (ResultStore, as_result_store,
-                         backend_cache_identity, device_content_hash,
+from repro.cache import (ResultStore, as_result_store, device_content_hash,
                          pack_result, result_key, unpack_result)
 from repro.constants import LANDAUER_2E_OVER_H
 from repro.hamiltonian import build_device
@@ -96,8 +95,6 @@ class SpectrumUnitSpec:
     energy_indices: tuple
     run_token: str             # unique per spectrum (one potential)
     use_arena: bool = False    # workspace-arena buffer reuse in SOLVE
-    #: kernel-backend name the worker's pipeline solves under
-    kernel_backend: str | None = None
     #: persistent result-store root; workers publish their fresh solves
     #: directly (concurrent, atomic), so a crash mid-run loses nothing
     #: already solved
@@ -125,26 +122,23 @@ class _WorkerDevice:
         self.structure = BlockStructure()
         self.polynomials = PolynomialFamily(self.device.lead.h_cells,
                                             self.device.lead.s_cells)
-        self.run_key = None
+        self.run_token = None
         self.pipe = None
         self.cache = None
 
     def for_run(self, spec: SpectrumUnitSpec):
         """``(pipeline, cache)`` of the spectrum ``spec`` belongs to."""
-        kernel_backend = getattr(spec, "kernel_backend", None)
-        run_key = (spec.run_token, kernel_backend)
-        if run_key != self.run_key:
+        if spec.run_token != self.run_token:
             self.pipe = TransportPipeline(
                 obc_method=spec.obc_method, solver=spec.solver,
                 num_partitions=spec.num_partitions,
-                obc_kwargs=spec.obc_kwargs,
-                use_arena=spec.use_arena, backend=kernel_backend)
+                obc_kwargs=spec.obc_kwargs, use_arena=spec.use_arena)
             dev = self.device if spec.potential is None \
                 else self.device.with_potential(spec.potential)
             self.cache = DeviceCache(dev, memo=self.memo,
                                      polynomials=self.polynomials,
                                      structure=self.structure)
-            self.run_key = run_key
+            self.run_token = spec.run_token
         return self.pipe, self.cache
 
 
@@ -206,7 +200,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                      checkpoint=None, backend: str | None = None,
                      num_workers: int | None = None,
                      use_arena: bool = False,
-                     kernel_backend: str | None = None,
                      result_store=None,
                      family: DeviceFamily | None = None
                      ) -> TransportSpectrum:
@@ -259,17 +252,11 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         :class:`~repro.linalg.arena.Workspace` so steady-state energy
         batches reuse buffers instead of reallocating (bitwise-identical
         spectra; allocation telemetry via the span tracer).
-    kernel_backend : str, optional
-        Kernel backend of the batched linear algebra
-        (:mod:`repro.linalg.backend`): ``"numpy"``, the bitwise
-        reference and the default, or ``"mixed"``.  Workers get the name
-        in their :class:`SpectrumUnitSpec`.
     result_store : path or :class:`repro.cache.ResultStore`, optional
         Persistent cross-run result cache.  Before scheduling, every
         (k, E-batch) unit is partitioned into hits and misses against
         the store (content-addressed keys over device matrices,
-        potential, OBC method + kwargs, solver, kernel-backend identity,
-        k, E); only the misses are solved (partially-hit units re-bucket
+        potential, OBC method + kwargs, solver, k, E); only the misses are solved (partially-hit units re-bucket
         to their miss energies — bitwise-safe, a batch returns the bits
         of its one-energy runs), hits merge back bitwise-identically
         from disk, and fresh solves are published (workers publish
@@ -288,7 +275,10 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     One device (H(k), S(k), lead blocks) is assembled per k-point and
     shared across its energy points, matching OMEN's memory layout where
     the matrices are broadcast once and the E-loop is embarrassingly
-    parallel under them (Fig. 9).
+    parallel under them (Fig. 9).  Every solve runs the reference
+    complex-double kernels, as the paper's do, whatever
+    :func:`repro.linalg.backend_scope` the caller has open: a result
+    depends only on the arguments.
     """
     energies = np.asarray(list(energies), dtype=float)
     if energies.size == 0:
@@ -309,8 +299,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
 
     pipe = TransportPipeline(obc_method=obc_method, solver=solver,
                              num_partitions=num_partitions,
-                             obc_kwargs=obc_kwargs, use_arena=use_arena,
-                             backend=kernel_backend)
+                             obc_kwargs=obc_kwargs, use_arena=use_arena)
     caches = family.caches(potential)
 
     store = as_store(checkpoint)
@@ -353,7 +342,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     unit_hits: dict = {}   # ui -> {ie: stored record}
     unit_keys: dict = {}   # ui -> {ie: store key}
     if rstore is not None:
-        backend_id = backend_cache_identity(kernel_backend)
         dev_hashes: dict = {}
         for ui, (ik, ies) in enumerate(units):
             if done[ui]:
@@ -367,7 +355,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                 key = result_key(
                     dh, obc_method=obc_method, obc_kwargs=obc_kwargs,
                     solver=solver, num_partitions=num_partitions,
-                    backend_identity=backend_id,
                     kz=float(kgrid[ik, 0]), energy=float(energies[ie]))
                 keys[ie] = key
                 rec = rstore.get(key)
@@ -403,7 +390,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             energies=tuple(float(e) for e in energies[miss]),
             kpoint_index=ik, energy_indices=tuple(int(e) for e in miss),
             run_token=token, use_arena=use_arena,
-            kernel_backend=kernel_backend,
             store_root=rstore.root if rstore is not None else None,
             store_keys=tuple(keys[ie] for ie in miss) if keys else None,
             family_token=family.token)

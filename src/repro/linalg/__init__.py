@@ -57,17 +57,11 @@ from repro.linalg.batched import (
     lu_solve_batched,
 )
 from repro.linalg.backend import (
-    BackendCapabilities,
-    BackendUnavailableError,
     KernelBackend,
     NumpyBackend,
-    available_backends,
     backend_scope,
     current_backend,
     get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
 )
 
 __all__ = [
@@ -109,15 +103,9 @@ __all__ = [
     "gemm_batched",
     "lu_factor_batched",
     "lu_solve_batched",
-    "BackendCapabilities",
-    "BackendUnavailableError",
     "KernelBackend",
     "NumpyBackend",
-    "available_backends",
     "backend_scope",
     "current_backend",
     "get_backend",
-    "register_backend",
-    "registered_backends",
-    "resolve_backend",
 ]

@@ -18,12 +18,11 @@ reconciliation therefore holds unchanged; only the record (and event)
 granularity coarsens from per-matrix to per-batch.  Batched kernel names
 carry a ``_batched`` suffix so activity traces distinguish the two paths.
 
-Backends: the public module functions are thin dispatchers to the
-kernel backend selected via :mod:`repro.linalg.backend`
-(``backend_scope``; default the reference ``numpy`` backend).  The
-``_*_impl`` functions below are the reference implementations — the
-exact code path the repo has always run — so selecting ``numpy`` is
-bitwise identical to the pre-backend behaviour.
+Backends: the three public kernel functions are thin dispatchers to the
+kernel backend :func:`repro.linalg.backend_scope` has installed (the
+reference ``numpy`` backend outside every scope).  The ``_*_impl``
+functions below are the reference kernels; transport code calls them
+directly, so its results never depend on a caller's scope.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from repro.linalg import flops as _fl
+from repro.linalg.backend import current_backend
 from repro.linalg.blocktridiag import (BlockTridiagonalMatrix,
                                        energy_scalars)
 from repro.linalg.kernels import _is_complex, _record
@@ -52,11 +52,6 @@ def _check_stack(a: np.ndarray, name: str, square: bool = False):
 # Backend dispatch
 # --------------------------------------------------------------------------
 
-def _backend():
-    from repro.linalg.backend import current_backend
-    return current_backend()
-
-
 def gemm_batched(a: np.ndarray, b: np.ndarray, tag: str = "",
                  out: np.ndarray | None = None) -> np.ndarray:
     """C[e] = A[e] @ B[e] for a whole energy stack (``zgemmBatched``).
@@ -64,7 +59,7 @@ def gemm_batched(a: np.ndarray, b: np.ndarray, tag: str = "",
     Dispatches to the selected kernel backend; see
     :func:`_gemm_batched_impl` for the reference contract.
     """
-    return _backend().gemm_batched(a, b, tag=tag, out=out)
+    return current_backend().gemm_batched(a, b, tag=tag, out=out)
 
 
 def lu_factor_batched(a: np.ndarray, tag: str = ""):
@@ -74,7 +69,7 @@ def lu_factor_batched(a: np.ndarray, tag: str = ""):
     backend-specific and only meaningful to the same backend's
     :func:`lu_solve_batched`.
     """
-    return _backend().lu_factor_batched(a, tag=tag)
+    return current_backend().lu_factor_batched(a, tag=tag)
 
 
 def lu_solve_batched(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
@@ -82,7 +77,7 @@ def lu_solve_batched(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
 
     Dispatches to the selected kernel backend.
     """
-    return _backend().lu_solve_batched(fac, b, tag=tag)
+    return current_backend().lu_solve_batched(fac, b, tag=tag)
 
 
 # --------------------------------------------------------------------------

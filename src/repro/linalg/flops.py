@@ -116,6 +116,15 @@ _KERNEL_COSTS = {
                       lambda n, w: 2 * n * n * w + 3 * n * n * (w // 2)),
     "lu_solve_c64": (_substitution_flops,
                      lambda n, nrhs, w: 2 * n * nrhs * (w // 2)),
+    # sparse LU of T with nnz stored entries (T read, L and U written),
+    # priced from the realized fill: pairs = sum_k nnz(L[:, k]) nnz(U[k, :])
+    "lu_sparse": (lambda pairs, nnz, cx: 2 * pairs * _cplx_factor(cx),
+                  lambda pairs, nnz, w: 3 * nnz * w),
+    # its solve over fill = nnz(L + U): the (n, nrhs) rhs read and the
+    # solution written
+    "lu_sparse_solve": (
+        lambda fill, n, nrhs, cx: 2 * fill * nrhs * _cplx_factor(cx),
+        lambda fill, n, nrhs, w: 2 * n * nrhs * w),
 }
 
 

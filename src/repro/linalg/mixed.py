@@ -45,10 +45,9 @@ import scipy.linalg as sla
 from scipy.linalg import lapack as _lap
 
 from repro.linalg import flops as _fl
-from repro.linalg.backend import BackendCapabilities, KernelBackend
+from repro.linalg.backend import KernelBackend
 from repro.linalg.batched import _check_stack
 from repro.linalg.kernels import _record
-from repro.observability.spans import current_tracer
 from repro.utils.errors import SingularMatrixError
 
 #: Default relative-residual convergence gate of the refinement loop.
@@ -119,6 +118,8 @@ class MixedPrecisionBackend(KernelBackend):
     max_refine_iters : refinement sweeps before the double fallback.
     """
 
+    name = "mixed"
+
     def __init__(self, tol: float | None = None,
                  max_refine_iters: int = DEFAULT_MAX_REFINE_ITERS):
         if tol is None:
@@ -126,15 +127,6 @@ class MixedPrecisionBackend(KernelBackend):
                                        DEFAULT_RESIDUAL_TOL))
         self.tol = float(tol)
         self.max_refine_iters = int(max_refine_iters)
-        self.capabilities = BackendCapabilities(
-            name="mixed",
-            dtypes=("float64", "complex128"),
-            native_batching=True,
-            precision="mixed(c64+refinement)",
-            deterministic=False,
-            tolerance=self.tol,
-            description="complex64 LU + iterative refinement, "
-                        f"residual gate {self.tol:g}")
         self._lock = threading.Lock()
         self.stats = {"factor_calls": 0, "solve_calls": 0,
                       "refine_iterations": 0, "fallback_slices": 0,
@@ -198,10 +190,6 @@ class MixedPrecisionBackend(KernelBackend):
         _record("cgetrf_batched", ne * _fl.lu_flops(n, True),
                 2 * a.nbytes + 3 * lu32.nbytes, t0, tag)
         self._bump(factor_calls=1)
-        tracer = current_tracer()
-        if tracer is not None:
-            # live fallback-rate detector input: slices factored in c64
-            tracer.metrics.counter("mixed_factor_slices").inc(int(ne))
         return MixedLUFactor(lu32, piv, a, bad)
 
     # -- refined solves ----------------------------------------------------
@@ -295,9 +283,4 @@ class MixedPrecisionBackend(KernelBackend):
                     f"{tag}|fallback" if tag else "fallback")
         self._bump(solve_calls=1, refine_iterations=refine_iters,
                    fallback_slices=len(failed), max_residual=max_rel)
-        if failed:
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.metrics.counter("mixed_fallback_slices").inc(
-                    len(failed))
         return x

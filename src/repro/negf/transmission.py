@@ -54,8 +54,8 @@ class EnergyPointResult:
 def qtbm_energy_point(device, energy: float, obc_method: str = "feast",
                       solver: str = "splitsolve", num_partitions: int = 1,
                       parallel: bool = False, obc_kwargs: dict | None = None,
-                      boundary: OpenBoundary | None = None,
-                      kernel_backend=None) -> EnergyPointResult:
+                      boundary: OpenBoundary | None = None
+                      ) -> EnergyPointResult:
     """Solve one energy point of the wave-function transport problem.
 
     Thin wrapper over :class:`repro.pipeline.TransportPipeline` — the
@@ -72,16 +72,11 @@ def qtbm_energy_point(device, energy: float, obc_method: str = "feast",
         (built-ins: "splitsolve" | "rgf" | "bcr" | "direct").
     boundary : OpenBoundary, optional
         Reuse a precomputed boundary (e.g. when comparing solvers).
-    kernel_backend : optional
-        Kernel backend of the batched linear algebra (a registered
-        :mod:`repro.linalg.backend` name or an instance); ``None`` is
-        the ``"numpy"`` reference.
     """
     from repro.pipeline import TransportPipeline
     pipe = TransportPipeline(obc_method=obc_method, solver=solver,
                              num_partitions=num_partitions,
-                             parallel=parallel, obc_kwargs=obc_kwargs,
-                             backend=kernel_backend)
+                             parallel=parallel, obc_kwargs=obc_kwargs)
     return pipe.solve_point(device, energy, boundary=boundary)
 
 

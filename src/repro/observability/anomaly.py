@@ -10,9 +10,8 @@ The built-in set covers the failure modes the paper's scaling runs care
 about: stragglers (per-node latency vs. the fleet), byte/flop drift
 (measured kernel traffic vs. the exact
 :mod:`repro.perfmodel.costmodel` predictions, reusing
-:func:`~repro.perfmodel.roofline.byte_drift`), mixed-precision
-fallback-rate spikes, result-store hit-rate collapse, and
-checkpoint-interval overrun.
+:func:`~repro.perfmodel.roofline.byte_drift`), result-store hit-rate
+collapse, and checkpoint-interval overrun.
 """
 
 from __future__ import annotations
@@ -173,43 +172,6 @@ class ByteDriftDetector(Detector):
         return alerts
 
 
-class FallbackRateDetector(Detector):
-    """Mixed-precision double-fallback rate spike.
-
-    The mixed backend promotes slices whose refined residual misses the
-    gate; occasional fallbacks are normal, a high rate means the
-    workload lost the speed the backend exists for.
-    """
-
-    kind = "fallback-rate"
-
-    def __init__(self, threshold: float = 0.25,
-                 critical_threshold: float = 0.75, min_slices: int = 8):
-        super().__init__()
-        self.threshold = float(threshold)
-        self.critical_threshold = float(critical_threshold)
-        self.min_slices = int(min_slices)
-
-    def update(self, aggregator) -> list:
-        factored = aggregator.counter_value("mixed_factor_slices")
-        fallback = aggregator.counter_value("mixed_fallback_slices")
-        if factored < self.min_slices:
-            return []
-        rate = fallback / factored
-        if rate < self.threshold:
-            return []
-        severity = "critical" if rate >= self.critical_threshold \
-            else "warning"
-        alert = self._emit("mixed", Alert(
-            kind=self.kind, severity=severity,
-            message=(f"mixed-precision fallback rate {rate:.0%} "
-                     f"({fallback}/{factored} slices)"),
-            evidence={"fallback_rate": rate,
-                      "fallback_slices": fallback,
-                      "factored_slices": factored}))
-        return [alert] if alert is not None else []
-
-
 class StoreHitRateDetector(Detector):
     """Result-store hit rate collapsing mid-run.
 
@@ -296,6 +258,5 @@ class CheckpointOverrunDetector(Detector):
 
 def default_detectors(checkpoint_interval_s: float | None = None) -> list:
     """The standard detector battery for a live run."""
-    return [StragglerDetector(), ByteDriftDetector(),
-            FallbackRateDetector(), StoreHitRateDetector(),
+    return [StragglerDetector(), ByteDriftDetector(), StoreHitRateDetector(),
             CheckpointOverrunDetector(interval_s=checkpoint_interval_s)]

@@ -50,7 +50,6 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
                            trace_path=None, jsonl_path=None,
                            energy_batch_size: int = 2,
                            backend: str = "thread",
-                           kernel_backend: str | None = None,
                            result_store=None, live: bool = False,
                            live_log=None, fault_injector=None,
                            live_monitor=None) -> dict:
@@ -71,12 +70,6 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
         ship a picklable ``_retry_run`` descriptor, so retries execute
         worker-side with the identical policy).  Either way the same
         reconciliation must hold exactly.
-    kernel_backend : optional kernel-backend name for the transport
-        solves (``"numpy"`` or ``"mixed"``).  Both keep the same ledger
-        discipline — one record per batched call — so the flop/byte
-        reconciliation holds exactly under either, mixed precision
-        included (its ``cgetrf``/``cgetrs`` records carry analytic flop
-        counts and the actual low-precision bytes).
     result_store : optional path or :class:`~repro.cache.ResultStore` —
         the persistent cross-run result cache.  A warm re-run merges
         cached (k, E) results bitwise-identically; hits solve nothing,
@@ -148,8 +141,7 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
                     num_k=1, num_nodes=num_nodes,
                     scf_kwargs=scf_kwargs, task_runner=runner,
                     energy_batch_size=int(energy_batch_size),
-                    use_arena=True, kernel_backend=kernel_backend,
-                    result_store=result_store)
+                    use_arena=True, result_store=result_store)
     finally:
         if hasattr(runner, "close"):
             runner.close()

@@ -433,10 +433,9 @@ class LiveAggregator:
     def counter_value(self, name: str) -> int:
         """Cumulative counter value across scopes.
 
-        The max over scopes, not the sum: the process backend mirrors
-        worker metrics into *both* the tracer registry and the runner
-        telemetry, so summing would double-count every mirrored
-        counter, while the larger copy is always the complete one.
+        The max over scopes: a counter lives in one registry, the
+        tracer's or the runner telemetry's, and the max reads it from
+        whichever holds it.
         """
         best = 0
         for snap in self.metrics_scopes.values():

@@ -235,14 +235,16 @@ class ProcessTaskRunner:
         return failure
 
     def _merge_worker_result(self, wr, parent_ledger, tracer) -> None:
-        """Fold one worker's ledger/metrics/spans into the parent."""
+        """Fold one worker's ledger, retry accounting, tracer metrics and
+        spans into the parent: the accounting into the runner telemetry
+        only, the tracer's metrics into the tracer's only."""
         if wr.ledger:
             parent_ledger.merge_snapshot(wr.ledger)
-        if wr.metrics:
-            worker_view = RunTelemetry.from_snapshot(wr.metrics)
-            self.telemetry.merge(worker_view)
-            if tracer is not None:
-                tracer.metrics.merge_snapshot(wr.metrics)
+        if wr.telemetry:
+            self.telemetry.metrics.merge_snapshot(wr.telemetry)
         self.telemetry.metrics.labeled("tasks_by_worker").inc(wr.node)
-        if tracer is not None and wr.spans:
-            tracer.absorb(wr.spans)
+        if tracer is not None:
+            if wr.metrics:
+                tracer.metrics.merge_snapshot(wr.metrics)
+            if wr.spans:
+                tracer.absorb(wr.spans)

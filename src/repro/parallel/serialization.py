@@ -13,8 +13,9 @@ in-process runners use — a fresh :class:`~repro.linalg.flops.FlopLedger`,
 a ``device_scope`` naming the simulated node, and (when the parent is
 tracing) a worker-local :class:`~repro.observability.SpanTracer` — and
 returns everything as a plain-data :class:`WorkerTaskResult` the parent
-merges back: ledger snapshot into the active ledger, span dicts into the
-installed tracer, metrics snapshot into the runner telemetry.
+merges back: ledger snapshot into the active ledger, span dicts and
+tracer metrics into the installed tracer, the task's retry accounting
+(:func:`task_telemetry`, traced or not) into the runner telemetry.
 """
 
 from __future__ import annotations
@@ -23,9 +24,20 @@ import os
 import time
 import traceback
 from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from repro.linalg.flops import FlopLedger, device_scope, ledger_scope
+from repro.observability.metrics import MetricsRegistry
+
+_TASK_TELEMETRY: ContextVar = ContextVar("task_telemetry", default=None)
+
+
+def task_telemetry() -> MetricsRegistry | None:
+    """The metrics registry of the task :func:`execute_descriptor` is
+    running (``None`` outside one): the worker-side retry loop counts
+    into it, and it ships home whether or not the parent traces."""
+    return _TASK_TELEMETRY.get()
 
 # -- live-telemetry heartbeat (worker side) --------------------------------
 #
@@ -112,6 +124,8 @@ class WorkerTaskResult:
     error: WorkerFailure | None = None
     elapsed_s: float = 0.0
     ledger: dict = field(default_factory=dict)
+    #: the task's retry accounting (a RunTelemetry registry snapshot)
+    telemetry: dict | None = None
     metrics: dict | None = None
     spans: list | None = None
     pid: int = 0
@@ -131,6 +145,7 @@ def execute_descriptor(index: int, node: str, traced: bool,
     from repro.observability.spans import SpanTracer, tracing
 
     ledger = FlopLedger()
+    telemetry = MetricsRegistry()
     tracer = SpanTracer() if traced else None
     publisher = heartbeat_publisher(node) if traced else None
     if tracer is not None and publisher is not None:
@@ -140,6 +155,7 @@ def execute_descriptor(index: int, node: str, traced: bool,
     if publisher is not None:
         publisher({"type": "task-start", "task_index": index})
     t0 = time.perf_counter()
+    token = _TASK_TELEMETRY.set(telemetry)
     try:
         with ledger_scope(ledger), device_scope(node), \
                 (tracing(tracer) if traced else nullcontext()):
@@ -152,6 +168,8 @@ def execute_descriptor(index: int, node: str, traced: bool,
         error = WorkerFailure(exc_type=type(exc).__name__,
                               message=str(exc),
                               traceback_text=traceback.format_exc())
+    finally:
+        _TASK_TELEMETRY.reset(token)
     elapsed = time.perf_counter() - t0
     if publisher is not None:
         publisher({"type": "task-end", "task_index": index,
@@ -159,6 +177,7 @@ def execute_descriptor(index: int, node: str, traced: bool,
     return WorkerTaskResult(
         index=index, node=node, value=value, error=error,
         elapsed_s=elapsed, ledger=ledger.as_snapshot(),
+        telemetry=telemetry.snapshot() or None,
         metrics=tracer.metrics.snapshot() if traced else None,
         spans=[sp.as_dict() for sp in tracer.records()]
         if traced else None,

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.linalg.arena import (Workspace, arena_scope, scratch,
                                 scratch_release)
-from repro.linalg.backend import backend_scope, resolve_backend
 from repro.linalg.batched import bucket_by_width
 from repro.negf.transmission import EnergyPointResult, analyze_solution
 from repro.observability.spans import current_tracer
@@ -51,16 +50,12 @@ class TransportPipeline:
     def __init__(self, obc_method: str = "feast",
                  solver: str = "splitsolve", num_partitions: int = 1,
                  parallel: bool = False, obc_kwargs: dict | None = None,
-                 use_arena: bool = False, backend=None):
+                 use_arena: bool = False):
         self.obc_method = obc_method
         self.solver = solver
         self.num_partitions = num_partitions
         self.parallel = parallel
         self.obc_kwargs = dict(obc_kwargs or {})
-        #: kernel-backend selector (name, instance, or ``None`` for the
-        #: reference backend) — resolved per solve via
-        #: :func:`repro.linalg.backend.resolve_backend`
-        self.backend = backend
         #: route batch-local scratch (Schur stacks, rhs carries, sigma
         #: stacks, staging blocks) through a persistent
         #: :class:`~repro.linalg.arena.Workspace` so steady-state energy
@@ -151,10 +146,6 @@ class TransportPipeline:
             if self._workspace is not None:
                 scopes.enter_context(arena_scope(self._workspace))
                 scopes.callback(self._emit_arena_stats)
-            bk = scopes.enter_context(
-                backend_scope(resolve_backend(self.backend)))
-            ran = dict(backend=bk.name,
-                       precision=bk.capabilities.precision)
 
             with batch_stage_scope(traces, "PREPARE") as sts:
                 cache.warm()
@@ -173,14 +164,10 @@ class TransportPipeline:
                     else:
                         ob, hit = cache.lookup_boundary(
                             e, self.obc_method, **self.obc_kwargs)
-                    st.meta.update(ran, method=ob.method or self.obc_method)
+                    st.meta["method"] = ob.method or self.obc_method
                     if hit:
                         st.meta["reused"] = True
-                    elif ("predicted_bytes" in ob.info
-                            and bk.capabilities.deterministic):
-                        # byte models transcribe the reference kernels,
-                        # so the drift verdict only applies when the
-                        # backend records reference traffic
+                    elif "predicted_bytes" in ob.info:
                         st.meta["predicted_bytes"] = int(
                             ob.info["predicted_bytes"])
                     if tracer is not None:
@@ -222,8 +209,7 @@ class TransportPipeline:
                     num_rhs=width, num_partitions=self.num_partitions,
                     **self._pricing_widths(cache))
                 predicted = self._predicted_solve_bytes(
-                    cache, name, width, self.num_partitions) \
-                    if bk.capabilities.deterministic else None
+                    cache, name, width, self.num_partitions)
                 stacked = name == "rgf" and len(pos) > 1
                 groups = [pos] if stacked else [[j] for j in pos]
                 for group in groups:
@@ -241,7 +227,7 @@ class TransportPipeline:
                                 parallel=self.parallel, info=info)]
                             sts[0].meta.update(info)
                         for st in sts:
-                            st.meta.update(ran, solver=name,
+                            st.meta.update(solver=name,
                                            bucket_size=len(pos),
                                            num_rhs=width)
                             if predicted is not None:

@@ -153,13 +153,6 @@ def batch_stage_scope(traces, name: str):
                             for st in sts)
             if predicted > 0:
                 attrs["predicted_bytes"] = predicted
-            # kernel-backend attribution: forwarded only when every task
-            # in the batch agrees (they do — the scope runs under one
-            # backend_scope), so spans never misattribute a mixed batch.
-            for key in ("backend", "precision"):
-                vals = {st.meta.get(key) for st in sts}
-                if len(vals) == 1 and None not in vals:
-                    attrs[key] = vals.pop()
             tracer.emit(name, category="stage", t_start=t0,
                         seconds=elapsed, flops=int(probe.total_flops),
                         bytes_moved=total_bytes, attrs=attrs)

@@ -57,7 +57,6 @@ def schroedinger_poisson(structure, basis, num_cells: int,
                          energy_batch_size: int = 1,
                          use_arena: bool = False,
                          checkpoint=None,
-                         kernel_backend: str | None = None,
                          result_store=None,
                          family: DeviceFamily | None = None) -> SCFResult:
     """Run the self-consistent Schroedinger-Poisson loop.
@@ -82,10 +81,6 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     use_arena : forwarded to :func:`repro.core.runner.compute_spectrum`;
         the inner transport solves reuse workspace-arena scratch buffers
         (bitwise-identical spectra).
-    kernel_backend : forwarded to
-        :func:`repro.core.runner.compute_spectrum`; selects the kernel
-        backend of the inner transport solves (``"numpy"``, the
-        reference and the default, or ``"mixed"``).
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
         Persist the loop state after every completed iteration — one
         (k, E) batch — and resume from it when the file already exists.
@@ -112,7 +107,8 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     iteration after the first reuses, per (k, E), the boundary and what
     it alone decides (the injection rows of Inj, the factored outgoing
     flux bases of ANALYZE); it re-solves what the potential changed:
-    A(E), SOLVE and the density.
+    A(E), SOLVE and the density.  The inner solves run the reference
+    complex-double kernels (see :func:`repro.core.runner.compute_spectrum`).
     """
     if not 0 < mixing <= 1:
         raise ConfigurationError("mixing must be in (0, 1]")
@@ -177,7 +173,6 @@ def schroedinger_poisson(structure, basis, num_cells: int,
                 task_runner=task_runner,
                 energy_batch_size=energy_batch_size,
                 use_arena=use_arena,
-                kernel_backend=kernel_backend,
                 result_store=result_store, family=family)
             # (ii) accumulate density (trapezoid over the energy grid)
             dens_orb = None

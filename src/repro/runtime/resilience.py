@@ -60,22 +60,23 @@ def _retry_run(policy: RetryPolicy, descriptor):
     Accounting mirrors the in-process path: each attempt runs under a
     probe ledger merged into the worker's task ledger only on success,
     so a retried-but-recovered unit ships home the same flop totals as
-    a fault-free one.  Counters go through the worker-local tracer
-    metrics (merged into the runner telemetry by the parent) — only the
-    *extra* attempts are counted here, because the process runner
-    already records one attempt per submitted task.  A
-    :class:`~repro.utils.errors.ConfigurationError` is never retried.
+    a fault-free one.  Counters go to the running task's telemetry
+    (:func:`~repro.parallel.serialization.task_telemetry`), which comes
+    home whether or not the parent traces and is merged once into the
+    runner telemetry — only the *extra* attempts are counted here,
+    because the process runner already records one attempt per
+    submitted task.  A :class:`~repro.utils.errors.ConfigurationError`
+    is never retried.
     """
+    from repro.parallel.serialization import task_telemetry
+    telemetry = RunTelemetry(task_telemetry())
     last_exc = None
-    tracer = current_tracer()
     for attempt in range(policy.max_retries + 1):
         if attempt:
             if policy.backoff_s > 0:
                 time.sleep(min(policy.backoff_s * policy.backoff_factor
                                ** (attempt - 1), policy.backoff_cap_s))
-            if tracer is not None:
-                tracer.metrics.counter("attempts").inc()
-                tracer.metrics.counter("retries").inc()
+            telemetry.record_attempt(retry=True)
         target = current_ledger()
         probe = FlopLedger()
         t0 = time.perf_counter()
@@ -91,21 +92,13 @@ def _retry_run(policy: RetryPolicy, descriptor):
         except policy.retry_on as exc:
             if isinstance(exc, ConfigurationError):
                 raise  # a programming error is never transient
-            if tracer is not None:
-                tracer.metrics.labeled("failures_by_type").inc(
-                    type(exc).__name__)
-                tracer.metrics.counter("wasted_flops").inc(
-                    int(probe.total_flops))
-                tracer.metrics.counter("wasted_time_s").inc(
-                    time.perf_counter() - t0)
-                if isinstance(exc, TaskTimeoutError):
-                    tracer.metrics.counter("timeouts").inc()
+            telemetry.record_failure(exc, probe.total_flops,
+                                     time.perf_counter() - t0)
             last_exc = exc
             continue
         target.merge(probe)
         return out
-    if tracer is not None:
-        tracer.metrics.counter("giveups").inc()
+    telemetry.record_giveup()
     raise TaskExecutionError(
         f"task {policy.task_index} failed after "
         f"{policy.max_retries + 1} worker-side attempts: {last_exc}",

@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 
 from repro.linalg import BlockTridiagonalMatrix
 from repro.linalg import flops as _fl
+from repro.linalg.kernels import _record
 from repro.utils.errors import SingularMatrixError
 
 
@@ -24,7 +25,8 @@ class SparseDirectSolver:
     """LU-factorize T once, solve many right-hand sides.
 
     Flop accounting: LAPACK-style estimate from the realized fill,
-    sum_k 2 nnz(L[:, k]) nnz(U[k, :]), recorded as kernel ``zlu_sparse``.
+    sum_k 2 nnz(L[:, k]) nnz(U[k, :]), recorded as kernel ``zlu_sparse``
+    from the ``lu_sparse`` row of :func:`repro.linalg.flops.kernel_cost`.
     """
 
     def __init__(self, t, tag: str = ""):
@@ -36,20 +38,16 @@ class SparseDirectSolver:
             self._lu = spla.splu(t)
         except RuntimeError as exc:
             raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-        nflops = self._factor_flops()
-        _fl.current_ledger().record(
-            "zlu_sparse", nflops, 3 * t.data.nbytes,
-            device=_fl.current_device(), tag=tag,
-            t_start=t0, t_stop=time.perf_counter())
+        _record("zlu_sparse",
+                *_fl.kernel_cost("lu_sparse", (self._fill_pairs(),
+                                               t.data.size)), t0, tag)
         self.shape = t.shape
 
-    def _factor_flops(self) -> int:
-        l_csc = self._lu.L.tocsc()
-        u_csr = self._lu.U.tocsr()
-        nnz_l_col = np.diff(l_csc.indptr)
-        nnz_u_row = np.diff(u_csr.indptr)
-        return int(2 * np.sum(nnz_l_col.astype(np.int64)
-                              * nnz_u_row.astype(np.int64))) * 4
+    def _fill_pairs(self) -> int:
+        """sum_k nnz(L[:, k]) nnz(U[k, :]) of the realized factors."""
+        nnz_l_col = np.diff(self._lu.L.tocsc().indptr).astype(np.int64)
+        nnz_u_row = np.diff(self._lu.U.tocsr().indptr).astype(np.int64)
+        return int(np.sum(nnz_l_col * nnz_u_row))
 
     @property
     def fill_nnz(self) -> int:
@@ -60,11 +58,9 @@ class SparseDirectSolver:
         t0 = time.perf_counter()
         x = self._lu.solve(np.asarray(b, dtype=complex))
         nrhs = b.shape[1] if b.ndim == 2 else 1
-        nflops = 2 * self.fill_nnz * nrhs * 4
-        _fl.current_ledger().record(
-            "zlu_sparse_solve", nflops, 2 * b.nbytes,
-            device=_fl.current_device(), tag=tag,
-            t_start=t0, t_stop=time.perf_counter())
+        _record("zlu_sparse_solve",
+                *_fl.kernel_cost("lu_sparse_solve",
+                                 (self.fill_nnz, b.shape[0], nrhs)), t0, tag)
         return x
 
 

@@ -15,8 +15,12 @@ import numpy as np
 from repro.linalg import (BlockTridiagonalMatrix, as_complex, gemm,
                           lu_factor, lu_solve)
 from repro.linalg.arena import scratch, scratch_release
-from repro.linalg.batched import (BatchedBlockTridiag, gemm_batched,
-                                  lu_factor_batched, lu_solve_batched)
+# the reference stacked kernels, not the backend dispatchers: a transport
+# solve is the same whatever kernel-backend scope its caller has open
+from repro.linalg.batched import BatchedBlockTridiag
+from repro.linalg.batched import _gemm_batched_impl as gemm_batched
+from repro.linalg.batched import _lu_factor_batched_impl as lu_factor_batched
+from repro.linalg.batched import _lu_solve_batched_impl as lu_solve_batched
 from repro.utils.errors import ShapeError
 
 

@@ -26,7 +26,7 @@ from repro.perfmodel import (decimation_kernels, dense_obc_kernels,
                              feast_kernels, interface_reduction_kernels,
                              kernel_bytes, kernel_flops, rgf_kernels,
                              splitsolve_kernels)
-from repro.solvers import SplitSolve, solve_rgf
+from repro.solvers import SparseDirectSolver, SplitSolve, solve_rgf
 from tests.helpers import make_confined_btd, make_confined_lead, open_energies
 
 
@@ -87,6 +87,33 @@ def test_table_bytes_are_the_operands_nbytes(cplx):
         q, r, _piv = economic_qr(b, pivoting=True)
         solve_upper(r, q.conj().T @ b[:, 0])
     assert _counts(led) == (0, 0)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_sparse_direct_pair_is_priced_on_its_fill(cplx):
+    """The sparse LU and its solve record the table's ``lu_sparse`` pair
+    on the measured nnz: 8 flops per (L column, U row) pair with T read
+    and L, U written at nnz(T) entries; 8 flops per fill entry and rhs
+    column with the rhs read and the solution written."""
+    import scipy.sparse as sp
+
+    t = make_confined_btd([3, 4, 2], [None, None], 3, cplx)
+    rhs = _draw(np.random.default_rng(4), True, 9, 2)
+    with ledger_scope() as factored:
+        solver = SparseDirectSolver(t)
+    with ledger_scope() as solved:
+        solver.solve(rhs)
+    lu = solver._lu
+    pairs = int(np.sum(np.diff(lu.L.tocsc().indptr).astype(np.int64)
+                       * np.diff(lu.U.tocsr().indptr)))
+    nnz = sp.csc_matrix(t.to_sparse(), dtype=complex).data.size
+    assert _counts(factored) == kernel_cost("lu_sparse", (pairs, nnz)) \
+        == (8 * pairs, 3 * nnz * 16)
+    assert list(factored.flops_by_kernel) == ["zlu_sparse"]
+    fill = lu.L.nnz + lu.U.nnz
+    assert _counts(solved) == kernel_cost("lu_sparse_solve", (fill, 9, 2)) \
+        == (8 * fill * 2, 2 * rhs.nbytes)
+    assert list(solved.flops_by_kernel) == ["zlu_sparse_solve"]
 
 
 # -- one record, one dtype ----------------------------------------------------

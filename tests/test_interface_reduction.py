@@ -491,8 +491,7 @@ class TestResultStoreCompatibility:
     def test_key_schema_was_bumped_so_old_records_are_misses(self,
                                                              monkeypatch):
         args = dict(obc_method="feast", obc_kwargs=FEAST,
-                    solver="splitsolve", num_partitions=1,
-                    backend_identity=("reference", "complex128"), kz=0.0,
+                    solver="splitsolve", num_partitions=1, kz=0.0,
                     energy=0.5)
         new = cache_keys.result_key("d" * 64, **args)
         monkeypatch.setattr(cache_keys, "KEY_SCHEMA_VERSION", 1)

@@ -23,7 +23,6 @@ import pytest
 from repro.observability import MetricsRegistry
 from repro.observability.anomaly import (Alert, ByteDriftDetector,
                                          CheckpointOverrunDetector,
-                                         FallbackRateDetector,
                                          StoreHitRateDetector,
                                          StragglerDetector,
                                          default_detectors)
@@ -231,8 +230,6 @@ class TestLiveAggregator:
         assert agg.counter_value("hits") == 7
 
     def test_counter_value_max_across_scopes(self):
-        # the process backend mirrors worker counters into both
-        # registries: max (not sum) avoids double counting
         agg = LiveAggregator()
         agg.consume(_metrics_event(
             {"wasted_flops": {"kind": "counter", "value": 10}},
@@ -387,32 +384,6 @@ class TestByteDriftDetector:
         assert ByteDriftDetector(min_bytes=1024).update(agg) == []
 
 
-class TestFallbackRateDetector:
-    def _agg(self, factored, fallback):
-        agg = LiveAggregator()
-        agg.consume(_metrics_event({
-            "mixed_factor_slices": {"kind": "counter", "value": factored},
-            "mixed_fallback_slices": {"kind": "counter",
-                                      "value": fallback}}))
-        return agg
-
-    def test_spike_flagged(self):
-        alerts = FallbackRateDetector().update(self._agg(16, 8))
-        assert len(alerts) == 1
-        assert alerts[0].kind == "fallback-rate"
-        assert alerts[0].severity == "warning"
-        assert alerts[0].evidence["fallback_rate"] == pytest.approx(0.5)
-
-    def test_total_fallback_critical(self):
-        alerts = FallbackRateDetector().update(self._agg(16, 16))
-        assert [a.severity for a in alerts] == ["critical"]
-
-    def test_low_rate_and_small_samples_silent(self):
-        detector = FallbackRateDetector(min_slices=8)
-        assert detector.update(self._agg(16, 1)) == []
-        assert detector.update(self._agg(4, 4)) == []
-
-
 class TestStoreHitRateDetector:
     def _push(self, agg, hits, misses):
         agg.consume(_metrics_event({
@@ -469,8 +440,8 @@ class TestCheckpointOverrunDetector:
 
     def test_default_battery_composition(self):
         kinds = {type(d).kind for d in default_detectors(60.0)}
-        assert kinds == {"straggler", "byte-drift", "fallback-rate",
-                         "store-hit-rate", "checkpoint-overrun"}
+        assert kinds == {"straggler", "byte-drift", "store-hit-rate",
+                         "checkpoint-overrun"}
 
 
 # --------------------------------------------------------------------------

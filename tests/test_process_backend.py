@@ -283,8 +283,15 @@ class TestWorkerSideRetries:
         # one submission; the retry happened inside the worker process
         assert runner.telemetry.tasks_submitted == 1
 
+    @pytest.mark.parametrize("traced", [True, False],
+                             ids=["traced", "untraced"])
     def test_retry_accounting_and_ledger_merge_home_when_traced(
-            self, tmp_path):
+            self, tmp_path, traced):
+        """Four tasks that each fail once, on two workers: the worker-side
+        retries reach the runner telemetry once, traced or not, and
+        never the tracer's metrics."""
+        from contextlib import nullcontext
+
         from repro.runtime import ResilientTaskRunner
 
         with ledger_scope() as ref:
@@ -292,27 +299,29 @@ class TestWorkerSideRetries:
         expected = ref.total_flops
         assert expected > 0
 
-        sentinel = str(tmp_path / "flaky2.sentinel")
-        runner = ResilientTaskRunner(ProcessTaskRunner(num_workers=1),
-                                     max_retries=1)
+        tasks = [_descriptor_task(_flaky_square, 5.0,
+                                  str(tmp_path / f"flaky{i}.sentinel"))
+                 for i in range(4)]
+        runner = ResilientTaskRunner(ProcessTaskRunner(num_workers=2),
+                                     max_retries=2)
         tracer = SpanTracer()
         try:
-            with tracing(tracer):
+            with tracing(tracer) if traced else nullcontext():
                 with ledger_scope() as led:
-                    out = runner([_descriptor_task(
-                        _flaky_square, 5.0, sentinel)])
+                    out = runner(tasks)
         finally:
             runner.close()
-        assert out == [_square(5.0)]
+        assert out == [_square(5.0)] * 4
         tel = runner.telemetry  # shared with the wrapped process runner
-        assert tel.retries == 1
-        assert tel.attempts == 2  # parent submission + worker retry
-        assert tel.failures_by_type.get("RuntimeError") == 1
+        assert tel.retries == 4
+        assert tel.attempts == 8  # parent submissions + worker retries
+        assert tel.failures_by_type == {"RuntimeError": 4}
         assert tel.giveups == 0
-        # the failed attempt's flops are wasted, not merged: the home
-        # ledger holds exactly one successful _square worth of flops
-        assert led.total_flops == expected
-        assert tel.wasted_flops == expected
+        # the failed attempts' flops are wasted, not merged: the home
+        # ledger holds exactly four successful _square worth of flops
+        assert led.total_flops == 4 * expected
+        assert tel.wasted_flops == 4 * expected
+        assert "retries" not in tracer.metrics.snapshot()
 
     def test_worker_side_giveup_reports_task_error(self, tmp_path):
         from repro.runtime import ResilientTaskRunner

@@ -4,10 +4,10 @@ The acceptance bar of the cross-run cache: a warm re-run must merge
 stored (k, E) results **bitwise-identically** to a cold run while
 solving nothing (zero ledger flops), keys must be sensitive to every
 input that determines the bitwise value (device content, applied
-potential, energy, k, solver, OBC configuration, kernel-backend
-identity), corrupt objects must degrade to misses, eviction must be
-LRU, and — under ``backend="process"`` with ``kernel_backend="mixed"``
-— backend-identity keys must prevent any cross-precision cache hit.
+potential, energy, k, solver, OBC configuration), corrupt objects must
+degrade to misses, eviction must be LRU, and under ``backend="process"``
+concurrently publishing workers must leave a store a warm re-run reads
+back bitwise.
 """
 
 import os
@@ -19,7 +19,6 @@ from repro.cache import (
     RECORD_SCHEMA_VERSION,
     ResultStore,
     as_result_store,
-    backend_cache_identity,
     canonical_float,
     device_content_hash,
     pack_result,
@@ -53,9 +52,7 @@ def _device(potential=None):
 
 def _key(device_hash, **overrides):
     kw = dict(obc_method="dense", obc_kwargs=None, solver="rgf",
-              num_partitions=1,
-              backend_identity=backend_cache_identity("numpy"),
-              kz=0.0, energy=-0.45)
+              num_partitions=1, kz=0.0, energy=-0.45)
     kw.update(overrides)
     return result_key(device_hash, **kw)
 
@@ -106,7 +103,6 @@ class TestKeys:
             _key(dh, obc_method="feast"),
             _key(dh, obc_kwargs={"seed": 3}),
             _key(dh, num_partitions=2),
-            _key(dh, backend_identity=backend_cache_identity("mixed")),
             _key(device_content_hash(
                 _device(0.01 * np.arange(6, dtype=float)))),
         ]
@@ -117,25 +113,6 @@ class TestKeys:
         dh = device_content_hash(_device())
         assert _key(dh, obc_kwargs={"seed": 3, "r_outer": 3.0}) \
             == _key(dh, obc_kwargs={"r_outer": 3.0, "seed": 3})
-
-    def test_deterministic_backends_share_identity(self):
-        # deterministic backends are bitwise-identical by contract and
-        # may exchange cache entries; mixed must never alias them
-        from repro.linalg.backend import NumpyBackend
-
-        ref = backend_cache_identity("numpy")
-        assert backend_cache_identity(None) == ref
-        assert backend_cache_identity(NumpyBackend()) == ref
-        mixed = backend_cache_identity("mixed")
-        assert mixed != ref
-        assert mixed[0] == "mixed"
-
-    def test_mixed_tolerance_gate_enters_identity(self):
-        from repro.linalg.mixed import MixedPrecisionBackend
-
-        tight = backend_cache_identity(MixedPrecisionBackend(tol=1e-10))
-        loose = backend_cache_identity(MixedPrecisionBackend(tol=1e-6))
-        assert tight != loose
 
 
 class TestStoreIO:
@@ -350,53 +327,34 @@ class TestSpectrumIntegration:
         assert np.array_equal(first.transmission, second.transmission)
 
 
-def _process_spectrum(store_root, kernel_backend):
+def _process_spectrum(store_root):
     return _spectrum(backend="process", num_workers=2,
-                     energy_batch_size=2, result_store=store_root,
-                     kernel_backend=kernel_backend)
+                     energy_batch_size=2, result_store=store_root)
 
 
-class TestProcessBackendPrecisionIsolation:
-    """Store round-trip under ``backend="process"`` with
-    ``kernel_backend="mixed"``: workers publish concurrently, the warm
-    mixed re-run is bitwise-identical to the cold mixed run, and
-    backend-identity keys prevent any cross-precision hit."""
+def _hex(spectrum):
+    return [t.hex() for t in spectrum.transmission.ravel()]
 
-    def test_mixed_warm_bitwise_and_no_cross_precision_hits(
-            self, tmp_path):
+
+class TestProcessBackendStore:
+    """Store round-trip under ``backend="process"``: workers publish
+    concurrently, and the warm re-run is bitwise the cold run."""
+
+    def test_warm_rerun_is_bitwise(self, tmp_path):
         store_root = tmp_path / "store"
-        cold = _process_spectrum(store_root, "mixed")
+        cold = _process_spectrum(store_root)
+        assert _hex(cold) == _hex(_spectrum())
         store = ResultStore(store_root)
         assert store.stats()["objects"] == len(ENERGIES)
 
         tracer = SpanTracer()
         with tracing(tracer):
-            warm = _process_spectrum(store_root, "mixed")
-        assert np.array_equal(cold.transmission, warm.transmission)
+            warm = _process_spectrum(store_root)
+        assert _hex(warm) == _hex(cold)
         _assert_bitwise_results(warm.results, cold.results)
         probes = [sp for sp in tracer.records()
                   if sp.name == "result-store-probe"]
         assert probes[0].attrs["hits"] == len(ENERGIES)
-
-        # the same store probed under the reference backend must miss
-        # everything: mixed records can never satisfy a double-precision
-        # request (and the re-run doubles the object count)
-        tracer2 = SpanTracer()
-        with tracing(tracer2):
-            refrun = _process_spectrum(store_root, None)
-        probes2 = [sp for sp in tracer2.records()
-                   if sp.name == "result-store-probe"]
-        assert probes2[0].attrs["hits"] == 0
-        assert probes2[0].attrs["misses"] == len(ENERGIES)
-        assert store.stats()["objects"] == 2 * len(ENERGIES)
-        # and the reference spectrum round-trips bitwise on its own keys
-        tracer3 = SpanTracer()
-        with tracing(tracer3):
-            refwarm = _process_spectrum(store_root, None)
-        assert np.array_equal(refrun.transmission, refwarm.transmission)
-        probes3 = [sp for sp in tracer3.records()
-                   if sp.name == "result-store-probe"]
-        assert probes3[0].attrs["hits"] == len(ENERGIES)
 
 
 class TestInRunCacheCounters:
