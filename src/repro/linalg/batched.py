@@ -35,7 +35,7 @@ import scipy.linalg as sla
 from repro.linalg import flops as _fl
 from repro.linalg.backend import current_backend
 from repro.linalg.blocktridiag import (BlockTridiagonalMatrix,
-                                       energy_scalars)
+                                       energy_scalars, scaled_sum)
 from repro.linalg.kernels import _is_complex, _record
 from repro.utils.errors import ShapeError, SingularMatrixError
 
@@ -262,11 +262,11 @@ def build_a_batch(h: BlockTridiagonalMatrix, s: BlockTridiagonalMatrix,
     e = energy_scalars(list(energies), h, s).reshape(-1, 1, 1)
     if e.size == 0:
         raise ShapeError("build_a_batch: need at least one energy")
-    diag = [e * sb[None] + (-1.0) * hb[None]
+    diag = [scaled_sum(e, sb[None], -1.0, hb[None])
             for sb, hb in zip(s.diag, h.diag)]
-    upper = [e * sb[None] + (-1.0) * hb[None]
+    upper = [scaled_sum(e, sb[None], -1.0, hb[None])
              for sb, hb in zip(s.upper, h.upper)]
-    lower = [e * sb[None] + (-1.0) * hb[None]
+    lower = [scaled_sum(e, sb[None], -1.0, hb[None])
              for sb, hb in zip(s.lower, h.lower)]
     return BatchedBlockTridiag(diag, upper, lower,
                                energies=np.real(e).reshape(-1),

@@ -55,6 +55,20 @@ def energy_scalars(energies, h: "BlockTridiagonalMatrix",
     return e.real
 
 
+def scaled_sum(alpha, a: np.ndarray, beta, b: np.ndarray) -> np.ndarray:
+    """``alpha*a + beta*b`` through one temporary, not two: ``alpha*a``
+    (in its operands' dtype, cast only when ``b`` widens the result),
+    then ``beta = -1`` - ``A(E) = E*S - H`` - subtracts ``b`` in place:
+    bitwise ``+ (-1.0)*b`` on real operands, equal up to the sign of a
+    zero on complex ones."""
+    out = np.asarray(alpha * a, dtype=np.result_type(alpha, a, beta, b))
+    if beta == -1:
+        out -= b
+    else:
+        out += beta * b
+    return out
+
+
 def block_support(*blocks) -> tuple:
     """``(rows, cols)``: sorted indices of the rows and columns in which
     any of the same-shaped ``blocks`` has a non-zero entry."""
@@ -386,9 +400,12 @@ class BlockTridiagonalMatrix:
         """
         if other.block_sizes != self.block_sizes:
             raise ShapeError("scale_add: incompatible block structure")
-        diag = [alpha * a + beta * b for a, b in zip(self.diag, other.diag)]
-        upper = [alpha * a + beta * b for a, b in zip(self.upper, other.upper)]
-        lower = [alpha * a + beta * b for a, b in zip(self.lower, other.lower)]
+        diag = [scaled_sum(alpha, a, beta, b)
+                for a, b in zip(self.diag, other.diag)]
+        upper = [scaled_sum(alpha, a, beta, b)
+                 for a, b in zip(self.upper, other.upper)]
+        lower = [scaled_sum(alpha, a, beta, b)
+                 for a, b in zip(self.lower, other.lower)]
         return BlockTridiagonalMatrix(diag, upper, lower,
                                       structure=structure)
 

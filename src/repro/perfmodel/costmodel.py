@@ -41,20 +41,22 @@ def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
     (:meth:`repro.linalg.CouplingSupport.widths`) and ``boundary_widths
     = (first, last)`` the number of rows of the first / last block the
     boundary can touch (``SplitSolve(boundary_support=...)``); the
-    defaults, the block size throughout, are the paper's dense
-    Algorithm 1.
+    defaults, the block size throughout, price dense blocks (the
+    paper's Titan projections).
 
-    * Algorithm 1, per partition of nb blocks and per sweep: nb-1 block
-      solves for X_i on the non-zero columns of its right-hand side,
-      nb-1 Schur updates on the ``rows x cols`` they touch, the wanted
-      columns of the boundary block's inverse - the boundary width on
-      the device's outer sides, the row width of the coupling block on
-      a cut between partitions - and nb-1 Q-accumulation gemms of that
-      width;
+    * Algorithm 1, per partition of nb blocks, one sweep: nb Schur
+      solves, each for X_i on the non-zero columns of A[i, i+1] (the
+      last block's wanted identity columns instead) next to the forward
+      first column z_i; nb-1 gemms that give the Schur update on the
+      ``rows x cols`` it touches and the forward rhs together; and nb-1
+      back-substitution gemms as wide as both columns.  A column's width
+      is the boundary width on the device's outer sides, the row width
+      of the coupling block on a cut between partitions;
     * SPIKE, per merge: the corner algebra (10 gemms on the coupling
-      sub-blocks, two corner solves as wide as the merged partition's
-      first / last column set) and one fused update gemm per block row,
-      contracted over the boundary coupling's rows;
+      sub-blocks, two corner solves on the coupling's column support,
+      as wide as the merged partition's first / last column set) and
+      one fused update gemm per block row, contracted over the boundary
+      coupling's rows;
     * postprocessing on the w = first + last support rows: corner gemms,
       the (w x w) R solve, and one (s x w)(w x m) gemm per block row.
       Next to the Q of a real A the complex operand of a product enters
@@ -77,16 +79,14 @@ def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
              for p in range(num_partitions)]
     parts[0][1], parts[-1][2] = wf, wl
     for nb, first, last in parts:
-        # first column (downward sweep): X_i = D_i^{-1} A[i, i-1]
-        yield nb - 1, "gemm", (ru, cl, cu)
-        yield nb - 1, "schur_solve", (s, cl)
-        yield 1, "schur_solve", (s, first)
-        yield nb - 1, "gemm", (s, first, cl)
-        # last column (upward sweep): X_i = D_i^{-1} A[i, i+1]
-        yield nb - 1, "gemm", (rl, cu, cl)
-        yield nb - 1, "schur_solve", (s, cu)
-        yield 1, "schur_solve", (s, last)
-        yield nb - 1, "gemm", (s, last, cu)
+        # forward: D_i [X_i | z_i], X_i = D_i^{-1} A[i, i+1] (the last
+        # block's identity columns instead), after one gemm for the
+        # Schur update and the forward rhs together
+        yield nb - 1, "gemm", (rl, cu + first, cl)
+        yield nb - 1, "schur_solve", (s, cu + first)
+        yield 1, "schur_solve", (s, last + first)
+        # back: X_i [Q_last | Q_first]_{i+1}
+        yield nb - 1, "gemm", (s, last + first, cu)
 
     # --- SPIKE merges: log2(p) levels ---
     while len(parts) > 1:
@@ -98,8 +98,8 @@ def splitsolve_kernels(num_blocks: int, block_size: int, num_rhs: int,
                                               (rl, cl, ru, cu, last)):
                 yield 1, "gemm", (c_a, c_b, r_b)
                 yield 1, "gemm", (r_a, c_b, c_a)
-                yield 1, "gemm", (s, c_b, r_a)
-                yield 1, "solve", (s, width)
+                yield 1, "gemm", (c_b, c_b, r_a)
+                yield 1, "solve", (c_b, width)
                 yield 1, "gemm", (r_a, width, c_b)
                 yield 1, "gemm", (r_b, width, c_b)
             yield nb_top, "gemm", (s, first + last, ru)

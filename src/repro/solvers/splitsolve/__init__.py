@@ -11,9 +11,10 @@ The algorithm rests on three ideas:
    values of Sigma^RB, so it runs on the GPUs *while* FEAST computes
    the OBCs on the CPUs.
 
-2. **Algorithm 1**: block-column inversion by two independent sweeps
-   (first column downward, last column upward — "naturally scale to two
-   accelerators").
+2. **Algorithm 1**: block-column inversion of each partition.  The
+   paper runs the first and the last column as two mirror-image sweeps
+   on a pair of accelerators; here one block-Thomas sweep gives both,
+   factoring each Schur block once.
 
 3. **SPIKE merging**: for p > 2 accelerators the matrix is split into
    horizontal partitions, each inverted locally, then merged pairwise and
@@ -25,12 +26,12 @@ block.
 """
 
 from repro.solvers.splitsolve.driver import SplitSolve
-from repro.solvers.splitsolve.algorithm1 import block_column_inverse
+from repro.solvers.splitsolve.algorithm1 import boundary_columns
 from repro.solvers.splitsolve.spike import PartitionColumns, merge_partitions
 
 __all__ = [
     "SplitSolve",
-    "block_column_inverse",
+    "boundary_columns",
     "PartitionColumns",
     "merge_partitions",
 ]

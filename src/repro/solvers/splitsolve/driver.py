@@ -4,9 +4,10 @@ Workflow (Fig. 6):
 
 * ``preprocess()`` — Step 1: Q = A^{-1} B.  The matrix is cut into
   ``num_partitions`` horizontal partitions (a power of two); each runs
-  Algorithm 1 for its local first and last inverse columns on its pair of
-  simulated accelerators (phases P1-P4), then partitions are merged
-  recursively with SPIKE (log2 p steps).  This step is independent of the
+  Algorithm 1, one sweep for both its local first and last inverse
+  columns, with its rows held in turn by its pair of simulated
+  accelerators (phases P1-P4), then partitions are merged recursively
+  with SPIKE (log2 p steps).  This step is independent of the
   boundary *values* — the decoupling that lets the paper overlap it with
   FEAST on the CPUs.  B only has to span the rows the boundary can touch:
   it is the unit columns of the *boundary support* ``(rows_first,
@@ -34,7 +35,7 @@ import numpy as np
 
 from repro.linalg import BlockTridiagonalMatrix, gemm, solve, working_dtype
 from repro.linalg.flops import current_ledger, device_scope, ledger_scope
-from repro.solvers.splitsolve.algorithm1 import block_column_inverse
+from repro.solvers.splitsolve.algorithm1 import boundary_columns
 from repro.solvers.splitsolve.spike import PartitionColumns, merge_partitions
 from repro.utils.errors import ConfigurationError, ShapeError
 from repro.utils.timing import StageTimer
@@ -105,18 +106,19 @@ class SplitSolve:
         A = E S - H (no boundary self-energy).
     num_partitions : int
         Horizontal partitions (power of two).  The simulated accelerator
-        count is ``2 * num_partitions`` (each partition pairs one device
-        for the first-column sweep and one for the last-column sweep),
-        matching the paper's "p/2 partitions on p accelerators".
+        count is ``2 * num_partitions`` (a partition's block rows
+        alternate over its pair of devices), matching the paper's "p/2
+        partitions on p accelerators".
     hermitian : bool | None
         Use the Hermitian Schur factorization path (the paper's
         zhesv_nopiv_gpu optimization).  ``None`` = ask
         ``a.is_hermitian()``: decided once for all the A(E) of a device
         cache, autodetected from the blocks of a matrix built elsewhere.
     parallel : bool
-        Run partition sweeps/merges on a thread pool (NumPy releases the
-        GIL, so this gives genuine multi-core speedups standing in for
-        multi-GPU execution).
+        Run partition sweeps/merges on a thread pool, one worker per
+        partition (NumPy releases the GIL, so this gives genuine
+        multi-core speedups standing in for multi-GPU execution); one
+        partition needs no pool.
     boundary_support : (rows_first, rows_last), optional
         Sorted row indices into the first and the last diagonal block
         outside which ``sigma_l`` / ``b_top`` and ``sigma_r`` /
@@ -172,24 +174,18 @@ class SplitSolve:
             first_cols = rows_first if lo == 0 else support.lower[lo - 1][0]
             last_cols = rows_last if hi == a.num_blocks \
                 else support.upper[hi - 1][0]
-            dev_f, dev_l = f"gpu{2 * p}", f"gpu{2 * p + 1}"
+            # its pair of simulated accelerators holds the rows in turn
+            devices = [f"gpu{2 * p + i % 2}" for i in range(hi - lo)]
             with ledger_scope(ledger):
-                with device_scope(dev_f):
-                    vf = block_column_inverse(local, "first",
-                                              hermitian=self.hermitian,
-                                              tag="P1", columns=first_cols)
-                with device_scope(dev_l):
-                    vl = block_column_inverse(local, "last",
-                                              hermitian=self.hermitian,
-                                              tag="P2", columns=last_cols)
-            devices = [dev_f if i % 2 == 0 else dev_l
-                       for i in range(local.num_blocks)]
-            return PartitionColumns(first=vf, last=vl, devices=devices,
+                first, last = boundary_columns(
+                    local, first_cols, last_cols, hermitian=self.hermitian,
+                    devices=devices)
+            return PartitionColumns(first=first, last=last, devices=devices,
                                     first_cols=first_cols,
                                     last_cols=last_cols).validate()
 
-        pool = ThreadPoolExecutor(max_workers=self.num_devices) \
-            if self.parallel else None
+        pool = ThreadPoolExecutor(max_workers=self.num_partitions) \
+            if self.parallel and self.num_partitions > 1 else None
         try:
             with self.timer.stage("P1-P4 local inversion"):
                 if pool is not None:

@@ -84,7 +84,11 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
     then x_P = V^f_P + V^l_P (Bc V^f_S[0] Cc xi) and
     x_S = -V^f_S (Cc xi); the merged last column is the mirror image.
     The corner solves are tiny; the V-updates are one thin gemm per block
-    row and constitute the spike cost.
+    row and constitute the spike cost.  Only xi's rows cols(Cc) are ever
+    read, and the corner matrix differs from 1 only in those columns, so
+    with them ordered first it is block-triangular: xi[cols(Cc)] solves
+    the |cols(Cc)|-square system cut to those rows and columns, which is
+    the one solved (the last column's zeta likewise on cols(Bc)).
 
     Bc and Cc enter as their non-zero sub-blocks: a product with a
     coupling block on the left has its row support, one with it on the
@@ -121,20 +125,20 @@ def merge_partitions(top: PartitionColumns, bottom: PartitionColumns,
         # --- merged FIRST column ---
         # Bc V^f_S[0] Cc on rows(Bc) x cols(Cc)
         bvc = gemm(bc, gemm(vsf_first[cb], cc, tag=tag), tag=tag)
-        lhs = np.eye(vpf_last.shape[0], dtype=dtype, order="F")
-        lhs[:, cl] -= gemm(vpl_last, bvc, tag=tag)
-        xi = solve(lhs, vpf_last, tag=tag,
-                   overwrite_a=True)[cl]            # the rows Cc meets
+        lhs = np.eye(cl.size, dtype=dtype, order="F")
+        lhs -= gemm(vpl_last[cl], bvc, tag=tag)
+        xi = solve(lhs, vpf_last[cl], tag=tag,
+                   overwrite_a=True)                # the rows Cc meets
         w_first = gemm(bvc, xi, tag=tag)            # update weight for top
         cc_xi = gemm(cc, xi, tag=tag)               # weight for bottom
 
         # --- merged LAST column ---
         # Cc V^l_P[-1] Bc on rows(Cc) x cols(Bc)
         cvb = gemm(cc, gemm(vpl_last[cl], bc, tag=tag), tag=tag)
-        lhs2 = np.eye(vsf_first.shape[0], dtype=dtype, order="F")
-        lhs2[:, cb] -= gemm(vsf_first, cvb, tag=tag)
-        zeta = solve(lhs2, vsl_first, tag=tag,
-                     overwrite_a=True)[cb]          # the rows Bc meets
+        lhs2 = np.eye(cb.size, dtype=dtype, order="F")
+        lhs2 -= gemm(vsf_first[cb], cvb, tag=tag)
+        zeta = solve(lhs2, vsl_first[cb], tag=tag,
+                     overwrite_a=True)              # the rows Bc meets
         w_last = gemm(cvb, zeta, tag=tag)           # update weight, bottom
         bc_zeta = gemm(bc, zeta, tag=tag)           # weight for top
 

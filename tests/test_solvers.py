@@ -20,8 +20,9 @@ from repro.solvers import (
     solve_direct,
     solve_rgf,
 )
-from repro.solvers.splitsolve import block_column_inverse
+from repro.solvers.splitsolve import boundary_columns
 from repro.utils.errors import ConfigurationError, ShapeError
+from tests.helpers import make_confined_btd
 from tests.test_blocktridiag import make_btd
 
 
@@ -166,11 +167,25 @@ class TestBcr:
                                    atol=1e-8)
 
 
+def _draw_support(draw, m, n):
+    """Sorted ``(rows, cols)`` of an m x n coupling block: dense, empty,
+    or a random subset of each."""
+    kind = draw(st.sampled_from(["dense", "empty", "subset"]))
+    if kind == "dense":
+        return list(range(m)), list(range(n))
+    if kind == "empty":
+        return [], []
+    return tuple(sorted(draw(st.sets(st.integers(0, size - 1), min_size=1,
+                                     max_size=size)))
+                 for size in (m, n))
+
+
 class TestAlgorithm1:
     @pytest.mark.parametrize("which", ["first", "last"])
     def test_block_column_matches_dense(self, which):
         a, *_ = make_system(nb=6, bs=3, seed=30)
-        q = block_column_inverse(a, which)
+        first, last = boundary_columns(a)
+        q = first if which == "first" else last
         inv = np.linalg.inv(a.to_dense())
         offs = a.block_offsets()
         col = slice(0, 3) if which == "first" else slice(offs[-2], offs[-1])
@@ -181,19 +196,67 @@ class TestAlgorithm1:
     def test_hermitian_path(self):
         a, *_ = make_system(nb=5, bs=3, seed=31, hermitian=True)
         assert a.hermitian_error() < 1e-10
-        q = block_column_inverse(a, "first", hermitian=True)
+        first, last = boundary_columns(a, hermitian=True)
         inv = np.linalg.inv(a.to_dense())
-        np.testing.assert_allclose(q[0], inv[:3, :3], atol=1e-8)
+        np.testing.assert_allclose(first[0], inv[:3, :3], atol=1e-8)
+        np.testing.assert_allclose(last[0], inv[:3, -3:], atol=1e-8)
 
     def test_single_block(self):
         a = BlockTridiagonalMatrix([np.eye(3) * 2.0], [], [])
-        q = block_column_inverse(a, "first")
-        np.testing.assert_allclose(q[0], np.eye(3) / 2.0)
+        first, last = boundary_columns(a, [0, 2], [1])
+        np.testing.assert_allclose(first[0], np.eye(3)[:, [0, 2]] / 2.0)
+        np.testing.assert_allclose(last[0], np.eye(3)[:, [1]] / 2.0)
 
-    def test_bad_which(self):
-        a, *_ = make_system()
-        with pytest.raises(ShapeError):
-            block_column_inverse(a, "middle")
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_both_columns_match_dense_inverse(self, data):
+        """Both returned columns are the dense inverse's, on ragged
+        blocks, any coupling supports (empty ones included), any column
+        subsets, real or complex, Hermitian path or not."""
+        draw = data.draw
+        sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+        cplx, hermitian = draw(st.booleans()), draw(st.booleans())
+        ups = [_draw_support(draw, m, n) for m, n in zip(sizes, sizes[1:])]
+        if hermitian:
+            a = make_confined_btd(sizes, [(u, u[::-1]) for u in ups],
+                                  seed=len(sizes), cplx=cplx)
+            a = BlockTridiagonalMatrix([d + d.conj().T for d in a.diag],
+                                       a.upper,
+                                       [u.conj().T for u in a.upper])
+        else:
+            lows = [_draw_support(draw, n, m)
+                    for m, n in zip(sizes, sizes[1:])]
+            a = make_confined_btd(sizes, list(zip(ups, lows)),
+                                  seed=len(sizes), cplx=cplx)
+        first_cols, last_cols = (
+            np.array(sorted(draw(st.sets(st.integers(0, size - 1),
+                                         max_size=size))), dtype=np.intp)
+            for size in (sizes[0], sizes[-1]))
+        first, last = boundary_columns(a, first_cols, last_cols,
+                                       hermitian=hermitian)
+        inv = np.linalg.inv(a.to_dense())
+        offs = a.block_offsets()
+        for i in range(len(sizes)):
+            rows = inv[offs[i]:offs[i + 1]]
+            np.testing.assert_allclose(first[i], rows[:, first_cols],
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(
+                last[i], rows[:, offs[-2] + last_cols], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("parts", [1, 2, 4])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_one_schur_factorization_per_block(self, parts, hermitian):
+        """Step 1 of a solve factors each Schur block exactly once."""
+        a, sl, sr, bt, bb = make_system(nb=8, bs=3, seed=33,
+                                        hermitian=hermitian)
+        with ledger_scope(trace=True) as led:
+            SplitSolve(a, parts, hermitian=hermitian,
+                       parallel=False).solve(sl, sr, bt, bb)
+        schur = [ev for ev in led.events if ev.tag == "P1"
+                 and ev.kernel in ("zgesv", "dgesv", "zhesv", "dsysv")]
+        assert len(schur) == a.num_blocks
+        assert {ev.kernel for ev in schur} == {
+            "zhesv" if hermitian else "zgesv"}
 
 
 class TestSplitSolve:
