@@ -6,8 +6,8 @@ Layout (one directory tree per store root)::
 
 Records follow the :class:`~repro.runtime.checkpoint.CheckpointStore`
 idiom: pickle-free ``.npz`` payloads written to a unique temp file and
-published with an atomic ``os.replace``, so concurrent writers (spawned
-worker processes publishing the same key) can never expose a torn file —
+published with an atomic ``os.replace``, so concurrent writers (worker
+processes publishing the same key) can never expose a torn file —
 the last rename wins and every version is identical by construction
 (content-addressed keys).  Each record carries a versioned ``__meta__``
 header with a sha256 checksum of the canonical payload bytes, verified
@@ -153,7 +153,7 @@ class ResultStore:
         Atomic and idempotent: content-addressed keys mean every writer
         of a key writes identical bytes, so skipping an existing object
         is safe and the tmp-then-rename makes concurrent publishes from
-        spawned workers race-free.
+        worker processes race-free.
         """
         path = self._object_path(key)
         if os.path.exists(path):

@@ -157,9 +157,9 @@ def _solve_unit(spec: SpectrumUnitSpec):
     Module-level (pickled by reference) and self-contained: rebuilds the
     k-point's device on first use, memoized per process in
     :data:`_WORKER_CACHE` (bounded FIFO — workers of a long energy
-    sweep hold a handful of k-point devices, not all of them).  Which
-    boundaries a worker already holds depends on the units it happened
-    to get; the results do not (a memo hit is bitwise the solve).
+    sweep hold a handful of k-point devices, not all of them).  A worker
+    meets the same units in every call, so its memo holds what they ask
+    for; the results do not depend on it (a hit is bitwise the solve).
     """
     key = (spec.family_token or spec.run_token, spec.kpoint_index)
     tracer = current_tracer()
@@ -423,9 +423,10 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             else:
                 out = out_by_ui[ui]
             fresh = dict(zip(miss_by_ui[ui], out))
-            if rstore is not None:          # idempotent
+            if rstore is not None:   # skip what a worker published
                 for ie, res in fresh.items():
-                    rstore.put(unit_keys[ui][ie], pack_result(res))
+                    if not rstore.contains(unit_keys[ui][ie]):
+                        rstore.put(unit_keys[ui][ie], pack_result(res))
             # fresh solves and stored hits, back in unit order
             merged = [fresh[ie] if ie in fresh
                       else unpack_result(unit_hits[ui][ie])

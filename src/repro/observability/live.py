@@ -12,8 +12,8 @@ explain a run after it finishes.  This module adds the streaming side:
   ``SpanTracer.publisher``.  It stamps every event with the stream
   schema version, a per-publisher monotonic sequence number, the
   worker/node name, a wall-clock timestamp, and the producing PID, then
-  hands it to a sink (the bus directly for threads; a multiprocessing
-  heartbeat queue for spawned workers).
+  hands it to a sink (the bus directly for threads; the task pipe of a
+  worker process).
 * :class:`LiveAggregator` — folds the interleaved worker streams into a
   consistent rolling view: per-node task latencies and EMA rates,
   the cumulative stage table (each closed stage span through
@@ -119,8 +119,8 @@ class BusPublisher:
     The sequence number is monotonic *per publisher*, which is per
     (process, attach) — enough for consumers to detect reordering or
     loss within one worker's stream.  ``sink`` is any callable taking
-    the event dict: ``TelemetryBus.publish`` in-process, or
-    ``Queue.put`` across the process heartbeat pipe.
+    the event dict: ``TelemetryBus.publish`` in-process, or a send up
+    a worker process's task pipe.
     """
 
     def __init__(self, sink, worker: str = "node0", clock=time.time):

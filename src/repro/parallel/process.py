@@ -10,30 +10,82 @@ ledger, metrics, and span tree are merged back into the parent — so a
 multi-process run produces the *same* observability artifacts as a
 threaded one, with per-node attribution intact.
 
-Task ``i`` of a batch is labelled ``node{i % num_workers}``, the rule
-the thread runner uses.  The label is a logical scheduling slot, not a
-process identity: the pool hands each submitted task to whichever
-worker process is free.
+Task ``i`` of a batch runs on worker process ``i % num_workers``, and is
+labelled ``node{i % num_workers}`` as the thread runner labels it: the
+label is the process, which meets the same units, and keeps their
+boundaries, in every SCF iteration.  Each worker has one duplex pipe,
+carrying one task in flight and the live events it publishes.
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
+import os
+import pickle
+import sys
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+import traceback
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 
 from repro.linalg.flops import current_ledger
-from repro.observability.spans import current_tracer
-from repro.parallel.serialization import (_init_worker_heartbeat,
+from repro.observability.spans import current_tracer, install_tracer
+from repro.parallel.serialization import (WorkerFailure,
+                                          _init_worker_heartbeat,
                                           descriptor_of,
                                           execute_descriptor)
 from repro.runtime.resilience import RunTelemetry
 from repro.utils.errors import ConfigurationError, TaskExecutionError
 
-#: ``multiprocessing`` start method of the worker pool (safe with a
-#: threaded parent)
-_START_METHOD = "spawn"
+
+def _start_method() -> str:
+    """``fork`` on Linux from a one-thread parent (a forked threaded
+    process can deadlock), else ``spawn``.  Threads are counted as the
+    kernel and Python 3.12's fork warning count them: BLAS pools too."""
+    if sys.platform.startswith("linux") \
+            and len(os.listdir("/proc/self/task")) == 1:
+        return "fork"
+    return "spawn"
+
+
+def _serve(conn, live: bool, inherited) -> None:
+    """Worker body: answer each task from ``conn`` with its
+    :class:`WorkerTaskResult` (a bare :class:`WorkerFailure` when it
+    cannot cross) until the parent hangs up.  A fork first drops what it
+    inherited: the other pipe ends, the device cache, the tracer."""
+    for other in inherited:
+        other.close()
+    runner = sys.modules.get("repro.core.runner")
+    if runner is not None:
+        runner._WORKER_CACHE.clear()
+    install_tracer(None)
+    lock = threading.Lock()   # a task's own threads publish events too
+
+    def send(obj):
+        with lock:
+            conn.send(obj)
+
+    _init_worker_heartbeat(send if live else None)
+    while True:
+        try:
+            data = conn.recv_bytes()
+        except EOFError:
+            return
+        if not data:                 # the parent's hang-up message
+            return
+        try:
+            send(execute_descriptor(*pickle.loads(data)))
+        except Exception as exc:     # an import or a pickle failed here
+            send(WorkerFailure(exc_type=type(exc).__name__,
+                               message=str(exc),
+                               traceback_text=traceback.format_exc()))
+
+
+def _unshippable(idx: int, exc_type: str, message) -> TaskExecutionError:
+    return TaskExecutionError(
+        f"task {idx} could not be executed remotely ({exc_type}: "
+        f"{message}); process-backend tasks must carry a picklable "
+        f"TaskDescriptor or be module-level callables",
+        task_index=idx, node="")
 
 
 class ProcessTaskRunner:
@@ -50,12 +102,13 @@ class ProcessTaskRunner:
 
     Notes
     -----
-    The worker pool is created lazily on first use and kept alive across
-    calls (an SCF loop dispatches hundreds of batches); call
-    :meth:`close` — or use the runner as a context manager — to release
-    the processes.  Results are bit-identical to the thread/serial
-    backends because descriptors re-execute the same deterministic
-    pipeline code on bitwise-identical inputs.
+    The workers are started on first use and kept alive across calls (an
+    SCF loop dispatches hundreds of batches); call :meth:`close` — or use
+    the runner as a context manager — to release the processes.  A call
+    in which a worker died closes them all; the next call starts afresh.
+    Results are bit-identical to the thread/serial backends because
+    descriptors re-execute the same deterministic pipeline code on
+    bitwise-identical inputs.
     """
 
     def __init__(self, num_workers: int, fault_injector=None):
@@ -67,68 +120,51 @@ class ProcessTaskRunner:
         #: merged per-worker telemetry (RunTelemetry view; the parent's
         #: ``compute_spectrum`` also folds task traces into it)
         self.telemetry = RunTelemetry()
-        self._pool = None
-        self._heartbeat_queue = None
-        self._heartbeat_thread = None
-        self._heartbeat_stop = None
+        #: ``"fork"`` or ``"spawn"`` while the workers are up
+        self.start_method = None
+        self._conns: list = []
+        self._procs: list = []
+        self._heartbeat_sink = None
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            ctx = get_context(_START_METHOD)
-            initializer, initargs = None, ()
-            tracer = current_tracer()
-            if tracer is not None and tracer.publisher is not None:
-                # Live telemetry is on: give every spawned worker the
-                # heartbeat queue (shareable only via the pool
-                # initializer — spawn-time inheritance, not submit
-                # args) and forward its events onto the parent's bus.
-                self._heartbeat_queue = ctx.Queue()
-                initializer = _init_worker_heartbeat
-                initargs = (self._heartbeat_queue,)
-                self._start_heartbeat_drain(tracer.publisher.sink)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.num_workers, mp_context=ctx,
-                initializer=initializer, initargs=initargs)
-        return self._pool
-
-    def _start_heartbeat_drain(self, sink) -> None:
-        """Daemon thread pumping worker heartbeat events to ``sink``
-        (the telemetry bus) — events arrive pre-stamped by the worker's
-        publisher, so they are forwarded verbatim, never re-stamped."""
-        self._heartbeat_stop = threading.Event()
-        hb_queue, stop = self._heartbeat_queue, self._heartbeat_stop
-
-        def _drain():
-            while True:
-                try:
-                    event = hb_queue.get(timeout=0.05)
-                except (queue_mod.Empty, OSError, EOFError):
-                    if stop.is_set():
-                        return
-                    continue
-                if event is None:
-                    return
-                sink(event)
-
-        self._heartbeat_thread = threading.Thread(
-            target=_drain, name="repro-heartbeat-drain", daemon=True)
-        self._heartbeat_thread.start()
+    def _ensure_workers(self) -> None:
+        """Start all workers together, before any thread of ours."""
+        if self._procs:
+            return
+        self.start_method = _start_method()
+        ctx = get_context(self.start_method)
+        tracer = current_tracer()
+        publisher = tracer.publisher if tracer is not None else None
+        self._heartbeat_sink = getattr(publisher, "sink", None)
+        pipes = [ctx.Pipe() for _ in range(self.num_workers)]
+        ends = [end for pipe in pipes for end in pipe]
+        for w, (_, child) in enumerate(pipes):
+            inherited = [end for end in ends if end is not child] \
+                if self.start_method == "fork" else []
+            proc = ctx.Process(target=_serve, name=f"repro-node{w}",
+                               args=(child, publisher is not None,
+                                     inherited), daemon=True)
+            proc.start()
+            self._procs.append(proc)
+        for parent, child in pipes:
+            child.close()
+            self._conns.append(parent)
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if self._heartbeat_thread is not None:
-            self._heartbeat_stop.set()
-            self._heartbeat_thread.join(timeout=5.0)
-            self._heartbeat_thread = None
-            self._heartbeat_stop = None
-        if self._heartbeat_queue is not None:
-            self._heartbeat_queue.close()
-            self._heartbeat_queue = None
+        """Hang up on the workers and reap them (idempotent)."""
+        for conn in self._conns:
+            try:   # heard even where another fork holds this end too
+                conn.send_bytes(b"")
+            except OSError:
+                pass                 # that worker is gone already
+            conn.close()
+        for proc in self._procs:
+            proc.join(timeout=5.0)
+            if proc.is_alive():      # still inside a task: stop it
+                proc.terminate()
+                proc.join()
+        self._conns, self._procs, self.start_method = [], [], None
 
     def __enter__(self) -> "ProcessTaskRunner":
         return self
@@ -148,91 +184,118 @@ class ProcessTaskRunner:
         tasks = list(tasks)
         parent_ledger = current_ledger()
         tracer = current_tracer()
-        traced = tracer is not None
-        times = [None] * len(tasks)
+        times = self.task_times = [None] * len(tasks)
         results = [None] * len(tasks)
         self.telemetry.record_submitted(len(tasks))
-        pool = self._ensure_pool()
-        futures = []
-        failure = None
-        try:
-            for idx, task in enumerate(tasks):
-                node = f"node{idx % self.num_workers}"
-                if self.fault_injector is not None:
-                    try:
-                        delay = self.fault_injector.inject(idx, 0, node)
-                    except Exception as exc:
-                        failure = TaskExecutionError(
-                            f"task {idx} failed on {node}: {exc}",
-                            task_index=idx, node=node)
-                        failure.__cause__ = exc
-                        break
-                    if delay > 0.0 and traced:
-                        tracer.instant(
-                            "straggler-delay", category="fault",
-                            worker=node,
-                            attrs={"task_index": idx,
-                                   "delay_s": float(delay),
-                                   "slept": bool(self.fault_injector
-                                                 .profile.real_sleep)})
-                self.telemetry.record_attempt(retry=False)
-                futures.append(pool.submit(
-                    execute_descriptor, idx, node, traced,
-                    descriptor_of(task)))
-            if failure is None:
-                failure = self._collect(futures, times, results,
-                                        parent_ledger, tracer)
-        finally:
-            for f in futures:
-                f.cancel()
-            self.task_times = times
-        if failure is not None:
-            raise failure
+        # the batch's injected faults, in task order, before any dispatch
+        for idx in range(len(tasks)):
+            node = f"node{idx % self.num_workers}"
+            if self.fault_injector is not None:
+                try:
+                    delay = self.fault_injector.inject(idx, 0, node)
+                except Exception as exc:
+                    raise TaskExecutionError(
+                        f"task {idx} failed on {node}: {exc}",
+                        task_index=idx, node=node) from exc
+                if delay > 0.0 and tracer is not None:
+                    tracer.instant(
+                        "straggler-delay", category="fault", worker=node,
+                        attrs={"task_index": idx, "delay_s": float(delay),
+                               "slept": bool(self.fault_injector
+                                             .profile.real_sleep)})
+            self.telemetry.record_attempt(retry=False)
+        failures = self._run(tasks, times, results, parent_ledger, tracer) \
+            if tasks else {}
+        if failures:
+            raise failures[min(failures)]
         return results
 
-    def _collect(self, futures, times, results, parent_ledger, tracer):
-        """Drain futures, merging telemetry; returns the first failure.
+    def _run(self, tasks, times, results, parent_ledger, tracer) -> dict:
+        """Feed worker ``w`` the tasks ``w, w + n, ...``, one in flight
+        each, merging every reply; returns ``{task index: failure}``.
 
-        Worker-side task exceptions come back as data
-        (:class:`WorkerFailure`), so every finished task's ledger and
-        spans are merged *before* the abort decision — the wasted work
-        of a failing batch is still accounted.  Future-level exceptions
-        (unpicklable descriptor, dead worker) abort via
-        ``FIRST_EXCEPTION`` without waiting for the rest.
+        Task exceptions come back as data, so every task runs and is
+        merged before the abort decision: the wasted work of a failing
+        batch is accounted.  A task that cannot be shipped, or a worker
+        that dies (a sentinel fires), stops the dispatch; the tasks in
+        flight are waited for.
         """
-        done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-        failure = None
-        for idx, future in enumerate(futures):
-            if future not in done:
-                continue
-            infra = future.exception()
-            if infra is not None:
-                if failure is None:
-                    failure = TaskExecutionError(
-                        f"task {idx} could not be executed remotely "
-                        f"({type(infra).__name__}: {infra}); "
-                        f"process-backend tasks must carry a picklable "
-                        f"TaskDescriptor or be module-level callables",
-                        task_index=idx, node="")
-                    failure.__cause__ = infra
-                continue
-            wr = future.result()
-            times[idx] = wr.elapsed_s
-            self._merge_worker_result(wr, parent_ledger, tracer)
-            if wr.error is not None:
-                if failure is None:
-                    failure = TaskExecutionError(
-                        f"task {idx} failed on {wr.node}: "
-                        f"{wr.error.exc_type}: {wr.error.message}\n"
-                        f"{wr.error.traceback_text}",
-                        task_index=idx, node=wr.node)
-                continue
-            results[idx] = wr.value
-        if failure is None and not_done:
-            failure = TaskExecutionError(
-                "process pool aborted before all tasks completed",
-                task_index=-1, node="")
-        return failure
+        self._ensure_workers()
+        n, traced = self.num_workers, tracer is not None
+        todo = [iter(range(w, len(tasks), n)) for w in range(n)]
+        owner = {}
+        for w, (conn, proc) in enumerate(zip(self._conns, self._procs)):
+            owner[conn] = owner[proc.sentinel] = w
+        busy: dict = {}       # worker -> index of its task in flight
+        failures: dict = {}
+        stop = dead = False   # no more dispatch / a worker is gone
+
+        def died(w, idx):
+            nonlocal stop, dead
+            proc = self._procs[w]
+            proc.join(timeout=5.0)
+            failures[idx] = TaskExecutionError(
+                f"task {idx} failed on node{w}: worker process {proc.pid} "
+                f"died (exit code {proc.exitcode})",
+                task_index=idx, node=f"node{w}")
+            stop = dead = True
+
+        def dispatch(w):
+            nonlocal stop
+            idx = None if stop else next(todo[w], None)
+            if idx is None:
+                return
+            try:
+                self._conns[w].send((idx, f"node{w}", traced,
+                                     descriptor_of(tasks[idx])))
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                failures[idx] = _unshippable(idx, type(exc).__name__, exc)
+                failures[idx].__cause__ = exc
+                stop = True
+            except OSError:
+                died(w, idx)
+            else:
+                busy[w] = idx
+
+        try:
+            for w in range(n):
+                dispatch(w)
+            while busy:
+                ready = wait([self._conns[w] for w in busy]
+                             + [self._procs[w].sentinel for w in busy])
+                for w in sorted({owner[obj] for obj in ready} & set(busy)):
+                    conn = self._conns[w]
+                    try:
+                        reply = conn.recv() if conn.poll() else None
+                    except (EOFError, OSError):
+                        reply = None
+                    if isinstance(reply, dict):   # a live event
+                        self._heartbeat_sink(reply)
+                        continue
+                    idx = busy.pop(w)
+                    if reply is None:
+                        died(w, idx)
+                        continue
+                    if isinstance(reply, WorkerFailure):
+                        failures[idx] = _unshippable(idx, reply.exc_type,
+                                                     reply.message)
+                        stop = True
+                        continue
+                    times[idx] = reply.elapsed_s
+                    self._merge_worker_result(reply, parent_ledger, tracer)
+                    if reply.error is None:
+                        results[idx] = reply.value
+                    else:
+                        failures[idx] = TaskExecutionError(
+                            f"task {idx} failed on {reply.node}: "
+                            f"{reply.error.exc_type}: {reply.error.message}"
+                            f"\n{reply.error.traceback_text}",
+                            task_index=idx, node=reply.node)
+                    dispatch(w)
+        finally:
+            if dead or busy:   # a worker is gone, or a pipe is mid-task
+                self.close()
+        return failures
 
     def _merge_worker_result(self, wr, parent_ledger, tracer) -> None:
         """Fold one worker's ledger, retry accounting, tracer metrics and

@@ -41,36 +41,33 @@ def task_telemetry() -> MetricsRegistry | None:
 
 # -- live-telemetry heartbeat (worker side) --------------------------------
 #
-# When the parent runs a live monitor, the process pool is created with
-# ``initializer=_init_worker_heartbeat`` and a multiprocessing queue in
-# ``initargs`` (queues are only shareable through spawn-time inheritance,
-# not as submit arguments).  Worker-side publishers then stream
-# task-start/task-end and span events home while the task executes; the
-# parent's drain thread forwards them onto the telemetry bus.
+# Under a live monitor, worker-side publishers stream task-start/task-end
+# and span events home while the task executes, up the worker's task
+# pipe; the parent forwards them onto the telemetry bus as they arrive.
 
-_HEARTBEAT_QUEUE = None
+_HEARTBEAT_SINK = None
 _HEARTBEAT_PUBLISHERS: dict = {}
 
 
-def _init_worker_heartbeat(queue) -> None:
-    """Process-pool initializer: adopt the parent's heartbeat queue."""
-    global _HEARTBEAT_QUEUE
-    _HEARTBEAT_QUEUE = queue
+def _init_worker_heartbeat(sink) -> None:
+    """Worker start-up: send live events to ``sink`` (``None`` without a
+    live monitor) and drop publishers a fork inherited."""
+    global _HEARTBEAT_SINK
+    _HEARTBEAT_SINK = sink
     _HEARTBEAT_PUBLISHERS.clear()
 
 
 def heartbeat_publisher(node: str):
     """This worker process's live publisher for ``node`` (``None`` when
-    the parent did not establish a heartbeat pipe).  One publisher per
-    (process, node) keeps the stamped sequence numbers monotonic per
-    stream."""
-    if _HEARTBEAT_QUEUE is None:
+    the parent runs no live monitor).  One publisher per (process,
+    node) keeps the stamped sequence numbers monotonic per stream."""
+    if _HEARTBEAT_SINK is None:
         return None
     publisher = _HEARTBEAT_PUBLISHERS.get(node)
     if publisher is None:
         from repro.observability.live import BusPublisher
         publisher = _HEARTBEAT_PUBLISHERS[node] = BusPublisher(
-            _HEARTBEAT_QUEUE.put, worker=node)
+            _HEARTBEAT_SINK, worker=node)
     return publisher
 
 
@@ -128,7 +125,6 @@ class WorkerTaskResult:
     telemetry: dict | None = None
     metrics: dict | None = None
     spans: list | None = None
-    pid: int = 0
 
 
 def execute_descriptor(index: int, node: str, traced: bool,
@@ -160,7 +156,8 @@ def execute_descriptor(index: int, node: str, traced: bool,
         with ledger_scope(ledger), device_scope(node), \
                 (tracing(tracer) if traced else nullcontext()):
             scope = tracer.span(f"task {index}", category="task",
-                                worker=node, task_index=index) \
+                                worker=node, task_index=index,
+                                pid=os.getpid()) \
                 if traced else nullcontext()
             with scope:
                 value = descriptor.run()
@@ -180,5 +177,4 @@ def execute_descriptor(index: int, node: str, traced: bool,
         telemetry=telemetry.snapshot() or None,
         metrics=tracer.metrics.snapshot() if traced else None,
         spans=[sp.as_dict() for sp in tracer.records()]
-        if traced else None,
-        pid=os.getpid())
+        if traced else None)

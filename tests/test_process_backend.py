@@ -4,8 +4,20 @@ The acceptance bar of the distributed backend: ``backend="process"``
 must produce bit-identical spectra to the serial/thread paths on the
 same inputs, its merged :class:`~repro.runtime.RunTelemetry` must
 reconcile exactly against the parent flop ledger, and task ``i`` must
-carry the label ``node{i % n}`` the thread runner gives it.
+carry the label ``node{i % n}`` the thread runner gives it - a label
+that names one worker process, which solves the same units, and so the
+same boundaries, as a serial run would.
 """
+
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from collections import defaultdict
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +59,12 @@ def _boom():
     raise ValueError("injected worker-side failure")
 
 
+def _killed_mid_unit(x):
+    """Does some of its work, then dies the way an OOM kill would."""
+    _square(x)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _flaky_square(x, sentinel):
     """Fails on the first call per sentinel path, succeeds after.
 
@@ -72,6 +90,17 @@ def _descriptor_task(fn, *args):
 
     task.descriptor = desc
     return task
+
+
+@pytest.fixture(autouse=True)
+def no_fork_from_a_threaded_parent(recwarn):
+    """Python >= 3.12 warns when it forks a process that runs threads.
+    ``os.fork`` drops the warning when a filter makes it an error, so it
+    is recorded here and fails the test instead."""
+    yield
+    forks = [w for w in recwarn
+             if "is multi-threaded, use of fork()" in str(w.message)]
+    assert not forks, forks[0].message
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +410,114 @@ class TestLabels:
             close_task_runner(runner)
         labels = ["node0", "node1", "node0", "node1", "node0"]
         assert calls == [labels, labels]
+
+
+class TestWorkerProcesses:
+    """``node{j}`` is one process: it gets tasks j, j + n, ... of every
+    call, starts without a thread in its parent's way, and dies loudly."""
+
+    def test_each_node_is_one_process(self):
+        tracer = SpanTracer()
+        with ProcessTaskRunner(2) as runner, tracing(tracer):
+            for _ in range(2):
+                runner([partial(_square, float(i)) for i in range(5)])
+        pids = defaultdict(set)
+        for sp in tracer.records():
+            if sp.category == "task":
+                pids[sp.worker].add(sp.attrs["pid"])
+        assert sorted(pids) == ["node0", "node1"]
+        assert [len(p) for p in pids.values()] == [1, 1]
+        assert pids["node0"] != pids["node1"]
+        assert os.getpid() not in pids["node0"] | pids["node1"]
+
+    def test_killed_worker_is_a_task_error(self):
+        runner = ProcessTaskRunner(2)
+        try:
+            runner([partial(_square, 1.0)] * 2)   # the workers are up
+            t0 = time.monotonic()
+            with pytest.raises(TaskExecutionError,
+                               match=r"task 3 failed on node1: worker "
+                                     r"process \d+ died") as info:
+                runner([partial(_square, 2.0)] * 3
+                       + [partial(_killed_mid_unit, 2.0)])
+            assert time.monotonic() - t0 < 10.0
+            assert (info.value.task_index, info.value.node) == (3, "node1")
+            # the next call starts a fresh set of workers
+            assert runner([partial(_square, 3.0)]) == [_square(3.0)]
+        finally:
+            t0 = time.monotonic()
+            runner.close()
+            assert time.monotonic() - t0 < 10.0
+
+    def test_threaded_parent_spawns_bitwise_serial(self, reference_spectrum):
+        release = threading.Event()
+        extra = threading.Thread(target=release.wait, daemon=True)
+        extra.start()
+        try:
+            with ProcessTaskRunner(2) as runner:
+                proc = _spectrum(task_runner=runner)
+                assert runner.start_method == "spawn"
+        finally:
+            release.set()
+            extra.join(timeout=5.0)
+        assert not extra.is_alive()
+        assert [t.hex() for t in proc.transmission.ravel()] \
+            == [t.hex() for t in reference_spectrum.transmission.ravel()]
+
+    def test_single_thread_parent_forks_bitwise_serial(self):
+        """With one BLAS thread the parent is single-threaded: the
+        workers are forks, and no Python warns about them."""
+        script = (
+            "import numpy as np\n"
+            "from tests.test_process_backend import _spectrum\n"
+            "from repro.parallel import ProcessTaskRunner\n"
+            "serial = _spectrum()\n"
+            "with ProcessTaskRunner(2) as runner:\n"
+            "    forked = _spectrum(task_runner=runner)\n"
+            "    print(runner.start_method, np.array_equal(\n"
+            "        serial.transmission, forked.transmission))\n")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OMP_NUM_THREADS="1",
+                   OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                               str(root)]))
+        out = subprocess.run(
+            [sys.executable, "-W", "always:This process:DeprecationWarning",
+             "-c", script], cwd=root, env=env, capture_output=True,
+            text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "multi-threaded" not in out.stderr
+        assert out.stdout.split() == ["fork", "True"]
+
+    def test_scf_solves_each_boundary_once(self):
+        """A 3-iteration SCF with more units than workers: each worker
+        meets its energies again, so it pays exactly the serial run's
+        dense OBCs (zggev) and flops."""
+        from repro.basis import tight_binding_set
+        from repro.core.energygrid import lead_band_structure
+        from repro.pipeline.cache import DeviceFamily
+        from repro.poisson.scf import schroedinger_poisson
+        from repro.structure import silicon_nanowire
+
+        structure, basis = silicon_nanowire(0.7, 4), tight_binding_set()
+        lead = DeviceFamily(structure, basis, 4).gamma_device().lead
+        e_lo = float(lead_band_structure(lead, 11)[1].min())
+
+        def scf(**kwargs):
+            with ledger_scope() as led:
+                out = schroedinger_poisson(
+                    structure, basis, 4, mu_l=e_lo + 0.3, mu_r=e_lo + 0.2,
+                    e_window=(e_lo + 0.1, e_lo + 0.6), mixing=0.5,
+                    max_iter=3, tol=0.0, density_scale=0.05, **kwargs)
+            assert out.iterations == 3
+            return led
+
+        serial = scf()
+        with ProcessTaskRunner(2) as runner:
+            proc = scf(task_runner=runner)
+        assert proc.flops_by_kernel["zggev"] \
+            == serial.flops_by_kernel["zggev"] > 0
+        assert proc.total_flops == serial.total_flops
 
 
 class TestBackendFactory:
