@@ -7,10 +7,9 @@ Usage::
     python -m repro run all
     python -m repro trace --out trace.json --jsonl spans.jsonl
     python -m repro trace --smoke --result-store .repro-cache
-    python -m repro trace --smoke --live-log stream.jsonl
-    python -m repro watch --replay stream.jsonl
-    python -m repro watch --follow stream.jsonl
-    python -m repro report spans.jsonl
+    python -m repro trace --smoke --jsonl spans.jsonl
+    python -m repro watch spans.jsonl
+    python -m repro report spans.jsonl --memory
     python -m repro report --checkpoint sweep.npz
     python -m repro cache stats .repro-cache
     python -m repro cache verify .repro-cache
@@ -40,7 +39,8 @@ def main(argv=None) -> int:
     tracep.add_argument("--out", default="trace.json",
                         help="Chrome-trace JSON path (default trace.json)")
     tracep.add_argument("--jsonl", default=None,
-                        help="also write the raw span JSONL event log")
+                        help="stream the span JSONL log here, one line "
+                             "per span as it closes")
     tracep.add_argument("--nodes", type=int, default=2,
                         help="simulated nodes (one Perfetto track group "
                              "each; default 2)")
@@ -61,31 +61,14 @@ def main(argv=None) -> int:
                              "merge prior runs' results back "
                              "bitwise-identically (warm re-runs skip "
                              "the solves)")
-    tracep.add_argument("--live", action="store_true",
-                        help="enable the live telemetry bus (rolling "
-                             "view, anomaly detectors, SLO rules) while "
-                             "the run executes")
-    tracep.add_argument("--live-log", default=None,
-                        help="record the live event stream to this "
-                             "JSONL file for 'repro watch --replay' "
-                             "(implies --live)")
 
     watchp = sub.add_parser(
-        "watch", help="render the live-telemetry dashboard from a "
-                      "recorded stream (--replay) or a stream being "
-                      "written by a concurrent run (--follow)")
-    watchp.add_argument("--replay", default=None,
-                        help="recorded stream JSONL (from 'trace "
-                             "--live-log'); renders through the full "
-                             "aggregator/detector/SLO pipeline")
-    watchp.add_argument("--follow", default=None,
-                        help="tail a live-log file another process is "
-                             "writing and refresh until it goes idle")
-    watchp.add_argument("--frames", type=int, default=1,
-                        help="dashboard frames to render across a "
-                             "replay (default 1: final state only)")
+        "watch", help="tail the span log a 'trace --jsonl' run is "
+                      "writing and re-print the report as spans close")
+    watchp.add_argument("spans", help="span JSONL file from 'trace "
+                                      "--jsonl'")
     watchp.add_argument("--idle-timeout", type=float, default=5.0,
-                        help="seconds of stream silence before --follow "
+                        help="seconds without a new span before watch "
                              "exits (default 5)")
 
     reportp = sub.add_parser(
@@ -145,8 +128,8 @@ def main(argv=None) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.observability import (activity_report, node_activity,
-                                     phase_report, roofline_report,
-                                     validate_chrome_trace)
+                                     phase_report, reconcile_report,
+                                     roofline_report, validate_chrome_trace)
     from repro.observability.demo import traced_production_demo
 
     t0 = time.perf_counter()
@@ -154,9 +137,7 @@ def _cmd_trace(args) -> int:
                                   trace_path=args.out,
                                   jsonl_path=args.jsonl,
                                   backend=args.backend,
-                                  result_store=args.result_store,
-                                  live=args.live,
-                                  live_log=args.live_log)
+                                  result_store=args.result_store)
     elapsed = time.perf_counter() - t0
 
     print(f"backend: {args.backend} ({args.nodes} workers)")
@@ -183,28 +164,8 @@ def _cmd_trace(args) -> int:
     for row in demo["metrics"].as_rows():
         print("  " + row)
     print()
-    live = demo.get("live")
-    if live is not None:
-        print(f"live telemetry: {live['events']} events "
-              f"({live['published']} published, {live['dropped']} "
-              f"dropped), {len(live['alerts'])} alerts, "
-              f"{sum(1 for s in live['slo'] if not s['ok'])} SLO "
-              f"violations")
-        for alert in live["alerts"][:5]:
-            print(f"  [{alert['severity']}] {alert['kind']}: "
-                  f"{alert['message']}")
-        if demo.get("live_log"):
-            print(f"  stream recorded to {demo['live_log']} "
-                  f"({live['records_written']} records)")
-        print()
     check = demo["reconciliation"]
-    print(f"reconciliation: flops "
-          f"{'EXACT' if check['flops_exact'] else 'MISMATCH'} "
-          f"({check['span_flops']:,d} span == "
-          f"{check['ledger_flops']:,d} ledger), bytes "
-          f"{'EXACT' if check['bytes_exact'] else 'MISMATCH'} "
-          f"({check['span_bytes']:,d} span == "
-          f"{check['ledger_bytes']:,d} ledger)")
+    print(reconcile_report(check))
     import json
     with open(args.out) as fh:
         slices = validate_chrome_trace(json.load(fh))
@@ -212,17 +173,13 @@ def _cmd_trace(args) -> int:
           f"{len({sp.worker for sp in demo['spans']})} tracks "
           f"(load it at https://ui.perfetto.dev)")
     if args.jsonl:
-        print(f"wrote {args.jsonl}: {len(demo['spans'])} span records")
+        print(f"wrote {args.jsonl}: {demo['jsonl_lines']} span records")
     if args.telemetry_out:
         payload = {"backend": args.backend,
                    "num_nodes": int(args.nodes),
                    "reconciliation": check,
+                   "spans": len(demo["spans"]),
                    "telemetry": demo["telemetry"].snapshot()}
-        if live is not None:
-            payload["live"] = {"events": live["events"],
-                               "dropped": live["dropped"],
-                               "alerts": live["alerts"],
-                               "slo": live["slo"]}
         with open(args.telemetry_out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"wrote {args.telemetry_out}: merged telemetry snapshot")
@@ -231,18 +188,13 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    if (args.replay is None) == (args.follow is None):
-        print("watch needs exactly one of --replay or --follow",
-              file=sys.stderr)
+    from repro.observability.watch import watch
+    spans = watch(args.spans, idle_timeout=args.idle_timeout,
+                  clear=sys.stdout.isatty())
+    if not spans:
+        print(f"{args.spans} holds no spans", file=sys.stderr)
         return 2
-    from repro.observability.watch import watch_follow, watch_replay
-    if args.replay is not None:
-        monitor = watch_replay(args.replay, frames=args.frames)
-    else:
-        monitor = watch_follow(args.follow,
-                               idle_timeout=args.idle_timeout)
-    failing = [s for s in monitor.slo_statuses if not s.ok]
-    return 0 if not failing else 1
+    return 0
 
 
 def _cmd_report(args) -> int:
@@ -263,24 +215,13 @@ def _cmd_report(args) -> int:
         print("need a span JSONL file or --checkpoint",
               file=sys.stderr)
         return 2
-    from repro.observability import (activity_report, cache_report,
-                                     cache_totals, memory_report,
-                                     node_activity, phase_report,
-                                     phase_totals, read_spans_jsonl)
+    from repro.observability import read_spans_jsonl, run_report
     spans = read_spans_jsonl(args.spans)
     if not spans:
         print(f"{args.spans} holds no spans", file=sys.stderr)
         return 2
     print(f"{len(spans)} spans from {args.spans}")
-    print(phase_report(phase_totals(spans)))
-    print()
-    print(activity_report(node_activity(spans)))
-    if cache_totals(spans)["probes"]:
-        print()
-        print(cache_report(spans))
-    if args.memory:
-        print()
-        print(memory_report(spans))
+    print(run_report(spans, memory=args.memory))
     return 0
 
 

@@ -19,28 +19,27 @@ One subsystem replacing the fragmented telemetry of earlier PRs:
    and roofline annotation (achieved vs. attainable GF/s per stage via
    :mod:`repro.perfmodel.roofline`), all over the one stage table
    ``fold_stage`` sums, plus its reconciliation against the ledger.
-5. Live telemetry — :class:`TelemetryBus` / :class:`LiveAggregator` /
-   :class:`LiveMonitor` stream events *while the run executes*,
-   :mod:`~repro.observability.anomaly` detectors raise typed
-   :class:`Alert` records (stragglers, byte drift, fallback spikes,
-   store-hit collapse, checkpoint overrun), and
-   :mod:`~repro.observability.health` evaluates declarative SLO rules;
-   ``python -m repro watch`` renders the dashboard live or from a
-   recorded stream.
+5. The span log — the tracer hands each span to
+   :class:`SpanLogWriter` as it closes, so one JSONL file is both the
+   live stream ``python -m repro watch`` tails and the record
+   ``python -m repro report`` re-reads; both print :func:`run_report`.
 """
 
-from repro.observability.export import (read_spans_jsonl, to_chrome_trace,
+from repro.observability.export import (SpanLogWriter, follow_spans_jsonl,
+                                        read_spans_jsonl, to_chrome_trace,
                                         validate_chrome_trace,
                                         write_chrome_trace,
                                         write_spans_jsonl)
 from repro.observability.metrics import (Counter, Gauge, Histogram,
-                                         LabeledCounter, MetricsRegistry)
+                                         LabeledCounter, MetricsRegistry,
+                                         comparable_telemetry)
 from repro.observability.report import (RooflineStage, activity_report,
                                         cache_report, cache_totals,
                                         memory_report, memory_totals,
                                         node_activity, phase_report,
                                         phase_totals, reconcile,
-                                        roofline_annotate, roofline_report)
+                                        reconcile_report, roofline_annotate,
+                                        roofline_report, run_report)
 from repro.observability.spans import (CATEGORIES, Span, SpanTracer,
                                        current_tracer, install_tracer,
                                        tracing)
@@ -57,6 +56,9 @@ __all__ = [
     "Histogram",
     "LabeledCounter",
     "MetricsRegistry",
+    "comparable_telemetry",
+    "SpanLogWriter",
+    "follow_spans_jsonl",
     "read_spans_jsonl",
     "to_chrome_trace",
     "validate_chrome_trace",
@@ -72,52 +74,8 @@ __all__ = [
     "phase_report",
     "phase_totals",
     "reconcile",
+    "reconcile_report",
     "roofline_annotate",
     "roofline_report",
-    "traced_production_demo",
-    "TelemetryBus",
-    "BusPublisher",
-    "LiveAggregator",
-    "LiveMonitor",
-    "comparable_telemetry",
-    "read_stream_jsonl",
-    "validate_stream",
-    "write_stream_jsonl",
-    "Alert",
-    "default_detectors",
-    "HealthMonitor",
-    "SLORule",
-    "SLOStatus",
-    "render_dashboard",
-    "watch_replay",
+    "run_report",
 ]
-
-_LAZY = {
-    "traced_production_demo": "repro.observability.demo",
-    "TelemetryBus": "repro.observability.live",
-    "BusPublisher": "repro.observability.live",
-    "LiveAggregator": "repro.observability.live",
-    "LiveMonitor": "repro.observability.live",
-    "comparable_telemetry": "repro.observability.live",
-    "read_stream_jsonl": "repro.observability.live",
-    "validate_stream": "repro.observability.live",
-    "write_stream_jsonl": "repro.observability.live",
-    "Alert": "repro.observability.anomaly",
-    "default_detectors": "repro.observability.anomaly",
-    "HealthMonitor": "repro.observability.health",
-    "SLORule": "repro.observability.health",
-    "SLOStatus": "repro.observability.health",
-    "render_dashboard": "repro.observability.watch",
-    "watch_replay": "repro.observability.watch",
-}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        import importlib
-        mod = importlib.import_module(_LAZY[name])
-        val = getattr(mod, name)
-        globals()[name] = val
-        return val
-    raise AttributeError(
-        f"module 'repro.observability' has no attribute {name!r}")

@@ -8,10 +8,14 @@ then exports and cross-checks every observability artifact:
 
 * a Chrome-trace/Perfetto JSON with one track per simulated node (the
   Fig. 12 activity timeline of a real run),
-* the JSONL span event log ``python -m repro report`` re-reads,
+* the JSONL span log, written span by span as the run goes, which
+  ``python -m repro watch`` tails and ``python -m repro report``
+  re-reads,
 * the Fig. 6 phase report and roofline annotation derived from spans,
 * the reconciliation check: the stage table folded from the spans must
-  sum to the ledger total exactly, in flops and in bytes.
+  sum to the ledger total exactly, in flops and in bytes (the log ends
+  with a ``ledger`` span carrying those totals, so ``report`` repeats
+  the check offline).
 
 The demo deliberately runs fault-free: failed resilient attempts would
 emit stage spans whose flops never merge into the ledger, which would
@@ -35,8 +39,7 @@ from repro.core.production import run_production
 from repro.hamiltonian import build_device
 from repro.hardware import TITAN
 from repro.linalg import ledger_scope
-from repro.observability.export import (write_chrome_trace,
-                                        write_spans_jsonl)
+from repro.observability.export import SpanLogWriter, write_chrome_trace
 from repro.observability.report import (phase_totals, reconcile,
                                         roofline_annotate)
 from repro.observability.spans import SpanTracer, tracing
@@ -50,9 +53,7 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
                            trace_path=None, jsonl_path=None,
                            energy_batch_size: int = 2,
                            backend: str = "thread",
-                           result_store=None, live: bool = False,
-                           live_log=None, fault_injector=None,
-                           live_monitor=None) -> dict:
+                           result_store=None) -> dict:
     """Run the traced production loop and collect every report input.
 
     Parameters
@@ -61,7 +62,8 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
         group each).
     smoke : shrink to one bias point and one SCF iteration (CI budget).
     trace_path, jsonl_path : optional export destinations; exports are
-        skipped when omitted.
+        skipped when omitted.  The span log at ``jsonl_path`` is
+        written while the run executes, one line per span as it closes.
     energy_batch_size : energies per (k, E-batch) unit (> 0).
     backend : ``"thread"`` (the default: a fault-protected
         :class:`~repro.runtime.ResilientTaskRunner` over threads) or
@@ -75,23 +77,6 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
         cached (k, E) results bitwise-identically; hits solve nothing,
         so they contribute zero flops and the exact reconciliation still
         holds (it then covers only the freshly solved remainder).
-    live : enable the live telemetry bus: a
-        :class:`~repro.observability.live.LiveMonitor` attaches to the
-        tracer, a background thread folds the stream into the rolling
-        view and runs the anomaly detectors / SLO rules while the run
-        executes.  The end-of-run merge path is untouched — final
-        telemetry/ledger stay bitwise identical to ``live=False``.
-    live_log : optional JSONL path; with ``live``, the event stream is
-        recorded there for ``python -m repro watch --replay``.
-    fault_injector : optional
-        :class:`~repro.runtime.faults.FaultInjector` (e.g. a
-        ``slow_nodes`` profile to exercise the live straggler
-        detector).  The thread backend hands it to the resilient
-        wrapper; the process backend to the process runner, which
-        injects at dispatch, with no retry.
-    live_monitor : optional pre-built
-        :class:`~repro.observability.live.LiveMonitor` (custom
-        detectors); implies ``live``.
 
     Returns a dict with the production ``result``, the ``tracer``, its
     ``spans``/``metrics``, the runner ``telemetry``, the span-derived
@@ -112,26 +97,17 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
     if backend == "process":
         from repro.parallel import ProcessTaskRunner
         runner = ResilientTaskRunner(
-            ProcessTaskRunner(num_workers=num_nodes,
-                              fault_injector=fault_injector),
-            max_retries=1)
+            ProcessTaskRunner(num_workers=num_nodes), max_retries=1)
     elif backend == "thread":
         runner = ResilientTaskRunner(
-            ThreadTaskRunner(num_workers=num_nodes), max_retries=1,
-            fault_injector=fault_injector)
+            ThreadTaskRunner(num_workers=num_nodes), max_retries=1)
     else:
         raise ConfigurationError(
             f"demo backend must be 'thread' or 'process', got {backend!r}")
     tracer = SpanTracer()
-    monitor = live_monitor
-    if monitor is None and (live or live_log is not None):
-        from repro.observability.live import LiveMonitor
-        monitor = LiveMonitor(live_log=live_log)
-    live_report = None
-    if monitor is not None:
-        monitor.attach(tracer, worker="node0")
-        monitor.watch_registry(runner.telemetry.metrics, scope="telemetry")
-        monitor.start()
+    writer = None
+    if jsonl_path is not None:
+        writer = tracer.on_close = SpanLogWriter(jsonl_path)
     try:
         with tracing(tracer):
             with ledger_scope() as ledger:
@@ -142,11 +118,16 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
                     scf_kwargs=scf_kwargs, task_runner=runner,
                     energy_batch_size=int(energy_batch_size),
                     use_arena=True, result_store=result_store)
+            # the log's last span: the totals its stage table must match
+            tracer.emit("ledger", category="ledger",
+                        flops=ledger.total_flops,
+                        bytes_moved=ledger.total_bytes)
     finally:
         if hasattr(runner, "close"):
             runner.close()
-        if monitor is not None:
-            live_report = monitor.stop()
+        if writer is not None:
+            tracer.on_close = None
+            writer.close()
 
     spans = tracer.records()
     totals = phase_totals(spans)
@@ -169,17 +150,12 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
         "ledger_bytes": int(ledger.total_bytes),
         "num_nodes": int(num_nodes),
         "trace_path": None,
-        "jsonl_path": None,
-        "live": live_report,
-        "live_monitor": monitor,
-        "live_log": str(live_log) if live_log is not None else None,
+        "jsonl_path": None if writer is None else str(jsonl_path),
+        "jsonl_lines": None if writer is None else writer.lines,
     }
     if trace_path is not None:
         write_chrome_trace(spans, trace_path)
         out["trace_path"] = str(trace_path)
-    if jsonl_path is not None:
-        write_spans_jsonl(spans, jsonl_path)
-        out["jsonl_path"] = str(jsonl_path)
     return out
 
 

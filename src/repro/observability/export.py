@@ -1,9 +1,14 @@
-"""Span exporters: JSONL event log and Chrome-trace/Perfetto JSON.
+"""Span exporters: the JSONL span log and Chrome-trace/Perfetto JSON.
 
 Two formats, both plain files:
 
 * **JSONL** — one :meth:`Span.as_dict` object per line; the lossless
-  run-wide event log that ``python -m repro report`` re-reads.
+  run-wide span log.  :class:`SpanLogWriter` is its one writer: hung on
+  :attr:`SpanTracer.on_close <repro.observability.spans.SpanTracer.
+  on_close>` it appends each span as it closes, so the file is the live
+  stream ``python -m repro watch`` tails (:func:`follow_spans_jsonl`)
+  and the record ``python -m repro report`` re-reads
+  (:func:`read_spans_jsonl`).
 * **Chrome trace events** — the ``{"traceEvents": [...]}`` JSON that
   ``chrome://tracing`` and https://ui.perfetto.dev load directly.  Each
   worker/node becomes one *process* (track group) with per-thread
@@ -15,29 +20,105 @@ Two formats, both plain files:
 from __future__ import annotations
 
 import json
+import os
+import threading
+import time
 
 from repro.observability.spans import Span
 from repro.utils.errors import ConfigurationError
 
 
+class SpanLogWriter:
+    """Appends one JSON line per span record to ``path`` and flushes it.
+
+    Callable with a :meth:`Span.as_dict` record, so it is the tracer's
+    ``on_close`` hook as it stands; a lock keeps the lines of concurrent
+    threads whole.  A run killed mid-write leaves at most one torn last
+    line, which :func:`read_spans_jsonl` skips.
+    """
+
+    def __init__(self, path):
+        self.lines = 0
+        self._fh = open(path, "w")
+        self._lock = threading.Lock()
+
+    def __call__(self, record: dict) -> None:
+        line = json.dumps(record) + "\n"
+        with self._lock:
+            self._fh.write(line)
+            self._fh.flush()
+            self.lines += 1
+
+    def close(self) -> None:
+        with self._lock:
+            self._fh.close()
+
+    def __enter__(self) -> "SpanLogWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def write_spans_jsonl(spans, path) -> int:
     """Write spans as JSON-lines; returns the number of records."""
-    spans = list(spans)
-    with open(path, "w") as fh:
+    with SpanLogWriter(path) as writer:
         for sp in spans:
-            fh.write(json.dumps(sp.as_dict()) + "\n")
-    return len(spans)
+            writer(sp.as_dict())
+    return writer.lines
+
+
+def _parse_line(line: str, path, number: int) -> Span:
+    try:
+        return Span.from_dict(json.loads(line))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(
+            f"{path}:{number}: not a span record ({exc})") from exc
 
 
 def read_spans_jsonl(path) -> list:
-    """Read a JSONL event log back into :class:`Span` objects."""
+    """Read a span log back into :class:`Span` objects.
+
+    An unterminated last line is the torn tail of a killed writer and is
+    skipped; a malformed complete line is a :class:`ConfigurationError`
+    naming the file and line.
+    """
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(Span.from_dict(json.loads(line)))
+        for number, line in enumerate(fh, 1):
+            if not line.endswith("\n"):
+                break
+            if line.strip():
+                out.append(_parse_line(line, path, number))
     return out
+
+
+def follow_spans_jsonl(path, poll_s: float = 0.2,
+                       idle_timeout: float = 5.0):
+    """Yield the :class:`Span` of each complete line of a span log as
+    the writer appends it (the file may not exist yet).
+
+    Stops after ``idle_timeout`` seconds without a new complete line.
+    """
+    deadline = time.monotonic() + idle_timeout
+    while not os.path.exists(path):
+        if time.monotonic() >= deadline:
+            return
+        time.sleep(poll_s)
+    with open(path) as fh:
+        number, buffer = 0, ""
+        while True:
+            buffer += fh.readline()
+            if buffer.endswith("\n"):
+                number += 1
+                if buffer.strip():
+                    yield _parse_line(buffer, path, number)
+                buffer = ""
+                deadline = time.monotonic() + idle_timeout
+                continue
+            if time.monotonic() >= deadline:
+                return
+            time.sleep(poll_s)
 
 
 def _worker_pids(spans) -> dict:

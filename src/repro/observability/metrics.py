@@ -74,8 +74,7 @@ class Histogram:
 
     Bucket counts are exact integers, so merging histograms across
     runners (or worker processes) loses no observation; they also make
-    :meth:`quantile` answerable online, which is what the live SLO
-    rules (p95 task latency) query.
+    :meth:`quantile` answerable without keeping the observations.
     """
 
     kind = "histogram"
@@ -294,3 +293,28 @@ class MetricsRegistry:
             else:
                 rows.append(f"{name:<28s} {entry['values']}")
         return rows
+
+
+#: metric-name suffixes that carry measured wall time: they differ
+#: between any two runs, so parity checks leave them out
+TIME_METRIC_SUFFIXES = ("_time_s", "_seconds")
+
+#: metric-name prefixes whose values depend on thread interleaving —
+#: arena scratch-buffer reuse varies with which worker reaches the pool
+#: first, so these gauges differ between any two runs
+SCHEDULING_METRIC_PREFIXES = ("arena_",)
+
+
+def comparable_telemetry(snapshot: dict) -> dict:
+    """A metrics snapshot with run-to-run-noisy metrics removed.
+
+    Two runs of the same inputs (say, with the span log on and off)
+    must agree bit for bit in every deterministic metric; this filter
+    drops only what differs between *any* two runs — measured wall
+    times (``*_time_s``, ``*_seconds`` histograms) and the
+    scheduling-dependent arena pool gauges (``arena_*``).  It never
+    touches flop, byte, or count metrics.
+    """
+    return {name: entry for name, entry in snapshot.items()
+            if not name.endswith(TIME_METRIC_SUFFIXES)
+            and not name.startswith(SCHEDULING_METRIC_PREFIXES)}

@@ -14,9 +14,9 @@ produces the three views the paper tells its performance story with:
   :mod:`repro.perfmodel.roofline` and a device's peaks.
 
 :func:`fold_stage` is the only code that adds a stage to a table: the
-recorded report, the live view (:class:`~repro.observability.live.
-LiveAggregator`) and the memory view all go through it, over the
-records one :func:`~repro.pipeline.trace.batch_stage_scope` writes.
+report over a finished span log, ``watch`` over a growing one and the
+memory view all go through it, over the records one
+:func:`~repro.pipeline.trace.batch_stage_scope` writes.
 :func:`reconcile` is the one check such a table can still fail: its
 flop and byte totals against the surrounding ledger.
 """
@@ -244,6 +244,15 @@ def reconcile(records, ledger_total_flops: int,
                              else int(ledger_total_bytes))}
 
 
+def reconcile_report(check: dict) -> str:
+    """One line: :func:`reconcile`'s verdict in flops and in bytes."""
+    def verdict(kind):
+        return (f"{kind} {'EXACT' if check[kind + '_exact'] else 'MISMATCH'}"
+                f" ({check['span_' + kind]:,d} span == "
+                f"{check['ledger_' + kind]:,d} ledger)")
+    return f"reconciliation: {verdict('flops')}, {verdict('bytes')}"
+
+
 def cache_totals(spans) -> dict:
     """Persistent-result-store view of a traced run.
 
@@ -332,3 +341,25 @@ def memory_report(spans, tolerance: float = 0.05) -> str:
     else:
         lines.append("  no stage carried a byte-model prediction")
     return "\n".join(lines)
+
+
+def run_report(spans, memory: bool = False) -> str:
+    """The tables ``python -m repro report`` prints, and ``watch``
+    re-prints on every refresh: phases, per-node activity (once a stage
+    has closed), the result store (when it was probed), with ``memory``
+    arena reuse and byte drift, and the :func:`reconcile` verdict
+    against the run's ledger once a ``ledger`` span (its totals in
+    ``flops`` / ``bytes_moved``) has closed the log."""
+    spans = list(spans)
+    parts = [phase_report(phase_totals(spans))]
+    if any(sp.category == "stage" for sp in spans):
+        parts.append(activity_report(node_activity(spans)))
+    if cache_totals(spans)["probes"]:
+        parts.append(cache_report(spans))
+    if memory:
+        parts.append(memory_report(spans))
+    ledger = [sp for sp in spans if sp.category == "ledger"]
+    if ledger:
+        parts.append(reconcile_report(reconcile(
+            spans, ledger[-1].flops, ledger[-1].bytes_moved)))
+    return "\n\n".join(parts)

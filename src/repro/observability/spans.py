@@ -30,7 +30,7 @@ from repro.observability.metrics import MetricsRegistry
 
 #: span categories used by the built-in instrumentation sites
 CATEGORIES = ("bias", "scf", "task", "stage", "kernel", "fault",
-              "balancer", "memory", "checkpoint")
+              "balancer", "memory", "checkpoint", "ledger")
 
 
 @dataclass
@@ -99,12 +99,12 @@ class SpanTracer:
         self.enabled = bool(enabled)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans: list = []
-        #: optional live-telemetry hook (a
-        #: :class:`repro.observability.live.BusPublisher`): when set,
-        #: span open/close and instant events are mirrored onto the
-        #: telemetry bus as they happen.  ``None`` (the default) costs
-        #: one attribute read per span.
-        self.publisher = None
+        #: called with each span's :meth:`Span.as_dict` as it closes
+        #: (scope exit, ``emit``/``instant``, every span ``absorb``
+        #: adopts): the span log's writer
+        #: (:class:`~repro.observability.export.SpanLogWriter`) streams
+        #: the run through it.  ``None`` costs one attribute read.
+        self.on_close = None
         self._lock = threading.Lock()
         self._next_id = 1
         self._tls = threading.local()
@@ -129,26 +129,10 @@ class SpanTracer:
             self.spans.append(span)
         return span
 
-    def publish(self, event: dict) -> None:
-        """Forward one live-telemetry event to the attached publisher
-        (no-op without one — the disabled path is one attribute read)."""
-        pub = self.publisher
-        if pub is not None:
-            pub(event)
-
-    def _publish_span(self, sp: Span, kind: str) -> None:
-        pub = self.publisher
-        if pub is None:
-            return
-        event = {"type": kind, "name": sp.name, "category": sp.category,
-                 "span_id": sp.span_id, "worker": sp.worker}
-        if kind != "span-open":
-            event["seconds"] = sp.seconds
-            event["flops"] = int(sp.flops)
-            event["bytes"] = int(sp.bytes_moved)
-        if sp.attrs:
-            event["attrs"] = dict(sp.attrs)
-        pub(event)
+    def _closed(self, sp: Span) -> None:
+        hook = self.on_close
+        if hook is not None:
+            hook(sp.as_dict())
 
     # -- recording ----------------------------------------------------------
 
@@ -168,7 +152,6 @@ class SpanTracer:
                   t_start=time.perf_counter(),
                   parent_id=self.current_parent_id(), attrs=dict(attrs))
         self._register(sp)
-        self._publish_span(sp, "span-open")
         stack = self._stack()
         stack.append(sp.span_id)
         try:
@@ -179,7 +162,7 @@ class SpanTracer:
         finally:
             stack.pop()
             sp.t_stop = time.perf_counter()
-            self._publish_span(sp, "span-close")
+            self._closed(sp)
 
     def emit(self, name: str, category: str = "",
              t_start: float | None = None, t_stop: float | None = None,
@@ -209,8 +192,7 @@ class SpanTracer:
                              else self.current_parent_id()),
                   attrs=dict(attrs or {}))
         self._register(sp)
-        self._publish_span(
-            sp, "instant" if sp.t_stop <= sp.t_start else "span-close")
+        self._closed(sp)
         return sp
 
     def instant(self, name: str, category: str = "",
@@ -253,6 +235,8 @@ class SpanTracer:
             for sp in spans:
                 sp.parent_id = remap.get(sp.parent_id, parent_id)
             self.spans.extend(spans)
+        for sp in spans:
+            self._closed(sp)
         return spans
 
     # -- access -------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Terminal dashboard for live or replayed telemetry streams.
+"""``python -m repro watch spans.jsonl``: the report of a running trace.
 
-``python -m repro watch --replay stream.jsonl`` renders the final state
-of a recorded stream (frame-by-frame with ``--frames``); with
-``--follow`` it tails a ``--live-log`` file another process is writing
-and refreshes in place.  Rendering is plain text (no curses), so CI can
-run it headless and assert on the output.
+Tails the span log a ``trace --jsonl`` run is writing and, at most every
+``interval`` seconds, re-prints :func:`~repro.observability.report.
+run_report` over the spans closed so far, until the log stays idle for
+``idle_timeout`` seconds.  Over a finished log it prints the report
+once.  Plain text, so CI runs it headless.
 """
 
 from __future__ import annotations
@@ -12,124 +12,29 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.observability.live import (LiveMonitor, follow_stream_jsonl,
-                                      read_stream_jsonl)
-
-#: glyphs for SLO / alert states (ASCII, CI-log friendly)
-OK_MARK = "ok"
-FAIL_MARK = "FAIL"
+from repro.observability.export import follow_spans_jsonl
+from repro.observability.report import run_report
 
 
-def _bar(fraction: float, width: int = 20) -> str:
-    fraction = min(max(fraction, 0.0), 1.0)
-    filled = int(round(fraction * width))
-    return "#" * filled + "-" * (width - filled)
-
-
-def render_dashboard(monitor: LiveMonitor, width: int = 78) -> str:
-    """One text frame of the run's live state."""
-    agg = monitor.aggregator
-    rule = "=" * width
-    thin = "-" * width
-    lines = [rule,
-             f" repro live  |  phase: {agg.current_phase or '-':<24s}"
-             f" elapsed: {agg.elapsed():8.2f}s",
-             f" events: {agg.events_seen:<8d} published: "
-             f"{monitor.bus.published:<8d} dropped: {monitor.bus.dropped}",
-             rule]
-
-    lines.append(" nodes")
-    lines.append(f"   {'node':<10s} {'done':>5s} {'fail':>5s} "
-                 f"{'mean s':>9s} {'ema s':>9s} {'rate/s':>8s} "
-                 f"{'open':>5s}")
-    nodes = [n for w, n in sorted(agg.nodes.items()) if w != "monitor"]
-    for node in nodes:
-        lines.append(
-            f"   {node.worker:<10s} {node.tasks_done:>5d} "
-            f"{node.tasks_failed:>5d} {node.mean_latency():>9.4f} "
-            f"{node.ema_latency:>9.4f} {node.ema_rate:>8.2f} "
-            f"{node.open_spans:>5d}")
-    if not nodes:
-        lines.append("   (no worker events yet)")
-    util = agg.utilization()
-    lines.append(f"   utilization [{_bar(util)}] {util:6.1%}")
-    lines.append(thin)
-
-    lines.append(" stages")
-    for name, tot in sorted(agg.stage_totals.items()):
-        lines.append(
-            f"   {name:<12s} n={tot['count']:<5d} "
-            f"t={tot['seconds']:<9.3f}s flops={tot['flops']:<14d} "
-            f"bytes={tot['bytes']}")
-    if not agg.stage_totals:
-        lines.append("   (no stage spans yet)")
-    lines.append(thin)
-
-    lines.append(f" alerts ({len(agg.alerts)})")
-    for alert in agg.alerts[-8:]:
-        lines.append(f"   [{alert.get('severity', '?'):<8s}] "
-                     f"{alert.get('kind', '?'):<18s} "
-                     f"{alert.get('message', '')[:44]}")
-    if not agg.alerts:
-        lines.append("   (none)")
-    lines.append(thin)
-
-    lines.append(" SLO")
-    for status in monitor.slo_statuses:
-        mark = OK_MARK if status.ok else FAIL_MARK
-        value = "n/a" if status.value is None else f"{status.value:.4g}"
-        lines.append(
-            f"   [{mark:<4s}] {status.name:<18s} {value:>10s} "
-            f"{status.op} {status.threshold:g}  {status.detail}")
-    if not monitor.slo_statuses:
-        lines.append("   (no rules)")
-    lines.append(rule)
-    return "\n".join(lines)
-
-
-def watch_replay(path, frames: int = 1, out=None,
-                 monitor: LiveMonitor | None = None) -> LiveMonitor:
-    """Replay a recorded stream and render ``frames`` dashboard frames
-    (evenly spaced through the stream; the last frame is always the
-    final state).  Returns the monitor for programmatic inspection."""
+def watch(path, interval: float = 0.5, idle_timeout: float = 5.0,
+          out=None, clear: bool = True) -> list:
+    """Follow ``path`` until it goes idle; returns the spans read."""
     out = out if out is not None else sys.stdout
-    monitor = monitor if monitor is not None else LiveMonitor()
-    records = read_stream_jsonl(path)
-    frames = max(int(frames), 1)
-    if not records:
-        monitor.replay([])
-        out.write(render_dashboard(monitor) + "\n")
-        return monitor
-    step = max(len(records) // frames, 1)
-    done = 0
-    while done < len(records):
-        chunk = records[done:done + step]
-        done += len(chunk)
-        monitor.replay(chunk)
-        out.write(render_dashboard(monitor) + "\n")
-    return monitor
+    spans: list = []
+    shown, last = 0, time.monotonic()
 
+    def refresh():
+        if clear:
+            out.write("\x1b[2J\x1b[H")
+        out.write(f"{len(spans)} spans from {path}\n"
+                  f"{run_report(spans, memory=True)}\n")
+        out.flush()
 
-def watch_follow(path, interval: float = 0.5, idle_timeout: float = 5.0,
-                 out=None, clear: bool = True) -> LiveMonitor:
-    """Tail a live-log file being written by a running trace and
-    refresh the dashboard until the stream goes idle."""
-    out = out if out is not None else sys.stdout
-    monitor = LiveMonitor()
-    pending = []
-    last_render = 0.0
-    for record in follow_stream_jsonl(path, idle_timeout=idle_timeout):
-        pending.append(record)
-        now = time.monotonic()
-        if now - last_render >= interval:
-            monitor.replay(pending)
-            pending = []
-            if clear:
-                out.write("\x1b[2J\x1b[H")
-            out.write(render_dashboard(monitor) + "\n")
-            out.flush()
-            last_render = now
-    monitor.replay(pending)
-    out.write(render_dashboard(monitor) + "\n")
-    out.flush()
-    return monitor
+    for sp in follow_spans_jsonl(path, idle_timeout=idle_timeout):
+        spans.append(sp)
+        if time.monotonic() - last >= interval:
+            refresh()
+            shown, last = len(spans), time.monotonic()
+    if spans and len(spans) != shown:
+        refresh()
+    return spans

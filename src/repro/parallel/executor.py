@@ -57,39 +57,27 @@ class ThreadTaskRunner:
             idx, task = item
             node = f"node{idx % self.num_workers}"
             tracer = current_tracer()
-            if tracer is not None:
-                tracer.publish({"type": "task-start", "task_index": idx,
-                                "worker": node})
             scope = tracer.span(f"task {idx}", category="task",
                                 worker=node, task_index=idx) \
                 if tracer is not None else nullcontext()
-            ok = False
             t0 = time.perf_counter()
-            try:
-                with ledger_scope(parent_ledger):
-                    with device_scope(node), scope:
-                        try:
-                            if self.fault_injector is not None:
-                                self.fault_injector.inject(idx, 0, node)
-                            out = task()
-                        except TaskExecutionError:
-                            # already indexed (e.g. by a resilient wrapper)
-                            times[idx] = time.perf_counter() - t0
-                            raise
-                        except Exception as exc:
-                            times[idx] = time.perf_counter() - t0
-                            raise TaskExecutionError(
-                                f"task {idx} failed on {node}: {exc}",
-                                task_index=idx, node=node) from exc
+            with ledger_scope(parent_ledger):
+                with device_scope(node), scope:
+                    try:
+                        if self.fault_injector is not None:
+                            self.fault_injector.inject(idx, 0, node)
+                        out = task()
+                    except TaskExecutionError:
+                        # already indexed (e.g. by a resilient wrapper)
                         times[idx] = time.perf_counter() - t0
-                        ok = True
-                return out
-            finally:
-                if tracer is not None:
-                    tracer.publish(
-                        {"type": "task-end", "task_index": idx,
-                         "worker": node,
-                         "seconds": time.perf_counter() - t0, "ok": ok})
+                        raise
+                    except Exception as exc:
+                        times[idx] = time.perf_counter() - t0
+                        raise TaskExecutionError(
+                            f"task {idx} failed on {node}: {exc}",
+                            task_index=idx, node=node) from exc
+                    times[idx] = time.perf_counter() - t0
+            return out
 
         try:
             with ThreadPoolExecutor(max_workers=self.num_workers) as pool:

@@ -13,8 +13,9 @@ threaded one, with per-node attribution intact.
 Task ``i`` of a batch runs on worker process ``i % num_workers``, and is
 labelled ``node{i % num_workers}`` as the thread runner labels it: the
 label is the process, which meets the same units, and keeps their
-boundaries, in every SCF iteration.  Each worker has one duplex pipe,
-carrying one task in flight and the live events it publishes.
+boundaries, in every SCF iteration.  Each worker has one duplex pipe
+and one task in flight; the task's spans reach the parent's tracer
+(and its span log) with its result.
 """
 
 from __future__ import annotations
@@ -22,16 +23,13 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-import threading
 import traceback
 from multiprocessing import get_context
 from multiprocessing.connection import wait
 
 from repro.linalg.flops import current_ledger
 from repro.observability.spans import current_tracer, install_tracer
-from repro.parallel.serialization import (WorkerFailure,
-                                          _init_worker_heartbeat,
-                                          descriptor_of,
+from repro.parallel.serialization import (WorkerFailure, descriptor_of,
                                           execute_descriptor)
 from repro.runtime.resilience import RunTelemetry
 from repro.utils.errors import ConfigurationError, TaskExecutionError
@@ -47,7 +45,7 @@ def _start_method() -> str:
     return "spawn"
 
 
-def _serve(conn, live: bool, inherited) -> None:
+def _serve(conn, inherited) -> None:
     """Worker body: answer each task from ``conn`` with its
     :class:`WorkerTaskResult` (a bare :class:`WorkerFailure` when it
     cannot cross) until the parent hangs up.  A fork first drops what it
@@ -58,13 +56,6 @@ def _serve(conn, live: bool, inherited) -> None:
     if runner is not None:
         runner._WORKER_CACHE.clear()
     install_tracer(None)
-    lock = threading.Lock()   # a task's own threads publish events too
-
-    def send(obj):
-        with lock:
-            conn.send(obj)
-
-    _init_worker_heartbeat(send if live else None)
     while True:
         try:
             data = conn.recv_bytes()
@@ -73,11 +64,11 @@ def _serve(conn, live: bool, inherited) -> None:
         if not data:                 # the parent's hang-up message
             return
         try:
-            send(execute_descriptor(*pickle.loads(data)))
+            conn.send(execute_descriptor(*pickle.loads(data)))
         except Exception as exc:     # an import or a pickle failed here
-            send(WorkerFailure(exc_type=type(exc).__name__,
-                               message=str(exc),
-                               traceback_text=traceback.format_exc()))
+            conn.send(WorkerFailure(exc_type=type(exc).__name__,
+                                    message=str(exc),
+                                    traceback_text=traceback.format_exc()))
 
 
 def _unshippable(idx: int, exc_type: str, message) -> TaskExecutionError:
@@ -124,7 +115,6 @@ class ProcessTaskRunner:
         self.start_method = None
         self._conns: list = []
         self._procs: list = []
-        self._heartbeat_sink = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -134,17 +124,13 @@ class ProcessTaskRunner:
             return
         self.start_method = _start_method()
         ctx = get_context(self.start_method)
-        tracer = current_tracer()
-        publisher = tracer.publisher if tracer is not None else None
-        self._heartbeat_sink = getattr(publisher, "sink", None)
         pipes = [ctx.Pipe() for _ in range(self.num_workers)]
         ends = [end for pipe in pipes for end in pipe]
         for w, (_, child) in enumerate(pipes):
             inherited = [end for end in ends if end is not child] \
                 if self.start_method == "fork" else []
             proc = ctx.Process(target=_serve, name=f"repro-node{w}",
-                               args=(child, publisher is not None,
-                                     inherited), daemon=True)
+                               args=(child, inherited), daemon=True)
             proc.start()
             self._procs.append(proc)
         for parent, child in pipes:
@@ -192,17 +178,11 @@ class ProcessTaskRunner:
             node = f"node{idx % self.num_workers}"
             if self.fault_injector is not None:
                 try:
-                    delay = self.fault_injector.inject(idx, 0, node)
+                    self.fault_injector.inject(idx, 0, node)
                 except Exception as exc:
                     raise TaskExecutionError(
                         f"task {idx} failed on {node}: {exc}",
                         task_index=idx, node=node) from exc
-                if delay > 0.0 and tracer is not None:
-                    tracer.instant(
-                        "straggler-delay", category="fault", worker=node,
-                        attrs={"task_index": idx, "delay_s": float(delay),
-                               "slept": bool(self.fault_injector
-                                             .profile.real_sleep)})
             self.telemetry.record_attempt(retry=False)
         failures = self._run(tasks, times, results, parent_ledger, tracer) \
             if tasks else {}
@@ -269,9 +249,6 @@ class ProcessTaskRunner:
                         reply = conn.recv() if conn.poll() else None
                     except (EOFError, OSError):
                         reply = None
-                    if isinstance(reply, dict):   # a live event
-                        self._heartbeat_sink(reply)
-                        continue
                     idx = busy.pop(w)
                     if reply is None:
                         died(w, idx)

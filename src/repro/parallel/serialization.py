@@ -39,37 +39,6 @@ def task_telemetry() -> MetricsRegistry | None:
     into it, and it ships home whether or not the parent traces."""
     return _TASK_TELEMETRY.get()
 
-# -- live-telemetry heartbeat (worker side) --------------------------------
-#
-# Under a live monitor, worker-side publishers stream task-start/task-end
-# and span events home while the task executes, up the worker's task
-# pipe; the parent forwards them onto the telemetry bus as they arrive.
-
-_HEARTBEAT_SINK = None
-_HEARTBEAT_PUBLISHERS: dict = {}
-
-
-def _init_worker_heartbeat(sink) -> None:
-    """Worker start-up: send live events to ``sink`` (``None`` without a
-    live monitor) and drop publishers a fork inherited."""
-    global _HEARTBEAT_SINK
-    _HEARTBEAT_SINK = sink
-    _HEARTBEAT_PUBLISHERS.clear()
-
-
-def heartbeat_publisher(node: str):
-    """This worker process's live publisher for ``node`` (``None`` when
-    the parent runs no live monitor).  One publisher per (process,
-    node) keeps the stamped sequence numbers monotonic per stream."""
-    if _HEARTBEAT_SINK is None:
-        return None
-    publisher = _HEARTBEAT_PUBLISHERS.get(node)
-    if publisher is None:
-        from repro.observability.live import BusPublisher
-        publisher = _HEARTBEAT_PUBLISHERS[node] = BusPublisher(
-            _HEARTBEAT_SINK, worker=node)
-    return publisher
-
 
 @dataclass(frozen=True)
 class TaskDescriptor:
@@ -143,13 +112,8 @@ def execute_descriptor(index: int, node: str, traced: bool,
     ledger = FlopLedger()
     telemetry = MetricsRegistry()
     tracer = SpanTracer() if traced else None
-    publisher = heartbeat_publisher(node) if traced else None
-    if tracer is not None and publisher is not None:
-        tracer.publisher = publisher
     value = None
     error = None
-    if publisher is not None:
-        publisher({"type": "task-start", "task_index": index})
     t0 = time.perf_counter()
     token = _TASK_TELEMETRY.set(telemetry)
     try:
@@ -167,13 +131,9 @@ def execute_descriptor(index: int, node: str, traced: bool,
                               traceback_text=traceback.format_exc())
     finally:
         _TASK_TELEMETRY.reset(token)
-    elapsed = time.perf_counter() - t0
-    if publisher is not None:
-        publisher({"type": "task-end", "task_index": index,
-                   "seconds": elapsed, "ok": error is None})
     return WorkerTaskResult(
         index=index, node=node, value=value, error=error,
-        elapsed_s=elapsed, ledger=ledger.as_snapshot(),
+        elapsed_s=time.perf_counter() - t0, ledger=ledger.as_snapshot(),
         telemetry=telemetry.snapshot() or None,
         metrics=tracer.metrics.snapshot() if traced else None,
         spans=[sp.as_dict() for sp in tracer.records()]

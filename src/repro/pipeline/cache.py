@@ -81,8 +81,9 @@ class BoundaryMemo:
     """Lock-guarded :class:`OpenBoundary` memo shared by a run's caches.
 
     Keys are ``(lead content fingerprint, energy, method, sorted
-    kwargs)``.  The first value published under a key wins; later
-    publishers get it back, so every caller holds the identical object.
+    kwargs)``.  The first value published under a key wins; a later
+    caller publishing under that key gets it back, so every caller
+    holds the identical object.
     """
 
     def __init__(self):

@@ -47,11 +47,6 @@ class FaultProfile:
     straggler_delay_s : extra (simulated) wall time of a straggling
         attempt.  Charged to telemetry, and to the per-task timeout if
         one is configured; only actually slept when ``real_sleep``.
-    slow_nodes : node names that straggle on *every* attempt (with
-        ``straggler_delay_s`` extra time) — a deterministic per-node
-        slowness, as opposed to the per-attempt coin flip of
-        ``straggler_prob``; what the live straggler detector is
-        exercised against.
     real_sleep : sleep ``straggler_delay_s`` for real (off by default so
         tests and examples stay fast).
     seed : base seed of the decision stream.
@@ -62,7 +57,6 @@ class FaultProfile:
     permanent_death_fraction: float = 1.0
     straggler_prob: float = 0.0
     straggler_delay_s: float = 0.0
-    slow_nodes: tuple = ()
     real_sleep: bool = False
     seed: int = DEFAULT_SEED
 
@@ -138,8 +132,7 @@ class FaultInjector:
         kill = bool(u[0] < p.node_death_prob)
         permanent = kill and bool(u[1] < p.permanent_death_fraction)
         fail = bool(u[2] < p.task_failure_prob)
-        straggle = bool(u[3] < p.straggler_prob) \
-            or str(node) in p.slow_nodes
+        straggle = bool(u[3] < p.straggler_prob)
         return FaultDecision(
             task_index=task_index, attempt=attempt, node=node,
             fail_task=fail, kill_node=kill, permanent=permanent,

@@ -441,20 +441,6 @@ class ResilientTaskRunner:
                     continue
                 target.merge(probe)
                 self.telemetry.record_success(delay)
-                if delay > 0.0:
-                    tracer = current_tracer()
-                    if tracer is not None:
-                        # the live aggregator re-adds unslept delays to
-                        # the task latency, modelling the prescribed
-                        # slowness even when real_sleep is off
-                        tracer.instant(
-                            "straggler-delay", category="fault",
-                            worker=node,
-                            attrs={"task_index": index,
-                                   "delay_s": float(delay),
-                                   "slept": bool(
-                                       self.fault_injector.profile
-                                       .real_sleep)})
                 return out
             self.telemetry.record_giveup()
             raise TaskExecutionError(

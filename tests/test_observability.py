@@ -8,7 +8,13 @@ telemetry continuity, and the traced production demo's end-to-end
 reconciliation.
 """
 
+import concurrent.futures
+import io
 import json
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,17 +24,19 @@ from repro.hamiltonian.device import synthetic_device_from_lead
 from repro.hardware import K20X, TITAN
 from repro.linalg import gemm
 from repro.linalg.flops import ledger_scope
-from repro.observability import (MetricsRegistry, Span, SpanTracer,
+from repro.observability import (MetricsRegistry, Span, SpanLogWriter,
+                                 SpanTracer, comparable_telemetry,
                                  current_tracer, install_tracer,
-                                 node_activity, phase_report,
-                                 phase_totals, read_spans_jsonl,
-                                 reconcile, roofline_annotate,
-                                 to_chrome_trace, tracing,
-                                 validate_chrome_trace,
+                                 memory_totals, node_activity,
+                                 phase_report, phase_totals,
+                                 read_spans_jsonl, reconcile,
+                                 reconcile_report, roofline_annotate,
+                                 run_report, to_chrome_trace,
+                                 tracing, validate_chrome_trace,
                                  write_chrome_trace, write_spans_jsonl)
 from repro.runtime import CheckpointStore, ResilientTaskRunner, RunTelemetry
 from repro.utils.errors import (CheckpointError, ConfigurationError,
-                                NodeFailureError)
+                                NodeFailureError, TaskExecutionError)
 
 
 class TestSpanTracer:
@@ -84,6 +92,25 @@ class TestSpanTracer:
                   flops=12, bytes_moved=34, worker="node1", span_id=3,
                   parent_id=1, attrs={"k": 0})
         assert Span.from_dict(sp.as_dict()) == sp
+
+    def test_on_close_sees_every_closed_span(self):
+        # scope exit, emit, instant and absorb all hand the closed span
+        # to the hook, once, as its final dict
+        seen = []
+        tracer = SpanTracer()
+        tracer.on_close = seen.append
+        with tracer.span("outer", category="task"):
+            tracer.emit("stage", category="stage", seconds=0.5, flops=3)
+            tracer.instant("retry", category="fault")
+            assert [d["name"] for d in seen] == ["stage", "retry"]
+        worker = SpanTracer()
+        with worker.span("task 0", category="task"):
+            pass
+        tracer.absorb([sp.as_dict() for sp in worker.records()])
+        assert [d["name"] for d in seen] == ["stage", "retry", "outer",
+                                             "task 0"]
+        assert sorted(seen, key=lambda d: d["seq"]) == \
+            [sp.as_dict() for sp in tracer.records()]
 
 
 class TestMetricsRegistry:
@@ -487,3 +514,321 @@ class TestCLI:
     def test_report_needs_input(self, capsys):
         from repro.__main__ import main
         assert main(["report"]) == 2
+
+
+# --------------------------------------------------------------------------
+# The span log: one writer, a torn tail survived, the live tail
+# --------------------------------------------------------------------------
+
+class TestSpanLog:
+    def test_torn_tail_is_skipped(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        spans = _spans_two_workers()
+        write_spans_jsonl(spans, path)
+        with open(path, "a") as fh:   # a writer killed mid-line
+            fh.write('{"name": "task 1", "categ')
+        assert read_spans_jsonl(path) == spans
+
+    def test_corrupt_terminated_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        write_spans_jsonl(_spans_two_workers(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "not json\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError,
+                           match=f"{path}:3: not a span record"):
+            read_spans_jsonl(path)
+
+    def test_concurrent_writers_keep_lines_whole(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        threads, per_thread = 8, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SpanLogWriter(path) as writer:
+                def hammer(t):
+                    for i in range(per_thread):
+                        writer(Span(name=f"t{t}", seq=i,
+                                    attrs={"pad": "x" * 64}).as_dict())
+                pool = [threading.Thread(target=hammer, args=(t,))
+                        for t in range(threads)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in pool)
+        finally:
+            sys.setswitchinterval(interval)
+        log = read_spans_jsonl(path)
+        assert len(log) == writer.lines == threads * per_thread
+        for t in range(threads):
+            assert [sp.seq for sp in log if sp.name == f"t{t}"] == \
+                list(range(per_thread))
+
+    def test_failed_sweep_leaves_a_complete_log(self, tmp_path):
+        """Spans are written as they close: a run whose task raises
+        mid-sweep, its writer never closed, left every closed span
+        on disk, the failing task's with its error."""
+        from repro.parallel import ThreadTaskRunner
+        path = tmp_path / "spans.jsonl"
+        tracer = SpanTracer()
+        tracer.on_close = writer = SpanLogWriter(path)
+
+        def task(i):
+            def run():
+                with current_tracer().span("SOLVE", category="stage"):
+                    gemm(np.eye(4), np.eye(4))
+                    if i == 3:
+                        raise ValueError("singular block")
+                return i
+            return run
+
+        with tracing(tracer), ledger_scope():
+            with pytest.raises(TaskExecutionError):
+                ThreadTaskRunner(2)([task(i) for i in range(6)])
+        log = read_spans_jsonl(path)
+        # the tasks still queued at the failure are cancelled, so the
+        # count varies; tasks 0-3 and their stages always closed
+        assert len(log) == writer.lines == len(tracer.records()) >= 8
+        assert sorted((sp.as_dict() for sp in log),
+                      key=lambda d: d["seq"]) == \
+            [sp.as_dict() for sp in tracer.records()]
+        failed, = [sp for sp in log if sp.name == "task 3"]
+        assert failed.attrs["error"] == "TaskExecutionError"
+        writer.close()
+
+    def test_watch_tails_a_growing_log(self, tmp_path):
+        from repro.observability.watch import watch
+        path = tmp_path / "spans.jsonl"
+        spans = _spans_two_workers()
+
+        def produce():
+            with SpanLogWriter(path) as writer:
+                for sp in spans:
+                    writer(sp.as_dict())
+                    threading.Event().wait(0.05)
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        out = io.StringIO()
+        seen = watch(path, interval=0.0, idle_timeout=1.0, out=out,
+                     clear=False)
+        producer.join(timeout=10.0)
+        assert not producer.is_alive()
+        assert seen == spans
+        # refreshed as the log grew; the last frame holds every span
+        headers = [line for line in out.getvalue().splitlines()
+                   if " spans from " in line]
+        assert len(headers) >= 2
+        assert headers[-1] == f"{len(spans)} spans from {path}"
+
+    def test_watch_cli(self, tmp_path, capsys):
+        from repro.__main__ import main
+        path = tmp_path / "spans.jsonl"
+        write_spans_jsonl(_spans_two_workers(), path)
+        assert main(["watch", str(path), "--idle-timeout", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert "Phase breakdown" in out and "Per-node activity" in out
+        assert main(["watch", str(tmp_path / "none.jsonl"),
+                     "--idle-timeout", "0.1"]) == 2
+
+
+# --------------------------------------------------------------------------
+# Metrics satellites: quantiles, concurrent publishers
+# --------------------------------------------------------------------------
+
+def _publish_metrics_worker(n: int) -> dict:
+    """Process-pool worker: builds a registry and returns its snapshot."""
+    registry = MetricsRegistry()
+    for i in range(n):
+        registry.counter("tasks").inc()
+        registry.histogram("latency_seconds").observe(0.01 * (i % 7 + 1))
+        registry.labeled("stage_flops").inc("SOLVE", 10)
+    return registry.snapshot()
+
+
+class TestMetricsSatellites:
+    def test_histogram_quantile(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat")
+        assert hist.quantile(0.5) is None
+        for _ in range(10):
+            hist.observe(0.25)
+        assert hist.quantile(0.5) == pytest.approx(0.25)
+        assert hist.quantile(0.0) == pytest.approx(0.25)
+        hist.observe(100.0)
+        assert hist.quantile(1.0) == pytest.approx(100.0)
+        with pytest.raises(ConfigurationError):
+            hist.quantile(-0.1)
+
+    def test_concurrent_thread_publishers_int_exact(self):
+        registry = MetricsRegistry()
+        threads, per_thread = 8, 500
+
+        def hammer():
+            for i in range(per_thread):
+                registry.counter("tasks").inc()
+                registry.histogram("lat").observe(0.001 * (i + 1))
+                registry.labeled("stage_flops").inc("SOLVE", 2)
+
+        pool = [threading.Thread(target=hammer) for _ in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join()
+        total = threads * per_thread
+        snap = registry.snapshot()
+        assert snap["tasks"]["value"] == total
+        assert snap["lat"]["count"] == total
+        assert sum(snap["lat"]["buckets"]) == total
+        assert snap["stage_flops"]["values"]["SOLVE"] == 2 * total
+
+    def test_concurrent_merge_while_publishing(self):
+        # merge into a parent registry while publishers are still
+        # hammering their own: nothing lost, everything int-exact
+        parent = MetricsRegistry()
+        workers = [MetricsRegistry() for _ in range(4)]
+        per_worker = 300
+
+        def hammer(registry):
+            for _ in range(per_worker):
+                registry.counter("tasks").inc()
+                registry.histogram("lat").observe(0.5)
+
+        pool = [threading.Thread(target=hammer, args=(w,))
+                for w in workers]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join()
+        for w in workers:
+            parent.merge(w)
+        snap = parent.snapshot()
+        assert snap["tasks"]["value"] == 4 * per_worker
+        assert snap["lat"]["count"] == 4 * per_worker
+        assert sum(snap["lat"]["buckets"]) == 4 * per_worker
+
+    def test_process_publishers_merge_int_exact(self):
+        # spawned-process publishers: snapshots cross the pickle
+        # boundary and merge without losing a single observation
+        ctx = multiprocessing.get_context("spawn")
+        counts = [40, 60, 80]
+        parent = MetricsRegistry()
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=2, mp_context=ctx) as pool:
+            for snap in pool.map(_publish_metrics_worker, counts):
+                parent.merge_snapshot(snap)
+        total = sum(counts)
+        snap = parent.snapshot()
+        assert snap["tasks"]["value"] == total
+        assert snap["latency_seconds"]["count"] == total
+        assert sum(snap["latency_seconds"]["buckets"]) == total
+        assert snap["stage_flops"]["values"]["SOLVE"] == 10 * total
+
+    def test_mismatched_bucket_grids_keep_counts_exact(self):
+        lock = threading.Lock()
+        from repro.observability.metrics import Histogram
+        coarse = Histogram(lock, bounds=(1.0, 10.0))
+        fine = Histogram(threading.Lock())
+        for v in (0.5, 5.0, 50.0):
+            fine.observe(v)
+        coarse.merge_snapshot(fine.snapshot())
+        assert coarse.count == 3
+        assert sum(coarse.bucket_counts) == 3
+        assert coarse.total == pytest.approx(55.5)
+
+
+class TestComparableTelemetry:
+    def test_drops_only_noisy_metrics(self):
+        snap = {"wasted_time_s": {"kind": "counter", "value": 0.5},
+                "task_seconds": {"kind": "histogram", "count": 1},
+                "arena_reuses": {"kind": "gauge", "value": 4},
+                "stage_flops": {"kind": "labeled_counter",
+                                "values": {"SOLVE": 7}},
+                "retries": {"kind": "counter", "value": 1}}
+        kept = comparable_telemetry(snap)
+        assert set(kept) == {"stage_flops", "retries"}
+
+
+# --------------------------------------------------------------------------
+# Acceptance: the streamed log is the record
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def streamed(tmp_path_factory):
+    """One smoke demo per backend with its span log streamed, run on
+    first request."""
+    from repro.observability.demo import traced_production_demo
+    runs = {}
+
+    def get(backend):
+        if backend not in runs:
+            path = tmp_path_factory.mktemp(backend) / "spans.jsonl"
+            runs[backend] = traced_production_demo(
+                smoke=True, backend=backend, jsonl_path=path)
+        return runs[backend]
+    return get
+
+
+class TestSpanLogAcceptance:
+    def test_log_on_off_bitwise_parity(self, streamed):
+        from repro.observability.demo import traced_production_demo
+        off = traced_production_demo(smoke=True)
+        on = streamed("thread")
+        for point_on, point_off in zip(on["result"].points,
+                                       off["result"].points, strict=True):
+            assert point_on.current == point_off.current
+            assert point_on.scf_iterations == point_off.scf_iterations
+        assert on["ledger_flops"] == off["ledger_flops"]
+        assert on["ledger_bytes"] == off["ledger_bytes"]
+        assert comparable_telemetry(on["metrics"].snapshot()) == \
+            comparable_telemetry(off["metrics"].snapshot())
+        assert comparable_telemetry(on["telemetry"].snapshot()) == \
+            comparable_telemetry(off["telemetry"].snapshot())
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_streamed_log_is_the_record(self, streamed, backend):
+        demo = streamed(backend)
+        log = read_spans_jsonl(demo["jsonl_path"])
+        assert len(log) == demo["jsonl_lines"] == len(demo["spans"])
+        assert sorted((sp.as_dict() for sp in log),
+                      key=lambda d: d["seq"]) == \
+            [sp.as_dict() for sp in sorted(demo["spans"],
+                                           key=lambda sp: sp.seq)]
+        assert phase_totals(log) == demo["totals"]
+        # the log closes with the run's ledger totals, so the report
+        # over it repeats the reconciliation
+        assert reconcile_report(demo["reconciliation"]) in run_report(log)
+        assert "flops EXACT" in reconcile_report(demo["reconciliation"])
+        assert "bytes EXACT" in reconcile_report(demo["reconciliation"])
+
+    def test_byte_drift_reaches_memory_totals(self, monkeypatch, tmp_path):
+        from repro.observability.demo import traced_production_demo
+        from repro.pipeline.pipeline import TransportPipeline
+        original = TransportPipeline._predicted_solve_bytes
+
+        def shrunk(cache, solver_name, width, num_partitions=1):
+            predicted = original(cache, solver_name, width, num_partitions)
+            return None if predicted is None \
+                else max(int(predicted) // 4, 1)
+
+        monkeypatch.setattr(TransportPipeline, "_predicted_solve_bytes",
+                            staticmethod(shrunk))
+        out = traced_production_demo(smoke=True,
+                                     jsonl_path=tmp_path / "spans.jsonl")
+        stages = memory_totals(read_spans_jsonl(out["jsonl_path"]))["stages"]
+        drifting = [name for name, e in stages.items() if e["drifting"]]
+        assert drifting
+        assert all(stages[name]["ratio"] > 1.05 for name in drifting)
+
+    def test_process_worker_pids_in_the_log(self, streamed):
+        demo = streamed("process")
+        tasks = [sp for sp in read_spans_jsonl(demo["jsonl_path"])
+                 if sp.category == "task"]
+        pids = {sp.attrs["pid"] for sp in tasks}
+        assert tasks and os.getpid() not in pids
+        # one process per slot: each node{j} is one pid
+        by_node = {}
+        for sp in tasks:
+            by_node.setdefault(sp.worker, set()).add(sp.attrs["pid"])
+        assert all(len(p) == 1 for p in by_node.values())
