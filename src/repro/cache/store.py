@@ -148,12 +148,16 @@ class ResultStore:
         return os.path.exists(self._object_path(key))
 
     def put(self, key: str, payload: dict, kind: str = "result") -> bool:
-        """Publish a payload under ``key``; returns False if already present.
+        """Publish a payload under ``key``; returns False if already
+        present or if the write fails.
 
         Atomic and idempotent: content-addressed keys mean every writer
         of a key writes identical bytes, so skipping an existing object
         is safe and the tmp-then-rename makes concurrent publishes from
-        worker processes race-free.
+        worker processes race-free.  A write that fails (a full disk, a
+        file-size limit) is counted as ``result_store_put_failures`` and
+        leaves no file: a cache write cannot change a result, so the run
+        goes on.
         """
         path = self._object_path(key)
         if os.path.exists(path):
@@ -165,14 +169,17 @@ class ResultStore:
                     "only plain numeric/bool arrays are cacheable")
         meta = {"schema": RECORD_SCHEMA_VERSION, "kind": kind, "key": key,
                 "checksum": _payload_checksum(payload)}
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
         arrays = dict(payload)
         arrays[_META_KEY] = np.asarray(json.dumps(meta))
         try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(tmp, "wb") as fh:
                 np.savez(fh, **arrays)
             os.replace(tmp, path)
+        except OSError:
+            self._count("result_store_put_failures")
+            return False
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)

@@ -9,9 +9,7 @@ self-consistent Schroedinger-Poisson solve, the Landauer current at the
 converged potential, and the dynamic load-balancer feedback that OMEN
 applies between iterations (recorded here from measured per-k wall
 times so the distribution logic runs on real data).  The sweep can
-checkpoint after every completed bias point and resume from a kill, and
-nodes the fault-tolerance layer quarantines are dropped from the
-balancer's pool.
+checkpoint after every completed bias point and resume from a kill.
 """
 
 from __future__ import annotations
@@ -77,9 +75,8 @@ def run_production(structure, basis, num_cells: int, bias_points,
     scf_kwargs : forwarded to
         :func:`repro.poisson.scf.schroedinger_poisson`.
     task_runner : forwarded to the SCF loop and the final transport
-        solve of each bias point; when it is a
-        :class:`repro.runtime.ResilientTaskRunner`, nodes its telemetry
-        quarantines are removed from the balancer's allocation.
+        solve of each bias point; its ``telemetry``, when it keeps one,
+        is checkpointed with the sweep.
     energy_batch_size : forwarded to the SCF loop and the final
         transport solve; the energies per (k, E-batch) unit (an int
         >= 1).  The balancer feedback does not depend on it — batch
@@ -113,7 +110,7 @@ def run_production(structure, basis, num_cells: int, bias_points,
     Bias points run one after the other (as in OMEN), and the load
     balancer learns per-k costs across points.  Every point's SCF starts
     from a zero potential; seeding it from the previous point's
-    converged potential (bias continuation) is ROADMAP item 2a.  Every
+    converged potential (bias continuation) is ROADMAP item 3a.  Every
     transport solve runs the reference complex-double kernels (see
     :func:`repro.core.runner.compute_spectrum`).
     """
@@ -183,8 +180,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
                                     scf_iterations=scf.iterations,
                                     converged=scf.converged,
                                     potential=scf.potential_atom))
-            if balancer is not None and telemetry is not None:
-                balancer.apply_telemetry(telemetry)
             if balancer is not None:
                 # feed back the *measured* per-k wall times of this bias
                 # point's transport solve (stage traces), falling back to
@@ -212,7 +207,6 @@ def _save_sweep(store, points, balancer, telemetry=None) -> None:
         potentials=np.asarray([p.potential for p in points]))
     if balancer is not None:
         state["balancer_work"] = balancer._work
-        state["balancer_num_nodes"] = balancer.num_nodes
         state["balancer_history"] = np.asarray(balancer.history)
     snap = telemetry.snapshot() if telemetry is not None else None
     store.save("production", telemetry=snap, **state)
@@ -254,7 +248,6 @@ def _restore_sweep(store, bias_points, balancer, telemetry=None) -> list:
         work = np.asarray(state["balancer_work"], dtype=float)
         if work.shape == balancer._work.shape:
             balancer._work = work
-            balancer.num_nodes = int(state["balancer_num_nodes"])
             balancer.history = [np.asarray(h, dtype=float) for h in
                                 np.atleast_2d(state["balancer_history"])]
             balancer._invalidate()

@@ -32,9 +32,6 @@ class RunEstimate:
     #: solver group, the convention of the paper's Table II (12.9-14.1).
     avg_points_per_node: float
     setup_time_s: float
-    #: flops of failed/retried attempts under fault injection — burned on
-    #: the machine but absent from the delivered results.
-    wasted_flops: float = 0.0
 
     @property
     def sustained_pflops(self) -> float:
@@ -86,36 +83,14 @@ class SimulatedMachine:
                       cpu_flops_per_point: float,
                       nodes_per_solver: int = 4,
                       spike_overhead_s: float = 0.0,
-                      matrix_bytes: float = 0.0,
-                      fault_injector=None) -> RunEstimate:
+                      matrix_bytes: float = 0.0) -> RunEstimate:
         """Estimate one self-consistent iteration (the Fig. 11 unit).
 
         The wall time is the *maximum over solver groups* of their
         assigned work — load imbalance from integer task counts is
         modelled exactly.
-
-        With a :class:`repro.runtime.faults.FaultInjector`, permanently
-        quarantined nodes leave the allocation, every energy point costs
-        its expected number of attempts (geometric retry model), and
-        stragglers add their expected delay; the burned-but-discarded
-        work is reported as :attr:`RunEstimate.wasted_flops`.
         """
         num_nodes = self.spec.num_nodes
-        retry_factor = 1.0
-        straggler_s = 0.0
-        if fault_injector is not None:
-            num_nodes -= len(fault_injector.quarantined_nodes())
-            if num_nodes < 1:
-                raise ConfigurationError(
-                    "every node of the allocation is quarantined")
-            retry_factor = fault_injector.expected_attempts()
-            if not np.isfinite(retry_factor):
-                raise ConfigurationError(
-                    "fault profile fails every attempt; no finite "
-                    "iteration time exists")
-            profile = fault_injector.profile
-            straggler_s = (profile.straggler_prob
-                           * profile.straggler_delay_s)
         # imported here: repro.parallel sits above repro.hardware (its
         # runners import the runtime, which imports observability and,
         # through the report, this package)
@@ -126,7 +101,6 @@ class SimulatedMachine:
                                          cpu_flops_per_point,
                                          nodes_per_solver,
                                          spike_overhead_s)
-        t_point = t_point * retry_factor + straggler_s
         wall = float(dist.group_times(t_point).max())
         setup = self.broadcast_time(matrix_bytes)
         total_points = dist.total_energy_points
@@ -139,8 +113,7 @@ class SimulatedMachine:
             total_flops=flops,
             energy_points=total_points,
             avg_points_per_node=total_points / num_groups,
-            setup_time_s=setup,
-            wasted_flops=flops * (retry_factor - 1.0))
+            setup_time_s=setup)
 
     def strong_scaling(self, node_counts, energies_per_k,
                        gpu_flops_per_point: float,

@@ -173,8 +173,8 @@ class Histogram:
 class LabeledCounter:
     """A family of counters keyed by a string label.
 
-    Backs set-like telemetry too: ``quarantined_nodes`` is the label set
-    of a labeled counter, so a cross-runner merge is a plain union.
+    Backs keyed telemetry: ``failures_by_type`` and ``tasks_by_worker``
+    are labeled counters, so a cross-runner merge adds label by label.
     """
 
     kind = "labeled_counter"

@@ -198,7 +198,7 @@ class SpanTracer:
     def instant(self, name: str, category: str = "",
                 worker: str | None = None,
                 attrs: dict | None = None) -> Span | None:
-        """A zero-duration marker event (retry, rebalance, quarantine)."""
+        """A zero-duration marker event (task fault, rebalance, checkpoint)."""
         now = time.perf_counter()
         return self.emit(name, category=category, t_start=now, t_stop=now,
                          worker=worker, attrs=attrs)

@@ -26,15 +26,13 @@ from repro.utils.errors import ConfigurationError
 BACKENDS = ("serial", "thread", "process")
 
 
-def make_task_runner(backend: str, num_workers: int | None = None,
-                     fault_injector=None):
+def make_task_runner(backend: str, num_workers: int | None = None):
     """Build the task runner for ``backend``.
 
     Parameters
     ----------
     backend : one of :data:`BACKENDS`.
     num_workers : worker count (default 1; ignored for ``"serial"``).
-    fault_injector : forwarded to the runner when it takes one.
 
     Returns ``None`` for ``"serial"`` — the convention the execution
     layer already treats as "run inline".
@@ -49,8 +47,8 @@ def make_task_runner(backend: str, num_workers: int | None = None,
     if backend == "serial":
         return None
     if backend == "thread":
-        return ThreadTaskRunner(workers, fault_injector=fault_injector)
-    return ProcessTaskRunner(workers, fault_injector=fault_injector)
+        return ThreadTaskRunner(workers)
+    return ProcessTaskRunner(workers)
 
 
 def close_task_runner(runner) -> None:

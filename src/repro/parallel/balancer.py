@@ -4,8 +4,6 @@
 different k points, a dynamical allocation of the number of nodes per
 momentum has been developed" — after each Schroedinger-Poisson iteration
 the measured per-k runtimes update the node allocation of the next one.
-Nodes quarantined by the fault-tolerance layer are removed from the pool
-and their work is re-spread over the survivors.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ class DynamicLoadBalancer:
         #: smoothed work model after each recorded iteration (the vector
         #: the next allocation is actually built from)
         self.history = []
-        #: nodes removed from the pool by the fault-tolerance layer
-        self.quarantined = []
         self._dist = None
 
     def _invalidate(self):
@@ -44,8 +40,7 @@ class DynamicLoadBalancer:
 
     def current_distribution(self):
         """The allocation for the learned work model (cached until the
-        model or the node pool changes — one build per iteration, not
-        one per query)."""
+        model changes — one build per iteration, not one per query)."""
         if self._dist is None:
             dist = build_distribution(self.num_nodes, self.energies_per_k,
                                       self.nodes_per_solver)
@@ -113,50 +108,11 @@ class DynamicLoadBalancer:
         per_k = np.maximum(per_k, 1e-9)
         return self.record_iteration(per_k / dist.nodes_per_k)
 
-    def quarantine_node(self, node) -> None:
-        """Remove one (permanently failed) node from the allocation pool.
-
-        The pool shrinks and the next :meth:`current_distribution`
-        re-spreads the work over the survivors; raises if they could no
-        longer host one solver group per momentum.
-        """
-        node = str(node)
-        if node in self.quarantined:
-            return
-        survivors = self.num_nodes - 1
-        if survivors // self.nodes_per_solver < len(self.energies_per_k):
-            raise ConfigurationError(
-                f"cannot quarantine {node}: {survivors} nodes left for "
-                f"{len(self.energies_per_k)} momentum groups of "
-                f"{self.nodes_per_solver} node(s)")
-        self.quarantined.append(node)
-        self.num_nodes = survivors
-        self._invalidate()
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.labeled("balancer_quarantined").inc(node)
-            tracer.instant("quarantine", category="balancer",
-                           attrs={"node": node,
-                                  "survivors": survivors})
-
-    def apply_telemetry(self, telemetry) -> list:
-        """Quarantine every node a runner's telemetry reports dead.
-
-        Returns the newly quarantined node names (idempotent across
-        repeated calls with the same telemetry).
-        """
-        fresh = sorted(set(telemetry.quarantined_nodes)
-                       - set(self.quarantined))
-        for node in fresh:
-            self.quarantine_node(node)
-        return fresh
-
     def predicted_iteration_time(self, work=None) -> float:
         """Max over k of (work_k / nodes_k): the slowest group's time.
 
-        Momenta with no nodes assigned (a transiently inconsistent
-        allocation during quarantining) are priced at one node instead
-        of dividing by zero — an inf here would poison the next
+        Momenta with no nodes assigned are priced at one node instead of
+        dividing by zero — an inf here would poison the next
         allocation's work model.
         """
         dist = self.current_distribution()

@@ -26,27 +26,21 @@ class ThreadTaskRunner:
     a worker are attributed to it.  Per-task wall-clock times are kept in
     :attr:`task_times` for the load-balancer feedback loop.
 
-    Parameters
-    ----------
-    fault_injector : :class:`repro.runtime.faults.FaultInjector`, optional
-        When set, each task is exposed to injected faults (attempt 0 —
-        this runner performs no retries; wrap it in a
-        :class:`repro.runtime.ResilientTaskRunner` for that).
-
     Notes
     -----
-    A raising task aborts the batch with a
+    This runner performs no retries; wrap it in a
+    :class:`repro.runtime.ResilientTaskRunner` for that.  A raising task
+    aborts the batch with a
     :class:`~repro.utils.errors.TaskExecutionError` carrying the failed
     task's index, and :attr:`task_times` is *always* republished — the
     partial timings of the failed batch, never the stale timings of a
     previous invocation (the balancer feedback loop reads them).
     """
 
-    def __init__(self, num_workers: int, fault_injector=None):
+    def __init__(self, num_workers: int):
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
         self.num_workers = num_workers
-        self.fault_injector = fault_injector
         self.task_times: list = []
 
     def __call__(self, tasks) -> list:
@@ -64,8 +58,6 @@ class ThreadTaskRunner:
             with ledger_scope(parent_ledger):
                 with device_scope(node), scope:
                     try:
-                        if self.fault_injector is not None:
-                            self.fault_injector.inject(idx, 0, node)
                         out = task()
                     except TaskExecutionError:
                         # already indexed (e.g. by a resilient wrapper)

@@ -86,10 +86,6 @@ class ProcessTaskRunner:
     ----------
     num_workers : int
         Simulated nodes ``node{i}``, one OS process each.
-    fault_injector : :class:`repro.runtime.faults.FaultInjector`, optional
-        Injected per-attempt faults (attempt 0; no retries — the
-        injector state lives in the parent, so injection happens at
-        dispatch time).
 
     Notes
     -----
@@ -102,11 +98,10 @@ class ProcessTaskRunner:
     bitwise-identical inputs.
     """
 
-    def __init__(self, num_workers: int, fault_injector=None):
+    def __init__(self, num_workers: int):
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
         self.num_workers = num_workers
-        self.fault_injector = fault_injector
         self.task_times: list = []
         #: merged per-worker telemetry (RunTelemetry view; the parent's
         #: ``compute_spectrum`` also folds task traces into it)
@@ -173,16 +168,7 @@ class ProcessTaskRunner:
         times = self.task_times = [None] * len(tasks)
         results = [None] * len(tasks)
         self.telemetry.record_submitted(len(tasks))
-        # the batch's injected faults, in task order, before any dispatch
-        for idx in range(len(tasks)):
-            node = f"node{idx % self.num_workers}"
-            if self.fault_injector is not None:
-                try:
-                    self.fault_injector.inject(idx, 0, node)
-                except Exception as exc:
-                    raise TaskExecutionError(
-                        f"task {idx} failed on {node}: {exc}",
-                        task_index=idx, node=node) from exc
+        for _ in tasks:   # the first attempts are dispatched here
             self.telemetry.record_attempt(retry=False)
         failures = self._run(tasks, times, results, parent_ledger, tracer) \
             if tasks else {}

@@ -1,35 +1,29 @@
-"""Fault-tolerant execution runtime for the simulated supercomputer.
+"""Fault-tolerant execution runtime.
 
-Three pieces, layered on top of :mod:`repro.parallel`:
+Two pieces, layered on top of :mod:`repro.parallel`:
 
-1. :class:`FaultInjector` — seeded, deterministic injection of transient
-   task faults, node deaths (transient or permanent), and stragglers,
-   keyed on ``(task_index, attempt)`` so the fault sequence is
-   independent of thread scheduling,
-2. :class:`ResilientTaskRunner` — per-task retry with exponential
-   backoff, soft timeouts, quarantine of permanently failed nodes, and
-   :class:`RunTelemetry` (retries, give-ups, wasted flops) recorded next
-   to the flop ledger,
-3. :class:`CheckpointStore` — atomic checkpoint/restart of the
+1. :class:`ResilientTaskRunner` — per-task retry with exponential
+   backoff and a wall-clock timeout, one :class:`RetryPolicy` and one
+   retry loop on every backend, and :class:`RunTelemetry` (retries,
+   give-ups, wasted flops) recorded next to the flop ledger,
+2. :class:`CheckpointStore` — atomic checkpoint/restart of the
    Schroedinger-Poisson SCF loop and the production bias sweep, so a
    killed allocation resumes from the last completed (k, E) batch.
 
-A protected run with faults injected produces results bit-identical to
-the fault-free run (retries re-execute deterministic pure tasks), which
-is the invariant the regression tests pin.
+Faults are real: a task that raises, overruns its timeout, or kills
+its worker.  A protected run whose tasks fail transiently produces
+results bit-identical to the fault-free run (retries re-execute
+deterministic pure tasks), which is the invariant the regression tests
+pin; a worker death is surfaced as a typed error, not retried.
 """
 
 from repro.runtime.checkpoint import CheckpointStore, as_store
-from repro.runtime.faults import FaultDecision, FaultInjector, FaultProfile
 from repro.runtime.resilience import (ResilientTaskRunner, RetryPolicy,
                                       RunTelemetry)
 
 __all__ = [
     "CheckpointStore",
     "as_store",
-    "FaultDecision",
-    "FaultInjector",
-    "FaultProfile",
     "ResilientTaskRunner",
     "RetryPolicy",
     "RunTelemetry",

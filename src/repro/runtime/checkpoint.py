@@ -51,7 +51,10 @@ class CheckpointStore:
         pickle-free.  ``telemetry`` takes a JSON-serializable metrics
         snapshot (:meth:`repro.runtime.RunTelemetry.snapshot`) stored as
         JSON text, so a resumed run's failure/retry/stage accounting
-        covers the whole job, not just the post-restart tail.
+        covers the whole job, not just the post-restart tail.  A write
+        that fails (a full disk, a file-size limit) is a
+        :class:`CheckpointError`; the previous checkpoint stays intact
+        and no temp file is left behind.
         """
         arrays = {"__kind__": np.asarray(kind)}
         if telemetry is not None:
@@ -63,13 +66,19 @@ class CheckpointStore:
                     f"checkpoint value {key!r} is not plain numeric data")
             arrays[key] = arr
         tmp = self.path + ".tmp"
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-            # the bytes must be on disk before the rename publishes them,
-            # or a crash can leave a renamed-but-empty checkpoint
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **arrays)
+                # the bytes must be on disk before the rename publishes
+                # them, or a crash can leave a renamed-but-empty checkpoint
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except OSError as exc:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise CheckpointError(
+                f"cannot write checkpoint {self.path}: {exc}") from exc
 
     def load(self, kind: str | None = None) -> dict:
         """Read the checkpoint back; 0-d arrays become Python scalars."""

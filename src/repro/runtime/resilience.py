@@ -1,41 +1,45 @@
-"""Resilient task execution: retry, backoff, timeout, quarantine.
+"""Resilient task execution: retry, backoff, timeout.
 
 :class:`ResilientTaskRunner` wraps any ``task_runner(tasks) -> list``
 (``ThreadTaskRunner``, ``ProcessTaskRunner``, or plain sequential
-execution) so that each (k, E) task survives transient failures: failed
-attempts are retried with exponential backoff on a fresh simulated node,
-permanently dead nodes are quarantined, and everything — retries,
-timeouts, wasted flops — is accounted in :class:`RunTelemetry` alongside
-the flop ledger, mirroring how OMEN's production runs log re-executed
-energy points.
+execution) so that each (k, E) task survives transient failures: a
+failed attempt is retried with exponential backoff, and everything —
+retries, timeouts, wasted flops — is accounted in :class:`RunTelemetry`
+alongside the flop ledger, mirroring how OMEN's production runs log
+re-executed energy points.
 
-Failed attempts run under a scratch :class:`~repro.linalg.flops.FlopLedger`
-that is merged into the active ledger only on success, so the flop
-accounting of a faulty-but-protected run is *identical* to the fault-free
-run, and the discarded work shows up as ``wasted_flops`` instead.
+There is one retry loop, :func:`_retry_run`.  In process it runs around
+the task closure; on the process backend it is the task's descriptor
+and runs inside the worker, next to the failure.  Failed attempts run
+under a scratch :class:`~repro.linalg.flops.FlopLedger` that is merged
+into the active ledger only on success, so only successful attempts
+reach the ledger and the discarded work shows up as ``wasted_flops``.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.linalg.flops import FlopLedger, current_ledger, ledger_scope
+from repro.linalg.flops import (FlopLedger, current_device, current_ledger,
+                                ledger_scope)
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import current_tracer
-from repro.utils.errors import (ConfigurationError, NodeFailureError,
-                                TaskExecutionError, TaskTimeoutError)
+from repro.utils.errors import (ConfigurationError, TaskExecutionError,
+                                TaskTimeoutError)
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Plain-data retry parameters that survive the pickle boundary.
 
-    The worker-side twin of :class:`ResilientTaskRunner`'s settings:
-    :func:`_retry_run` re-reads them inside the worker process, so the
-    process backend gets the same per-task retry/backoff/timeout
-    semantics the in-process closures provide.
+    ``max_retries`` extra attempts after the first; between attempts of
+    one task ``min(backoff_s * backoff_factor**(attempt-1),
+    backoff_cap_s)`` seconds of backoff (``backoff_s=0``, the default,
+    sleeps never); an attempt longer than ``timeout_s`` seconds of wall
+    clock is discarded and retried (it cannot be interrupted, so it runs
+    to completion and its flops are wasted); only ``retry_on``
+    exceptions are retried.  ``task_index`` names the task in errors.
     """
 
     max_retries: int = 3
@@ -46,30 +50,38 @@ class RetryPolicy:
     retry_on: tuple = (Exception,)
     task_index: int = 0
 
+    def __post_init__(self):
+        if self.max_retries < 0:
+            raise ConfigurationError("max_retries must be >= 0")
+        if self.backoff_s < 0 or self.backoff_factor < 1 \
+                or self.backoff_cap_s < 0:
+            raise ConfigurationError(
+                "backoff_s/backoff_cap_s must be >= 0 and "
+                "backoff_factor >= 1")
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ConfigurationError("timeout_s must be positive")
 
-def _retry_run(policy: RetryPolicy, descriptor):
-    """Worker-side retry loop around one task descriptor.
 
-    Module-level (pickled by reference): when
-    :class:`ResilientTaskRunner` wraps a descriptor-shipping runner like
-    :class:`~repro.parallel.process.ProcessTaskRunner`, the guarded task
-    it builds carries ``TaskDescriptor(_retry_run, (policy, inner))`` —
-    so retries execute *inside the worker*, next to the failure, instead
-    of needing the un-picklable parent closure.
+def _retry_run(policy: RetryPolicy, descriptor, telemetry=None):
+    """The retry loop around one task: ``descriptor.run()`` until it
+    succeeds or ``policy.max_retries`` retries are spent.
 
-    Accounting mirrors the in-process path: each attempt runs under a
-    probe ledger merged into the worker's task ledger only on success,
-    so a retried-but-recovered unit ships home the same flop totals as
-    a fault-free one.  Counters go to the running task's telemetry
-    (:func:`~repro.parallel.serialization.task_telemetry`), which comes
-    home whether or not the parent traces and is merged once into the
-    runner telemetry — only the *extra* attempts are counted here,
-    because the process runner already records one attempt per
-    submitted task.  A :class:`~repro.utils.errors.ConfigurationError`
-    is never retried.
+    Module-level (pickled by reference): on the process backend the
+    guarded task ships ``TaskDescriptor(_retry_run, (policy, inner))``
+    and this loop runs inside the worker, counting into the running
+    task's telemetry (:func:`~repro.parallel.serialization.
+    task_telemetry`), which comes home with the result.  In process,
+    :class:`ResilientTaskRunner` passes its own ``telemetry``.
+
+    The dispatcher counts the first attempt; this loop counts the
+    retries, failures, give-ups and the flops and seconds of failed
+    attempts.  Each attempt runs under a probe ledger merged into the
+    active ledger only on success.  A
+    :class:`~repro.utils.errors.ConfigurationError` is never retried.
     """
-    from repro.parallel.serialization import task_telemetry
-    telemetry = RunTelemetry(task_telemetry())
+    if telemetry is None:
+        from repro.parallel.serialization import task_telemetry
+        telemetry = RunTelemetry(task_telemetry())
     last_exc = None
     for attempt in range(policy.max_retries + 1):
         if attempt:
@@ -94,15 +106,23 @@ def _retry_run(policy: RetryPolicy, descriptor):
                 raise  # a programming error is never transient
             telemetry.record_failure(exc, probe.total_flops,
                                      time.perf_counter() - t0)
+            tracer = current_tracer()
+            if tracer is not None:
+                tracer.instant(
+                    "task-fault", category="fault", worker=current_device(),
+                    attrs={"task_index": policy.task_index,
+                           "attempt": attempt,
+                           "error": type(exc).__name__})
             last_exc = exc
             continue
         target.merge(probe)
         return out
     telemetry.record_giveup()
+    node = current_device()
     raise TaskExecutionError(
-        f"task {policy.task_index} failed after "
-        f"{policy.max_retries + 1} worker-side attempts: {last_exc}",
-        task_index=policy.task_index, node="",
+        f"task {policy.task_index} failed after {policy.max_retries + 1} "
+        f"attempts on {node}: {last_exc}",
+        task_index=policy.task_index, node=node,
         attempts=policy.max_retries + 1) from last_exc
 
 
@@ -151,10 +171,6 @@ class RunTelemetry:
         return self.metrics.counter("timeouts").value
 
     @property
-    def node_deaths(self) -> int:
-        return self.metrics.counter("node_deaths").value
-
-    @property
     def wasted_flops(self) -> int:
         return self.metrics.counter("wasted_flops").value
 
@@ -163,16 +179,8 @@ class RunTelemetry:
         return self.metrics.counter("wasted_time_s").value
 
     @property
-    def straggler_delay_s(self) -> float:
-        return self.metrics.counter("straggler_delay_s").value
-
-    @property
     def failures_by_type(self) -> dict:
         return self.metrics.labeled("failures_by_type").as_dict()
-
-    @property
-    def quarantined_nodes(self) -> set:
-        return set(self.metrics.labeled("quarantined_nodes").as_dict())
 
     # -- recording ----------------------------------------------------------
 
@@ -191,14 +199,6 @@ class RunTelemetry:
         self.metrics.counter("wasted_time_s").inc(float(wasted_time_s))
         if isinstance(exc, TaskTimeoutError):
             self.metrics.counter("timeouts").inc()
-        if isinstance(exc, NodeFailureError):
-            self.metrics.counter("node_deaths").inc()
-            if exc.permanent:
-                self.metrics.labeled("quarantined_nodes").inc(
-                    str(exc.node))
-
-    def record_success(self, delay_s: float) -> None:
-        self.metrics.counter("straggler_delay_s").inc(float(delay_s))
 
     def record_giveup(self) -> None:
         self.metrics.counter("giveups").inc()
@@ -245,12 +245,9 @@ class RunTelemetry:
             f"failures    {self.total_failures} "
             f"{dict(self.failures_by_type)}",
             f"timeouts    {self.timeouts}",
-            f"node deaths {self.node_deaths} "
-            f"(quarantined: {sorted(self.quarantined_nodes) or '-'})",
             f"give-ups    {self.giveups}",
             f"wasted      {self.wasted_flops:.3g} flops, "
-            f"{self.wasted_time_s:.3g} s "
-            f"(+{self.straggler_delay_s:.3g} s straggling)",
+            f"{self.wasted_time_s:.3g} s",
         ]
         return "\n".join("  " + r for r in rows)
 
@@ -263,73 +260,37 @@ class ResilientTaskRunner:
     task_runner : callable or None
         The wrapped ``task_runner(tasks) -> list``; ``None`` executes
         sequentially in-process.
-    max_retries : int
-        Extra attempts after the first (so a task runs at most
-        ``max_retries + 1`` times) before a
+    max_retries, backoff_s, backoff_factor, backoff_cap_s, timeout_s, \
+retry_on :
+        The :class:`RetryPolicy` of every task: a task runs at most
+        ``max_retries + 1`` times before a
         :class:`~repro.utils.errors.TaskExecutionError` gives up.
-    backoff_s, backoff_factor, backoff_cap_s :
-        Exponential backoff between attempts of one task:
-        ``min(backoff_s * backoff_factor**(attempt-1), backoff_cap_s)``
-        seconds.  ``backoff_s=0`` (default) disables sleeping, which is
-        what the simulated machine wants.
-    timeout_s : float, optional
-        Per-attempt wall-clock budget.  An attempt whose (real + injected
-        straggler) time exceeds it is discarded and retried; threads
-        cannot be interrupted, so the attempt runs to completion and its
-        flops are charged to ``wasted_flops``.
-    fault_injector : :class:`repro.runtime.faults.FaultInjector`, optional
-        Injected faults are applied per attempt; retries of a task move
-        it to the next simulated node, modelling rescheduling away from a
-        dead host.  Refused around a
-        :class:`~repro.parallel.process.ProcessTaskRunner`, which never
-        calls the in-process closure that injects.
 
     Notes
     -----
-    Retries re-execute the identical, side-effect-free task closure, so a
+    Retries re-execute the identical, side-effect-free task, so a
     protected run returns results bit-identical to a fault-free run —
     the property the determinism tests pin down.
 
-    When a wrapped task carries a
-    :class:`~repro.parallel.serialization.TaskDescriptor` (the process
-    backend's shipping format), the guarded task gets one too:
-    ``TaskDescriptor(_retry_run, (RetryPolicy(...), inner))``.  The
-    retry loop then runs *inside the worker process* with the same
-    policy, so ``ResilientTaskRunner(ProcessTaskRunner(...))`` composes
-    and real worker exceptions are retried next to where they happened.
-    Faults are injected on that backend only by the process runner's
-    own ``fault_injector``, at dispatch, with no retry.
+    Both backends run the same loop, :func:`_retry_run`.  A task that
+    carries a :class:`~repro.parallel.serialization.TaskDescriptor` (the
+    process backend's shipping format) is guarded by one too,
+    ``TaskDescriptor(_retry_run, (policy, inner))``, so on the process
+    backend the loop runs inside the worker.  A worker that dies takes
+    its loop with it: the death is surfaced as the process runner's
+    :class:`~repro.utils.errors.TaskExecutionError`, not retried.
     """
 
     def __init__(self, task_runner=None, *, max_retries: int = 3,
                  backoff_s: float = 0.0, backoff_factor: float = 2.0,
                  backoff_cap_s: float = 1.0, timeout_s: float | None = None,
-                 fault_injector=None, retry_on=(Exception,)):
-        if max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if backoff_s < 0 or backoff_factor < 1 or backoff_cap_s < 0:
-            raise ConfigurationError(
-                "backoff_s/backoff_cap_s must be >= 0 and "
-                "backoff_factor >= 1")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ConfigurationError("timeout_s must be positive")
-        if fault_injector is not None:
-            from repro.parallel.process import ProcessTaskRunner
-            if isinstance(task_runner, ProcessTaskRunner):
-                raise ConfigurationError(
-                    "ResilientTaskRunner cannot inject faults around a "
-                    "ProcessTaskRunner: its tasks run worker-side, where "
-                    "this injector never reaches.  Pass the injector as "
-                    "ProcessTaskRunner(fault_injector=) instead; it "
-                    "injects at dispatch, with no retry.")
+                 retry_on=(Exception,)):
         self.task_runner = task_runner
-        self.max_retries = int(max_retries)
-        self.backoff_s = float(backoff_s)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.timeout_s = timeout_s
-        self.fault_injector = fault_injector
-        self.retry_on = retry_on
+        self.policy = RetryPolicy(
+            max_retries=int(max_retries), backoff_s=float(backoff_s),
+            backoff_factor=float(backoff_factor),
+            backoff_cap_s=float(backoff_cap_s), timeout_s=timeout_s,
+            retry_on=retry_on)
         # Share the wrapped runner's telemetry when it keeps one (the
         # process runner does): worker metrics merge into the inner
         # object, parent-side submissions record into this one — one
@@ -338,33 +299,6 @@ class ResilientTaskRunner:
         self._shared_telemetry = isinstance(inner, RunTelemetry)
         self.telemetry = inner if self._shared_telemetry \
             else RunTelemetry()
-
-    @property
-    def num_workers(self) -> int:
-        """Simulated node count behind the wrapped runner.
-
-        Retries reschedule round-robin over this many nodes, so the
-        fallback when the wrapped runner exposes no ``num_workers``
-        matters: a fallback of 1 would land every retry back on the same
-        simulated node, defeating the "retry on a fresh node" contract.
-        The fallback therefore derives from the fault injector's node
-        universe when one is known, and otherwise assumes
-        ``max_retries + 1`` distinct nodes — enough for every attempt of
-        a task to run on a fresh node — with an explicit warning.
-        """
-        n = getattr(self.task_runner, "num_workers", None)
-        if n is not None:
-            return int(n)
-        if self.fault_injector is not None:
-            universe = self.fault_injector.node_universe()
-            if universe:
-                return len(universe)
-        fallback = self.max_retries + 1
-        warnings.warn(
-            f"wrapped task runner exposes no num_workers; assuming "
-            f"{fallback} simulated node(s) so retries still move to "
-            f"fresh nodes", RuntimeWarning, stacklevel=2)
-        return fallback
 
     @property
     def task_times(self) -> list:
@@ -383,90 +317,24 @@ class ResilientTaskRunner:
             return [g() for g in guarded]
         return self.task_runner(guarded)
 
-    # -- internals ----------------------------------------------------------
-
-    def _backoff(self, attempt: int) -> None:
-        if self.backoff_s <= 0:
-            return
-        time.sleep(min(self.backoff_s * self.backoff_factor
-                       ** (attempt - 1), self.backoff_cap_s))
-
     def _make_resilient(self, index: int, task):
-        def run():
-            workers = max(self.num_workers, 1)
-            last_exc = None
-            node = f"node{index % workers}"
-            for attempt in range(self.max_retries + 1):
-                # reschedule retries onto the next node round-robin, so a
-                # permanently dead node does not eat every attempt
-                node = f"node{(index + attempt) % workers}"
-                if attempt:
-                    self._backoff(attempt)
-                self.telemetry.record_attempt(retry=attempt > 0)
-                target = current_ledger()
-                probe = FlopLedger()
-                t0 = time.perf_counter()
-                delay = 0.0
-                try:
-                    if self.fault_injector is not None:
-                        delay = self.fault_injector.inject(index, attempt,
-                                                           node)
-                    with ledger_scope(probe):
-                        out = task()
-                    elapsed = time.perf_counter() - t0 + delay
-                    if self.timeout_s is not None \
-                            and elapsed > self.timeout_s:
-                        raise TaskTimeoutError(
-                            f"task {index} attempt {attempt} took "
-                            f"{elapsed:.3g} s (budget {self.timeout_s} s)",
-                            elapsed_s=elapsed, timeout_s=self.timeout_s)
-                except self.retry_on as exc:
-                    if isinstance(exc, ConfigurationError):
-                        raise  # a programming error is never transient
-                    # wasted time includes the injected straggler delay:
-                    # the timeout decision above is made on
-                    # (real + delay), so the accounting must charge the
-                    # same quantity or a timed-out attempt records less
-                    # wasted time than the time that triggered it
-                    self.telemetry.record_failure(
-                        exc, probe.total_flops,
-                        time.perf_counter() - t0 + delay)
-                    tracer = current_tracer()
-                    if tracer is not None:
-                        tracer.instant(
-                            "task-fault", category="fault", worker=node,
-                            attrs={"task_index": index, "attempt": attempt,
-                                   "error": type(exc).__name__})
-                    last_exc = exc
-                    continue
-                target.merge(probe)
-                self.telemetry.record_success(delay)
-                return out
-            self.telemetry.record_giveup()
-            raise TaskExecutionError(
-                f"task {index} failed after {self.max_retries + 1} "
-                f"attempts (last on {node}): {last_exc}",
-                task_index=index, node=node,
-                attempts=self.max_retries + 1) from last_exc
+        from repro.parallel.serialization import TaskDescriptor
+        policy = replace(self.policy, task_index=index)
 
-        inner_desc = getattr(task, "descriptor", None)
-        if inner_desc is not None:
+        def run():
+            # the closure runs in process only, where it dispatches the
+            # first attempt (a telemetry-keeping runner counts its own)
+            self.telemetry.record_attempt(retry=False)
+            return _retry_run(policy, TaskDescriptor(fn=task),
+                              self.telemetry)
+
+        inner = getattr(task, "descriptor", None)
+        if isinstance(inner, TaskDescriptor):
             # descriptor-shipping runners (the process backend) cannot
-            # pickle the closure above; give them a module-level retry
-            # wrapper around the task's own descriptor instead, so the
-            # retry loop runs worker-side with the same policy.
-            from repro.parallel.serialization import TaskDescriptor
-            if isinstance(inner_desc, TaskDescriptor):
-                run.descriptor = TaskDescriptor(
-                    fn=_retry_run,
-                    args=(RetryPolicy(
-                        max_retries=self.max_retries,
-                        backoff_s=self.backoff_s,
-                        backoff_factor=self.backoff_factor,
-                        backoff_cap_s=self.backoff_cap_s,
-                        timeout_s=self.timeout_s,
-                        retry_on=tuple(self.retry_on),
-                        task_index=index), inner_desc))
+            # pickle the closure above: ship the same loop around the
+            # task's own descriptor, to run worker-side
+            run.descriptor = TaskDescriptor(fn=_retry_run,
+                                            args=(policy, inner))
         return run
 
     def close(self) -> None:

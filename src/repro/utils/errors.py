@@ -76,23 +76,6 @@ class TaskExecutionError(ReproError):
         self.energy_index = None
 
 
-class InjectedFaultError(ReproError):
-    """A transient fault raised by :class:`repro.runtime.FaultInjector`."""
-
-    def __init__(self, message, task_index=-1, node=""):
-        super().__init__(message)
-        self.task_index = int(task_index)
-        self.node = str(node)
-
-
-class NodeFailureError(InjectedFaultError):
-    """A simulated node died (transiently or permanently) under a task."""
-
-    def __init__(self, message, task_index=-1, node="", permanent=False):
-        super().__init__(message, task_index=task_index, node=node)
-        self.permanent = bool(permanent)
-
-
 class TaskTimeoutError(ReproError):
     """A task exceeded the resilient runner's per-task time budget."""
 

@@ -36,7 +36,7 @@ from repro.observability import (MetricsRegistry, Span, SpanLogWriter,
                                  write_chrome_trace, write_spans_jsonl)
 from repro.runtime import CheckpointStore, ResilientTaskRunner, RunTelemetry
 from repro.utils.errors import (CheckpointError, ConfigurationError,
-                                NodeFailureError, TaskExecutionError)
+                                TaskExecutionError, TaskTimeoutError)
 
 
 class TestSpanTracer:
@@ -172,13 +172,15 @@ class TestRunTelemetry:
         a.record_attempt(retry=False)
         a.record_failure(RuntimeError("x"), wasted_flops=100,
                          wasted_time_s=0.5)
+        a.metrics.labeled("tasks_by_worker").inc("node0")
         b.record_submitted(2)
         b.record_attempt(retry=True)
         b.record_failure(
-            NodeFailureError("dead", node="node3", permanent=True),
+            TaskTimeoutError("slow", elapsed_s=2.0, timeout_s=1.0),
             wasted_flops=50, wasted_time_s=0.25)
         b.record_failure(RuntimeError("y"), wasted_flops=1,
                          wasted_time_s=0.1)
+        b.metrics.labeled("tasks_by_worker").inc("node3")
 
         merged = RunTelemetry().merge(a).merge(b)
         assert merged.tasks_submitted == 6
@@ -186,9 +188,10 @@ class TestRunTelemetry:
         assert merged.retries == 1
         assert merged.wasted_flops == 151       # exact int
         assert merged.failures_by_type["RuntimeError"] == 2
-        assert merged.failures_by_type["NodeFailureError"] == 1
-        assert merged.quarantined_nodes == {"node3"}
-        assert merged.node_deaths == 1
+        assert merged.failures_by_type["TaskTimeoutError"] == 1
+        assert merged.timeouts == 1
+        assert merged.metrics.labeled("tasks_by_worker").as_dict() == {
+            "node0": 1, "node3": 1}
         # sources untouched
         assert a.tasks_submitted == 4 and b.tasks_submitted == 2
 

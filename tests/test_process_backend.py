@@ -378,24 +378,44 @@ class TestWorkerSideRetries:
             _retry_run(RetryPolicy(max_retries=3), CountingDescriptor())
         assert len(calls) == 1
 
-    def test_resilient_injector_refused_around_process_runner(self):
-        # the resilient closure that injects never runs on the process
-        # backend; accepting the injector would silently drop every fault
-        from functools import partial
-
+    def test_worker_death_is_surfaced_not_retried(self):
+        """The retry loop runs inside the worker and dies with it: a
+        SIGKILLed worker ends the call in a TaskExecutionError naming the
+        task, within seconds, with no retry counted."""
         from repro.runtime import ResilientTaskRunner
-        from repro.runtime.faults import FaultInjector, FaultProfile
 
-        fi = FaultInjector(FaultProfile(task_failure_prob=1.0))
-        with pytest.raises(ConfigurationError,
-                           match=r"ProcessTaskRunner\(fault_injector=\)"):
-            ResilientTaskRunner(ProcessTaskRunner(2), max_retries=1,
-                                fault_injector=fi)
-        # where the message points, the faults land: at dispatch
-        with ProcessTaskRunner(2, fault_injector=fi) as runner:
-            with pytest.raises(TaskExecutionError):
-                runner([partial(_square, 1.0)])
-        assert fi.stats["task_faults"] == 1
+        runner = ResilientTaskRunner(ProcessTaskRunner(2), max_retries=2)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(TaskExecutionError,
+                               match=r"task 1 failed on node1: worker "
+                                     r"process \d+ died") as info:
+                runner([_descriptor_task(_square, 1.0),
+                        _descriptor_task(_killed_mid_unit, 1.0)])
+            assert time.monotonic() - t0 < 10.0
+            assert (info.value.task_index, info.value.node) == (1, "node1")
+            assert runner.telemetry.retries == 0
+        finally:
+            runner.close()
+
+    def test_task_fault_instant_comes_home(self, tmp_path):
+        """A worker-side failed attempt is a ``task-fault`` instant in
+        the parent's span log, labelled with the worker's node."""
+        from repro.runtime import ResilientTaskRunner
+
+        runner = ResilientTaskRunner(ProcessTaskRunner(2), max_retries=1)
+        tracer = SpanTracer()
+        try:
+            with tracing(tracer):
+                runner([_descriptor_task(_square, 1.0),
+                        _descriptor_task(_flaky_square, 2.0,
+                                         str(tmp_path / "flaky.sentinel"))])
+        finally:
+            runner.close()
+        faults = [sp for sp in tracer.records() if sp.name == "task-fault"]
+        assert [(sp.worker, sp.attrs["task_index"], sp.attrs["attempt"],
+                 sp.attrs["error"]) for sp in faults] == [
+            ("node1", 1, 0, "RuntimeError")]
 
 
 class TestLabels:

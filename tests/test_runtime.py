@@ -1,101 +1,82 @@
-"""Tests for the fault-tolerance runtime: injection, retry, checkpoint."""
+"""Tests for the fault-tolerance runtime: retry, timeout, checkpoint.
+
+Faults here are real: a task that raises, sleeps past its budget, or
+(in ``test_process_backend``) kills its worker.  No runner takes a
+fault hook; a test wraps the tasks it hands over.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.production import run_production
 from repro.core.runner import compute_spectrum
-from repro.hardware import TITAN, SimulatedMachine
 from repro.linalg import gemm, ledger_scope
-from repro.parallel import DynamicLoadBalancer, ThreadTaskRunner
+from repro.parallel import (DynamicLoadBalancer, ProcessTaskRunner,
+                            TaskDescriptor, ThreadTaskRunner)
 from repro.poisson.scf import schroedinger_poisson
-from repro.runtime import (CheckpointStore, FaultInjector, FaultProfile,
-                           ResilientTaskRunner)
+from repro.runtime import CheckpointStore, ResilientTaskRunner
 from repro.structure import linear_chain
 from repro.utils.errors import (CheckpointError, ConfigurationError,
-                                InjectedFaultError, NodeFailureError,
                                 TaskExecutionError, TaskTimeoutError)
 from tests.test_hamiltonian import single_s_basis
 
 
-class TestFaultInjector:
-    def test_decisions_deterministic_across_instances(self):
-        a = FaultInjector(task_failure_prob=0.3, straggler_prob=0.2,
-                          node_death_prob=0.1, seed=7)
-        b = FaultInjector(task_failure_prob=0.3, straggler_prob=0.2,
-                          node_death_prob=0.1, seed=7)
-        for task in range(20):
-            for attempt in range(4):
-                assert a.decision(task, attempt) == b.decision(task,
-                                                               attempt)
+def _fail_first(left, descriptor):
+    """Run ``descriptor``, then raise while ``left[0]`` failures remain:
+    a failed attempt burns the task's real work first."""
+    out = descriptor.run()
+    if left[0] > 0:
+        left[0] -= 1
+        raise RuntimeError("transient fault")
+    return out
 
-    def test_decisions_independent_of_call_order(self):
-        inj = FaultInjector(task_failure_prob=0.5, seed=3)
-        first = inj.decision(5, 0)
-        for task in (9, 1, 5, 2):
-            inj.decision(task, 1)
-        assert inj.decision(5, 0) == first
 
-    def test_different_seeds_differ(self):
-        grid = [(t, a) for t in range(40) for a in range(2)]
-        a = FaultInjector(task_failure_prob=0.5, seed=1)
-        b = FaultInjector(task_failure_prob=0.5, seed=2)
-        assert any(a.decision(t, at).fail_task != b.decision(t, at).fail_task
-                   for t, at in grid)
+def flaky(task, fails):
+    """``task``, failing its first ``fails`` attempts.
 
-    def test_zero_probabilities_inject_nothing(self):
-        inj = FaultInjector()
-        for task in range(10):
-            assert inj.inject(task, 0, "node0") == 0.0
-        assert inj.stats == {}
+    In process the closure keeps the count across retries; a task that
+    ships a descriptor gets a module-level twin whose count is unpickled
+    once per dispatch, so the worker-side retry loop meets the same
+    failures.
+    """
+    left = [fails]
 
-    def test_certain_failure_raises(self):
-        inj = FaultInjector(task_failure_prob=1.0)
-        with pytest.raises(InjectedFaultError) as err:
-            inj.inject(4, 0, "node1")
-        assert err.value.task_index == 4
-        assert err.value.node == "node1"
+    def run():
+        return _fail_first(left, TaskDescriptor(fn=task))
 
-    def test_permanent_death_quarantines(self):
-        inj = FaultInjector(node_death_prob=1.0,
-                            permanent_death_fraction=1.0)
-        with pytest.raises(NodeFailureError) as err:
-            inj.inject(0, 0, "node2")
-        assert err.value.permanent
-        assert inj.quarantined_nodes() == ["node2"]
-        assert not inj.node_alive("node2")
-        # any further attempt on the dead node fails immediately
-        with pytest.raises(NodeFailureError):
-            inj.inject(9, 1, "node2")
-        assert inj.stats["quarantine_hits"] == 1
+    inner = getattr(task, "descriptor", None)
+    if inner is not None:
+        run.descriptor = TaskDescriptor(fn=_fail_first,
+                                        args=([fails], inner))
+    return run
 
-    def test_transient_death_does_not_quarantine(self):
-        inj = FaultInjector(node_death_prob=1.0,
-                            permanent_death_fraction=0.0)
-        with pytest.raises(NodeFailureError) as err:
-            inj.inject(0, 0, "node1")
-        assert not err.value.permanent
-        assert inj.quarantined_nodes() == []
 
-    def test_straggler_delay_returned(self):
-        inj = FaultInjector(straggler_prob=1.0, straggler_delay_s=0.25)
-        assert inj.inject(0, 0) == 0.25
-        assert inj.stats["stragglers"] == 1
+def flaky_runner(runner, fails):
+    """``runner`` over task lists whose task ``i`` fails ``fails(i)``
+    times first (the task list is the seam; the runner has no hook)."""
+    def run(tasks):
+        return runner([flaky(t, fails(i)) for i, t in enumerate(tasks)])
 
-    def test_expected_attempts(self):
-        assert FaultInjector().expected_attempts() == 1.0
-        inj = FaultInjector(task_failure_prob=0.5)
-        assert inj.expected_attempts() == pytest.approx(2.0)
-        assert np.isinf(
-            FaultInjector(task_failure_prob=1.0).expected_attempts())
+    run.telemetry = getattr(runner, "telemetry", None)
+    return run
 
-    def test_profile_validation(self):
-        with pytest.raises(ConfigurationError):
-            FaultProfile(task_failure_prob=1.5)
-        with pytest.raises(ConfigurationError):
-            FaultProfile(straggler_delay_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            FaultInjector(FaultProfile(), task_failure_prob=0.5)
+
+def _some_fail(i):
+    """0, 1 or 2 failures, depending on the task index."""
+    return i % 3
+
+
+def _gemm_task(n):
+    a = np.full((n, n), 1.0 / n)
+    return float(gemm(a, a)[0, 0])
 
 
 class TestExecutorRegression:
@@ -130,14 +111,6 @@ class TestExecutorRegression:
         assert len(runner.task_times) == 3      # fresh, not the stale 5
         assert runner.task_times[0] is not None
         assert runner.task_times[1] is not None  # failed task is timed too
-
-    def test_injector_wiring(self):
-        inj = FaultInjector(task_failure_prob=1.0)
-        runner = ThreadTaskRunner(2, fault_injector=inj)
-        with pytest.raises(TaskExecutionError) as err:
-            runner([lambda: 1])
-        assert isinstance(err.value.__cause__, InjectedFaultError)
-
 
 class TestBalancerRegression:
     def test_history_records_smoothed_model(self):
@@ -175,20 +148,6 @@ class TestBalancerRegression:
         with pytest.raises(ConfigurationError):
             bal.record_iteration([np.nan, 1.0])
 
-    def test_quarantine_shrinks_pool_and_respreads(self):
-        bal = DynamicLoadBalancer(8, [10, 10])
-        bal.quarantine_node("node3")
-        bal.quarantine_node("node3")  # idempotent
-        assert bal.num_nodes == 7
-        assert bal.quarantined == ["node3"]
-        assert bal.current_distribution().nodes_per_k.sum() == 7
-
-    def test_quarantine_refuses_to_starve_groups(self):
-        bal = DynamicLoadBalancer(2, [10, 10])
-        with pytest.raises(ConfigurationError):
-            bal.quarantine_node("node0")
-
-
 class TestResilientRunner:
     def test_no_faults_passthrough(self):
         runner = ResilientTaskRunner(ThreadTaskRunner(2))
@@ -205,25 +164,24 @@ class TestResilientRunner:
         assert runner([lambda: 42]) == [42]
 
     def test_retries_recover_transient_faults(self):
-        inj = FaultInjector(task_failure_prob=0.4, seed=11)
-        runner = ResilientTaskRunner(ThreadTaskRunner(2), max_retries=5,
-                                     fault_injector=inj)
-        out = runner([lambda i=i: i for i in range(20)])
+        runner = ResilientTaskRunner(ThreadTaskRunner(2), max_retries=5)
+        out = runner([flaky(lambda i=i: i, _some_fail(i))
+                      for i in range(20)])
         assert out == list(range(20))
-        assert runner.telemetry.retries > 0
+        assert runner.telemetry.retries == sum(map(_some_fail, range(20)))
         assert runner.telemetry.giveups == 0
 
     def test_retry_sequence_deterministic(self):
-        def attempts_with_seed():
-            inj = FaultInjector(task_failure_prob=0.4, seed=11)
+        def attempts():
             runner = ResilientTaskRunner(ThreadTaskRunner(3),
-                                         max_retries=6,
-                                         fault_injector=inj)
-            runner([lambda i=i: i for i in range(25)])
+                                         max_retries=6)
+            runner([flaky(lambda i=i: i, _some_fail(i))
+                    for i in range(25)])
             return (runner.telemetry.attempts, runner.telemetry.retries,
                     dict(runner.telemetry.failures_by_type))
 
-        assert attempts_with_seed() == attempts_with_seed()
+        assert attempts() == attempts()
+        assert attempts() == (25 + 24, 24, {"RuntimeError": 24})
 
     def test_giveup_raises_indexed_error(self):
         def boom():
@@ -250,11 +208,11 @@ class TestResilientRunner:
         assert len(calls) == 1
 
     def test_timeout_from_injected_straggler(self):
-        inj = FaultInjector(straggler_prob=1.0, straggler_delay_s=10.0)
+        """A task that sleeps past its budget times out on every attempt."""
         runner = ResilientTaskRunner(ThreadTaskRunner(1), max_retries=1,
-                                     timeout_s=1.0, fault_injector=inj)
+                                     timeout_s=0.01)
         with pytest.raises(TaskExecutionError) as err:
-            runner([lambda: 0])
+            runner([lambda: time.sleep(0.05)])
         assert isinstance(err.value.__cause__, TaskTimeoutError)
         assert runner.telemetry.timeouts == 2
 
@@ -279,21 +237,6 @@ class TestResilientRunner:
         assert led.total_flops == clean.total_flops
         assert runner.telemetry.wasted_flops == 2 * clean.total_flops
 
-    def test_permanent_death_quarantine_flows_to_balancer(self):
-        inj = FaultInjector(node_death_prob=0.35,
-                            permanent_death_fraction=1.0, seed=5)
-        runner = ResilientTaskRunner(ThreadTaskRunner(4), max_retries=6,
-                                     fault_injector=inj)
-        out = runner([lambda i=i: i for i in range(12)])
-        assert out == list(range(12))
-        dead = runner.telemetry.quarantined_nodes
-        assert dead  # p=0.35 over 12 tasks kills at least one node
-        bal = DynamicLoadBalancer(16, [10, 10])
-        fresh = bal.apply_telemetry(runner.telemetry)
-        assert fresh == sorted(dead)
-        assert bal.num_nodes == 16 - len(dead)
-        assert bal.apply_telemetry(runner.telemetry) == []
-
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             ResilientTaskRunner(max_retries=-1)
@@ -303,41 +246,43 @@ class TestResilientRunner:
             ResilientTaskRunner(backoff_factor=0.5)
 
     def test_wasted_time_includes_straggler_delay(self):
-        """The timeout decision runs on (real + injected delay), so the
-        wasted-time accounting must charge the same quantity: an attempt
-        timed out *because* of a 10 s injected delay must record >= 10 s
-        wasted, not just the microseconds of real compute."""
-        inj = FaultInjector(straggler_prob=1.0, straggler_delay_s=10.0)
+        """A timed-out attempt is charged its whole real wall time: two
+        attempts that each slept 0.05 s waste at least 0.1 s."""
         runner = ResilientTaskRunner(ThreadTaskRunner(1), max_retries=1,
-                                     timeout_s=1.0, fault_injector=inj)
+                                     timeout_s=0.01)
         with pytest.raises(TaskExecutionError):
-            runner([lambda: 0])
-        # 2 attempts, each carrying the 10 s injected delay
-        assert runner.telemetry.wasted_time_s >= 20.0
+            runner([lambda: time.sleep(0.05)])
+        assert runner.telemetry.wasted_time_s >= 2 * 0.05
 
-    def test_num_workers_fallback_from_fault_injector(self):
-        """A wrapped runner with no num_workers must not collapse the
-        retry round-robin onto node0: the injector's node universe
-        supplies the worker count when it knows one."""
-        inj = FaultInjector(nodes=["node0", "node1", "node2"])
-        runner = ResilientTaskRunner(None, fault_injector=inj)
-        assert runner.num_workers == 3
+    def test_fault_counts_equal_across_backends(self):
+        """One flaky sequence counts the same attempts, retries,
+        give-ups, failures and wasted flops on threads and processes.
+        Only the last task gives up, so no runner aborts the batch
+        before every other task has run."""
+        from tests.test_process_backend import _descriptor_task
 
-    def test_num_workers_fallback_warns_without_universe(self):
-        runner = ResilientTaskRunner(None, max_retries=3)
-        with pytest.warns(RuntimeWarning, match="num_workers"):
-            assert runner.num_workers == 4  # max_retries + 1
-
-    def test_retries_visit_distinct_nodes_under_fallback(self):
-        """With the fallback in place every attempt of a task can land
-        on a fresh node — a permanently dead node0 no longer eats all
-        the retries of sequential-fallback runs."""
-        inj = FaultInjector(nodes=[f"node{i}" for i in range(3)])
-        inj.kill_node("node0")
-        runner = ResilientTaskRunner(None, max_retries=2,
-                                     fault_injector=inj)
-        assert runner([lambda: 7]) == [7]   # retried off the dead node
-        assert runner.telemetry.retries >= 1
+        counts = {}
+        for name, inner in (("thread", ThreadTaskRunner(2)),
+                            ("process", ProcessTaskRunner(2))):
+            runner = ResilientTaskRunner(inner, max_retries=1)
+            tasks = [flaky(_descriptor_task(_gemm_task, 4 + i),
+                           2 if i == 5 else i % 2) for i in range(6)]
+            try:
+                with pytest.raises(TaskExecutionError) as err:
+                    runner(tasks)
+            finally:
+                runner.close()
+            t = runner.telemetry
+            counts[name] = (t.tasks_submitted, t.attempts, t.retries,
+                            t.giveups, t.failures_by_type, t.wasted_flops,
+                            err.value.task_index)
+        assert counts["thread"] == counts["process"]
+        # tasks 1 and 3 fail once; task 5 fails twice and gives up
+        with ledger_scope() as failed:
+            for n in (5, 7, 9, 9):
+                _gemm_task(n)
+        assert counts["thread"] == (6, 9, 3, 1, {"RuntimeError": 4},
+                                    failed.total_flops, 5)
 
 
 @pytest.fixture(scope="module")
@@ -346,43 +291,59 @@ def chain():
 
 
 class TestSpectrumUnderFaults:
-    def test_faulty_run_identical_to_fault_free(self, chain):
-        """The acceptance invariant: 20% transient task failures with a
-        fixed seed reproduce the fault-free spectrum exactly."""
+    @staticmethod
+    def _spectrum_is_fault_free(chain, inner):
+        """Tasks failing 0-2 times reproduce the fault-free spectrum."""
         energies = [0.0, 0.1, 0.2, 0.3]
         clean = compute_spectrum(chain, single_s_basis(), 10, energies,
                                  obc_method="dense", solver="rgf")
-        inj = FaultInjector(task_failure_prob=0.2, seed=42)
-        runner = ResilientTaskRunner(ThreadTaskRunner(2), max_retries=5,
-                                     fault_injector=inj)
-        faulty = compute_spectrum(chain, single_s_basis(), 10, energies,
-                                  obc_method="dense", solver="rgf",
-                                  task_runner=runner)
+        runner = ResilientTaskRunner(inner, max_retries=5)
+        try:
+            faulty = compute_spectrum(
+                chain, single_s_basis(), 10, energies, obc_method="dense",
+                solver="rgf", task_runner=flaky_runner(runner, _some_fail))
+        finally:
+            runner.close()
         np.testing.assert_array_equal(faulty.transmission,
                                       clean.transmission)
         np.testing.assert_array_equal(faulty.mode_counts,
                                       clean.mode_counts)
-        assert runner.telemetry.attempts >= len(energies)
+        assert runner.telemetry.retries == sum(map(_some_fail, range(4)))
+        assert runner.telemetry.giveups == 0
 
-    def test_scf_identical_under_faults(self):
-        """schroedinger_poisson completes under 20% injected failures
-        and reproduces the fault-free result exactly."""
+    @staticmethod
+    def _scf_is_fault_free(inner):
+        """schroedinger_poisson completes with failing tasks in every
+        iteration and reproduces the fault-free result exactly."""
         chain8 = linear_chain(8, 0.25)
         args = dict(SCF_ARGS, tol=1e-3, max_iter=6)
         clean = schroedinger_poisson(chain8, single_s_basis(), 8, **args)
-        inj = FaultInjector(task_failure_prob=0.2, seed=42)
-        runner = ResilientTaskRunner(ThreadTaskRunner(2), max_retries=5,
-                                     fault_injector=inj)
-        faulty = schroedinger_poisson(chain8, single_s_basis(), 8,
-                                      task_runner=runner, **args)
+        runner = ResilientTaskRunner(inner, max_retries=5)
+        try:
+            faulty = schroedinger_poisson(
+                chain8, single_s_basis(), 8,
+                task_runner=flaky_runner(runner, _some_fail), **args)
+        finally:
+            runner.close()
         np.testing.assert_array_equal(faulty.potential_atom,
                                       clean.potential_atom)
         np.testing.assert_array_equal(faulty.residuals, clean.residuals)
         assert runner.telemetry.retries > 0
 
+    def test_faulty_run_identical_to_fault_free(self, chain):
+        self._spectrum_is_fault_free(chain, ThreadTaskRunner(2))
+
+    def test_faulty_run_identical_on_process_backend(self, chain):
+        self._spectrum_is_fault_free(chain, ProcessTaskRunner(2))
+
+    def test_scf_identical_under_faults(self):
+        self._scf_is_fault_free(ThreadTaskRunner(2))
+
+    def test_scf_identical_under_faults_on_process_backend(self):
+        self._scf_is_fault_free(ProcessTaskRunner(2))
+
     def test_failure_annotated_with_k_and_energy(self, chain):
-        inj = FaultInjector(task_failure_prob=1.0)
-        runner = ThreadTaskRunner(2, fault_injector=inj)
+        runner = flaky_runner(ThreadTaskRunner(2), lambda i: 1)
         with pytest.raises(TaskExecutionError) as err:
             compute_spectrum(chain, single_s_basis(), 10, [0.1, 0.2],
                              obc_method="dense", solver="rgf",
@@ -428,6 +389,93 @@ class TestCheckpointStore:
         store.save("scf", iteration=2)
         assert store.load("scf")["iteration"] == 2
         assert not (tmp_path / "state.npz.tmp").exists()
+
+
+_FULL_DISK_PRELUDE = """
+    import json, resource, sys
+    import numpy as np
+
+    def fill_the_disk():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+"""
+
+
+def _run_with_file_size_limit(script, *args):
+    """Run ``script`` in a fresh interpreter, where ``fill_the_disk()``
+    stops files from growing past 4 KiB (``RLIMIT_FSIZE``).  Python
+    ignores ``SIGXFSZ``, so an oversized write fails with ``EFBIG``.
+    Returns the JSON the script prints last."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c",
+         textwrap.dedent(_FULL_DISK_PRELUDE) + textwrap.dedent(script),
+         *args],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestFullDisk:
+    """A full disk is a real fault: a child process under a lowered
+    ``RLIMIT_FSIZE`` ends in a typed error or a counted failed cache
+    write, never in a bare ``OSError``."""
+
+    def test_checkpoint_save_is_a_checkpoint_error(self, tmp_path):
+        path = str(tmp_path / "scf.npz")
+        out = _run_with_file_size_limit("""
+            from repro.runtime import CheckpointStore
+            store = CheckpointStore(sys.argv[1])
+            store.save("scf", iteration=1, potential=np.arange(4.0))
+            fill_the_disk()
+            try:
+                store.save("scf", iteration=2, potential=np.zeros(10**5))
+            except Exception as exc:
+                print(json.dumps([type(exc).__name__, str(exc)]))
+        """, path)
+        assert out[0] == "CheckpointError"
+        assert path in out[1]
+        assert not os.path.exists(path + ".tmp")
+        state = CheckpointStore(path).load("scf")
+        assert state["iteration"] == 1
+        np.testing.assert_array_equal(state["potential"], np.arange(4.0))
+
+    def test_failed_store_put_leaves_the_spectrum_bitwise(self, tmp_path):
+        out = _run_with_file_size_limit("""
+            from repro.cache import ResultStore
+            from repro.core.runner import compute_spectrum
+            from repro.observability.spans import SpanTracer, tracing
+            from repro.structure import linear_chain
+            from tests.test_hamiltonian import single_s_basis
+
+            def spectrum(**kwargs):
+                return compute_spectrum(
+                    linear_chain(8, 0.25), single_s_basis(), 8,
+                    [0.0, 0.1, 0.2], obc_method="dense", solver="rgf",
+                    **kwargs)
+
+            clean = spectrum()
+            store = ResultStore(sys.argv[1])
+            record = {"x": np.zeros(10**4)}
+            fill_the_disk()
+            direct = store.put("0" * 64, record)
+            tracer = SpanTracer()
+            with tracing(tracer):
+                stored = spectrum(result_store=store)
+            print(json.dumps({
+                "direct_put": direct,
+                "bitwise": bool(np.array_equal(stored.transmission,
+                                               clean.transmission)
+                                and np.array_equal(stored.mode_counts,
+                                                   clean.mode_counts)),
+                "put_failures": tracer.metrics.counter(
+                    "result_store_put_failures").value,
+                "objects": store.stats()["objects"]}))
+        """, str(tmp_path / "store"))
+        assert out == {"direct_put": False, "bitwise": True,
+                       "put_failures": 3, "objects": 0}
+        assert not list((tmp_path / "store").rglob("*.tmp"))
 
 
 SCF_ARGS = dict(mu_l=-0.5, mu_r=-0.5, e_window=(-1.5, 0.0), mixing=0.3,
@@ -518,26 +566,3 @@ class TestProductionCheckpoint:
             run_production(chain, single_s_basis(), 8,
                            bias_points=[0.2, 0.3], mu_source=-0.6,
                            e_window=(-1.8, -0.2), checkpoint=ckpt)
-
-
-class TestMachineUnderFaults:
-    def test_faulty_estimate_prices_retries_and_quarantine(self):
-        machine = SimulatedMachine(TITAN.subset(64))
-        e_per_k = [100] * 3
-        clean = machine.run_iteration(e_per_k, 1e12, 1e10)
-        inj = FaultInjector(task_failure_prob=0.2)
-        inj.kill_node("node7")
-        inj.kill_node("node13")
-        faulty = machine.run_iteration(e_per_k, 1e12, 1e10,
-                                       fault_injector=inj)
-        assert faulty.num_nodes == 62
-        assert faulty.wall_time_s > clean.wall_time_s
-        assert faulty.wasted_flops == pytest.approx(
-            faulty.total_flops * 0.25)  # 1/(1-0.2) - 1
-        assert clean.wasted_flops == 0.0
-
-    def test_always_failing_profile_rejected(self):
-        machine = SimulatedMachine(TITAN.subset(16))
-        inj = FaultInjector(task_failure_prob=1.0)
-        with pytest.raises(ConfigurationError):
-            machine.run_iteration([10], 1e12, 1e10, fault_injector=inj)
