@@ -2,17 +2,29 @@
 
 Layout (one directory tree per store root)::
 
-    <root>/objects/<key[:2]>/<key>.npz     one (k, E) result record
+    <root>/objects/<key[:2]>/<key>.rec     one (k, E) result record
 
-Records follow the :class:`~repro.runtime.checkpoint.CheckpointStore`
-idiom: pickle-free ``.npz`` payloads written to a unique temp file and
-published with an atomic ``os.replace``, so concurrent writers (worker
-processes publishing the same key) can never expose a torn file —
-the last rename wins and every version is identical by construction
-(content-addressed keys).  Each record carries a versioned ``__meta__``
-header with a sha256 checksum of the canonical payload bytes, verified
-on every load; a mismatch (or any unreadable file) is treated as a miss
-and the corrupt object is discarded.
+A record is one file, written with one ``write`` and read with one
+``read``::
+
+    magic (8 bytes) | header length (uint32, little-endian) | header
+    | zero padding to 64 bytes | the arrays' raw C-order bytes
+
+The header is canonical JSON (sorted keys, no whitespace): the schema,
+kind and key, a field table of ``[name, dtype, shape, offset]`` rows
+(offsets from the body start, 64-byte aligned) and a sha256 over the
+rest of the header and every byte after it.  Field dtypes are bool,
+int, uint, float or complex only, so reading a record runs no pickle
+and builds no object; the arrays come back as writable views of the one
+buffer the file was read into.  Records are written to a unique temp
+file and published with an atomic ``os.replace``, so concurrent writers
+(worker processes publishing the same key) can never expose a torn file
+— the last rename wins and every version is identical by construction
+(content-addressed keys).  The checksum is verified on every read: a
+record that fails any check (magic, length, header, dtype, offset,
+checksum) is a counted miss and is discarded.  Schema-1 ``<key>.npz``
+records an older store left behind are never read; ``verify`` names
+them and ``prune`` evicts them, oldest first.
 
 Recency is tracked through file mtimes (touched on read), which makes
 LRU eviction a plain oldest-first sweep and keeps the store safe to
@@ -28,9 +40,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import uuid
-import zipfile
 
 import numpy as np
 
@@ -39,21 +51,113 @@ from repro.observability.spans import current_tracer
 from repro.utils.errors import ConfigurationError
 
 #: bump on incompatible record layout changes; old records become misses
-RECORD_SCHEMA_VERSION = 1
+RECORD_SCHEMA_VERSION = 2
 
-_META_KEY = "__meta__"
+_MAGIC = b"\x89REPRO\r\n"
+_PREFIX = len(_MAGIC) + 4          # the magic, then the header length
+_ALIGN = 64
+_SUFFIX = ".rec"
+#: schema-1 records: never read, named by ``verify``, evicted by ``prune``
+_STALE_SUFFIX = ".npz"
+#: numpy dtype kinds a record may hold: bool, int, uint, float, complex
+_KINDS = "biufc"
 
 
-def _payload_checksum(arrays: dict) -> str:
-    """sha256 over the canonical bytes of a payload dict."""
-    h = hashlib.sha256()
-    for name in sorted(arrays):
-        a = np.ascontiguousarray(arrays[name])
-        h.update(name.encode())
-        h.update(a.dtype.str.encode())
-        h.update(repr(a.shape).encode())
-        h.update(a.tobytes())
+def _aligned(n: int) -> int:
+    return -(-n // _ALIGN) * _ALIGN
+
+
+def _header_bytes(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True,
+                      separators=(",", ":")).encode()
+
+
+def _checksum(header: dict, tail) -> str:
+    """sha256 over the header (its checksum left out) and the bytes
+    that follow it."""
+    h = hashlib.sha256(_header_bytes(header))
+    h.update(tail)
     return h.hexdigest()
+
+
+def encode_record(key: str, payload: dict,
+                  kind: str = "result") -> bytearray:
+    """The bytes of one record file holding ``payload``'s arrays."""
+    arrays, fields, end = {}, [], 0
+    for name in sorted(payload):
+        a = np.asarray(payload[name])
+        if a.dtype.kind not in _KINDS:
+            raise ConfigurationError(
+                f"result store payload {name!r} has {a.dtype} dtype; "
+                "only bool/int/uint/float/complex arrays are cacheable")
+        offset = _aligned(end)
+        fields.append([name, a.dtype.str, list(a.shape), offset])
+        arrays[name] = a
+        end = offset + a.nbytes
+    header = {"schema": RECORD_SCHEMA_VERSION, "kind": kind, "key": key,
+              "fields": fields}
+    # the checksum is 64 hex digits whatever its value
+    size = len(_header_bytes(dict(header, checksum="0" * 64)))
+    start = _aligned(_PREFIX + size)
+    buf = bytearray(start + end)
+    for name, _, shape, offset in fields:
+        a = arrays[name]
+        np.frombuffer(buf, a.dtype, a.size, start + offset) \
+            .reshape(shape)[...] = a
+    with memoryview(buf) as view:
+        header["checksum"] = _checksum(header, view[_PREFIX + size:])
+    buf[:_PREFIX] = _MAGIC + size.to_bytes(4, "little")
+    buf[_PREFIX:_PREFIX + size] = _header_bytes(header)
+    return buf
+
+
+def decode_record(buf: bytearray, key: str) -> dict | None:
+    """The arrays of one record file's bytes, as writable views of
+    ``buf``; None when any check fails."""
+    if buf[:len(_MAGIC)] != _MAGIC:
+        return None
+    size = int.from_bytes(buf[len(_MAGIC):_PREFIX], "little")
+    raw = buf[_PREFIX:_PREFIX + size]
+    try:
+        header = json.loads(raw)
+    except ValueError:
+        return None
+    # exactly what put writes: no byte of the header goes unchecked
+    if not isinstance(header, dict) or _header_bytes(header) != raw:
+        return None
+    checksum = header.pop("checksum", None)
+    if header.get("schema") != RECORD_SCHEMA_VERSION \
+            or header.get("key") != key:
+        return None
+    with memoryview(buf) as view:
+        if checksum != _checksum(header, view[_PREFIX + size:]):
+            return None
+    start = _aligned(_PREFIX + size)
+    arrays = {}
+    try:
+        for name, dtype, shape, offset in header["fields"]:
+            dt = np.dtype(dtype)
+            if (dt.kind not in _KINDS or not isinstance(name, str)
+                    or not all(isinstance(n, int) and n >= 0
+                               for n in shape)
+                    or not isinstance(offset, int) or offset < 0):
+                return None
+            count = math.prod(shape)
+            if start + offset + count * dt.itemsize > len(buf):
+                return None
+            arrays[name] = np.frombuffer(buf, dt, count, start + offset) \
+                .reshape(shape)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return arrays
+
+
+def _read(path: str) -> bytearray:
+    """The whole file, in one read."""
+    with open(path, "rb", buffering=0) as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
+    return buf
 
 
 def pack_result(res: EnergyPointResult) -> dict:
@@ -85,8 +189,7 @@ def unpack_result(record: dict) -> EnergyPointResult:
     The rebuilt result carries ``boundary=None`` and ``trace=None``: a
     hit re-solves nothing, so there is no boundary operator and no span
     trace to attach.  Arrays the record holds beyond the fields below
-    (records written before the FEAST Ritz block was dropped) are
-    ignored.
+    are ignored.
     """
     return EnergyPointResult(
         energy=float(record["energy"]),
@@ -117,7 +220,7 @@ class ResultStore:
     # -- paths ---------------------------------------------------------
 
     def _object_path(self, key: str) -> str:
-        return os.path.join(self._objects, key[:2], key + ".npz")
+        return os.path.join(self._objects, key[:2], key + _SUFFIX)
 
     def _object_paths(self):
         for shard in sorted(os.listdir(self._objects)):
@@ -125,7 +228,7 @@ class ResultStore:
             if not os.path.isdir(shard_dir):
                 continue
             for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".npz"):
+                if name.endswith((_SUFFIX, _STALE_SUFFIX)):
                     yield os.path.join(shard_dir, name)
 
     # -- counters ------------------------------------------------------
@@ -162,60 +265,48 @@ class ResultStore:
         path = self._object_path(key)
         if os.path.exists(path):
             return False
-        for name, value in payload.items():
-            if np.asarray(value).dtype == object:
-                raise ConfigurationError(
-                    f"result store payload {name!r} has object dtype; "
-                    "only plain numeric/bool arrays are cacheable")
-        meta = {"schema": RECORD_SCHEMA_VERSION, "kind": kind, "key": key,
-                "checksum": _payload_checksum(payload)}
+        record = encode_record(key, payload, kind)
         tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        arrays = dict(payload)
-        arrays[_META_KEY] = np.asarray(json.dumps(meta))
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(tmp, "wb") as fh:
-                np.savez(fh, **arrays)
+                fh.write(record)
             os.replace(tmp, path)
         except OSError:
             self._count("result_store_put_failures")
-            return False
-        finally:
-            if os.path.exists(tmp):
+            try:
                 os.remove(tmp)
+            except OSError:
+                pass
+            return False
         self._count("result_store_puts")
         if self.max_bytes is not None:
             self._evict_to(self.max_bytes, protect=path)
         return True
 
-    def _load_verified(self, path: str) -> dict | None:
-        """Load + checksum-verify one object file; None when invalid."""
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                arrays = {name: np.asarray(data[name]) for name in data.files}
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile):
-            return None
-        raw_meta = arrays.pop(_META_KEY, None)
-        if raw_meta is None:
-            return None
-        try:
-            meta = json.loads(str(raw_meta))
-        except json.JSONDecodeError:
-            return None
-        if meta.get("schema") != RECORD_SCHEMA_VERSION:
-            return None
-        if meta.get("checksum") != _payload_checksum(arrays):
-            return None
-        return arrays
+    @staticmethod
+    def _load_verified(path: str) -> dict | None:
+        """Read + verify one object file; None when it is not a valid
+        record of its key (a schema-1 ``.npz`` never is).  An unreadable
+        file raises its ``OSError``."""
+        key, suffix = os.path.splitext(os.path.basename(path))
+        return decode_record(_read(path), key) if suffix == _SUFFIX \
+            else None
 
     def get(self, key: str, *, touch: bool = True) -> dict | None:
-        """Load one record; any invalid/corrupt object counts as a miss."""
+        """Load one record; any invalid/corrupt object counts as a miss.
+
+        One read, no existence check first: a record another process
+        evicts before the read is a plain miss, not corruption.
+        """
         path = self._object_path(key)
-        if not os.path.exists(path):
+        try:
+            arrays = self._load_verified(path)
+        except FileNotFoundError:
             self._count("result_store_misses")
             return None
-        arrays = self._load_verified(path)
+        except OSError:
+            arrays = None
         if arrays is None:
             self._count("result_store_misses")
             self._count("result_store_corrupt")
@@ -252,9 +343,16 @@ class ResultStore:
         """Checksum-verify every object; returns counts + corrupt keys."""
         checked, corrupt = 0, []
         for path in self._object_paths():
+            try:
+                valid = self._load_verified(path) is not None
+            except FileNotFoundError:     # evicted meanwhile
+                continue
+            except OSError:
+                valid = False
             checked += 1
-            if self._load_verified(path) is None:
-                corrupt.append(os.path.basename(path)[:-len(".npz")])
+            if not valid:
+                corrupt.append(
+                    os.path.splitext(os.path.basename(path))[0])
         return {"checked": checked, "corrupt": corrupt}
 
     def prune(self, max_bytes: int | None = None) -> dict:

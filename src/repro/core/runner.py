@@ -34,6 +34,9 @@ class TransportSpectrum:
     kpoints: np.ndarray               # (nk, 2): fractional kz, weight
     transmission: np.ndarray          # (nk, nE) left->right
     mode_counts: np.ndarray           # (nk, nE) propagating channels
+    #: one EnergyPointResult per solved or stored (k, E) point; a result
+    #: that came home from a process worker carries ``boundary=None``,
+    #: as a result-store hit does
     results: list = field(repr=False, default_factory=list)
     #: per-task pipeline TaskTraces, one per (k, E) point
     traces: list = field(repr=False, default_factory=list)

@@ -30,9 +30,18 @@ class EnergyPointResult:
     #: |mode_flux| of the injected mode vector per column, un-normalised:
     #: what the density and current weights divide by
     velocities: np.ndarray
+    #: the solved boundary, on a result solved in this process.  A
+    #: result that crossed a process (or ``copy.deepcopy``) carries
+    #: ``None``, as a result-store hit does: the boundary stays in the
+    #: solving worker's memo, where its next solve reads it.
     boundary: OpenBoundary = field(repr=False, default=None)
     #: per-stage TaskTrace when solved through the pipeline (else None)
     trace: object = field(repr=False, default=None)
+
+    def __getstate__(self):
+        """Everything but the boundary: Sigma, t01 and M_L/R are most of
+        a pickled point, and no reader past the solve needs them."""
+        return dict(self.__dict__, boundary=None)
 
     @property
     def conserved(self) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.basis import tight_binding_set
-from repro.cache.store import _payload_checksum, pack_result
+from repro.cache.store import encode_record, pack_result
 from repro.core.energygrid import lead_band_structure
 from repro.core.runner import compute_spectrum
 from repro.negf import transmission
@@ -139,6 +139,6 @@ def test_records_are_the_same_bytes_with_products_reused(wire):
                for res in reused.results)
     for a, b in zip(reused.results, fresh.results):
         ra, rb = pack_result(a), pack_result(b)
-        assert _payload_checksum(ra) == _payload_checksum(rb)
+        assert encode_record("k", ra) == encode_record("k", rb)
         assert sum(np.asarray(v).nbytes for v in ra.values()) \
             == sum(np.asarray(v).nbytes for v in rb.values())

@@ -10,12 +10,14 @@ same boundaries, as a serial run would.
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import threading
 import time
 from collections import defaultdict
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -181,6 +183,70 @@ class TestParity:
         assert workers <= {"node0", "node1"}
         assert len(workers) >= 1
         assert any(sp.category == "stage" for sp in spans)
+
+
+def _assert_same_solution(got, want):
+    """Every field but the boundary and the trace (its wall seconds
+    differ run to run) bitwise equal."""
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        for f in fields(w):
+            if f.name in ("boundary", "trace"):
+                continue
+            a, b = np.asarray(getattr(g, f.name)), \
+                np.asarray(getattr(w, f.name))
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+class TestPickledResult:
+    """A result comes home from a worker without its boundary (the
+    boundary stays in the worker's memo); everything else is bitwise."""
+
+    def test_pickle_drops_the_boundary_only(self, reference_spectrum):
+        res = reference_spectrum.results[1]
+        assert res.boundary is not None and res.trace is not None
+        blob = pickle.dumps(res)
+        back = pickle.loads(blob)
+        assert back.boundary is None
+        assert res.boundary is not None      # the original keeps it
+        _assert_same_solution([back], [res])
+        assert pickle.dumps(back.trace) == pickle.dumps(res.trace)
+        assert len(blob) <= res.psi.nbytes + 4096
+
+    def test_process_spectrum_is_bitwise_without_boundaries(
+            self, reference_spectrum):
+        proc = _spectrum(backend="process", num_workers=2,
+                         energy_batch_size=2)
+        assert all(r.boundary is None for r in proc.results)
+        _assert_same_solution(proc.results, reference_spectrum.results)
+
+    def test_process_scf_is_bitwise_without_boundaries(self, monkeypatch):
+        from repro.core import runner as runner_mod
+        from repro.core.production import run_production
+
+        seen = []
+        absorb = runner_mod._absorb_unit
+
+        def recording(unit, outputs, *rest):
+            seen.extend(outputs)
+            absorb(unit, outputs, *rest)
+        monkeypatch.setattr(runner_mod, "_absorb_unit", recording)
+
+        def sweep(**kwargs):
+            seen.clear()
+            out = run_production(linear_chain(8, 0.25), single_s_basis(),
+                                 8, [0.1], mu_source=-0.6,
+                                 e_window=(-1.8, -0.2), **kwargs)
+            return out.points[0], list(seen)
+        serial, serial_results = sweep()
+        proc, proc_results = sweep(backend="process", num_workers=2)
+        assert proc.current.hex() == serial.current.hex()
+        assert proc.scf_iterations == serial.scf_iterations
+        assert np.array_equal(proc.potential, serial.potential)
+        assert all(r.boundary is not None for r in serial_results)
+        assert all(r.boundary is None for r in proc_results)
+        _assert_same_solution(proc_results, serial_results)
 
 
 class TestDescriptors:

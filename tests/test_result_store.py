@@ -10,10 +10,16 @@ concurrently publishing workers must leave a store a warm re-run reads
 back bitwise.
 """
 
+import errno
+import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.cache import (
     RECORD_SCHEMA_VERSION,
@@ -25,6 +31,8 @@ from repro.cache import (
     result_key,
     unpack_result,
 )
+from repro.cache import store as store_mod
+from repro.cache.store import decode_record, encode_record
 from repro.core.runner import SpectrumUnitSpec, _solve_unit, compute_spectrum
 from repro.hamiltonian import build_device
 from repro.linalg import ledger_scope
@@ -228,6 +236,172 @@ class TestStoreIO:
         assert as_result_store(store) is store
         with pytest.raises(ConfigurationError):
             as_result_store(42)
+
+
+KEY = "5a" * 32
+
+_DTYPES = st.sampled_from([
+    np.bool_, np.int8, np.int32, np.int64, np.uint8, np.uint16,
+    np.uint64, np.float32, np.float64, np.complex64, np.complex128,
+    np.dtype(">f8"), np.dtype(">c16")])
+
+
+@st.composite
+def _array(draw):
+    """0-3 dimensional arrays, zero-size ones included, handed over
+    contiguous, transposed or strided."""
+    a = draw(hnp.arrays(_DTYPES, hnp.array_shapes(
+        min_dims=0, max_dims=3, min_side=0, max_side=4)))
+    view = draw(st.sampled_from(["as-is", "transposed", "strided"]))
+    if view == "transposed":
+        return a.T
+    if view == "strided" and a.ndim:
+        return a[..., ::2]
+    return a
+
+
+def _forge(fields, body=bytes(64), **header):
+    """A record with a valid checksum over whatever field table it is
+    given: what decoding must refuse on the table alone."""
+    header = dict({"schema": RECORD_SCHEMA_VERSION, "kind": "result",
+                   "key": KEY, "fields": fields}, **header)
+    size = len(store_mod._header_bytes(dict(header, checksum="0" * 64)))
+    prefix = store_mod._PREFIX
+    tail = bytes(store_mod._aligned(prefix + size) - prefix - size) + body
+    header["checksum"] = store_mod._checksum(header, tail)
+    return bytearray(store_mod._MAGIC + size.to_bytes(4, "little")
+                     + store_mod._header_bytes(header) + tail)
+
+
+def _write(store, key, blob):
+    path = store._object_path(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return path
+
+
+def _assert_counted_corrupt_miss(store, key):
+    path = store._object_path(key)
+    tracer = SpanTracer()
+    with tracing(tracer):
+        assert store.get(key) is None
+    assert not os.path.exists(path)
+    assert tracer.metrics.counter("result_store_misses").value == 1
+    assert tracer.metrics.counter("result_store_corrupt").value == 1
+
+
+class TestRecordCodec:
+    """The record file read back from hostile bytes: every array comes
+    back bitwise and writable, or the record is a miss."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(payload=st.dictionaries(st.text(min_size=1, max_size=8),
+                                   _array(), max_size=5))
+    def test_any_numeric_payload_round_trips_bitwise(self, payload):
+        with tempfile.TemporaryDirectory() as root:
+            store = ResultStore(root)
+            assert store.put(KEY, payload) is True
+            rec = store.get(KEY)
+        assert set(rec) == set(payload)
+        for name, want in payload.items():
+            got = rec[name]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert got.flags.writeable
+
+    def test_zero_size_psi_round_trips(self, tmp_path):
+        store = ResultStore(tmp_path)
+        payload = {"psi": np.zeros((12, 0), dtype=complex),
+                   "from_left": np.zeros(0, dtype=bool)}
+        store.put(KEY, payload)
+        rec = store.get(KEY)
+        assert rec["psi"].shape == (12, 0) and rec["psi"].dtype == complex
+        assert rec["from_left"].shape == (0,)
+
+    def test_every_single_byte_corruption_is_refused(self):
+        # a non-ASCII name is escaped in the header, where 0x20 turns
+        # \u03c8 into the same name spelt \u03C8
+        payload = dict(pack_result(_spectrum().results[1]),
+                       **{"\u03c8": np.arange(3)})
+        record = encode_record(KEY, payload)
+        assert decode_record(bytearray(record), KEY) is not None
+        for pos in range(len(record)):
+            for flip in (0x01, 0x20, 0xFF):
+                bad = bytearray(record)
+                bad[pos] ^= flip
+                assert decode_record(bad, KEY) is None, (pos, flip)
+        for size in range(len(record)):
+            assert decode_record(record[:size], KEY) is None, size
+
+    def test_corruption_in_each_region_is_a_counted_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        record = encode_record(KEY, _payload(1))
+        size = int.from_bytes(record[8:12], "little")
+        # magic, header length, header, body
+        for pos in (3, 9, 12 + size // 2, len(record) - 5):
+            bad = bytearray(record)
+            bad[pos] ^= 0x20
+            _write(store, KEY, bad)
+            _assert_counted_corrupt_miss(store, KEY)
+
+    def test_forged_header_is_decoded_only_when_sound(self):
+        assert decode_record(_forge([["x", "<f8", [8], 0]]), KEY)["x"] \
+            .shape == (8,)
+        for fields in ([["x", "|O", [8], 0]],        # object
+                       [["x", "|V8", [8], 0]],       # void
+                       [["x", "<U1", [16], 0]],      # not a number
+                       [["x", "<f8", [9], 0]],       # past the end
+                       [["x", "<f8", [1], 64]],
+                       [["x", "<f8", [1], -8]],
+                       [["x", "<f8", [-1], 0]],
+                       [["x", "<f8", [8]]]):
+            assert decode_record(_forge(fields), KEY) is None, fields
+        # a sound table under another key or schema is not this record
+        assert decode_record(_forge([["x", "<f8", [8], 0]], key="ab"),
+                             KEY) is None
+        assert decode_record(_forge([["x", "<f8", [8], 0]], schema=1),
+                             KEY) is None
+
+    def test_forged_object_dtype_is_a_counted_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        _write(store, KEY, _forge([["x", "|O", [8], 0]]))
+        _assert_counted_corrupt_miss(store, KEY)
+
+    def test_eviction_racing_a_get_is_a_plain_miss(self, tmp_path,
+                                                   monkeypatch):
+        store = ResultStore(tmp_path)
+        store.put(KEY, _payload(1))
+
+        def evicted(path):
+            raise FileNotFoundError(errno.ENOENT, "evicted", path)
+        monkeypatch.setattr(store_mod, "_read", evicted)
+        tracer = SpanTracer()
+        with tracing(tracer):
+            assert store.get(KEY) is None
+        assert tracer.metrics.counter("result_store_misses").value == 1
+        assert tracer.metrics.counter("result_store_corrupt").value == 0
+        assert os.path.exists(store._object_path(KEY))
+
+    def test_schema_1_npz_is_never_read_and_verify_names_it(self,
+                                                           tmp_path):
+        store = ResultStore(tmp_path)
+        old = os.path.join(str(tmp_path), "objects", KEY[:2],
+                           KEY + ".npz")
+        os.makedirs(os.path.dirname(old))
+        meta = {"schema": 1, "kind": "result", "key": KEY}
+        np.savez(old, __meta__=np.asarray(json.dumps(meta)),
+                 **_payload(1))
+        tracer = SpanTracer()
+        with tracing(tracer):
+            assert store.get(KEY) is None
+        assert tracer.metrics.counter("result_store_misses").value == 1
+        assert tracer.metrics.counter("result_store_corrupt").value == 0
+        assert os.path.exists(old) and not store.contains(KEY)
+        assert store.stats()["objects"] == 1
+        assert store.verify() == {"checked": 1, "corrupt": [KEY]}
+        assert store.prune(0)["removed"] == 1
+        assert not os.path.exists(old)
 
 
 class TestPackUnpack:

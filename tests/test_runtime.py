@@ -395,15 +395,16 @@ _FULL_DISK_PRELUDE = """
     import json, resource, sys
     import numpy as np
 
-    def fill_the_disk():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+    def fill_the_disk(limit=4096):
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
 """
 
 
 def _run_with_file_size_limit(script, *args):
-    """Run ``script`` in a fresh interpreter, where ``fill_the_disk()``
-    stops files from growing past 4 KiB (``RLIMIT_FSIZE``).  Python
-    ignores ``SIGXFSZ``, so an oversized write fails with ``EFBIG``.
+    """Run ``script`` in a fresh interpreter, where ``fill_the_disk(limit)``
+    stops files from growing past ``limit`` bytes (``RLIMIT_FSIZE``,
+    4 KiB by default).  Python ignores ``SIGXFSZ``, so an oversized
+    write fails with ``EFBIG``.
     Returns the JSON the script prints last."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ,
@@ -443,7 +444,8 @@ class TestFullDisk:
 
     def test_failed_store_put_leaves_the_spectrum_bitwise(self, tmp_path):
         out = _run_with_file_size_limit("""
-            from repro.cache import ResultStore
+            import os
+            from repro.cache import ResultStore, pack_result
             from repro.core.runner import compute_spectrum
             from repro.observability.spans import SpanTracer, tracing
             from repro.structure import linear_chain
@@ -456,9 +458,17 @@ class TestFullDisk:
                     **kwargs)
 
             clean = spectrum()
+            # every record this spectrum writes is larger than the limit
+            limit = 512
+            sizes = ResultStore(sys.argv[2])
+            for i, res in enumerate(clean.results):
+                sizes.put(f"{i:064x}", pack_result(res))
+            smallest = min(os.path.getsize(sizes._object_path(f"{i:064x}"))
+                           for i in range(len(clean.results)))
+            assert smallest > limit, smallest
             store = ResultStore(sys.argv[1])
             record = {"x": np.zeros(10**4)}
-            fill_the_disk()
+            fill_the_disk(limit)
             direct = store.put("0" * 64, record)
             tracer = SpanTracer()
             with tracing(tracer):
@@ -472,7 +482,7 @@ class TestFullDisk:
                 "put_failures": tracer.metrics.counter(
                     "result_store_put_failures").value,
                 "objects": store.stats()["objects"]}))
-        """, str(tmp_path / "store"))
+        """, str(tmp_path / "store"), str(tmp_path / "sizes"))
         assert out == {"direct_put": False, "bitwise": True,
                        "put_failures": 3, "objects": 0}
         assert not list((tmp_path / "store").rglob("*.tmp"))
