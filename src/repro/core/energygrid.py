@@ -56,11 +56,16 @@ def band_edges(bands: np.ndarray, window=None) -> np.ndarray:
     return edges
 
 
+#: defaults of :func:`adaptive_energy_grid`, which a family grid uses
+EDGE_HALO = 0.02
+NUM_K_SCAN = 31
+
+
 def adaptive_energy_grid(lead, e_min: float, e_max: float,
                          min_spacing: float = 1e-3,
                          max_spacing: float = 0.05,
-                         edge_halo: float = 0.02,
-                         num_k_scan: int = 31) -> np.ndarray:
+                         edge_halo: float = EDGE_HALO,
+                         num_k_scan: int = NUM_K_SCAN) -> np.ndarray:
     """Generate the OMEN-style adaptive energy grid on [e_min, e_max].
 
     Spacing is ``min_spacing`` within ``edge_halo`` of any band edge and
@@ -68,13 +73,36 @@ def adaptive_energy_grid(lead, e_min: float, e_max: float,
     point count is therefore an *output*, not an input — exactly the
     property the paper's weak-scaling caption describes.
     """
+    _check_window(e_min, e_max, min_spacing, max_spacing)
+    _, bands = lead_band_structure(lead, num_k_scan)
+    return _grid_on_bands(bands, e_min, e_max, min_spacing, max_spacing,
+                          edge_halo)
+
+
+def family_energy_grid(family, e_min: float, e_max: float,
+                       min_spacing: float, max_spacing: float) -> np.ndarray:
+    """:func:`adaptive_energy_grid` on the Gamma lead of a
+    :class:`~repro.pipeline.cache.DeviceFamily`, bit for bit, scanning
+    its bands once per family (``family.lead_bands``): the SCF grid of
+    every bias point and the final grid share one scan."""
+    _check_window(e_min, e_max, min_spacing, max_spacing)
+    if family.lead_bands is None:
+        family.lead_bands = lead_band_structure(
+            family.gamma_device().lead, NUM_K_SCAN)[1]
+    return _grid_on_bands(family.lead_bands, e_min, e_max, min_spacing,
+                          max_spacing, EDGE_HALO)
+
+
+def _check_window(e_min, e_max, min_spacing, max_spacing) -> None:
     if e_max <= e_min:
         raise ConfigurationError("e_max must exceed e_min")
     if not 0 < min_spacing <= max_spacing:
         raise ConfigurationError("need 0 < min_spacing <= max_spacing")
-    _, bands = lead_band_structure(lead, num_k_scan)
-    edges = band_edges(bands, window=(e_min - 0.5, e_max + 0.5))
 
+
+def _grid_on_bands(bands, e_min, e_max, min_spacing, max_spacing,
+                   edge_halo) -> np.ndarray:
+    edges = band_edges(bands, window=(e_min - 0.5, e_max + 0.5))
     grid = [e_min]
     while grid[-1] < e_max:
         e = grid[-1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from contextlib import nullcontext
 
-from repro.core.energygrid import adaptive_energy_grid
+from repro.core.energygrid import family_energy_grid
 from repro.core.runner import compute_spectrum
 from repro.observability.spans import current_tracer
 from repro.parallel import DynamicLoadBalancer
@@ -135,9 +135,8 @@ def run_production(structure, basis, num_cells: int, bias_points,
     # part and every lead's Sigma^RB(E) are the same in all SCF
     # iterations, final spectra and bias points: one family for the sweep.
     family = DeviceFamily(structure, basis, num_cells, num_k)
-    energies = adaptive_energy_grid(family.gamma_device().lead,
-                                    e_window[0], e_window[1],
-                                    min_spacing=5e-3, max_spacing=0.04)
+    energies = family_energy_grid(family, e_window[0], e_window[1],
+                                  min_spacing=5e-3, max_spacing=0.04)
 
     balancer = None
     if num_nodes is not None:

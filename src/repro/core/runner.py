@@ -13,14 +13,12 @@ from repro.cache import (ResultStore, as_result_store, device_content_hash,
                          pack_result, result_key, unpack_result)
 from repro.constants import LANDAUER_2E_OVER_H
 from repro.hamiltonian import build_device
-from repro.linalg import BlockStructure
 from repro.negf.density import fermi
-from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
 from repro.parallel.serialization import TaskDescriptor
 from repro.pipeline import TransportPipeline
 from repro.pipeline.cache import (BoundaryMemo, DeviceCache, DeviceFamily,
-                                  as_family)
+                                  KPointSetup, as_family)
 from repro.runtime.checkpoint import as_store
 from repro.utils.errors import (CheckpointError, ConfigurationError,
                                 TaskExecutionError)
@@ -112,8 +110,9 @@ class SpectrumUnitSpec:
 class _WorkerDevice:
     """What a worker keeps of one k-point of one device family.
 
-    The potential-invariant part (base device, boundary memo, block
-    structure) lives as long as the entry; the pipeline and the
+    The potential-invariant part (base device, boundary memo, the
+    k-point's :class:`~repro.pipeline.cache.KPointSetup`) lives as long
+    as the entry; the pipeline and the
     :class:`DeviceCache` of the spectrum being solved are replaced when
     a unit of another spectrum (``run_token``) arrives.
     """
@@ -122,9 +121,7 @@ class _WorkerDevice:
         self.device = build_device(spec.structure, spec.basis,
                                    spec.num_cells, kpoint=(0.0, spec.kz))
         self.memo = BoundaryMemo()
-        self.structure = BlockStructure()
-        self.polynomials = PolynomialFamily(self.device.lead.h_cells,
-                                            self.device.lead.s_cells)
+        self.setup = KPointSetup(self.device)
         self.run_token = None
         self.pipe = None
         self.cache = None
@@ -138,9 +135,7 @@ class _WorkerDevice:
                 obc_kwargs=spec.obc_kwargs, use_arena=spec.use_arena)
             dev = self.device if spec.potential is None \
                 else self.device.with_potential(spec.potential)
-            self.cache = DeviceCache(dev, memo=self.memo,
-                                     polynomials=self.polynomials,
-                                     structure=self.structure)
+            self.cache = DeviceCache(dev, memo=self.memo, setup=self.setup)
             self.run_token = spec.run_token
         return self.pipe, self.cache
 

@@ -22,7 +22,7 @@ from repro.hamiltonian.partition import (
     block_sizes_from_slabs,
     to_block_tridiagonal,
 )
-from repro.linalg import BlockTridiagonalMatrix, energy_scalars
+from repro.linalg import BlockTridiagonalMatrix, EnergyOperator
 from repro.structure.slabs import assign_slabs, order_by_slab
 from repro.utils.errors import ConfigurationError
 
@@ -88,10 +88,13 @@ class DeviceMatrices:
     def a_matrix(self, energy: float) -> BlockTridiagonalMatrix:
         """A(E) = E*S - H as block-tridiagonal, Eq. (5) LHS before the
         boundary self-energy is subtracted: float64 for real H, S and
-        energy (:func:`repro.linalg.energy_scalars`), else complex128."""
-        s = self.s_blocks()
-        h = self.h_blocks()
-        return s.scale_add(energy_scalars(energy, h, s), h, -1.0)
+        energy (:func:`repro.linalg.energy_scalars`), else complex128.
+        Built by :class:`~repro.linalg.EnergyOperator`, as a
+        :class:`~repro.pipeline.DeviceCache` builds it, with nothing
+        kept."""
+        op = EnergyOperator(self.s_blocks(), self.hmat)
+        return op.assemble([energy], op.h_blocks(self.hmat, op.touched)) \
+            .point(0)
 
     def with_potential(self, v_atom: np.ndarray) -> "DeviceMatrices":
         """Return a copy with an electrostatic potential applied.
@@ -99,7 +102,9 @@ class DeviceMatrices:
         ``v_atom[i]`` is the potential energy shift (eV) at atom i.  In a
         non-orthogonal basis a local potential enters as
         H'_{mu nu} = H_{mu nu} + (V_i + V_j)/2 * S_{mu nu}, which keeps H'
-        Hermitian and reduces to a diagonal shift for S = 1.
+        Hermitian and reduces to a diagonal shift for S = 1.  H changes
+        only where S has a stored entry, so every block of A(E) where S
+        has none is the same at any potential.
 
         The caller must keep the potential flat over the contact cells —
         otherwise the lead blocks stored here would no longer describe the

@@ -46,16 +46,19 @@ from repro.linalg.blocktridiag import (
     as_complex,
     block_support,
     energy_scalars,
+    identity_block,
+    stored_nbytes,
     working_dtype,
+    zero_block,
 )
 from repro.linalg.batched import (
     BatchedBlockTridiag,
-    build_a_batch,
     bucket_by_width,
     gemm_batched,
     lu_factor_batched,
     lu_solve_batched,
 )
+from repro.linalg.assembly import EnergyOperator, build_a_batch
 from repro.linalg.backend import (
     KernelBackend,
     NumpyBackend,
@@ -96,7 +99,11 @@ __all__ = [
     "as_complex",
     "block_support",
     "energy_scalars",
+    "identity_block",
+    "stored_nbytes",
     "working_dtype",
+    "zero_block",
+    "EnergyOperator",
     "BatchedBlockTridiag",
     "build_a_batch",
     "bucket_by_width",

@@ -34,8 +34,7 @@ import scipy.linalg as sla
 
 from repro.linalg import flops as _fl
 from repro.linalg.backend import current_backend
-from repro.linalg.blocktridiag import (BlockTridiagonalMatrix,
-                                       energy_scalars, scaled_sum)
+from repro.linalg.blocktridiag import BlockTridiagonalMatrix
 from repro.linalg.kernels import _is_complex, _record
 from repro.utils.errors import ShapeError, SingularMatrixError
 
@@ -152,7 +151,7 @@ def _lu_solve_batched_impl(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Batched block-tridiagonal container and assembly
+# Batched block-tridiagonal container
 # --------------------------------------------------------------------------
 
 class BatchedBlockTridiag:
@@ -245,32 +244,6 @@ class BatchedBlockTridiag:
     def __repr__(self):
         return (f"BatchedBlockTridiag(nE={self.batch_size}, "
                 f"nb={self.num_blocks}, n={self.shape[1]})")
-
-
-def build_a_batch(h: BlockTridiagonalMatrix, s: BlockTridiagonalMatrix,
-                  energies, structure=None) -> BatchedBlockTridiag:
-    """Stacked A(E) = E*S - H for a whole energy vector, one pass per block.
-
-    Broadcasting ``E`` over each stored block performs the same scalar
-    multiply-add as the per-point ``scale_add(E, H, -1)`` - in the dtype
-    :func:`~repro.linalg.energy_scalars` gives the whole batch - so each
-    slice of the result is bitwise identical to the per-point assembly.
-    ``structure`` is the one spanned by ``(h, s)``, as in ``scale_add``.
-    """
-    if h.block_sizes != s.block_sizes:
-        raise ShapeError("build_a_batch: H and S block structure differs")
-    e = energy_scalars(list(energies), h, s).reshape(-1, 1, 1)
-    if e.size == 0:
-        raise ShapeError("build_a_batch: need at least one energy")
-    diag = [scaled_sum(e, sb[None], -1.0, hb[None])
-            for sb, hb in zip(s.diag, h.diag)]
-    upper = [scaled_sum(e, sb[None], -1.0, hb[None])
-             for sb, hb in zip(s.upper, h.upper)]
-    lower = [scaled_sum(e, sb[None], -1.0, hb[None])
-             for sb, hb in zip(s.lower, h.lower)]
-    return BatchedBlockTridiag(diag, upper, lower,
-                               energies=np.real(e).reshape(-1),
-                               structure=structure)
 
 
 def bucket_by_width(widths) -> dict:

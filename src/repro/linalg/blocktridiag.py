@@ -14,10 +14,17 @@ small non-zero ``rows x cols`` sub-block.  :class:`CouplingSupport`
 records those index sets exactly (``!= 0``, no tolerance) and
 :class:`BlockStructure` shares them - and the Hermiticity verdict -
 between all the matrices of one family, e.g. every ``A(E)`` of a device.
+
+Blocks that hold no information are not stored: a block without a
+non-zero is a read-only zero-stride view (:func:`zero_block`), an
+identity diagonal block the process's one read-only ``eye(n)``
+(:func:`identity_block`), so the S of an orthogonal basis costs no
+memory.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -66,6 +73,97 @@ def scaled_sum(alpha, a: np.ndarray, beta, b: np.ndarray) -> np.ndarray:
         out -= b
     else:
         out += beta * b
+    return out
+
+
+def zero_block(shape, dtype) -> np.ndarray:
+    """A read-only all-zero block that stores one scalar (zero strides)."""
+    return np.broadcast_to(np.zeros((), dtype=dtype), tuple(shape))
+
+
+def is_zero_block(b: np.ndarray) -> bool:
+    """Whether ``b`` is a :func:`zero_block`: every entry the one stored
+    zero."""
+    return b.size > 0 and not any(b.strides) and not b.flat[0]
+
+
+@functools.lru_cache(maxsize=32)
+def identity_block(n: int, dtype) -> np.ndarray:
+    """The process's one read-only ``eye(n)`` of ``dtype`` (one per
+    block size a run meets; the bound only caps a process that meets
+    many)."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
+
+
+def stored_nbytes(arrays) -> int:
+    """Bytes ``arrays`` keep in memory: an array met twice (the same
+    data) counts once, a zero-stride axis not at all, a zero-stride
+    block (one stored scalar) nothing."""
+    spans = {}
+    for b in arrays:
+        if not any(b.strides):
+            continue
+        size = b.itemsize
+        for n, stride in zip(b.shape, b.strides):
+            if stride:
+                size *= n
+        key = b.__array_interface__["data"][0]
+        spans[key] = max(spans.get(key, 0), size)
+    return sum(spans.values())
+
+
+def block_position(p: int, num_blocks: int) -> tuple:
+    """``(row, column)`` block of flat position ``p``: the diagonal
+    blocks first, then the upper, then the lower ones (the order of
+    :meth:`BlockTridiagonalMatrix.blocks`)."""
+    if p < num_blocks:
+        return p, p
+    if p < 2 * num_blocks - 1:
+        i = p - num_blocks
+        return i, i + 1
+    i = p - 2 * num_blocks + 1
+    return i + 1, i
+
+
+def _is_sparse_identity(a: sp.csr_matrix) -> bool:
+    n = a.shape[0]
+    return (a.shape[1] == n and a.nnz == n
+            and np.array_equal(a.indptr, np.arange(n + 1))
+            and np.array_equal(a.indices, np.arange(n))
+            and bool((a.data == 1).all()))
+
+
+def sparse_blocks(a, block_sizes, positions=None) -> list:
+    """The blocks of sparse ``a`` at flat ``positions`` (all by default).
+
+    A block without a stored entry is a :func:`zero_block`, an identity
+    diagonal block the shared :func:`identity_block`, anything else a
+    dense copy.  S = I is recognised on the whole matrix, without
+    cutting it block by block.
+    """
+    a = sp.csr_matrix(a)
+    offs = np.concatenate([[0], np.cumsum(block_sizes)]).astype(int)
+    if offs[-1] != a.shape[0]:
+        raise ShapeError(
+            f"block sizes sum to {offs[-1]}, matrix is {a.shape[0]}")
+    nb = len(block_sizes)
+    if positions is None:
+        positions = range(3 * nb - 2)
+    identity = _is_sparse_identity(a)
+    out = []
+    for p in positions:
+        i, j = block_position(p, nb)
+        shape = (offs[i + 1] - offs[i], offs[j + 1] - offs[j])
+        sub = None if identity else \
+            a[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
+        if i == j and (identity or _is_sparse_identity(sub)):
+            out.append(identity_block(shape[0], a.dtype))
+        elif identity or sub.nnz == 0:
+            out.append(zero_block(shape, a.dtype))
+        else:
+            out.append(sub.toarray())
     return out
 
 
@@ -123,9 +221,12 @@ class BlockStructure:
     The family is every real linear combination of the ``spanning``
     matrices: ``(H, S)`` span all ``A(E) = E*S - H`` of a device at real
     energies.  Its members point at it (``structure=``) instead of
-    deriving the facts from their own blocks.  Both are worked out on
-    first request, once, under a lock - a solver that never asks (RGF)
-    never pays, and the energies of a sweep share one evaluation.
+    deriving the facts from their own blocks.  Both are worked out
+    together on the first request, once, under a lock - a solver that
+    never asks (RGF) never pays, and the energies of a sweep share one
+    evaluation.  The spanning matrices may be given as one zero-argument
+    callable returning them: it is called then, and its matrices are not
+    kept.
     """
 
     def __init__(self, *spanning):
@@ -136,33 +237,37 @@ class BlockStructure:
 
     def spanned_by(self, *matrices) -> "BlockStructure":
         """Name the spanning matrices unless they are named already;
-        returns ``self``.  The caches of a device family all offer their
-        ``(H, S)`` and the first offer stands: a potential adds
+        returns ``self``.  The first offer stands: a potential adds
         ``V * S`` entries to ``H``, which changes neither fact."""
         with self._lock:
-            if not self._spanning:
+            if not self._spanning and self._support is None:
                 self._spanning = matrices
         return self
 
-    def _matrices(self) -> tuple:
-        if not self._spanning:
+    def _facts(self) -> None:
+        """Work out both facts (caller holds the lock)."""
+        if self._support is not None:
+            return
+        matrices = self._spanning
+        if not matrices:
             raise ShapeError("BlockStructure has no spanning matrices yet")
-        return self._spanning
+        if callable(matrices[0]):
+            matrices = matrices[0]()
+        self._support = CouplingSupport.of(*matrices)
+        self._hermitian = all(m.hermitian_error() < HERMITIAN_TOL
+                              for m in matrices)
+        self._spanning = ()
 
     @property
     def support(self) -> CouplingSupport:
         with self._lock:
-            if self._support is None:
-                self._support = CouplingSupport.of(*self._matrices())
+            self._facts()
             return self._support
 
     @property
     def hermitian(self) -> bool:
         with self._lock:
-            if self._hermitian is None:
-                self._hermitian = all(
-                    m.hermitian_error() < HERMITIAN_TOL
-                    for m in self._matrices())
+            self._facts()
             return self._hermitian
 
 
@@ -240,11 +345,18 @@ class BlockTridiagonalMatrix:
 
     @property
     def nnz(self) -> int:
-        """Dense-block storage footprint in scalar entries."""
-        n = sum(b.size for b in self.diag)
-        n += sum(b.size for b in self.upper)
-        n += sum(b.size for b in self.lower)
-        return n
+        """Scalar entries of the blocks, as if every block were dense
+        (what they store is :meth:`stored_nbytes`)."""
+        return sum(b.size for b in self.blocks())
+
+    def blocks(self) -> list:
+        """Every block, in flat position order: diagonal, upper, lower."""
+        return self.diag + self.upper + self.lower
+
+    def stored_nbytes(self) -> int:
+        """Bytes the blocks keep in memory (:func:`stored_nbytes`): a
+        shared block counts once, a zero block not at all."""
+        return stored_nbytes(self.blocks())
 
     def is_uniform(self) -> bool:
         sizes = self.block_sizes
@@ -305,22 +417,12 @@ class BlockTridiagonalMatrix:
 
     @classmethod
     def from_sparse(cls, a: sp.spmatrix, block_sizes) -> "BlockTridiagonalMatrix":
-        """Cut tridiagonal blocks out of a sparse matrix (blocks go dense)."""
-        a = sp.csr_matrix(a)
-        offs = np.concatenate([[0], np.cumsum(block_sizes)])
-        if offs[-1] != a.shape[0]:
-            raise ShapeError(
-                f"block sizes sum to {offs[-1]}, matrix is {a.shape[0]}")
+        """Cut tridiagonal blocks out of a sparse matrix
+        (:func:`sparse_blocks`: zero and identity blocks are shared, the
+        others go dense)."""
         nb = len(block_sizes)
-        diag, upper, lower = [], [], []
-        for i in range(nb):
-            diag.append(a[offs[i]:offs[i + 1], offs[i]:offs[i + 1]].toarray())
-            if i < nb - 1:
-                upper.append(
-                    a[offs[i]:offs[i + 1], offs[i + 1]:offs[i + 2]].toarray())
-                lower.append(
-                    a[offs[i + 1]:offs[i + 2], offs[i]:offs[i + 1]].toarray())
-        return cls(diag, upper, lower)
+        flat = sparse_blocks(a, block_sizes)
+        return cls(flat[:nb], flat[nb:2 * nb - 1], flat[2 * nb - 1:])
 
     # -- conversions -------------------------------------------------------
 
@@ -391,12 +493,14 @@ class BlockTridiagonalMatrix:
     def scale_add(self, alpha, other: "BlockTridiagonalMatrix", beta,
                   structure: BlockStructure | None = None
                   ) -> "BlockTridiagonalMatrix":
-        """Return ``alpha*self + beta*other`` (same block structure).
+        """Return ``alpha*self + beta*other`` (same block structure),
+        every block through :func:`scaled_sum`.
 
-        This builds ``A(E) = E*S - H`` from stored H and S without
-        re-assembling sparsity: ``S.scale_add(E, H, -1)``.  ``structure``
-        is the result's when the caller already holds it (the one
-        spanned by ``self`` and ``other``, for real coefficients).
+        ``S.scale_add(E, H, -1)`` is ``A(E) = E*S - H`` block for block,
+        bit for bit what :class:`~repro.linalg.EnergyOperator` hands out
+        (it builds only the blocks S touches).  ``structure`` is the
+        result's when the caller already holds it (the one spanned by
+        ``self`` and ``other``, for real coefficients).
         """
         if other.block_sizes != self.block_sizes:
             raise ShapeError("scale_add: incompatible block structure")

@@ -14,24 +14,29 @@ one level up:
 
 * the image-resolved H_R / S_R, built once, and the potential-free
   ``DeviceMatrices`` assembled from them per k-point;
-* the per-lead :class:`~repro.obc.polynomial.PolynomialFamily`;
-* one :class:`~repro.linalg.BlockStructure` per k-point;
+* one :class:`KPointSetup` per k-point: S's blocks and the
+  :class:`~repro.linalg.EnergyOperator` that builds ``A(E)`` from them,
+  the lead's :class:`~repro.obc.polynomial.PolynomialFamily` and the
+  :class:`~repro.linalg.BlockStructure` of every ``A(E)``;
 * one :class:`BoundaryMemo` of :class:`OpenBoundary` results keyed
   ``(lead content fingerprint, energy, method, sorted kwargs)``, whose
-  lifetime is the family's, i.e. the run's - never the process's.
+  lifetime is the family's, i.e. the run's - never the process's;
+* the Gamma lead's band scan, which every energy grid of the run reads.
 
 ``family.caches(potential)`` hands out one :class:`DeviceCache` per
 k-point for that potential; they read and fill the family's memo.  A
 ``DeviceCache`` hoists what one potential fixes out of the energy loop:
 
-* ``h_blocks()``/``s_blocks()`` run ``to_block_tridiagonal`` once and
-  return the same :class:`~repro.linalg.BlockTridiagonalMatrix` objects
-  afterwards;
-* ``a_matrix(E)`` becomes one axpy over the cached blocks; every
-  ``A(E)`` carries the cache's
-  :class:`~repro.linalg.BlockStructure` - coupling support and
-  Hermiticity of ``E*S - H``, worked out from ``(H, S)`` the first time
-  a solver asks, once per family and k-point (neither depends on the
+* ``kept_blocks()`` cuts H's blocks where S is non-zero out of the
+  potential's H once - with the shared energy-free blocks, one H-sized
+  set, not H, S and A side by side;
+* ``a_matrix(E)`` is one axpy per kept block (the diagonal for an
+  orthogonal basis, every block for a non-orthogonal one); where S is
+  zero, ``A(E)`` is ``E*0 - H``, built once per k-point and sign class
+  of E and shared by every energy and every potential.  Every ``A(E)``
+  carries the k-point's :class:`~repro.linalg.BlockStructure` -
+  coupling support and Hermiticity of ``E*S - H``, worked out from
+  ``(H, S)`` the first time a solver asks (neither depends on the
   energy or on the potential);
 * ``polynomial(E)`` reuses the lead's ``PolynomialFamily`` so the
   per-energy PolynomialEVP is one subtraction per coefficient plus the
@@ -41,14 +46,17 @@ k-point for that potential; they read and fill the family's memo.  A
   between callers hitting the same (lead, energy, method, kwargs).
 
 A ``DeviceCache`` made without a family (``DeviceCache(device)``) owns a
-private memo and polynomial family: the same code path, shared with
+private memo and :class:`KPointSetup`: the same code path, shared with
 nobody.
 
-Caching contract: everything handed out is **shared and must be treated
-as read-only** by consumers.  That holds for the built-in solvers - none
+Caching contract: everything handed out is **shared and read-only**:
+S's blocks (zero-stride views and the process's shared identities
+where S = I), the energy-free blocks of ``A(E)`` and the kept H blocks
+carry ``writeable=False``, so a consumer that writes into one raises
+instead of corrupting the next energy.  None of the built-in solvers
 writes into its input blocks (``assemble_t`` copies the two corner
-blocks it modifies) - and is part of the registry contract for
-third-party solvers.  Bitwise equivalence with the uncached path holds
+blocks it modifies); ``tests/test_energy_operator.py`` drives each of
+them over such a cache.  Bitwise equivalence with the uncached path holds
 because extraction, the axpy and the OBC solves are deterministic and
 performed on identical inputs.  A cache is valid for exactly one
 :class:`~repro.hamiltonian.device.DeviceMatrices` instance; anything
@@ -70,7 +78,9 @@ import threading
 from repro.cache.keys import lead_content_hash
 from repro.hamiltonian import transverse_k_grid
 from repro.hamiltonian.device import device_at_k, real_space_device
-from repro.linalg import BlockStructure, block_support, energy_scalars
+from repro.linalg import (BlockStructure, EnergyOperator, block_support,
+                          stored_nbytes)
+from repro.linalg.assembly import freeze
 from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
 from repro.pipeline.registry import OBC_METHODS
@@ -102,26 +112,75 @@ class BoundaryMemo:
             return self._entries.setdefault(key, value)
 
 
+class KPointSetup:
+    """What the caches of one k-point share, whatever their potential.
+
+    Built from the k-point's potential-free device: the
+    :class:`~repro.linalg.EnergyOperator` (S's blocks and the
+    energy-free blocks of ``A(E)``), the lead's
+    :class:`~repro.obc.polynomial.PolynomialFamily`, the
+    :class:`~repro.linalg.BlockStructure` of every ``A(E)`` and the
+    lead's content fingerprint - each on first use, under a lock.
+    A potential changes H only where S has a stored entry, and the
+    device matrices come out of sparse sums (``assemble_k``,
+    ``with_potential``), which store no zero: so H's blocks where S is
+    empty, and the energy-free blocks built from them, are bitwise the
+    same at every potential.
+    """
+
+    def __init__(self, device):
+        self.device = device
+        self._lock = threading.Lock()
+        self._operator = None
+        self._polynomials = None
+        self._lead_key = None
+        #: coupling support and Hermiticity of every ``A(E)``, real E:
+        #: spanned by the potential-free ``(H, S)`` - a potential only
+        #: adds multiples of S's entries to H - and worked out from
+        #: them, extracted for that one evaluation, when a solver first
+        #: asks
+        self.structure = BlockStructure(
+            lambda: (device.h_blocks(), self.operator().s))
+
+    def operator(self) -> EnergyOperator:
+        with self._lock:
+            if self._operator is None:
+                s = self.device.s_blocks()
+                freeze(s.blocks())
+                self._operator = EnergyOperator(s, self.device.hmat)
+            return self._operator
+
+    def polynomials(self) -> PolynomialFamily:
+        with self._lock:
+            if self._polynomials is None:
+                lead = self.device.lead
+                self._polynomials = PolynomialFamily(lead.h_cells,
+                                                     lead.s_cells)
+            return self._polynomials
+
+    def lead_key(self) -> str:
+        with self._lock:
+            if self._lead_key is None:
+                self._lead_key = lead_content_hash(self.device.lead)
+            return self._lead_key
+
+
 class DeviceCache:
     """Read-through cache wrapping one ``DeviceMatrices``.
 
-    ``memo``, ``polynomials`` and ``structure`` are the
-    potential-invariant parts a :class:`DeviceFamily` shares between its
-    caches; a cache made without them owns private ones.
+    ``memo`` and ``setup`` are the potential-invariant parts a
+    :class:`DeviceFamily` shares between its caches; a cache made
+    without them owns private ones (``setup`` then built from
+    ``device``).
     """
 
     def __init__(self, device, memo: BoundaryMemo | None = None,
-                 polynomials: PolynomialFamily | None = None,
-                 structure: BlockStructure | None = None):
+                 setup: KPointSetup | None = None):
         self.device = device
         self._lock = threading.Lock()
-        self._h = None
-        self._s = None
-        self._polynomials = polynomials
+        self._setup = setup if setup is not None else KPointSetup(device)
         self._memo = memo if memo is not None else BoundaryMemo()
-        self._structure = structure if structure is not None \
-            else BlockStructure()
-        self._lead_key = None
+        self._kept = None
         self._boundary_support = None
 
     # -- delegated geometry (so a cache can stand in for the device) -------
@@ -144,32 +203,46 @@ class DeviceCache:
 
     # -- cached products ---------------------------------------------------
 
-    def h_blocks(self):
+    def operator(self) -> EnergyOperator:
+        """The k-point's :class:`~repro.linalg.EnergyOperator`."""
+        return self._setup.operator()
+
+    def kept_blocks(self) -> list:
+        """H's blocks where S is non-zero (``operator().touched``), cut
+        from this cache's device once, read-only: with the operator's
+        energy-free blocks, all ``A(E)`` is built from."""
+        op = self.operator()
         with self._lock:
-            if self._h is None:
-                self._h = self.device.h_blocks()
-            return self._h
+            if self._kept is None:
+                self._kept = freeze(op.h_blocks(self.device.hmat,
+                                                op.touched))
+            return self._kept
+
+    def h_blocks(self):
+        """H as block-tridiagonal, cut afresh: the cache keeps only
+        :meth:`kept_blocks`."""
+        return self.device.h_blocks()
 
     def s_blocks(self):
-        with self._lock:
-            if self._s is None:
-                self._s = self.device.s_blocks()
-            return self._s
+        """S's blocks, shared by the k-point's caches, read-only."""
+        return self.operator().s
+
+    def stored_nbytes(self) -> int:
+        """Bytes of the blocks ``A(E)`` is built from besides S: the
+        kept H blocks and the energy-free blocks of every sign class met
+        so far (one H-sized set for energies of one class)."""
+        return stored_nbytes(self.kept_blocks()) \
+            + self.operator().stored_free_nbytes()
 
     def warm(self) -> None:
         """Materialize the block extractions (the PREPARE stage body)."""
-        self.h_blocks()
-        self.s_blocks()
+        self.kept_blocks()
 
     def structure(self) -> BlockStructure:
-        """Coupling support and Hermiticity of every ``A(E)``, real E.
-
-        Spanned by ``(H, S)``: the support is the union of theirs - an
-        energy only mixes the two, a potential only adds multiples of S
-        entries to H - and ``E*S - H`` is Hermitian when both are.
-        Nothing is computed until a solver reads a fact.
-        """
-        return self._structure.spanned_by(self.h_blocks(), self.s_blocks())
+        """Coupling support and Hermiticity of every ``A(E)``, real E:
+        the k-point's, worked out once when a solver first reads a
+        fact."""
+        return self._setup.structure
 
     def boundary_support(self) -> tuple:
         """``(rows_first, rows_last)``: the rows of the first and last
@@ -192,41 +265,29 @@ class DeviceCache:
         """Whether ``A(E)`` is complex128 rather than float64 (real H
         and S; the energies of a cache are real): the dtype SplitSolve's
         Step 1 runs in, and is priced in."""
-        return energy_scalars(
-            0.0, self.h_blocks(), self.s_blocks()).dtype.kind == "c"
+        return self.operator().scalars(0.0).dtype.kind == "c"
 
     def a_matrix(self, energy: float):
-        """A(E) = E*S - H from the cached blocks (one axpy), in the
-        dtype of :func:`~repro.linalg.energy_scalars`."""
-        h = self.h_blocks()
-        s = self.s_blocks()
-        return s.scale_add(energy_scalars(float(energy), h, s), h, -1.0,
-                           structure=self.structure())
+        """A(E) = E*S - H: :meth:`a_matrix_batch` of one energy."""
+        return self.a_matrix_batch([energy]).point(0)
 
     def a_matrix_batch(self, energies):
         """Stacked A(E) = E*S - H for a whole energy vector, one pass.
 
         Returns a :class:`~repro.linalg.BatchedBlockTridiag` whose slice
-        ``j`` is bitwise identical to ``a_matrix(energies[j])`` — H and S
-        are fixed per k, so the batch is one broadcast axpy per stored
-        block instead of one per block per energy.
+        ``j`` is bitwise identical to ``a_matrix(energies[j])``: one
+        broadcast axpy per kept block, and the operator's shared
+        energy-free blocks everywhere else
+        (:meth:`~repro.linalg.EnergyOperator.assemble`).  Every ``A(E)``
+        carries the cache's :meth:`structure`.
         """
-        from repro.linalg.batched import build_a_batch
-        return build_a_batch(self.h_blocks(), self.s_blocks(),
-                             [float(e) for e in energies],
-                             structure=self.structure())
-
-    def _polynomial_family(self):
-        with self._lock:
-            if self._polynomials is None:
-                lead = self.device.lead
-                self._polynomials = PolynomialFamily(lead.h_cells,
-                                                     lead.s_cells)
-            return self._polynomials
+        return self.operator().assemble([float(e) for e in energies],
+                                        self.kept_blocks(),
+                                        structure=self.structure())
 
     def polynomial(self, energy: float):
         """The lead PolynomialEVP at ``energy``, via the shared family."""
-        return self._polynomial_family().at_energy(energy)
+        return self._setup.polynomials().at_energy(energy)
 
     def _memo_key(self, energy: float, method: str, kwargs: dict):
         """``(lead fingerprint, energy, method, sorted kwargs)``; ``None``
@@ -237,10 +298,7 @@ class DeviceCache:
             hash(kw_key)
         except TypeError:
             return None
-        with self._lock:
-            if self._lead_key is None:
-                self._lead_key = lead_content_hash(self.device.lead)
-            return (self._lead_key, energy, method, kw_key)
+        return (self._setup.lead_key(), energy, method, kw_key)
 
     def boundary(self, energy: float, method: str, **kwargs):
         """OpenBoundary at (energy, method, kwargs), shared across callers."""
@@ -307,9 +365,10 @@ class DeviceFamily:
                         for kz, _w in self.kgrid]
         self._gamma = None
         self.memo = BoundaryMemo()
-        self._polynomials = [PolynomialFamily(d.lead.h_cells, d.lead.s_cells)
-                             for d in self.devices]
-        self._structures = [BlockStructure() for _ in self.devices]
+        self._setups = [KPointSetup(d) for d in self.devices]
+        #: the Gamma lead's band scan, filled by the first energy grid
+        #: (:func:`repro.core.energygrid.family_energy_grid`)
+        self.lead_bands = None
         #: names this family in picklable unit specs, so a worker process
         #: keeps one device and one memo per family, not per spectrum
         self.token = f"{os.getpid()}:{next(_FAMILY_TOKENS)}"
@@ -330,9 +389,7 @@ class DeviceFamily:
         dev = self.devices[ik]
         if potential is not None:
             dev = dev.with_potential(potential)
-        return DeviceCache(dev, memo=self.memo,
-                           polynomials=self._polynomials[ik],
-                           structure=self._structures[ik])
+        return DeviceCache(dev, memo=self.memo, setup=self._setups[ik])
 
     def caches(self, potential=None) -> list:
         """One :class:`DeviceCache` per k-point, all at ``potential``."""

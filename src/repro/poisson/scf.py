@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.energygrid import adaptive_energy_grid
+from repro.core.energygrid import family_energy_grid
 from repro.core.runner import compute_spectrum
 from repro.negf import atom_density, orbital_density
 from repro.observability.spans import current_tracer
@@ -157,7 +157,9 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     # everything the potential does not change, once for the whole loop
     family = as_family(family, structure, basis, num_cells, num_k)
     base = family.gamma_device()
-    energies = _scf_energy_grid(base.lead, e_window)
+    # a moderate grid for the inner transport solve
+    energies = family_energy_grid(family, e_window[0], e_window[1],
+                                  min_spacing=5e-3, max_spacing=0.05)
     weights = _trapezoid_weights(energies)
     for it in range(start_iter, max_iter + 1):
         tracer = current_tracer()
@@ -221,12 +223,6 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     return SCFResult(potential_atom=pot, density_atom=dens_atoms,
                      residuals=residuals, iterations=max_iter,
                      converged=False, spectrum=spectrum)
-
-
-def _scf_energy_grid(lead, e_window):
-    """Moderate adaptive grid for the SCF inner transport solve."""
-    return adaptive_energy_grid(lead, e_window[0], e_window[1],
-                                min_spacing=5e-3, max_spacing=0.05)
 
 
 def _trapezoid_weights(energies: np.ndarray) -> np.ndarray:

@@ -140,8 +140,9 @@ class TestRegistry:
 
 class TestDeviceCache:
     def test_block_extraction_once(self, device):
+        """The blocks the cache keeps are extracted once."""
         cache = DeviceCache(device)
-        assert cache.h_blocks() is cache.h_blocks()
+        assert cache.kept_blocks() is cache.kept_blocks()
         assert cache.s_blocks() is cache.s_blocks()
 
     def test_a_matrix_equals_device(self, device):

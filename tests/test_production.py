@@ -82,3 +82,36 @@ class TestSweepSharesOneFamily:
         # two grids (inner, final) asked three times over: a spectrum's
         # worth of misses at most twice, everything else is a hit
         assert hits >= 2 * misses
+
+    def test_lead_bands_scanned_once_and_grids_unchanged(self, monkeypatch):
+        """Every grid of the sweep - the SCF grid of each bias point and
+        the final grid - reads one scan of the lead bands, and is bitwise
+        the grid ``adaptive_energy_grid`` scans for itself."""
+        import repro.core.energygrid as grid_mod
+        import repro.core.production as production_mod
+        import repro.poisson.scf as scf_mod
+
+        scans, grids = [], {scf_mod: [], production_mod: []}
+        real_scan = grid_mod.lead_band_structure
+        monkeypatch.setattr(
+            grid_mod, "lead_band_structure",
+            lambda *a, **kw: scans.append(1) or real_scan(*a, **kw))
+        real_spectrum = scf_mod.compute_spectrum
+        for mod, seen in grids.items():
+            monkeypatch.setattr(
+                mod, "compute_spectrum",
+                lambda *a, _seen=seen, **kw: _seen.append(a[3])
+                or real_spectrum(*a, **kw))
+        chain = linear_chain(6, 0.25)
+        run_production(chain, single_s_basis(), 6, [0.0, 0.1], -0.5,
+                       (-1.0, -0.4), scf_kwargs=dict(max_iter=1))
+        assert len(scans) == 1
+        monkeypatch.setattr(grid_mod, "lead_band_structure", real_scan)
+        from repro.hamiltonian import build_device
+        lead = build_device(chain, single_s_basis(), 6).lead
+        for mod, max_spacing in ((scf_mod, 0.05), (production_mod, 0.04)):
+            want = grid_mod.adaptive_energy_grid(
+                lead, -1.0, -0.4, min_spacing=5e-3, max_spacing=max_spacing)
+            assert len(grids[mod]) == 2
+            for got in grids[mod]:
+                assert got.tobytes() == want.tobytes()
