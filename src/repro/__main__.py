@@ -127,9 +127,10 @@ def main(argv=None) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.observability import (activity_report, node_activity,
-                                     phase_report, reconcile_report,
-                                     roofline_report, validate_chrome_trace)
+    from repro.observability.export import validate_chrome_trace
+    from repro.observability.report import (activity_report, node_activity,
+                                            phase_report, reconcile_report,
+                                            roofline_report)
     from repro.observability.demo import traced_production_demo
 
     t0 = time.perf_counter()
@@ -154,7 +155,7 @@ def _cmd_trace(args) -> int:
         print(roofline_report(demo["roofline"], device_name="Titan K20X"))
         print()
     if args.result_store:
-        from repro.observability import cache_report
+        from repro.observability.report import cache_report
         print(cache_report(demo["spans"]))
         print()
     print("run telemetry:")
@@ -215,7 +216,8 @@ def _cmd_report(args) -> int:
         print("need a span JSONL file or --checkpoint",
               file=sys.stderr)
         return 2
-    from repro.observability import read_spans_jsonl, run_report
+    from repro.observability.export import read_spans_jsonl
+    from repro.observability.report import run_report
     spans = read_spans_jsonl(args.spans)
     if not spans:
         print(f"{args.spans} holds no spans", file=sys.stderr)

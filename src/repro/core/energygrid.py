@@ -21,17 +21,25 @@ from repro.utils.errors import ConfigurationError
 def lead_band_structure(lead, num_k: int = 51):
     """E_n(k) of the folded lead over k in [0, pi] (time-reversal half).
 
-    Returns ``(ks, bands)`` with bands shape (num_k, n_folded).
+    Returns ``(ks, bands)`` with bands shape (num_k, n_folded).  The scan
+    is memoised on the lead per ``num_k`` (``lead.band_scans``), so every
+    later grid on that lead reads it; both arrays are read-only.
     """
-    ks = np.linspace(0.0, np.pi, num_k)
-    bands = []
-    for k in ks:
-        hk = (lead.h00 + np.exp(1j * k) * lead.h01
-              + np.exp(-1j * k) * lead.h01.conj().T)
-        sk = (lead.s00 + np.exp(1j * k) * lead.s01
-              + np.exp(-1j * k) * lead.s01.conj().T)
-        bands.append(sla.eigvalsh(hk, sk, check_finite=False))
-    return ks, np.asarray(bands)
+    scans = vars(lead).setdefault("band_scans", {})
+    if num_k not in scans:
+        ks = np.linspace(0.0, np.pi, num_k)
+        bands = []
+        for k in ks:
+            hk = (lead.h00 + np.exp(1j * k) * lead.h01
+                  + np.exp(-1j * k) * lead.h01.conj().T)
+            sk = (lead.s00 + np.exp(1j * k) * lead.s01
+                  + np.exp(-1j * k) * lead.s01.conj().T)
+            bands.append(sla.eigvalsh(hk, sk, check_finite=False))
+        bands = np.asarray(bands)
+        ks.setflags(write=False)
+        bands.setflags(write=False)
+        scans[num_k] = ks, bands
+    return scans[num_k]
 
 
 def band_edges(bands: np.ndarray, window=None) -> np.ndarray:
@@ -56,52 +64,25 @@ def band_edges(bands: np.ndarray, window=None) -> np.ndarray:
     return edges
 
 
-#: defaults of :func:`adaptive_energy_grid`, which a family grid uses
-EDGE_HALO = 0.02
-NUM_K_SCAN = 31
-
-
 def adaptive_energy_grid(lead, e_min: float, e_max: float,
                          min_spacing: float = 1e-3,
                          max_spacing: float = 0.05,
-                         edge_halo: float = EDGE_HALO,
-                         num_k_scan: int = NUM_K_SCAN) -> np.ndarray:
+                         edge_halo: float = 0.02,
+                         num_k_scan: int = 31) -> np.ndarray:
     """Generate the OMEN-style adaptive energy grid on [e_min, e_max].
 
     Spacing is ``min_spacing`` within ``edge_halo`` of any band edge and
     relaxes geometrically to ``max_spacing`` away from them.  The total
     point count is therefore an *output*, not an input — exactly the
-    property the paper's weak-scaling caption describes.
+    property the paper's weak-scaling caption describes.  The band scan
+    is the lead's memo: the SCF grid of every bias point and the final
+    grid of a run share one.
     """
-    _check_window(e_min, e_max, min_spacing, max_spacing)
-    _, bands = lead_band_structure(lead, num_k_scan)
-    return _grid_on_bands(bands, e_min, e_max, min_spacing, max_spacing,
-                          edge_halo)
-
-
-def family_energy_grid(family, e_min: float, e_max: float,
-                       min_spacing: float, max_spacing: float) -> np.ndarray:
-    """:func:`adaptive_energy_grid` on the Gamma lead of a
-    :class:`~repro.pipeline.cache.DeviceFamily`, bit for bit, scanning
-    its bands once per family (``family.lead_bands``): the SCF grid of
-    every bias point and the final grid share one scan."""
-    _check_window(e_min, e_max, min_spacing, max_spacing)
-    if family.lead_bands is None:
-        family.lead_bands = lead_band_structure(
-            family.gamma_device().lead, NUM_K_SCAN)[1]
-    return _grid_on_bands(family.lead_bands, e_min, e_max, min_spacing,
-                          max_spacing, EDGE_HALO)
-
-
-def _check_window(e_min, e_max, min_spacing, max_spacing) -> None:
     if e_max <= e_min:
         raise ConfigurationError("e_max must exceed e_min")
     if not 0 < min_spacing <= max_spacing:
         raise ConfigurationError("need 0 < min_spacing <= max_spacing")
-
-
-def _grid_on_bands(bands, e_min, e_max, min_spacing, max_spacing,
-                   edge_halo) -> np.ndarray:
+    _, bands = lead_band_structure(lead, num_k_scan)
     edges = band_edges(bands, window=(e_min - 0.5, e_max + 0.5))
     grid = [e_min]
     while grid[-1] < e_max:

@@ -20,10 +20,11 @@ import numpy as np
 
 from contextlib import nullcontext
 
-from repro.core.energygrid import family_energy_grid
+from repro.core.energygrid import adaptive_energy_grid
 from repro.core.runner import compute_spectrum
 from repro.observability.spans import current_tracer
-from repro.parallel import DynamicLoadBalancer
+from repro.parallel.backend import close_task_runner, make_task_runner
+from repro.parallel.balancer import DynamicLoadBalancer
 from repro.pipeline.cache import DeviceFamily
 from repro.runtime.checkpoint import as_store
 from repro.utils.errors import CheckpointError, ConfigurationError
@@ -126,7 +127,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
             "pass either task_runner or backend, not both")
     owned_runner = None
     if backend is not None:
-        from repro.parallel.backend import make_task_runner
         task_runner = owned_runner = make_task_runner(backend, num_workers)
     kwargs = dict(mixing=0.3, max_iter=12, tol=5e-3, density_scale=0.02)
     kwargs.update(scf_kwargs or {})
@@ -135,8 +135,9 @@ def run_production(structure, basis, num_cells: int, bias_points,
     # part and every lead's Sigma^RB(E) are the same in all SCF
     # iterations, final spectra and bias points: one family for the sweep.
     family = DeviceFamily(structure, basis, num_cells, num_k)
-    energies = family_energy_grid(family, e_window[0], e_window[1],
-                                  min_spacing=5e-3, max_spacing=0.04)
+    energies = adaptive_energy_grid(family.gamma_device().lead, e_window[0],
+                                    e_window[1], min_spacing=5e-3,
+                                    max_spacing=0.04)
 
     balancer = None
     if num_nodes is not None:
@@ -192,7 +193,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
                 _save_sweep(store, points, balancer, telemetry=telemetry)
     finally:
         if owned_runner is not None:
-            from repro.parallel.backend import close_task_runner
             close_task_runner(owned_runner)
     return ProductionResult(points=points, balancer=balancer)
 

@@ -15,6 +15,7 @@ from repro.constants import LANDAUER_2E_OVER_H
 from repro.hamiltonian import build_device
 from repro.negf.density import fermi
 from repro.observability.spans import current_tracer
+from repro.parallel.backend import close_task_runner, make_task_runner
 from repro.parallel.serialization import TaskDescriptor
 from repro.pipeline import TransportPipeline
 from repro.pipeline.cache import (BoundaryMemo, DeviceCache, DeviceFamily,
@@ -286,7 +287,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             "pass either task_runner or backend, not both")
     owned_runner = None
     if backend is not None:
-        from repro.parallel.backend import make_task_runner
         task_runner = owned_runner = make_task_runner(backend, num_workers)
     if not isinstance(energy_batch_size, numbers.Integral) \
             or energy_batch_size < 1:
@@ -440,7 +440,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                                trans, counts, telemetry)
     finally:
         if owned_runner is not None:
-            from repro.parallel.backend import close_task_runner
             close_task_runner(owned_runner)
     return TransportSpectrum(energies=energies, kpoints=kgrid,
                              transmission=trans, mode_counts=counts,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hardware import TITAN, SimulatedMachine
-from repro.perfmodel import (
+from repro.hardware.machine import SimulatedMachine
+from repro.hardware.specs import TITAN
+from repro.perfmodel.scaling import (
     strong_scaling_table,
     weak_scaling_efficiency,
     weak_scaling_table,
@@ -63,7 +64,7 @@ def hermitian_speedup() -> dict:
     """
     from dataclasses import replace
 
-    from repro.perfmodel import splitsolve_flop_model
+    from repro.perfmodel.costmodel import splitsolve_flop_model
 
     rhs = 2 * UTB_BLOCK_SIZE // 10
     f_gen = splitsolve_flop_model(UTB_BLOCKS, UTB_BLOCK_SIZE, rhs,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hardware import PIZ_DAINT, TITAN, PowerModel, power_profile
 from repro.hardware.machine import SimulatedMachine
+from repro.hardware.power import PowerModel, power_profile
+from repro.hardware.specs import PIZ_DAINT, TITAN
 
 PAPER = dict(avg_mw=7.6, peak_mw=8.8, machine_mflops_w=1975.0,
              gpu_w=146.0, gpu_mflops_w=5396.0)

@@ -20,9 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamiltonian.device import LeadBlocks, synthetic_device_from_lead
-from repro.hardware import activity_table
+from repro.hardware.trace import activity_table
 from repro.linalg import ledger_scope
-from repro.observability import phase_totals, reconcile, tracing
+from repro.observability.report import phase_totals, reconcile
+from repro.observability.spans import tracing
 from repro.utils.rng import make_rng
 
 

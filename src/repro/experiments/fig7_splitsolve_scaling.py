@@ -22,9 +22,10 @@ import time
 
 import numpy as np
 
-from repro.hardware import PIZ_DAINT, SimulatedMachine
+from repro.hardware.machine import SimulatedMachine
+from repro.hardware.specs import PIZ_DAINT
 from repro.linalg import BlockTridiagonalMatrix
-from repro.perfmodel import splitsolve_flop_model
+from repro.perfmodel.costmodel import splitsolve_flop_model
 from repro.solvers import SplitSolve
 from repro.utils.rng import make_rng
 

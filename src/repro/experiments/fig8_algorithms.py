@@ -53,7 +53,8 @@ def _simulated_node_time(solver: str, obc_flops: float,
     the hardware asymmetry that carries most of the paper's 6-16x solver
     speedup.
     """
-    from repro.hardware import TITAN, SimulatedMachine
+    from repro.hardware.machine import SimulatedMachine
+    from repro.hardware.specs import TITAN
 
     m = SimulatedMachine(TITAN.subset(_NODES))
     t_obc = obc_flops / (m.cpu_rate() * _NODES)

@@ -1,6 +1,6 @@
 """Table I: technical specifications of Piz Daint and Titan."""
 
-from repro.hardware import PIZ_DAINT, TITAN
+from repro.hardware.specs import PIZ_DAINT, TITAN
 
 PAPER = {
     "Piz Daint": dict(nodes=5272, gpus=5272, gpu="Tesla K20X",

@@ -11,8 +11,10 @@ Paper numbers reproduced by the calibrated model:
 
 from __future__ import annotations
 
-from repro.hardware import TITAN, SimulatedMachine
-from repro.perfmodel import extrapolate_flops, splitsolve_flop_model
+from repro.hardware.machine import SimulatedMachine
+from repro.hardware.specs import TITAN
+from repro.perfmodel.costmodel import (extrapolate_flops,
+                                      splitsolve_flop_model)
 
 PAPER = dict(time_per_point_s=102.0, sc_iteration_min=10.0,
              mumps_time_per_point_min=30.0, cpu_machine_slowdown=3.0)

@@ -20,16 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from repro.basis.shells import BasisSet
 from repro.hamiltonian.slater_koster import (
     ETA_HAMILTONIAN,
     ETA_OVERLAP,
     atom_pair_blocks,
-    bond_lengths,
     onsite_energies,
 )
+from repro.structure.lattice import neighbor_search
 from repro.utils.errors import ConfigurationError
 
 
@@ -128,31 +127,22 @@ def build_matrices(structure, basis: BasisSet) -> RealSpaceMatrices:
     on = np.flatnonzero(diag)
     cutoff = basis.cutoff
 
-    pos = structure.positions
-    tree = cKDTree(pos)
     images = {}
     for (ny, nz) in _transverse_image_shifts(structure, cutoff):
         if (ny, nz) in images:
             continue
         home = (ny, nz) == (0, 0)
         shift_vec = ny * structure.cell[1] + nz * structure.cell[2]
-        if home:
-            i, j = tree.query_pairs(cutoff, output_type="ndarray").T
-        else:
-            found = tree.sparse_distance_matrix(
-                cKDTree(pos + shift_vec), cutoff, output_type="ndarray")
-            i, j = found["i"], found["j"]
-        delta = pos[j] + shift_vec - pos[i]
-        r = bond_lengths(delta)
+        i, j, delta, r = neighbor_search(structure.positions, cutoff,
+                                         shift_vec)
         if np.any(r < 1e-9):
             k = int(np.argmax(r < 1e-9))
             raise ConfigurationError(
                 f"atoms {int(i[k])} and {int(j[k])} coincide in image "
                 f"{(ny, nz)} (r < 1e-9 nm): a structure cannot hold two "
                 f"atoms at one point")
-        keep = r <= cutoff
         rows, cols, hvals, svals = _bond_triplets(
-            i[keep], j[keep], delta[keep], code, shells, offsets, basis)
+            i, j, delta, code, shells, offsets, basis)
         if home:
             # onsite energies, then the symmetric counterpart of each bond
             rows, cols = (np.concatenate([on, rows, cols]),

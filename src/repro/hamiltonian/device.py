@@ -34,6 +34,8 @@ class LeadBlocks:
     ``h_cells[l]``/``s_cells[l]`` are the per-unit-cell blocks H_{q,q+l}
     (Eq. 6) for l = 0..NBW; ``h00/h01/s00/s01`` the supercell-folded
     nearest-neighbour form used to build the boundary self-energy.
+    ``band_scans``, once a scan fills it, is the memo of
+    :func:`repro.core.energygrid.lead_band_structure`.
     """
 
     h_cells: list
@@ -50,6 +52,10 @@ class LeadBlocks:
     @property
     def folded_size(self) -> int:
         return self.h00.shape[0]
+
+    def __getstate__(self):
+        """The blocks only: a band scan is redone where it is read."""
+        return {k: v for k, v in self.__dict__.items() if k != "band_scans"}
 
 
 @dataclass

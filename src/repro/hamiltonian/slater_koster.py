@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.basis.shells import Shell
+from repro.structure.lattice import bond_lengths
 
 #: Bond-integral anisotropies for the Hamiltonian (Harrison's ratios).
 ETA_HAMILTONIAN = {
@@ -40,13 +41,6 @@ def radial(r, sh_i: Shell, sh_j: Shell, decay_factor: float = 1.0):
     """
     d2 = (sh_i.decay ** 2 + sh_j.decay ** 2) * decay_factor ** 2
     return sh_i.weight * sh_j.weight * np.exp(-r * r / (2.0 * d2))
-
-
-def bond_lengths(delta: np.ndarray) -> np.ndarray:
-    """|delta| of every row of a (P, 3) stack, bitwise ``np.linalg.norm``
-    of the row: one ``ddot`` each, as a stacked (1 x 3) @ (3 x 1) is
-    (``einsum`` or ``norm(axis=1)`` round differently in ~1 row of 8)."""
-    return np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
 
 
 def atom_pair_blocks(shells_i, shells_j, delta: np.ndarray, scale: float,

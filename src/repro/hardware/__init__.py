@@ -9,30 +9,12 @@ roofline-style timing model per device, a power model, and an
 nvprof-style activity trace built from real kernel events.
 """
 
-from repro.hardware.specs import (
-    GpuSpec,
-    CpuSpec,
-    NodeSpec,
-    MachineSpec,
-    TITAN,
-    PIZ_DAINT,
-    K20X,
-)
-from repro.hardware.machine import SimulatedMachine, RunEstimate
-from repro.hardware.power import PowerModel, power_profile
-from repro.hardware.trace import activity_table
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "GpuSpec",
-    "CpuSpec",
-    "NodeSpec",
-    "MachineSpec",
-    "TITAN",
-    "PIZ_DAINT",
-    "K20X",
-    "SimulatedMachine",
-    "RunEstimate",
-    "PowerModel",
-    "power_profile",
-    "activity_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "specs": ("GpuSpec", "CpuSpec", "NodeSpec", "MachineSpec", "TITAN",
+              "PIZ_DAINT", "K20X"),
+    "machine": ("SimulatedMachine", "RunEstimate"),
+    "power": ("PowerModel", "power_profile"),
+    "trace": ("activity_table",),
+})

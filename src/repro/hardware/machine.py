@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hardware.specs import MachineSpec
+from repro.parallel.topology import build_distribution
 from repro.utils.errors import ConfigurationError
 
 
@@ -91,10 +92,6 @@ class SimulatedMachine:
         modelled exactly.
         """
         num_nodes = self.spec.num_nodes
-        # imported here: repro.parallel sits above repro.hardware (its
-        # runners import the runtime, which imports observability and,
-        # through the report, this package)
-        from repro.parallel.topology import build_distribution
         dist = build_distribution(num_nodes, energies_per_k,
                                   nodes_per_solver)
         t_point = self.time_energy_point(gpu_flops_per_point,

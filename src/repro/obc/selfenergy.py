@@ -48,6 +48,9 @@ from repro.obc.modes import (LeadModes, classify_modes, flux_orthogonalize,
 from repro.obc.polynomial import (PolynomialEVP, PolynomialFamily,
                                   count_interface_fallback)
 from repro.obc.shift_invert import shift_invert_modes
+from repro.perfmodel.costmodel import (decimation_kernels, feast_kernels,
+                                       interface_reduction_kernels,
+                                       kernel_bytes)
 from repro.pipeline.registry import OBC_METHODS, register_obc_method
 from repro.utils.errors import ConfigurationError
 
@@ -229,7 +232,6 @@ def boundary_from_decimation(lead: LeadBlocks, energy: float,
                              eta: float = 1e-8, **kwargs) -> OpenBoundary:
     """Sigma^RB via Sancho-Rubio (no modes: NEGF-only route); ``kwargs``
     (``max_iter``, ``tol``) go to :func:`sancho_rubio`."""
-    from repro.perfmodel.costmodel import decimation_kernels, kernel_bytes
     t00 = (energy * lead.s00 - lead.h00).astype(complex)
     t01 = (energy * lead.s01 - lead.h01).astype(complex)
     gl, gr, iterations = sancho_rubio(t00, t01, eta=eta, **kwargs)
@@ -283,9 +285,6 @@ def _mode_boundary(lead: LeadBlocks, energy: float, solve_modes,
 
 
 def _feast_info(res, pevp: PolynomialEVP, wasted_bytes: int = 0) -> dict:
-    from repro.perfmodel.costmodel import (feast_kernels,
-                                           interface_reduction_kernels,
-                                           kernel_bytes)
     predicted = kernel_bytes(feast_kernels(
         pevp.n, res.num_solves, res.solve_widths, res.rr_sizes))
     if pevp.reduction is not None:

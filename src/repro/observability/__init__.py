@@ -25,57 +25,19 @@ One subsystem replacing the fragmented telemetry of earlier PRs:
    ``python -m repro report`` re-reads; both print :func:`run_report`.
 """
 
-from repro.observability.export import (SpanLogWriter, follow_spans_jsonl,
-                                        read_spans_jsonl, to_chrome_trace,
-                                        validate_chrome_trace,
-                                        write_chrome_trace,
-                                        write_spans_jsonl)
-from repro.observability.metrics import (Counter, Gauge, Histogram,
-                                         LabeledCounter, MetricsRegistry,
-                                         comparable_telemetry)
-from repro.observability.report import (RooflineStage, activity_report,
-                                        cache_report, cache_totals,
-                                        memory_report, memory_totals,
-                                        node_activity, phase_report,
-                                        phase_totals, reconcile,
-                                        reconcile_report, roofline_annotate,
-                                        roofline_report, run_report)
-from repro.observability.spans import (CATEGORIES, Span, SpanTracer,
-                                       current_tracer, install_tracer,
-                                       tracing)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CATEGORIES",
-    "Span",
-    "SpanTracer",
-    "current_tracer",
-    "install_tracer",
-    "tracing",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LabeledCounter",
-    "MetricsRegistry",
-    "comparable_telemetry",
-    "SpanLogWriter",
-    "follow_spans_jsonl",
-    "read_spans_jsonl",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_spans_jsonl",
-    "RooflineStage",
-    "activity_report",
-    "cache_report",
-    "cache_totals",
-    "memory_report",
-    "memory_totals",
-    "node_activity",
-    "phase_report",
-    "phase_totals",
-    "reconcile",
-    "reconcile_report",
-    "roofline_annotate",
-    "roofline_report",
-    "run_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "spans": ("CATEGORIES", "Span", "SpanTracer", "current_tracer",
+              "install_tracer", "tracing"),
+    "metrics": ("Counter", "Gauge", "Histogram", "LabeledCounter",
+                "MetricsRegistry", "comparable_telemetry"),
+    "export": ("SpanLogWriter", "follow_spans_jsonl", "read_spans_jsonl",
+               "to_chrome_trace", "validate_chrome_trace",
+               "write_chrome_trace", "write_spans_jsonl"),
+    "report": ("RooflineStage", "activity_report", "cache_report",
+               "cache_totals", "memory_report", "memory_totals",
+               "node_activity", "phase_report", "phase_totals", "reconcile",
+               "reconcile_report", "roofline_annotate", "roofline_report",
+               "run_report"),
+})

@@ -37,13 +37,13 @@ from repro.basis import tight_binding_set
 from repro.core.energygrid import lead_band_structure
 from repro.core.production import run_production
 from repro.hamiltonian import build_device
-from repro.hardware import TITAN
+from repro.hardware.specs import TITAN
 from repro.linalg import ledger_scope
 from repro.observability.export import SpanLogWriter, write_chrome_trace
 from repro.observability.report import (phase_totals, reconcile,
                                         roofline_annotate)
 from repro.observability.spans import SpanTracer, tracing
-from repro.parallel import ThreadTaskRunner
+from repro.parallel.executor import ThreadTaskRunner
 from repro.runtime import ResilientTaskRunner
 from repro.structure import silicon_nanowire
 from repro.utils.errors import ConfigurationError
@@ -95,7 +95,7 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
                       mixing=0.3, density_scale=0.02)
 
     if backend == "process":
-        from repro.parallel import ProcessTaskRunner
+        from repro.parallel.process import ProcessTaskRunner
         runner = ResilientTaskRunner(
             ProcessTaskRunner(num_workers=num_nodes), max_retries=1)
     elif backend == "thread":

@@ -14,33 +14,15 @@ of observables); the distribution/topology logic is pure and is reused
 verbatim by the simulated-machine scaling experiments.
 """
 
-from repro.parallel.comm import FakeComm, run_spmd
-from repro.parallel.topology import (
-    WorkloadDistribution,
-    allocate_nodes_to_momentum,
-    distribute_items,
-    build_distribution,
-)
-from repro.parallel.balancer import DynamicLoadBalancer
-from repro.parallel.executor import ThreadTaskRunner
-from repro.parallel.process import ProcessTaskRunner
-from repro.parallel.serialization import TaskDescriptor, descriptor_of
-from repro.parallel.backend import (BACKENDS, close_task_runner,
-                                    make_task_runner)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "FakeComm",
-    "run_spmd",
-    "WorkloadDistribution",
-    "allocate_nodes_to_momentum",
-    "distribute_items",
-    "build_distribution",
-    "DynamicLoadBalancer",
-    "ThreadTaskRunner",
-    "ProcessTaskRunner",
-    "TaskDescriptor",
-    "descriptor_of",
-    "BACKENDS",
-    "make_task_runner",
-    "close_task_runner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "comm": ("FakeComm", "run_spmd"),
+    "topology": ("WorkloadDistribution", "allocate_nodes_to_momentum",
+                 "distribute_items", "build_distribution"),
+    "balancer": ("DynamicLoadBalancer",),
+    "executor": ("ThreadTaskRunner",),
+    "process": ("ProcessTaskRunner",),
+    "serialization": ("TaskDescriptor", "descriptor_of"),
+    "backend": ("BACKENDS", "make_task_runner", "close_task_runner"),
+})

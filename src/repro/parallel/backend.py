@@ -19,7 +19,6 @@ serial/thread backends, a pool shutdown for the process backend.
 from __future__ import annotations
 
 from repro.parallel.executor import ThreadTaskRunner
-from repro.parallel.process import ProcessTaskRunner
 from repro.utils.errors import ConfigurationError
 
 #: backends accepted by :func:`make_task_runner` (and the CLI)
@@ -48,6 +47,8 @@ def make_task_runner(backend: str, num_workers: int | None = None):
         return None
     if backend == "thread":
         return ThreadTaskRunner(workers)
+    # a serial or thread run never imports multiprocessing
+    from repro.parallel.process import ProcessTaskRunner
     return ProcessTaskRunner(workers)
 
 

@@ -296,7 +296,7 @@ def _device_rate_ratio() -> float:
     the paper-era ratio of ~8 otherwise.
     """
     try:
-        from repro.hardware import TITAN
+        from repro.hardware.specs import TITAN
         node = TITAN.node
         gpu = node.gpu.peak_dp_gflops * node.gpu.sustained_fraction
         cpu = (node.cpu.peak_dp_gflops * node.cpu.sustained_fraction

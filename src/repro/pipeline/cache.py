@@ -366,9 +366,6 @@ class DeviceFamily:
         self._gamma = None
         self.memo = BoundaryMemo()
         self._setups = [KPointSetup(d) for d in self.devices]
-        #: the Gamma lead's band scan, filled by the first energy grid
-        #: (:func:`repro.core.energygrid.family_energy_grid`)
-        self.lead_bands = None
         #: names this family in picklable unit specs, so a worker process
         #: keeps one device and one memo per family, not per spectrum
         self.token = f"{os.getpid()}:{next(_FAMILY_TOKENS)}"

@@ -33,6 +33,7 @@ from repro.linalg.arena import (Workspace, arena_scope, scratch,
 from repro.linalg.batched import bucket_by_width
 from repro.negf.transmission import EnergyPointResult, analyze_solution
 from repro.observability.spans import current_tracer
+from repro.perfmodel import costmodel
 from repro.pipeline.cache import DeviceCache, as_cache
 from repro.pipeline.registry import AUTO, SOLVERS, resolve_solver_name
 from repro.pipeline.trace import TaskTrace, batch_stage_scope
@@ -318,7 +319,6 @@ class TransportPipeline:
         ``None`` for solvers without a byte model and for shapes the
         model cannot price.
         """
-        from repro.perfmodel import costmodel
         if solver_name == "rgf":
             return costmodel.kernel_bytes(
                 costmodel.rgf_kernels(cache.block_sizes, int(width)))

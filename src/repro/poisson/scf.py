@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.energygrid import family_energy_grid
+from repro.core.energygrid import adaptive_energy_grid
 from repro.core.runner import compute_spectrum
 from repro.negf import atom_density, orbital_density
 from repro.observability.spans import current_tracer
@@ -158,8 +158,8 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     family = as_family(family, structure, basis, num_cells, num_k)
     base = family.gamma_device()
     # a moderate grid for the inner transport solve
-    energies = family_energy_grid(family, e_window[0], e_window[1],
-                                  min_spacing=5e-3, max_spacing=0.05)
+    energies = adaptive_energy_grid(base.lead, e_window[0], e_window[1],
+                                    min_spacing=5e-3, max_spacing=0.05)
     weights = _trapezoid_weights(energies)
     for it in range(start_iter, max_iter + 1):
         tracer = current_tracer()

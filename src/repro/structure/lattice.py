@@ -83,48 +83,63 @@ class Structure:
             self.cell.copy(), self.periodic.copy())
 
     def neighbor_pairs(self, cutoff: float):
-        """All pairs (i, j), i < j, with |r_i - r_j| <= cutoff (non-periodic).
+        """All pairs (i, j), i < j, with |r_j - r_i| <= cutoff
+        (non-periodic), sorted by (i, j): :func:`neighbor_search`.
 
-        Uses a uniform spatial grid so cost is O(N) for bounded density —
-        essential for the 10^4-atom structures of the paper.
         Returns ``(pairs, deltas)`` where deltas[k] = r_j - r_i.
         """
-        pos = self.positions
-        n = self.num_atoms
-        if n < 2:
-            return np.zeros((0, 2), dtype=int), np.zeros((0, 3))
-        inv_h = 1.0 / max(cutoff, 1e-12)
-        keys = np.floor(pos * inv_h).astype(np.int64)
-        cellmap: dict[tuple, list] = {}
-        for i, k in enumerate(map(tuple, keys)):
-            cellmap.setdefault(k, []).append(i)
-        pairs, deltas = [], []
-        offsets = [(dx, dy, dz) for dx in (-1, 0, 1)
-                   for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-        cut2 = cutoff * cutoff
-        for key, members in cellmap.items():
-            neigh = []
-            for off in offsets:
-                other = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-                neigh.extend(cellmap.get(other, ()))
-            neigh = np.asarray(neigh)
-            for i in members:
-                cand = neigh[neigh > i]
-                if cand.size == 0:
-                    continue
-                d = pos[cand] - pos[i]
-                keep = np.einsum("ij,ij->i", d, d) <= cut2
-                for j, dj in zip(cand[keep], d[keep]):
-                    pairs.append((i, j))
-                    deltas.append(dj)
-        if not pairs:
-            return np.zeros((0, 2), dtype=int), np.zeros((0, 3))
-        return np.asarray(pairs, dtype=int), np.asarray(deltas)
+        i, j, deltas, _ = neighbor_search(self.positions, cutoff)
+        return np.stack([i, j], axis=1), deltas
 
     def __repr__(self):
         return (f"Structure(N={self.num_atoms}, "
                 f"species={self.unique_species()}, "
                 f"periodic={self.periodic.tolist()})")
+
+
+def bond_lengths(delta: np.ndarray) -> np.ndarray:
+    """|delta| of every row of a (P, 3) stack, bitwise ``np.linalg.norm``
+    of the row: one ``ddot`` each, as a stacked (1 x 3) @ (3 x 1) is
+    (``einsum`` or ``norm(axis=1)`` round differently in ~1 row of 8)."""
+    return np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+
+
+def neighbor_search(positions: np.ndarray, cutoff: float, shift=None):
+    """Atom pairs within ``cutoff`` of one another, one image at a time.
+
+    Returns ``(i, j, delta, r)`` sorted by (i, j): every pair with
+    ``r = |delta| <= cutoff`` (:func:`bond_lengths`), where
+    ``delta = positions[j] + shift - positions[i]``.  Without ``shift``
+    (or with a zero one) each pair is listed once, ``i < j``; with a
+    periodic-image shift every ordered pair is, ``i == j`` included.
+
+    No loop over atoms: the atoms are sorted along their widest axis, each
+    shifted atom brackets its window of that coordinate with one
+    ``searchsorted``, and the candidates are filtered by distance.  An
+    atom's candidates are the atoms of its slice of that axis, so the work
+    grows with a wire's length times its cross-section.
+    """
+    pos = np.asarray(positions, dtype=float)
+    shift = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
+    target = pos + shift
+    axis = int(np.argmax(np.ptp(pos, axis=0))) if len(pos) else 0
+    order = np.argsort(pos[:, axis], kind="stable")
+    coord = pos[order, axis]
+    # a window a hair wider than the cutoff: the distance filter is exact
+    reach = cutoff * (1.0 + 1e-9) + 1e-9
+    lo = np.searchsorted(coord, target[:, axis] - reach, side="left")
+    hi = np.searchsorted(coord, target[:, axis] + reach, side="right")
+    count = hi - lo
+    j = np.repeat(np.arange(len(pos)), count)
+    first = np.repeat(lo - np.cumsum(count) + count, count)
+    i = order[first + np.arange(len(j))]
+    if not shift.any():
+        i, j = i[i < j], j[i < j]
+    delta = target[j] - pos[i]
+    r = bond_lengths(delta)
+    keep = np.flatnonzero(r <= cutoff)
+    keep = keep[np.lexsort((j[keep], i[keep]))]
+    return i[keep], j[keep], delta[keep], r[keep]
 
 
 def diamond_conventional_cell(a0: float = SI_LATTICE_CONSTANT,

@@ -89,10 +89,7 @@ def _prune(wire: Structure, a0: float, length_cells: int) -> Structure:
         tmp = Structure(all_pos, np.array(["Si"] * len(all_pos)),
                         wire.cell, wire.periodic)
         pairs, _ = tmp.neighbor_pairs(bond_cutoff)
-        coord = np.zeros(len(all_pos), dtype=int)
-        for i, j in pairs:
-            coord[i] += 1
-            coord[j] += 1
+        coord = np.bincount(pairs.ravel(), minlength=len(all_pos))
         keep = coord[: wire.num_atoms] >= 2
         if keep.all() or not keep.any():
             return wire

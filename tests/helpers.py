@@ -511,6 +511,33 @@ def reference_pair_block(shells_i, shells_j, delta, scale, eta,
                       for b in shells_j] for a in shells_i])
 
 
+def reference_neighbor_pairs(positions, cutoff, shift=(0.0, 0.0, 0.0)):
+    """The pairs ``neighbor_search`` must find, by a k-d tree: the set of
+    ``(i, j)`` with ``bond_lengths(positions[j] + shift - positions[i]) <=
+    cutoff``, each pair once (``i < j``) when ``shift`` is zero.  The tree
+    is queried a hair wider than the cutoff and its candidates filtered
+    by that length, so its own rounding cannot drop a pair on the cutoff.
+    """
+    from scipy.spatial import cKDTree
+
+    from repro.structure.lattice import bond_lengths
+
+    pos = np.asarray(positions, dtype=float)
+    shift = np.asarray(shift, dtype=float)
+    if len(pos) == 0:
+        return set()
+    radius = cutoff * (1.0 + 1e-9) + 1e-9
+    tree = cKDTree(pos)
+    if not shift.any():
+        i, j = tree.query_pairs(radius, output_type="ndarray").T
+    else:
+        neigh = tree.query_ball_point(pos + shift, radius)
+        i = np.array([a for lst in neigh for a in lst], dtype=int)
+        j = np.repeat(np.arange(len(pos)), [len(lst) for lst in neigh])
+    r = bond_lengths(pos[j] + shift - pos[i])
+    return {(int(a), int(b)) for a, b, d in zip(i, j, r) if d <= cutoff}
+
+
 def reference_build_matrices(structure, basis):
     """``build_matrices`` as one loop over atoms and one over atom pairs,
     one block per pair: the builder the stacked one must equal bit for

@@ -56,6 +56,41 @@ class TestEnergyGrid:
         d_far = np.diff(grid)[np.argmin(np.abs(grid[:-1] - mid))]
         assert d_edge < d_far
 
+    def test_band_scan_memoised_on_the_lead(self, chain, monkeypatch):
+        """Two grids on one lead run one scan (one eigensolve per k); the
+        memo is read-only, and a pickled or hashed lead carries none."""
+        import pickle
+        from types import SimpleNamespace
+
+        import repro.core.energygrid as grid_mod
+        from repro.cache.keys import lead_content_hash
+
+        lead = build_device(chain, single_s_basis(), num_cells=10).lead
+        before = lead_content_hash(lead)
+        eigensolves = []
+        real_sla = grid_mod.sla
+        monkeypatch.setattr(grid_mod, "sla", SimpleNamespace(
+            eigvalsh=lambda *a, **kw: eigensolves.append(1)
+            or real_sla.eigvalsh(*a, **kw)))
+        first = adaptive_energy_grid(lead, -0.9, -0.2, num_k_scan=9)
+        second = adaptive_energy_grid(lead, -0.8, 0.1, num_k_scan=9)
+        assert len(eigensolves) == 9
+        ks, bands = lead_band_structure(lead, 9)
+        assert len(eigensolves) == 9
+        for arr in (ks, bands):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        monkeypatch.setattr(grid_mod, "sla", real_sla)
+        fresh = build_device(chain, single_s_basis(), num_cells=10).lead
+        for got, window in ((first, (-0.9, -0.2)), (second, (-0.8, 0.1))):
+            want = adaptive_energy_grid(fresh, *window, num_k_scan=9)
+            assert got.tobytes() == want.tobytes()
+        assert lead_content_hash(lead) == before
+        clone = pickle.loads(pickle.dumps(lead))
+        assert "band_scans" not in vars(clone)
+        assert lead_content_hash(clone) == before
+        assert lead_band_structure(clone, 9)[1].tobytes() == bands.tobytes()
+
     def test_grid_count_is_an_output(self, chain_lead):
         """Different windows give different, not-preset point counts —
         the property behind Table II's 12.9-14.1 E/node variation."""

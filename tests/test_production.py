@@ -85,17 +85,20 @@ class TestSweepSharesOneFamily:
 
     def test_lead_bands_scanned_once_and_grids_unchanged(self, monkeypatch):
         """Every grid of the sweep - the SCF grid of each bias point and
-        the final grid - reads one scan of the lead bands, and is bitwise
-        the grid ``adaptive_energy_grid`` scans for itself."""
+        the final grid - reads one scan of the lead bands (31 k-points,
+        one eigensolve each), and is bitwise the grid
+        ``adaptive_energy_grid`` scans for itself on a fresh lead."""
+        from types import SimpleNamespace
+
         import repro.core.energygrid as grid_mod
         import repro.core.production as production_mod
         import repro.poisson.scf as scf_mod
 
-        scans, grids = [], {scf_mod: [], production_mod: []}
-        real_scan = grid_mod.lead_band_structure
-        monkeypatch.setattr(
-            grid_mod, "lead_band_structure",
-            lambda *a, **kw: scans.append(1) or real_scan(*a, **kw))
+        eigensolves, grids = [], {scf_mod: [], production_mod: []}
+        real_sla = grid_mod.sla
+        monkeypatch.setattr(grid_mod, "sla", SimpleNamespace(
+            eigvalsh=lambda *a, **kw: eigensolves.append(1)
+            or real_sla.eigvalsh(*a, **kw)))
         real_spectrum = scf_mod.compute_spectrum
         for mod, seen in grids.items():
             monkeypatch.setattr(
@@ -105,8 +108,8 @@ class TestSweepSharesOneFamily:
         chain = linear_chain(6, 0.25)
         run_production(chain, single_s_basis(), 6, [0.0, 0.1], -0.5,
                        (-1.0, -0.4), scf_kwargs=dict(max_iter=1))
-        assert len(scans) == 1
-        monkeypatch.setattr(grid_mod, "lead_band_structure", real_scan)
+        assert len(eigensolves) == 31
+        monkeypatch.setattr(grid_mod, "sla", real_sla)
         from repro.hamiltonian import build_device
         lead = build_device(chain, single_s_basis(), 6).lead
         for mod, max_spacing in ((scf_mod, 0.05), (production_mod, 0.04)):

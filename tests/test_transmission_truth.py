@@ -90,7 +90,7 @@ class TestSixCellWire:
         """0.25 eV on the atoms of the middle third: T < modes, and the
         contact cells stay lead cells.  ``dense`` only - what FEAST and
         shift-and-invert lose of a *scattered* wave to their annulus is
-        ROADMAP item 3a."""
+        ROADMAP item 4."""
         energies, dev = six_cell_wire
         barrier = 0.25 * ((dev.atom_slab == 2) | (dev.atom_slab == 3))
         results = check_transmission_truth(
