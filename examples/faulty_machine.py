@@ -10,23 +10,30 @@ layer absorbing them:
 1. an *unprotected* run aborts with the failed (k, E) task identified,
 2. the same faults under :class:`ResilientTaskRunner` are retried until
    the spectrum is bit-identical to the fault-free one,
-3. a killed Schroedinger-Poisson loop resumes from its checkpoint.
+3. a killed Schroedinger-Poisson loop resumes from its checkpoint, and
+   a bias sweep whose process is killed (SIGKILL) in the middle of a
+   bias point resumes at the next SCF iteration of that point.
 
 No runner takes a fault hook: the task list is the seam, so a fault is
-injected by wrapping the tasks a runner is handed.
+injected by wrapping the tasks a runner is handed.  The script exits
+non-zero unless every resumed run is bitwise the uninterrupted one.
 
 Run:  python examples/faulty_machine.py
 """
 
+import multiprocessing
 import os
+import signal
+import sys
 import tempfile
 
 import numpy as np
 
+from repro.core.production import run_production
 from repro.core.runner import compute_spectrum
 from repro.parallel import ThreadTaskRunner
 from repro.poisson.scf import schroedinger_poisson
-from repro.runtime import ResilientTaskRunner
+from repro.runtime import CheckpointStore, ResilientTaskRunner
 from repro.basis.shells import BasisSet, Shell, SpeciesBasis
 from repro.structure import linear_chain
 from repro.utils.errors import TaskExecutionError
@@ -58,6 +65,28 @@ def with_faults(runner, fails):
         return runner([failing_first(t, fails(i))
                        for i, t in enumerate(tasks)])
     return run
+
+
+class DyingStore(CheckpointStore):
+    """A checkpoint whose process is killed (SIGKILL) right after it
+    writes the sweep record of SCF iteration 2 of bias point 2."""
+
+    def save(self, kind, telemetry=None, **state):
+        super().save(kind, telemetry=telemetry, **state)
+        if len(state["vds"]) == 2 and state.get("scf_iterations") == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+def sweep(checkpoint=None):
+    """A two-point bias sweep, four SCF iterations per point."""
+    return run_production(linear_chain(8, 0.25), single_s_basis(), 8,
+                          [0.0, 0.1], mu_source=-0.6, e_window=(-1.8, -0.2),
+                          scf_kwargs=dict(max_iter=4, tol=1e-12),
+                          checkpoint=checkpoint)
+
+
+def killed_sweep(path):
+    sweep(DyingStore(path))
 
 
 def main():
@@ -110,6 +139,29 @@ def main():
     match = np.array_equal(resumed.potential_atom, straight.potential_atom)
     print(f"\nSCF killed after 2/4 iterations, resumed from {ckpt}:")
     print(f"  resumed trajectory identical to uninterrupted run: {match}")
+
+    # -- 3b. a bias sweep killed in the middle of its second point ----------
+    record = os.path.join(os.path.dirname(ckpt), "sweep.npz")
+    child = multiprocessing.get_context("spawn").Process(
+        target=killed_sweep, args=(record,))
+    child.start()
+    child.join()
+    resumed_sweep = sweep(record)
+    straight_sweep = sweep()
+    same = all(
+        got.current.hex() == want.current.hex()
+        and got.scf_iterations == want.scf_iterations
+        and np.array_equal(got.potential, want.potential)
+        for got, want in zip(resumed_sweep.points, straight_sweep.points,
+                             strict=True))
+    print(f"\nsweep process killed by signal {-child.exitcode} after SCF "
+          f"iteration 2 of bias point 2, resumed from {record}:")
+    print(resumed_sweep.iv_table())
+    print(f"  currents, SCF iterations and potentials identical to the "
+          f"uninterrupted sweep: {same}")
+    if not (identical and match and same
+            and child.exitcode == -signal.SIGKILL):
+        sys.exit("a resumed run differs from the uninterrupted one")
 
 
 if __name__ == "__main__":

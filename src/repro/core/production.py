@@ -8,8 +8,9 @@ This driver runs that outer loop at laptop scale: for each bias point a
 self-consistent Schroedinger-Poisson solve, the Landauer current at the
 converged potential, and the dynamic load-balancer feedback that OMEN
 applies between iterations (recorded here from measured per-k wall
-times so the distribution logic runs on real data).  The sweep can
-checkpoint after every completed bias point and resume from a kill.
+times so the distribution logic runs on real data).  One checkpoint
+record (:func:`sweep_record`), rewritten after every SCF iteration,
+resumes a killed sweep at the next SCF iteration of its bias point.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.observability.spans import current_tracer
 from repro.parallel.backend import close_task_runner, make_task_runner
 from repro.parallel.balancer import DynamicLoadBalancer
 from repro.pipeline.cache import DeviceFamily
-from repro.runtime.checkpoint import as_store
+from repro.runtime.checkpoint import CheckpointStore
 from repro.utils.errors import CheckpointError, ConfigurationError
 
 
@@ -74,7 +75,10 @@ def run_production(structure, basis, num_cells: int, bias_points,
     num_nodes : optional simulated node count feeding the dynamic load
         balancer (None disables the balancing bookkeeping).
     scf_kwargs : forwarded to
-        :func:`repro.poisson.scf.schroedinger_poisson`.
+        :func:`repro.poisson.scf.schroedinger_poisson`; its
+        ``obc_method`` / ``solver`` (default ``"dense"`` / ``"rgf"``)
+        also solve each point's final spectrum, so a point's current
+        comes from the method its potential converged with.
     task_runner : forwarded to the SCF loop and the final transport
         solve of each bias point; its ``telemetry``, when it keeps one,
         is checkpointed with the sweep.
@@ -83,9 +87,11 @@ def run_production(structure, basis, num_cells: int, bias_points,
         >= 1).  The balancer feedback does not depend on it — batch
         tasks emit per-energy stage traces.
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
-        Persist the sweep after every completed bias point and resume
-        from it: completed points (and the balancer's learned work
-        model) are restored instead of re-computed.
+        The sweep's record (:func:`sweep_record`), rewritten after
+        every SCF iteration and every finished bias point, and resumed
+        from when it exists: finished points and the balancer are
+        restored and the point in progress continues at its next SCF
+        iteration, bitwise as the uninterrupted sweep.
     backend : {"serial", "thread", "process"}, optional
         Build (and own) the task runner via
         :func:`repro.parallel.make_task_runner` instead of passing
@@ -117,7 +123,7 @@ def run_production(structure, basis, num_cells: int, bias_points,
     """
     # imported here: repro.poisson.scf imports repro.core, whose package
     # init imports this module
-    from repro.poisson.scf import schroedinger_poisson
+    from repro.poisson.scf import _scf_loop
 
     bias_points = [float(v) for v in bias_points]
     if not bias_points:
@@ -128,7 +134,8 @@ def run_production(structure, basis, num_cells: int, bias_points,
     owned_runner = None
     if backend is not None:
         task_runner = owned_runner = make_task_runner(backend, num_workers)
-    kwargs = dict(mixing=0.3, max_iter=12, tol=5e-3, density_scale=0.02)
+    kwargs = dict(mixing=0.3, max_iter=12, tol=5e-3, density_scale=0.02,
+                  obc_method="dense", solver="rgf")
     kwargs.update(scf_kwargs or {})
 
     # The contacts are potential-frozen, so the devices' potential-free
@@ -144,19 +151,19 @@ def run_production(structure, basis, num_cells: int, bias_points,
         balancer = DynamicLoadBalancer(
             num_nodes, [len(energies)] * num_k, smoothing=0.5)
 
-    store = as_store(checkpoint)
-    telemetry = getattr(task_runner, "telemetry", None)
-    points = _restore_sweep(store, bias_points, balancer,
-                            telemetry=telemetry)
-
     try:
+        points, start, save = sweep_record(
+            checkpoint, bias_points, mu_source, e_window, num_k,
+            structure.num_atoms, balancer=balancer,
+            telemetry=getattr(task_runner, "telemetry", None))
         for vds in bias_points[len(points):]:
             tracer = current_tracer()
             scope = tracer.span(f"bias Vds={vds:+.3f}V", category="bias",
                                 vds=vds) if tracer is not None \
                 else nullcontext()
             with scope:
-                scf = schroedinger_poisson(
+                scf = _scf_loop(
+                    start, lambda state: save(points, state),
                     structure, basis, num_cells,
                     mu_l=mu_source, mu_r=mu_source - vds,
                     e_window=e_window, num_k=num_k,
@@ -164,10 +171,11 @@ def run_production(structure, basis, num_cells: int, bias_points,
                     energy_batch_size=energy_batch_size,
                     use_arena=use_arena,
                     result_store=result_store, family=family, **kwargs)
+                start = None
                 spec = compute_spectrum(structure, basis, num_cells,
-                                        energies,
-                                        num_k=num_k, obc_method="dense",
-                                        solver="rgf",
+                                        energies, num_k=num_k,
+                                        obc_method=kwargs["obc_method"],
+                                        solver=kwargs["solver"],
                                         potential=scf.potential_atom,
                                         task_runner=task_runner,
                                         energy_batch_size=energy_batch_size,
@@ -189,65 +197,91 @@ def run_production(structure, basis, num_cells: int, bias_points,
                                     dtype=float)
                     dist = balancer.current_distribution()
                     balancer.record_iteration(per_k / dist.nodes_per_k)
-            if store is not None:
-                _save_sweep(store, points, balancer, telemetry=telemetry)
+            save(points)
     finally:
         if owned_runner is not None:
             close_task_runner(owned_runner)
     return ProductionResult(points=points, balancer=balancer)
 
 
-def _save_sweep(store, points, balancer, telemetry=None) -> None:
-    state = dict(
-        vds=[p.vds for p in points],
-        current=[p.current for p in points],
-        scf_iterations=[p.scf_iterations for p in points],
-        converged=[p.converged for p in points],
-        potentials=np.asarray([p.potential for p in points]))
-    if balancer is not None:
-        state["balancer_work"] = balancer._work
-        state["balancer_history"] = np.asarray(balancer.history)
-    snap = telemetry.snapshot() if telemetry is not None else None
-    store.save("production", telemetry=snap, **state)
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.instant("checkpoint-saved", category="checkpoint",
-                       attrs={"kind": "production",
-                              "points_done": len(points)})
+#: the fields of an ``SCFResult`` a sweep record keeps
+_SCF_STATE = ("potential_atom", "density_atom", "residuals", "iterations",
+              "converged")
 
 
-def _restore_sweep(store, bias_points, balancer, telemetry=None) -> list:
-    """Rebuild completed bias points (and balancer state) from disk.
+def sweep_record(checkpoint, bias_points, mu_source, e_window, num_k,
+                 num_atoms, balancer=None, telemetry=None):
+    """Read back the one checkpoint of the SCF loop and the bias sweep.
 
-    The checkpoint's telemetry snapshot, when present, is adopted by a
-    fresh runner's ``telemetry`` so post-restart reports cover the
-    whole sweep.
+    Returns ``(points, scf, save)``: the finished :class:`BiasPoint` s
+    and the ``SCFResult`` of the point in progress (``[]`` and ``None``
+    without a record), and ``save(points, scf=None)``, which rewrites the
+    ``"sweep"`` record with them, the balancer's work model and history
+    and the ``telemetry`` snapshot.  Resuming restores the balancer and
+    the telemetry.  A record resumes only the sweep that wrote it: its
+    bias points an exact prefix of ``bias_points``, the other inputs
+    equal, else :class:`CheckpointError`.
     """
+    store = checkpoint if checkpoint is None \
+        or isinstance(checkpoint, CheckpointStore) \
+        else CheckpointStore(checkpoint)
+    inputs = dict(mu_source=float(mu_source),
+                  e_window=tuple(float(e) for e in e_window),
+                  num_k=int(num_k), num_atoms=int(num_atoms))
+
+    def save(points, scf=None):
+        if store is None:
+            return
+        state = dict(inputs,
+                     vds=bias_points[:len(points) + (scf is not None)],
+                     current=[p.current for p in points],
+                     iterations=[p.scf_iterations for p in points],
+                     converged=[p.converged for p in points],
+                     potentials=np.reshape([p.potential for p in points],
+                                           (len(points), num_atoms)))
+        if scf is not None:
+            state.update({f"scf_{name}": getattr(scf, name)
+                          for name in _SCF_STATE})
+        if balancer is not None:
+            state.update(balancer_work=balancer._work,
+                         balancer_history=np.reshape(
+                             balancer.history, (-1, balancer._work.size)))
+        store.save("sweep", telemetry=None if telemetry is None
+                   else telemetry.snapshot(), **state)
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.instant("checkpoint-saved", category="checkpoint",
+                           attrs={"points_done": len(points)})
+
     if store is None or not store.exists():
-        return []
-    state = store.load("production")
-    if telemetry is not None and store.last_telemetry:
+        return [], None, save
+    state = store.load("sweep")
+    vds = state["vds"]
+    differ = [key for key, value in inputs.items()
+              if not np.array_equal(state[key], value)]
+    if vds.size > len(bias_points) \
+            or not np.array_equal(vds, bias_points[:vds.size]):
+        differ.insert(0, f"bias points {vds.tolist()}")
+    if differ:
+        raise CheckpointError(f"checkpoint {store.path} is the record of "
+                              f"another sweep: {', '.join(differ)} differ")
+    if telemetry is not None:
         telemetry.restore(store.last_telemetry)
-    done_vds = np.atleast_1d(state["vds"])
-    if len(done_vds) > len(bias_points) or \
-            not np.allclose(done_vds, bias_points[:len(done_vds)]):
-        raise CheckpointError(
-            f"checkpointed sweep {done_vds.tolist()} is not a prefix of "
-            f"the requested bias points {bias_points}")
-    points = [
-        BiasPoint(vds=float(v), current=float(i),
-                  scf_iterations=int(n), converged=bool(c),
-                  potential=np.asarray(p, dtype=float))
-        for v, i, n, c, p in zip(
-            done_vds, np.atleast_1d(state["current"]),
-            np.atleast_1d(state["scf_iterations"]),
-            np.atleast_1d(state["converged"]),
-            np.atleast_2d(state["potentials"]))]
+    points = [BiasPoint(vds=float(v), current=float(i),
+                        scf_iterations=int(n), converged=bool(c),
+                        potential=p)
+              for v, i, n, c, p in zip(
+                  vds, state["current"], state["iterations"],
+                  state["converged"], state["potentials"])]
     if balancer is not None and "balancer_work" in state:
-        work = np.asarray(state["balancer_work"], dtype=float)
-        if work.shape == balancer._work.shape:
-            balancer._work = work
-            balancer.history = [np.asarray(h, dtype=float) for h in
-                                np.atleast_2d(state["balancer_history"])]
-            balancer._invalidate()
-    return points
+        balancer._work = state["balancer_work"]
+        balancer.history = list(state["balancer_history"])
+        balancer._invalidate()
+    scf = None
+    if "scf_iterations" in state:
+        # imported here for the reason run_production imports the loop late
+        from repro.poisson.scf import SCFResult
+        scf = SCFResult(**{name: state[f"scf_{name}"]
+                           for name in _SCF_STATE})
+        scf.residuals = list(scf.residuals)
+    return points, scf, save

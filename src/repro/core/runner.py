@@ -20,9 +20,7 @@ from repro.parallel.serialization import TaskDescriptor
 from repro.pipeline import TransportPipeline
 from repro.pipeline.cache import (BoundaryMemo, DeviceCache, DeviceFamily,
                                   KPointSetup, as_family)
-from repro.runtime.checkpoint import as_store
-from repro.utils.errors import (CheckpointError, ConfigurationError,
-                                TaskExecutionError)
+from repro.utils.errors import ConfigurationError, TaskExecutionError
 
 
 @dataclass
@@ -196,7 +194,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                      solver: str = "splitsolve", num_partitions: int = 1,
                      potential=None, obc_kwargs: dict | None = None,
                      task_runner=None, energy_batch_size: int = 1,
-                     checkpoint=None, backend: str | None = None,
+                     backend: str | None = None,
                      num_workers: int | None = None,
                      use_arena: bool = False,
                      result_store=None,
@@ -226,16 +224,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         splits equally), so the dynamic load balancer's measured per-k
         costs and
         :meth:`TransportSpectrum.measured_time_per_k` work identically.
-    checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
-        Persist transmission/mode-count state at (k, E-batch) unit
-        granularity and resume from it: completed units are restored
-        instead of re-solved (for very long energy grids inside one SCF
-        transport solve).  Restored units contribute to the
-        ``transmission``/``mode_counts`` arrays only — ``results`` and
-        ``traces`` hold just the freshly computed points.  The runner's
-        telemetry snapshot is checkpointed alongside and adopted by a
-        fresh runner on resume, so the returned accounting covers the
-        whole job.
     backend : {"serial", "thread", "process"}, optional
         Convenience alternative to ``task_runner``: build (and own) the
         runner via :func:`repro.parallel.make_task_runner` with
@@ -252,14 +240,18 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         batches reuse buffers instead of reallocating (bitwise-identical
         spectra; allocation telemetry via the span tracer).
     result_store : path or :class:`repro.cache.ResultStore`, optional
-        Persistent cross-run result cache.  Before scheduling, every
-        (k, E-batch) unit is partitioned into hits and misses against
-        the store (content-addressed keys over device matrices,
-        potential, OBC method + kwargs, solver, k, E); only the misses are solved (partially-hit units re-bucket
-        to their miss energies — bitwise-safe, a batch returns the bits
-        of its one-energy runs), hits merge back bitwise-identically
-        from disk, and fresh solves are published (workers publish
-        concurrently under ``backend="process"``).  Cache traffic is
+        Persistent cross-run result cache, and the one way to resume a
+        spectrum.  Before scheduling, every (k, E-batch) unit is
+        partitioned into hits and misses against the store
+        (content-addressed keys over device matrices, potential, OBC
+        method + kwargs, solver, k, E); only the misses are solved
+        (partially-hit units re-bucket to their miss energies —
+        bitwise-safe, a batch returns the bits of its one-energy runs),
+        hits merge back bitwise-identically from disk, and fresh solves
+        are published as they finish (serially by this process after
+        each unit, by the workers themselves under
+        ``backend="process"``), so a killed run re-run against the same
+        store solves only what it had not finished.  Cache traffic is
         observable: ``result_store_*`` counters, a bytes-loaded
         histogram, and ``category="cache"`` span instants.
     family : :class:`repro.pipeline.cache.DeviceFamily`, optional
@@ -300,7 +292,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                              obc_kwargs=obc_kwargs, use_arena=use_arena)
     caches = family.caches(potential)
 
-    store = as_store(checkpoint)
     rstore = as_result_store(result_store)
 
     # The work units: one per (k, E-batch); batch == 1 reproduces the
@@ -320,19 +311,8 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
 
     trans = np.zeros((len(kgrid), energies.size))
     counts = np.zeros((len(kgrid), energies.size), dtype=int)
-    done = np.zeros(len(units), dtype=bool)
-    if store is not None and store.exists():
-        done = _restore_spectrum(store, energies, kgrid, batch,
-                                 len(units), trans, counts)
 
-    telemetry = getattr(task_runner, "telemetry", None)
-    if (telemetry is not None and store is not None
-            and store.last_telemetry and hasattr(telemetry, "restore")):
-        # resume: a fresh runner adopts the checkpointed accounting so
-        # the returned telemetry covers the whole job, not the tail
-        telemetry.restore(store.last_telemetry)
-
-    # Partition every pending unit into store hits and misses *before*
+    # Partition every unit into store hits and misses *before*
     # scheduling: fully-hit units never become tasks, partially-hit
     # units re-bucket to their miss energies (bitwise-safe — a batch
     # returns the bits of its one-energy runs), and hit records merge
@@ -342,8 +322,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     if rstore is not None:
         dev_hashes: dict = {}
         for ui, (ik, ies) in enumerate(units):
-            if done[ui]:
-                continue
             dh = dev_hashes.get(ik)
             if dh is None:
                 dh = dev_hashes[ik] = device_content_hash(
@@ -372,8 +350,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     tasks: dict = {}       # ui -> zero-argument task of its miss energies
     miss_by_ui: dict = {}
     for ui, (ik, ies) in enumerate(units):
-        if done[ui]:
-            continue
         hits = unit_hits.get(ui, {})
         miss = [ie for ie in ies if ie not in hits]
         miss_by_ui[ui] = miss
@@ -412,8 +388,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                     exc.kpoint_index = ik
                     exc.energy_index = ies[0]
                 raise
-        pending = np.flatnonzero(~done)
-        for ui in pending:
+        for ui in range(len(units)):
             if ui not in tasks:
                 out = []                    # fully cached: no task
             elif out_by_ui is None:
@@ -431,20 +406,14 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                       for ie in units[ui][1]]
             _absorb_unit(units[ui], merged, trans, counts, results,
                          traces)
-            done[ui] = True
-            # serial: a checkpoint per unit; behind a runner nothing is
-            # lost between units, so one save, with its telemetry
-            if store is not None and (task_runner is None
-                                      or ui == pending[-1]):
-                _save_spectrum(store, energies, kgrid, batch, done,
-                               trans, counts, telemetry)
     finally:
         if owned_runner is not None:
             close_task_runner(owned_runner)
     return TransportSpectrum(energies=energies, kpoints=kgrid,
                              transmission=trans, mode_counts=counts,
                              results=results, traces=traces,
-                             telemetry=telemetry)
+                             telemetry=getattr(task_runner, "telemetry",
+                                               None))
 
 
 def _make_task(pipe, cache, unit_energies, ik, ies, spec=None):
@@ -473,50 +442,6 @@ def _absorb_unit(unit, outputs, trans, counts, results, traces) -> None:
         results.append(res)
         if res.trace is not None:
             traces.append(res.trace)
-
-
-def _save_spectrum(store, energies, kgrid, batch, done, trans,
-                   counts, telemetry=None) -> None:
-    snap = telemetry.snapshot() \
-        if telemetry is not None and hasattr(telemetry, "snapshot") \
-        else None
-    store.save("spectrum", telemetry=snap, energies=energies,
-               kpoints=kgrid, energy_batch_size=batch, done=done,
-               transmission=trans, mode_counts=counts)
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.instant("checkpoint-saved", category="checkpoint",
-                       attrs={"kind": "spectrum",
-                              "units_done": int(np.sum(done))})
-
-
-def _restore_spectrum(store, energies, kgrid, batch, num_units, trans,
-                      counts) -> np.ndarray:
-    """Load a batch-granular spectrum checkpoint into ``trans``/``counts``.
-
-    Returns the restored done-mask.  The checkpointed grid must match
-    the requested one unit-for-unit (same energies, k-grid, and batch
-    size) — anything else is a different computation.
-    """
-    state = store.load("spectrum")
-    ck_e = np.atleast_1d(np.asarray(state["energies"], dtype=float))
-    ck_k = np.atleast_2d(np.asarray(state["kpoints"], dtype=float))
-    if (ck_e.shape != energies.shape or not np.array_equal(ck_e, energies)
-            or ck_k.shape != kgrid.shape
-            or not np.array_equal(ck_k, kgrid)
-            or int(state["energy_batch_size"]) != batch):
-        raise CheckpointError(
-            "checkpointed spectrum does not match the requested "
-            "(energies, k-grid, energy_batch_size) layout")
-    done = np.atleast_1d(np.asarray(state["done"], dtype=bool))
-    if done.shape != (num_units,):
-        raise CheckpointError(
-            f"checkpoint holds {done.size} units, run has {num_units}")
-    ck_t = np.asarray(state["transmission"], dtype=float)
-    ck_c = np.asarray(state["mode_counts"])
-    trans[...] = ck_t.reshape(trans.shape)
-    counts[...] = ck_c.reshape(counts.shape).astype(int)
-    return done
 
 
 def landauer_current(energies, transmission, mu_l: float, mu_r: float,

@@ -16,20 +16,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.energygrid import adaptive_energy_grid
+from repro.core.production import sweep_record
 from repro.core.runner import compute_spectrum
 from repro.negf import atom_density, orbital_density
 from repro.observability.spans import current_tracer
 from repro.pipeline.cache import DeviceFamily, as_family
 from repro.poisson.fd import solve_poisson
 from repro.poisson.grid import PoissonGrid
-from repro.runtime.checkpoint import as_store
 from repro.utils.errors import (CheckpointError, ConfigurationError,
                                 ConvergenceError)
 
 
 @dataclass
 class SCFResult:
-    """Converged (or final) state of the self-consistent loop."""
+    """State of the self-consistent loop after ``iterations`` iterations
+    (the converged or final one when a call returns it)."""
 
     potential_atom: np.ndarray     # electron potential energy (eV) per atom
     density_atom: np.ndarray       # electrons per atom (arbitrary norm)
@@ -40,31 +41,21 @@ class SCFResult:
 
 
 def schroedinger_poisson(structure, basis, num_cells: int,
-                         mu_l: float, mu_r: float,
-                         e_window: tuple,
-                         doping_atom: np.ndarray | None = None,
-                         gate_mask=None, gate_voltage: float = 0.0,
-                         grid: PoissonGrid | None = None,
-                         eps_r: float = 11.7,
-                         temperature_k: float = 300.0,
-                         mixing: float = 0.2, max_iter: int = 25,
-                         tol: float = 5e-3,
-                         density_scale: float = 1.0,
-                         obc_method: str = "dense", solver: str = "rgf",
-                         num_k: int = 1,
-                         raise_on_divergence: bool = False,
-                         task_runner=None,
-                         energy_batch_size: int = 1,
-                         use_arena: bool = False,
-                         checkpoint=None,
-                         result_store=None,
-                         family: DeviceFamily | None = None) -> SCFResult:
+                         mu_l: float, mu_r: float, e_window: tuple, *,
+                         num_k: int = 1, task_runner=None, checkpoint=None,
+                         **options) -> SCFResult:
     """Run the self-consistent Schroedinger-Poisson loop.
 
     Parameters
     ----------
     mu_l, mu_r : contact chemical potentials (eV).
     e_window : (e_min, e_max) transport energy window.
+    **options : the loop's other keywords and their defaults:
+        ``doping_atom=None, gate_mask=None, gate_voltage=0.0, grid=None,
+        eps_r=11.7, temperature_k=300.0, mixing=0.2, max_iter=25,
+        tol=5e-3, density_scale=1.0, obc_method="dense", solver="rgf",
+        raise_on_divergence=False, energy_batch_size=1, use_arena=False,
+        result_store=None, family=None``, described below.
     doping_atom : fixed positive background charge per atom (e); default
         zero everywhere (charge-neutral intrinsic channel).
     gate_mask : boolean node mask of electrode nodes (see
@@ -82,9 +73,10 @@ def schroedinger_poisson(structure, basis, num_cells: int,
         the inner transport solves reuse workspace-arena scratch buffers
         (bitwise-identical spectra).
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
-        Persist the loop state after every completed iteration — one
-        (k, E) batch — and resume from it when the file already exists.
-        A resumed run reproduces the uninterrupted trajectory exactly.
+        Persist the loop state after every iteration and resume from it
+        when the file exists, bitwise as the uninterrupted run: the
+        record of a sweep of the one point ``mu_l - mu_r``
+        (:func:`repro.core.production.sweep_record`).
     result_store : forwarded to
         :func:`repro.core.runner.compute_spectrum`; the persistent
         cross-run result cache.  Each SCF iteration applies a new
@@ -110,6 +102,38 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     A(E), SOLVE and the density.  The inner solves run the reference
     complex-double kernels (see :func:`repro.core.runner.compute_spectrum`).
     """
+    points, start, save = sweep_record(
+        checkpoint, [mu_l - mu_r], mu_l, e_window, num_k,
+        structure.num_atoms, telemetry=getattr(task_runner, "telemetry",
+                                               None))
+    if points:
+        raise CheckpointError(f"checkpoint {checkpoint} holds a finished "
+                              f"bias point, not an SCF state")
+    return _scf_loop(start, lambda state: save([], state), structure,
+                     basis, num_cells, mu_l, mu_r, e_window, num_k=num_k,
+                     task_runner=task_runner, **options)
+
+
+def _scf_loop(start, on_iteration, structure, basis, num_cells: int,
+              mu_l: float, mu_r: float, e_window: tuple, *, num_k: int,
+              task_runner, doping_atom: np.ndarray | None = None,
+              gate_mask=None, gate_voltage: float = 0.0,
+              grid: PoissonGrid | None = None, eps_r: float = 11.7,
+              temperature_k: float = 300.0, mixing: float = 0.2,
+              max_iter: int = 25, tol: float = 5e-3,
+              density_scale: float = 1.0, obc_method: str = "dense",
+              solver: str = "rgf", raise_on_divergence: bool = False,
+              energy_batch_size: int = 1, use_arena: bool = False,
+              result_store=None,
+              family: DeviceFamily | None = None) -> SCFResult:
+    """The one Schroedinger-Poisson iteration loop, driven by
+    :func:`schroedinger_poisson` and, per bias point, by
+    :func:`repro.core.production.run_production`.
+
+    Continues from ``start`` (the :class:`SCFResult` a checkpoint held;
+    ``None`` starts from a zero potential) and hands the state to
+    ``on_iteration`` after every iteration: the caller's checkpoint.
+    """
     if not 0 < mixing <= 1:
         raise ConfigurationError("mixing must be in (0, 1]")
     natoms = structure.num_atoms
@@ -129,31 +153,9 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     cell_len = lx / num_cells
     frozen = (x < cell_len) | (x >= lx - cell_len)
 
-    pot = np.zeros(natoms)
-    residuals = []
-    spectrum = None
-    dens_atoms = np.zeros(natoms)
-    store = as_store(checkpoint)
-    telemetry = getattr(task_runner, "telemetry", None)
-    start_iter = 1
-    if store is not None and store.exists():
-        state = store.load("scf")
-        if telemetry is not None and store.last_telemetry:
-            telemetry.restore(store.last_telemetry)
-        pot = np.asarray(state["potential"], dtype=float)
-        dens_atoms = np.asarray(state["density"], dtype=float)
-        residuals = [float(r) for r in np.atleast_1d(state["residuals"])]
-        if pot.shape != (natoms,):
-            raise CheckpointError(
-                f"checkpoint potential has {pot.shape[0]} atoms, "
-                f"structure has {natoms}")
-        if bool(state["converged"]):
-            return SCFResult(potential_atom=pot, density_atom=dens_atoms,
-                             residuals=residuals,
-                             iterations=int(state["iteration"]),
-                             converged=True, spectrum=None)
-        start_iter = int(state["iteration"]) + 1
-
+    state = start if start is not None else SCFResult(
+        potential_atom=np.zeros(natoms), density_atom=np.zeros(natoms),
+        residuals=[], iterations=0, converged=False)
     # everything the potential does not change, once for the whole loop
     family = as_family(family, structure, basis, num_cells, num_k)
     base = family.gamma_device()
@@ -161,7 +163,9 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     energies = adaptive_energy_grid(base.lead, e_window[0], e_window[1],
                                     min_spacing=5e-3, max_spacing=0.05)
     weights = _trapezoid_weights(energies)
-    for it in range(start_iter, max_iter + 1):
+    while not state.converged and state.iterations < max_iter:
+        it = state.iterations + 1
+        pot = state.potential_atom
         tracer = current_tracer()
         scope = tracer.span(f"scf-iter {it}", category="scf",
                             iteration=it) if tracer is not None \
@@ -198,31 +202,21 @@ def schroedinger_poisson(structure, basis, num_cells: int,
 
             # (iv) mix and test convergence
             resid = float(np.max(np.abs(new_pot - pot)))
-            residuals.append(resid)
-            pot = (1.0 - mixing) * pot + mixing * new_pot
             if sp is not None:
                 sp.attrs["residual"] = resid
                 sp.attrs["converged"] = resid < tol
-        if store is not None:
-            store.save("scf", iteration=it, potential=pot,
-                       density=dens_atoms,
-                       residuals=np.asarray(residuals),
-                       converged=resid < tol,
-                       telemetry=(telemetry.snapshot()
-                                  if telemetry is not None else None))
-        if resid < tol:
-            return SCFResult(potential_atom=pot, density_atom=dens_atoms,
-                             residuals=residuals, iterations=it,
-                             converged=True, spectrum=spectrum)
+        state = SCFResult(
+            potential_atom=(1.0 - mixing) * pot + mixing * new_pot,
+            density_atom=dens_atoms, residuals=state.residuals + [resid],
+            iterations=it, converged=resid < tol, spectrum=spectrum)
+        on_iteration(state)
 
-    if raise_on_divergence:
+    if not state.converged and raise_on_divergence:
         raise ConvergenceError(
             f"Schroedinger-Poisson did not converge in {max_iter} "
-            f"iterations (residual {residuals[-1]:.2e})",
-            iterations=max_iter, residual=residuals[-1])
-    return SCFResult(potential_atom=pot, density_atom=dens_atoms,
-                     residuals=residuals, iterations=max_iter,
-                     converged=False, spectrum=spectrum)
+            f"iterations (residual {state.residuals[-1]:.2e})",
+            iterations=max_iter, residual=state.residuals[-1])
+    return state
 
 
 def _trapezoid_weights(energies: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ Two pieces, layered on top of :mod:`repro.parallel`:
    backoff and a wall-clock timeout, one :class:`RetryPolicy` and one
    retry loop on every backend, and :class:`RunTelemetry` (retries,
    give-ups, wasted flops) recorded next to the flop ledger,
-2. :class:`CheckpointStore` — atomic checkpoint/restart of the
-   Schroedinger-Poisson SCF loop and the production bias sweep, so a
-   killed allocation resumes from the last completed (k, E) batch.
+2. :class:`CheckpointStore` — the atomic checkpoint file.  The result
+   store resumes a spectrum; one ``"sweep"`` record in a checkpoint
+   file resumes the SCF loop and the bias sweep, so a killed allocation
+   resumes at the next SCF iteration of the bias point it was on.
 
 Faults are real: a task that raises, overruns its timeout, or kills
 its worker.  A protected run whose tasks fail transiently produces
@@ -17,13 +18,12 @@ deterministic pure tasks), which is the invariant the regression tests
 pin; a worker death is surfaced as a typed error, not retried.
 """
 
-from repro.runtime.checkpoint import CheckpointStore, as_store
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.resilience import (ResilientTaskRunner, RetryPolicy,
                                       RunTelemetry)
 
 __all__ = [
     "CheckpointStore",
-    "as_store",
     "ResilientTaskRunner",
     "RetryPolicy",
     "RunTelemetry",

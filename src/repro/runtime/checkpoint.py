@@ -1,14 +1,13 @@
-"""Atomic checkpoint/restart for the long-running outer loops.
+"""Atomic checkpoint files for the long-running outer loops.
 
 The paper's production simulations — 40-50 Schroedinger-Poisson
 iterations over 10 bias points, hours of machine time each — survive
-node-allocation kills only because the state between (k, E) batches is
-tiny: the atom potential, the density, and the sweep bookkeeping.  This
-module persists exactly that state after every completed batch, so
-:func:`repro.poisson.scf.schroedinger_poisson` and
-:func:`repro.core.production.run_production` resume from the last
-completed iteration / bias point and reproduce the uninterrupted
-trajectory bit-for-bit.
+node-allocation kills only because the state between iterations is
+tiny: the atom potential, the density, and the sweep bookkeeping.  The
+result store (:mod:`repro.cache`) resumes a spectrum; one ``"sweep"``
+record in a file of this module
+(:func:`repro.core.production.sweep_record`) resumes the SCF loop and
+the bias sweep, bit for bit.
 
 Format: one ``.npz`` archive per computation, written to a temp file and
 atomically renamed over the old checkpoint (a kill mid-write never
@@ -119,14 +118,3 @@ class CheckpointStore:
     def clear(self) -> None:
         if self.exists():
             os.remove(self.path)
-
-
-def as_store(checkpoint) -> CheckpointStore | None:
-    """Coerce a user-facing ``checkpoint=`` argument to a store.
-
-    Accepts ``None`` (checkpointing off), a path, or an existing
-    :class:`CheckpointStore`.
-    """
-    if checkpoint is None or isinstance(checkpoint, CheckpointStore):
-        return checkpoint
-    return CheckpointStore(checkpoint)

@@ -3,8 +3,8 @@
 Covers the acceptance invariants of the batching work: stacked-kernel
 numerical equivalence with the per-point loops, exact flop-ledger parity
 between the two paths, ragged-RHS bucketing, batch-size-1 degeneration
-to the per-point path, and the batch-granular scheduling/checkpointing
-in ``compute_spectrum``.
+to the per-point path, and the batch-granular scheduling of
+``compute_spectrum`` and its resume through the result store.
 """
 
 import numpy as np
@@ -24,14 +24,14 @@ from repro.linalg import (
 )
 from repro.linalg.flops import ledger_scope
 from repro.linalg.kernels import gemm, lu_factor, lu_solve, solve_many
+from repro.observability.spans import tracing
 from repro.perfmodel.costmodel import kernel_flops, rgf_kernels
 from repro.pipeline import TransportPipeline, apportion_exact, batch_stage_scope
 from repro.pipeline.trace import TaskTrace
 from repro.solvers import assemble_t, assemble_t_batched, solve_rgf, \
     solve_rgf_batched
 from repro.structure import linear_chain
-from repro.utils.errors import (CheckpointError, ConfigurationError,
-                                ShapeError)
+from repro.utils.errors import ConfigurationError, ShapeError
 
 from tests.test_hamiltonian import single_s_basis
 
@@ -343,9 +343,13 @@ class TestComputeSpectrumBatched:
 
     def test_checkpoint_resume_at_batch_granularity(self, tmp_path,
                                                     monkeypatch):
+        """The result store is a spectrum's checkpoint: a serial run puts
+        each unit as it finishes, so a run killed in its second unit
+        leaves the first behind, and the re-run against the same store
+        solves only the rest, bitwise."""
         structure, basis, nc = self._args()
         es = np.linspace(-1.0, 1.0, 6)
-        ck = tmp_path / "spec.npz"
+        store = tmp_path / "store"
         ref = compute_spectrum(structure, basis, nc, es,
                                obc_method="dense", solver="rgf")
 
@@ -362,26 +366,18 @@ class TestComputeSpectrumBatched:
         with pytest.raises(RuntimeError):
             compute_spectrum(structure, basis, nc, es, obc_method="dense",
                              solver="rgf", energy_batch_size=3,
-                             checkpoint=ck)
+                             result_store=store)
         monkeypatch.setattr(TransportPipeline, "solve_batch", orig)
-        assert ck.exists()
-        res = compute_spectrum(structure, basis, nc, es, obc_method="dense",
-                               solver="rgf", energy_batch_size=3,
-                               checkpoint=ck)
-        assert np.max(np.abs(ref.transmission - res.transmission)) <= 1e-10
-        # only the second unit was re-solved after the restore
-        assert len(res.results) == 3
-
-    def test_checkpoint_layout_mismatch_raises(self, tmp_path):
-        structure, basis, nc = self._args()
-        es = np.linspace(-1.0, 1.0, 6)
-        ck = tmp_path / "spec.npz"
-        compute_spectrum(structure, basis, nc, es, obc_method="dense",
-                         solver="rgf", energy_batch_size=3, checkpoint=ck)
-        with pytest.raises(CheckpointError):
-            compute_spectrum(structure, basis, nc, es, obc_method="dense",
-                             solver="rgf", energy_batch_size=2,
-                             checkpoint=ck)
+        with tracing() as tracer:
+            res = compute_spectrum(structure, basis, nc, es,
+                                   obc_method="dense", solver="rgf",
+                                   energy_batch_size=3, result_store=store)
+        assert tracer.metrics.counter("result_store_hits").value == 3
+        assert tracer.metrics.counter("result_store_misses").value == 3
+        assert [t.hex() for t in res.transmission.ravel()] \
+            == [t.hex() for t in ref.transmission.ravel()]
+        # only the second unit was solved after the restart
+        assert len(res.traces) == 3
 
 
 class TestSolveMany:

@@ -494,12 +494,6 @@ class TestSpectrumIntegration:
         assert np.array_equal(cold.transmission, warm.transmission)
         _assert_bitwise_results(warm.results, cold.results)
 
-    def test_checkpoint_and_store_compose(self, tmp_path):
-        ck = tmp_path / "spectrum.npz"
-        first = _spectrum(result_store=tmp_path / "store", checkpoint=ck)
-        second = _spectrum(result_store=tmp_path / "store", checkpoint=ck)
-        assert np.array_equal(first.transmission, second.transmission)
-
 
 def _process_spectrum(store_root):
     return _spectrum(backend="process", num_workers=2,

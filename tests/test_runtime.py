@@ -16,9 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.energygrid import adaptive_energy_grid
 from repro.core.production import run_production
 from repro.core.runner import compute_spectrum
+from repro.hamiltonian import build_device
 from repro.linalg import gemm, ledger_scope
+from repro.observability.spans import tracing
 from repro.parallel import (DynamicLoadBalancer, ProcessTaskRunner,
                             TaskDescriptor, ThreadTaskRunner)
 from repro.poisson.scf import schroedinger_poisson
@@ -576,3 +579,109 @@ class TestProductionCheckpoint:
             run_production(chain, single_s_basis(), 8,
                            bias_points=[0.2, 0.3], mu_source=-0.6,
                            e_window=(-1.8, -0.2), checkpoint=ckpt)
+
+
+class _Killed(Exception):
+    """Stands in for the allocation dying."""
+
+
+class _DyingStore(CheckpointStore):
+    """A store whose run dies right after it writes the sweep record of
+    SCF iteration ``iteration`` of bias point ``point`` (1-based)."""
+
+    def __init__(self, path, point, iteration):
+        super().__init__(path)
+        self.point, self.iteration = point, iteration
+
+    def save(self, kind, telemetry=None, **state):
+        super().save(kind, telemetry=telemetry, **state)
+        if len(state["vds"]) == self.point \
+                and state.get("scf_iterations") == self.iteration:
+            raise _Killed
+
+
+SWEEP = dict(mu_source=-0.6, e_window=(-1.8, -0.2))
+
+
+@pytest.fixture
+def counted_balancer(monkeypatch):
+    """Balancer feedback from trace counts, not wall times, so that two
+    sweeps' balancer histories can be compared bit for bit."""
+    def record(self, traces):
+        per_k = np.full(self._work.shape, float(len(traces)))
+        return self.record_iteration(
+            per_k / self.current_distribution().nodes_per_k)
+    monkeypatch.setattr(DynamicLoadBalancer, "record_task_traces", record)
+
+
+class TestSweepRecord:
+    """One record resumes the bias sweep mid-point, and only the sweep
+    that wrote it."""
+
+    @staticmethod
+    def _sweep(bias, **kwargs):
+        kwargs = dict(SWEEP, **kwargs)
+        kwargs.setdefault("scf_kwargs", dict(max_iter=4, tol=1e-12))
+        return run_production(linear_chain(8, 0.25), single_s_basis(), 8,
+                              bias_points=bias, **kwargs)
+
+    def test_resume_mid_point_continues_its_scf(self, tmp_path,
+                                                counted_balancer):
+        straight = self._sweep([0.0, 0.1], num_nodes=8)
+        ckpt = tmp_path / "sweep.npz"
+        with pytest.raises(_Killed):
+            self._sweep([0.0, 0.1], num_nodes=8,
+                        checkpoint=_DyingStore(ckpt, point=2, iteration=2))
+        with tracing() as tracer:
+            resumed = self._sweep([0.0, 0.1], num_nodes=8, checkpoint=ckpt)
+        # point 2 picks up at SCF iteration 3; point 1 is not re-run
+        assert [sp.attrs["iteration"] for sp in tracer.records()
+                if sp.category == "scf"] == [3, 4]
+        assert [p.scf_iterations for p in straight.points] == [4, 4]
+        for got, want in zip(resumed.points, straight.points, strict=True):
+            assert got.vds == want.vds
+            assert got.current.hex() == want.current.hex()
+            assert got.scf_iterations == want.scf_iterations
+            assert got.converged == want.converged
+            np.testing.assert_array_equal(got.potential, want.potential)
+        np.testing.assert_array_equal(resumed.balancer.history,
+                                      straight.balancer.history)
+
+    @pytest.fixture(scope="class")
+    def record(self, tmp_path_factory):
+        """The bytes of the record of the finished sweep ``[0.1]``."""
+        path = tmp_path_factory.mktemp("record") / "sweep.npz"
+        self._sweep([0.1], checkpoint=path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("change", [
+        dict(bias=[0.100001]),
+        dict(mu_source=-0.6 + 1e-9),
+        dict(e_window=(-1.8, -0.19)),
+        dict(num_k=2),
+    ], ids=["vds", "mu_source", "e_window", "num_k"])
+    def test_record_of_another_sweep_rejected(self, tmp_path, record,
+                                              change):
+        path = tmp_path / "sweep.npz"
+        path.write_bytes(record)
+        change = dict(change)
+        with pytest.raises(CheckpointError, match="another sweep"):
+            self._sweep(change.pop("bias", [0.1]), checkpoint=path,
+                        **change)
+
+    def test_final_spectrum_uses_the_scf_method(self):
+        chain, basis = linear_chain(8, 0.25), single_s_basis()
+        method = dict(obc_method="feast", solver="splitsolve")
+        point = self._sweep([0.1], scf_kwargs=method).points[0]
+        energies = adaptive_energy_grid(
+            build_device(chain, basis, 8).lead, *SWEEP["e_window"],
+            min_spacing=5e-3, max_spacing=0.04)
+
+        def current(**kwargs):
+            return compute_spectrum(
+                chain, basis, 8, energies, potential=point.potential,
+                **kwargs).current(SWEEP["mu_source"],
+                                  SWEEP["mu_source"] - 0.1)
+
+        assert point.current.hex() == current(**method).hex()
+        assert point.current != current(obc_method="dense", solver="rgf")
