@@ -78,7 +78,10 @@ def run_production(structure, basis, num_cells: int, bias_points,
         :func:`repro.poisson.scf.schroedinger_poisson`; its
         ``obc_method`` / ``solver`` (default ``"dense"`` / ``"rgf"``)
         also solve each point's final spectrum, so a point's current
-        comes from the method its potential converged with.
+        comes from the method its potential converged with.  A
+        ``temperature_k`` in it must equal the sweep's.
+    temperature_k : the electron temperature (K) of the SCF loop's
+        charge and of each point's current.
     task_runner : forwarded to the SCF loop and the final transport
         solve of each bias point; its ``telemetry``, when it keeps one,
         is checkpointed with the sweep.
@@ -102,10 +105,10 @@ def run_production(structure, basis, num_cells: int, bias_points,
         Worker count for ``backend`` (default 1; ignored otherwise).
     use_arena : bool, optional
         Run every transport solve with a per-pipeline workspace arena
-        (see :class:`repro.linalg.arena.Workspace`): steady-state
-        energy batches reuse scratch buffers instead of allocating
-        fresh ones.  Bitwise-identical results; arena reuse statistics
-        appear as ``memory``-category span instants.
+        (see :class:`repro.linalg.arena.Workspace`); SOLVE, one solver
+        call per energy, pools nothing in it.  Bitwise-identical
+        results; arena statistics appear as ``memory``-category span
+        instants.
     result_store : path or :class:`repro.cache.ResultStore`, optional
         Persistent cross-run result cache, forwarded to every transport
         solve of the sweep (the SCF inner solves and the final spectrum
@@ -131,12 +134,18 @@ def run_production(structure, basis, num_cells: int, bias_points,
     if backend is not None and task_runner is not None:
         raise ConfigurationError(
             "pass either task_runner or backend, not both")
-    owned_runner = None
-    if backend is not None:
-        task_runner = owned_runner = make_task_runner(backend, num_workers)
     kwargs = dict(mixing=0.3, max_iter=12, tol=5e-3, density_scale=0.02,
                   obc_method="dense", solver="rgf")
     kwargs.update(scf_kwargs or {})
+    # the charge of every SCF iteration is integrated at the temperature
+    # the sweep's currents are
+    if kwargs.setdefault("temperature_k", temperature_k) != temperature_k:
+        raise ConfigurationError(
+            f"scf_kwargs temperature_k={kwargs['temperature_k']} differs "
+            f"from the sweep's temperature_k={temperature_k}")
+    owned_runner = None
+    if backend is not None:
+        task_runner = owned_runner = make_task_runner(backend, num_workers)
 
     # The contacts are potential-frozen, so the devices' potential-free
     # part and every lead's Sigma^RB(E) are the same in all SCF
@@ -154,7 +163,7 @@ def run_production(structure, basis, num_cells: int, bias_points,
     try:
         points, start, save = sweep_record(
             checkpoint, bias_points, mu_source, e_window, num_k,
-            structure.num_atoms, balancer=balancer,
+            structure.num_atoms, temperature_k, balancer=balancer,
             telemetry=getattr(task_runner, "telemetry", None))
         for vds in bias_points[len(points):]:
             tracer = current_tracer()
@@ -210,7 +219,7 @@ _SCF_STATE = ("potential_atom", "density_atom", "residuals", "iterations",
 
 
 def sweep_record(checkpoint, bias_points, mu_source, e_window, num_k,
-                 num_atoms, balancer=None, telemetry=None):
+                 num_atoms, temperature_k, balancer=None, telemetry=None):
     """Read back the one checkpoint of the SCF loop and the bias sweep.
 
     Returns ``(points, scf, save)``: the finished :class:`BiasPoint` s
@@ -220,14 +229,16 @@ def sweep_record(checkpoint, bias_points, mu_source, e_window, num_k,
     and the ``telemetry`` snapshot.  Resuming restores the balancer and
     the telemetry.  A record resumes only the sweep that wrote it: its
     bias points an exact prefix of ``bias_points``, the other inputs
-    equal, else :class:`CheckpointError`.
+    (``temperature_k`` among them) equal, else :class:`CheckpointError`,
+    as is a record that lacks one of them.
     """
     store = checkpoint if checkpoint is None \
         or isinstance(checkpoint, CheckpointStore) \
         else CheckpointStore(checkpoint)
     inputs = dict(mu_source=float(mu_source),
                   e_window=tuple(float(e) for e in e_window),
-                  num_k=int(num_k), num_atoms=int(num_atoms))
+                  num_k=int(num_k), num_atoms=int(num_atoms),
+                  temperature_k=float(temperature_k))
 
     def save(points, scf=None):
         if store is None:
@@ -256,6 +267,10 @@ def sweep_record(checkpoint, bias_points, mu_source, e_window, num_k,
     if store is None or not store.exists():
         return [], None, save
     state = store.load("sweep")
+    missing = [key for key in ("vds", *inputs) if key not in state]
+    if missing:
+        raise CheckpointError(f"checkpoint {store.path} is not a sweep "
+                              f"record: no {', '.join(missing)}")
     vds = state["vds"]
     differ = [key for key, value in inputs.items()
               if not np.array_equal(state[key], value)]

@@ -179,14 +179,22 @@ def _solve_unit(spec: SpectrumUnitSpec):
         kpoint_index=spec.kpoint_index,
         energy_indices=list(spec.energy_indices))
     root = getattr(spec, "store_root", None)
-    keys = getattr(spec, "store_keys", None)
-    if root is not None and keys is not None:
-        # publish worker-side so concurrent processes fill the store as
-        # they go; the parent's own put() is an idempotent no-op then
-        rstore = ResultStore(root)
-        for k, res in zip(keys, outputs):
-            rstore.put(k, pack_result(res))
+    _publish(None if root is None else ResultStore(root),
+             getattr(spec, "store_keys", None), outputs)
     return outputs
+
+
+def _publish(rstore, keys, outputs) -> None:
+    """Put a unit's fresh results in the result store, one per key.
+
+    Every backend runs it inside the unit's own task, as the unit
+    returns, so a run that dies in a later unit leaves this one behind
+    to resume from.
+    """
+    if rstore is None or keys is None:
+        return
+    for key, res in zip(keys, outputs):
+        rstore.put(key, pack_result(res))
 
 
 def compute_spectrum(structure, basis, num_cells: int, energies,
@@ -216,10 +224,9 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     energy_batch_size : int
         Energies solved per task (>= 1): each task is one (k, E-batch)
         unit solved through :meth:`TransportPipeline.solve_batch` — the
-        open boundaries energy by energy, one stacked assembly, and
-        stacked RGF sweeps under ``solver="rgf"`` that amortize
-        Python/BLAS dispatch across the batch; every solver returns the
-        bits of the one-energy run.  Per-energy TaskTraces are emitted
+        open boundaries energy by energy, one stacked assembly, and one
+        solver call per energy — so every solver returns the bits of the
+        one-energy run.  Per-energy TaskTraces are emitted
         whatever the size (a stage that ran once for several energies
         splits equally), so the dynamic load balancer's measured per-k
         costs and
@@ -235,10 +242,10 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     num_workers : int, optional
         Worker count for ``backend`` (default 1; ignored otherwise).
     use_arena : bool
-        Route batch-local solver scratch through a persistent
-        :class:`~repro.linalg.arena.Workspace` so steady-state energy
-        batches reuse buffers instead of reallocating (bitwise-identical
-        spectra; allocation telemetry via the span tracer).
+        Run each unit under a persistent
+        :class:`~repro.linalg.arena.Workspace` (bitwise-identical
+        spectra; allocation telemetry via the span tracer).  SOLVE is
+        one solver call per energy, so it pools nothing.
     result_store : path or :class:`repro.cache.ResultStore`, optional
         Persistent cross-run result cache, and the one way to resume a
         spectrum.  Before scheduling, every (k, E-batch) unit is
@@ -248,9 +255,8 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         (partially-hit units re-bucket to their miss energies —
         bitwise-safe, a batch returns the bits of its one-energy runs),
         hits merge back bitwise-identically from disk, and fresh solves
-        are published as they finish (serially by this process after
-        each unit, by the workers themselves under
-        ``backend="process"``), so a killed run re-run against the same
+        are published by each unit's own task as it finishes, on every
+        backend, so a killed run re-run against the same
         store solves only what it had not finished.  Cache traffic is
         observable: ``result_store_*`` counters, a bytes-loaded
         histogram, and ``category="cache"`` span instants.
@@ -368,7 +374,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             store_keys=tuple(keys[ie] for ie in miss) if keys else None,
             family_token=family.token)
         tasks[ui] = _make_task(pipe, caches[ik], energies[miss], ik, miss,
-                               spec)
+                               spec, rstore)
 
     results = []
     traces = []
@@ -396,10 +402,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             else:
                 out = out_by_ui[ui]
             fresh = dict(zip(miss_by_ui[ui], out))
-            if rstore is not None:   # skip what a worker published
-                for ie, res in fresh.items():
-                    if not rstore.contains(unit_keys[ui][ie]):
-                        rstore.put(unit_keys[ui][ie], pack_result(res))
             # fresh solves and stored hits, back in unit order
             merged = [fresh[ie] if ie in fresh
                       else unpack_result(unit_hits[ui][ie])
@@ -416,14 +418,15 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                                                None))
 
 
-def _make_task(pipe, cache, unit_energies, ik, ies, spec=None):
+def _make_task(pipe, cache, unit_energies, ik, ies, spec, rstore):
     def task():
-        return pipe.solve_batch(cache, unit_energies, kpoint_index=ik,
-                                energy_indices=ies)
-    if spec is not None:
-        # the picklable twin of the closure: serial/thread runners call
-        # the closure, the process backend ships the descriptor
-        task.descriptor = TaskDescriptor(fn=_solve_unit, args=(spec,))
+        outputs = pipe.solve_batch(cache, unit_energies, kpoint_index=ik,
+                                   energy_indices=ies)
+        _publish(rstore, spec.store_keys, outputs)
+        return outputs
+    # the picklable twin of the closure: serial/thread runners call the
+    # closure, the process backend ships the descriptor
+    task.descriptor = TaskDescriptor(fn=_solve_unit, args=(spec,))
     return task
 
 

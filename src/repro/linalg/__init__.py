@@ -53,7 +53,6 @@ from repro.linalg.blocktridiag import (
 )
 from repro.linalg.batched import (
     BatchedBlockTridiag,
-    bucket_by_width,
     gemm_batched,
     lu_factor_batched,
     lu_solve_batched,
@@ -106,7 +105,6 @@ __all__ = [
     "EnergyOperator",
     "BatchedBlockTridiag",
     "build_a_batch",
-    "bucket_by_width",
     "gemm_batched",
     "lu_factor_batched",
     "lu_solve_batched",

@@ -21,8 +21,10 @@ carry a ``_batched`` suffix so activity traces distinguish the two paths.
 Backends: the three public kernel functions are thin dispatchers to the
 kernel backend :func:`repro.linalg.backend_scope` has installed (the
 reference ``numpy`` backend outside every scope).  The ``_*_impl``
-functions below are the reference kernels; transport code calls them
-directly, so its results never depend on a caller's scope.
+functions below are the reference kernels.  No transport solve calls
+any of them: SOLVE is one per-energy solver call (see
+:mod:`repro.pipeline.pipeline`), so its results never depend on a
+caller's scope.
 """
 
 from __future__ import annotations
@@ -135,8 +137,7 @@ def _lu_solve_batched_impl(fac, b: np.ndarray, tag: str = "") -> np.ndarray:
     """Solve with a stacked LU factor (``zgetrsBatched``).
 
     ``b`` is ``(nE, n, nrhs)``; all energies of one call share the rhs
-    width (ragged widths are the caller's bucketing problem — see
-    :func:`bucket_by_width`).
+    width.
     """
     b = np.asarray(b)
     _check_stack(b, "lu_solve_batched")
@@ -160,11 +161,11 @@ class BatchedBlockTridiag:
     Storage mirrors :class:`~repro.linalg.BlockTridiagonalMatrix`, with
     every block carrying a leading energy axis: ``diag[i]`` is
     ``(nE, ni, ni)``, ``upper[i]`` is ``(nE, ni, n_{i+1})``, ``lower[i]``
-    is ``(nE, n_{i+1}, ni)``.  This is the layout the batched RGF sweeps
-    consume: one stacked kernel call per block, amortized over all
-    energies of the batch.  ``structure`` is the
+    is ``(nE, n_{i+1}, ni)``: the layout one pass of the A(E) assembly
+    builds for a whole energy batch, read energy by energy through
+    :meth:`point`.  ``structure`` is the
     :class:`~repro.linalg.BlockStructure` the slices share (handed on by
-    :meth:`point` and :meth:`take`).
+    :meth:`point`).
     """
 
     def __init__(self, diag, upper, lower, energies=None, structure=None):
@@ -223,37 +224,7 @@ class BatchedBlockTridiag:
             [b[j] for b in self.upper],
             [b[j] for b in self.lower], structure=self.structure)
 
-    def take(self, indices) -> "BatchedBlockTridiag":
-        """Sub-batch along the energy axis (used by rhs-width bucketing).
-
-        Selecting the full batch in order returns ``self`` — the common
-        single-bucket case of :meth:`TransportPipeline.solve_batch` —
-        instead of fancy-index-copying every block stack.
-        """
-        idx = np.asarray(indices, dtype=int)
-        if idx.size == self.batch_size and \
-                np.array_equal(idx, np.arange(self.batch_size)):
-            return self
-        return BatchedBlockTridiag(
-            [b[idx] for b in self.diag],
-            [b[idx] for b in self.upper],
-            [b[idx] for b in self.lower],
-            energies=None if self.energies is None else self.energies[idx],
-            structure=self.structure)
-
     def __repr__(self):
         return (f"BatchedBlockTridiag(nE={self.batch_size}, "
                 f"nb={self.num_blocks}, n={self.shape[1]})")
 
-
-def bucket_by_width(widths) -> dict:
-    """Group batch positions by right-hand-side width.
-
-    Returns ``{width: [positions...]}`` in order of first appearance —
-    the bucketing that keeps ragged injection widths from forcing the
-    batched solves to pad: each bucket is one rectangular stacked solve.
-    """
-    buckets: dict = {}
-    for pos, w in enumerate(widths):
-        buckets.setdefault(int(w), []).append(pos)
-    return buckets

@@ -62,11 +62,11 @@ class MixedLUFactor:
 
     Holds the complex64 LU factors *and* a complex128 copy of the
     input stack: residuals must be computed against the original
-    matrices, and callers (the RGF sweeps, via the workspace arena) are
-    free to reuse the input buffer the moment ``lu_factor_batched``
-    returns.  Per-slice double-precision fallback factors are computed
-    lazily at solve time and cached here, so the repeated solves of one
-    RGF sweep pay each fallback factorization once.
+    matrices, and callers are free to reuse the input buffer the moment
+    ``lu_factor_batched`` returns.  Per-slice double-precision fallback
+    factors are computed lazily at solve time and cached here, so
+    repeated solves against one factor pay each fallback factorization
+    once.
     """
 
     def __init__(self, lu32, piv, a, bad_slices):

@@ -62,7 +62,7 @@ class EnergyPointResult:
 
 def qtbm_energy_point(device, energy: float, obc_method: str = "feast",
                       solver: str = "splitsolve", num_partitions: int = 1,
-                      parallel: bool = False, obc_kwargs: dict | None = None,
+                      obc_kwargs: dict | None = None,
                       boundary: OpenBoundary | None = None
                       ) -> EnergyPointResult:
     """Solve one energy point of the wave-function transport problem.
@@ -85,7 +85,7 @@ def qtbm_energy_point(device, energy: float, obc_method: str = "feast",
     from repro.pipeline import TransportPipeline
     pipe = TransportPipeline(obc_method=obc_method, solver=solver,
                              num_partitions=num_partitions,
-                             parallel=parallel, obc_kwargs=obc_kwargs)
+                             obc_kwargs=obc_kwargs)
     return pipe.solve_point(device, energy, boundary=boundary)
 
 

@@ -21,9 +21,9 @@ The demo deliberately runs fault-free: failed resilient attempts would
 emit stage spans whose flops never merge into the ledger, which would
 (correctly) break the exact reconciliation this demo asserts.
 
-It also runs with ``use_arena=True``: the transport pipelines reuse
-workspace-arena scratch buffers across energy batches.  The arena never
-changes what the ledger records (the same kernels run on the same
+It also runs with ``use_arena=True``: the transport pipelines run
+under a workspace arena.  The arena never changes what the ledger
+records (the same kernels run on the same
 shapes), so the flop/byte reconciliation stays exact, and the
 ``memory``-category arena instants feed ``python -m repro report
 --memory``.

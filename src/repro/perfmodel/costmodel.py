@@ -156,9 +156,9 @@ def splitsolve_byte_model(num_blocks: int, block_size: int, num_rhs: int,
 
 def rgf_kernels(block_sizes, num_rhs: int):
     """The kernels of one RGF (block Thomas) solve of ``num_rhs`` columns
-    on blocks of the given sizes: :func:`repro.solvers.rgf.solve_rgf`
-    and, slice for slice, :func:`~repro.solvers.rgf.solve_rgf_batched`
-    (complex whatever A is: Sigma enters the first block).
+    on blocks of the given sizes: :func:`repro.solvers.rgf.solve_rgf`,
+    which the pipeline runs once per energy (complex whatever A is:
+    Sigma enters the first block).
 
     Backward sweep from the last block's LU: per block ``i`` one
     back-substitution of ``[lower_i | carry]`` (``s_i + m`` columns)

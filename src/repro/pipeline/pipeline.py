@@ -12,8 +12,9 @@ sequence of phases; :class:`TransportPipeline` makes them explicit:
 There is one driver for one energy or a whole energy batch of a k-point
 (:meth:`TransportPipeline.solve_batch`; :meth:`~TransportPipeline.solve_point`
 is its one-energy spelling).  Implementations for OBC and SOLVE come
-from the :mod:`repro.pipeline.registry` registries; ``solver="auto"`` is
-resolved per rhs-width bucket through the
+from the :mod:`repro.pipeline.registry` registries, and SOLVE is one
+registry call per energy on every path; ``solver="auto"`` is resolved
+from each energy's injection width through the
 :mod:`repro.perfmodel.costmodel` flop models (the OMEN-style
 SplitSolve-vs-RGF choice).  Every stage runs under
 :func:`repro.pipeline.trace.batch_stage_scope`, so each
@@ -28,9 +29,7 @@ from contextlib import ExitStack
 
 import numpy as np
 
-from repro.linalg.arena import (Workspace, arena_scope, scratch,
-                                scratch_release)
-from repro.linalg.batched import bucket_by_width
+from repro.linalg.arena import Workspace, arena_scope
 from repro.negf.transmission import EnergyPointResult, analyze_solution
 from repro.observability.spans import current_tracer
 from repro.perfmodel import costmodel
@@ -50,18 +49,15 @@ class TransportPipeline:
 
     def __init__(self, obc_method: str = "feast",
                  solver: str = "splitsolve", num_partitions: int = 1,
-                 parallel: bool = False, obc_kwargs: dict | None = None,
-                 use_arena: bool = False):
+                 obc_kwargs: dict | None = None, use_arena: bool = False):
         self.obc_method = obc_method
         self.solver = solver
         self.num_partitions = num_partitions
-        self.parallel = parallel
         self.obc_kwargs = dict(obc_kwargs or {})
-        #: route batch-local scratch (Schur stacks, rhs carries, sigma
-        #: stacks, staging blocks) through a persistent
-        #: :class:`~repro.linalg.arena.Workspace` so steady-state energy
-        #: batches reuse buffers instead of reallocating — spectra stay
-        #: bitwise identical to the fresh-allocation path
+        #: run every batch under a persistent
+        #: :class:`~repro.linalg.arena.Workspace`: spectra stay bitwise
+        #: identical to the fresh-allocation path, and SOLVE, one solver
+        #: call per energy, pools nothing in it
         self.use_arena = bool(use_arena)
         self._workspace = Workspace(name="pipeline") if self.use_arena \
             else None
@@ -98,23 +94,18 @@ class TransportPipeline:
         work.  The OBC stage is a loop: each energy's boundary is looked
         up (and, on a miss, solved) on its own through
         :meth:`DeviceCache.lookup_boundary`.  ASSEMBLE builds the
-        stacked ``A(E) = E*S - H`` in one pass, and SOLVE buckets the
-        energies by injection width (:func:`repro.linalg.bucket_by_width`,
-        so ragged mode counts never force padding) and runs each bucket
-        through the solver :func:`~repro.pipeline.registry.resolve_solver_name`
-        returns for it: ``"rgf"`` solves a bucket of two or more energies
-        in one stacked sweep (:func:`repro.solvers.solve_rgf_batched` —
-        one Python/BLAS dispatch per block for the whole bucket); every
-        other solver, and any one-energy bucket, runs energy by energy
-        through its registry entry.  All of it is bitwise the one-energy
-        run, energy for energy.
+        stacked ``A(E) = E*S - H`` in one pass, and SOLVE is one registry
+        call per energy: each energy with a non-zero injection width runs
+        through the solver
+        :func:`~repro.pipeline.registry.resolve_solver_name` returns for
+        that width, on that energy's slice of the stack.  All of it is
+        bitwise the one-energy run, energy for energy.
 
         One :class:`~repro.pipeline.TaskTrace` is emitted *per energy*.
-        OBC, ANALYZE and every per-energy SOLVE are measured per energy;
-        a stage that ran once for several energies (PREPARE, ASSEMBLE, a
-        stacked RGF bucket) splits its wall time equally and its flops
-        and bytes into exact equal integer shares, so ledger
-        reconciliation holds (see
+        OBC, SOLVE and ANALYZE are measured per energy; a stage that ran
+        once for several energies (PREPARE, ASSEMBLE) splits its wall
+        time equally and its flops and bytes into exact equal integer
+        shares, so ledger reconciliation holds (see
         :func:`~repro.pipeline.trace.batch_stage_scope`).
 
         Returns one :class:`EnergyPointResult` per energy, input order.
@@ -190,20 +181,13 @@ class TransportPipeline:
                     st.meta.update(num_rhs=int(inj.shape[1]),
                                    batch_size=ne)
 
-            # SOLVE, per rhs-width bucket (no padding): "rgf" runs a
-            # bucket of several energies as one stacked sweep under one
-            # scope; everything else is one solver call, one scope and
-            # one span per energy.
+            # SOLVE: one registry call, one scope and one span per
+            # energy; a point with no propagating modes solves nothing.
             psis = [None] * ne
-            buckets = bucket_by_width([inj.shape[1] for inj in injs])
-            for width, pos in buckets.items():
+            for j, (tr, ob, inj) in enumerate(zip(traces, obs, injs)):
+                width = int(inj.shape[1])
                 if width == 0:
-                    continue   # no propagating modes: nothing to solve
-                if tracer is not None:
-                    tracer.metrics.histogram("rhs_bucket_width").observe(
-                        int(width))
-                    tracer.metrics.histogram("rhs_bucket_size").observe(
-                        len(pos))
+                    continue
                 name = resolve_solver_name(
                     self.solver, num_blocks=cache.num_blocks,
                     block_size=int(max(cache.block_sizes)),
@@ -211,37 +195,23 @@ class TransportPipeline:
                     **self._pricing_widths(cache))
                 predicted = self._predicted_solve_bytes(
                     cache, name, width, self.num_partitions)
-                stacked = name == "rgf" and len(pos) > 1
-                groups = [pos] if stacked else [[j] for j in pos]
-                for group in groups:
-                    with batch_stage_scope([traces[j] for j in group],
-                                           "SOLVE") as sts:
-                        if stacked:
-                            xs = self._solve_rgf_stacked(
-                                cache, a_batch, obs, injs, group)
-                        else:
-                            (j,) = group
-                            info: dict = {}
-                            xs = [SOLVERS.get(name)(
-                                a_batch.point(j), obs[j], injs[j],
-                                num_partitions=self.num_partitions,
-                                parallel=self.parallel, info=info)]
-                            sts[0].meta.update(info)
-                        for st in sts:
-                            st.meta.update(solver=name,
-                                           bucket_size=len(pos),
-                                           num_rhs=width)
-                            if predicted is not None:
-                                st.meta["predicted_bytes"] = int(predicted)
-                    for j, x in zip(group, xs):
-                        # rgf / bcr factor with check_finite=False: a NaN
-                        # in A(E) comes back as a NaN psi, not an error
-                        if not np.isfinite(x).all():
-                            raise SingularMatrixError(
-                                f"solver {name!r} returned a non-finite "
-                                f"wavefunction at E = {energies[j]}: "
-                                "A(E) - Sigma is singular or not finite")
-                        psis[j] = x
+                with batch_stage_scope([tr], "SOLVE") as (st,):
+                    info: dict = {}
+                    x = SOLVERS.get(name)(
+                        a_batch.point(j), ob, inj,
+                        num_partitions=self.num_partitions, info=info)
+                    st.meta.update(info)
+                    st.meta.update(solver=name, num_rhs=width)
+                    if predicted is not None:
+                        st.meta["predicted_bytes"] = int(predicted)
+                # rgf / bcr factor with check_finite=False: a NaN in
+                # A(E) comes back as a NaN psi, not an error
+                if not np.isfinite(x).all():
+                    raise SingularMatrixError(
+                        f"solver {name!r} returned a non-finite "
+                        f"wavefunction at E = {energies[j]}: "
+                        "A(E) - Sigma is singular or not finite")
+                psis[j] = x
 
             results = []
             for j, (tr, ob) in enumerate(zip(traces, obs)):
@@ -258,36 +228,6 @@ class TransportPipeline:
                 result.trace = tr
                 results.append(result)
             return results
-
-    @staticmethod
-    def _solve_rgf_stacked(cache, a_batch, obs, injs, pos):
-        """One stacked RGF sweep over the energies ``pos`` of a bucket
-        (equal rhs widths); bitwise ``"rgf"`` energy by energy."""
-        from repro.solvers import assemble_t_batched, solve_rgf_batched
-        sub = a_batch.take(pos)
-        # Sigma and rhs stacks are workspace scratch: np.stack(out=)
-        # fills the reused buffers with the identical bits a fresh
-        # np.stack would produce.
-        nsub = len(pos)
-        s1 = cache.block_sizes[0]
-        s2 = cache.block_sizes[-1]
-        sigma_l = scratch((nsub, s1, s1), complex, tag="pipeline.sigma")
-        np.stack([obs[j].sigma_l for j in pos], out=sigma_l)
-        sigma_r = scratch((nsub, s2, s2), complex, tag="pipeline.sigma")
-        np.stack([obs[j].sigma_r for j in pos], out=sigma_r)
-        t_batch = assemble_t_batched(sub, sigma_l, sigma_r)
-        scratch_release(sigma_l, sigma_r)
-        rhs = scratch((nsub,) + injs[pos[0]].shape, complex,
-                      tag="pipeline.rhs")
-        np.stack([injs[j] for j in pos], out=rhs)
-        x = solve_rgf_batched(t_batch, rhs)
-        scratch_release(rhs)
-        # the assembled corner stacks were checked out by
-        # assemble_t_batched; the solve consumed them
-        scratch_release(t_batch.diag[0])
-        if len(t_batch.diag) > 1:
-            scratch_release(t_batch.diag[-1])
-        return x
 
     def _pricing_widths(self, cache) -> dict:
         """The coupling and boundary support widths and the dtype of
@@ -310,8 +250,8 @@ class TransportPipeline:
                                num_partitions: int = 1):
         """Model-predicted kernel bytes of one energy's SOLVE stage.
 
-        Exact for RGF, stacked or not (the solver's kernel sequence
-        on the true per-block sizes; it folds Sigma into its first
+        Exact for RGF (the solver's kernel sequence on the true
+        per-block sizes; it folds Sigma into its first
         block and is complex whatever A(E) is); the SplitSolve
         model prices ``num_partitions`` partitions of uniform blocks
         with uniform coupling supports in the dtype of A(E), so

@@ -6,8 +6,8 @@ The production flow of the paper is a fixed staged pipeline, but the
 downstream user brings along.  Instead of string ``if/elif`` chains buried
 in the solve path, each family lives in a :class:`Registry`:
 
-* ``SOLVERS`` — callables ``fn(a, ob, inj, *, num_partitions, parallel,
-  info) -> psi`` solving ``(A - Sigma^RB) psi = Inj`` for a block
+* ``SOLVERS`` — callables ``fn(a, ob, inj, *, num_partitions, info)
+  -> psi`` solving ``(A - Sigma^RB) psi = Inj`` for a block
   tridiagonal ``A`` and an :class:`~repro.obc.selfenergy.OpenBoundary`.
   ``info`` is an optional dict the solver may fill with diagnostics
   (e.g. SplitSolve's per-phase times), surfaced on the stage trace.
@@ -21,8 +21,7 @@ Third-party extensions register without editing any core module::
     from repro.pipeline import register_solver
 
     @register_solver("my-solver")
-    def my_solver(a, ob, inj, *, num_partitions=1, parallel=False,
-                  info=None):
+    def my_solver(a, ob, inj, *, num_partitions=1, info=None):
         ...
 
 The special solver name ``"auto"`` is resolved by
@@ -136,8 +135,7 @@ def resolve_solver_name(name: str, *, num_blocks: int, block_size: int,
     """Map ``"auto"`` to a concrete registered solver via the cost model.
 
     Explicit names pass through unchanged (after a registry existence
-    check, so a typo fails before any work is done) - for one energy or
-    a bucket of sixteen.  The widths are the supports SplitSolve would
+    check, so a typo fails before any work is done).  The widths are the supports SplitSolve would
     run on and ``is_complex`` the dtype of its A(E), for its price.
     """
     if name == AUTO:

@@ -118,7 +118,7 @@ def batch_stage_scope(traces, name: str):
     attempt still sees the flops it burned.
 
     Yields the list of per-task :class:`StageTrace` objects so the body
-    can attach ``meta`` entries (batch size, bucket widths, ...).
+    can attach ``meta`` entries (batch size, rhs width, ...).
     """
     parent = current_ledger()
     probe = FlopLedger(trace=parent.trace)

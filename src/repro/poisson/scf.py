@@ -70,7 +70,7 @@ def schroedinger_poisson(structure, basis, num_cells: int,
         :func:`repro.core.runner.compute_spectrum`; the energies per
         (k, E-batch) task of the inner transport solves (an int >= 1).
     use_arena : forwarded to :func:`repro.core.runner.compute_spectrum`;
-        the inner transport solves reuse workspace-arena scratch buffers
+        the inner transport solves run under a workspace arena
         (bitwise-identical spectra).
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
         Persist the loop state after every iteration and resume from it
@@ -104,8 +104,8 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     """
     points, start, save = sweep_record(
         checkpoint, [mu_l - mu_r], mu_l, e_window, num_k,
-        structure.num_atoms, telemetry=getattr(task_runner, "telemetry",
-                                               None))
+        structure.num_atoms, options.get("temperature_k", 300.0),
+        telemetry=getattr(task_runner, "telemetry", None))
     if points:
         raise CheckpointError(f"checkpoint {checkpoint} holds a finished "
                               f"bias point, not an SCF state")

@@ -51,10 +51,7 @@ def assemble_t_batched(a: BatchedBlockTridiag, sigma_l: np.ndarray,
     ``sigma_l`` is ``(nE, s1, s1)`` and ``sigma_r`` is ``(nE, s2, s2)``
     — one boundary pair per energy of the batch.  Only the two corner
     diagonal stacks are copied; every interior stack is shared with
-    ``a`` (same contract as the per-point assembly).  The corner copies
-    are workspace scratch when an arena is active — the caller releases
-    them after the solve consumes the assembled matrix (the pipeline
-    does this at the end of its SOLVE stage).
+    ``a`` (same contract as the per-point assembly).
     """
     s1 = a.block_sizes[0]
     s2 = a.block_sizes[-1]
@@ -66,12 +63,9 @@ def assemble_t_batched(a: BatchedBlockTridiag, sigma_l: np.ndarray,
         raise ShapeError(
             f"sigma_r stack is {sigma_r.shape}, expected {(ne, s2, s2)}")
     diag = [as_complex(b) for b in a.diag]
-    diag[0] = scratch(a.diag[0].shape, complex, tag="assemble.corner")
-    np.copyto(diag[0], a.diag[0])
+    diag[0] = a.diag[0].astype(complex)
     if len(diag) > 1:
-        diag[-1] = scratch(a.diag[-1].shape, complex,
-                           tag="assemble.corner")
-        np.copyto(diag[-1], a.diag[-1])
+        diag[-1] = a.diag[-1].astype(complex)
     t = BatchedBlockTridiag(
         diag,
         [as_complex(b) for b in a.upper],

@@ -1,8 +1,8 @@
 """Built-in solver registrations for the transport pipeline.
 
 Each adapter solves ``(A - Sigma^RB) psi = Inj`` — the SOLVE stage
-contract ``fn(a, ob, inj, *, num_partitions=1, parallel=False,
-info=None) -> psi`` — and is registered in
+contract ``fn(a, ob, inj, *, num_partitions=1, info=None) -> psi`` —
+and is registered in
 :data:`repro.pipeline.registry.SOLVERS` under the names of the paper's
 Fig. 8 comparison.  ``info`` (when a dict is passed) receives solver
 diagnostics that end up on the SOLVE :class:`~repro.pipeline.StageTrace`.
@@ -22,8 +22,7 @@ from repro.solvers.splitsolve import SplitSolve
 
 
 @register_solver("splitsolve", accelerated=True)
-def _solve_splitsolve(a, ob, inj, *, num_partitions=1, parallel=False,
-                      info=None):
+def _solve_splitsolve(a, ob, inj, *, num_partitions=1, info=None):
     """The paper's multi-accelerator algorithm (SMW + Algorithm 1 + SPIKE).
 
     Works on the Sigma-free A directly; the boundary self-energies enter
@@ -50,7 +49,9 @@ def _solve_splitsolve(a, ob, inj, *, num_partitions=1, parallel=False,
     if per_mode:
         rows, cols = block_support(ob.t01)
         support = (cols, rows)      # T10's rows on the left, T01's right
-    ss = SplitSolve(a, num_partitions=num_partitions, parallel=parallel,
+    # partitions run one after the other: threads inside one point are
+    # measured slower than the (k, E) parallelism around it
+    ss = SplitSolve(a, num_partitions=num_partitions, parallel=False,
                     boundary_support=support)
     if not per_mode:
         # generic rhs (not one column per injected mode): solve all
@@ -72,19 +73,18 @@ def _solve_splitsolve(a, ob, inj, *, num_partitions=1, parallel=False,
 
 
 @register_solver("rgf")
-def _solve_rgf(a, ob, inj, *, num_partitions=1, parallel=False, info=None):
+def _solve_rgf(a, ob, inj, *, num_partitions=1, info=None):
     """Recursive Green's function (block Thomas) [47]."""
     return solve_rgf(assemble_t(a, ob.sigma_l, ob.sigma_r), inj)
 
 
 @register_solver("bcr")
-def _solve_bcr(a, ob, inj, *, num_partitions=1, parallel=False, info=None):
+def _solve_bcr(a, ob, inj, *, num_partitions=1, info=None):
     """Block cyclic reduction (OMEN's legacy CPU solver) [33]."""
     return solve_bcr(assemble_t(a, ob.sigma_l, ob.sigma_r), inj)
 
 
 @register_solver("direct")
-def _solve_direct(a, ob, inj, *, num_partitions=1, parallel=False,
-                  info=None):
+def _solve_direct(a, ob, inj, *, num_partitions=1, info=None):
     """Sparse-direct LU (the MUMPS baseline)."""
     return solve_direct(assemble_t(a, ob.sigma_l, ob.sigma_r), inj)

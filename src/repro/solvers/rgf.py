@@ -3,9 +3,8 @@
 The workhorse of NEGF codes: a backward sweep builds the right-connected
 inverses, a forward substitution recovers the solution.  Also provides the
 Green's-function blocks (diagonal + boundary columns) needed for charge
-and current densities in the NEGF route (Eq. 4), and an energy-batched
-variant (:func:`solve_rgf_batched`) whose sweeps run once over stacked
-blocks for all energies of a batch simultaneously.
+and current densities in the NEGF route (Eq. 4).  There is one sweep:
+:func:`solve_rgf_batched` runs it once per energy of a stack.
 """
 
 from __future__ import annotations
@@ -14,13 +13,8 @@ import numpy as np
 
 from repro.linalg import (BlockTridiagonalMatrix, as_complex, gemm,
                           lu_factor, lu_solve)
-from repro.linalg.arena import scratch, scratch_release
-# the reference stacked kernels, not the backend dispatchers: a transport
-# solve is the same whatever kernel-backend scope its caller has open
+from repro.linalg.arena import scratch
 from repro.linalg.batched import BatchedBlockTridiag
-from repro.linalg.batched import _gemm_batched_impl as gemm_batched
-from repro.linalg.batched import _lu_factor_batched_impl as lu_factor_batched
-from repro.linalg.batched import _lu_solve_batched_impl as lu_solve_batched
 from repro.utils.errors import ShapeError
 
 
@@ -80,99 +74,24 @@ def solve_rgf(t: BlockTridiagonalMatrix, b: np.ndarray,
 
 
 def solve_rgf_batched(t: BatchedBlockTridiag, b: np.ndarray,
-                      tag: str = "rgf-batched") -> np.ndarray:
-    """Solve T[e] x[e] = b[e] for a whole energy batch in stacked sweeps.
+                      tag: str = "rgf") -> np.ndarray:
+    """Solve T[e] x[e] = b[e] for an energy stack, energy by energy.
 
-    The same block recursion as :func:`solve_rgf`, but every LU, solve,
-    and gemm runs once over the ``(nE, ...)`` stack — one Python/BLAS
-    dispatch and one ledger record per block instead of one per block
-    *per energy*.  ``b`` is ``(nE, n, m)``: all energies of one call
-    share the rhs width ``m`` (callers bucket ragged widths with
-    :func:`repro.linalg.batched.bucket_by_width`).  Each slice of the
-    result matches the per-point solve to machine precision — the
-    stacked LAPACK routines execute the same factorizations slice by
-    slice.
+    ``b`` is ``(nE, n, m)``; slice ``e`` of the result is
+    :func:`solve_rgf` on ``t.point(e)`` and ``b[e]``, bit for bit, with
+    its kernels on the ledger as that call records them.
     """
-    offs = t.block_offsets()
-    nb = t.num_blocks
     b = np.asarray(b)
     if b.ndim != 3:
         raise ShapeError(f"batched rhs must be (nE, n, m), got {b.shape}")
     if b.shape[0] != t.batch_size:
         raise ShapeError(f"rhs batch {b.shape[0]} != matrix batch "
                          f"{t.batch_size}")
-    if b.shape[1] != offs[-1]:
-        raise ShapeError(f"rhs has {b.shape[1]} rows, matrix {offs[-1]}")
-    # b is read-only below; complex inputs (the pipeline's stacked
-    # injection rhs) are used in place instead of defensively copied.
-    b = as_complex(b)
-    upper = [as_complex(u) for u in t.upper]
-    lower = [as_complex(l) for l in t.lower]
-    ne, m = b.shape[0], b.shape[2]
-
-    # All large per-sweep temporaries — Schur stacks, rhs carries, the
-    # [lower | carry] staging block — are workspace scratch
-    # (:mod:`repro.linalg.arena`): checked out per block, released as
-    # soon as consumed, reused across blocks and across successive
-    # energy batches.  Without an active arena, `scratch` degrades to
-    # the plain allocations this function always performed.  The in-
-    # place forms (`np.matmul(..., out=)`, `np.subtract(..., out=)`,
-    # `np.concatenate(..., out=)`) run the identical kernels into the
-    # reused buffers, so every slice stays bitwise identical to the
-    # fresh-allocation path.
-    held: dict = {}
-
-    def _scr(shape, tag_):
-        buf = scratch(shape, complex, tag=tag_)
-        held[id(buf)] = buf
-        return buf
-
-    def _rel(*bufs):
-        for buf in bufs:
-            held.pop(id(buf), None)
-        scratch_release(*bufs)
-
-    try:
-        facs = [None] * nb
-        xi_up = [None] * nb
-        yi = [None] * nb
-        schur = as_complex(t.diag[nb - 1])
-        carry = _scr((ne, offs[nb] - offs[nb - 1], m), "rgf.carry")
-        np.copyto(carry, b[:, offs[nb - 1]:offs[nb]])
-        facs[nb - 1] = lu_factor_batched(schur, tag=tag)
-        for i in range(nb - 2, -1, -1):
-            s_next, s_i = lower[i].shape[1], lower[i].shape[2]
-            stage = _scr((ne, s_next, s_i + m), "rgf.stage")
-            np.concatenate([lower[i], carry], axis=2, out=stage)
-            sol = lu_solve_batched(facs[i + 1], stage, tag=tag)
-            _rel(stage, carry)
-            xi_up[i + 1] = sol[:, :, :s_i]
-            yi[i + 1] = sol[:, :, s_i:]
-            schur = _scr((ne, s_i, s_i), "rgf.schur")
-            gemm_batched(upper[i], xi_up[i + 1], tag=tag, out=schur)
-            np.subtract(t.diag[i], schur, out=schur)
-            carry = _scr((ne, s_i, m), "rgf.carry")
-            gemm_batched(upper[i], yi[i + 1], tag=tag, out=carry)
-            np.subtract(b[:, offs[i]:offs[i + 1]], carry, out=carry)
-            facs[i] = lu_factor_batched(schur, tag=tag)
-            _rel(schur)
-
-        # Forward substitution, stacked.  x escapes into the per-energy
-        # psi results, so it is an escape checkout (never pooled).
-        x = scratch(b.shape, complex, escape=True, tag="rgf.x")
-        x[:, offs[0]:offs[1]] = lu_solve_batched(facs[0], carry, tag=tag)
-        _rel(carry)
-        for i in range(1, nb):
-            s_i = offs[i + 1] - offs[i]
-            g = _scr((ne, s_i, m), "rgf.fwd")
-            gemm_batched(xi_up[i], x[:, offs[i - 1]:offs[i]], tag=tag,
-                         out=g)
-            np.subtract(yi[i], g, out=x[:, offs[i]:offs[i + 1]])
-            _rel(g)
-    except BaseException:
-        scratch_release(*held.values())
-        raise
-    return x
+    n = t.block_offsets()[-1]
+    if b.shape[1] != n:
+        raise ShapeError(f"rhs has {b.shape[1]} rows, matrix {n}")
+    return np.stack([solve_rgf(t.point(j), b[j], tag=tag)
+                     for j in range(t.batch_size)])
 
 
 def rgf_greens_blocks(t: BlockTridiagonalMatrix, tag: str = "rgf-g"):

@@ -1,10 +1,10 @@
 """Tests for the energy-batched kernel layer and batched pipeline.
 
-Covers the acceptance invariants of the batching work: stacked-kernel
-numerical equivalence with the per-point loops, exact flop-ledger parity
-between the two paths, ragged-RHS bucketing, batch-size-1 degeneration
-to the per-point path, and the batch-granular scheduling of
-``compute_spectrum`` and its resume through the result store.
+Covers the stacked kernels' numerical equivalence with the per-point
+loops and exact flop-ledger parity between the two, a batch as one
+solver call per energy (ragged injection widths, batch-size-1
+degeneration to the per-point path), and the batch-granular scheduling
+of ``compute_spectrum`` and its resume through the result store.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.hamiltonian import LeadBlocks
 from repro.hamiltonian.device import synthetic_device_from_lead
 from repro.linalg import (
     BatchedBlockTridiag,
-    bucket_by_width,
     build_a_batch,
     gemm_batched,
     lu_factor_batched,
@@ -99,22 +98,6 @@ class TestBatchedContainers:
                               ref.diag + ref.upper + ref.lower):
                 assert np.array_equal(bb, rb)
 
-    def test_take_subsets_energy_axis(self):
-        lead = _test_lead(4, seed=2)
-        dev = synthetic_device_from_lead(lead, 4)
-        batch = build_a_batch(dev.h_blocks(), dev.s_blocks(),
-                              [0.5, 1.0, 1.5, 2.0])
-        sub = batch.take([2, 0])
-        assert sub.batch_size == 2
-        assert np.array_equal(sub.energies, [1.5, 0.5])
-        for bb, rb in zip(sub.point(0).diag, batch.point(2).diag):
-            assert np.array_equal(bb, rb)
-
-    def test_bucket_by_width(self):
-        assert bucket_by_width([4, 2, 4, 0, 2]) == \
-            {4: [0, 2], 2: [1, 4], 0: [3]}
-        assert bucket_by_width([]) == {}
-
     def test_inconsistent_stack_rejected(self, rng):
         with pytest.raises(ShapeError):
             BatchedBlockTridiag([_stack(rng, 2, 3, 3), _stack(rng, 3, 3, 3)],
@@ -133,13 +116,22 @@ class TestBatchedRgf:
         return t, b
 
     def test_matches_per_point_rgf(self, rng):
+        """The batched solve is the per-energy sweep: the same bits and
+        the same kernels on the ledger, none of them a stacked one."""
         t, b = self._system(rng, 4, 5, 3, 2)
         with ledger_scope() as led_b:
             x = solve_rgf_batched(t, b)
         with ledger_scope() as led_p:
             ref = np.stack([solve_rgf(t.point(j), b[j]) for j in range(4)])
-        np.testing.assert_allclose(x, ref, atol=1e-10)
-        assert led_b.total_flops == led_p.total_flops
+        assert x.tobytes() == ref.tobytes()
+        assert led_b.flops_by_kernel == led_p.flops_by_kernel
+        assert not any(k.endswith("_batched") for k in led_b.flops_by_kernel)
+
+    def test_validation(self, rng):
+        t, b = self._system(rng, 3, 4, 3, 2)
+        for bad in (b[0], b[:2], b[:, :-1]):
+            with pytest.raises(ShapeError):
+                solve_rgf_batched(t, bad)
 
     def test_assemble_t_batched_matches_per_point(self, rng):
         lead = _test_lead(4, seed=5)
@@ -213,9 +205,11 @@ class TestSolveBatch:
                for j, e in enumerate(energies)]
         got = pipe.solve_batch(cache, energies)
         for r, g in zip(ref, got):
-            assert abs(r.transmission_lr - g.transmission_lr) <= 1e-10
+            assert r.transmission_lr == g.transmission_lr
             assert r.num_prop_left == g.num_prop_left
-            np.testing.assert_allclose(g.psi, r.psi, atol=1e-10)
+            assert np.array_equal(g.psi, r.psi)
+            assert g.trace.stage("SOLVE").flops \
+                == r.trace.stage("SOLVE").flops
 
     def test_ragged_widths_bucketed(self):
         dev = synthetic_device_from_lead(_ragged_lead(), 6)
@@ -224,8 +218,7 @@ class TestSolveBatch:
         energies = [2.0, 5.0, 2.05, 8.5]   # widths 4, 2, 4, 0
         results = pipe.solve_batch(cache, energies)
         widths = [r.psi.shape[1] for r in results]
-        assert len(set(widths)) == 3 and 0 in widths
-        assert bucket_by_width(widths) == {4: [0, 2], 2: [1], 0: [3]}
+        assert widths == [4, 2, 4, 0]
         for j, e in enumerate(energies):
             ref = pipe.solve_point(cache, e)
             assert abs(ref.transmission_lr
@@ -234,9 +227,11 @@ class TestSolveBatch:
         names = [s.name for s in results[3].trace.stages]
         assert "SOLVE" not in names and "OBC" in names
         assert results[3].transmission_lr == 0.0
-        # a stacked sweep is how "rgf" runs a bucket, not another solver
-        assert results[0].trace.stage("SOLVE").meta["solver"] == "rgf"
-        assert results[0].trace.stage("SOLVE").meta["bucket_size"] == 2
+        # every energy that injects is one "rgf" call of its own width
+        for res, width in zip(results[:3], widths):
+            meta = res.trace.stage("SOLVE").meta
+            assert meta["solver"] == "rgf" and meta["num_rhs"] == width
+            assert "bucket_size" not in meta
 
     def test_single_energy_degenerates_to_solve_point(self):
         dev = synthetic_device_from_lead(_test_lead(5, seed=4), 6)

@@ -259,7 +259,6 @@ class TestDeviceCacheStructure:
                     (a.hermitian_error() < 1e-10)
             batch = cache.a_matrix_batch([e0 + 0.1, e0 + 0.2])
             assert batch.point(1).structure is cache.structure()
-            assert batch.take([1]).point(0).structure is cache.structure()
         # a cache outside the family works the same facts out for itself
         own = DeviceCache(device).structure()
         assert own is not caches[0].structure()

@@ -156,8 +156,8 @@ class TestBatchSolverRouting:
                                 block_size=5, num_rhs=4)
 
     def test_auto_batch_matches_per_point_results(self):
-        # "auto" prices each bucket as it prices a point of that width,
-        # so a batch is bitwise its per-point runs
+        # "auto" prices each energy of a batch as it prices a point of
+        # that width, so a batch is bitwise its per-point runs
         pipe = TransportPipeline(obc_method="feast", solver="auto",
                                  obc_kwargs={"seed": 3})
         dev = synthetic_device_from_lead(_lead(), 6)
@@ -172,11 +172,14 @@ class TestBatchSolverRouting:
         assert batch[0].trace.stage("SOLVE").meta["solver"] in \
             ("splitsolve", "rgf")
 
-    @pytest.mark.parametrize("solver", ["splitsolve", "bcr", "direct"])
+    @pytest.mark.parametrize("solver", ["splitsolve", "bcr", "direct",
+                                        "rgf"])
     def test_batch_runs_the_solver_asked_for(self, solver, tmp_path):
         """Regression: a batch of >= 2 energies ran the stacked RGF
         sweeps whatever ``solver`` said, and published those bits under
-        the store key of the solver it was asked for."""
+        the store key of the solver it was asked for.  A batch is one
+        solver call per energy on every solver, ``"rgf"`` included: the
+        kernels on the ledger are the batch-1 run's, none stacked."""
         st = linear_chain(6)
         basis = single_s_basis()
         energies = np.linspace(1.6, 2.4, 5)
@@ -186,12 +189,13 @@ class TestBatchSolverRouting:
             with ledger_scope() as led:
                 spec = compute_spectrum(st, basis, 2, energies, **kw,
                                         **extra)
-            return spec, led.total_flops
+            return spec, dict(led.flops_by_kernel)
 
         ref, ref_flops = spectrum(energy_batch_size=1)
         bat, bat_flops = spectrum(energy_batch_size=4,
                                   result_store=tmp_path / "store")
         assert bat_flops == ref_flops
+        assert not any(k.endswith("_batched") for k in bat_flops)
         assert np.array_equal(bat.transmission, ref.transmission)
         assert np.array_equal(bat.mode_counts, ref.mode_counts)
         solved = 0
@@ -204,7 +208,7 @@ class TestBatchSolverRouting:
         # what the batch run stored is what a per-point run solves
         warm, warm_flops = spectrum(energy_batch_size=1,
                                     result_store=tmp_path / "store")
-        assert warm_flops == 0
+        assert sum(warm_flops.values()) == 0
         for w, r in zip(warm.results, ref.results):
             assert np.array_equal(w.psi, r.psi)
 

@@ -403,7 +403,6 @@ class TestPipelineIntegration:
         # one lookup per point, batched or not
         assert snap["obc_point_cache_misses"]["value"] == 2
         assert snap["obc_point_cache_hits"]["value"] == 2
-        assert snap["rhs_bucket_width"]["count"] >= 1
         assert snap["obc_iterations"]["count"] == 4
 
     def test_disabled_tracing_changes_nothing(self, device):

@@ -76,12 +76,11 @@ class TestRegistry:
         calls = []
 
         @register_solver("test-rgf-clone")
-        def clone(a, ob, inj, *, num_partitions=1, parallel=False,
-                  info=None):
+        def clone(a, ob, inj, *, num_partitions=1, info=None):
             calls.append(inj.shape[1])
             return SOLVERS.get("rgf")(a, ob, inj,
                                       num_partitions=num_partitions,
-                                      parallel=parallel, info=info)
+                                      info=info)
 
         try:
             res = qtbm_energy_point(device, 2.0, obc_method="dense",

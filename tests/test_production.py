@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.production import run_production
 from repro.structure import linear_chain
-from repro.utils.errors import ConfigurationError
+from repro.utils.errors import CheckpointError, ConfigurationError
 from tests.test_hamiltonian import single_s_basis
 
 
@@ -51,6 +51,39 @@ class TestProduction:
         with pytest.raises(ConfigurationError):
             run_production(chain, single_s_basis(), 6, [], -0.5,
                            (-1.5, -0.3))
+
+
+class TestTemperature:
+    def _sweep(self, temperature_k, **kwargs):
+        return run_production(linear_chain(8, 0.25), single_s_basis(), 8,
+                              bias_points=[0.1], mu_source=-0.6,
+                              e_window=(-1.8, -0.2),
+                              temperature_k=temperature_k, **kwargs)
+
+    def test_scf_charge_is_integrated_at_the_sweep_temperature(self):
+        """Regression: the SCF loop kept 300 K whatever the sweep's
+        ``temperature_k``, so only the final current saw 77 K."""
+        cold, warm = self._sweep(77.0), self._sweep(300.0)
+        assert not np.array_equal(cold.points[0].potential,
+                                  warm.points[0].potential)
+
+    def test_conflicting_scf_temperature_rejected(self):
+        with pytest.raises(ConfigurationError, match="temperature_k"):
+            self._sweep(77.0, scf_kwargs=dict(temperature_k=300.0))
+
+    def test_record_is_of_one_temperature(self, tmp_path):
+        from repro.runtime.checkpoint import CheckpointStore
+        path = tmp_path / "sweep.npz"
+        kw = dict(checkpoint=path, scf_kwargs=dict(max_iter=1))
+        self._sweep(77.0, **kw)
+        with pytest.raises(CheckpointError, match="temperature_k"):
+            self._sweep(300.0, **kw)
+        store = CheckpointStore(path)
+        state = store.load("sweep")
+        del state["temperature_k"]
+        store.save("sweep", **state)
+        with pytest.raises(CheckpointError, match="temperature_k"):
+            self._sweep(77.0, **kw)
 
 
 class TestSweepSharesOneFamily:

@@ -494,6 +494,37 @@ class TestSpectrumIntegration:
         assert np.array_equal(cold.transmission, warm.transmission)
         _assert_bitwise_results(warm.results, cold.results)
 
+    def test_thread_run_publishes_each_unit_as_it_returns(
+            self, tmp_path, monkeypatch):
+        """Regression: behind a thread runner the parent put the results
+        in the store only after every unit had returned, so a run that
+        died in its last unit left nothing to resume from."""
+        from repro.parallel import ThreadTaskRunner
+        from repro.utils.errors import TaskExecutionError
+
+        energies = np.linspace(-0.6, -0.2, 6)
+        solve_batch = TransportPipeline.solve_batch
+
+        def last_unit_dies(self, cache, unit_energies, **kw):
+            if list(kw["energy_indices"]) == [4, 5]:
+                raise RuntimeError("killed in the last unit")
+            return solve_batch(self, cache, unit_energies, **kw)
+
+        monkeypatch.setattr(TransportPipeline, "solve_batch",
+                            last_unit_dies)
+        with pytest.raises(TaskExecutionError):
+            _spectrum(energies, energy_batch_size=2,
+                      task_runner=ThreadTaskRunner(2),
+                      result_store=tmp_path / "store")
+        assert ResultStore(tmp_path / "store").stats()["objects"] == 4
+        monkeypatch.setattr(TransportPipeline, "solve_batch", solve_batch)
+        tracer = SpanTracer()
+        with tracing(tracer):
+            _spectrum(energies, energy_batch_size=2,
+                      task_runner=ThreadTaskRunner(2),
+                      result_store=tmp_path / "store")
+        assert tracer.metrics.counter("result_store_hits").value == 4
+
 
 def _process_spectrum(store_root):
     return _spectrum(backend="process", num_workers=2,
