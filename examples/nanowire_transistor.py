@@ -12,9 +12,8 @@ Run:  python examples/nanowire_transistor.py
 import numpy as np
 
 from repro.basis import tight_binding_set
-from repro.core import gate_potential_profile
+from repro.core import gate_sweep
 from repro.core.energygrid import adaptive_energy_grid, lead_band_structure
-from repro.core.runner import compute_spectrum
 from repro.experiments import fig10_nwfet
 from repro.hamiltonian import build_device
 from repro.structure import silicon_nanowire
@@ -43,14 +42,11 @@ def main():
 
     print(f"\nId(Vgs) at Vds = {vds:.2f} V:")
     print(f"  {'Vgs(V)':>7s} {'barrier(eV)':>12s} {'Id(A)':>12s}")
-    for vgs in np.linspace(0.0, 0.35, 6):
-        pot = gate_potential_profile(device.structure, v_builtin=0.3,
-                                     vgs=vgs, gate_coupling=1.0)
-        spec = compute_spectrum(wire, basis, 8, energies,
-                                obc_method="dense", solver="rgf",
-                                potential=pot)
-        current = spec.current(mu_s, mu_s - vds)
-        print(f"  {vgs:7.2f} {pot.max():12.3f} {current:12.3e}")
+    # one device family for the sweep: each lead boundary solved once
+    for p in gate_sweep(wire, basis, 8, np.linspace(0.0, 0.35, 6),
+                        energies, vds=vds, mu_source=mu_s, v_builtin=0.3,
+                        gate_coupling=1.0):
+        print(f"  {p.vgs:7.2f} {p.barrier_height:12.3f} {p.current:12.3e}")
 
     print("\nDevice observables at Vgs = 0 (Fig. 10 maps):")
     print(fig10_nwfet.report(fig10_nwfet.run(

@@ -48,9 +48,10 @@ def main():
         row = "".join(f"{spec.transmission[ik, i]:7.2f} "
                       for ik in range(len(spec.kpoints)))
         print(f"  {e:6.2f} {row} {tavg[i]:6.2f}")
-    print(f"\n{len(runner.task_times)} (k, E) tasks ran on "
+    seconds = [tr.total_seconds for tr in spec.traces]
+    print(f"\n{len(seconds)} (k, E) tasks ran on "
           f"{runner.num_workers} workers; "
-          f"mean task time {np.mean(runner.task_times) * 1e3:.1f} ms")
+          f"mean task time {np.mean(seconds) * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

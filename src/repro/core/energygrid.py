@@ -17,6 +17,12 @@ import scipy.linalg as sla
 
 from repro.utils.errors import ConfigurationError
 
+#: the spacings (eV) of a sweep's two :func:`adaptive_energy_grid` s:
+#: every SCF iteration's spectrum, and each bias point's final spectrum
+#: (its current); both 5 meV at a band edge
+SCF_GRID = dict(min_spacing=5e-3, max_spacing=0.05)
+FINAL_GRID = dict(min_spacing=5e-3, max_spacing=0.04)
+
 
 def lead_band_structure(lead, num_k: int = 51):
     """E_n(k) of the folded lead over k in [0, pi] (time-reversal half).

@@ -10,10 +10,12 @@ solution of the electrostatics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.core.runner import compute_spectrum
+from repro.pipeline.cache import DeviceFamily
 from repro.utils.errors import ConfigurationError
 
 
@@ -63,16 +65,21 @@ def gate_sweep(structure, basis, num_cells: int, vgs_values,
 
     The source Fermi level sits at ``mu_source`` (relative to the lead
     band structure's energy zero); the drain at ``mu_source - vds``.
+    ``obc_method``, ``solver`` and ``spectrum_kwargs`` are forwarded to
+    :func:`repro.core.runner.compute_spectrum`.  The gate moves the
+    channel only, so one device family serves the sweep: each lead
+    boundary is solved once per energy, not once per Vgs.
     """
+    family = DeviceFamily(structure, basis, num_cells, num_k)
+    spectrum = partial(compute_spectrum, structure, basis, num_cells,
+                       energies, num_k=num_k, obc_method=obc_method,
+                       solver=solver, family=family, **spectrum_kwargs)
     points = []
     for vgs in np.asarray(list(vgs_values), dtype=float):
         pot = gate_potential_profile(structure, vgs=vgs,
                                      v_builtin=v_builtin,
                                      gate_coupling=gate_coupling)
-        spec = compute_spectrum(structure, basis, num_cells, energies,
-                                num_k=num_k, obc_method=obc_method,
-                                solver=solver, potential=pot,
-                                **spectrum_kwargs)
+        spec = spectrum(potential=pot)
         current = spec.current(mu_source, mu_source - vds, temperature_k)
         points.append(GatePoint(
             vgs=float(vgs), vds=vds, current=current,

@@ -15,16 +15,16 @@ resumes a killed sweep at the next SCF iteration of its bias point.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from contextlib import nullcontext
-
-from repro.core.energygrid import adaptive_energy_grid
+from repro.core.energygrid import FINAL_GRID, adaptive_energy_grid
 from repro.core.runner import compute_spectrum
 from repro.observability.spans import current_tracer
-from repro.parallel.backend import close_task_runner, make_task_runner
+from repro.parallel.backend import task_runner_scope
 from repro.parallel.balancer import DynamicLoadBalancer
 from repro.pipeline.cache import DeviceFamily
 from repro.runtime.checkpoint import CheckpointStore
@@ -74,55 +74,34 @@ def run_production(structure, basis, num_cells: int, bias_points,
     mu_source : source chemical potential (eV); drain = mu_source - Vds.
     num_nodes : optional simulated node count feeding the dynamic load
         balancer (None disables the balancing bookkeeping).
-    scf_kwargs : forwarded to
-        :func:`repro.poisson.scf.schroedinger_poisson`; its
-        ``obc_method`` / ``solver`` (default ``"dense"`` / ``"rgf"``)
-        also solve each point's final spectrum, so a point's current
-        comes from the method its potential converged with.  A
-        ``temperature_k`` in it must equal the sweep's.
+    scf_kwargs : the options of
+        :func:`repro.poisson.scf.schroedinger_poisson`, its transport's
+        ``obc_method`` / ``solver`` among them; a ``temperature_k`` in
+        it must equal the sweep's.
     temperature_k : the electron temperature (K) of the SCF loop's
         charge and of each point's current.
-    task_runner : forwarded to the SCF loop and the final transport
-        solve of each bias point; its ``telemetry``, when it keeps one,
-        is checkpointed with the sweep.
-    energy_batch_size : forwarded to the SCF loop and the final
-        transport solve; the energies per (k, E-batch) unit (an int
-        >= 1).  The balancer feedback does not depend on it — batch
-        tasks emit per-energy stage traces.
+    task_runner, backend, num_workers, energy_batch_size, use_arena,
+    result_store : forwarded to
+        :func:`repro.core.runner.compute_spectrum` by every transport
+        solve of the sweep; a ``backend`` runner is built once for the
+        sweep.  The runner's ``telemetry``, when it keeps one, is
+        checkpointed with the sweep.
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
         The sweep's record (:func:`sweep_record`), rewritten after
         every SCF iteration and every finished bias point, and resumed
         from when it exists: finished points and the balancer are
         restored and the point in progress continues at its next SCF
         iteration, bitwise as the uninterrupted sweep.
-    backend : {"serial", "thread", "process"}, optional
-        Build (and own) the task runner via
-        :func:`repro.parallel.make_task_runner` instead of passing
-        ``task_runner``; the runner is kept alive across all bias
-        points (the process pool amortizes over the sweep) and closed
-        before returning.  Mutually exclusive with ``task_runner``.
-    num_workers : int, optional
-        Worker count for ``backend`` (default 1; ignored otherwise).
-    use_arena : bool, optional
-        Run every transport solve with a per-pipeline workspace arena
-        (see :class:`repro.linalg.arena.Workspace`); SOLVE, one solver
-        call per energy, pools nothing in it.  Bitwise-identical
-        results; arena statistics appear as ``memory``-category span
-        instants.
-    result_store : path or :class:`repro.cache.ResultStore`, optional
-        Persistent cross-run result cache, forwarded to every transport
-        solve of the sweep (the SCF inner solves and the final spectrum
-        per bias point).  A re-run of the same sweep merges cached
-        (k, E) results bitwise-identically instead of re-solving them.
 
     Notes
     -----
     Bias points run one after the other (as in OMEN), and the load
-    balancer learns per-k costs across points.  Every point's SCF starts
-    from a zero potential; seeding it from the previous point's
-    converged potential (bias continuation) is ROADMAP item 3a.  Every
-    transport solve runs the reference complex-double kernels (see
-    :func:`repro.core.runner.compute_spectrum`).
+    balancer learns per-k costs across points.  One transport callable
+    (:func:`sweep_transport`) solves every SCF iteration and every
+    point's final spectrum, so a point's current comes from the method
+    its potential converged with.  Every point's SCF starts from a zero
+    potential; seeding it from the previous point's converged potential
+    (bias continuation) is ROADMAP item 3a.
     """
     # imported here: repro.poisson.scf imports repro.core, whose package
     # init imports this module
@@ -131,66 +110,45 @@ def run_production(structure, basis, num_cells: int, bias_points,
     bias_points = [float(v) for v in bias_points]
     if not bias_points:
         raise ConfigurationError("need at least one bias point")
-    if backend is not None and task_runner is not None:
-        raise ConfigurationError(
-            "pass either task_runner or backend, not both")
-    kwargs = dict(mixing=0.3, max_iter=12, tol=5e-3, density_scale=0.02,
-                  obc_method="dense", solver="rgf")
-    kwargs.update(scf_kwargs or {})
-    # the charge of every SCF iteration is integrated at the temperature
-    # the sweep's currents are
-    if kwargs.setdefault("temperature_k", temperature_k) != temperature_k:
-        raise ConfigurationError(
-            f"scf_kwargs temperature_k={kwargs['temperature_k']} differs "
-            f"from the sweep's temperature_k={temperature_k}")
-    owned_runner = None
-    if backend is not None:
-        task_runner = owned_runner = make_task_runner(backend, num_workers)
-
     # The contacts are potential-frozen, so the devices' potential-free
     # part and every lead's Sigma^RB(E) are the same in all SCF
     # iterations, final spectra and bias points: one family for the sweep.
     family = DeviceFamily(structure, basis, num_cells, num_k)
     energies = adaptive_energy_grid(family.gamma_device().lead, e_window[0],
-                                    e_window[1], min_spacing=5e-3,
-                                    max_spacing=0.04)
-
+                                    e_window[1], **FINAL_GRID)
     balancer = None
     if num_nodes is not None:
         balancer = DynamicLoadBalancer(
             num_nodes, [len(energies)] * num_k, smoothing=0.5)
 
-    try:
+    with task_runner_scope(task_runner, backend, num_workers) as runner:
+        spectrum, loop = sweep_transport(
+            family, scf_kwargs or {}, task_runner=runner,
+            energy_batch_size=energy_batch_size, use_arena=use_arena,
+            result_store=result_store)
+        # the charge of every SCF iteration is integrated at the
+        # temperature the sweep's currents are
+        if loop.setdefault("temperature_k", temperature_k) \
+                != temperature_k:
+            raise ConfigurationError(
+                f"scf_kwargs temperature_k={loop['temperature_k']} "
+                f"differs from the sweep's temperature_k={temperature_k}")
         points, start, save = sweep_record(
             checkpoint, bias_points, mu_source, e_window, num_k,
             structure.num_atoms, temperature_k, balancer=balancer,
-            telemetry=getattr(task_runner, "telemetry", None))
+            telemetry=getattr(runner, "telemetry", None))
         for vds in bias_points[len(points):]:
             tracer = current_tracer()
             scope = tracer.span(f"bias Vds={vds:+.3f}V", category="bias",
                                 vds=vds) if tracer is not None \
                 else nullcontext()
             with scope:
-                scf = _scf_loop(
-                    start, lambda state: save(points, state),
-                    structure, basis, num_cells,
-                    mu_l=mu_source, mu_r=mu_source - vds,
-                    e_window=e_window, num_k=num_k,
-                    task_runner=task_runner,
-                    energy_batch_size=energy_batch_size,
-                    use_arena=use_arena,
-                    result_store=result_store, family=family, **kwargs)
+                scf = _scf_loop(start, lambda state: save(points, state),
+                                spectrum, mu_l=mu_source,
+                                mu_r=mu_source - vds, e_window=e_window,
+                                **loop)
                 start = None
-                spec = compute_spectrum(structure, basis, num_cells,
-                                        energies, num_k=num_k,
-                                        obc_method=kwargs["obc_method"],
-                                        solver=kwargs["solver"],
-                                        potential=scf.potential_atom,
-                                        task_runner=task_runner,
-                                        energy_batch_size=energy_batch_size,
-                                        use_arena=use_arena,
-                                        result_store=result_store,
-                                        family=family)
+                spec = spectrum(energies, potential=scf.potential_atom)
                 current = spec.current(mu_source, mu_source - vds,
                                        temperature_k)
             points.append(BiasPoint(vds=vds, current=current,
@@ -207,10 +165,32 @@ def run_production(structure, basis, num_cells: int, bias_points,
                     dist = balancer.current_distribution()
                     balancer.record_iteration(per_k / dist.nodes_per_k)
             save(points)
-    finally:
-        if owned_runner is not None:
-            close_task_runner(owned_runner)
     return ProductionResult(points=points, balancer=balancer)
+
+
+#: the transport keywords a sweep's options may carry
+_TRANSPORT = ("obc_method", "solver", "energy_batch_size", "use_arena",
+              "result_store")
+
+
+def sweep_transport(family, options: dict, **transport):
+    """Split a sweep's ``options`` into its transport and its SCF loop.
+
+    Returns ``(spectrum, loop_options)``.  ``spectrum(energies,
+    potential=...)`` is :func:`repro.core.runner.compute_spectrum` bound
+    to ``family`` and to the sweep's transport keywords: ``transport``
+    and those ``options`` holds (``obc_method``, ``solver``,
+    ``energy_batch_size``, ``use_arena``, ``result_store``); a sweep runs
+    the dense OBC and RGF unless told otherwise.  Every SCF iteration
+    and every final spectrum of the sweep is one call of it.
+    """
+    loop = dict(options)
+    chosen = {key: loop.pop(key) for key in _TRANSPORT if key in loop}
+    spectrum = partial(compute_spectrum, family.structure, family.basis,
+                       family.num_cells, num_k=family.num_k, family=family,
+                       **(dict(obc_method="dense", solver="rgf") | chosen),
+                       **transport)
+    return spectrum, loop
 
 
 #: the fields of an ``SCFResult`` a sweep record keeps

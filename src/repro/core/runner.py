@@ -15,7 +15,7 @@ from repro.constants import LANDAUER_2E_OVER_H
 from repro.hamiltonian import build_device
 from repro.negf.density import fermi
 from repro.observability.spans import current_tracer
-from repro.parallel.backend import close_task_runner, make_task_runner
+from repro.parallel.backend import task_runner_scope
 from repro.parallel.serialization import TaskDescriptor
 from repro.pipeline import TransportPipeline
 from repro.pipeline.cache import (BoundaryMemo, DeviceCache, DeviceFamily,
@@ -210,11 +210,19 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                      ) -> TransportSpectrum:
     """Run the full (k, E) transport loop on a structure.
 
+    The transport keywords are documented here once: the SCF loop, the
+    production sweep and the gate sweep forward theirs.
+
     Parameters
     ----------
     num_k : int
         Transverse k-points (only meaningful for z-periodic structures
         like the UTBFET; the paper's scaling runs use 21).
+    obc_method, obc_kwargs : the open-boundary algorithm, a name in
+        :data:`repro.pipeline.OBC_METHODS` (Fig. 5), and its settings.
+    solver, num_partitions : the SOLVE algorithm, a name in
+        :data:`repro.pipeline.SOLVERS` or ``"auto"`` (Fig. 8), and
+        SplitSolve's partition count.
     potential : (num_atoms,) array, optional
         Electrostatic potential applied to the ordered device atoms.
     task_runner : callable, optional
@@ -280,12 +288,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     energies = np.asarray(list(energies), dtype=float)
     if energies.size == 0:
         raise ConfigurationError("need at least one energy")
-    if backend is not None and task_runner is not None:
-        raise ConfigurationError(
-            "pass either task_runner or backend, not both")
-    owned_runner = None
-    if backend is not None:
-        task_runner = owned_runner = make_task_runner(backend, num_workers)
     if not isinstance(energy_batch_size, numbers.Integral) \
             or energy_batch_size < 1:
         raise ConfigurationError("energy_batch_size must be an int >= 1")
@@ -378,14 +380,13 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
 
     results = []
     traces = []
-    try:
+    with task_runner_scope(task_runner, backend, num_workers) as runner:
         # A runner returns every unit's output at once; without one each
         # task is called in place, when its turn comes.
         out_by_ui = None
-        if task_runner is not None:
+        if runner is not None:
             try:
-                out_by_ui = dict(zip(tasks,
-                                     task_runner(list(tasks.values()))))
+                out_by_ui = dict(zip(tasks, runner(list(tasks.values()))))
             except TaskExecutionError as exc:
                 # translate the runner's flat task index back to the
                 # (k, E) identity so the caller knows which unit to re-run
@@ -408,14 +409,10 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                       for ie in units[ui][1]]
             _absorb_unit(units[ui], merged, trans, counts, results,
                          traces)
-    finally:
-        if owned_runner is not None:
-            close_task_runner(owned_runner)
     return TransportSpectrum(energies=energies, kpoints=kgrid,
                              transmission=trans, mode_counts=counts,
                              results=results, traces=traces,
-                             telemetry=getattr(task_runner, "telemetry",
-                                               None))
+                             telemetry=getattr(runner, "telemetry", None))
 
 
 def _make_task(pipe, cache, unit_energies, ik, ies, spec, rstore):

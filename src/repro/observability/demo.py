@@ -91,8 +91,7 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
     e_window = (e_lo + 0.1, e_lo + (0.6 if smoke else 1.0))
 
     bias_points = [0.05] if smoke else [0.05, 0.1]
-    scf_kwargs = dict(max_iter=1 if smoke else 2, tol=5e-3,
-                      mixing=0.3, density_scale=0.02)
+    scf_kwargs = dict(max_iter=1 if smoke else 2)
 
     if backend == "process":
         from repro.parallel.process import ProcessTaskRunner

@@ -24,5 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "executor": ("ThreadTaskRunner",),
     "process": ("ProcessTaskRunner",),
     "serialization": ("TaskDescriptor", "descriptor_of"),
-    "backend": ("BACKENDS", "make_task_runner", "close_task_runner"),
+    "backend": ("BACKENDS", "make_task_runner", "close_task_runner",
+                "task_runner_scope"),
 })

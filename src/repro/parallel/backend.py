@@ -13,10 +13,14 @@ user-facing ``backend=`` argument of :func:`repro.core.compute_spectrum`
 
 Owned-runner lifecycle: callers that create a runner through this
 factory should ``close_task_runner`` it when done — a no-op for the
-serial/thread backends, a pool shutdown for the process backend.
+serial/thread backends, a pool shutdown for the process backend.  A
+driver that takes either a runner or a ``backend=`` opens
+:func:`task_runner_scope`, which does both.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from repro.parallel.executor import ThreadTaskRunner
 from repro.utils.errors import ConfigurationError
@@ -57,3 +61,22 @@ def close_task_runner(runner) -> None:
     close = getattr(runner, "close", None)
     if callable(close):
         close()
+
+
+@contextmanager
+def task_runner_scope(task_runner=None, backend: str | None = None,
+                      num_workers: int | None = None):
+    """The runner a driver runs with: ``task_runner`` as given, or one
+    built for ``backend`` (:func:`make_task_runner`) and closed on exit.
+    Passing both is a :class:`ConfigurationError`."""
+    if backend is not None and task_runner is not None:
+        raise ConfigurationError(
+            "pass either task_runner or backend, not both")
+    if backend is None:
+        yield task_runner
+        return
+    runner = make_task_runner(backend, num_workers)
+    try:
+        yield runner
+    finally:
+        close_task_runner(runner)

@@ -9,7 +9,6 @@ can reconstruct per-node activity.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 from contextlib import nullcontext
@@ -23,8 +22,7 @@ class ThreadTaskRunner:
     """Run task lists on ``num_workers`` threads.
 
     Each worker is a simulated node ``node{i}``; kernel flops executed by
-    a worker are attributed to it.  Per-task wall-clock times are kept in
-    :attr:`task_times` for the load-balancer feedback loop.
+    a worker are attributed to it.
 
     Notes
     -----
@@ -32,20 +30,16 @@ class ThreadTaskRunner:
     :class:`repro.runtime.ResilientTaskRunner` for that.  A raising task
     aborts the batch with a
     :class:`~repro.utils.errors.TaskExecutionError` carrying the failed
-    task's index, and :attr:`task_times` is *always* republished — the
-    partial timings of the failed batch, never the stale timings of a
-    previous invocation (the balancer feedback loop reads them).
+    task's index.
     """
 
     def __init__(self, num_workers: int):
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
         self.num_workers = num_workers
-        self.task_times: list = []
 
     def __call__(self, tasks) -> list:
         parent_ledger = current_ledger()
-        times = [None] * len(tasks)
 
         def run(item):
             idx, task = item
@@ -54,26 +48,17 @@ class ThreadTaskRunner:
             scope = tracer.span(f"task {idx}", category="task",
                                 worker=node, task_index=idx) \
                 if tracer is not None else nullcontext()
-            t0 = time.perf_counter()
             with ledger_scope(parent_ledger):
                 with device_scope(node), scope:
                     try:
-                        out = task()
+                        return task()
                     except TaskExecutionError:
                         # already indexed (e.g. by a resilient wrapper)
-                        times[idx] = time.perf_counter() - t0
                         raise
                     except Exception as exc:
-                        times[idx] = time.perf_counter() - t0
                         raise TaskExecutionError(
                             f"task {idx} failed on {node}: {exc}",
                             task_index=idx, node=node) from exc
-                    times[idx] = time.perf_counter() - t0
-            return out
 
-        try:
-            with ThreadPoolExecutor(max_workers=self.num_workers) as pool:
-                results = list(pool.map(run, enumerate(tasks)))
-        finally:
-            self.task_times = times
-        return results
+        with ThreadPoolExecutor(max_workers=self.num_workers) as pool:
+            return list(pool.map(run, enumerate(tasks)))

@@ -102,7 +102,6 @@ class ProcessTaskRunner:
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
         self.num_workers = num_workers
-        self.task_times: list = []
         #: merged per-worker telemetry (RunTelemetry view; the parent's
         #: ``compute_spectrum`` also folds task traces into it)
         self.telemetry = RunTelemetry()
@@ -165,18 +164,17 @@ class ProcessTaskRunner:
         tasks = list(tasks)
         parent_ledger = current_ledger()
         tracer = current_tracer()
-        times = self.task_times = [None] * len(tasks)
         results = [None] * len(tasks)
         self.telemetry.record_submitted(len(tasks))
         for _ in tasks:   # the first attempts are dispatched here
             self.telemetry.record_attempt(retry=False)
-        failures = self._run(tasks, times, results, parent_ledger, tracer) \
+        failures = self._run(tasks, results, parent_ledger, tracer) \
             if tasks else {}
         if failures:
             raise failures[min(failures)]
         return results
 
-    def _run(self, tasks, times, results, parent_ledger, tracer) -> dict:
+    def _run(self, tasks, results, parent_ledger, tracer) -> dict:
         """Feed worker ``w`` the tasks ``w, w + n, ...``, one in flight
         each, merging every reply; returns ``{task index: failure}``.
 
@@ -244,7 +242,6 @@ class ProcessTaskRunner:
                                                      reply.message)
                         stop = True
                         continue
-                    times[idx] = reply.elapsed_s
                     self._merge_worker_result(reply, parent_ledger, tracer)
                     if reply.error is None:
                         results[idx] = reply.value

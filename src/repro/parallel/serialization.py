@@ -21,7 +21,6 @@ tracer metrics into the installed tracer, the task's retry accounting
 from __future__ import annotations
 
 import os
-import time
 import traceback
 from contextlib import nullcontext
 from contextvars import ContextVar
@@ -88,7 +87,6 @@ class WorkerTaskResult:
     node: str
     value: object = None
     error: WorkerFailure | None = None
-    elapsed_s: float = 0.0
     ledger: dict = field(default_factory=dict)
     #: the task's retry accounting (a RunTelemetry registry snapshot)
     telemetry: dict | None = None
@@ -114,7 +112,6 @@ def execute_descriptor(index: int, node: str, traced: bool,
     tracer = SpanTracer() if traced else None
     value = None
     error = None
-    t0 = time.perf_counter()
     token = _TASK_TELEMETRY.set(telemetry)
     try:
         with ledger_scope(ledger), device_scope(node), \
@@ -133,7 +130,7 @@ def execute_descriptor(index: int, node: str, traced: bool,
         _TASK_TELEMETRY.reset(token)
     return WorkerTaskResult(
         index=index, node=node, value=value, error=error,
-        elapsed_s=time.perf_counter() - t0, ledger=ledger.as_snapshot(),
+        ledger=ledger.as_snapshot(),
         telemetry=telemetry.snapshot() or None,
         metrics=tracer.metrics.snapshot() if traced else None,
         spans=[sp.as_dict() for sp in tracer.records()]

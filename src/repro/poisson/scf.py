@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.energygrid import adaptive_energy_grid
-from repro.core.production import sweep_record
-from repro.core.runner import compute_spectrum
+from repro.core.energygrid import SCF_GRID, adaptive_energy_grid
+from repro.core.production import sweep_record, sweep_transport
 from repro.negf import atom_density, orbital_density
 from repro.observability.spans import current_tracer
 from repro.pipeline.cache import DeviceFamily, as_family
@@ -43,6 +42,7 @@ class SCFResult:
 def schroedinger_poisson(structure, basis, num_cells: int,
                          mu_l: float, mu_r: float, e_window: tuple, *,
                          num_k: int = 1, task_runner=None, checkpoint=None,
+                         family: DeviceFamily | None = None,
                          **options) -> SCFResult:
     """Run the self-consistent Schroedinger-Poisson loop.
 
@@ -50,12 +50,12 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     ----------
     mu_l, mu_r : contact chemical potentials (eV).
     e_window : (e_min, e_max) transport energy window.
-    **options : the loop's other keywords and their defaults:
+    **options : the loop's keywords, with the defaults
         ``doping_atom=None, gate_mask=None, gate_voltage=0.0, grid=None,
-        eps_r=11.7, temperature_k=300.0, mixing=0.2, max_iter=25,
-        tol=5e-3, density_scale=1.0, obc_method="dense", solver="rgf",
-        raise_on_divergence=False, energy_batch_size=1, use_arena=False,
-        result_store=None, family=None``, described below.
+        eps_r=11.7, temperature_k=300.0, mixing=0.3, max_iter=12,
+        tol=5e-3, density_scale=0.02, raise_on_divergence=False``
+        (described below), and the transport's ``obc_method="dense",
+        solver="rgf", energy_batch_size, use_arena, result_store``.
     doping_atom : fixed positive background charge per atom (e); default
         zero everywhere (charge-neutral intrinsic channel).
     gate_mask : boolean node mask of electrode nodes (see
@@ -63,26 +63,17 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     density_scale : conversion from the solver's per-mode density to
         electrons (absorbs the energy-integration normalization).
     mixing : linear mixing weight of the new potential (0 < mixing <= 1).
-    task_runner : forwarded to :func:`repro.core.runner.compute_spectrum`
-        for each inner transport solve (e.g. a
-        :class:`repro.runtime.ResilientTaskRunner`).
-    energy_batch_size : forwarded to
-        :func:`repro.core.runner.compute_spectrum`; the energies per
-        (k, E-batch) task of the inner transport solves (an int >= 1).
-    use_arena : forwarded to :func:`repro.core.runner.compute_spectrum`;
-        the inner transport solves run under a workspace arena
-        (bitwise-identical spectra).
+    task_runner, obc_method, solver, energy_batch_size, use_arena,
+    result_store : forwarded to
+        :func:`repro.core.runner.compute_spectrum` by every iteration's
+        transport solve (:func:`repro.core.production.sweep_transport`).
+        A ``result_store`` hits where an iteration's potential repeats
+        one solved before (a re-run of the loop).
     checkpoint : path or :class:`repro.runtime.CheckpointStore`, optional
         Persist the loop state after every iteration and resume from it
         when the file exists, bitwise as the uninterrupted run: the
         record of a sweep of the one point ``mu_l - mu_r``
         (:func:`repro.core.production.sweep_record`).
-    result_store : forwarded to
-        :func:`repro.core.runner.compute_spectrum`; the persistent
-        cross-run result cache.  Each SCF iteration applies a new
-        potential (new device hash → misses), but converged iterations
-        repeated across bias points or re-runs hit the store and skip
-        the solve entirely.
     family : :class:`repro.pipeline.cache.DeviceFamily`, optional
         The potential-invariant state shared by every inner transport
         solve (base devices, open-boundary memo); pass the sweep's when
@@ -99,8 +90,7 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     iteration after the first reuses, per (k, E), the boundary and what
     it alone decides (the injection rows of Inj, the factored outgoing
     flux bases of ANALYZE); it re-solves what the potential changed:
-    A(E), SOLVE and the density.  The inner solves run the reference
-    complex-double kernels (see :func:`repro.core.runner.compute_spectrum`).
+    A(E), SOLVE and the density.
     """
     points, start, save = sweep_record(
         checkpoint, [mu_l - mu_r], mu_l, e_window, num_k,
@@ -109,33 +99,37 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     if points:
         raise CheckpointError(f"checkpoint {checkpoint} holds a finished "
                               f"bias point, not an SCF state")
-    return _scf_loop(start, lambda state: save([], state), structure,
-                     basis, num_cells, mu_l, mu_r, e_window, num_k=num_k,
-                     task_runner=task_runner, **options)
+    family = as_family(family, structure, basis, num_cells, num_k)
+    spectrum, loop = sweep_transport(family, options,
+                                     task_runner=task_runner)
+    return _scf_loop(start, lambda state: save([], state), spectrum,
+                     mu_l, mu_r, e_window, **loop)
 
 
-def _scf_loop(start, on_iteration, structure, basis, num_cells: int,
-              mu_l: float, mu_r: float, e_window: tuple, *, num_k: int,
-              task_runner, doping_atom: np.ndarray | None = None,
+def _scf_loop(start, on_iteration, spectrum, mu_l: float, mu_r: float,
+              e_window: tuple, *, doping_atom: np.ndarray | None = None,
               gate_mask=None, gate_voltage: float = 0.0,
               grid: PoissonGrid | None = None, eps_r: float = 11.7,
-              temperature_k: float = 300.0, mixing: float = 0.2,
-              max_iter: int = 25, tol: float = 5e-3,
-              density_scale: float = 1.0, obc_method: str = "dense",
-              solver: str = "rgf", raise_on_divergence: bool = False,
-              energy_batch_size: int = 1, use_arena: bool = False,
-              result_store=None,
-              family: DeviceFamily | None = None) -> SCFResult:
+              temperature_k: float = 300.0, mixing: float = 0.3,
+              max_iter: int = 12, tol: float = 5e-3,
+              density_scale: float = 0.02,
+              raise_on_divergence: bool = False) -> SCFResult:
     """The one Schroedinger-Poisson iteration loop, driven by
     :func:`schroedinger_poisson` and, per bias point, by
-    :func:`repro.core.production.run_production`.
+    :func:`repro.core.production.run_production`; its signature holds
+    the SCF defaults.
 
-    Continues from ``start`` (the :class:`SCFResult` a checkpoint held;
-    ``None`` starts from a zero potential) and hands the state to
-    ``on_iteration`` after every iteration: the caller's checkpoint.
+    ``spectrum`` is the driver's transport
+    (:func:`repro.core.production.sweep_transport`), called once per
+    iteration; the device is its family's.  Continues from ``start``
+    (the :class:`SCFResult` a checkpoint held; ``None`` starts from a
+    zero potential) and hands the state to ``on_iteration`` after every
+    iteration: the caller's checkpoint.
     """
     if not 0 < mixing <= 1:
         raise ConfigurationError("mixing must be in (0, 1]")
+    family = spectrum.keywords["family"]
+    structure = family.structure
     natoms = structure.num_atoms
     doping = np.zeros(natoms) if doping_atom is None \
         else np.asarray(doping_atom, dtype=float)
@@ -150,18 +144,15 @@ def _scf_loop(start, on_iteration, structure, basis, num_cells: int,
     # contact cells (first and last) are potential-frozen
     x = structure.positions[:, 0]
     lx = structure.cell[0, 0]
-    cell_len = lx / num_cells
+    cell_len = lx / family.num_cells
     frozen = (x < cell_len) | (x >= lx - cell_len)
 
     state = start if start is not None else SCFResult(
         potential_atom=np.zeros(natoms), density_atom=np.zeros(natoms),
         residuals=[], iterations=0, converged=False)
-    # everything the potential does not change, once for the whole loop
-    family = as_family(family, structure, basis, num_cells, num_k)
     base = family.gamma_device()
-    # a moderate grid for the inner transport solve
     energies = adaptive_energy_grid(base.lead, e_window[0], e_window[1],
-                                    min_spacing=5e-3, max_spacing=0.05)
+                                    **SCF_GRID)
     weights = _trapezoid_weights(energies)
     while not state.converged and state.iterations < max_iter:
         it = state.iterations + 1
@@ -172,18 +163,11 @@ def _scf_loop(start, on_iteration, structure, basis, num_cells: int,
             else nullcontext()
         with scope as sp:
             # (i) transport at the current potential
-            spectrum = compute_spectrum(
-                structure, basis, num_cells, energies,
-                num_k=num_k, obc_method=obc_method,
-                solver=solver, potential=pot,
-                task_runner=task_runner,
-                energy_batch_size=energy_batch_size,
-                use_arena=use_arena,
-                result_store=result_store, family=family)
+            spec = spectrum(energies, potential=pot)
             # (ii) accumulate density (trapezoid over the energy grid)
             dens_orb = None
-            for res, w in zip(spectrum.results, np.tile(
-                    weights, len(spectrum.kpoints))):
+            for res, w in zip(spec.results, np.tile(weights,
+                                                    len(spec.kpoints))):
                 contrib = orbital_density(res, base.smat, mu_l, mu_r,
                                           temperature_k)
                 dens_orb = contrib * w if dens_orb is None \
@@ -208,7 +192,7 @@ def _scf_loop(start, on_iteration, structure, basis, num_cells: int,
         state = SCFResult(
             potential_atom=(1.0 - mixing) * pot + mixing * new_pot,
             density_atom=dens_atoms, residuals=state.residuals + [resid],
-            iterations=it, converged=resid < tol, spectrum=spectrum)
+            iterations=it, converged=resid < tol, spectrum=spec)
         on_iteration(state)
 
     if not state.converged and raise_on_divergence:

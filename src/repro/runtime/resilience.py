@@ -300,11 +300,6 @@ retry_on :
         self.telemetry = inner if self._shared_telemetry \
             else RunTelemetry()
 
-    @property
-    def task_times(self) -> list:
-        """Per-task times of the wrapped runner, when it records them."""
-        return getattr(self.task_runner, "task_times", [])
-
     def __call__(self, tasks) -> list:
         tasks = list(tasks)
         if not self._shared_telemetry:

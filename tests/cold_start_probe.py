@@ -36,7 +36,8 @@ def main() -> dict:
     import_s = time.perf_counter() - start
 
     from repro.basis import tight_binding_set
-    from repro.core.energygrid import adaptive_energy_grid, lead_band_structure
+    from repro.core.energygrid import (FINAL_GRID, adaptive_energy_grid,
+                                       lead_band_structure)
     from repro.hamiltonian import build_device
     from repro.structure import silicon_nanowire
 
@@ -44,7 +45,7 @@ def main() -> dict:
     lead = build_device(wire, basis, 4).lead
     e_lo = float(lead_band_structure(lead, 11)[1].min())
     window = (e_lo + 0.28, e_lo + 0.36)
-    adaptive_energy_grid(lead, *window, min_spacing=5e-3, max_spacing=0.04)
+    adaptive_energy_grid(lead, *window, **FINAL_GRID)
     loaded = set(sys.modules)
     run_production(wire, basis, 4, [0.05], e_lo + 0.3, window,
                    scf_kwargs=dict(max_iter=1, mixing=0.5))

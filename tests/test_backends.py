@@ -255,10 +255,10 @@ class TestMixedPrecision:
 
 class TestTransportIgnoresTheScope:
     def test_stacked_spectrum_under_mixed_is_the_reference(self, tmp_path):
-        """A spectrum solved in stacked RGF sweeps under an open
-        ``mixed`` scope is the reference bit for bit, and publishes
-        under the reference's keys: a warm re-run outside the scope
-        hits every one."""
+        """A spectrum solved in four-energy batches (one RGF sweep per
+        energy) under an open ``mixed`` scope is the reference bit for
+        bit, and publishes under the reference's keys: a warm re-run
+        outside the scope hits every one."""
         from repro.cache import ResultStore
         from repro.core.runner import compute_spectrum
         from repro.structure import linear_chain

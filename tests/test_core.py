@@ -223,3 +223,32 @@ class TestGateSweep:
         ss = subthreshold_swing(pts)
         assert ss > 55.0, f"unphysical subthreshold swing {ss} mV/dec"
         assert ss < 500.0  # and the device does turn on
+
+    def test_sweep_solves_each_boundary_once(self):
+        """The gate moves the channel only: one device family serves the
+        sweep, so each lead boundary is solved once per energy, not once
+        per (Vgs, E), and every current is bitwise a standalone one."""
+        from repro.observability.spans import SpanTracer, tracing
+
+        chain, basis = linear_chain(12, 0.25), single_s_basis()
+        t = abs(build_device(chain, basis, num_cells=12).lead.h01[0, 0])
+        energies = np.linspace(-2 * t + 0.01, 0.5, 8)
+        gate = dict(v_builtin=0.6, gate_coupling=1.0)
+        mu_source, vds = -2 * t + 0.25, 0.2
+        tracer = SpanTracer()
+        with tracing(tracer):
+            pts = gate_sweep(chain, basis, 12, vgs_values=[0.0, 0.2, 0.4],
+                             energies=energies, vds=vds,
+                             mu_source=mu_source, **gate)
+        obc = [sp for sp in tracer.records()
+               if sp.category == "stage" and sp.name == "OBC"]
+        assert len(obc) == 3 * len(energies)
+        misses = tracer.metrics.counter("obc_point_cache_misses").value
+        assert misses == len(energies)
+        for p in pts:
+            alone = compute_spectrum(
+                chain, basis, 12, energies, obc_method="dense",
+                solver="rgf", potential=gate_potential_profile(
+                    chain, vgs=p.vgs, **gate))
+            assert p.current.hex() \
+                == alone.current(mu_source, mu_source - vds).hex()

@@ -142,11 +142,10 @@ class TestAccounting:
         shared, m, led, obc = _traced(_production)
         iterations = sum(p.scf_iterations for p in shared.points)
         lead = build_device(_chain(), single_s_basis(), CELLS).lead
-        from repro.core.energygrid import adaptive_energy_grid
-        inner = adaptive_energy_grid(lead, *WINDOW, min_spacing=5e-3,
-                                     max_spacing=0.05)
-        final = adaptive_energy_grid(lead, *WINDOW, min_spacing=5e-3,
-                                     max_spacing=0.04)
+        from repro.core.energygrid import (FINAL_GRID, SCF_GRID,
+                                           adaptive_energy_grid)
+        inner = adaptive_energy_grid(lead, *WINDOW, **SCF_GRID)
+        final = adaptive_energy_grid(lead, *WINDOW, **FINAL_GRID)
         points = iterations * len(inner) + len(BIAS) * len(final)
         distinct = len(set(inner) | set(final))
         assert len(obc) == points

@@ -226,8 +226,6 @@ class TestTaskRunner:
         runner = ThreadTaskRunner(3)
         out = runner([lambda i=i: i * i for i in range(7)])
         assert out == [i * i for i in range(7)]
-        assert len(runner.task_times) == 7
-        assert all(t >= 0 for t in runner.task_times)
 
     def test_flops_attributed_to_nodes(self):
         from repro.linalg import gemm, ledger_scope

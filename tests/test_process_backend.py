@@ -20,6 +20,7 @@ from collections import defaultdict
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.parallel import (
     close_task_runner,
     descriptor_of,
     make_task_runner,
+    task_runner_scope,
 )
 from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError, TaskExecutionError
@@ -626,6 +628,25 @@ class TestBackendFactory:
             compute_spectrum(linear_chain(4, 0.25), single_s_basis(), 4,
                              [-0.5], backend="thread",
                              task_runner=ThreadTaskRunner(1))
+
+    def test_scope_closes_only_the_runner_it_built(self, monkeypatch):
+        import repro.parallel.backend as backend_mod
+
+        given = ThreadTaskRunner(1)
+        with task_runner_scope(given) as runner:
+            assert runner is given
+        built = SimpleNamespace(closed=False)
+        built.close = lambda: setattr(built, "closed", True)
+        monkeypatch.setattr(backend_mod, "make_task_runner",
+                            lambda backend, num_workers: built)
+        with pytest.raises(RuntimeError):
+            with task_runner_scope(backend="process") as runner:
+                assert runner is built
+                raise RuntimeError("a sweep that fails mid-way")
+        assert built.closed
+        with pytest.raises(ConfigurationError):
+            with task_runner_scope(given, backend="thread"):
+                pass
 
 
 class TestCheckpointTelemetryRoundTrip:

@@ -125,19 +125,17 @@ class TestSweepSharesOneFamily:
 
         import repro.core.energygrid as grid_mod
         import repro.core.production as production_mod
-        import repro.poisson.scf as scf_mod
 
-        eigensolves, grids = [], {scf_mod: [], production_mod: []}
+        eigensolves, grids = [], []
         real_sla = grid_mod.sla
         monkeypatch.setattr(grid_mod, "sla", SimpleNamespace(
             eigvalsh=lambda *a, **kw: eigensolves.append(1)
             or real_sla.eigvalsh(*a, **kw)))
-        real_spectrum = scf_mod.compute_spectrum
-        for mod, seen in grids.items():
-            monkeypatch.setattr(
-                mod, "compute_spectrum",
-                lambda *a, _seen=seen, **kw: _seen.append(a[3])
-                or real_spectrum(*a, **kw))
+        # every spectrum of the sweep is a call of its one transport
+        real_spectrum = production_mod.compute_spectrum
+        monkeypatch.setattr(
+            production_mod, "compute_spectrum",
+            lambda *a, **kw: grids.append(a[3]) or real_spectrum(*a, **kw))
         chain = linear_chain(6, 0.25)
         run_production(chain, single_s_basis(), 6, [0.0, 0.1], -0.5,
                        (-1.0, -0.4), scf_kwargs=dict(max_iter=1))
@@ -145,9 +143,54 @@ class TestSweepSharesOneFamily:
         monkeypatch.setattr(grid_mod, "sla", real_sla)
         from repro.hamiltonian import build_device
         lead = build_device(chain, single_s_basis(), 6).lead
-        for mod, max_spacing in ((scf_mod, 0.05), (production_mod, 0.04)):
-            want = grid_mod.adaptive_energy_grid(
-                lead, -1.0, -0.4, min_spacing=5e-3, max_spacing=max_spacing)
-            assert len(grids[mod]) == 2
-            for got in grids[mod]:
-                assert got.tobytes() == want.tobytes()
+        scf, final = (grid_mod.adaptive_energy_grid(lead, -1.0, -0.4,
+                                                    **spacing).tobytes()
+                      for spacing in (grid_mod.SCF_GRID,
+                                      grid_mod.FINAL_GRID))
+        # per bias point: one SCF iteration, then the final spectrum
+        assert [got.tobytes() for got in grids] == [scf, final] * 2
+
+
+class TestOneConfiguration:
+    """A sweep is configured once: the SCF defaults are one set, and one
+    transport callable solves every SCF iteration and final spectrum."""
+
+    SWEEP = dict(mu_source=-0.6, e_window=(-1.8, -0.2))
+
+    def test_scf_defaults_are_the_sweeps(self):
+        chain, basis, vds = linear_chain(8, 0.25), single_s_basis(), 0.1
+        point = run_production(chain, basis, 8, [vds],
+                               **self.SWEEP).points[0]
+        from repro.poisson.scf import schroedinger_poisson
+        alone = schroedinger_poisson(
+            chain, basis, 8, mu_l=self.SWEEP["mu_source"],
+            mu_r=self.SWEEP["mu_source"] - vds,
+            e_window=self.SWEEP["e_window"])
+        assert alone.iterations == point.scf_iterations
+        assert alone.converged == point.converged
+        assert alone.potential_atom.tobytes() == point.potential.tobytes()
+
+    def test_scf_kwargs_method_reaches_every_spectrum(self, monkeypatch):
+        import repro.core.production as production_mod
+
+        spectra = []
+        real = production_mod.compute_spectrum
+        monkeypatch.setattr(
+            production_mod, "compute_spectrum",
+            lambda *a, **kw: spectra.append(real(*a, **kw)) or spectra[-1])
+        method = dict(obc_method="feast", solver="splitsolve")
+        out = run_production(linear_chain(8, 0.25), single_s_basis(), 8,
+                             [0.1], scf_kwargs=dict(max_iter=2, **method),
+                             **self.SWEEP)
+        # the SCF iterations, then the final spectrum
+        assert len(spectra) == out.points[0].scf_iterations + 1 == 3
+        for spec in spectra:
+            assert len(spec.traces) == spec.transmission.size
+            for trace in spec.traces:
+                assert trace.stage("OBC").meta["method"] == "feast"
+                names = [st.name for st in trace.stages]
+                if "SOLVE" in names:
+                    assert trace.stage("SOLVE").meta["solver"] \
+                        == "splitsolve"
+        assert any("SOLVE" in [st.name for st in trace.stages]
+                   for trace in spectra[-1].traces)

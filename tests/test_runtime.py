@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.energygrid import adaptive_energy_grid
+from repro.core.energygrid import FINAL_GRID, adaptive_energy_grid
 from repro.core.production import run_production
 from repro.core.runner import compute_spectrum
 from repro.hamiltonian import build_device
@@ -83,7 +83,7 @@ def _gemm_task(n):
 
 
 class TestExecutorRegression:
-    """The stale-state bugs of ThreadTaskRunner.__call__."""
+    """The failure reporting of ThreadTaskRunner.__call__."""
 
     def test_failure_reports_task_index(self):
         runner = ThreadTaskRunner(2)
@@ -98,22 +98,6 @@ class TestExecutorRegression:
         assert err.value.node == "node0"
         assert isinstance(err.value.__cause__, ValueError)
 
-    def test_task_times_never_stale_after_failure(self):
-        """Regression: a raising task used to leave task_times from the
-        *previous* invocation, feeding old timings to the balancer."""
-        runner = ThreadTaskRunner(2)
-        runner([lambda: 0] * 5)
-        stale = list(runner.task_times)
-        assert len(stale) == 5
-
-        def boom():
-            raise RuntimeError("nope")
-
-        with pytest.raises(TaskExecutionError):
-            runner([lambda: 1, boom, lambda: 3])
-        assert len(runner.task_times) == 3      # fresh, not the stale 5
-        assert runner.task_times[0] is not None
-        assert runner.task_times[1] is not None  # failed task is timed too
 
 class TestBalancerRegression:
     def test_history_records_smoothed_model(self):
@@ -160,7 +144,6 @@ class TestResilientRunner:
         assert t.tasks_submitted == 6
         assert t.attempts == 6
         assert t.retries == 0 and t.giveups == 0
-        assert len(runner.task_times) == 6
 
     def test_sequential_fallback(self):
         runner = ResilientTaskRunner(max_retries=0)
@@ -675,7 +658,7 @@ class TestSweepRecord:
         point = self._sweep([0.1], scf_kwargs=method).points[0]
         energies = adaptive_energy_grid(
             build_device(chain, basis, 8).lead, *SWEEP["e_window"],
-            min_spacing=5e-3, max_spacing=0.04)
+            **FINAL_GRID)
 
         def current(**kwargs):
             return compute_spectrum(
