@@ -23,8 +23,8 @@ from repro.experiments import (
 def telemetry_section():
     """A small fault-protected (k, E) run with full stage telemetry.
 
-    Exercises the production wiring end to end: staged pipeline traces,
-    resilient retries, the measured per-k costs the dynamic load
+    Exercises the production wiring end to end: the staged pipeline's
+    per-point solve times, resilient retries, the measured per-k costs the dynamic load
     balancer consumes — and the cross-runner telemetry merge: two
     independent resilient runners (disjoint halves of the energy grid,
     as two sub-communicators would split it) report one coherent total

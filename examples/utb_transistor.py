@@ -48,8 +48,8 @@ def main():
         row = "".join(f"{spec.transmission[ik, i]:7.2f} "
                       for ik in range(len(spec.kpoints)))
         print(f"  {e:6.2f} {row} {tavg[i]:6.2f}")
-    seconds = [tr.total_seconds for tr in spec.traces]
-    print(f"\n{len(seconds)} (k, E) tasks ran on "
+    seconds = spec.seconds.ravel()
+    print(f"\n{seconds.size} (k, E) tasks ran on "
           f"{runner.num_workers} workers; "
           f"mean task time {np.mean(seconds) * 1e3:.1f} ms")
 

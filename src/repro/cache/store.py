@@ -164,9 +164,9 @@ def pack_result(res: EnergyPointResult) -> dict:
     """Array-only payload of one energy-point result.
 
     ``psi``/``from_left``/``velocities`` are included because downstream
-    consumers (the SCF density loop) read them.  Span traces and the
-    boundary object are deliberately dropped — a cache hit performs no
-    work to trace.
+    consumers (the SCF density loop) read them.  The solve's
+    ``seconds`` and the boundary object are deliberately dropped — a
+    cache hit performs no work to time.
     """
     return {
         "energy": np.float64(res.energy),
@@ -186,9 +186,9 @@ def pack_result(res: EnergyPointResult) -> dict:
 def unpack_result(record: dict) -> EnergyPointResult:
     """Rebuild an :class:`EnergyPointResult` from a stored payload.
 
-    The rebuilt result carries ``boundary=None`` and ``trace=None``: a
-    hit re-solves nothing, so there is no boundary operator and no span
-    trace to attach.  Arrays the record holds beyond the fields below
+    The rebuilt result carries ``boundary=None`` and ``seconds=0.0``:
+    a hit re-solves nothing, so there is no boundary operator and no
+    solve time to attach.  Arrays the record holds beyond the fields below
     are ignored.
     """
     return EnergyPointResult(
@@ -204,7 +204,6 @@ def unpack_result(record: dict) -> EnergyPointResult:
         from_left=np.asarray(record["from_left"]),
         velocities=np.asarray(record["velocities"]),
         boundary=None,
-        trace=None,
     )
 
 

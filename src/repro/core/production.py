@@ -7,8 +7,9 @@ other, and the workload is dynamically redistributed after each step."
 This driver runs that outer loop at laptop scale: for each bias point a
 self-consistent Schroedinger-Poisson solve, the Landauer current at the
 converged potential, and the dynamic load-balancer feedback that OMEN
-applies between iterations (recorded here from measured per-k wall
-times so the distribution logic runs on real data).  One checkpoint
+applies between iterations (recorded here once per bias point, from the
+measured per-k wall times of its final spectrum, so the distribution
+logic runs on real data).  One checkpoint
 record (:func:`sweep_record`), rewritten after every SCF iteration,
 resumes a killed sweep at the next SCF iteration of its bias point.
 """
@@ -96,7 +97,8 @@ def run_production(structure, basis, num_cells: int, bias_points,
     Notes
     -----
     Bias points run one after the other (as in OMEN), and the load
-    balancer learns per-k costs across points.  One transport callable
+    balancer learns per-k costs across points: it is fed once per bias
+    point, from the measured per-k time of the final spectrum.  One transport callable
     (:func:`sweep_transport`) solves every SCF iteration and every
     point's final spectrum, so a point's current comes from the method
     its potential converged with.  Every point's SCF starts from a zero
@@ -119,7 +121,7 @@ def run_production(structure, basis, num_cells: int, bias_points,
     balancer = None
     if num_nodes is not None:
         balancer = DynamicLoadBalancer(
-            num_nodes, [len(energies)] * num_k, smoothing=0.5)
+            num_nodes, [len(energies)] * len(family.kgrid), smoothing=0.5)
 
     with task_runner_scope(task_runner, backend, num_workers) as runner:
         spectrum, loop = sweep_transport(
@@ -157,13 +159,15 @@ def run_production(structure, basis, num_cells: int, bias_points,
                                     potential=scf.potential_atom))
             if balancer is not None:
                 # feed back the *measured* per-k wall times of this bias
-                # point's transport solve (stage traces), falling back to
-                # the energy-count proxy only if no traces were produced
-                if balancer.record_task_traces(spec.traces) is None:
-                    per_k = np.full(num_k, max(len(energies), 1),
-                                    dtype=float)
-                    dist = balancer.current_distribution()
-                    balancer.record_iteration(per_k / dist.nodes_per_k)
+                # point's final spectrum, falling back to the
+                # energy-count proxy only when every point was a store
+                # hit; the floor keeps a k with no fresh solve positive
+                per_k = spec.measured_time_per_k()
+                if not per_k.any():
+                    per_k = np.full(per_k.shape, float(len(energies)))
+                dist = balancer.current_distribution()
+                balancer.record_iteration(np.maximum(per_k, 1e-9)
+                                          / dist.nodes_per_k)
             save(points)
     return ProductionResult(points=points, balancer=balancer)
 

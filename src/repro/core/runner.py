@@ -35,8 +35,8 @@ class TransportSpectrum:
     #: that came home from a process worker carries ``boundary=None``,
     #: as a result-store hit does
     results: list = field(repr=False, default_factory=list)
-    #: per-task pipeline TaskTraces, one per (k, E) point
-    traces: list = field(repr=False, default_factory=list)
+    #: (nk, nE) wall time of each point's solve (0.0 for a store hit)
+    seconds: np.ndarray = field(repr=False, default=None)
     #: the task runner's RunTelemetry, when it exposes one
     telemetry: object = field(repr=False, default=None)
 
@@ -53,17 +53,12 @@ class TransportSpectrum:
                                 mu_l, mu_r, temperature_k)
 
     def measured_time_per_k(self) -> np.ndarray:
-        """Measured wall time per k-point, summed from the stage traces.
+        """Measured wall time per k-point: the row sums of ``seconds``.
 
         This is what the dynamic load balancer consumes: the real cost of
         each momentum point, not a uniform proxy.
         """
-        num_k = len(self.kpoints)
-        out = np.zeros(num_k, dtype=float)
-        for tr in self.traces:
-            if tr is not None and 0 <= tr.kpoint_index < num_k:
-                out[tr.kpoint_index] += tr.total_seconds
-        return out
+        return self.seconds.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -234,11 +229,10 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         unit solved through :meth:`TransportPipeline.solve_batch` — the
         open boundaries energy by energy, one stacked assembly, and one
         solver call per energy — so every solver returns the bits of the
-        one-energy run.  Per-energy TaskTraces are emitted
-        whatever the size (a stage that ran once for several energies
-        splits equally), so the dynamic load balancer's measured per-k
-        costs and
-        :meth:`TransportSpectrum.measured_time_per_k` work identically.
+        one-energy run.  A unit's wall time is split equally over its
+        energies whatever the size, so
+        :meth:`TransportSpectrum.measured_time_per_k` (the dynamic load
+        balancer's measured per-k costs) works identically.
     backend : {"serial", "thread", "process"}, optional
         Convenience alternative to ``task_runner``: build (and own) the
         runner via :func:`repro.parallel.make_task_runner` with
@@ -319,6 +313,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
 
     trans = np.zeros((len(kgrid), energies.size))
     counts = np.zeros((len(kgrid), energies.size), dtype=int)
+    seconds = np.zeros((len(kgrid), energies.size))
 
     # Partition every unit into store hits and misses *before*
     # scheduling: fully-hit units never become tasks, partially-hit
@@ -379,7 +374,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                                spec, rstore)
 
     results = []
-    traces = []
     with task_runner_scope(task_runner, backend, num_workers) as runner:
         # A runner returns every unit's output at once; without one each
         # task is called in place, when its turn comes.
@@ -407,11 +401,11 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             merged = [fresh[ie] if ie in fresh
                       else unpack_result(unit_hits[ui][ie])
                       for ie in units[ui][1]]
-            _absorb_unit(units[ui], merged, trans, counts, results,
-                         traces)
+            _absorb_unit(units[ui], merged, trans, counts, seconds,
+                         results)
     return TransportSpectrum(energies=energies, kpoints=kgrid,
                              transmission=trans, mode_counts=counts,
-                             results=results, traces=traces,
+                             results=results, seconds=seconds,
                              telemetry=getattr(runner, "telemetry", None))
 
 
@@ -427,21 +421,18 @@ def _make_task(pipe, cache, unit_energies, ik, ies, spec, rstore):
     return task
 
 
-def _absorb_unit(unit, outputs, trans, counts, results, traces) -> None:
+def _absorb_unit(unit, outputs, trans, counts, seconds, results) -> None:
     """Fold one completed (k, E-batch) unit into the spectrum arrays.
 
-    Cache hits arrive with ``trace=None`` (nothing was solved); they
-    contribute to the transmission/mode-count arrays and ``results`` but
-    add no task trace — the stage table of ``traces`` therefore holds
-    exactly the freshly solved work, with hits at zero flops.
+    Cache hits arrive with ``seconds=0.0`` (nothing was solved), so the
+    measured per-k time holds exactly the freshly solved work.
     """
     ik, ies = unit
     for ie, res in zip(ies, outputs):
         trans[ik, ie] = res.transmission_lr
         counts[ik, ie] = res.num_prop_left
+        seconds[ik, ie] = res.seconds
         results.append(res)
-        if res.trace is not None:
-            traces.append(res.trace)
 
 
 def landauer_current(energies, transmission, mu_l: float, mu_r: float,
@@ -449,15 +440,17 @@ def landauer_current(energies, transmission, mu_l: float, mu_r: float,
     """I = (2e/h) int dE T(E) [f(E - mu_l) - f(E - mu_r)], in amperes.
 
     Trapezoid integration over the (possibly non-uniform, adaptive)
-    energy grid.
+    energy grid, which needs at least two energies: one energy spans no
+    interval, and ``2e^2/h T f`` there is a conductance, not a current.
     """
     energies = np.asarray(energies, dtype=float)
     transmission = np.asarray(transmission, dtype=float)
     if energies.shape != transmission.shape:
         raise ConfigurationError("energies/transmission shape mismatch")
+    if energies.size < 2:
+        raise ConfigurationError(
+            "the Landauer current integrates over at least two energies")
     df = fermi(energies, mu_l, temperature_k) \
         - fermi(energies, mu_r, temperature_k)
-    if energies.size == 1:
-        return float(LANDAUER_2E_OVER_H * transmission[0] * df[0])
     return float(LANDAUER_2E_OVER_H
                  * np.trapezoid(transmission * df, energies))

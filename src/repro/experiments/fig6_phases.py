@@ -6,10 +6,10 @@ whose cosine bands put propagating modes at mid-band — with kernel
 tracing enabled, and reports
 
 * the pipeline stage split (PREPARE/OBC/ASSEMBLE/SOLVE/ANALYZE) from the
-  task's :class:`~repro.pipeline.TaskTrace` (the paper's Fig. 6 phases,
-  measured instead of sketched),
+  point's stage spans (the paper's Fig. 6 phases, measured instead of
+  sketched),
 * SplitSolve's internal phase times (P1-P4 local inversion, recursive
-  spike merges, postprocessing) from the SOLVE stage's solver
+  spike merges, postprocessing) from the SOLVE span's solver
   diagnostics, and
 * the per-simulated-GPU activity table (the nvprof profile of
   Fig. 12b).
@@ -66,7 +66,9 @@ def run(num_blocks: int = 32, block_size: int = 24,
     totals = phase_totals(spans)
     check = reconcile(spans, led.total_flops)
 
-    solve_meta = result.trace.stage("SOLVE").meta
+    (solve,) = [sp for sp in spans
+                if sp.category == "stage" and sp.name == "SOLVE"]
+    solve_meta = solve.attrs
     # restrict the activity table to the simulated accelerators: the OBC
     # and analysis stages run on the host and would add a "cpu" row
     activity = {dev: act for dev, act in

@@ -35,8 +35,9 @@ class EnergyPointResult:
     #: ``None``, as a result-store hit does: the boundary stays in the
     #: solving worker's memo, where its next solve reads it.
     boundary: OpenBoundary = field(repr=False, default=None)
-    #: per-stage TaskTrace when solved through the pipeline (else None)
-    trace: object = field(repr=False, default=None)
+    #: wall time of the solve: its pipeline batch's time split equally
+    #: over the batch's energies (0.0 on a result-store hit)
+    seconds: float = field(repr=False, default=0.0)
 
     def __getstate__(self):
         """Everything but the boundary: Sigma, t01 and M_L/R are most of

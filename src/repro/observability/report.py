@@ -15,8 +15,8 @@ produces the three views the paper tells its performance story with:
 
 :func:`fold_stage` is the only code that adds a stage to a table: the
 report over a finished span log, ``watch`` over a growing one and the
-memory view all go through it, over the records one
-:func:`~repro.pipeline.trace.batch_stage_scope` writes.
+memory view all go through it, over the stage spans
+:func:`~repro.pipeline.trace.stage_scope` emits.
 :func:`reconcile` is the one check such a table can still fail: its
 flop and byte totals against the surrounding ledger.
 """
@@ -51,24 +51,21 @@ def fold_stage(table: dict, name: str, seconds: float, flops: int,
         row["priced_bytes"] += int(nbytes)
 
 
-def phase_totals(records, category: str = "stage") -> dict:
-    """:func:`fold_stage` over the records of one category, by name.
+def phase_totals(spans, category: str = "stage") -> dict:
+    """:func:`fold_stage` over the spans of one category, by name.
 
-    ``records`` are :class:`~repro.observability.spans.Span` objects or
-    :class:`~repro.pipeline.trace.StageTrace` rows (a record without a
-    ``category`` counts); the table is in first-seen order.  For
-    ``category="stage"`` this is the Fig. 6 phase table; per-stage
-    flops and bytes are exact integer sums of the stage probe ledgers,
-    so they reconcile bit-for-bit with the surrounding
-    :class:`~repro.linalg.flops.FlopLedger`.
+    ``spans`` are :class:`~repro.observability.spans.Span` objects; the
+    table is in first-seen order.  For ``category="stage"`` this is the
+    Fig. 6 phase table; per-stage flops and bytes are exact integer sums
+    of the stage probe ledgers, so they reconcile bit-for-bit with the
+    surrounding :class:`~repro.linalg.flops.FlopLedger`.
     """
     out: dict = {}
-    for rec in records:
-        if getattr(rec, "category", category) != category:
+    for sp in spans:
+        if sp.category != category:
             continue
-        notes = rec.attrs if hasattr(rec, "attrs") else rec.meta
-        fold_stage(out, rec.name, rec.seconds, rec.flops, rec.bytes_moved,
-                   notes.get("predicted_bytes", 0))
+        fold_stage(out, sp.name, sp.seconds, sp.flops, sp.bytes_moved,
+                   sp.attrs.get("predicted_bytes", 0))
     return out
 
 
@@ -223,8 +220,8 @@ def reconcile(records, ledger_total_flops: int,
               ledger_total_bytes: int | None = None) -> dict:
     """Check the stage table of ``records`` against the ledger totals.
 
-    Every stage view is :func:`phase_totals` over the records one
-    :func:`~repro.pipeline.trace.batch_stage_scope` writes, so the one
+    Every stage view is :func:`phase_totals` over the spans
+    :func:`~repro.pipeline.trace.stage_scope` emits, so the one
     way a stage table and the surrounding
     :class:`~repro.linalg.flops.FlopLedger` can still disagree is a
     kernel recorded outside every stage scope: it is in the ledger and

@@ -170,12 +170,10 @@ class SpanTracer:
              bytes_moved: int = 0, worker: str | None = None,
              attrs: dict | None = None,
              parent_id: int | None = None) -> Span | None:
-        """Record a completed span post hoc (e.g. from a StageTrace).
+        """Record a completed span post hoc (e.g. a pipeline stage).
 
-        ``seconds`` is an alternative to ``t_stop``; when the exact
-        measured duration is known (a stage's ``StageTrace.seconds``)
-        passing it keeps the exported span bit-identical to the table
-        the reconciliation checks compare against.
+        ``seconds`` is an alternative to ``t_stop``, for a caller that
+        measured the duration itself (a stage scope's wall time).
         """
         if not self.enabled:
             return None

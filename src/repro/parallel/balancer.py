@@ -81,33 +81,6 @@ class DynamicLoadBalancer:
                            self.predicted_iteration_time()})
         return dist
 
-    def record_task_traces(self, traces):
-        """Feed back *measured* per-task times from pipeline traces.
-
-        ``traces`` are :class:`repro.pipeline.TaskTrace` objects (``None``
-        entries are skipped).  Their wall times are summed per momentum —
-        the total serial work of each k — and divided by the nodes
-        currently assigned to that k, which is the per-group time
-        :meth:`record_iteration` expects.  Returns the new distribution,
-        or ``None`` when no trace carried a usable k-point index.
-        """
-        per_k = np.zeros(self._work.shape, dtype=float)
-        hits = 0
-        for tr in traces:
-            if tr is None:
-                continue
-            ik = getattr(tr, "kpoint_index", -1)
-            if 0 <= ik < per_k.size:
-                per_k[ik] += tr.total_seconds
-                hits += 1
-        if hits == 0:
-            return None
-        dist = self.current_distribution()
-        # floor: a momentum whose points all hit the trace-less path (or
-        # ran in no measurable time) must still be positive for the EMA
-        per_k = np.maximum(per_k, 1e-9)
-        return self.record_iteration(per_k / dist.nodes_per_k)
-
     def predicted_iteration_time(self, work=None) -> float:
         """Max over k of (work_k / nodes_k): the slowest group's time.
 

@@ -102,8 +102,7 @@ class ProcessTaskRunner:
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
         self.num_workers = num_workers
-        #: merged per-worker telemetry (RunTelemetry view; the parent's
-        #: ``compute_spectrum`` also folds task traces into it)
+        #: merged per-worker telemetry (RunTelemetry view)
         self.telemetry = RunTelemetry()
         #: ``"fork"`` or ``"spawn"`` while the workers are up
         self.start_method = None

@@ -6,9 +6,9 @@ ANALYZE`` stage sequence (:class:`TransportPipeline`), stage
 implementations are pluggable through decorator registries
 (:func:`register_solver`, :func:`register_obc_method`), potential-invariant
 data lives in a :class:`DeviceFamily` and k-invariant data of one potential
-in its :class:`DeviceCache` objects, and every stage emits a
-:class:`StageTrace` that rolls up into the run's stage table and measured
-load-balancer costs.
+in its :class:`DeviceCache` objects, and every stage runs under
+:func:`stage_scope`, whose ``category="stage"`` span is the stage's one
+record in the run's stage table.
 
 ``TransportPipeline``, ``DeviceFamily`` and ``DeviceCache`` are imported
 lazily: the registry and trace primitives must stay importable from low-level
@@ -27,9 +27,7 @@ from repro.pipeline.registry import (
     register_solver,
     resolve_solver_name,
 )
-from repro.pipeline.trace import (STAGES, StageTrace, TaskTrace,
-                                  apportion_exact, batch_stage_scope,
-                                  stage_scope)
+from repro.pipeline.trace import STAGES, stage_scope
 
 __all__ = [
     "AUTO",
@@ -42,11 +40,7 @@ __all__ = [
     "register_solver",
     "resolve_solver_name",
     "STAGES",
-    "StageTrace",
-    "TaskTrace",
     "stage_scope",
-    "batch_stage_scope",
-    "apportion_exact",
     "TransportPipeline",
     "DeviceCache",
     "DeviceFamily",

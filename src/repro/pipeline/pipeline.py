@@ -17,14 +17,16 @@ registry call per energy on every path; ``solver="auto"`` is resolved
 from each energy's injection width through the
 :mod:`repro.perfmodel.costmodel` flop models (the OMEN-style
 SplitSolve-vs-RGF choice).  Every stage runs under
-:func:`repro.pipeline.trace.batch_stage_scope`, so each
-:class:`~repro.negf.transmission.EnergyPointResult` carries a
-:class:`~repro.pipeline.trace.TaskTrace` whose stage flop counts
-reconcile exactly with the surrounding :mod:`repro.linalg.flops` ledger.
+:func:`repro.pipeline.trace.stage_scope`: under a tracer each stage is
+one ``category="stage"`` span whose flop counts reconcile exactly with
+the surrounding :mod:`repro.linalg.flops` ledger, and each
+:class:`~repro.negf.transmission.EnergyPointResult` carries its share
+of the wall time in ``seconds``.
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import ExitStack
 
 import numpy as np
@@ -35,7 +37,7 @@ from repro.observability.spans import current_tracer
 from repro.perfmodel import costmodel
 from repro.pipeline.cache import DeviceCache, as_cache
 from repro.pipeline.registry import AUTO, SOLVERS, resolve_solver_name
-from repro.pipeline.trace import TaskTrace, batch_stage_scope
+from repro.pipeline.trace import stage_scope
 from repro.utils.errors import ConfigurationError, SingularMatrixError
 
 
@@ -101,14 +103,14 @@ class TransportPipeline:
         that width, on that energy's slice of the stack.  All of it is
         bitwise the one-energy run, energy for energy.
 
-        One :class:`~repro.pipeline.TaskTrace` is emitted *per energy*.
-        OBC, SOLVE and ANALYZE are measured per energy; a stage that ran
-        once for several energies (PREPARE, ASSEMBLE) splits its wall
-        time equally and its flops and bytes into exact equal integer
-        shares, so ledger reconciliation holds (see
-        :func:`~repro.pipeline.trace.batch_stage_scope`).
+        OBC, SOLVE and ANALYZE are one stage span per energy; PREPARE
+        and ASSEMBLE, which run once for the batch, are one span that
+        names all its energies (see
+        :func:`~repro.pipeline.trace.stage_scope`).
 
-        Returns one :class:`EnergyPointResult` per energy, input order.
+        Returns one :class:`EnergyPointResult` per energy, input order,
+        each carrying the batch's wall time split equally in
+        ``seconds``.
         """
         energies = list(energies)
         if energy_indices is None:
@@ -129,38 +131,34 @@ class TransportPipeline:
             raise ConfigurationError(
                 "energy_indices must match energies one-to-one")
         ne = len(energies)
-        traces = [TaskTrace(kpoint_index=kpoint_index,
-                            energy_index=int(ie), energy=e)
-                  for ie, e in zip(energy_indices, energies)]
         tracer = current_tracer()
+        t0 = time.perf_counter()
 
         with ExitStack() as scopes:
             if self._workspace is not None:
                 scopes.enter_context(arena_scope(self._workspace))
                 scopes.callback(self._emit_arena_stats)
 
-            with batch_stage_scope(traces, "PREPARE") as sts:
+            with stage_scope("PREPARE", kpoint_index, energy_indices):
                 cache.warm()
-                for st in sts:
-                    st.meta["batch_size"] = ne
 
             # OBC: one scope per energy around that energy's lookup, so
-            # its trace reads what that boundary cost.  A boundary the
+            # its span reads what that boundary cost.  A boundary the
             # memo (or the caller) already held is a stage that solved
             # nothing: no predicted bytes next to its 0 measured ones.
             obs = []
-            for j, (e, tr) in enumerate(zip(energies, traces)):
-                with batch_stage_scope([tr], "OBC") as (st,):
+            for j, (e, ie) in enumerate(zip(energies, energy_indices)):
+                with stage_scope("OBC", kpoint_index, [ie]) as notes:
                     if boundaries is not None:
                         ob, hit = boundaries[j], True
                     else:
                         ob, hit = cache.lookup_boundary(
                             e, self.obc_method, **self.obc_kwargs)
-                    st.meta["method"] = ob.method or self.obc_method
+                    notes["method"] = ob.method or self.obc_method
                     if hit:
-                        st.meta["reused"] = True
+                        notes["reused"] = True
                     elif "predicted_bytes" in ob.info:
-                        st.meta["predicted_bytes"] = int(
+                        notes["predicted_bytes"] = int(
                             ob.info["predicted_bytes"])
                     if tracer is not None:
                         tracer.metrics.histogram("obc_iterations").observe(
@@ -171,20 +169,19 @@ class TransportPipeline:
                             "obc_method")
                 obs.append(ob)
 
-            injs = []
-            with batch_stage_scope(traces, "ASSEMBLE") as sts:
+            with stage_scope("ASSEMBLE", kpoint_index,
+                             energy_indices) as notes:
                 a_batch = cache.a_matrix_batch(energies)
-                for ob, st in zip(obs, sts):
-                    inj = ob.injection_matrix(cache.num_blocks,
-                                              cache.block_sizes)
-                    injs.append(inj)
-                    st.meta.update(num_rhs=int(inj.shape[1]),
-                                   batch_size=ne)
+                injs = [ob.injection_matrix(cache.num_blocks,
+                                            cache.block_sizes)
+                        for ob in obs]
+                notes["num_rhs"] = [int(inj.shape[1]) for inj in injs]
 
             # SOLVE: one registry call, one scope and one span per
             # energy; a point with no propagating modes solves nothing.
             psis = [None] * ne
-            for j, (tr, ob, inj) in enumerate(zip(traces, obs, injs)):
+            for j, (ie, ob, inj) in enumerate(zip(energy_indices, obs,
+                                                   injs)):
                 width = int(inj.shape[1])
                 if width == 0:
                     continue
@@ -193,17 +190,17 @@ class TransportPipeline:
                     block_size=int(max(cache.block_sizes)),
                     num_rhs=width, num_partitions=self.num_partitions,
                     **self._pricing_widths(cache))
-                predicted = self._predicted_solve_bytes(
-                    cache, name, width, self.num_partitions)
-                with batch_stage_scope([tr], "SOLVE") as (st,):
-                    info: dict = {}
+                # priced only for the span that carries it
+                predicted = None if tracer is None else \
+                    self._predicted_solve_bytes(cache, name, width,
+                                                self.num_partitions)
+                with stage_scope("SOLVE", kpoint_index, [ie]) as notes:
                     x = SOLVERS.get(name)(
                         a_batch.point(j), ob, inj,
-                        num_partitions=self.num_partitions, info=info)
-                    st.meta.update(info)
-                    st.meta.update(solver=name, num_rhs=width)
-                    if predicted is not None:
-                        st.meta["predicted_bytes"] = int(predicted)
+                        num_partitions=self.num_partitions, info=notes)
+                    notes.update(solver=name, num_rhs=width)
+                    if predicted:
+                        notes["predicted_bytes"] = int(predicted)
                 # rgf / bcr factor with check_finite=False: a NaN in
                 # A(E) comes back as a NaN psi, not an error
                 if not np.isfinite(x).all():
@@ -214,20 +211,22 @@ class TransportPipeline:
                 psis[j] = x
 
             results = []
-            for j, (tr, ob) in enumerate(zip(traces, obs)):
+            for j, (ie, ob) in enumerate(zip(energy_indices, obs)):
                 if psis[j] is None:     # nothing solved, nothing to time
                     result = analyze_solution(
                         cache, ob, np.zeros((cache.num_orbitals, 0),
                                             dtype=complex),
                         ob.from_left, ob.injected_flux)
                 else:
-                    with batch_stage_scope([tr], "ANALYZE"):
+                    with stage_scope("ANALYZE", kpoint_index, [ie]):
                         result = analyze_solution(
                             cache, ob, psis[j], ob.from_left,
                             ob.injected_flux)
-                result.trace = tr
                 results.append(result)
-            return results
+        seconds = (time.perf_counter() - t0) / ne
+        for result in results:
+            result.seconds = seconds
+        return results
 
     def _pricing_widths(self, cache) -> dict:
         """The coupling and boundary support widths and the dtype of

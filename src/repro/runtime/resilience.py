@@ -134,7 +134,7 @@ class RunTelemetry:
     registry, and the familiar attributes are read-through properties.
     The stage breakdown of a run is not here: it is
     :func:`~repro.observability.report.phase_totals` over the run's
-    spans or ``TransportSpectrum.traces``.  That makes telemetry
+    stage spans.  That makes telemetry
 
     * **mergeable** — :meth:`merge` folds another runner's telemetry in
       without ever sharing a lock, so production runs with several

@@ -5,7 +5,7 @@ contract ``fn(a, ob, inj, *, num_partitions=1, info=None) -> psi`` —
 and is registered in
 :data:`repro.pipeline.registry.SOLVERS` under the names of the paper's
 Fig. 8 comparison.  ``info`` (when a dict is passed) receives solver
-diagnostics that end up on the SOLVE :class:`~repro.pipeline.StageTrace`.
+diagnostics that end up as attributes of the SOLVE stage span.
 """
 
 from __future__ import annotations

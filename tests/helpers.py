@@ -616,3 +616,35 @@ def reference_build_matrices(structure, basis):
             images[(-ny, -nz)] = (h.T.tocsr(), s.T.tocsr())
     return RealSpaceMatrices(structure=structure, basis=basis,
                              images=images, offsets=offsets)
+
+
+# -- stage spans of a traced run ---------------------------------------------
+
+def stage_spans(spans, name=None, energy_index=None, kpoint=None):
+    """The stage spans among ``spans`` (a tracer or a span list), in
+    emission order; those called ``name``, naming energy
+    ``energy_index`` or k-point ``kpoint`` when given."""
+    if hasattr(spans, "records"):
+        spans = spans.records()
+    return [sp for sp in spans if sp.category == "stage"
+            and (name is None or sp.name == name)
+            and (energy_index is None
+                 or energy_index in sp.attrs["energy_indices"])
+            and (kpoint is None or sp.attrs["kpoint"] == kpoint)]
+
+
+def stage_names(spans, energy_index, kpoint=None):
+    """The stage sequence one energy went through."""
+    return [sp.name for sp in stage_spans(spans, energy_index=energy_index,
+                                          kpoint=kpoint)]
+
+
+def stage_span(spans, name, energy_index=None, kpoint=None):
+    """The one ``name`` span of an energy (of the run, when omitted)."""
+    (sp,) = stage_spans(spans, name, energy_index, kpoint)
+    return sp
+
+
+def stage_flops(spans) -> int:
+    """Total flops of the stage spans: what reconciles with the ledger."""
+    return sum(sp.flops for sp in stage_spans(spans))

@@ -25,14 +25,16 @@ from repro.linalg.flops import ledger_scope
 from repro.linalg.kernels import gemm, lu_factor, lu_solve, solve_many
 from repro.observability.spans import tracing
 from repro.perfmodel.costmodel import kernel_flops, rgf_kernels
-from repro.pipeline import TransportPipeline, apportion_exact, batch_stage_scope
-from repro.pipeline.trace import TaskTrace
+from repro.pipeline import TransportPipeline
+from repro.pipeline.trace import stage_scope
 from repro.solvers import assemble_t, assemble_t_batched, solve_rgf, \
     solve_rgf_batched
 from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError, ShapeError
 
 from tests.test_hamiltonian import single_s_basis
+from tests.helpers import (stage_flops, stage_names, stage_span,
+                                     stage_spans)
 
 
 def _stack(rng, ne, m, n):
@@ -162,25 +164,16 @@ class TestBatchedRgf:
 
 
 class TestApportionment:
-    def test_apportion_exact_sums(self):
-        for total, n in [(100, 3), (7, 3), (5, 2), (0, 2), (11, 1)]:
-            shares = apportion_exact(total, n)
-            assert len(shares) == n
-            assert sum(shares) == total
-            assert all(isinstance(s, int) for s in shares)
-            assert max(shares) - min(shares) <= 1
-        assert apportion_exact(10, 0) == []
-
     def test_batch_stage_scope_reconciles(self, rng):
-        traces = [TaskTrace(energy_index=j) for j in range(3)]
         a = _stack(rng, 3, 4, 4)
-        with ledger_scope() as led:
-            with batch_stage_scope(traces, "SOLVE") as sts:
-                gemm_batched(a, a)
-                assert len(sts) == 3
-        stage_flops = [tr.stage("SOLVE").flops for tr in traces]
-        assert sum(stage_flops) == led.total_flops
-        assert max(stage_flops) - min(stage_flops) <= 1
+        with tracing() as tracer:
+            with ledger_scope() as led:
+                with stage_scope("SOLVE", 0, [0, 1, 2]):
+                    gemm_batched(a, a)
+        # one span for the batch, carrying all of its flops
+        sp = stage_span(tracer, "SOLVE")
+        assert sp.attrs["energy_indices"] == [0, 1, 2]
+        assert sp.flops == led.total_flops
 
 
 def _ragged_lead():
@@ -201,35 +194,39 @@ class TestSolveBatch:
         pipe = TransportPipeline(obc_method="dense", solver="rgf")
         cache = pipe.cache(dev)
         energies = [1.7, 1.9, 2.1, 2.3]
-        ref = [pipe.solve_point(cache, e, energy_index=j)
-               for j, e in enumerate(energies)]
-        got = pipe.solve_batch(cache, energies)
-        for r, g in zip(ref, got):
+        with tracing() as one:
+            ref = [pipe.solve_point(cache, e, energy_index=j)
+                   for j, e in enumerate(energies)]
+        with tracing() as batch:
+            got = pipe.solve_batch(cache, energies)
+        for j, (r, g) in enumerate(zip(ref, got)):
             assert r.transmission_lr == g.transmission_lr
             assert r.num_prop_left == g.num_prop_left
             assert np.array_equal(g.psi, r.psi)
-            assert g.trace.stage("SOLVE").flops \
-                == r.trace.stage("SOLVE").flops
+            assert stage_span(batch, "SOLVE", j).flops \
+                == stage_span(one, "SOLVE", j).flops
 
     def test_ragged_widths_bucketed(self):
         dev = synthetic_device_from_lead(_ragged_lead(), 6)
         pipe = TransportPipeline(obc_method="dense", solver="rgf")
         cache = pipe.cache(dev)
         energies = [2.0, 5.0, 2.05, 8.5]   # widths 4, 2, 4, 0
-        results = pipe.solve_batch(cache, energies)
+        with tracing() as tracer:
+            results = pipe.solve_batch(cache, energies)
         widths = [r.psi.shape[1] for r in results]
         assert widths == [4, 2, 4, 0]
         for j, e in enumerate(energies):
             ref = pipe.solve_point(cache, e)
             assert abs(ref.transmission_lr
                        - results[j].transmission_lr) <= 1e-10
-        # the no-modes energy skips SOLVE/ANALYZE but still has a trace
-        names = [s.name for s in results[3].trace.stages]
+        # the no-modes energy skips SOLVE/ANALYZE but still has spans
+        names = stage_names(tracer, 3)
         assert "SOLVE" not in names and "OBC" in names
         assert results[3].transmission_lr == 0.0
+        assert stage_span(tracer, "ASSEMBLE").attrs["num_rhs"] == widths
         # every energy that injects is one "rgf" call of its own width
-        for res, width in zip(results[:3], widths):
-            meta = res.trace.stage("SOLVE").meta
+        for j, width in enumerate(widths[:3]):
+            meta = stage_span(tracer, "SOLVE", j).attrs
             assert meta["solver"] == "rgf" and meta["num_rhs"] == width
             assert "bucket_size" not in meta
 
@@ -237,13 +234,14 @@ class TestSolveBatch:
         dev = synthetic_device_from_lead(_test_lead(5, seed=4), 6)
         pipe = TransportPipeline(obc_method="dense", solver="rgf")
         cache = pipe.cache(dev)
-        ref = pipe.solve_point(cache, 2.0, energy_index=0)
-        got = pipe.solve_batch(cache, [2.0], energy_indices=[0])
+        with tracing() as one:
+            ref = pipe.solve_point(cache, 2.0, energy_index=0)
+        with tracing() as batch:
+            got = pipe.solve_batch(cache, [2.0], energy_indices=[0])
         assert len(got) == 1
         assert np.array_equal(got[0].psi, ref.psi)
         assert got[0].transmission_lr == ref.transmission_lr
-        assert [s.name for s in got[0].trace.stages] == \
-            [s.name for s in ref.trace.stages]
+        assert stage_names(batch, 0) == stage_names(one, 0)
 
     @pytest.mark.parametrize("obc_method",
                              ["dense", "feast", "shift_invert"])
@@ -259,37 +257,45 @@ class TestSolveBatch:
             obc_method=obc_method, solver=solver, obc_kwargs=kw,
             num_partitions=2 if solver == "splitsolve" else 1)
         energies = [0.5, 4.2, 2.0, -0.5, 4.1, 1.0]
-        with ledger_scope() as led:
+        with tracing() as batch_spans, ledger_scope() as led:
             batch = pipe.solve_batch(pipe.cache(dev), energies)
-        assert sum(r.trace.total_flops for r in batch) == led.total_flops
+        assert stage_flops(batch_spans) == led.total_flops
         widths = [r.psi.shape[1] for r in batch]
         assert len(set(widths)) >= 2 and 0 in widths
         for j, e in enumerate(energies):
             # fresh caches: nothing memoized, every stage runs
-            with ledger_scope() as led:
+            with tracing() as point_spans, ledger_scope() as led:
                 point = pipe.solve_point(pipe.cache(dev), e)
-            assert point.trace.total_flops == led.total_flops
-            (one,) = pipe.solve_batch(pipe.cache(dev), [e])
-            for got in (one, batch[j]):
+            assert stage_flops(point_spans) == led.total_flops
+            with tracing() as one_spans:
+                (one,) = pipe.solve_batch(pipe.cache(dev), [e])
+            for got, spans, ie in ((one, one_spans, 0),
+                                   (batch[j], batch_spans, j)):
                 assert got.transmission_lr == point.transmission_lr
                 assert got.transmission_rl == point.transmission_rl
                 assert got.num_prop_left == point.num_prop_left
                 assert got.num_prop_right == point.num_prop_right
                 assert np.array_equal(got.psi, point.psi)
-                assert [s.name for s in got.trace.stages] \
-                    == [s.name for s in point.trace.stages]
-            assert one.trace.total_flops == point.trace.total_flops
+                assert stage_names(spans, ie) \
+                    == stage_names(point_spans, -1)
+            assert stage_flops(one_spans) == stage_flops(point_spans)
             if widths[j]:
-                assert batch[j].trace.stage("SOLVE").meta["solver"] \
-                    == point.trace.stage("SOLVE").meta["solver"]
+                assert stage_span(batch_spans, "SOLVE", j) \
+                    .attrs["solver"] \
+                    == stage_span(point_spans, "SOLVE").attrs["solver"]
 
     def test_splitsolve_info_survives_on_a_batch(self):
         dev = synthetic_device_from_lead(_test_lead(6, seed=3), 8)
         pipe = TransportPipeline(obc_method="dense", solver="splitsolve",
                                  num_partitions=2)
-        point = pipe.solve_point(dev, 2.0).trace.stage("SOLVE").meta
-        for res in pipe.solve_batch(dev, [1.7, 1.9, 2.1, 2.3]):
-            meta = res.trace.stage("SOLVE").meta
+        with tracing() as tracer:
+            pipe.solve_point(dev, 2.0)
+        point = stage_span(tracer, "SOLVE").attrs
+        with tracing() as tracer:
+            pipe.solve_batch(dev, [1.7, 1.9, 2.1, 2.3])
+        solves = stage_spans(tracer, "SOLVE")
+        assert len(solves) == 4
+        for meta in (sp.attrs for sp in solves):
             assert meta["solver"] == "splitsolve"
             assert set(meta["phase_times"]) == set(point["phase_times"])
             assert meta["num_devices"] == point["num_devices"]
@@ -299,9 +305,9 @@ class TestSolveBatch:
         dev = synthetic_device_from_lead(_test_lead(5, seed=6), 6)
         pipe = TransportPipeline(obc_method="dense", solver="rgf")
         cache = pipe.cache(dev)
-        with ledger_scope() as led:
-            results = pipe.solve_batch(cache, [1.8, 2.0, 2.2])
-        assert sum(r.trace.total_flops for r in results) == led.total_flops
+        with tracing() as tracer, ledger_scope() as led:
+            pipe.solve_batch(cache, [1.8, 2.0, 2.2])
+        assert stage_flops(tracer) == led.total_flops
 
     def test_validation(self):
         dev = synthetic_device_from_lead(_test_lead(4, seed=0), 4)
@@ -327,7 +333,8 @@ class TestComputeSpectrumBatched:
                                energy_batch_size=3)
         assert np.max(np.abs(ref.transmission - bat.transmission)) <= 1e-10
         assert np.array_equal(ref.mode_counts, bat.mode_counts)
-        assert len(bat.traces) == len(ref.traces) == es.size
+        assert bat.seconds.shape == ref.seconds.shape == (1, es.size)
+        assert np.all(bat.seconds > 0)
         assert bat.measured_time_per_k().shape == (1,)
 
     def test_rejects_bad_batch_size(self):
@@ -371,8 +378,10 @@ class TestComputeSpectrumBatched:
         assert tracer.metrics.counter("result_store_misses").value == 3
         assert [t.hex() for t in res.transmission.ravel()] \
             == [t.hex() for t in ref.transmission.ravel()]
-        # only the second unit was solved after the restart
-        assert len(res.traces) == 3
+        # only the second unit was solved after the restart: store hits
+        # add no stage and no solve time
+        assert len(stage_spans(tracer, "OBC")) == 3
+        assert np.count_nonzero(res.seconds) == 3
 
 
 class TestSolveMany:

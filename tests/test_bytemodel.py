@@ -161,14 +161,16 @@ class TestSolveStagePrediction:
 
     def test_broken_byte_model_is_not_swallowed(self, monkeypatch):
         """Regression: any exception of the model silently dropped
-        ``predicted_bytes``, and the drift check went blind."""
+        ``predicted_bytes``, and the drift check went blind.  The model
+        prices only a traced SOLVE, the one whose span carries it."""
         import repro.perfmodel.costmodel as costmodel
+        from repro.observability.spans import tracing
 
         def broken(*_a, **_k):
             raise ZeroDivisionError("broken byte model")
 
         monkeypatch.setattr(costmodel, "rgf_kernels", broken)
-        with pytest.raises(ZeroDivisionError), ledger_scope():
+        with pytest.raises(ZeroDivisionError), tracing(), ledger_scope():
             self._point()()
 
 

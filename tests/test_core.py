@@ -177,6 +177,13 @@ class TestLandauer:
         with pytest.raises(ConfigurationError):
             landauer_current(np.ones(3), np.ones(4), 0.1, 0.0)
 
+    def test_one_energy_is_not_a_current(self):
+        """One energy spans no interval: ``2e^2/h T f`` there would be a
+        conductance labelled as amperes, so it is refused."""
+        for n in (0, 1):
+            with pytest.raises(ConfigurationError, match="two energies"):
+                landauer_current(np.zeros(n), np.ones(n), 0.1, -0.1)
+
 
 class TestGateSweep:
     def test_potential_profile_flat_in_contacts(self, chain):

@@ -17,6 +17,7 @@ from repro.hamiltonian import build_device
 from repro.linalg import (BlockStructure, CouplingSupport, block_support,
                           ledger_scope)
 from repro.linalg import blocktridiag
+from repro.observability.spans import tracing
 from repro.perfmodel import splitsolve_byte_model, splitsolve_flop_model
 from repro.pipeline import DeviceCache, TransportPipeline, get_solver
 from repro.pipeline.cache import DeviceFamily
@@ -24,7 +25,8 @@ from repro.solvers import SplitSolve
 from repro.structure import silicon_nanowire, silicon_utb_film
 from repro.utils.errors import ShapeError
 
-from tests.helpers import check_solver_agreement, make_confined_btd
+from tests.helpers import (check_solver_agreement, make_confined_btd,
+                           stage_spans)
 from tests.test_blocktridiag import make_btd
 
 
@@ -321,18 +323,20 @@ class TestPredictedSolveBytes:
                                      solver="splitsolve",
                                      num_partitions=parts)
             cache = pipe.cache(device)
-            results = pipe.solve_batch(cache, [e0 + 0.2, e0 + 0.3])
+            with tracing() as tracer:
+                results = pipe.solve_batch(cache, [e0 + 0.2, e0 + 0.3])
             widths = cache.structure().support.widths()
             boundary = tuple(len(r) for r in cache.boundary_support())
             assert boundary == (8, 16)
-            for res in results:
-                st = res.trace.stage("SOLVE")
-                assert st.meta["solver"] == "splitsolve"
+            solves = stage_spans(tracer, "SOLVE")
+            assert len(solves) == 2
+            for res, st in zip(results, solves):
+                assert st.attrs["solver"] == "splitsolve"
                 want = splitsolve_byte_model(
-                    device.num_blocks, 48, st.meta["num_rhs"],
+                    device.num_blocks, 48, st.attrs["num_rhs"],
                     num_partitions=parts, is_complex=False,
                     coupling_widths=widths, boundary_widths=boundary)
-                assert st.meta["predicted_bytes"] == want
+                assert st.attrs["predicted_bytes"] == want
                 ob = res.boundary
                 inj = ob.injection_matrix(cache.num_blocks,
                                           cache.block_sizes)

@@ -25,6 +25,7 @@ from repro.pipeline.cache import BoundaryMemo, DeviceCache, DeviceFamily
 from repro.poisson.scf import schroedinger_poisson
 from repro.structure import linear_chain, silicon_utb_film
 from repro.utils.errors import ConfigurationError
+from tests.helpers import stage_flops, stage_spans
 from tests.test_hamiltonian import single_s_basis
 
 
@@ -175,26 +176,28 @@ class TestAccounting:
         cache = pipe.cache(dev)
         energies = [-0.9, -0.7, -0.5, -0.3]
         pipe.solve_batch(cache, energies[:2])
-        with ledger_scope() as led:
-            out = pipe.solve_batch(cache, energies)
-        stages = [r.trace.stage("OBC") for r in out]
-        assert [st.meta.get("reused", False) for st in stages] \
+        with tracing() as tracer, ledger_scope() as led:
+            pipe.solve_batch(cache, energies)
+        stages = stage_spans(tracer, "OBC")
+        assert [st.attrs.get("reused", False) for st in stages] \
             == [True, True, False, False]
         assert stages[0].flops == stages[1].flops == 0
         assert stages[0].bytes_moved == stages[1].bytes_moved == 0
         assert stages[2].flops > 0 and stages[3].flops > 0
-        assert "predicted_bytes" not in stages[0].meta
-        assert "predicted_bytes" in stages[2].meta
-        assert sum(r.trace.total_flops for r in out) == led.total_flops
+        assert "predicted_bytes" not in stages[0].attrs
+        assert "predicted_bytes" in stages[2].attrs
+        assert stage_flops(tracer) == led.total_flops
 
     def test_point_hit_marked_reused(self):
         pipe = TransportPipeline(obc_method="dense", solver="rgf")
         cache = pipe.cache(build_device(_chain(), single_s_basis(), CELLS))
-        first = pipe.solve_point(cache, -0.5)
-        again = pipe.solve_point(cache, -0.5)
-        assert "reused" not in first.trace.stage("OBC").meta
-        assert again.trace.stage("OBC").meta["reused"] is True
-        assert again.trace.stage("OBC").flops == 0
+        with tracing() as tracer:
+            first = pipe.solve_point(cache, -0.5)
+            again = pipe.solve_point(cache, -0.5)
+        first_obc, again_obc = stage_spans(tracer, "OBC")
+        assert "reused" not in first_obc.attrs
+        assert again_obc.attrs["reused"] is True
+        assert again_obc.flops == 0
         assert again.boundary is first.boundary
 
     def test_standalone_spectra_share_nothing(self):

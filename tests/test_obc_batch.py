@@ -15,6 +15,7 @@ from repro.core.runner import compute_spectrum
 from repro.experiments.fig6_phases import _test_lead
 from repro.hamiltonian.device import synthetic_device_from_lead
 from repro.linalg.flops import ledger_scope
+from repro.observability.spans import tracing
 from repro.obc.selfenergy import (compute_open_boundary,
                                   compute_open_boundary_batch)
 from repro.perfmodel.costmodel import choose_solver
@@ -22,7 +23,8 @@ from repro.pipeline import TransportPipeline, resolve_solver_name
 from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError
 
-from tests.helpers import make_confined_lead, open_energies
+from tests.helpers import (make_confined_lead, open_energies, stage_flops,
+                           stage_span, stage_spans)
 from tests.test_hamiltonian import single_s_basis
 
 
@@ -96,7 +98,7 @@ class TestPipelineBatchedObc:
         pipe = TransportPipeline(obc_method=method, solver="rgf",
                                  obc_kwargs=kw)
         dev = self._device()
-        with ledger_scope() as led_b:
+        with tracing() as tracer, ledger_scope() as led_b:
             batch = pipe.solve_batch(pipe.cache(dev), ENERGIES)
         with ledger_scope() as led_p:
             cache = pipe.cache(dev)
@@ -105,9 +107,8 @@ class TestPipelineBatchedObc:
             assert b.transmission_lr == p.transmission_lr
             assert b.num_prop_left == p.num_prop_left
         assert led_b.total_flops == led_p.total_flops
-        # trace flops reconcile exactly with the surrounding ledger
-        assert sum(r.trace.total_flops for r in batch) == \
-            led_b.total_flops
+        # stage flops reconcile exactly with the surrounding ledger
+        assert stage_flops(tracer) == led_b.total_flops
 
     def test_obc_stage_traces_carry_batch_meta(self):
         """Each energy's OBC stage is measured, not a share of the
@@ -118,16 +119,17 @@ class TestPipelineBatchedObc:
         pipe = TransportPipeline(
             obc_method="feast", solver="rgf",
             obc_kwargs=dict(r_outer=3.0, num_points=8, seed=0))
-        with ledger_scope() as led:
-            res = pipe.solve_batch(pipe.cache(dev), energies)
-        assert sum(r.trace.total_flops for r in res) == led.total_flops
-        stages = [r.trace.stage("OBC") for r in res]
+        with tracing() as tracer, ledger_scope() as led:
+            pipe.solve_batch(pipe.cache(dev), energies)
+        assert stage_flops(tracer) == led.total_flops
+        stages = stage_spans(tracer, "OBC")
         assert len({st.flops for st in stages}) > 1
         for e, st in zip(energies, stages):
-            assert st.meta["method"] == "feast"
-            assert st.meta["predicted_bytes"] == st.bytes_moved
-            point = pipe.solve_point(pipe.cache(dev), e)
-            assert st.flops == point.trace.stage("OBC").flops
+            assert st.attrs["method"] == "feast"
+            assert st.attrs["predicted_bytes"] == st.bytes_moved
+            with tracing() as point:
+                pipe.solve_point(pipe.cache(dev), e)
+            assert st.flops == stage_span(point, "OBC").flops
 
     def test_retired_keyword_is_rejected(self):
         # the FEAST seeding opt-in is gone, not ignored; spelled in pieces
@@ -161,16 +163,19 @@ class TestBatchSolverRouting:
         pipe = TransportPipeline(obc_method="feast", solver="auto",
                                  obc_kwargs={"seed": 3})
         dev = synthetic_device_from_lead(_lead(), 6)
-        batch = pipe.solve_batch(pipe.cache(dev), ENERGIES)
+        with tracing() as batch_spans:
+            batch = pipe.solve_batch(pipe.cache(dev), ENERGIES)
         cache = pipe.cache(dev)
-        pts = [pipe.solve_point(cache, e) for e in ENERGIES]
+        with tracing() as point_spans:
+            pts = [pipe.solve_point(cache, e) for e in ENERGIES]
         for b, p in zip(batch, pts):
             assert b.transmission_lr == p.transmission_lr
             assert np.array_equal(b.psi, p.psi)
-            assert b.trace.stage("SOLVE").meta["solver"] \
-                == p.trace.stage("SOLVE").meta["solver"]
-        assert batch[0].trace.stage("SOLVE").meta["solver"] in \
-            ("splitsolve", "rgf")
+        solvers = [sp.attrs["solver"]
+                   for sp in stage_spans(batch_spans, "SOLVE")]
+        assert solvers == [sp.attrs["solver"]
+                           for sp in stage_spans(point_spans, "SOLVE")]
+        assert solvers[0] in ("splitsolve", "rgf")
 
     @pytest.mark.parametrize("solver", ["splitsolve", "bcr", "direct",
                                         "rgf"])
@@ -186,28 +191,29 @@ class TestBatchSolverRouting:
         kw = dict(obc_method="dense", solver=solver)
 
         def spectrum(**extra):
-            with ledger_scope() as led:
+            with tracing() as tracer, ledger_scope() as led:
                 spec = compute_spectrum(st, basis, 2, energies, **kw,
                                         **extra)
-            return spec, dict(led.flops_by_kernel)
+            return spec, dict(led.flops_by_kernel), tracer
 
-        ref, ref_flops = spectrum(energy_batch_size=1)
-        bat, bat_flops = spectrum(energy_batch_size=4,
-                                  result_store=tmp_path / "store")
+        ref, ref_flops, _ = spectrum(energy_batch_size=1)
+        bat, bat_flops, bat_spans = spectrum(
+            energy_batch_size=4, result_store=tmp_path / "store")
         assert bat_flops == ref_flops
         assert not any(k.endswith("_batched") for k in bat_flops)
         assert np.array_equal(bat.transmission, ref.transmission)
         assert np.array_equal(bat.mode_counts, ref.mode_counts)
         solved = 0
-        for b, r in zip(bat.results, ref.results):
+        for ie, (b, r) in enumerate(zip(bat.results, ref.results)):
             assert np.array_equal(b.psi, r.psi)
             if b.psi.shape[1]:
-                assert b.trace.stage("SOLVE").meta["solver"] == solver
+                solve = stage_span(bat_spans, "SOLVE", ie)
+                assert solve.attrs["solver"] == solver
                 solved += 1
         assert solved >= 2
         # what the batch run stored is what a per-point run solves
-        warm, warm_flops = spectrum(energy_batch_size=1,
-                                    result_store=tmp_path / "store")
+        warm, warm_flops, _ = spectrum(energy_batch_size=1,
+                                       result_store=tmp_path / "store")
         assert sum(warm_flops.values()) == 0
         for w, r in zip(warm.results, ref.results):
             assert np.array_equal(w.psi, r.psi)

@@ -2,17 +2,19 @@
 
 Covers the registry extension points (third-party solvers/OBC methods
 without touching core modules), the DeviceCache reuse contract, stage
-traces and their exact flop reconciliation with the ledger, and the
-telemetry/load-balancer consumption of measured trace times.
+spans and their exact flop reconciliation with the ledger, and the
+load balancer's consumption of measured per-k solve times.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.runner import compute_spectrum
+from repro.core.production import run_production
+from repro.core.runner import TransportSpectrum, compute_spectrum
 from repro.hamiltonian.device import synthetic_device_from_lead
 from repro.linalg.flops import ledger_scope
 from repro.negf.transmission import qtbm_energy_point
+from repro.observability.spans import tracing
 from repro.obc.polynomial import PolynomialEVP, PolynomialFamily
 from repro.parallel import DynamicLoadBalancer, ThreadTaskRunner
 from repro.perfmodel.costmodel import (choose_solver, kernel_flops,
@@ -23,8 +25,6 @@ from repro.pipeline import (
     STAGES,
     DeviceCache,
     Registry,
-    StageTrace,
-    TaskTrace,
     TransportPipeline,
     register_obc_method,
     register_solver,
@@ -35,6 +35,7 @@ from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError
 
 from tests.test_hamiltonian import single_s_basis
+from tests.helpers import stage_flops, stage_names, stage_span
 from tests.test_experiments import __name__ as _  # noqa: F401 (import check)
 from repro.experiments.fig6_phases import _test_lead
 
@@ -170,31 +171,33 @@ class TestDeviceCache:
                 np.testing.assert_array_equal(cf, cr)
 
 
-class TestStageTraces:
+class TestStageSpans:
     def test_stage_sequence_and_meta(self, device):
         pipe = TransportPipeline(obc_method="dense", solver="rgf")
-        res = pipe.solve_point(device, 2.0, kpoint_index=3,
-                               energy_index=7)
-        assert [s.name for s in res.trace.stages] == list(STAGES)
-        assert res.trace.kpoint_index == 3
-        assert res.trace.energy_index == 7
-        assert res.trace.stage("SOLVE").meta["solver"] == "rgf"
-        assert res.trace.stage("SOLVE").flops > 0
-        assert res.trace.total_seconds > 0
-        assert "SOLVE" in res.trace.as_table()
+        with tracing() as tracer:
+            res = pipe.solve_point(device, 2.0, kpoint_index=3,
+                                   energy_index=7)
+        assert stage_names(tracer, 7, kpoint=3) == list(STAGES)
+        solve = stage_span(tracer, "SOLVE", 7, kpoint=3)
+        assert solve.attrs["solver"] == "rgf"
+        assert solve.attrs["num_rhs"] == res.psi.shape[1]
+        assert solve.flops > 0
+        assert stage_span(tracer, "OBC").attrs["method"] == "dense"
+        assert res.seconds > 0
 
     def test_no_injection_short_circuits(self, device):
         # far below the band: evanescent modes only, nothing to solve
         pipe = TransportPipeline(obc_method="dense", solver="rgf")
-        res = pipe.solve_point(device, -3.0)
+        with tracing() as tracer:
+            res = pipe.solve_point(device, -3.0)
         assert res.transmission_lr == 0.0
-        assert [s.name for s in res.trace.stages] == \
-            ["PREPARE", "OBC", "ASSEMBLE"]
+        assert stage_names(tracer, -1) == ["PREPARE", "OBC", "ASSEMBLE"]
 
     def test_auto_records_resolved_solver(self, device):
         pipe = TransportPipeline(obc_method="dense", solver="auto")
-        res = pipe.solve_point(device, 2.0)
-        resolved = res.trace.stage("SOLVE").meta["solver"]
+        with tracing() as tracer:
+            pipe.solve_point(device, 2.0)
+        resolved = stage_span(tracer, "SOLVE").attrs["solver"]
         assert resolved in SOLVERS.names()
         assert resolved != "auto"
 
@@ -202,33 +205,28 @@ class TestStageTraces:
         """Acceptance: sum of stage flops == ledger total, exactly."""
         chain = linear_chain(6, 0.25)
         energies = [-0.55, -0.45, -0.35]
-        with ledger_scope() as led:
-            spec = compute_spectrum(chain, single_s_basis(), 6, energies,
-                                    num_k=2, obc_method="dense",
-                                    solver="rgf")
-        traced = sum(tr.total_flops for tr in spec.traces)
+        with tracing() as tracer, ledger_scope() as led:
+            compute_spectrum(chain, single_s_basis(), 6, energies,
+                             num_k=2, obc_method="dense", solver="rgf")
         assert led.total_flops > 0
-        assert traced == led.total_flops
+        assert stage_flops(tracer) == led.total_flops
 
     def test_flops_reconcile_under_thread_runner(self):
         chain = linear_chain(6, 0.25)
         energies = [-0.55, -0.45]
         runner = ResilientTaskRunner(ThreadTaskRunner(num_workers=2))
-        with ledger_scope() as led:
+        with tracing() as tracer, ledger_scope() as led:
             spec = compute_spectrum(chain, single_s_basis(), 6, energies,
                                     obc_method="dense", solver="rgf",
                                     task_runner=runner)
-        traced = sum(tr.total_flops for tr in spec.traces)
-        assert traced == led.total_flops
+        assert stage_flops(tracer) == led.total_flops
         assert spec.telemetry is runner.telemetry
 
 
 class TestTelemetryAndBalancer:
-    def _trace(self, ik, seconds, flops=10):
-        tr = TaskTrace(kpoint_index=ik, energy_index=0, energy=0.0)
-        tr.stages.append(StageTrace(name="SOLVE", seconds=seconds,
-                                    flops=flops))
-        return tr
+    SWEEP = dict(bias_points=[0.0, 0.1], mu_source=-0.6,
+                 e_window=(-1.8, -0.2), num_k=3, num_nodes=8,
+                 scf_kwargs=dict(max_iter=2))
 
     def test_measured_time_per_k(self):
         chain = linear_chain(6, 0.25)
@@ -239,19 +237,54 @@ class TestTelemetryAndBalancer:
         per_k = spec.measured_time_per_k()
         assert per_k.shape == (2,)
         assert np.all(per_k > 0)
-        assert per_k.sum() == pytest.approx(
-            sum(tr.total_seconds for tr in spec.traces))
+        assert spec.seconds.shape == (2, 2)
+        np.testing.assert_array_equal(per_k, spec.seconds.sum(axis=1))
 
-    def test_balancer_consumes_measured_traces(self):
-        bal = DynamicLoadBalancer(8, [4, 4], smoothing=0.0)
-        # k=1 measured 3x more expensive than k=0
-        dist = bal.record_task_traces(
-            [self._trace(0, 0.1), self._trace(1, 0.3)])
-        assert dist is not None
-        assert bal._work[1] > bal._work[0]
-        assert dist.nodes_per_k[1] >= dist.nodes_per_k[0]
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record what each bias point measured and what the balancer
+        was fed: ``[(energies, per_k)]``, ``[(times, nodes_per_k)]``."""
+        measured, fed = [], []
+        measure = TransportSpectrum.measured_time_per_k
+        record = DynamicLoadBalancer.record_iteration
 
-    def test_balancer_ignores_useless_traces(self):
-        bal = DynamicLoadBalancer(8, [4, 4])
-        assert bal.record_task_traces([None, self._trace(-1, 0.5)]) is None
-        assert bal.history == []
+        def measuring(self):
+            measured.append((self.energies.size, measure(self)))
+            return measured[-1][1]
+
+        def recording(self, times):
+            fed.append((np.array(times),
+                        self.current_distribution().nodes_per_k.copy()))
+            return record(self, times)
+
+        monkeypatch.setattr(TransportSpectrum, "measured_time_per_k",
+                            measuring)
+        monkeypatch.setattr(DynamicLoadBalancer, "record_iteration",
+                            recording)
+        return measured, fed
+
+    def test_balancer_consumes_measured_traces(self, monkeypatch):
+        """Each bias point feeds the balancer its final spectrum's
+        measured per-k time, one row per irreducible k-point."""
+        measured, fed = self._spy(monkeypatch)
+        out = run_production(linear_chain(8, 0.25), single_s_basis(), 8,
+                             **self.SWEEP)
+        assert len(measured) == len(fed) == 2
+        for (_, per_k), (times, nodes) in zip(measured, fed):
+            assert per_k.shape == (2,) and np.all(per_k > 0)
+            np.testing.assert_array_equal(times, per_k / nodes)
+        assert len(out.balancer.history) == 2
+
+    def test_balancer_ignores_useless_traces(self, monkeypatch, tmp_path):
+        """A sweep whose every point is a result-store hit measured no
+        time: the balancer gets the energy-count proxy instead."""
+        chain, store = linear_chain(8, 0.25), tmp_path / "store"
+        run_production(chain, single_s_basis(), 8, result_store=store,
+                       **self.SWEEP)
+        measured, fed = self._spy(monkeypatch)
+        run_production(chain, single_s_basis(), 8, result_store=store,
+                       **self.SWEEP)
+        assert len(measured) == len(fed) == 2
+        for (num_e, per_k), (times, nodes) in zip(measured, fed):
+            assert not per_k.any()
+            np.testing.assert_array_equal(times, num_e / nodes)

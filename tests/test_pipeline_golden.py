@@ -16,8 +16,11 @@ from repro.experiments.fig6_phases import _test_lead
 from repro.hamiltonian.device import synthetic_device_from_lead
 from repro.negf.transmission import analyze_solution, qtbm_energy_point
 from repro.obc import compute_open_boundary
+from repro.observability.spans import tracing
 from repro.perfmodel.costmodel import choose_solver
 from repro.pipeline import SOLVERS, TransportPipeline
+
+from tests.helpers import stage_span, stage_spans
 
 OBC_KWARGS = {
     "dense": {},
@@ -69,17 +72,20 @@ def test_pipeline_matches_seed_path(device, obc_method, solver):
     assert_bitwise_equal(got, want)
     # one driver: the point is a batch of one and a slice of a batch
     for batch in ([ENERGY], [1.6, ENERGY, 2.4]):
-        sliced = pipe.solve_batch(device, batch)[batch.index(ENERGY)]
+        with tracing() as tracer:
+            sliced = pipe.solve_batch(device, batch)[batch.index(ENERGY)]
         assert_bitwise_equal(sliced, want)
-        assert sliced.trace.stage("SOLVE").meta["solver"] == solver
+        solve = stage_span(tracer, "SOLVE", batch.index(ENERGY))
+        assert solve.attrs["solver"] == solver
 
 
 @pytest.mark.parametrize("obc_method", ["dense", "feast", "shift_invert"])
 def test_auto_matches_resolved_explicit_solver(device, obc_method):
     pipe = TransportPipeline(obc_method=obc_method, solver="auto",
                              obc_kwargs=OBC_KWARGS[obc_method])
-    got = pipe.solve_point(device, ENERGY)
-    resolved = got.trace.stage("SOLVE").meta["solver"]
+    with tracing() as tracer:
+        got = pipe.solve_point(device, ENERGY)
+    resolved = stage_span(tracer, "SOLVE").attrs["solver"]
     num_rhs = got.psi.shape[1]
     assert resolved == choose_solver(device.num_blocks,
                                      int(max(device.block_sizes)), num_rhs)
@@ -98,11 +104,13 @@ def test_boundary_reuse_is_bitwise_neutral(device):
     """Passing a precomputed boundary must not perturb the result."""
     ob = compute_open_boundary(device.lead, ENERGY, method="dense")
     pipe = TransportPipeline(obc_method="dense", solver="rgf")
-    fresh = pipe.solve_point(device, ENERGY)
-    reused = pipe.solve_point(device, ENERGY, boundary=ob)
-    assert reused.trace.stage("OBC").meta.get("reused") is True
-    assert reused.trace.stage("OBC").flops == 0   # nothing solved in it
-    assert fresh.trace.stage("OBC").flops > 0
+    with tracing() as tracer:
+        fresh = pipe.solve_point(device, ENERGY)
+        reused = pipe.solve_point(device, ENERGY, boundary=ob)
+    fresh_obc, reused_obc = stage_spans(tracer, "OBC")
+    assert reused_obc.attrs.get("reused") is True
+    assert reused_obc.flops == 0   # nothing solved in it
+    assert fresh_obc.flops > 0
     assert_bitwise_equal(reused, fresh)
 
 

@@ -30,6 +30,7 @@ from repro.linalg import gemm, ledger_scope
 from repro.linalg.flops import current_device
 from repro.observability.report import phase_totals, reconcile
 from repro.observability.spans import SpanTracer, tracing
+from repro.pipeline import STAGES
 from repro.parallel import (
     ProcessTaskRunner,
     TaskDescriptor,
@@ -42,6 +43,7 @@ from repro.parallel import (
 from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError, TaskExecutionError
 from tests.test_hamiltonian import single_s_basis
+from tests.helpers import stage_flops, stage_spans
 
 
 ENERGIES = [-0.55, -0.45, -0.35, -0.25]
@@ -133,17 +135,18 @@ class TestParity:
     def test_results_and_traces_complete(self):
         proc = _spectrum(backend="process", num_workers=2)
         assert len(proc.results) == len(ENERGIES)
-        assert len(proc.traces) == len(ENERGIES)
+        # every point's solve time came home from its worker
+        assert proc.seconds.shape == (1, len(ENERGIES))
+        assert np.all(proc.seconds > 0)
         assert proc.measured_time_per_k().shape == (1,)
 
     def test_telemetry_reconciles_with_parent_ledger(self):
-        with ledger_scope() as led:
+        with tracing() as tracer, ledger_scope() as led:
             proc = _spectrum(backend="process", num_workers=2,
                              energy_batch_size=2)
         assert led.total_flops > 0
         assert proc.telemetry is not None
-        assert sum(tr.total_flops for tr in proc.traces) \
-            == led.total_flops
+        assert stage_flops(tracer) == led.total_flops
         # worker flops arrive attributed to their logical node
         assert sum(led.flops_on(f"node{i}") for i in range(2)) \
             == led.total_flops
@@ -153,28 +156,26 @@ class TestParity:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_stage_table_is_one(self, backend, batch, methods):
-        """The spans a run emits and the StageTrace rows it returns are
-        one table: row for row the same integers, and either
+        """The spans a run emits are its one stage table, worker spans
+        included: every energy passes OBC once, each SOLVE names its
+        solver and carries its byte prediction, and the table
         reconciles exactly against the ledger."""
         with tracing() as tracer:
             with ledger_scope() as led:
-                spec = _spectrum(*methods, backend=backend, num_workers=2,
-                                 energy_batch_size=batch)
+                _spectrum(*methods, backend=backend, num_workers=2,
+                          energy_batch_size=batch)
         assert led.total_flops > 0
         spans = tracer.records()
-        rows = [st for tr in spec.traces for st in tr.stages]
-        from_spans, from_rows = phase_totals(spans), phase_totals(rows)
-        assert set(from_spans) == set(from_rows)
-        for name, row in from_rows.items():
-            for col in ("flops", "bytes", "predicted_bytes",
-                        "priced_bytes"):
-                assert from_spans[name][col] == row[col], (name, col)
-            assert from_spans[name]["seconds"] == pytest.approx(
-                row["seconds"], abs=1e-9)
-        assert from_rows["SOLVE"]["predicted_bytes"] > 0
-        for records in (spans, rows):
-            check = reconcile(records, led.total_flops, led.total_bytes)
-            assert check["flops_exact"] and check["bytes_exact"], check
+        table = phase_totals(spans)
+        assert set(table) == set(STAGES)
+        assert table["OBC"]["count"] == len(ENERGIES)
+        assert table["PREPARE"]["count"] == -(-len(ENERGIES) // batch)
+        for sp in stage_spans(spans, "SOLVE"):
+            assert sp.attrs["solver"] == methods[1]
+            assert sp.attrs["num_rhs"] > 0
+        assert table["SOLVE"]["predicted_bytes"] > 0
+        check = reconcile(spans, led.total_flops, led.total_bytes)
+        assert check["flops_exact"] and check["bytes_exact"], check
 
     def test_worker_spans_absorbed_into_parent_tracer(self):
         tracer = SpanTracer()
@@ -188,12 +189,12 @@ class TestParity:
 
 
 def _assert_same_solution(got, want):
-    """Every field but the boundary and the trace (its wall seconds
+    """Every field but the boundary and the solve's wall seconds (they
     differ run to run) bitwise equal."""
     assert len(got) == len(want) > 0
     for g, w in zip(got, want):
         for f in fields(w):
-            if f.name in ("boundary", "trace"):
+            if f.name in ("boundary", "seconds"):
                 continue
             a, b = np.asarray(getattr(g, f.name)), \
                 np.asarray(getattr(w, f.name))
@@ -207,13 +208,13 @@ class TestPickledResult:
 
     def test_pickle_drops_the_boundary_only(self, reference_spectrum):
         res = reference_spectrum.results[1]
-        assert res.boundary is not None and res.trace is not None
+        assert res.boundary is not None and res.seconds > 0
         blob = pickle.dumps(res)
         back = pickle.loads(blob)
         assert back.boundary is None
         assert res.boundary is not None      # the original keeps it
         _assert_same_solution([back], [res])
-        assert pickle.dumps(back.trace) == pickle.dumps(res.trace)
+        assert back.seconds == res.seconds
         assert len(blob) <= res.psi.nbytes + 4096
 
     def test_process_spectrum_is_bitwise_without_boundaries(
@@ -290,12 +291,16 @@ class TestDescriptors:
         m = tracer.metrics
         assert m.counter("worker_cache_misses").value == 2
         assert m.counter("worker_cache_hits").value == 1
-        for a, b, c in zip(first, second, alone):
+        # the three units' OBC spans, in call order
+        obc = stage_spans(tracer, "OBC")
+        assert len(obc) == 3 * len(ENERGIES)
+        for j, (a, b, c) in enumerate(zip(first, second, alone)):
+            b_obc, c_obc = obc[len(ENERGIES) + j], obc[2 * len(ENERGIES) + j]
             assert b.boundary is a.boundary
-            assert b.trace.stage("OBC").meta["reused"] is True
-            assert b.trace.stage("OBC").flops == 0
+            assert b_obc.attrs["reused"] is True
+            assert b_obc.flops == 0
             assert c.boundary is not a.boundary
-            assert c.trace.stage("OBC").flops > 0
+            assert c_obc.flops > 0
             assert c.transmission_lr.hex() == b.transmission_lr.hex()
             assert np.array_equal(c.psi, b.psi)
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.production import run_production
+from repro.observability.spans import tracing
 from repro.structure import linear_chain
 from repro.utils.errors import CheckpointError, ConfigurationError
 from tests.test_hamiltonian import single_s_basis
+from tests.helpers import stage_spans
 
 
 @pytest.fixture(scope="module")
@@ -173,24 +175,28 @@ class TestOneConfiguration:
     def test_scf_kwargs_method_reaches_every_spectrum(self, monkeypatch):
         import repro.core.production as production_mod
 
-        spectra = []
+        spectra, calls = [], []
         real = production_mod.compute_spectrum
-        monkeypatch.setattr(
-            production_mod, "compute_spectrum",
-            lambda *a, **kw: spectra.append(real(*a, **kw)) or spectra[-1])
+
+        def traced(*args, **kwargs):
+            # each spectrum's stage spans, one tracer per call
+            with tracing() as tracer:
+                spectra.append(real(*args, **kwargs))
+            calls.append(tracer)
+            return spectra[-1]
+
+        monkeypatch.setattr(production_mod, "compute_spectrum", traced)
         method = dict(obc_method="feast", solver="splitsolve")
         out = run_production(linear_chain(8, 0.25), single_s_basis(), 8,
                              [0.1], scf_kwargs=dict(max_iter=2, **method),
                              **self.SWEEP)
         # the SCF iterations, then the final spectrum
         assert len(spectra) == out.points[0].scf_iterations + 1 == 3
-        for spec in spectra:
-            assert len(spec.traces) == spec.transmission.size
-            for trace in spec.traces:
-                assert trace.stage("OBC").meta["method"] == "feast"
-                names = [st.name for st in trace.stages]
-                if "SOLVE" in names:
-                    assert trace.stage("SOLVE").meta["solver"] \
-                        == "splitsolve"
-        assert any("SOLVE" in [st.name for st in trace.stages]
-                   for trace in spectra[-1].traces)
+        assert len(calls) == len(spectra)
+        for spec, spans in zip(spectra, calls):
+            obc = stage_spans(spans, "OBC")
+            assert len(obc) == spec.transmission.size
+            assert all(sp.attrs["method"] == "feast" for sp in obc)
+            assert all(sp.attrs["solver"] == "splitsolve"
+                       for sp in stage_spans(spans, "SOLVE"))
+        assert stage_spans(calls[-1], "SOLVE")

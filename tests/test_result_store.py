@@ -409,7 +409,9 @@ class TestPackUnpack:
         res = _spectrum().results[1]
         rebuilt = unpack_result(pack_result(res))
         _assert_bitwise_results([rebuilt], [res])
-        assert rebuilt.trace is None and rebuilt.boundary is None
+        assert res.seconds > 0
+        assert rebuilt.seconds == 0.0 and rebuilt.boundary is None
+        assert "seconds" not in pack_result(res)
 
     def test_record_with_an_extra_array_stays_readable(self, tmp_path):
         # FEAST records used to carry the solve's Ritz block next to
@@ -451,10 +453,10 @@ class TestSpectrumIntegration:
         assert np.array_equal(ref.transmission, warm.transmission)
         assert np.array_equal(ref.mode_counts, warm.mode_counts)
         _assert_bitwise_results(warm.results, ref.results)
-        # hits re-solve nothing: no flops, no stage spans, no traces
+        # hits re-solve nothing: no flops, no stage spans, no time
         assert led.total_flops == 0
-        assert all(r.trace is None for r in warm.results)
-        assert warm.traces == []
+        assert all(r.seconds == 0.0 for r in warm.results)
+        assert not warm.seconds.any()
         assert not any(sp.category == "stage" for sp in tracer.records())
         probes = [sp for sp in tracer.records()
                   if sp.name == "result-store-probe"]

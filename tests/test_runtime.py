@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.energygrid import FINAL_GRID, adaptive_energy_grid
 from repro.core.production import run_production
-from repro.core.runner import compute_spectrum
+from repro.core.runner import TransportSpectrum, compute_spectrum
 from repro.hamiltonian import build_device
 from repro.linalg import gemm, ledger_scope
 from repro.observability.spans import tracing
@@ -588,13 +588,13 @@ SWEEP = dict(mu_source=-0.6, e_window=(-1.8, -0.2))
 
 @pytest.fixture
 def counted_balancer(monkeypatch):
-    """Balancer feedback from trace counts, not wall times, so that two
-    sweeps' balancer histories can be compared bit for bit."""
-    def record(self, traces):
-        per_k = np.full(self._work.shape, float(len(traces)))
-        return self.record_iteration(
-            per_k / self.current_distribution().nodes_per_k)
-    monkeypatch.setattr(DynamicLoadBalancer, "record_task_traces", record)
+    """Balancer feedback from counts of solved points, not wall times,
+    so that two sweeps' balancer histories can be compared bit for
+    bit."""
+    def measured(self):
+        return np.full(len(self.kpoints),
+                       float(np.count_nonzero(self.seconds)))
+    monkeypatch.setattr(TransportSpectrum, "measured_time_per_k", measured)
 
 
 class TestSweepRecord:
