@@ -24,11 +24,11 @@ def telemetry_section():
     """A small fault-protected (k, E) run with full stage telemetry.
 
     Exercises the production wiring end to end: the staged pipeline's
-    per-point solve times, resilient retries, the measured per-k costs the dynamic load
-    balancer consumes — and the cross-runner telemetry merge: two
-    independent resilient runners (disjoint halves of the energy grid,
-    as two sub-communicators would split it) report one coherent total
-    through :meth:`repro.runtime.RunTelemetry.merge`.
+    per-point solve times, resilient retries, the measured per-k costs
+    the dynamic load balancer consumes — and the cross-runner telemetry
+    merge: two independent resilient runners (disjoint halves of the
+    energy grid, as two sub-communicators would split it) report one
+    coherent total through :meth:`repro.runtime.RunTelemetry.merge`.
     """
     from repro.basis import tight_binding_set
     from repro.core.energygrid import lead_band_structure

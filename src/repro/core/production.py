@@ -9,9 +9,9 @@ self-consistent Schroedinger-Poisson solve, the Landauer current at the
 converged potential, and the dynamic load-balancer feedback that OMEN
 applies between iterations (recorded here once per bias point, from the
 measured per-k wall times of its final spectrum, so the distribution
-logic runs on real data).  One checkpoint
-record (:func:`sweep_record`), rewritten after every SCF iteration,
-resumes a killed sweep at the next SCF iteration of its bias point.
+logic runs on real data).  One checkpoint record (:func:`sweep_record`),
+rewritten after every SCF iteration, resumes a killed sweep at the next
+SCF iteration of its bias point.
 """
 
 from __future__ import annotations
@@ -98,12 +98,12 @@ def run_production(structure, basis, num_cells: int, bias_points,
     -----
     Bias points run one after the other (as in OMEN), and the load
     balancer learns per-k costs across points: it is fed once per bias
-    point, from the measured per-k time of the final spectrum.  One transport callable
-    (:func:`sweep_transport`) solves every SCF iteration and every
-    point's final spectrum, so a point's current comes from the method
-    its potential converged with.  Every point's SCF starts from a zero
-    potential; seeding it from the previous point's converged potential
-    (bias continuation) is ROADMAP item 3a.
+    point, from the measured per-k time of the final spectrum.  One
+    transport callable (:func:`sweep_transport`) solves every SCF
+    iteration and every point's final spectrum, so a point's current
+    comes from the method its potential converged with.  Every point's
+    SCF starts from a zero potential; seeding it from the previous
+    point's converged potential (bias continuation) is ROADMAP item 3a.
     """
     # imported here: repro.poisson.scf imports repro.core, whose package
     # init imports this module
