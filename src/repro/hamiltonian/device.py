@@ -9,6 +9,7 @@ phase after loading the CP2K binary files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.hamiltonian.partition import (
     block_sizes_from_slabs,
     to_block_tridiagonal,
 )
-from repro.linalg import BlockTridiagonalMatrix, EnergyOperator
+from repro.linalg import BlockTridiagonalMatrix, EnergyOperator, block_support
 from repro.structure.slabs import assign_slabs, order_by_slab
 from repro.utils.errors import ConfigurationError
 
@@ -52,6 +53,12 @@ class LeadBlocks:
     @property
     def folded_size(self) -> int:
         return self.h00.shape[0]
+
+    @cached_property
+    def coupling_support(self) -> tuple:
+        """``(rows, cols)``, the support of ``(H01, S01)``: the folded
+        coupling ``E*S01 - H01`` is zero outside it at every energy."""
+        return block_support(self.h01, self.s01)
 
     def __getstate__(self):
         """The blocks only: a band scan is redone where it is read."""

@@ -40,8 +40,8 @@ class EnergyPointResult:
     seconds: float = field(repr=False, default=0.0)
 
     def __getstate__(self):
-        """Everything but the boundary: Sigma, t01 and M_L/R are most of
-        a pickled point, and no reader past the solve needs them."""
+        """Everything but the boundary: no reader past the solve needs
+        it, and it stays in the memo of the process that solved it."""
         return dict(self.__dict__, boundary=None)
 
     @property
@@ -185,7 +185,8 @@ class _FluxBasis:
 
 def negf_transmission(device, energy: float, eta: float = 1e-8,
                       boundary: OpenBoundary | None = None) -> float:
-    """Caroli transmission T = Tr[Gamma_L G_{N1} Gamma_R^... ] (Eq. 4 route).
+    """Caroli transmission T = Tr[Gamma_R G_{N,1} Gamma_L G_{N,1}^H]
+    (Eq. 4 route), Gamma = i (Sigma - Sigma^H) of each side.
 
     Uses decimation self-energies and the RGF corner block
     G_{nB-1, 0}; independent of the mode machinery, so it serves as the

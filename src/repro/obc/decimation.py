@@ -84,7 +84,10 @@ def sigma_from_surface_gf(g_left: np.ndarray, g_right: np.ndarray,
     With A = E S - H and coupling block t01 = A_{q,q+1}:
     Sigma_L = t01^H g_left t01 enters the first device block,
     Sigma_R = t01 g_right t01^H the last one, in the convention of Eq. (5)
-    where the solved matrix is (E S - H - Sigma^RB).
+    where the solved matrix is (E S - H - Sigma^RB).  ``t01`` may be the
+    coupling's ``rows x cols`` support block, with ``g_left`` on rows x
+    rows and ``g_right`` on cols x cols: Sigma_L comes out on cols x cols
+    and Sigma_R on rows x rows.
     """
     t10 = t01.conj().T
     sigma_l = t10 @ g_left @ t01

@@ -21,7 +21,8 @@ and Phi_R the right-going ones.  This yields
 entering Eq. (5) as (E S - H - Sigma^RB) c = Inj.  Dropping fast-decaying
 modes (FEAST's annulus) makes Phi rectangular; the Moore-Penrose inverse
 then realizes exactly the paper's approximation that those modes
-"contribute negligibly".
+"contribute negligibly".  T01 is zero outside the support ``rows x cols``
+of the lead's folded (H01, S01), and every product above is kept there.
 
 Injection: an incoming propagating mode u_in (right-going, from the left
 contact, unit amplitude) adds the column
@@ -40,7 +41,6 @@ from functools import cached_property
 import numpy as np
 
 from repro.hamiltonian.device import LeadBlocks
-from repro.linalg import block_support
 from repro.obc.decimation import sancho_rubio, sigma_from_surface_gf
 from repro.obc.feast import feast_annulus
 from repro.obc.modes import (LeadModes, classify_modes, flux_orthogonalize,
@@ -65,24 +65,50 @@ class InjectedMode:
     from_left: bool
 
 
+def _dense_view(name: str, row_side, col_side):
+    """The n x n array that is the block ``name`` at ``row_side x
+    col_side`` (0: the support's rows, 1: its columns, None: every index)
+    and zero elsewhere, built on each access; ``None`` where it is."""
+    def view(self):
+        block = getattr(self, name)
+        if block is not None:
+            at = [np.arange(self.size) if side is None
+                  else self.support[side] for side in (row_side, col_side)]
+            out = np.zeros((self.size, self.size), dtype=complex)
+            out[np.ix_(*at)] = block
+            return out
+    return property(view)
+
+
 @dataclass
 class OpenBoundary:
-    """Sigma^RB + injection data for one (lead, energy) pair; ``injected``,
-    ``from_left`` and ``injected_flux`` are views of the propagating rows
-    of ``modes``, the one table the modes live in.  What only these
-    fields decide is built once and kept with them (:meth:`derived`)."""
+    """Sigma^RB + injection data for one (lead, energy) pair, stored on
+    the lead's ``coupling_support`` ``(rows, cols)``; ``sigma_l``,
+    ``sigma_r``, ``t01``, ``ml`` and ``mr`` are their n x n views, for
+    readers off the solve path.  ``injected``, ``from_left`` and
+    ``injected_flux`` are views of the propagating rows of ``modes``, the
+    one table the modes live in.  What only these fields decide is built
+    once and kept with them (:meth:`derived`)."""
 
     energy: float
-    sigma_l: np.ndarray
-    sigma_r: np.ndarray
-    t01: np.ndarray               # folded E S01 - H01
-    ml: np.ndarray | None         # boundary map M_L (None for decimation)
-    mr: np.ndarray | None
+    size: int                     # folded lead orbitals n
+    support: tuple                # (rows, cols) of the folded coupling
+    t01_block: np.ndarray         # E S01 - H01 on rows x cols
+    sigma_l_block: np.ndarray     # Sigma_L on cols x cols
+    sigma_r_block: np.ndarray     # Sigma_R on rows x rows
+    ml_block: np.ndarray | None   # M_L's columns cols (None: decimation)
+    mr_block: np.ndarray | None   # M_R's columns rows
     modes: LeadModes | None       # the mode table (None for decimation)
     method: str = ""
     #: solver diagnostics (FEAST iterations, decimation iteration count,
     #: predicted bytes, ...) — surfaced on the OBC stage trace
     info: dict = field(default_factory=dict)
+
+    sigma_l = _dense_view("sigma_l_block", 1, 1)
+    sigma_r = _dense_view("sigma_r_block", 0, 0)
+    t01 = _dense_view("t01_block", 0, 1)
+    ml = _dense_view("ml_block", None, 1)
+    mr = _dense_view("mr_block", None, 0)
 
     def derived(self, name: str, build):
         """``build(self)``, built the first time ``name`` is asked for and
@@ -139,24 +165,30 @@ class OpenBoundary:
         fill and two writes of the boundary's injection rows."""
         rows_l, rows_r = self.derived("injection_rows",
                                       OpenBoundary._injection_rows)
+        rows, cols = self.support
         ntot = int(np.sum(block_sizes))
         left = self.from_left
         inj = np.zeros((ntot, left.size), dtype=complex)
-        inj[:block_sizes[0], left] = rows_l
-        inj[ntot - block_sizes[-1]:, ~left] = rows_r
+        inj[np.ix_(cols, np.flatnonzero(left))] = rows_l
+        inj[np.ix_(ntot - block_sizes[-1] + rows,
+                   np.flatnonzero(~left))] = rows_r
         return inj
 
     def _injection_rows(self) -> tuple:
-        """The first block's rows of the left-injected columns of Inj and
-        the last block's of the right-injected ones.  One matvec per mode,
-        not a stacked gemm: each column is bitwise what the per-column
-        construction gives (the golden suites)."""
-        t10, nf = self.t01.conj().T, self.t01.shape[0]
-        left = [-t10 @ ((1.0 / m.lam) * m.vector - self.ml @ m.vector)
+        """The support's rows of the left-injected columns of Inj (cols
+        of the first block) and of the right-injected ones (rows of the
+        last).  One matvec per mode, not a stacked gemm: each column is
+        bitwise what the per-column construction gives."""
+        rows, cols = self.support
+        t01 = self.t01_block
+        left = [-t01.conj().T @ ((1.0 / m.lam) * m.vector[rows]
+                                 - self.ml_block[rows] @ m.vector[cols])
                 for m in self.injected if m.from_left]
-        right = [-self.t01 @ (m.lam * m.vector - self.mr @ m.vector)
+        right = [-t01 @ (m.lam * m.vector[cols]
+                         - self.mr_block[cols] @ m.vector[rows])
                  for m in self.injected if not m.from_left]
-        return np.reshape(left, (-1, nf)).T, np.reshape(right, (-1, nf)).T
+        return (np.reshape(left, (len(left), cols.size)).T,
+                np.reshape(right, (len(right), rows.size)).T)
 
 
 def boundary_from_modes(lead: LeadBlocks, energy: float,
@@ -169,26 +201,31 @@ def boundary_from_modes(lead: LeadBlocks, energy: float,
     The boundary maps M_L (left-going modes, weights 1/lambda, fitted on
     the columns of T01) and M_R (right-going modes, weights lambda, on
     the columns of T01^H, i.e. the rows of T01) come from
-    :func:`_support_map`: least squares over the orbitals the coupling
-    block can see, n x n results.  ``folded`` may be a truncated set
-    (FEAST's annulus) or hold lambda ~ 0 duplicates of the null space
-    (the companion ``zggev``); Sigma = -T M either way.
+    :func:`_support_map` at their non-zero columns, and Sigma_L =
+    -T10[cols, rows] M_L[rows], Sigma_R = -T01[rows, cols] M_R[cols].
+    ``folded`` may be a truncated set (FEAST's annulus) or hold lambda ~ 0
+    duplicates of the null space (the companion ``zggev``); Sigma = -T M
+    either way.
     """
     nf = lead.folded_size
     if folded.vectors.shape[0] != nf:
         raise ConfigurationError(
             f"modes are size {folded.vectors.shape[0]}, lead folded size "
             f"is {nf}; fold modes with group = NBW first")
+    rows, cols = lead.coupling_support
     t01 = (energy * lead.s01 - lead.h01).astype(complex)
-    t10 = t01.conj().T
     folded = flux_orthogonalize(folded, -t01)
+    t01 = t01[np.ix_(rows, cols)]
+    t10 = t01.conj().T
 
     left_set = folded.select(~folded.right_going)
     right_set = folded.select(folded.right_going)
-    ml = _support_map(left_set.vectors, 1.0 / left_set.lambdas, t01)
-    mr = _support_map(right_set.vectors, right_set.lambdas, t10)
-    return OpenBoundary(energy=energy, sigma_l=-t10 @ ml, sigma_r=-t01 @ mr,
-                        t01=t01, ml=ml, mr=mr, modes=folded, method=method)
+    ml = _support_map(left_set.vectors, 1.0 / left_set.lambdas, t01, cols)
+    mr = _support_map(right_set.vectors, right_set.lambdas, t10, rows)
+    return OpenBoundary(energy=energy, size=nf, support=(rows, cols),
+                        t01_block=t01, sigma_l_block=-t10 @ ml[rows],
+                        sigma_r_block=-t01 @ mr[cols], ml_block=ml,
+                        mr_block=mr, modes=folded, method=method)
 
 
 def _compact_nullspace(compact: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
@@ -200,47 +237,48 @@ def _compact_nullspace(compact: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
 
 
 def _support_map(vectors: np.ndarray, weights: np.ndarray,
-                 coupling: np.ndarray) -> np.ndarray:
-    """``V diag(weights)`` times the rows of ``Phi^+`` that belong to V,
-    fitted on the columns ``coupling`` can see (rank-safe least squares).
+                 compact: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The columns ``cols`` of ``V diag(weights)`` times the rows of
+    ``Phi^+`` that belong to V, fitted on the columns a coupling block
+    can see (rank-safe least squares); ``compact`` is that block on its
+    ``rows x cols`` support.
 
     Phi = [V | N] joins the modes V with a basis N of the null space of
-    ``coupling`` at zero weight: the lambda = 0 / infinity modes every
+    the coupling at zero weight: the lambda = 0 / infinity modes every
     finite-eigenvalue solver drops, whose vectors are still needed to
-    decompose the boundary wavefunction.  ``coupling`` is zero outside
-    its ``rows x cols`` support, so N = [N_c | E_Z]: the null vectors of
-    the compact block on ``cols`` and one unit vector per all-zero column
-    Z.  The unit vectors absorb every component of a right-hand side
-    outside ``cols`` whatever the other weights are, so the least-squares
-    weights of V are those of the |cols|-row problem,
-
-        M[:, cols] = V diag(weights) pinv([V[cols] | N_c])[:k],
-        M[:, Z] = 0,
-
-    for every coupling shape (dense: Z is empty; all-zero: M = 0).
+    decompose the boundary wavefunction.  The coupling is zero outside
+    ``rows x cols``, so N = [N_c | E_Z]: the null vectors of ``compact``
+    and one unit vector per all-zero column Z.  The unit vectors absorb
+    every component of a right-hand side outside ``cols`` whatever the
+    other weights are, so the least-squares weights of V are those of
+    the |cols|-row problem, and the map is zero at Z:
+    M[:, cols] = V diag(weights) pinv([V[cols] | N_c])[:k] for every
+    coupling shape (dense: Z is empty; all-zero: no columns).
     """
-    n, k = vectors.shape
-    rows, cols = block_support(coupling)
-    phi = np.hstack([vectors[cols],
-                     _compact_nullspace(coupling[np.ix_(rows, cols)])])
-    out = np.zeros((n, n), dtype=complex)
-    out[:, cols] = (vectors * weights) @ np.linalg.pinv(phi, rcond=1e-12)[:k]
-    return out
+    k = vectors.shape[1]
+    phi = np.hstack([vectors[cols], _compact_nullspace(compact)])
+    return (vectors * weights) @ np.linalg.pinv(phi, rcond=1e-12)[:k]
 
 
 def boundary_from_decimation(lead: LeadBlocks, energy: float,
                              eta: float = 1e-8, **kwargs) -> OpenBoundary:
     """Sigma^RB via Sancho-Rubio (no modes: NEGF-only route); ``kwargs``
-    (``max_iter``, ``tol``) go to :func:`sancho_rubio`."""
+    (``max_iter``, ``tol``) go to :func:`sancho_rubio`; Sigma is formed on
+    the coupling support from the n x n surface GFs."""
+    rows, cols = lead.coupling_support
     t00 = (energy * lead.s00 - lead.h00).astype(complex)
     t01 = (energy * lead.s01 - lead.h01).astype(complex)
     gl, gr, iterations = sancho_rubio(t00, t01, eta=eta, **kwargs)
-    sigma_l, sigma_r = sigma_from_surface_gf(gl, gr, t01)
+    t01 = t01[np.ix_(rows, cols)]
+    sigma_l, sigma_r = sigma_from_surface_gf(
+        gl[np.ix_(rows, rows)], gr[np.ix_(cols, cols)], t01)
     info = {"iterations": iterations,
             "predicted_bytes": kernel_bytes(
                 decimation_kernels(t00.shape[0], iterations))}
-    return OpenBoundary(energy=energy, sigma_l=sigma_l, sigma_r=sigma_r,
-                        t01=t01, ml=None, mr=None, modes=None,
+    return OpenBoundary(energy=energy, size=t00.shape[0],
+                        support=(rows, cols), t01_block=t01,
+                        sigma_l_block=sigma_l, sigma_r_block=sigma_r,
+                        ml_block=None, mr_block=None, modes=None,
                         method="decimation", info=info)
 
 

@@ -78,8 +78,7 @@ import threading
 from repro.cache.keys import lead_content_hash
 from repro.hamiltonian import transverse_k_grid
 from repro.hamiltonian.device import device_at_k, real_space_device
-from repro.linalg import (BlockStructure, EnergyOperator, block_support,
-                          stored_nbytes)
+from repro.linalg import BlockStructure, EnergyOperator, stored_nbytes
 from repro.linalg.assembly import freeze
 from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
@@ -181,7 +180,6 @@ class DeviceCache:
         self._setup = setup if setup is not None else KPointSetup(device)
         self._memo = memo if memo is not None else BoundaryMemo()
         self._kept = None
-        self._boundary_support = None
 
     # -- delegated geometry (so a cache can stand in for the device) -------
 
@@ -252,14 +250,10 @@ class DeviceCache:
         the right one ``T01 @ ...`` with ``T01 = E*S01 - H01``, so they
         vanish outside the column / row support of the lead's folded
         coupling ``(H01, S01)`` - which the contact cells fix, not the
-        energy or the potential.
+        energy or the potential - and every boundary is stored on it.
         """
-        with self._lock:
-            if self._boundary_support is None:
-                lead = self.device.lead
-                rows, cols = block_support(lead.h01, lead.s01)
-                self._boundary_support = (cols, rows)
-            return self._boundary_support
+        rows, cols = self.device.lead.coupling_support
+        return cols, rows
 
     def is_complex(self) -> bool:
         """Whether ``A(E)`` is complex128 rather than float64 (real H

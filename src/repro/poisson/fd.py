@@ -48,24 +48,24 @@ def solve_poisson(grid: PoissonGrid, rho: np.ndarray,
                   eps_r: np.ndarray | float = 1.0,
                   dirichlet_mask: np.ndarray | None = None,
                   dirichlet_values: np.ndarray | None = None) -> np.ndarray:
-    """Solve for the electrostatic potential phi (V) on the grid.
+    """The electrostatic potential phi (V, one per node) of the charge
+    density ``rho`` (e / nm^3, one per node): :func:`poisson_solver`,
+    applied once."""
+    return poisson_solver(grid, eps_r, dirichlet_mask, dirichlet_values)(rho)
 
-    Parameters
-    ----------
-    rho : (num_nodes,) charge density in e / nm^3.
-    eps_r : scalar or (num_nodes,) relative permittivity.
-    dirichlet_mask / dirichlet_values : boolean mask of pinned nodes and
-        their potentials (V).  Without any Dirichlet node the Neumann
-        problem is singular; the mean of phi is then pinned to zero.
 
-    Returns
-    -------
-    (num_nodes,) potential in volts.
+def poisson_solver(grid: PoissonGrid, eps_r: np.ndarray | float = 1.0,
+                   dirichlet_mask: np.ndarray | None = None,
+                   dirichlet_values: np.ndarray | None = None):
+    """``rho -> phi`` on one operator, assembled and LU-factored once:
+    only the charge changes between the solves of an SCF loop.
+
+    ``eps_r`` is a scalar or (num_nodes,) relative permittivity;
+    ``dirichlet_mask`` / ``dirichlet_values`` the boolean mask of pinned
+    nodes and their potentials (V).  Without any Dirichlet node the
+    Neumann problem is singular; node 0 is then pinned to zero.
     """
     n = grid.num_nodes
-    rho = np.asarray(rho, dtype=float).ravel()
-    if rho.size != n:
-        raise ShapeError("rho size does not match grid")
     eps = np.full(n, float(eps_r)) if np.isscalar(eps_r) \
         else np.asarray(eps_r, dtype=float).ravel()
     if eps.size != n:
@@ -74,32 +74,35 @@ def solve_poisson(grid: PoissonGrid, rho: np.ndarray,
         raise ConfigurationError("permittivity must be positive")
 
     a = assemble_operator(grid, eps)
-    b = -rho / EPS0_E_PER_V_NM
-
     if dirichlet_mask is not None and np.any(dirichlet_mask):
-        pin = np.asarray(dirichlet_mask, dtype=bool).ravel()
-        if pin.size != n:
-            raise ShapeError("dirichlet_mask size does not match grid")
         if dirichlet_values is None:
             raise ConfigurationError(
                 "dirichlet_values required with dirichlet_mask")
+        pin = np.asarray(dirichlet_mask, dtype=bool).ravel()
         vals = np.asarray(dirichlet_values, dtype=float).ravel()
-        if vals.size != n:
-            raise ShapeError("dirichlet_values size does not match grid")
+        if pin.size != n or vals.size != n:
+            raise ShapeError("dirichlet mask or values do not match grid")
         free = ~pin
         # Move known potentials to the rhs, then pin the rows/columns.
-        b = b - a @ (vals * pin)
+        shift = a @ (vals * pin)
         d_free = sp.diags(free.astype(float))
         a = d_free @ a @ d_free + sp.diags(pin.astype(float))
-        b = b * free + vals * pin
+
+        def pinned(b):
+            return (b - shift) * free + vals * pin
     else:
-        # Pure Neumann problem is defined up to a constant: pin node 0's
-        # equation to "phi_0 = mean-free value" by fixing phi_0 = 0.
+        # pure Neumann: phi is defined up to a constant; pin phi_0 = 0
         a = a.tolil()
         a.rows[0] = [0]
         a.data[0] = [1.0]
-        a = a.tocsr()
-        b = b.copy()
-        b[0] = 0.0
 
-    return spla.spsolve(sp.csc_matrix(a), b)
+        def pinned(b):
+            return np.concatenate([[0.0], b[1:]])
+    lu = spla.splu(sp.csc_matrix(a))
+
+    def solve(rho: np.ndarray) -> np.ndarray:
+        rho = np.asarray(rho, dtype=float).ravel()
+        if rho.size != n:
+            raise ShapeError("rho size does not match grid")
+        return lu.solve(pinned(-rho / EPS0_E_PER_V_NM))
+    return solve

@@ -20,7 +20,7 @@ from repro.core.production import sweep_record, sweep_transport
 from repro.negf import atom_density, orbital_density
 from repro.observability.spans import current_tracer
 from repro.pipeline.cache import DeviceFamily, as_family
-from repro.poisson.fd import solve_poisson
+from repro.poisson.fd import poisson_solver
 from repro.poisson.grid import PoissonGrid
 from repro.utils.errors import (CheckpointError, ConfigurationError,
                                 ConvergenceError)
@@ -137,9 +137,8 @@ def _scf_loop(start, on_iteration, spectrum, mu_l: float, mu_r: float,
         raise ConfigurationError("doping_atom must have one entry/atom")
     if grid is None:
         grid = PoissonGrid.for_structure(structure, spacing=0.25)
-    dirichlet_vals = None
-    if gate_mask is not None:
-        dirichlet_vals = np.full(grid.num_nodes, float(gate_voltage))
+    poisson = poisson_solver(grid, eps_r, gate_mask, None if gate_mask is None
+                             else np.full(grid.num_nodes, float(gate_voltage)))
 
     # contact cells (first and last) are potential-frozen
     x = structure.positions[:, 0]
@@ -178,9 +177,7 @@ def _scf_loop(start, on_iteration, spectrum, mu_l: float, mu_r: float,
             # (iii) Poisson with net charge (donors +, electrons -)
             net_charge = doping - dens_atoms
             rho = grid.assign_charge(structure.positions, net_charge)
-            phi = solve_poisson(grid, rho, eps_r=eps_r,
-                                dirichlet_mask=gate_mask,
-                                dirichlet_values=dirichlet_vals)
+            phi = poisson(rho)
             new_pot = -grid.interpolate(phi, structure.positions)  # eV
             new_pot[frozen] = 0.0
 

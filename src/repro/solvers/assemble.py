@@ -10,37 +10,51 @@ from repro.linalg.batched import BatchedBlockTridiag
 from repro.utils.errors import ShapeError
 
 
-def assemble_t(a: BlockTridiagonalMatrix, sigma_l: np.ndarray,
-               sigma_r: np.ndarray) -> BlockTridiagonalMatrix:
-    """Fold the boundary self-energies into the corner diagonal blocks.
+def _on_support(sigma, size: int, name: str) -> tuple:
+    """``(index, block)``: one side's Sigma is ``block`` at the ``index x
+    index`` entries of its ``size x size`` corner and zero elsewhere; a
+    dense corner-sized Sigma is the case of every index."""
+    index, block = sigma if isinstance(sigma, tuple) \
+        else (np.arange(size), sigma)
+    if block.shape != (index.size, index.size) or np.any(index >= size):
+        raise ShapeError(f"{name} is {block.shape} at {index.size} of the "
+                         f"{size} rows of its corner block")
+    return np.ix_(index, index), block
 
-    Returns a new matrix; ``a`` is untouched (SplitSolve relies on the
-    Sigma-free A staying available).
+
+def _private_corners(a, cls, **kwargs):
+    """``a`` as a complex ``cls`` whose two corner diagonal blocks are
+    private copies, the only blocks assembly modifies.
+
+    Every other block can be shared with ``a`` (no solver writes into its
+    input blocks), which keeps assembly O(s1^2 + s2^2) instead of
+    O(total).  ``astype`` already copies, so the corners are always
+    private; interior blocks are converted only when they are not
+    complex128 yet.
     """
-    s1 = a.block_sizes[0]
-    s2 = a.block_sizes[-1]
-    if sigma_l.shape != (s1, s1):
-        raise ShapeError(
-            f"sigma_l is {sigma_l.shape}, first block is {s1}x{s1}")
-    if sigma_r.shape != (s2, s2):
-        raise ShapeError(
-            f"sigma_r is {sigma_r.shape}, last block is {s2}x{s2}")
-
-    # Only the two corner diagonal blocks are modified; every other block
-    # can be shared with ``a`` (no solver writes into its input blocks),
-    # which keeps assembly O(s1^2 + s2^2) instead of O(total).  ``astype``
-    # already copies, so the corners are always private; interior blocks
-    # are converted only when they are not complex128 yet.
     diag = [as_complex(b) for b in a.diag]
     diag[0] = a.diag[0].astype(complex)
     if len(diag) > 1:
         diag[-1] = a.diag[-1].astype(complex)
-    t = BlockTridiagonalMatrix(
-        diag,
-        [as_complex(b) for b in a.upper],
-        [as_complex(b) for b in a.lower])
-    t.diag[0] -= sigma_l
-    t.diag[-1] -= sigma_r
+    return cls(diag, [as_complex(b) for b in a.upper],
+               [as_complex(b) for b in a.lower], **kwargs)
+
+
+def assemble_t(a: BlockTridiagonalMatrix, sigma_l,
+               sigma_r) -> BlockTridiagonalMatrix:
+    """Fold the boundary self-energies into the corner diagonal blocks.
+
+    Each Sigma is a corner-sized dense array or an ``(index, block)``
+    pair, the form an :class:`~repro.obc.selfenergy.OpenBoundary` stores:
+    ``block`` is subtracted at the ``index x index`` entries alone.
+    Returns a new matrix; ``a`` is untouched (SplitSolve relies on the
+    Sigma-free A staying available).
+    """
+    corners = [_on_support(sigma_l, a.block_sizes[0], "sigma_l"),
+               _on_support(sigma_r, a.block_sizes[-1], "sigma_r")]
+    t = _private_corners(a, BlockTridiagonalMatrix)
+    for i, (at, block) in zip((0, -1), corners):
+        t.diag[i][at] -= block
     return t
 
 
@@ -53,24 +67,12 @@ def assemble_t_batched(a: BatchedBlockTridiag, sigma_l: np.ndarray,
     diagonal stacks are copied; every interior stack is shared with
     ``a`` (same contract as the per-point assembly).
     """
-    s1 = a.block_sizes[0]
-    s2 = a.block_sizes[-1]
-    ne = a.batch_size
-    if sigma_l.shape != (ne, s1, s1):
-        raise ShapeError(
-            f"sigma_l stack is {sigma_l.shape}, expected {(ne, s1, s1)}")
-    if sigma_r.shape != (ne, s2, s2):
-        raise ShapeError(
-            f"sigma_r stack is {sigma_r.shape}, expected {(ne, s2, s2)}")
-    diag = [as_complex(b) for b in a.diag]
-    diag[0] = a.diag[0].astype(complex)
-    if len(diag) > 1:
-        diag[-1] = a.diag[-1].astype(complex)
-    t = BatchedBlockTridiag(
-        diag,
-        [as_complex(b) for b in a.upper],
-        [as_complex(b) for b in a.lower],
-        energies=a.energies)
+    for name, sigma, s in (("sigma_l", sigma_l, a.block_sizes[0]),
+                           ("sigma_r", sigma_r, a.block_sizes[-1])):
+        if sigma.shape != (a.batch_size, s, s):
+            raise ShapeError(f"{name} stack is {sigma.shape}, expected "
+                             f"{(a.batch_size, s, s)}")
+    t = _private_corners(a, BatchedBlockTridiag, energies=a.energies)
     t.diag[0] -= sigma_l
     t.diag[-1] -= sigma_r
     return t

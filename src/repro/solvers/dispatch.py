@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import block_support
 from repro.pipeline.registry import register_solver
 from repro.solvers.assemble import assemble_t
 from repro.solvers.bcr import solve_bcr
@@ -36,33 +35,33 @@ def _solve_splitsolve(a, ob, inj, *, num_partitions=1, info=None):
 
     Sigma_L and the left injection are ``T10 @ ...``, Sigma_R and the
     right one ``T01 @ ...``: they vanish outside the column / row support
-    of the lead's coupling block, known before any mode is, so Q is
-    computed on those rows only.  A generic rhs promises nothing about
-    its rows and gets every one.
+    of the lead's coupling block, known before any mode is and stored
+    with the boundary, so Q is computed on those rows only and SplitSolve
+    is handed the support's rows of Sigma and Inj.  A generic rhs
+    promises nothing about its rows and gets every one.
     """
     s1 = a.block_sizes[0]
     s2 = a.block_sizes[-1]
     ntot = sum(a.block_sizes)
     from_left = ob.from_left
     per_mode = from_left.size == inj.shape[1]
-    support = None
-    if per_mode:
-        rows, cols = block_support(ob.t01)
-        support = (cols, rows)      # T10's rows on the left, T01's right
+    rows, cols = ob.support
     # partitions run one after the other: threads inside one point are
     # measured slower than the (k, E) parallelism around it
     ss = SplitSolve(a, num_partitions=num_partitions, parallel=False,
-                    boundary_support=support)
+                    boundary_support=(cols, rows) if per_mode else None)
     if not per_mode:
         # generic rhs (not one column per injected mode): solve all
         # columns against both block rows
-        b_top = inj[:s1]
-        b_bottom = inj[ntot - s2:, :0]
-        psi = ss.solve(ob.sigma_l, ob.sigma_r, b_top, b_bottom)
+        psi = ss.solve(ob.sigma_l, ob.sigma_r, inj[:s1], inj[ntot - s2:, :0])
     else:
-        b_top = inj[:s1][:, from_left]
-        b_bottom = inj[ntot - s2:][:, ~from_left]
-        x = ss.solve(ob.sigma_l, ob.sigma_r, b_top, b_bottom)
+        c_l = np.zeros((cols.size, s1), dtype=complex)
+        c_l[:, cols] = ob.sigma_l_block
+        c_r = np.zeros((rows.size, s2), dtype=complex)
+        c_r[:, rows] = ob.sigma_r_block
+        b_top = inj[cols][:, from_left]
+        b_bottom = inj[ntot - s2 + rows][:, ~from_left]
+        x = ss.solve_support(c_l, c_r, b_top, b_bottom)
         psi = np.empty((ntot, inj.shape[1]), dtype=complex)
         psi[:, from_left] = x[:, :b_top.shape[1]]
         psi[:, ~from_left] = x[:, b_top.shape[1]:]
@@ -72,19 +71,25 @@ def _solve_splitsolve(a, ob, inj, *, num_partitions=1, info=None):
     return psi
 
 
+def _assemble(a, ob):
+    """T = A - Sigma^RB from the boundary's blocks at their supports."""
+    rows, cols = ob.support
+    return assemble_t(a, (cols, ob.sigma_l_block), (rows, ob.sigma_r_block))
+
+
 @register_solver("rgf")
 def _solve_rgf(a, ob, inj, *, num_partitions=1, info=None):
     """Recursive Green's function (block Thomas) [47]."""
-    return solve_rgf(assemble_t(a, ob.sigma_l, ob.sigma_r), inj)
+    return solve_rgf(_assemble(a, ob), inj)
 
 
 @register_solver("bcr")
 def _solve_bcr(a, ob, inj, *, num_partitions=1, info=None):
     """Block cyclic reduction (OMEN's legacy CPU solver) [33]."""
-    return solve_bcr(assemble_t(a, ob.sigma_l, ob.sigma_r), inj)
+    return solve_bcr(_assemble(a, ob), inj)
 
 
 @register_solver("direct")
 def _solve_direct(a, ob, inj, *, num_partitions=1, info=None):
     """Sparse-direct LU (the MUMPS baseline)."""
-    return solve_direct(assemble_t(a, ob.sigma_l, ob.sigma_r), inj)
+    return solve_direct(_assemble(a, ob), inj)

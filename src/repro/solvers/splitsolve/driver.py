@@ -14,7 +14,8 @@ Workflow (Fig. 6):
   rows_last)``, known from the lead's coupling block before any
   self-energy is, and Q is never stored wider than that.
 
-* ``solve(sigma_l, sigma_r, b_top, b_bottom)`` — Steps 2-4: with
+* ``solve(sigma_l, sigma_r, b_top, b_bottom)`` — Steps 2-4 (from the
+  support's rows alone: ``solve_support``): with
   Sigma^RB = B C, C the support's rows of Sigma, and Q in hand,
   y = Q b', R = 1 - C Q (as large as the support: 2s x 2s when it is
   every row), z = R^{-1} C y, and x = Q (b' + z) with one gemm per block.
@@ -243,11 +244,9 @@ class SplitSolve:
         """Postprocessing: solve (A - Sigma^RB) x = Inj.
 
         ``b_top``/``b_bottom`` are the non-zero first/last block rows of
-        Inj (any number of columns, including zero).
+        Inj (any number of columns, including zero); every operand must
+        vanish outside the boundary support.
         """
-        if self.q is None:
-            self.preprocess()
-        q = self.q
         a = self.a
         s1 = a.block_sizes[0]
         s2 = a.block_sizes[-1]
@@ -260,16 +259,26 @@ class SplitSolve:
         _require_zero_outside(b_top, rows_first, "b_top")
         _require_zero_outside(sigma_r, rows_last, "sigma_r")
         _require_zero_outside(b_bottom, rows_last, "b_bottom")
+        return self.solve_support(sigma_l[rows_first], sigma_r[rows_last],
+                                  b_top[rows_first], b_bottom[rows_last])
 
-        # b' and C on the support: B is its unit columns, so Inj = B b'
-        # and Sigma^RB = B C with C the support's rows of Sigma.
-        wf = rows_first.size
+    def solve_support(self, c_l: np.ndarray, c_r: np.ndarray,
+                      b_top: np.ndarray, b_bottom: np.ndarray) -> np.ndarray:
+        """:meth:`solve` from the boundary support's rows of its operands:
+        ``c_l`` / ``c_r`` those of Sigma_L / Sigma_R (the C of Sigma^RB =
+        B C, full block width), ``b_top`` / ``b_bottom`` those of Inj."""
+        if self.q is None:
+            self.preprocess()
+        q = self.q
+        wf, wl = map(len, self.boundary_support)
+        if (len(c_l), len(b_top), len(c_r), len(b_bottom)) != (wf, wf, wl, wl):
+            raise ShapeError("operand rows do not match the boundary support")
+
+        # b' on the support: B is its unit columns, so Inj = B b'.
         m = b_top.shape[1] + b_bottom.shape[1]
-        bprime = np.zeros((wf + rows_last.size, m), dtype=complex)
-        bprime[:wf, :b_top.shape[1]] = b_top[rows_first]
-        bprime[wf:, b_top.shape[1]:] = b_bottom[rows_last]
-        c_l = sigma_l[rows_first]
-        c_r = sigma_r[rows_last]
+        bprime = np.zeros((wf + wl, m), dtype=complex)
+        bprime[:wf, :b_top.shape[1]] = b_top
+        bprime[wf:, b_top.shape[1]:] = b_bottom
 
         with self.timer.stage("postprocessing"):
             with device_scope(q.devices[0]):

@@ -76,6 +76,8 @@ def _arrays(obj):
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             yield from _arrays(item)
+    elif isinstance(obj, dict):
+        yield from _arrays(list(obj.values()))
     elif hasattr(obj, "__dict__"):
         for item in vars(obj).values():
             yield from _arrays(item)
@@ -142,3 +144,27 @@ def test_records_are_the_same_bytes_with_products_reused(wire):
         assert encode_record("k", ra) == encode_record("k", rb)
         assert sum(np.asarray(v).nbytes for v in ra.values()) \
             == sum(np.asarray(v).nbytes for v in rb.values())
+
+
+@pytest.mark.parametrize("method", ["dense", "feast"])
+def test_a_memoized_boundary_is_stored_on_its_coupling_support(wire,
+                                                               method):
+    """The lead couples to 16 and 8 of its 48 folded orbitals: no array a
+    memoized boundary holds - its Sigma, M and T01 blocks, the mode
+    table, the products built with it - is n x n in size."""
+    structure, basis, _family, window = wire
+    family = DeviceFamily(structure, basis, CELLS)
+    obc_kwargs = dict(r_outer=3.0, num_points=8, seed=0) \
+        if method == "feast" else {}
+    compute_spectrum(structure, basis, CELLS, np.linspace(*window, 4),
+                     family=family, obc_method=method, solver="rgf",
+                     obc_kwargs=obc_kwargs)
+    n = family.gamma_device().lead.folded_size
+    obs = _boundaries(family)
+    assert len(obs) == 4
+    for ob in obs:
+        rows, cols = ob.support
+        assert max(rows.size, cols.size) < n
+        assert "_derived" in ob.__dict__
+        sizes = [a.size for a in _arrays(ob)]
+        assert sizes and max(sizes) < n * n

@@ -143,9 +143,10 @@ class TestAgreement:
 
 class TestDeviceSupport:
     def test_adapter_runs_on_the_lead_coupling_support(self):
-        """The registry adapter reads the support off ``ob.t01``: Sigma
-        and Inj vanish outside it, the cache reports the same rows, and
-        the ledger records exactly what the models price with them."""
+        """The registry adapter reads the support the boundary is stored
+        on, that of ``ob.t01``: Sigma and Inj vanish outside it, the cache
+        reports the same rows, and the ledger records exactly what the
+        models price with them."""
         device = build_device(silicon_nanowire(0.7, 4), tight_binding_set(),
                               4)
         cache = DeviceCache(device)
