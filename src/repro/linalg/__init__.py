@@ -43,6 +43,7 @@ from repro.linalg.blocktridiag import (
     BlockStructure,
     BlockTridiagonalMatrix,
     CouplingSupport,
+    SparseBlocks,
     as_complex,
     block_support,
     energy_scalars,
@@ -95,6 +96,7 @@ __all__ = [
     "BlockStructure",
     "BlockTridiagonalMatrix",
     "CouplingSupport",
+    "SparseBlocks",
     "as_complex",
     "block_support",
     "energy_scalars",

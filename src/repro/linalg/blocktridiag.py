@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -206,13 +207,57 @@ class CouplingSupport:
         return CouplingSupport(self.upper[start:stop - 1],
                                self.lower[start:stop - 1])
 
+    def block_widths(self) -> list:
+        """``(upper rows, upper cols, lower rows, lower cols)`` of each
+        coupling, in block order: what RGF is priced with."""
+        return [(len(ur), len(uc), len(lr), len(lc))
+                for (ur, uc), (lr, lc) in zip(self.upper, self.lower)]
+
     def widths(self) -> tuple:
-        """``(upper rows, upper cols, lower rows, lower cols)``, each the
-        largest over the blocks: what the uniform-block cost models of
-        :mod:`repro.perfmodel` price SplitSolve with."""
-        return tuple(max((len(pair[axis]) for pair in side), default=0)
-                     for side in (self.upper, self.lower)
-                     for axis in (0, 1))
+        """:meth:`block_widths`, each the largest over the blocks: what
+        the uniform-block cost models of :mod:`repro.perfmodel` price
+        SplitSolve with."""
+        widths = self.block_widths()
+        return tuple(map(max, zip(*widths))) if widths else (0,) * 4
+
+
+class _BlocksOnRead(Sequence):
+    """Blocks of sparse ``a`` at flat ``positions``, each cut
+    (:func:`sparse_blocks`) when read and not kept."""
+
+    def __init__(self, a, block_sizes, positions):
+        self._a, self._sizes, self._positions = a, block_sizes, positions
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, k):
+        return sparse_blocks(self._a, self._sizes, [self._positions[k]])[0]
+
+
+class SparseBlocks:
+    """Sparse ``a`` seen through its block-tridiagonal ``diag``,
+    ``upper`` and ``lower`` blocks, each cut when read and dropped after.
+
+    What a :class:`BlockStructure` works its facts out from:
+    :meth:`CouplingSupport.of` and :meth:`hermitian_error` read one block
+    (pair) at a time, so they never hold more than that - not the
+    matrix-sized set of dense blocks a :class:`BlockTridiagonalMatrix`
+    cut from ``a`` would be.
+    """
+
+    def __init__(self, a, block_sizes):
+        a = sp.csr_matrix(a)
+        nb = len(block_sizes)
+        self.diag, self.upper, self.lower = (
+            _BlocksOnRead(a, list(block_sizes), range(lo, hi))
+            for lo, hi in ((0, nb), (nb, 2 * nb - 1),
+                           (2 * nb - 1, 3 * nb - 2)))
+
+    def hermitian_error(self) -> float:
+        """:meth:`BlockTridiagonalMatrix.hermitian_error`, block by
+        block."""
+        return BlockTridiagonalMatrix.hermitian_error(self)
 
 
 class BlockStructure:
@@ -223,10 +268,11 @@ class BlockStructure:
     energies.  Its members point at it (``structure=``) instead of
     deriving the facts from their own blocks.  Both are worked out
     together on the first request, once, under a lock - a solver that
-    never asks (RGF) never pays, and the energies of a sweep share one
-    evaluation.  The spanning matrices may be given as one zero-argument
-    callable returning them: it is called then, and its matrices are not
-    kept.
+    never asks (BCR, sparse-direct) never pays, and the energies of a
+    sweep share one evaluation.  The spanning matrices may be given as
+    one zero-argument callable returning them (:class:`SparseBlocks`
+    reads a sparse one block by block): it is called then, and its
+    matrices are not kept.
     """
 
     def __init__(self, *spanning):

@@ -9,7 +9,7 @@ and :func:`kernel_flops` / :func:`kernel_bytes` sum it over
 kernels record from.  A model and the PAPI-substitute ledger can then
 only disagree on *which* kernels a solver runs, and the test-suite
 checks that they do not: ``(kernel_flops, kernel_bytes)`` of a sequence
-equals the ledger's totals exactly - RGF on any block sizes,
+equals the ledger's totals exactly - RGF on any block sizes and supports,
 decimation, FEAST, the dense OBC, the interface reduction, and
 SplitSolve on uniform blocks with uniform coupling supports.
 """
@@ -154,32 +154,40 @@ def splitsolve_byte_model(num_blocks: int, block_size: int, num_rhs: int,
         is_complex)
 
 
-def rgf_kernels(block_sizes, num_rhs: int):
+def rgf_kernels(block_sizes, num_rhs: int, coupling_widths=None):
     """The kernels of one RGF (block Thomas) solve of ``num_rhs`` columns
     on blocks of the given sizes: :func:`repro.solvers.rgf.solve_rgf`,
     which the pipeline runs once per energy (complex whatever A is:
-    Sigma enters the first block).
+    Sigma enters the corner Schur blocks).
 
-    Backward sweep from the last block's LU: per block ``i`` one
-    back-substitution of ``[lower_i | carry]`` (``s_i + m`` columns)
-    against the ``s_{i+1}`` factor, the Schur gemm, the rhs-carry gemm
-    and the LU of the updated block; forward substitution: one
-    back-substitution, then one gemm per block - the classic
-    ~ (8/3 + 16) nb s^3 of the paper's Fig. 8 CPU curve.
+    ``coupling_widths`` holds one ``(upper rows, upper cols, lower rows,
+    lower cols)`` per coupling block
+    (:meth:`repro.linalg.CouplingSupport.block_widths`); the default,
+    the block sizes, prices dense couplings.  Backward sweep from the
+    last block's LU: per coupling ``i`` one back-substitution of the
+    ``lc`` non-zero columns of ``T[i+1, i]`` next to the ``m`` carried
+    ones against the ``s_{i+1}`` factor, one ``(ru, lc + m, uc)`` gemm
+    for the Schur update and the rhs carry together, and the LU of the
+    updated block; forward substitution: one back-substitution, then
+    one ``(s_i, m, lc)`` gemm per block.  Only the LUs are cubic in s.
     """
     s = [int(size) for size in block_sizes]
     m = int(num_rhs)
     if not s:
         raise ConfigurationError("model needs >= 1 block")
+    if coupling_widths is None:         # dense couplings
+        coupling_widths = [(s[i], s[i + 1], s[i + 1], s[i])
+                           for i in range(len(s) - 1)]
+    widths = [tuple(map(int, w)) for w in coupling_widths]
     yield 1, "lu_factor", (s[-1],)
     for i in range(len(s) - 2, -1, -1):
-        yield 1, "lu_solve", (s[i + 1], s[i] + m)
-        yield 1, "gemm", (s[i], s[i], s[i + 1])     # Schur update
-        yield 1, "gemm", (s[i], m, s[i + 1])        # rhs carry
+        ru, uc, _, lc = widths[i]
+        yield 1, "lu_solve", (s[i + 1], lc + m)
+        yield 1, "gemm", (ru, lc + m, uc)     # Schur update + rhs carry
         yield 1, "lu_factor", (s[i],)
     yield 1, "lu_solve", (s[0], m)
     for i in range(1, len(s)):
-        yield 1, "gemm", (s[i], m, s[i - 1])
+        yield 1, "gemm", (s[i], m, widths[i - 1][3])
 
 
 def mixed_kernels(n: int, nrhs: int, refine_iters: int = 1):
@@ -317,11 +325,11 @@ def choose_solver(num_blocks: int, block_size: int, num_rhs: int,
     Compares the deterministic flop models, weighting SplitSolve's count
     by the GPU/CPU rate ratio (SplitSolve runs on the accelerators, RGF
     on the host cores).  Systems the SplitSolve model cannot price
-    (fewer than 2 blocks) fall back to RGF.  ``coupling_widths`` and
-    ``boundary_widths`` price SplitSolve on the coupling and boundary
-    supports it runs on (RGF treats the blocks as dense), ``is_complex``
-    in the dtype of A(E) (RGF sees the self-energy from its first block
-    and is complex whatever A is).
+    (fewer than 2 blocks) fall back to RGF.  ``coupling_widths`` prices
+    both solvers on the coupling support they sweep on (the default:
+    dense blocks), ``boundary_widths`` SplitSolve on the boundary rows
+    it reads, ``is_complex`` SplitSolve in the dtype of A(E) (RGF sees
+    the self-energy in its corner blocks and is complex whatever A is).
     """
     num_rhs = max(int(num_rhs), 1)
     if num_blocks < 2:
@@ -332,7 +340,10 @@ def choose_solver(num_blocks: int, block_size: int, num_rhs: int,
                                hermitian=hermitian,
                                coupling_widths=coupling_widths,
                                boundary_widths=boundary_widths)
-    rgf = kernel_flops(rgf_kernels([block_size] * num_blocks, num_rhs))
+    rgf = kernel_flops(rgf_kernels(
+        [block_size] * num_blocks, num_rhs,
+        None if coupling_widths is None
+        else [coupling_widths] * (num_blocks - 1)))
     return "splitsolve" if ss / _device_rate_ratio() <= rgf else "rgf"
 
 

@@ -78,7 +78,8 @@ import threading
 from repro.cache.keys import lead_content_hash
 from repro.hamiltonian import transverse_k_grid
 from repro.hamiltonian.device import device_at_k, real_space_device
-from repro.linalg import BlockStructure, EnergyOperator, stored_nbytes
+from repro.linalg import (BlockStructure, EnergyOperator, SparseBlocks,
+                          stored_nbytes)
 from repro.linalg.assembly import freeze
 from repro.obc.polynomial import PolynomialFamily
 from repro.observability.spans import current_tracer
@@ -136,10 +137,11 @@ class KPointSetup:
         #: coupling support and Hermiticity of every ``A(E)``, real E:
         #: spanned by the potential-free ``(H, S)`` - a potential only
         #: adds multiples of S's entries to H - and worked out from
-        #: them, extracted for that one evaluation, when a solver first
-        #: asks
+        #: them when a solver first asks, H's blocks cut one pair at a
+        #: time for that one evaluation
         self.structure = BlockStructure(
-            lambda: (device.h_blocks(), self.operator().s))
+            lambda: (SparseBlocks(device.hmat, device.block_sizes),
+                     self.operator().s))
 
     def operator(self) -> EnergyOperator:
         with self._lock:

@@ -194,19 +194,22 @@ class TransportPipeline:
                 predicted = None if tracer is None else \
                     self._predicted_solve_bytes(cache, name, width,
                                                 self.num_partitions)
+                where = f"solver {name!r} at E = {energies[j]}"
                 with stage_scope("SOLVE", kpoint_index, [ie]) as notes:
-                    x = SOLVERS.get(name)(
-                        a_batch.point(j), ob, inj,
-                        num_partitions=self.num_partitions, info=notes)
+                    try:
+                        x = SOLVERS.get(name)(
+                            a_batch.point(j), ob, inj,
+                            num_partitions=self.num_partitions, info=notes)
+                    except SingularMatrixError as exc:
+                        raise SingularMatrixError(f"{where}: {exc}") from exc
                     notes.update(solver=name, num_rhs=width)
                     if predicted:
                         notes["predicted_bytes"] = int(predicted)
                 # rgf / bcr factor with check_finite=False: a NaN in
-                # A(E) comes back as a NaN psi, not an error
+                # A(E) may come back as a NaN psi, not an error
                 if not np.isfinite(x).all():
                     raise SingularMatrixError(
-                        f"solver {name!r} returned a non-finite "
-                        f"wavefunction at E = {energies[j]}: "
+                        f"{where} returned a non-finite wavefunction: "
                         "A(E) - Sigma is singular or not finite")
                 psis[j] = x
 
@@ -250,8 +253,8 @@ class TransportPipeline:
         """Model-predicted kernel bytes of one energy's SOLVE stage.
 
         Exact for RGF (the solver's kernel sequence on the true
-        per-block sizes; it folds Sigma into its first
-        block and is complex whatever A(E) is); the SplitSolve
+        per-block sizes and coupling supports; it folds Sigma into its
+        corner blocks and is complex whatever A(E) is); the SplitSolve
         model prices ``num_partitions`` partitions of uniform blocks
         with uniform coupling supports in the dtype of A(E), so
         non-uniform devices carry a documented tolerance.  Returns
@@ -259,8 +262,9 @@ class TransportPipeline:
         model cannot price.
         """
         if solver_name == "rgf":
-            return costmodel.kernel_bytes(
-                costmodel.rgf_kernels(cache.block_sizes, int(width)))
+            return costmodel.kernel_bytes(costmodel.rgf_kernels(
+                cache.block_sizes, int(width),
+                cache.structure().support.block_widths()))
         if solver_name == "splitsolve":
             try:
                 return costmodel.splitsolve_byte_model(

@@ -71,25 +71,27 @@ def _solve_splitsolve(a, ob, inj, *, num_partitions=1, info=None):
     return psi
 
 
-def _assemble(a, ob):
-    """T = A - Sigma^RB from the boundary's blocks at their supports."""
+def _sigma(ob):
+    """Sigma_L and Sigma_R as ``(index, block)`` pairs at the boundary's
+    support."""
     rows, cols = ob.support
-    return assemble_t(a, (cols, ob.sigma_l_block), (rows, ob.sigma_r_block))
+    return (cols, ob.sigma_l_block), (rows, ob.sigma_r_block)
 
 
 @register_solver("rgf")
 def _solve_rgf(a, ob, inj, *, num_partitions=1, info=None):
-    """Recursive Green's function (block Thomas) [47]."""
-    return solve_rgf(_assemble(a, ob), inj)
+    """Recursive Green's function (block Thomas) [47] on the Sigma-free
+    A(E), Sigma folded into its corner Schur blocks."""
+    return solve_rgf(a, inj, *_sigma(ob))
 
 
 @register_solver("bcr")
 def _solve_bcr(a, ob, inj, *, num_partitions=1, info=None):
     """Block cyclic reduction (OMEN's legacy CPU solver) [33]."""
-    return solve_bcr(_assemble(a, ob), inj)
+    return solve_bcr(assemble_t(a, *_sigma(ob)), inj)
 
 
 @register_solver("direct")
 def _solve_direct(a, ob, inj, *, num_partitions=1, info=None):
     """Sparse-direct LU (the MUMPS baseline)."""
-    return solve_direct(_assemble(a, ob), inj)
+    return solve_direct(assemble_t(a, *_sigma(ob)), inj)

@@ -85,10 +85,8 @@ def solve_poisson_splitsolve(grid: PoissonGrid, rho: np.ndarray,
     # Interior charge makes the RHS dense, outside SplitSolve's
     # sparse-Inj structure; fall back to the block solver for that case.
     if np.any(rho[plane:-plane] != 0.0):
-        from repro.solvers import assemble_t, solve_rgf
-
-        t = assemble_t(a2, sigma_l, sigma_r)
-        return np.real(solve_rgf(t, b))
+        from repro.solvers import solve_rgf
+        return np.real(solve_rgf(a2, b, sigma_l, sigma_r))
 
     ss = SplitSolve(a2, num_partitions=num_partitions, parallel=False)
     # SplitSolve treats top/bottom blocks as independent injection

@@ -9,67 +9,78 @@ and current densities in the NEGF route (Eq. 4).  There is one sweep:
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from repro.linalg import (BlockTridiagonalMatrix, as_complex, gemm,
                           lu_factor, lu_solve)
 from repro.linalg.arena import scratch
 from repro.linalg.batched import BatchedBlockTridiag
+from repro.solvers.assemble import _on_support
 from repro.utils.errors import ShapeError
 
 
-def solve_rgf(t: BlockTridiagonalMatrix, b: np.ndarray,
-              tag: str = "rgf") -> np.ndarray:
-    """Solve T x = b by block forward/backward recursion.
+def solve_rgf(t: BlockTridiagonalMatrix, b: np.ndarray, sigma_l=None,
+              sigma_r=None, tag: str = "rgf") -> np.ndarray:
+    """Solve (T - Sigma^RB) x = b by block backward/forward recursion.
 
-    Cost: one LU of each diagonal Schur block plus two gemm per block —
-    O(nB * s^3), the linear-in-device-length scaling tight-binding OMEN
-    was built on.
+    ``sigma_l`` / ``sigma_r`` (optional, in a form
+    :func:`~repro.solvers.assemble_t` takes) are folded into the first /
+    last Schur block, so ``t`` may be the Sigma-free A(E).  The sweep
+    runs on ``t.coupling_support()``: block ``i + 1`` is solved only for
+    the non-zero columns ``lc`` of ``T[i+1, i]`` next to the carried
+    rhs, one gemm of ``T[i, i+1]``'s non-zero ``ru x uc`` sub-block
+    gives the Schur update and the rhs carry, and the forward
+    substitution is contracted over ``lc``.  Only the LU of each dense
+    Schur block is cubic in s - O(nB * s^3), the linear-in-device-length
+    scaling tight-binding OMEN was built on - and only the Schur blocks
+    and the support sub-blocks are made complex.
     """
-    offs = t.block_offsets()
+    offs = list(accumulate(t.block_sizes, initial=0))
     nb = t.num_blocks
     if b.shape[0] != offs[-1]:
         raise ShapeError(f"rhs has {b.shape[0]} rows, matrix {offs[-1]}")
     squeeze = b.ndim == 1
     if squeeze:
         b = b[:, None]
-    # b is only ever read below (the sweeps subtract *from* its slices
-    # into fresh arrays), so a complex input needs no defensive copy.
-    b = as_complex(b)
-    # One up-front conversion per coupling block; the sweeps below used
-    # to re-convert t.lower[i]/t.upper[i] on every use (up to three times
-    # per block per call).
-    upper = [as_complex(u) for u in t.upper]
-    lower = [as_complex(l) for l in t.lower]
+    b = as_complex(b)       # only read: the carries are fresh copies
+    sup = t.coupling_support()
+    folds = [(i, _on_support(sigma, t.block_sizes[i], name))
+             for i, sigma, name in ((0, sigma_l, "sigma_l"),
+                                    (nb - 1, sigma_r, "sigma_r"))
+             if sigma is not None]
 
-    # Backward sweep: Schur-complement factors from the bottom up.
-    # schur_i = T_ii - T_{i,i+1} inv(schur_{i+1}) T_{i+1,i}
-    facs = [None] * nb
-    xi_up = [None] * nb  # inv(schur_{i+1}) T_{i+1,i} pieces
-    yi = [None] * nb     # inv(schur_{i+1}) (partial rhs)
-    schur = t.diag[nb - 1].astype(complex)
-    carry = b[offs[nb - 1]:offs[nb]].copy()
-    facs[nb - 1] = lu_factor(schur, tag=tag)
-    for i in range(nb - 2, -1, -1):
-        sol = lu_solve(facs[i + 1], np.hstack([lower[i], carry]), tag=tag)
-        ncol = lower[i].shape[1]
-        xi_up[i + 1] = sol[:, :ncol]
-        yi[i + 1] = sol[:, ncol:]
-        schur = t.diag[i] - gemm(upper[i], xi_up[i + 1], tag=tag)
-        carry = b[offs[i]:offs[i + 1]] - gemm(upper[i], yi[i + 1], tag=tag)
+    # Backward sweep, bottom up: schur_i = T_ii - T_{i,i+1} X_{i+1}, with
+    # [X_{i+1} | y_{i+1}] = inv(schur_{i+1}) [T_{i+1,i}[:, lc] | carry].
+    facs, xs, ys = [None] * nb, [None] * nb, [None] * nb
+    for i in range(nb - 1, -1, -1):
+        schur = t.diag[i].astype(complex)       # private, complex
+        for j, (at, sigma) in folds:
+            if j == i:
+                schur[at] -= sigma
+        rhs = b[offs[i]:offs[i + 1]].copy()
+        if i < nb - 1:
+            (ru, uc), lc = sup.upper[i], sup.lower[i][1]
+            sol = lu_solve(facs[i + 1],
+                           np.hstack([t.lower[i][:, lc], carry]), tag=tag)
+            xs[i + 1], ys[i + 1] = sol[:, :lc.size], sol[:, lc.size:]
+            update = gemm(as_complex(t.upper[i][ru[:, None], uc]), sol[uc],
+                          tag=tag)
+            schur[ru[:, None], lc] -= update[:, :lc.size]
+            rhs[ru] -= update[:, lc.size:]
+        carry = rhs
         facs[i] = lu_factor(schur, tag=tag)
 
-    # Forward substitution.  The result outlives the call (it becomes
-    # psi), so it is an *escape* checkout: accounted in the workspace
-    # telemetry, never pooled for reuse.
+    # Forward substitution, x_i = y_i - X_i x_{i-1}[lc].  The result
+    # outlives the call (it becomes psi), so it is an *escape* checkout:
+    # accounted in the workspace telemetry, never pooled for reuse.
     x = scratch(b.shape, complex, escape=True, tag="rgf.x")
     x[offs[0]:offs[1]] = lu_solve(facs[0], carry, tag=tag)
     for i in range(1, nb):
-        # The Schur elimination already folded the rhs into yi/xi_up:
-        # x_i = yi_i - xi_up_i @ x_{i-1}.
-        x[offs[i]:offs[i + 1]] = yi[i] - gemm(xi_up[i],
-                                              x[offs[i - 1]:offs[i]],
-                                              tag=tag)
+        lc = sup.lower[i - 1][1]
+        x[offs[i]:offs[i + 1]] = ys[i] - gemm(
+            xs[i], x[offs[i - 1]:offs[i]][lc], tag=tag)
     return x[:, 0] if squeeze else x
 
 

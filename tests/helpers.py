@@ -58,6 +58,38 @@ def promote_to_complex(a):
                                     for side in (a.diag, a.upper, a.lower)))
 
 
+def dense_rgf(t, b):
+    """The block-Thomas sweep on dense coupling blocks: every column of
+    ``T[i+1, i]`` solved, ``s x s`` gemms, every block promoted - the
+    reference the support sweep of :func:`repro.solvers.solve_rgf` is
+    held to, bit for bit, on the production wire.  ``t`` already holds
+    Sigma (``assemble_t``)."""
+    import numpy as np
+    from repro.linalg import as_complex, gemm, lu_factor, lu_solve
+
+    offs = t.block_offsets()
+    nb = t.num_blocks
+    b = as_complex(b)
+    upper = [as_complex(u) for u in t.upper]
+    lower = [as_complex(l) for l in t.lower]
+    facs, xi_up, yi = [None] * nb, [None] * nb, [None] * nb
+    carry = b[offs[nb - 1]:offs[nb]].copy()
+    facs[nb - 1] = lu_factor(t.diag[nb - 1].astype(complex))
+    for i in range(nb - 2, -1, -1):
+        sol = lu_solve(facs[i + 1], np.hstack([lower[i], carry]))
+        ncol = lower[i].shape[1]
+        xi_up[i + 1], yi[i + 1] = sol[:, :ncol], sol[:, ncol:]
+        schur = t.diag[i] - gemm(upper[i], xi_up[i + 1])
+        carry = b[offs[i]:offs[i + 1]] - gemm(upper[i], yi[i + 1])
+        facs[i] = lu_factor(schur)
+    x = np.empty(b.shape, dtype=complex)
+    x[offs[0]:offs[1]] = lu_solve(facs[0], carry)
+    for i in range(1, nb):
+        x[offs[i]:offs[i + 1]] = yi[i] - gemm(xi_up[i],
+                                              x[offs[i - 1]:offs[i]])
+    return x
+
+
 def check_solver_agreement(system, energy=None, partitions=(1, 2, 4),
                            tol=1e-10, seed=0, boundary_support=None,
                            num_rhs=(2, 1)):

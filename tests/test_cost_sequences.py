@@ -189,11 +189,20 @@ def test_every_sequence_prices_its_solver(case):
                             ("sizes", "num_rhs", "cplx", "seed"))
     rng = np.random.default_rng(seed)
 
-    # RGF on the drawn (ragged or uniform) blocks: complex whatever T is
-    t = make_confined_btd(sizes, [None] * (len(sizes) - 1), seed, cplx)
+    # RGF on the drawn (ragged or uniform) blocks, complex whatever T is,
+    # on dense couplings or on one interface orbital each side
+    pairs = [None if not case["confined"]
+             else (([sizes[i] - 1], [0]), ([0], [sizes[i] - 1]))
+             for i in range(len(sizes) - 1)]
+    widths = [(sizes[i], sizes[i + 1], sizes[i + 1], sizes[i])
+              if pair is None else (1, 1, 1, 1)
+              for i, pair in enumerate(pairs)]
+    t = make_confined_btd(sizes, pairs, seed, cplx)
     with ledger_scope() as led:
         solve_rgf(t, _draw(rng, cplx, sum(sizes), m))
-    assert _counts(led) == _priced(rgf_kernels(sizes, m))
+    assert _counts(led) == _priced(rgf_kernels(sizes, m, widths))
+    if not case["confined"]:
+        assert _counts(led) == _priced(rgf_kernels(sizes, m))
 
     # SplitSolve on uniform blocks, in the dtype of A
     s, p, hermitian = max(sizes), case["partitions"], case["hermitian"]

@@ -8,6 +8,8 @@ models stay integer-exact against the ledger, and that a device cache's
 support covers every ``A(E)`` whatever the energy or potential.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -293,19 +295,43 @@ class TestDeviceCacheStructure:
         # one support union, one Hermiticity check each of H and S
         assert calls == {"support": 1, "hermitian": 2}
 
-    def test_rgf_never_evaluates_the_structure(self, monkeypatch):
-        def boom(*_a, **_k):
-            raise AssertionError("RGF path asked for the coupling support")
+    def test_rgf_reads_the_structure_once_a_block_pair_at_a_time(
+            self, monkeypatch):
+        """RGF sweeps on the coupling support, so it evaluates the
+        k-point's structure - once, whatever the energies - and the
+        evaluation reads H from its sparse form block by block: it never
+        holds more than one block pair of H (with the temporaries that
+        compare it), not the whole H cut into dense blocks."""
+        calls = []
+        of = CouplingSupport.of
 
-        monkeypatch.setattr(CouplingSupport, "of", staticmethod(boom))
-        monkeypatch.setattr(blocktridiag.BlockTridiagonalMatrix,
-                            "hermitian_error", boom)
+        def counting_of(*matrices):
+            calls.append(1)
+            return of(*matrices)
+
+        monkeypatch.setattr(CouplingSupport, "of", staticmethod(counting_of))
         device = wire()
         e0 = open_energy(device, 0.0)
         pipe = TransportPipeline(obc_method="dense", solver="rgf")
         cache = pipe.cache(device)
         pipe.solve_point(cache, e0 + 0.3)
         pipe.solve_batch(cache, [e0 + 0.2, e0 + 0.3])
+        assert len(calls) == 1
+
+        long = build_device(silicon_nanowire(1.2, 12), tight_binding_set(),
+                            12)
+        fresh = DeviceCache(long)
+        fresh.operator()            # S's blocks are kept anyway
+        block = max(long.block_sizes) ** 2 * long.hmat.dtype.itemsize
+        tracemalloc.start()
+        try:
+            fresh.structure().hermitian
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 2
+        # H cut whole is 3 * 12 - 2 = 34 blocks
+        assert peak < 4 * (2 * block), peak / block
 
 
 class TestPredictedSolveBytes:
